@@ -9,8 +9,9 @@ bytes) and prints a short report with fitted slopes, regime tags and
 quadrature diagnostics to standard output.
 
 Exit codes: 0 success, 2 configuration error (message names the offending
-field), 3 numeric failure (quadrature that stays unconverged after the
-built-in refinement cap).
+field; non-finite numbers are configuration errors), 3 numeric failure
+(quadrature that stays unconverged after the built-in refinement cap, or a
+non-finite rate).
 """
 
 from __future__ import annotations
@@ -104,6 +105,8 @@ def _number(d: dict, key: str, path: str, default=None, positive=False, nonnegat
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number")
     v = float(v)
+    if not np.isfinite(v):
+        raise ConfigError(f"{path}.{key}: must be finite")
     if positive and not v > 0:
         raise ConfigError(f"{path}.{key}: must be positive")
     if nonnegative and v < 0:
@@ -136,6 +139,8 @@ def _vector3(d: dict, key: str, path: str, default=None, positive=False) -> np.n
         arr = np.array([float(x) for x in v])
     except (TypeError, ValueError):
         raise ConfigError(f"{path}.{key}: expected numeric components") from None
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{path}.{key}: components must be finite")
     if positive and not np.all(arr > 0):
         raise ConfigError(f"{path}.{key}: components must be positive")
     return arr
@@ -169,8 +174,11 @@ def _orientation(d: dict | None, path: str) -> Orientation:
         if "matrix" in d:
             if "axis" in d or "angle_deg" in d:
                 raise ConfigError(f"{path}: give either matrix or axis/angle_deg, not both")
-            m = np.asarray(d["matrix"], dtype=float)
-            if m.shape != (3, 3):
+            try:
+                m = np.asarray(d["matrix"], dtype=float)
+            except (TypeError, ValueError):
+                m = None
+            if m is None or m.shape != (3, 3):
                 raise ConfigError(f"{path}.matrix: expected a 3x3 matrix")
             return Orientation(m)
         if "axis" in d or "angle_deg" in d:
@@ -290,8 +298,8 @@ def load_run_config(path: str) -> RunConfig:
     eps_eff = mode_cfg.get("eps_eff")
     if eps_eff is None:
         eps_eff = default_eps_eff(substrate)
-    elif isinstance(eps_eff, bool) or not isinstance(eps_eff, (int, float)) or not eps_eff > 0:
-        raise ConfigError("mode.eps_eff: expected a positive number or null")
+    elif isinstance(eps_eff, bool) or not isinstance(eps_eff, (int, float)) or not 0 < eps_eff < np.inf:
+        raise ConfigError("mode.eps_eff: expected a positive finite number or null")
     mode = MicrowaveMode(
         omega0=2 * np.pi * f_ghz * 1e9,
         mode_volume=v_e * _UM3,
@@ -739,7 +747,10 @@ def _cmd_run(args) -> int:
                 raise ConfigError("--threads: must be at least 1")
             overrides["threads"] = args.threads
         if overrides:
-            cfg.quad = dataclasses.replace(cfg.quad, **overrides)
+            try:
+                cfg.quad = dataclasses.replace(cfg.quad, **overrides)
+            except ValueError as e:  # only --quad can be out of range here
+                raise ConfigError(f"--quad: {e}") from None
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -748,7 +759,7 @@ def _cmd_run(args) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except NumericFailure as e:
+    except (NumericFailure, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
     write_csv(cfg.output, table)

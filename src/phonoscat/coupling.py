@@ -34,13 +34,15 @@ class MicrowaveMode:
     eps_eff: float  # effective relative permittivity
 
     def __post_init__(self):
-        if not self.omega0 > 0:
-            raise ValueError("mode frequency must be positive")
-        if not self.mode_volume > 0:
-            raise ValueError("mode volume must be positive")
-        if not self.eps_eff > 0:
-            raise ValueError("effective permittivity must be positive")
+        if not 0 < self.omega0 < np.inf:
+            raise ValueError("mode frequency must be positive and finite")
+        if not 0 < self.mode_volume < np.inf:
+            raise ValueError("mode volume must be positive and finite")
+        if not 0 < self.eps_eff < np.inf:
+            raise ValueError("effective permittivity must be positive and finite")
         e = np.asarray(self.field_direction, dtype=float)
+        if not np.all(np.isfinite(e)):
+            raise ValueError("field direction must be finite")
         n = np.linalg.norm(e)
         if n == 0:
             raise ValueError("field direction must be nonzero")
@@ -79,10 +81,10 @@ class Inclusion:
     def __post_init__(self):
         L = np.asarray(self.dimensions, dtype=float)
         r0 = np.asarray(self.center, dtype=float)
-        if L.shape != (3,) or not np.all(L > 0):
-            raise ValueError("inclusion dimensions must be three positive lengths")
-        if r0.shape != (3,):
-            raise ValueError("inclusion center must be a 3-vector")
+        if L.shape != (3,) or not np.all((L > 0) & (L < np.inf)):
+            raise ValueError("inclusion dimensions must be three positive finite lengths")
+        if r0.shape != (3,) or not np.all(np.isfinite(r0)):
+            raise ValueError("inclusion center must be a finite 3-vector")
         if self.sign not in (1, -1):
             raise ValueError("inclusion sign must be +1 or -1")
         for a in (L, r0):

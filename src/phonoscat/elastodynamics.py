@@ -11,6 +11,12 @@ from the eigenpair:
     v_g,m = e_i c_imkl khat_k e_l / (rho v_q)
 
 which satisfies the homogeneity relation ``v_g . khat = v_q`` exactly.
+
+The quadrature engine needs the Christoffel solution at every node of an
+angular grid, and that solution depends only on the substrate and the grid.
+``angular_table`` solves it once per (substrate, n_theta, n_phi) and keeps the
+read-only result on the ``MaterialSpec`` instance, so its lifetime is the
+substrate object's.
 """
 
 from __future__ import annotations
@@ -22,6 +28,10 @@ import numpy as np
 from .materials import CONSTANTS, MaterialSpec
 
 _DEGENERACY_RTOL = 1e-8
+
+# Fixed span of one batched solve when a table is built, so a node's
+# arithmetic does not depend on the size of the grid it belongs to.
+_CHUNK = 2048
 
 
 class MaterialInstabilityError(ValueError):
@@ -109,6 +119,74 @@ def christoffel_many(
                 vec[mask, :, a] = ca[:, None] * va + sa[:, None] * vb
                 vec[mask, :, b] = -sa[:, None] * va + ca[:, None] * vb
     return np.sqrt(w), vec
+
+
+@dataclass(frozen=True)
+class AngularTable:
+    """Christoffel solution of one substrate on one angular quadrature grid.
+
+    Nodes follow the theta-major order of the Gauss-Legendre x uniform grid.
+    All arrays are read-only.
+    """
+
+    khats: np.ndarray  # (N, 3) unit propagation directions
+    weights: np.ndarray  # (N,) solid-angle weights, summing to 4 pi
+    velocities: np.ndarray  # (N, 3) phase velocities, ascending
+    polarizations: np.ndarray  # (N, 3, 3), [n, :, q] the polarization of branch q
+
+
+def _angular_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre x uniform product grid; theta-major fixed node order."""
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    phi = 2 * np.pi * np.arange(n_phi) / n_phi
+    st = np.sqrt(1.0 - x * x)
+    kx = st[:, None] * np.cos(phi)[None, :]
+    ky = st[:, None] * np.sin(phi)[None, :]
+    kz = np.broadcast_to(x[:, None], kx.shape)
+    khats = np.stack([kx, ky, kz], axis=-1).reshape(-1, 3)
+    weights = np.repeat(w, n_phi) * (2 * np.pi / n_phi)
+    return khats, weights
+
+
+def _build_table(
+    material: MaterialSpec, n_theta: int, n_phi: int, degenerate_rng
+) -> AngularTable:
+    khats, weights = _angular_grid(n_theta, n_phi)
+    n = khats.shape[0]
+    velocities = np.empty((n, 3))
+    polarizations = np.empty((n, 3, 3))
+    for a in range(0, n, _CHUNK):
+        b = min(a + _CHUNK, n)
+        velocities[a:b], polarizations[a:b] = christoffel_many(
+            material, khats[a:b], degenerate_rng
+        )
+    for arr in (khats, weights, velocities, polarizations):
+        arr.setflags(write=False)
+    return AngularTable(khats, weights, velocities, polarizations)
+
+
+def angular_table(
+    material: MaterialSpec,
+    n_theta: int,
+    n_phi: int,
+    degenerate_rng: np.random.Generator | None = None,
+) -> AngularTable:
+    """The Christoffel solution of ``material`` on the n_theta x n_phi grid.
+
+    Solved once per grid and memoized on the material instance; a copy made
+    by ``MaterialSpec.rotated`` (or any other constructor call) starts with
+    no tables.  With ``degenerate_rng`` (the remixing testing hook of
+    ``christoffel_many``) a fresh table is built and nothing is memoized.
+    """
+    if degenerate_rng is not None:
+        return _build_table(material, n_theta, n_phi, degenerate_rng)
+    tables = material.angular_tables
+    table = tables.get((n_theta, n_phi))
+    if table is None:
+        # setdefault is atomic: threads that race on a first use may both
+        # solve, but all of them get the one table that is stored
+        table = tables.setdefault((n_theta, n_phi), _build_table(material, n_theta, n_phi, None))
+    return table
 
 
 def group_velocity(material: MaterialSpec, khat, polarization, phase_velocity) -> np.ndarray:

@@ -315,6 +315,15 @@ class MaterialSpec:
         dt.setflags(write=False)
         return dt
 
+    @cached_property
+    def angular_tables(self) -> dict:
+        """Memo of ``elastodynamics.angular_table``, keyed by (n_theta, n_phi).
+
+        It lives and dies with this instance; a rotated or otherwise rebuilt
+        material starts with an empty memo.
+        """
+        return {}
+
     def lame(self) -> tuple[float, float]:
         """Lame parameters (lambda, mu) for an isotropic stiffness."""
         if not is_isotropic_stiffness(self.C):

@@ -16,7 +16,13 @@ exactly between the density of states and the zero-point displacement; it is
 kept as an explicit knob so the cancellation is checked, not assumed.
 
 Quadrature is Gauss-Legendre in cos(theta) times a uniform periodic rule in
-phi.  Node values are evaluated in fixed-size chunks (optionally across a
+phi.  The Christoffel eigenpairs at the nodes depend only on the substrate and
+the grid, so they come from the substrate's ``AngularTable`` for that grid
+(``elastodynamics.angular_table``): solved on first use and kept on the
+``MaterialSpec`` instance for its lifetime.  Sweep points, refinement reruns
+(whose coarse grid is the previous fine grid) and the regime tag all read
+these tables; only the coupling, form factor and phase are evaluated per
+point.  Node values are evaluated in fixed-size chunks (optionally across a
 thread pool) and reduced by numpy's deterministic pairwise summation in fixed
 node order, so serial and threaded runs agree bitwise.
 """
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode, induced_strain
-from .elastodynamics import christoffel_many
+from .elastodynamics import angular_table, christoffel_many
 from .materials import CONSTANTS, MaterialSpec
 
 # Regime boundary: Rayleigh when max_i |k| L_i stays below this.
@@ -99,19 +105,6 @@ class RadiationResult:
         object.__setattr__(self, "branch_rates", br)
 
 
-def _angular_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre x uniform product grid; theta-major fixed node order."""
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    phi = 2 * np.pi * np.arange(n_phi) / n_phi
-    st = np.sqrt(1.0 - x * x)
-    kx = st[:, None] * np.cos(phi)[None, :]
-    ky = st[:, None] * np.sin(phi)[None, :]
-    kz = np.broadcast_to(x[:, None], kx.shape)
-    khats = np.stack([kx, ky, kz], axis=-1).reshape(-1, 3)
-    weights = np.repeat(w, n_phi) * (2 * np.pi / n_phi)
-    return khats, weights
-
-
 def _inclusion_tables(mode: MicrowaveMode, inclusions) -> list[dict]:
     E = mode.field_zp * mode.field_direction
     tables = []
@@ -133,15 +126,15 @@ def _node_values(
     tables: list[dict],
     substrate: MaterialSpec,
     khats: np.ndarray,
+    vels: np.ndarray,
+    pols: np.ndarray,
     quantization_volume: float,
-    degenerate_rng,
 ) -> np.ndarray:
     """Golden-rule integrand at each direction node, shape (3, n)."""
     hbar = CONSTANTS.hbar
     rho = substrate.rho
     omega0 = mode.omega0
     c = substrate.stiffness_tensor
-    vels, pols = christoffel_many(substrate, khats, degenerate_rng)
     golden = (2 * np.pi / hbar**2) * (quantization_volume / (8 * np.pi**3))
     u0_sq = hbar / (2 * rho * omega0 * quantization_volume)
     out = np.empty((3, khats.shape[0]))
@@ -173,32 +166,31 @@ def _gamma_branches(
     degenerate_rng,
     threads: int,
 ) -> np.ndarray:
-    khats, weights = _angular_grid(n_theta, n_phi)
+    grid = angular_table(substrate, n_theta, n_phi, degenerate_rng)
     tables = _inclusion_tables(mode, inclusions)
-    n = khats.shape[0]
+    n = grid.khats.shape[0]
     values = np.empty((3, n))
     spans = [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
 
     def work(span):
         a, b = span
         values[:, a:b] = _node_values(
-            mode, tables, substrate, khats[a:b], quantization_volume, degenerate_rng
+            mode, tables, substrate, grid.khats[a:b], grid.velocities[a:b],
+            grid.polarizations[a:b], quantization_volume,
         )
 
-    if threads > 1 and degenerate_rng is None and len(spans) > 1:
+    if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, spans))
     else:
         for span in spans:
             work(span)
     # fixed-order pairwise reduction: deterministic for any thread count
-    return np.array([np.add.reduce(weights * values[q]) for q in range(3)])
+    return np.array([np.add.reduce(grid.weights * values[q]) for q in range(3)])
 
 
 def min_phase_velocity(substrate: MaterialSpec, n_theta: int = 16, n_phi: int = 32) -> float:
-    khats, _ = _angular_grid(n_theta, n_phi)
-    vels, _ = christoffel_many(substrate, khats)
-    return float(np.min(vels))
+    return float(np.min(angular_table(substrate, n_theta, n_phi).velocities))
 
 
 def regime_label(omega0: float, inclusions, substrate: MaterialSpec) -> str:
@@ -218,6 +210,8 @@ def _as_inclusion_list(inclusions) -> list[Inclusion]:
 
 
 def _result(omega0, branch_rates, regime, diagnostics) -> RadiationResult:
+    if not np.all(np.isfinite(branch_rates)):
+        raise FloatingPointError(f"non-finite radiated rate per branch: {branch_rates}")
     total = float(np.sum(branch_rates))
     q = omega0 / total if total > 0 else np.inf
     return RadiationResult(

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode, geometry_factor
-from .elastodynamics import christoffel_many
+from .elastodynamics import angular_table
 from .materials import MaterialSpec, Orientation
-from .radiation import QuadratureSpec, RadiationResult, _angular_grid, mie_rate
+from .radiation import QuadratureSpec, RadiationResult, mie_rate
 
 
 @dataclass(frozen=True)
@@ -87,17 +87,16 @@ def emission_weighted_overlap(
     over propagation directions and branches, weighted by the point-source
     emission measure 1 / v_q^5.  G = 0 for a non-piezoelectric inclusion.
     """
-    khats, weights = _angular_grid(n_theta, n_phi)
-    vels, pols = christoffel_many(substrate, khats)
+    grid = angular_table(substrate, n_theta, n_phi)
     c = substrate.stiffness_tensor
     d_lab = inclusion.d_lab
     num = 0.0
     den = 0.0
     for q in range(3):
-        tau = np.einsum("ijkl,nk,nl->nij", c, khats, pols[:, :, q])
-        w = weights / vels[:, q] ** 5
+        tau = np.einsum("ijkl,nk,nl->nij", c, grid.khats, grid.polarizations[:, :, q])
+        w = grid.weights / grid.velocities[:, q] ** 5
         g = np.array(
-            [geometry_factor(mode.field_direction, d_lab, tau[i]) for i in range(khats.shape[0])]
+            [geometry_factor(mode.field_direction, d_lab, tau[i]) for i in range(tau.shape[0])]
         )
         num += float(np.sum(w * g))
         den += float(np.sum(w))

@@ -220,6 +220,31 @@ class TestConfigErrors:
         cfg["inclusions"][0]["dimensions_um"] = [0.01, -0.01, 0.01]
         self.check(tmp_path, capsys, cfg, "inclusions[0].dimensions_um: components must be positive")
 
+    def test_nan_field_direction_names_field(self, tmp_path, capsys):
+        cfg = base_config(scenario="mie", quadrature=dict(SMALL_QUAD))
+        cfg["mode"]["field_direction"] = [0, float("nan"), 0]
+        self.check(tmp_path, capsys, cfg, "mode.field_direction: components must be finite")
+
+    def test_nan_center_names_field(self, tmp_path, capsys):
+        cfg = base_config(scenario="mie", quadrature=dict(SMALL_QUAD))
+        cfg["inclusions"][0]["center_um"] = [float("nan"), 0, 0]
+        self.check(tmp_path, capsys, cfg, "inclusions[0].center_um: components must be finite")
+
+    def test_infinite_number_names_field(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["mode"]["frequency_GHz"] = float("inf")
+        self.check(tmp_path, capsys, cfg, "mode.frequency_GHz: must be finite")
+
+    def test_infinite_eps_eff(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["mode"]["eps_eff"] = float("inf")
+        self.check(tmp_path, capsys, cfg, "mode.eps_eff")
+
+    def test_non_numeric_orientation_matrix(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["inclusions"][0]["orientation"] = {"matrix": "abc"}
+        self.check(tmp_path, capsys, cfg, "inclusions[0].orientation.matrix: expected a 3x3 matrix")
+
     def test_unknown_top_level_key(self, tmp_path, capsys):
         self.check(tmp_path, capsys, base_config(tolerance=1e-3), "unknown field")
 
@@ -281,6 +306,12 @@ class TestConfigErrors:
         with pytest.raises(SystemExit):
             main(["run", write_config(tmp_path, base_config()), "--quad", "64"])
 
+    def test_out_of_range_quad_flag(self, tmp_path, capsys):
+        code = main(["run", write_config(tmp_path, base_config()), "--quad", "1x2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: --quad: quadrature needs n_theta >= 2")
+
     def test_bad_threads_flag(self, tmp_path, capsys):
         code = main(["run", write_config(tmp_path, base_config()), "--threads", "0"])
         assert code == 2
@@ -314,6 +345,18 @@ class TestNumericFailure:
         assert code == 3
         assert err.startswith("numeric failure:")
         assert "did not reach tolerance" in err
+
+
+    def test_non_finite_rate_exits_3(self, tmp_path, capsys, monkeypatch):
+        import phonoscat.radiation as radiation
+
+        monkeypatch.setattr(radiation, "_gamma_branches", lambda *a: np.array([1.0, np.nan, 1.0]))
+        cfg = base_config(scenario="mie", quadrature=dict(SMALL_QUAD))
+        code, out = run_cli(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numeric failure: non-finite radiated rate")
+        assert not out.exists()
 
 
 class TestMaterialsEnvAndValidate:

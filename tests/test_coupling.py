@@ -51,6 +51,11 @@ class TestMicrowaveMode:
             (dict(mode_volume=-1e-15), "volume"),
             (dict(eps_eff=0.0), "permittivity"),
             (dict(field_direction=(0, 0, 0)), "direction"),
+            (dict(field_direction=(0, float("nan"), 0)), "direction must be finite"),
+            (dict(omega0=float("nan")), "frequency"),
+            (dict(omega0=float("inf")), "frequency"),
+            (dict(mode_volume=float("inf")), "volume"),
+            (dict(eps_eff=float("inf")), "permittivity"),
         ],
     )
     def test_validation(self, kwargs, msg):
@@ -87,6 +92,10 @@ class TestInclusion:
             (dict(dimensions=(1e-6, -1e-6, 1e-6)), "positive"),
             (dict(center=(0, 0)), "3-vector"),
             (dict(sign=2), "sign"),
+            (dict(dimensions=(1e-6, float("nan"), 1e-6)), "positive finite"),
+            (dict(dimensions=(1e-6, float("inf"), 1e-6)), "positive finite"),
+            (dict(center=(float("nan"), 0, 0)), "finite 3-vector"),
+            (dict(center=(0, float("inf"), 0)), "finite 3-vector"),
         ],
     )
     def test_validation(self, ln, kwargs, msg):

@@ -17,7 +17,9 @@ from phonoscat.coupling import Inclusion
 from phonoscat.materials import Orientation, default_materials
 from phonoscat.radiation import (
     BruteForceSpec,
+    QuadratureDiagnostics,
     QuadratureSpec,
+    _result,
     brute_force_rate,
     derived_material_constant,
     mie_rate,
@@ -298,3 +300,11 @@ class TestDerivedConstant:
         cg1 = derived_material_constant(rayleigh_rate(m1, inc1, substrate), m1, inc1, substrate)
         cg2 = derived_material_constant(rayleigh_rate(m2, inc2, substrate), m2, inc2, substrate)
         assert np.allclose(cg1, cg2, rtol=1e-12)
+
+
+class TestNonFiniteRates:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_result_refuses_non_finite_rate(self, bad):
+        diag = QuadratureDiagnostics(n_theta=2, n_phi=4, nodes=8, rel_error=0.0, converged=True)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            _result(1e10, np.array([1.0, bad, 1.0]), "mie", diag)
