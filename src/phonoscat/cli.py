@@ -28,16 +28,16 @@ import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode, default_eps_eff
 from .materials import MaterialError, MaterialSpec, Orientation, default_materials, load_materials
-from .mitigation import BraggStack, bragg_transmission, dual_waveguide_rate, mitigated_rate
+from .mitigation import BraggStack, bragg_transmission, dual_waveguide_sweep, mitigated_rate
 from .radiation import (
+    NumericFailure,
     QuadratureSpec,
-    BruteForceSpec,
-    RadiationResult,
     brute_force_rate,
     derived_material_constant,
-    mie_rate,
     min_phase_velocity,
-    rayleigh_rate,
+    refined_rate,
+    sweep,
+    sweep_point,
 )
 from .selftest import run_all
 from .transducer import EoModel, figure_of_merit, sweep_orientation
@@ -46,10 +46,6 @@ ENV_MATERIALS = "PHONOSCAT_MATERIALS"
 
 _UM = 1e-6
 _UM3 = 1e-18
-
-# How many times an unconverged quadrature is re-run with doubled node counts
-# before the run is declared a numeric failure (exit code 3).
-_MAX_REFINEMENTS = 2
 
 _SCENARIOS = (
     "rayleigh",
@@ -72,12 +68,8 @@ _AXES = {
 }
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Configuration problem; the message names the field at fault."""
-
-
-class NumericFailure(Exception):
-    """Quadrature failed to converge within the refinement cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +189,6 @@ class RunConfig:
     """Validated run description with everything already in SI units."""
 
     scenario: str
-    db: dict[str, MaterialSpec]
     substrate: MaterialSpec
     mode: MicrowaveMode
     inclusions: list[Inclusion]
@@ -345,15 +336,12 @@ def load_run_config(path: str) -> RunConfig:
     quad_cfg = raw.get("quadrature") or {}
     quad_cfg = _require_dict(quad_cfg, "quadrature")
     _check_keys(quad_cfg, {"n_theta", "n_phi", "tolerance", "threads"}, "quadrature")
-    try:
-        quad = QuadratureSpec(
-            n_theta=_integer(quad_cfg, "n_theta", "quadrature", default=64, minimum=2),
-            n_phi=_integer(quad_cfg, "n_phi", "quadrature", default=128, minimum=4),
-            tolerance=_number(quad_cfg, "tolerance", "quadrature", default=1e-3, positive=True),
-            threads=_integer(quad_cfg, "threads", "quadrature", default=1, minimum=1),
-        )
-    except ValueError as e:
-        raise ConfigError(f"quadrature: {e}") from None
+    quad = QuadratureSpec(
+        n_theta=_integer(quad_cfg, "n_theta", "quadrature", default=64, minimum=2),
+        n_phi=_integer(quad_cfg, "n_phi", "quadrature", default=128, minimum=4),
+        tolerance=_number(quad_cfg, "tolerance", "quadrature", default=1e-3, positive=True),
+        threads=_integer(quad_cfg, "threads", "quadrature", default=1, minimum=1),
+    )
 
     dual_cfg = _require_dict(raw.get("dual") or {}, "dual")
     _check_keys(dual_cfg, {"direction", "relative_sign"}, "dual")
@@ -413,7 +401,6 @@ def load_run_config(path: str) -> RunConfig:
 
     return RunConfig(
         scenario=scenario,
-        db=db,
         substrate=substrate,
         mode=mode,
         inclusions=inclusions,
@@ -443,41 +430,13 @@ class RunTable:
     report: list[str]
 
 
-def _mie_with_retry(mode, inclusions, substrate, quad: QuadratureSpec) -> RadiationResult:
-    """Evaluate the quadrature engine, doubling node counts on non-convergence.
-
-    After _MAX_REFINEMENTS doublings an unconverged estimate is a numeric
-    failure rather than a silently degraded answer.
-    """
-    result = mie_rate(mode, inclusions, substrate, quad)
-    refinements = 0
-    while not result.diagnostics.converged and refinements < _MAX_REFINEMENTS:
-        quad = dataclasses.replace(quad, n_theta=2 * quad.n_theta, n_phi=2 * quad.n_phi)
-        result = mie_rate(mode, inclusions, substrate, quad)
-        refinements += 1
-    if not result.diagnostics.converged:
-        d = result.diagnostics
-        raise NumericFailure(
-            f"quadrature did not reach tolerance {quad.tolerance:g} after "
-            f"{refinements} refinements (n_theta={d.n_theta}, n_phi={d.n_phi}, "
-            f"relative error {d.rel_error:.2e})"
-        )
-    return result
-
-
-def _point(cfg: RunConfig, mode, inclusions) -> RadiationResult:
-    if cfg.scenario == "rayleigh":
-        return rayleigh_rate(mode, inclusions[0], cfg.substrate)
-    return _mie_with_retry(mode, inclusions, cfg.substrate, cfg.quad)
-
-
-def _with_dims(inc: Inclusion, axis: str, value_um: float) -> Inclusion:
-    L = inc.dimensions
-    if axis == "height_um":
-        dims = np.array([value_um * _UM, 2 * value_um * _UM, L[2]])
-    else:  # thickness_um
-        dims = np.array([L[0], L[1], value_um * _UM])
-    return dataclasses.replace(inc, dimensions=dims)
+def _sweep(cfg: RunConfig, engine: str = "mie"):
+    """The library sweep over the config's axis, with the values in SI units."""
+    if cfg.axis == "frequency_GHz":
+        axis, values = "omega0", 2 * np.pi * cfg.values * 1e9
+    else:
+        axis, values = cfg.axis.removesuffix("_um"), cfg.values * _UM
+    return sweep(cfg.mode, cfg.inclusions, cfg.substrate, axis, values, cfg.quad, engine)
 
 
 def _slope_line(xs, qs, label: str) -> list[str]:
@@ -488,6 +447,11 @@ def _slope_line(xs, qs, label: str) -> list[str]:
         return []
     slope = float(np.polyfit(np.log(xs[mask]), np.log(qs[mask]), 1)[0])
     return [f"fitted log-log slope of {label}: {slope:+.4f}"]
+
+
+def _wavelength_line(cfg: RunConfig) -> str:
+    lam = min_phase_velocity(cfg.substrate) / (cfg.mode.omega0 / (2 * np.pi))
+    return f"slowest wavelength at f0: {lam / _UM:.4f} um"
 
 
 def _diag_lines(results) -> list[str]:
@@ -508,24 +472,13 @@ def _diag_lines(results) -> list[str]:
 
 
 def _run_rate_sweep(cfg: RunConfig) -> RunTable:
-    rows = []
-    results = []
-    points = []  # (mode, inclusions) actually evaluated, for diagnostics
-    for v in cfg.values:
-        if cfg.axis == "frequency_GHz":
-            mode = dataclasses.replace(cfg.mode, omega0=2 * np.pi * v * 1e9)
-            incs = cfg.inclusions
-        else:
-            mode = cfg.mode
-            incs = [_with_dims(cfg.inclusions[0], cfg.axis, v)]
-        r = _point(cfg, mode, incs)
-        results.append(r)
-        points.append((mode, incs))
-        rows.append((float(v), r.total_rate, r.q_factor, r.regime))
+    sw = _sweep(cfg, engine=cfg.scenario)
+    results = sw.results
+    rows = [(float(v), r.total_rate, r.q_factor, r.regime) for v, r in zip(cfg.values, results)]
     col0 = {"frequency_GHz": "f_GHz", "height_um": "h_um", "thickness_um": "t_um"}[cfg.axis]
-    report = _slope_line(cfg.values, [r.q_factor for r in results], f"Q vs {cfg.axis}")
+    report = _slope_line(cfg.values, sw.q_factors, f"Q vs {cfg.axis}")
     report += _diag_lines(results)
-    mode0, incs0 = points[0]
+    mode0, incs0 = sweep_point(cfg.mode, cfg.inclusions, sw.axis_name, sw.values[0])
     if cfg.substrate.isotropic and len(incs0) == 1:
         cg = derived_material_constant(results[0], mode0, incs0[0], cfg.substrate)
         report.append(
@@ -538,35 +491,24 @@ def _run_rate_sweep(cfg: RunConfig) -> RunTable:
 
 
 def _run_dual(cfg: RunConfig) -> RunTable:
-    rows = []
-    ratios = []
-    for d_um in cfg.values:
-        sep = d_um * _UM * cfg.dual_direction
-        try:
-            r = dual_waveguide_rate(
-                cfg.mode,
-                cfg.inclusions[0],
-                cfg.substrate,
-                sep,
-                relative_sign=cfg.dual_relative_sign,
-                quad=cfg.quad,
-            )
-        except ValueError as e:
-            raise ConfigError(f"sweep: separation {d_um} um: {e}") from None
-        ratios.append(r.suppression_ratio)
-        rows.append(
-            (float(d_um), r.pair.total_rate, r.suppression_ratio, r.pair.q_factor, r.q_gain)
-        )
-    vmin = min_phase_velocity(cfg.substrate)
-    lam = vmin / (cfg.mode.omega0 / (2 * np.pi))
+    seps = [d_um * _UM * cfg.dual_direction for d_um in cfg.values]
+    duals = dual_waveguide_sweep(
+        cfg.mode, cfg.inclusions[0], cfg.substrate, seps, cfg.dual_relative_sign, cfg.quad
+    )
+    ratios = [r.suppression_ratio for r in duals]
+    rows = [
+        (float(d_um), r.pair.total_rate, r.suppression_ratio, r.pair.q_factor, r.q_gain)
+        for d_um, r in zip(cfg.values, duals)
+    ]
     report = [
         f"relative sign {cfg.dual_relative_sign:+d}, direction "
         f"{np.array2string(cfg.dual_direction, precision=3)}",
-        f"slowest wavelength at f0: {lam / _UM:.4f} um",
+        _wavelength_line(cfg),
     ]
     report += _slope_line(cfg.values, ratios, "suppression ratio vs separation_um")
     if ratios and min(ratios) > 0:
         report.append(f"best interference Q gain: {1.0 / min(ratios):.3e}")
+    report += _diag_lines([duals[0].single] + [r.pair for r in duals])
     return RunTable(
         ["separation_um", "Gamma_pair_rad_s", "suppression_ratio", "Q_pair", "q_gain"],
         rows,
@@ -575,7 +517,7 @@ def _run_dual(cfg: RunConfig) -> RunTable:
 
 
 def _run_bragg(cfg: RunConfig) -> RunTable:
-    base = _mie_with_retry(cfg.mode, cfg.inclusions, cfg.substrate, cfg.quad)
+    base = refined_rate(cfg.mode, cfg.inclusions, cfg.substrate, cfg.quad)
     fc = cfg.bragg_center_ghz * 1e9
     rows = []
     for n in cfg.values:
@@ -609,32 +551,24 @@ def _run_bragg(cfg: RunConfig) -> RunTable:
 
 
 def _run_figure_of_merit(cfg: RunConfig) -> RunTable:
-    rows = []
-    for v in cfg.values:
-        if cfg.axis == "frequency_GHz":
-            mode = dataclasses.replace(cfg.mode, omega0=2 * np.pi * v * 1e9)
-            incs = cfg.inclusions
-        else:
-            mode = cfg.mode
-            incs = [_with_dims(cfg.inclusions[0], "height_um", v)]
-        r = _mie_with_retry(mode, incs, cfg.substrate, cfg.quad)
-        eta = figure_of_merit(cfg.eo, mode, r)
-        g_hz = cfg.eo.g_mo(mode.mode_volume) / (2 * np.pi)
-        rows.append((float(v), r.total_rate, r.q_factor, g_hz, eta))
+    # g_MO depends on the mode volume only, which no sweep axis changes
+    g_hz = cfg.eo.g_mo(cfg.mode.mode_volume) / (2 * np.pi)
+    rows = [
+        (float(v), r.total_rate, r.q_factor, g_hz, figure_of_merit(cfg.eo, cfg.mode, r))
+        for v, r in zip(cfg.values, _sweep(cfg).results)
+    ]
     col0 = "f_GHz" if cfg.axis == "frequency_GHz" else "h_um"
     etas = np.array([row[4] for row in rows])
     best = int(np.argmax(etas))
-    vmin = min_phase_velocity(cfg.substrate)
-    lam_um = vmin / (cfg.mode.omega0 / (2 * np.pi)) / _UM
     report = [
         f"peak figure of merit: {etas[best]:.4e} Hz^2 at {col0} = {cfg.values[best]:g}",
-        f"slowest wavelength at f0: {lam_um:.4f} um",
+        _wavelength_line(cfg),
     ]
     return RunTable([col0, "Gamma_rad_s", "Q", "g_mo_Hz", "eta_Hz2"], rows, report)
 
 
 def _run_orientation(cfg: RunConfig) -> RunTable:
-    sweep = sweep_orientation(
+    scan = sweep_orientation(
         cfg.mode,
         cfg.inclusions[0],
         cfg.substrate,
@@ -643,29 +577,26 @@ def _run_orientation(cfg: RunConfig) -> RunTable:
         quad=cfg.quad,
     )
     rows = [
-        (float(a), g, gamma, q)
-        for a, g, gamma, q in zip(cfg.values, sweep.overlaps, sweep.gammas, sweep.q_factors)
+        (float(a), g, r.total_rate, r.q_factor)
+        for a, g, r in zip(cfg.values, scan.overlaps, scan.results)
     ]
-    qs = sweep.q_factors
+    qs = scan.q_factors
     report = [
         f"rotation axis: {np.array2string(cfg.orientation_axis, precision=3)}",
     ]
     if np.all(np.isfinite(qs)) and qs.min() > 0:
         report.append(f"Q max/min over the angle grid: {qs.max() / qs.min():.3f}")
+    report += _diag_lines(scan.results)
     return RunTable(["angle_deg", "G", "Gamma_rad_s", "Q"], rows, report)
 
 
 def _run_oracle_check(cfg: RunConfig) -> RunTable:
     rows = []
-    devs = []
-    for f_ghz in cfg.values:
-        mode = dataclasses.replace(cfg.mode, omega0=2 * np.pi * f_ghz * 1e9)
-        r = _mie_with_retry(mode, cfg.inclusions, cfg.substrate, cfg.quad)
+    for f_ghz, r in zip(cfg.values, _sweep(cfg).results):
+        mode = dataclasses.replace(cfg.mode, omega0=r.omega0)
         brute = brute_force_rate(mode, cfg.inclusions, cfg.substrate)
-        dev = abs(r.total_rate - brute) / r.total_rate
-        devs.append(dev)
-        rows.append((float(f_ghz), r.total_rate, brute, dev))
-    worst = max(devs)
+        rows.append((float(f_ghz), r.total_rate, brute, abs(r.total_rate - brute) / r.total_rate))
+    worst = max(row[3] for row in rows)
     verdict = "within threshold" if worst < 0.02 else "EXCEEDS threshold"
     report = [
         f"mie vs brute-force relative deviation: max {worst:.3e} (threshold 2e-02): {verdict}"
@@ -751,12 +682,8 @@ def _cmd_run(args) -> int:
                 cfg.quad = dataclasses.replace(cfg.quad, **overrides)
             except ValueError as e:  # only --quad can be out of range here
                 raise ConfigError(f"--quad: {e}") from None
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    try:
         table = execute(cfg)
-    except ConfigError as e:
+    except ValueError as e:  # ConfigError, or a library check of an input value
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (NumericFailure, FloatingPointError) as e:

@@ -27,8 +27,6 @@ import numpy as np
 
 from .materials import CONSTANTS, MaterialSpec
 
-_DEGENERACY_RTOL = 1e-8
-
 # Fixed span of one batched solve when a table is built, so a node's
 # arithmetic does not depend on the size of the grid it belongs to.
 _CHUNK = 2048
@@ -76,21 +74,13 @@ def christoffel_matrix(material: MaterialSpec, khat) -> np.ndarray:
     return np.einsum("ijkl,j,k->il", material.stiffness_tensor, khat, khat) / material.rho
 
 
-def christoffel_many(
-    material: MaterialSpec,
-    khats: np.ndarray,
-    degenerate_rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def christoffel_many(material: MaterialSpec, khats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched Christoffel solve.
 
     Parameters
     ----------
     khats:
         (N, 3) array of unit propagation directions.
-    degenerate_rng:
-        Testing hook.  When given, polarization pairs belonging to
-        degenerate eigenvalues are remixed by a random in-plane rotation;
-        complete branch sums must not change.
 
     Returns
     -------
@@ -98,7 +88,9 @@ def christoffel_many(
         (N, 3) phase velocities, ascending.
     polarizations:
         (N, 3, 3) with ``polarizations[n, :, q]`` the unit polarization of
-        branch q.
+        branch q.  Within a degenerate pair any orthonormal basis of the
+        degenerate plane may be returned; complete branch sums do not depend
+        on the choice.
     """
     khats = np.asarray(khats, dtype=float)
     G = np.einsum("ijkl,nj,nk->nil", material.stiffness_tensor, khats, khats) / material.rho
@@ -107,17 +99,6 @@ def christoffel_many(
         raise MaterialInstabilityError(
             f"material '{material.name}': non-positive Christoffel eigenvalue"
         )
-    if degenerate_rng is not None:
-        scale = w[:, 2]
-        for a, b in ((0, 1), (1, 2)):
-            mask = np.abs(w[:, b] - w[:, a]) <= _DEGENERACY_RTOL * scale
-            if np.any(mask):
-                ang = degenerate_rng.uniform(0, 2 * np.pi, size=int(np.sum(mask)))
-                ca, sa = np.cos(ang), np.sin(ang)
-                va = vec[mask, :, a].copy()
-                vb = vec[mask, :, b].copy()
-                vec[mask, :, a] = ca[:, None] * va + sa[:, None] * vb
-                vec[mask, :, b] = -sa[:, None] * va + ca[:, None] * vb
     return np.sqrt(w), vec
 
 
@@ -148,44 +129,32 @@ def _angular_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     return khats, weights
 
 
-def _build_table(
-    material: MaterialSpec, n_theta: int, n_phi: int, degenerate_rng
-) -> AngularTable:
+def _build_table(material: MaterialSpec, n_theta: int, n_phi: int) -> AngularTable:
     khats, weights = _angular_grid(n_theta, n_phi)
     n = khats.shape[0]
     velocities = np.empty((n, 3))
     polarizations = np.empty((n, 3, 3))
     for a in range(0, n, _CHUNK):
         b = min(a + _CHUNK, n)
-        velocities[a:b], polarizations[a:b] = christoffel_many(
-            material, khats[a:b], degenerate_rng
-        )
+        velocities[a:b], polarizations[a:b] = christoffel_many(material, khats[a:b])
     for arr in (khats, weights, velocities, polarizations):
         arr.setflags(write=False)
     return AngularTable(khats, weights, velocities, polarizations)
 
 
-def angular_table(
-    material: MaterialSpec,
-    n_theta: int,
-    n_phi: int,
-    degenerate_rng: np.random.Generator | None = None,
-) -> AngularTable:
+def angular_table(material: MaterialSpec, n_theta: int, n_phi: int) -> AngularTable:
     """The Christoffel solution of ``material`` on the n_theta x n_phi grid.
 
     Solved once per grid and memoized on the material instance; a copy made
     by ``MaterialSpec.rotated`` (or any other constructor call) starts with
-    no tables.  With ``degenerate_rng`` (the remixing testing hook of
-    ``christoffel_many``) a fresh table is built and nothing is memoized.
+    no tables.
     """
-    if degenerate_rng is not None:
-        return _build_table(material, n_theta, n_phi, degenerate_rng)
     tables = material.angular_tables
     table = tables.get((n_theta, n_phi))
     if table is None:
         # setdefault is atomic: threads that race on a first use may both
         # solve, but all of them get the one table that is stored
-        table = tables.setdefault((n_theta, n_phi), _build_table(material, n_theta, n_phi, None))
+        table = tables.setdefault((n_theta, n_phi), _build_table(material, n_theta, n_phi))
     return table
 
 

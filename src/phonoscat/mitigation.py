@@ -19,7 +19,7 @@ import numpy as np
 from .coupling import Inclusion, MicrowaveMode
 from .elastodynamics import christoffel
 from .materials import MaterialSpec
-from .radiation import QuadratureSpec, RadiationResult, mie_rate
+from .radiation import QuadratureSpec, RadiationResult, _result, refined_rate
 
 
 @dataclass(frozen=True)
@@ -54,15 +54,61 @@ def _check_pair_geometry(dimensions: np.ndarray, separation: np.ndarray) -> None
     interleaved opposite-sign domains; anything between coincident and
     disjoint is a physically ambiguous geometry and raises.
     """
+    if separation.shape != (3,):
+        raise ValueError("separation must be a 3-vector in meters")
     sep = np.abs(separation)
     if np.all(sep == 0.0):
         return
     if np.all(sep < dimensions):
         raise ValueError(
-            "inclusion pair overlaps: every center-offset component "
-            f"{separation.tolist()} is smaller than the box edges "
+            f"separation {separation.tolist()} m: inclusion pair overlaps: every "
+            f"center-offset component is smaller than the box edges "
             f"{dimensions.tolist()}; separate them along at least one axis"
         )
+
+
+def dual_waveguide_sweep(
+    mode: MicrowaveMode,
+    inclusion: Inclusion,
+    substrate: MaterialSpec,
+    separations,
+    relative_sign: int = -1,
+    quad: QuadratureSpec | None = None,
+) -> tuple[DualWaveguideResult, ...]:
+    """``dual_waveguide_rate`` at each separation (3-vectors, meters).
+
+    Every separation is checked before any rate is computed.  The
+    single-inclusion baseline does not depend on the separation, so it is
+    computed once and shared by all results.  Rates go through
+    ``refined_rate``: converged, or NumericFailure.
+    """
+    if relative_sign not in (1, -1):
+        raise ValueError("relative_sign must be +1 or -1")
+    seps = [np.asarray(s, dtype=float) for s in separations]
+    for sep in seps:
+        _check_pair_geometry(inclusion.dimensions, sep)
+    single = refined_rate(mode, inclusion, substrate, quad)
+    results = []
+    for sep in seps:
+        first = dataclasses.replace(inclusion, center=inclusion.center + sep / 2)
+        second = dataclasses.replace(
+            inclusion,
+            center=inclusion.center - sep / 2,
+            sign=inclusion.sign * relative_sign,
+        )
+        pair = refined_rate(mode, [first, second], substrate, quad)
+        ratio = pair.total_rate / (2 * single.total_rate)
+        results.append(
+            DualWaveguideResult(
+                pair=pair,
+                single=single,
+                separation=sep,
+                relative_sign=relative_sign,
+                suppression_ratio=ratio,
+                q_gain=np.inf if ratio == 0 else 1.0 / ratio,
+            )
+        )
+    return tuple(results)
 
 
 def dual_waveguide_rate(
@@ -81,30 +127,7 @@ def dual_waveguide_rate(
     opposite signs cancel exactly at zero separation and the ratio
     Gamma_pair / (2 Gamma_single) grows from 0 toward 2 with separation.
     """
-    if relative_sign not in (1, -1):
-        raise ValueError("relative_sign must be +1 or -1")
-    sep = np.asarray(separation, dtype=float)
-    if sep.shape != (3,):
-        raise ValueError("separation must be a 3-vector in meters")
-    _check_pair_geometry(inclusion.dimensions, sep)
-    first = dataclasses.replace(inclusion, center=inclusion.center + sep / 2)
-    second = dataclasses.replace(
-        inclusion,
-        center=inclusion.center - sep / 2,
-        sign=inclusion.sign * relative_sign,
-    )
-    single = mie_rate(mode, inclusion, substrate, quad)
-    pair = mie_rate(mode, [first, second], substrate, quad)
-    ratio = pair.total_rate / (2 * single.total_rate)
-    q_gain = np.inf if ratio == 0 else 1.0 / ratio
-    return DualWaveguideResult(
-        pair=pair,
-        single=single,
-        separation=sep,
-        relative_sign=relative_sign,
-        suppression_ratio=ratio,
-        q_gain=q_gain,
-    )
+    return dual_waveguide_sweep(mode, inclusion, substrate, [separation], relative_sign, quad)[0]
 
 
 @dataclass(frozen=True)
@@ -237,8 +260,4 @@ def mitigated_rate(
     omega = result.omega0 if omega0 is None else float(omega0)
     _, transmittance = bragg_transmission(stack, omega)
     branch_rates = np.asarray(result.branch_rates) * transmittance
-    total = float(np.sum(branch_rates))
-    q = result.omega0 / total if total > 0 else np.inf
-    return dataclasses.replace(
-        result, branch_rates=branch_rates, total_rate=total, q_factor=q
-    )
+    return _result(result.omega0, branch_rates, result.regime, result.diagnostics)

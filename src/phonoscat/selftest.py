@@ -25,7 +25,7 @@ from .radiation import (
     brute_force_rate,
     mie_rate,
     rayleigh_rate,
-    sweep_frequency,
+    sweep,
 )
 from .transducer import EoModel, figure_of_merit
 
@@ -87,10 +87,7 @@ def _check_brute_force(substrate, mode, cube) -> CheckResult:
 
 def _check_frequency_scaling(substrate, mode, cube) -> CheckResult:
     omegas = 2 * np.pi * np.geomspace(1e9, 10e9, 5)
-    sweep = sweep_frequency(
-        mode, cube, substrate, omegas, engine="mie", quad=QuadratureSpec(n_theta=32, n_phi=64)
-    )
-    slope = sweep.loglog_slope()
+    slope = sweep(mode, cube, substrate, "omega0", omegas, QuadratureSpec(32, 64)).loglog_slope()
     return CheckResult(
         "quality factor scales as frequency cubed",
         abs(slope + 3.0) < 0.05,

@@ -18,7 +18,7 @@ import numpy as np
 from .coupling import Inclusion, MicrowaveMode, geometry_factor
 from .elastodynamics import angular_table
 from .materials import MaterialSpec, Orientation
-from .radiation import QuadratureSpec, RadiationResult, mie_rate
+from .radiation import QuadratureSpec, RadiationResult, SweepResult, refined_rate
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,15 @@ def figure_of_merit(eo: EoModel, mode: MicrowaveMode, radiation: RadiationResult
 
 
 @dataclass(frozen=True)
-class OrientationSweep:
-    """Q and alignment diagnostic versus crystal rotation angle."""
+class OrientationSweep(SweepResult):
+    """Q and alignment diagnostic versus crystal rotation angle (``values``, radians)."""
 
     axis: np.ndarray
-    angles: np.ndarray  # radians
     overlaps: np.ndarray  # emission-weighted alignment factor G in [0, 1]
-    gammas: np.ndarray
-    q_factors: np.ndarray
+
+    @property
+    def angles(self) -> np.ndarray:
+        return self.values
 
     @property
     def rows(self) -> list[tuple[float, float, float, float]]:
@@ -115,20 +116,18 @@ def sweep_orientation(
 
     Each angle applies an additional laboratory-frame rotation on top of the
     inclusion's base orientation; the cuboid geometry itself stays fixed, as
-    for a film whose crystal axes are rotated about the film normal.
+    for a film whose crystal axes are rotated about the film normal.  Rates
+    go through ``refined_rate``: converged, or NumericFailure.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.size == 0:
         raise ValueError("angle grid must not be empty")
     axis = np.asarray(axis, dtype=float)
     overlaps = np.empty(angles.size)
-    gammas = np.empty(angles.size)
-    qs = np.empty(angles.size)
+    results = []
     for i, angle in enumerate(angles):
         spin = Orientation.about_axis(axis, float(angle))
         inc = dataclasses.replace(inclusion, orientation=spin.compose(inclusion.orientation))
-        result = mie_rate(mode, inc, substrate, quad)
+        results.append(refined_rate(mode, inc, substrate, quad))
         overlaps[i] = emission_weighted_overlap(mode, inc, substrate)
-        gammas[i] = result.total_rate
-        qs[i] = result.q_factor
-    return OrientationSweep(axis=axis, angles=angles, overlaps=overlaps, gammas=gammas, q_factors=qs)
+    return OrientationSweep("angle", angles, tuple(results), axis=axis, overlaps=overlaps)

@@ -26,12 +26,11 @@ from phonoscat.radiation import (
     mie_rate,
     min_phase_velocity,
     rayleigh_rate,
-    sweep_dimension,
-    sweep_frequency,
+    sweep,
 )
 from phonoscat.transducer import EoModel, figure_of_merit
 
-from conftest import XCUT_MATRIX, make_mode
+from conftest import XCUT_MATRIX, make_mode, remixed_substrate
 
 
 @pytest.fixture
@@ -70,9 +69,7 @@ def height_resonance_sweep(waveguide_inc):
     """Waveguide height scan crossing several interference orders at 10 GHz."""
     mode = make_mode(SUB, f_hz=10e9)
     hs = np.linspace(0.32e-6, 1.92e-6, 25)
-    return sweep_dimension(
-        mode, waveguide_inc, SUB, "height", hs, engine="mie", quad=QuadratureSpec(48, 96)
-    )
+    return sweep(mode, waveguide_inc, SUB, "height", hs, QuadratureSpec(48, 96))
 
 
 def test_criterion_01_frequency_scaling_point_scatterer(report):
@@ -80,10 +77,7 @@ def test_criterion_01_frequency_scaling_point_scatterer(report):
     t0 = time.monotonic()
     cube = xcut_inclusion((8e-9, 8e-9, 8e-9))
     omegas = 2 * np.pi * np.logspace(9, 10, 7)
-    sweep = sweep_frequency(
-        make_mode(SUB), cube, SUB, omegas, engine="mie", quad=QuadratureSpec(32, 64)
-    )
-    slope = sweep.loglog_slope()
+    slope = sweep(make_mode(SUB), cube, SUB, "omega0", omegas, QuadratureSpec(32, 64)).loglog_slope()
     kl_max = omegas[-1] / min_phase_velocity(SUB) * np.max(cube.dimensions)
     elapsed = time.monotonic() - t0
     ok = abs(slope + 3.0) <= 0.05 and kl_max < 0.1 and elapsed < 60.0
@@ -102,12 +96,12 @@ def test_criterion_02_geometric_scaling_laws(report):
 
     wg = xcut_inclusion((10e-9, 20e-9, 0.15e-6))
     hs = np.logspace(np.log10(10e-9), np.log10(100e-9), 7)
-    h_sweep = sweep_dimension(mode, wg, SUB, "height", hs, engine="mie", quad=quad)
+    h_sweep = sweep(mode, wg, SUB, "height", hs, quad)
     h_slope = h_sweep.loglog_slope()
 
     film = xcut_inclusion((0.15e-6, 0.15e-6, 1e-9))
     ts = np.logspace(np.log10(1e-9), np.log10(10e-9), 7)
-    t_sweep = sweep_dimension(mode, film, SUB, "thickness", ts, engine="mie", quad=quad)
+    t_sweep = sweep(mode, film, SUB, "thickness", ts, quad)
     t_slope = t_sweep.loglog_slope()
 
     tags = {r.regime for r in h_sweep.results} | {r.regime for r in t_sweep.results}
@@ -324,7 +318,7 @@ def test_criterion_10_exactness_properties_and_reproducibility(report, tmp_path)
     base = mie_rate(mode, wg, SUB, quad).total_rate
     deg_dev = max(
         abs(
-            mie_rate(mode, wg, SUB, quad, degenerate_rng=np.random.default_rng(s)).total_rate
+            mie_rate(mode, wg, remixed_substrate(SUB, quad, np.random.default_rng(s)), quad).total_rate
             - base
         )
         / base

@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 import phonoscat.elastodynamics as elastodynamics
-from phonoscat.cli import NumericFailure, _mie_with_retry, main
+from phonoscat.cli import main
 from phonoscat.coupling import Inclusion, induced_strain
 from phonoscat.elastodynamics import AngularTable, angular_table, christoffel_many
 from phonoscat.materials import CONSTANTS, Orientation, default_materials
-from phonoscat.radiation import QuadratureSpec, mie_rate
+from phonoscat.radiation import NumericFailure, QuadratureSpec, mie_rate, refined_rate
 
 from conftest import XCUT_MATRIX, make_mode
 
@@ -161,16 +161,6 @@ def test_threads_racing_on_a_first_use_share_one_table():
     assert material.angular_tables == {(8, 16): tables[0]}
 
 
-def test_degenerate_remix_builds_an_uncached_table():
-    material = default_materials()["sapphire_iso"]
-    cached = angular_table(material, 8, 16)
-    remixed = angular_table(material, 8, 16, degenerate_rng=np.random.default_rng(3))
-    assert remixed is not cached
-    assert material.angular_tables == {(8, 16): cached}
-    assert np.array_equal(remixed.velocities, cached.velocities)
-    assert not np.array_equal(remixed.polarizations, cached.polarizations)
-
-
 def test_rotated_copy_never_sees_the_original_table():
     original = default_materials()["sapphire"]
     t0 = angular_table(original, 8, 16)
@@ -194,9 +184,9 @@ def solved(monkeypatch):
     sizes = []
     original = elastodynamics.christoffel_many
 
-    def counting(material, khats, degenerate_rng=None):
+    def counting(material, khats):
         sizes.append(khats.shape[0])
-        return original(material, khats, degenerate_rng)
+        return original(material, khats)
 
     monkeypatch.setattr(elastodynamics, "christoffel_many", counting)
     return sizes
@@ -230,7 +220,7 @@ def test_refinement_rerun_reuses_its_coarse_grid(ln, solved):
     substrate = default_materials()["sapphire_iso"]
     mode = make_mode(substrate)
     with pytest.raises(NumericFailure):
-        _mie_with_retry(mode, [_waveguide(ln)], substrate, QuadratureSpec(2, 4, tolerance=1e-12))
+        refined_rate(mode, [_waveguide(ln)], substrate, QuadratureSpec(2, 4, tolerance=1e-12))
     # Three mie_rate calls use 2x4/4x8, 4x8/8x16 and 8x16/16x32, and the regime
     # tag uses 16x32: four distinct grids, each solved once.
     assert sorted(solved) == [2 * 4, 4 * 8, 8 * 16, 16 * 32]

@@ -359,6 +359,71 @@ class TestNumericFailure:
         assert not out.exists()
 
 
+class TestRefinementPath:
+    """Every quadrature scenario refines an unconverged grid or exits 3."""
+
+    UNCONVERGED = {"n_theta": 2, "n_phi": 4, "tolerance": 1e-9}
+
+    def _waveguide(self, scenario, axis, start, stop, count, **kw):
+        cfg = base_config(scenario=scenario, **kw)
+        cfg["inclusions"][0]["dimensions_um"] = [0.5, 1.0, 5.0]
+        cfg["sweep"] = {"axis": axis, "grid": "linear", "start": start, "stop": stop, "count": count}
+        return cfg
+
+    @pytest.mark.parametrize(
+        "scenario,axis,start,stop",
+        [("dual_waveguide", "separation_um", 2.0, 3.0), ("orientation", "angle_deg", 0.0, 90.0)],
+    )
+    def test_unconverged_grid_exits_3(self, tmp_path, capsys, scenario, axis, start, stop):
+        cfg = self._waveguide(scenario, axis, start, stop, 2, quadrature=dict(self.UNCONVERGED))
+        code, out = run_cli(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numeric failure: quadrature did not reach tolerance 1e-09")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scenario,axis,start,stop",
+        [("dual_waveguide", "separation_um", 2.0, 3.0), ("orientation", "angle_deg", 0.0, 90.0)],
+    )
+    def test_diagnostics_are_reported(self, tmp_path, capsys, scenario, axis, start, stop):
+        cfg = self._waveguide(scenario, axis, start, stop, 2, quadrature=dict(SMALL_QUAD))
+        code, _ = run_cli(tmp_path, cfg)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "regime tags: mie" in out
+        assert "all converged: True" in out
+
+    def test_dual_computes_the_single_rate_once(self, tmp_path, monkeypatch):
+        import phonoscat.radiation as radiation
+
+        calls = []
+        original = radiation.mie_rate
+
+        def counting(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append(result.diagnostics.converged)
+            return result
+
+        monkeypatch.setattr(radiation, "mie_rate", counting)
+        cfg = base_config(scenario="dual_waveguide", quadrature=dict(SMALL_QUAD))
+        cfg["inclusions"][0]["dimensions_um"] = [0.0063917, 0.02, 0.02]
+        cfg["sweep"] = {"axis": "separation_um", "grid": "log", "start": 0.0063917, "stop": 0.03, "count": 4}
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 0
+        assert len(read_csv(out)[1]) == 4
+        # one single-inclusion rate and four pair rates, none refined
+        assert calls == [True] * 5
+
+    def test_overflowing_frequency_is_a_config_error(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["mode"]["frequency_GHz"] = 1e300  # finite, but omega0 overflows
+        code, _ = run_cli(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: mode frequency must be positive and finite")
+
+
 class TestMaterialsEnvAndValidate:
     def test_env_var_supplies_database(self, tmp_path, monkeypatch):
         db = default_materials()

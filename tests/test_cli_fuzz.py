@@ -1,0 +1,111 @@
+"""Config fuzz: whatever a config file holds, ``phonoscat run`` ends with a
+documented exit code (0 success, 2 configuration error, 3 numeric failure)
+and never with a traceback.
+
+Each example takes a valid small config of one scenario and mutates one or
+two of its fields: a value of the wrong type, a non-finite, negative or zero
+number, a field removed, or a sweep axis that belongs to another scenario.
+Grids stay at 8x16 nodes or fewer and sweeps at three points or fewer, so
+every example runs in a fraction of a second.
+"""
+
+import copy
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from phonoscat.cli import main
+
+QUAD = {"n_theta": 4, "n_phi": 8}
+CUBE = {
+    "material": "lithium_niobate",
+    "dimensions_um": [0.01, 0.01, 0.01],
+    "center_um": [0.0, 0.0, 0.0],
+    "orientation": {"matrix": [[0, 0, -1], [0, 1, 0], [1, 0, 0]]},
+    "sign": 1,
+}
+
+
+def _config(scenario, axis, start, stop, count, **extra):
+    cfg = {
+        "scenario": scenario,
+        "substrate": "sapphire_iso",
+        "mode": {"frequency_GHz": 10.0, "mode_volume_um3": 8000.0, "field_direction": [0, 1, 0], "eps_eff": 10.0},
+        "inclusions": [copy.deepcopy(CUBE)],
+        "sweep": {"axis": axis, "grid": "linear", "start": start, "stop": stop, "count": count},
+        "quadrature": dict(QUAD, tolerance=1e-3, threads=1),
+    }
+    cfg.update(extra)
+    return cfg
+
+
+BASES = [
+    _config("rayleigh", "frequency_GHz", 1.0, 10.0, 3),
+    _config("mie", "thickness_um", 0.005, 0.01, 2),
+    _config("dual_waveguide", "separation_um", 0.02, 0.04, 2, dual={"direction": [1, 0, 0], "relative_sign": -1}),
+    _config(
+        "bragg", "n_periods", 0, 2, 3,
+        bragg={"low": "silicon", "high": "sapphire", "center_frequency_GHz": 11.0, "normal": [0, 0, 1]},
+    ),
+    _config("figure_of_merit", "height_um", 0.01, 0.02, 2, eo={"g0_Hz": 2000.0, "v_ref_um3": 8000.0, "overlap": 1.0}),
+    _config("orientation", "angle_deg", 0.0, 90.0, 3, orientation_axis=[0, 0, 1]),
+    _config("oracle_check", "frequency_GHz", 1.0, 1.0, 1),
+]
+
+AXES = ["frequency_GHz", "height_um", "thickness_um", "separation_um", "n_periods", "angle_deg", "width"]
+BAD = [
+    None, True, "abc", "", [], {}, [1.0, 2.0], ["a", "b", "c"], [float("nan"), 0.0, 0.0],
+    [-1.0, -1.0, -1.0], [0, 0, 0], float("nan"), float("inf"), float("-inf"), -1, -2.5, 0, 0.0,
+] + AXES
+
+
+def _paths(value, prefix=()):
+    """Every (container path, key) in a nested config."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield prefix, key
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _mutate(cfg, path, key, action, value):
+    node = cfg
+    for step in path:
+        try:
+            node = node[step]
+        except (KeyError, IndexError, TypeError):
+            return  # an earlier mutation removed or replaced the container
+    fits = isinstance(node, dict) or (isinstance(node, list) and isinstance(key, int) and key < len(node))
+    if not fits:
+        return
+    if action == "delete" and isinstance(node, dict):
+        node.pop(key, None)
+    else:
+        node[key] = copy.deepcopy(value)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    cfg = copy.deepcopy(draw(st.sampled_from(BASES)))
+    paths = list(_paths(cfg))
+    for _ in range(draw(st.integers(1, 2))):
+        path, key = draw(st.sampled_from(paths))
+        action = draw(st.sampled_from(["delete", "replace"]))
+        _mutate(cfg, path, key, action, draw(st.sampled_from(BAD)))
+    return cfg
+
+
+def test_every_base_config_runs(tmp_path):
+    for i, cfg in enumerate(BASES):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / f"{i}.csv")]) == 0, cfg["scenario"]
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzzed_configs())
+def test_fuzzed_config_exits_0_2_or_3(tmp_path, cfg):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "fuzz.csv")]) in (0, 2, 3)

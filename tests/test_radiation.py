@@ -26,11 +26,10 @@ from phonoscat.radiation import (
     min_phase_velocity,
     rayleigh_rate,
     regime_label,
-    sweep_dimension,
-    sweep_frequency,
+    sweep,
 )
 
-from conftest import make_mode
+from conftest import make_mode, remixed_substrate
 
 DB = default_materials()
 FAST = QuadratureSpec(n_theta=16, n_phi=32)
@@ -137,8 +136,7 @@ class TestDeterminism:
         ref = mie_rate(mode, waveguide, substrate, FAST)
         for seed in (1, 2, 3):
             remixed = mie_rate(
-                mode, waveguide, substrate, FAST,
-                degenerate_rng=np.random.default_rng(seed),
+                mode, waveguide, remixed_substrate(substrate, FAST, np.random.default_rng(seed)), FAST
             )
             assert abs(remixed.total_rate - ref.total_rate) / ref.total_rate < 1e-9
             shear_ref = np.sum(ref.branch_rates[:2])
@@ -175,6 +173,30 @@ class TestFrameCovariance:
         a = mie_rate(mode, inc, substrate, FAST)
         b = mie_rate(mode_r, inc_r, substrate, FAST)
         assert b.total_rate == pytest.approx(a.total_rate, rel=1e-10)
+
+
+    def test_anisotropic_whole_system_quarter_turn(self, sapphire, ln, xcut):
+        """Rotate the trigonal substrate, both inclusions, their centers and
+        the field by 90 deg about z.  The quadrature grid maps onto itself
+        (n_phi % 4 == 0), so the rate must not move.  This checks the
+        anisotropic path without the brute-force oracle's shared code."""
+        R = Orientation.about_axis([0, 0, 1], np.pi / 2)
+        sub_r = sapphire.rotated(R)
+        assert np.max(np.abs(sub_r.stiffness_tensor - sapphire.stiffness_tensor)) > 1e9
+        centers = [np.array([0.4e-6, -0.3e-6, 0.2e-6]), np.array([-0.5e-6, 0.1e-6, 0.0])]
+        dims = np.array([0.5e-6, 1.0e-6, 2.0e-6])
+        incs = [Inclusion(dims, c, ln, orientation=xcut, sign=s) for c, s in zip(centers, (1, -1))]
+        incs_r = [
+            Inclusion(dims[[1, 0, 2]], R.matrix @ c, ln, orientation=R.compose(xcut), sign=s)
+            for c, s in zip(centers, (1, -1))
+        ]
+        mode = make_mode(sapphire, direction=(0.6, 0.8, 0.0))
+        mode_r = dataclasses.replace(mode, field_direction=R.matrix @ mode.field_direction)
+        a = mie_rate(mode, incs, sapphire, FAST)
+        b = mie_rate(mode_r, incs_r, sub_r, FAST)
+        assert FAST.n_phi % 4 == 0
+        assert b.total_rate == pytest.approx(a.total_rate, rel=1e-10)
+        assert np.allclose(b.branch_rates, a.branch_rates, rtol=1e-10)
 
 
 class TestQuadratureControls:
@@ -241,17 +263,17 @@ class TestRegimeLabel:
 class TestSweeps:
     def test_frequency_sweep_slope(self, substrate, small_cube):
         omegas = 2 * np.pi * np.logspace(9, 10, 5)
-        sweep = sweep_frequency(make_mode(substrate), small_cube, substrate, omegas, engine="rayleigh")
-        assert sweep.loglog_slope() == pytest.approx(-3.0, abs=1e-10)
+        res = sweep(make_mode(substrate), small_cube, substrate, "omega0", omegas, engine="rayleigh")
+        assert res.loglog_slope() == pytest.approx(-3.0, abs=1e-10)
 
     def test_height_sweep_slope(self, substrate, ln, xcut):
         mode = make_mode(substrate, f_hz=1e9)
         base = Inclusion((10e-9, 20e-9, 0.15e-6), (0, 0, 0), ln, orientation=xcut)
         hs = np.logspace(np.log10(10e-9), np.log10(100e-9), 5)
-        sweep = sweep_dimension(mode, base, substrate, "height", hs, engine="rayleigh")
-        assert sweep.loglog_slope() == pytest.approx(-4.0, abs=1e-10)
+        res = sweep(mode, base, substrate, "height", hs, engine="rayleigh")
+        assert res.loglog_slope() == pytest.approx(-4.0, abs=1e-10)
         # The cross-section is h x 2h with the length pinned.
-        assert np.allclose(sweep.results[0].branch_rates, rayleigh_rate(
+        assert np.allclose(res.results[0].branch_rates, rayleigh_rate(
             mode, Inclusion((hs[0], 2 * hs[0], 0.15e-6), (0, 0, 0), ln, orientation=xcut),
             substrate).branch_rates, rtol=1e-14)
 
@@ -259,23 +281,23 @@ class TestSweeps:
         mode = make_mode(substrate, f_hz=1e9)
         base = Inclusion((0.15e-6, 0.15e-6, 1e-9), (0, 0, 0), ln, orientation=xcut)
         ts = np.logspace(np.log10(1e-9), np.log10(10e-9), 5)
-        sweep = sweep_dimension(mode, base, substrate, "thickness", ts, engine="rayleigh")
-        assert sweep.loglog_slope() == pytest.approx(-2.0, abs=1e-10)
+        res = sweep(mode, base, substrate, "thickness", ts, engine="rayleigh")
+        assert res.loglog_slope() == pytest.approx(-2.0, abs=1e-10)
 
     def test_loglog_slope_range_filter(self, substrate, small_cube):
         omegas = 2 * np.pi * np.array([1e9, 2e9, 4e9, 8e9])
-        sweep = sweep_frequency(make_mode(substrate), small_cube, substrate, omegas, engine="rayleigh")
-        full = sweep.loglog_slope()
-        sub = sweep.loglog_slope(start=2 * np.pi * 2e9, stop=2 * np.pi * 8e9)
+        res = sweep(make_mode(substrate), small_cube, substrate, "omega0", omegas, engine="rayleigh")
+        full = res.loglog_slope()
+        sub = res.loglog_slope(start=2 * np.pi * 2e9, stop=2 * np.pi * 8e9)
         assert sub == pytest.approx(full, abs=1e-9)
         with pytest.raises(ValueError, match="two points"):
-            sweep.loglog_slope(start=1e12)
+            res.loglog_slope(start=1e12)
 
     def test_unknown_engine_and_axis(self, substrate, small_cube):
         with pytest.raises(ValueError, match="engine"):
-            sweep_frequency(make_mode(substrate), small_cube, substrate, [1e10], engine="exact")
+            sweep(make_mode(substrate), small_cube, substrate, "omega0", [1e10], engine="exact")
         with pytest.raises(ValueError, match="axis"):
-            sweep_dimension(make_mode(substrate), small_cube, substrate, "width", [1e-7])
+            sweep(make_mode(substrate), small_cube, substrate, "width", [1e-7])
 
 
 class TestDerivedConstant:

@@ -1,0 +1,36 @@
+"""The names the benchmark tooling and the package surface rely on.
+
+``perfbench/tracer.py`` rebinds the functions listed in its ``TRACED`` table
+inside every loaded phonoscat module, and reads the substrate of each
+``mie_rate`` call from its third positional argument.  Renaming or deleting
+one of those functions breaks a traced benchmark run, so the names are
+checked here.  The tracer file is only read, never imported as a module.
+"""
+
+import importlib
+import inspect
+import runpy
+from pathlib import Path
+
+import phonoscat
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def test_every_traced_function_resolves():
+    traced = runpy.run_path(str(TRACER))["TRACED"]
+    assert traced
+    for module, function, _ in traced:
+        target = getattr(importlib.import_module(f"phonoscat.{module}"), function, None)
+        assert callable(target), f"phonoscat.{module}.{function}"
+
+
+def test_mie_rate_takes_the_substrate_third():
+    params = list(inspect.signature(phonoscat.mie_rate).parameters)
+    assert params[2] == "substrate"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in phonoscat.__all__ if not hasattr(phonoscat, name)]
+    assert missing == []
+    assert len(set(phonoscat.__all__)) == len(phonoscat.__all__)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phonoscat.coupling import Inclusion
-from phonoscat.radiation import QuadratureSpec, mie_rate, rayleigh_rate
+from phonoscat.radiation import QuadratureSpec, mie_rate, rayleigh_rate, refined_rate
 from phonoscat.transducer import (
     EoModel,
     emission_weighted_overlap,
@@ -143,7 +143,7 @@ class TestOrientationSweep:
     def test_zero_angle_matches_unrotated_rate(self, substrate, waveguide):
         mode = make_mode(substrate)
         sweep = sweep_orientation(mode, waveguide, substrate, [0.0], quad=FAST)
-        direct = mie_rate(mode, waveguide, substrate, FAST)
+        direct = refined_rate(mode, waveguide, substrate, FAST)
         assert sweep.gammas[0] == pytest.approx(direct.total_rate, rel=1e-14)
 
     def test_rows_property(self, substrate, waveguide):
