@@ -8,24 +8,14 @@ merit that trades coupling against loss.
 """
 
 from .coupling import (
-    CouplingAmplitude,
     Inclusion,
     MicrowaveMode,
-    coupling_rate,
     default_eps_eff,
     form_factor,
     geometry_factor,
     induced_strain,
 )
-from .elastodynamics import (
-    AcousticBranch,
-    MaterialInstabilityError,
-    PhononPlaneWave,
-    christoffel,
-    christoffel_matrix,
-    group_velocity,
-    zero_point_stress,
-)
+from .elastodynamics import MaterialInstabilityError
 from .materials import (
     CONSTANTS,
     MaterialError,
@@ -75,12 +65,10 @@ from .transducer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcousticBranch",
     "BraggLayer",
     "BraggStack",
     "BruteForceSpec",
     "CONSTANTS",
-    "CouplingAmplitude",
     "DualWaveguideResult",
     "EoModel",
     "Inclusion",
@@ -91,16 +79,12 @@ __all__ = [
     "NumericFailure",
     "Orientation",
     "OrientationSweep",
-    "PhononPlaneWave",
     "QuadratureDiagnostics",
     "QuadratureSpec",
     "RadiationResult",
     "SweepResult",
     "bragg_transmission",
     "brute_force_rate",
-    "christoffel",
-    "christoffel_matrix",
-    "coupling_rate",
     "default_eps_eff",
     "default_materials",
     "derived_material_constant",
@@ -110,7 +94,6 @@ __all__ = [
     "figure_of_merit",
     "form_factor",
     "geometry_factor",
-    "group_velocity",
     "induced_strain",
     "isotropic_stiffness",
     "load_materials",
@@ -126,5 +109,4 @@ __all__ = [
     "sweep",
     "sweep_orientation",
     "transfer_matrix",
-    "zero_point_stress",
 ]

@@ -480,11 +480,16 @@ def _run_rate_sweep(cfg: RunConfig) -> RunTable:
     report += _diag_lines(results)
     mode0, incs0 = sweep_point(cfg.mode, cfg.inclusions, sw.axis_name, sw.values[0])
     if cfg.substrate.isotropic and len(incs0) == 1:
-        cg = derived_material_constant(results[0], mode0, incs0[0], cfg.substrate)
-        report.append(
-            "derived material constant C*G per branch (slow shear, fast shear, "
-            f"longitudinal): {cg[0]:.4e}, {cg[1]:.4e}, {cg[2]:.4e}"
-        )
+        # at tiny frequencies omega0^4 underflows to 0 and so does the rate: 0/0
+        with np.errstate(all="ignore"):
+            cg = derived_material_constant(results[0], mode0, incs0[0], cfg.substrate)
+        if results[0].total_rate == 0 or not np.all(np.isfinite(cg)):
+            report.append("derived material constant: skipped (zero rate)")
+        else:
+            report.append(
+                "derived material constant C*G per branch (slow shear, fast shear, "
+                f"longitudinal): {cg[0]:.4e}, {cg[1]:.4e}, {cg[2]:.4e}"
+            )
     else:
         report.append("derived material constant: skipped (needs isotropic substrate, one inclusion)")
     return RunTable([col0, "Gamma_rad_s", "Q", "regime"], rows, report)

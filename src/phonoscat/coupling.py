@@ -104,15 +104,6 @@ class Inclusion:
         return d
 
 
-@dataclass(frozen=True)
-class CouplingAmplitude:
-    """Single-phonon coupling rate g (rad/s) and its ingredients."""
-
-    value: complex  # g
-    induced_strain: np.ndarray  # S = d . E, 3x3
-    form_factor: complex
-
-
 def induced_strain(d: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Strain tensor induced by a field, honoring engineering shear.
 
@@ -134,20 +125,6 @@ def form_factor(inclusion: Inclusion, k) -> complex:
     sincs = np.sinc(args / np.pi)  # np.sinc(x) = sin(pi x)/(pi x)
     phase = np.exp(1j * float(k @ inclusion.center))
     return inclusion.sign * phase * float(np.prod(sincs))
-
-
-def coupling_rate(mode: MicrowaveMode, inclusion: Inclusion, phonon) -> CouplingAmplitude:
-    """Coupling amplitude g between the mode and one phonon plane wave.
-
-    ``phonon`` is a PhononPlaneWave carrying the zero-point stress.  The
-    returned value satisfies hbar g = V_int (S : T_zp) form_factor(k).
-    """
-    E = mode.field_zp * mode.field_direction
-    S = induced_strain(inclusion.d_lab, E)
-    ff = form_factor(inclusion, phonon.wavevector)
-    overlap = np.einsum("ij,ij->", S, phonon.stress_zp)
-    g = inclusion.volume * overlap * ff / CONSTANTS.hbar
-    return CouplingAmplitude(value=complex(g), induced_strain=S, form_factor=complex(ff))
 
 
 def geometry_factor(field_direction, d, stress_direction) -> float:

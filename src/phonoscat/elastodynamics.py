@@ -5,12 +5,7 @@ The Christoffel matrix for a propagation direction ``khat`` is
 phase velocities of the three branches and its eigenvectors their
 polarizations.  Branches are indexed 1..3 in ascending phase velocity, so
 branch 3 is the (quasi-)longitudinal one.  Dispersion is linear,
-``Omega_q(k) = v_q(khat) |k|``, and the group velocity follows analytically
-from the eigenpair:
-
-    v_g,m = e_i c_imkl khat_k e_l / (rho v_q)
-
-which satisfies the homogeneity relation ``v_g . khat = v_q`` exactly.
+``Omega_q(k) = v_q(khat) |k|``.
 
 The quadrature engine needs the Christoffel solution at every node of an
 angular grid, and that solution depends only on the substrate and the grid.
@@ -25,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import CONSTANTS, MaterialSpec
+from .materials import MaterialSpec
 
 # Fixed span of one batched solve when a table is built, so a node's
 # arithmetic does not depend on the size of the grid it belongs to.
@@ -34,44 +29,6 @@ _CHUNK = 2048
 
 class MaterialInstabilityError(ValueError):
     """Christoffel matrix not positive definite: the medium is unstable."""
-
-
-@dataclass(frozen=True)
-class AcousticBranch:
-    """One acoustic branch at a fixed propagation direction."""
-
-    direction: np.ndarray
-    branch: int  # 1, 2, 3 in ascending phase velocity
-    phase_velocity: float  # m/s
-    polarization: np.ndarray  # unit vector
-    group_velocity: np.ndarray  # m/s, analytic
-
-
-@dataclass(frozen=True)
-class PhononPlaneWave:
-    """Zero-point amplitude data of one phonon mode in quantization volume V_T."""
-
-    wavevector: np.ndarray
-    branch: int
-    quantization_volume: float
-    omega: float
-    phase_velocity: float
-    polarization: np.ndarray
-    displacement_zp: float  # u0 = sqrt(hbar / (2 rho Omega V_T))
-    stress_zp: np.ndarray  # complex 3x3, phase +i from the e^{ik.r} strain
-
-
-def _unit(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("direction vector must be nonzero")
-    return v / n
-
-
-def christoffel_matrix(material: MaterialSpec, khat) -> np.ndarray:
-    khat = _unit(khat)
-    return np.einsum("ijkl,j,k->il", material.stiffness_tensor, khat, khat) / material.rho
 
 
 def christoffel_many(material: MaterialSpec, khats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,82 +115,10 @@ def angular_table(material: MaterialSpec, n_theta: int, n_phi: int) -> AngularTa
     return table
 
 
-def group_velocity(material: MaterialSpec, khat, polarization, phase_velocity) -> np.ndarray:
-    e = np.asarray(polarization, dtype=float)
-    return np.einsum(
-        "i,imkl,k,l->m", e, material.stiffness_tensor, np.asarray(khat, float), e
-    ) / (material.rho * phase_velocity)
+def stress_pattern(stiffness_tensor: np.ndarray, khats: np.ndarray, pols: np.ndarray) -> np.ndarray:
+    """Stress per unit (i k u0) at each node: tau_nij = c_ijkl khat_nk e_nl, shape (n, 3, 3).
 
-
-def christoffel(material: MaterialSpec, khat) -> tuple[AcousticBranch, AcousticBranch, AcousticBranch]:
-    """Solve the Christoffel problem at one direction.
-
-    Returns the three branches sorted by ascending phase velocity.  For
-    degenerate shear branches any orthonormal basis of the degenerate plane
-    may be returned; complete branch sums are basis independent.
+    ``khats`` and ``pols`` are (n, 3): the propagation directions and one
+    branch's polarizations.  Each tau_n is symmetric.
     """
-    khat = _unit(khat)
-    vels, pols = christoffel_many(material, khat[None, :])
-    out = []
-    for q in range(3):
-        v = float(vels[0, q])
-        e = pols[0, :, q].copy()
-        vg = group_velocity(material, khat, e, v)
-        for a in (e, vg):
-            a.setflags(write=False)
-        d = khat.copy()
-        d.setflags(write=False)
-        out.append(
-            AcousticBranch(
-                direction=d,
-                branch=q + 1,
-                phase_velocity=v,
-                polarization=e,
-                group_velocity=vg,
-            )
-        )
-    return tuple(out)
-
-
-def stress_pattern(stiffness_tensor: np.ndarray, khat: np.ndarray, polarization: np.ndarray) -> np.ndarray:
-    """Stress per unit (i k u0): tau_ij = c_ijkl khat_k e_l, symmetric."""
-    return np.einsum("ijkl,k,l->ij", stiffness_tensor, khat, polarization)
-
-
-def zero_point_stress(
-    material: MaterialSpec, k, branch: int, quantization_volume: float
-) -> PhononPlaneWave:
-    """Zero-point stress amplitude T_zp = C : S_zp of one phonon mode.
-
-    The mode displacement is ``u0 e_q e^{ik.r}`` with
-    ``u0 = sqrt(hbar / (2 rho Omega V_T))``; the resulting strain amplitude is
-    ``S_ij = i (k_i u0 e_j + k_j u0 e_i) / 2``, so the returned stress carries
-    the +i phase.  The plane-wave spatial phase ``e^{ik.r}`` is not included
-    here; the coupling form factor carries it.
-    """
-    if branch not in (1, 2, 3):
-        raise ValueError(f"branch must be 1, 2 or 3, got {branch}")
-    if not quantization_volume > 0:
-        raise ValueError("quantization volume must be positive")
-    k = np.asarray(k, dtype=float)
-    kmag = np.linalg.norm(k)
-    if kmag == 0:
-        raise ValueError("wave vector must be nonzero")
-    khat = k / kmag
-    b = christoffel(material, khat)[branch - 1]
-    omega = b.phase_velocity * kmag
-    u0 = np.sqrt(CONSTANTS.hbar / (2 * material.rho * omega * quantization_volume))
-    tau = stress_pattern(material.stiffness_tensor, khat, b.polarization)
-    stress = 1j * kmag * u0 * tau
-    for a in (k, stress):
-        a.setflags(write=False)
-    return PhononPlaneWave(
-        wavevector=k,
-        branch=branch,
-        quantization_volume=quantization_volume,
-        omega=omega,
-        phase_velocity=b.phase_velocity,
-        polarization=b.polarization,
-        displacement_zp=float(u0),
-        stress_zp=stress,
-    )
+    return np.einsum("ijkl,nk,nl->nij", stiffness_tensor, khats, pols)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode
-from .elastodynamics import christoffel
+from .elastodynamics import christoffel_many
 from .materials import MaterialSpec
 from .radiation import QuadratureSpec, RadiationResult, _result, refined_rate
 
@@ -191,9 +191,17 @@ class BraggStack:
         """
         if not center_frequency > 0:
             raise ValueError("center frequency must be positive")
+        normal = np.asarray(normal, dtype=float)
+        norm = np.linalg.norm(normal)
+        if norm == 0:
+            raise ValueError("stack normal must be nonzero")
+        khat = normal / norm
+
+        def longitudinal_speed(mat: MaterialSpec) -> float:
+            return float(christoffel_many(mat, khat[None, :])[0][0, 2])
 
         def layer(mat: MaterialSpec) -> BraggLayer:
-            v = christoffel(mat, normal)[2].phase_velocity
+            v = longitudinal_speed(mat)
             return BraggLayer(
                 name=mat.name,
                 impedance=mat.rho * v,
@@ -201,7 +209,7 @@ class BraggStack:
                 thickness=v / (4 * center_frequency),
             )
 
-        z_sub = substrate.rho * christoffel(substrate, normal)[2].phase_velocity
+        z_sub = substrate.rho * longitudinal_speed(substrate)
         return BraggStack(
             period=(layer(low), layer(high)),
             n_periods=n_periods,
@@ -247,9 +255,7 @@ def bragg_transmission(stack: BraggStack, omega: float) -> tuple[float, float]:
     return reflectance, transmittance
 
 
-def mitigated_rate(
-    result: RadiationResult, stack: BraggStack, omega0: float | None = None
-) -> RadiationResult:
+def mitigated_rate(result: RadiationResult, stack: BraggStack) -> RadiationResult:
     """Rate behind the mirror: every branch scaled by the transmittance.
 
     This is a one-dimensional normal-incidence approximation: the angular
@@ -257,7 +263,6 @@ def mitigated_rate(
     multiplied by T(omega0).  It captures the stopband trend, not the full
     angle-resolved mode-density modification.
     """
-    omega = result.omega0 if omega0 is None else float(omega0)
-    _, transmittance = bragg_transmission(stack, omega)
+    _, transmittance = bragg_transmission(stack, result.omega0)
     branch_rates = np.asarray(result.branch_rates) * transmittance
     return _result(result.omega0, branch_rates, result.regime, result.diagnostics)

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode, induced_strain
-from .elastodynamics import angular_table, christoffel_many
+from .elastodynamics import angular_table, christoffel_many, stress_pattern
 from .materials import CONSTANTS, MaterialSpec
 
 # Regime boundary: Rayleigh when max_i |k| L_i stays below this.
@@ -182,7 +182,7 @@ def _node_values(
     out = np.empty((3, khats.shape[0]))
     for q in range(3):
         v = vels[:, q]
-        tau = np.einsum("ijkl,nk,nl->nij", c, khats, pols[:, :, q])
+        tau = stress_pattern(c, khats, pols[:, :, q])
         k0 = omega0 / v
         kvec = k0[:, None] * khats
         hg_sq = (k0 * k0 * u0_sq) * _coherent_power(src, _couplings(tau, src), kvec)
@@ -222,8 +222,9 @@ def _gamma_branches(
     return np.array([np.add.reduce(grid.weights * values[q]) for q in range(3)])
 
 
-def min_phase_velocity(substrate: MaterialSpec, n_theta: int = 16, n_phi: int = 32) -> float:
-    return float(np.min(angular_table(substrate, n_theta, n_phi).velocities))
+def min_phase_velocity(substrate: MaterialSpec) -> float:
+    """Slowest phase velocity over the 16 x 32 angular grid."""
+    return float(np.min(angular_table(substrate, 16, 32).velocities))
 
 
 def regime_label(omega0: float, inclusions, substrate: MaterialSpec) -> str:
@@ -366,14 +367,13 @@ def brute_force_rate(
     mode: MicrowaveMode,
     inclusions,
     substrate: MaterialSpec,
-    sigma: float | None = None,
     grid: BruteForceSpec | None = None,
     quantization_volume: float = 1.0,
 ) -> float:
     """Reference rate by direct 3D k-space summation.
 
-    The energy delta is replaced by a unit-area Gaussian of width ``sigma``
-    (default omega0/200, required <= omega0/100) and the golden-rule sum is
+    The energy delta is replaced by a unit-area Gaussian of width
+    ``sigma = omega0/200`` and the golden-rule sum is
     taken over a spherical 3D grid: composite Simpson in theta and in the
     radial window (+- ``grid.window`` sigma around each branch shell), uniform
     in phi.  No isofrequency-surface reduction is used, so this checks the
@@ -381,9 +381,7 @@ def brute_force_rate(
     """
     incs = _as_inclusion_list(inclusions)
     omega0 = mode.omega0
-    sigma = omega0 / 200.0 if sigma is None else float(sigma)
-    if not 0 < sigma <= omega0 / 100.0:
-        raise ValueError("sigma must be positive and at most omega0/100")
+    sigma = omega0 / 200.0
     grid = grid or BruteForceSpec()
     hbar = CONSTANTS.hbar
     rho = substrate.rho
@@ -417,8 +415,7 @@ def brute_force_rate(
     total = 0.0
     for q in range(3):
         v = vels[:, q]
-        tau = np.einsum("ijkl,nk,nl->nij", c, khats, pols[:, :, q])
-        m = _couplings(tau, src)
+        m = _couplings(stress_pattern(c, khats, pols[:, :, q]), src)
         for i in range(xi.size):
             omega = omega0 + sigma * xi[i]
             k = omega / v
@@ -456,17 +453,13 @@ class SweepResult:
     def q_factors(self) -> np.ndarray:
         return np.array([r.q_factor for r in self.results])
 
-    def loglog_slope(self, start: float | None = None, stop: float | None = None) -> float:
-        """Least-squares slope of log Q versus log axis over [start, stop]."""
+    def loglog_slope(self) -> float:
+        """Least-squares slope of log Q versus log axis over the finite-Q points."""
         x = np.asarray(self.values, dtype=float)
         y = self.q_factors
         mask = np.isfinite(y) & (y > 0)
-        if start is not None:
-            mask &= x >= start
-        if stop is not None:
-            mask &= x <= stop
         if np.sum(mask) < 2:
-            raise ValueError("slope fit needs at least two points in range")
+            raise ValueError("slope fit needs at least two points with finite, positive Q")
         return float(np.polyfit(np.log(x[mask]), np.log(y[mask]), 1)[0])
 
 

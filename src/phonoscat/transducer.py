@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode, geometry_factor
-from .elastodynamics import angular_table
+from .elastodynamics import angular_table, stress_pattern
 from .materials import MaterialSpec, Orientation
 from .radiation import QuadratureSpec, RadiationResult, SweepResult, refined_rate
 
@@ -66,21 +66,9 @@ class OrientationSweep(SweepResult):
     axis: np.ndarray
     overlaps: np.ndarray  # emission-weighted alignment factor G in [0, 1]
 
-    @property
-    def angles(self) -> np.ndarray:
-        return self.values
-
-    @property
-    def rows(self) -> list[tuple[float, float, float, float]]:
-        return list(zip(self.angles, self.overlaps, self.gammas, self.q_factors))
-
 
 def emission_weighted_overlap(
-    mode: MicrowaveMode,
-    inclusion: Inclusion,
-    substrate: MaterialSpec,
-    n_theta: int = 16,
-    n_phi: int = 32,
+    mode: MicrowaveMode, inclusion: Inclusion, substrate: MaterialSpec
 ) -> float:
     """Alignment factor G in [0, 1] between field, piezo tensor and emission.
 
@@ -88,13 +76,13 @@ def emission_weighted_overlap(
     over propagation directions and branches, weighted by the point-source
     emission measure 1 / v_q^5.  G = 0 for a non-piezoelectric inclusion.
     """
-    grid = angular_table(substrate, n_theta, n_phi)
+    grid = angular_table(substrate, 16, 32)
     c = substrate.stiffness_tensor
     d_lab = inclusion.d_lab
     num = 0.0
     den = 0.0
     for q in range(3):
-        tau = np.einsum("ijkl,nk,nl->nij", c, grid.khats, grid.polarizations[:, :, q])
+        tau = stress_pattern(c, grid.khats, grid.polarizations[:, :, q])
         w = grid.weights / grid.velocities[:, q] ** 5
         g = np.array(
             [geometry_factor(mode.field_direction, d_lab, tau[i]) for i in range(tau.shape[0])]

@@ -6,6 +6,7 @@ messages are asserted directly.
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,22 @@ class TestRunMie:
         code, out = run_cli(tmp_path, self._cfg())
         assert code == 0
         assert "quadrature: up to" in capsys.readouterr().out
+
+    def test_zero_rate_skips_the_derived_constant(self, tmp_path, capsys):
+        # omega0^4 underflows to 0, and so does the rate
+        cfg = self._cfg(quadrature={"n_theta": 8, "n_phi": 16})
+        cfg["mode"]["frequency_GHz"] = 1e-100
+        cfg["inclusions"][0]["dimensions_um"] = [0.5, 1.0, 5.0]
+        cfg["sweep"] = {"axis": "height_um", "grid": "linear", "start": 0.01, "stop": 0.01, "count": 1}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, cfg)
+        assert code == 0
+        assert caught == []
+        stdout = capsys.readouterr().out
+        assert "nan" not in stdout
+        assert "derived material constant: skipped (zero rate)" in stdout
+        assert read_csv(out)[1] == [["0.01", "0.0", "inf", "rayleigh"]]
 
     def test_byte_identical_repeats(self, tmp_path):
         cfg = self._cfg()

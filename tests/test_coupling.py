@@ -1,8 +1,9 @@
-"""Field amplitudes, induced strain, cuboid form factors and coupling rates.
+"""Field amplitudes, induced strain, cuboid form factors and geometry factors.
 
 The cuboid form factor is checked against two independent oracles: an exact
 octant-subdivision identity and direct 3D Simpson quadrature of the
-plane-wave overlap integral.
+plane-wave overlap integral.  It is in turn the reference for the coherent
+sum that the radiation engines evaluate.
 """
 
 import numpy as np
@@ -13,14 +14,13 @@ from hypothesis import strategies as st
 from phonoscat.coupling import (
     Inclusion,
     MicrowaveMode,
-    coupling_rate,
     default_eps_eff,
     form_factor,
     geometry_factor,
     induced_strain,
 )
-from phonoscat.elastodynamics import zero_point_stress
 from phonoscat.materials import CONSTANTS, default_materials
+from phonoscat.radiation import _coherent_power, _sources
 
 from conftest import XCUT_MATRIX, make_mode
 
@@ -140,6 +140,20 @@ class TestFormFactor:
             -form_factor(self._inc(ln), k), rel=1e-14
         )
 
+    def test_is_the_reference_of_the_coherent_sum_kernel(self, ln, substrate):
+        """With unit couplings the production kernel is |sum_j V_j form_factor_j(k)|^2."""
+        incs = [
+            self._inc(ln),
+            self._inc(ln, dims=(0.2e-6, 0.9e-6, 0.3e-6), center=(0.5e-6, -0.1e-6, 0.2e-6), sign=-1),
+            self._inc(ln, dims=(1.3e-6, 0.1e-6, 0.6e-6), center=(-0.4e-6, 0.8e-6, -0.7e-6)),
+        ]
+        kvecs = np.random.default_rng(12).normal(scale=5e6, size=(8, 3))
+        kvecs[0] = 0.0
+        src = _sources(make_mode(substrate), incs)
+        got = _coherent_power(src, [np.ones(len(kvecs))] * len(incs), kvecs)
+        want = [abs(sum(inc.volume * form_factor(inc, k) for inc in incs)) ** 2 for k in kvecs]
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
+
     def test_octant_subdivision_identity(self, ln):
         """V * FF(cuboid) equals the sum of V/8 * FF over its eight octants."""
         rng = np.random.default_rng(12)
@@ -182,40 +196,6 @@ class TestFormFactor:
         inc = self._inc(ln, dims=dims)
         k = np.array([2 * np.pi / dims[0], 0.0, 0.0])
         assert abs(form_factor(inc, k)) < 1e-15
-
-
-class TestCouplingRate:
-    def test_matches_manual_overlap(self, substrate, ln, xcut):
-        mode = make_mode(substrate)
-        inc = Inclusion((0.1e-6,) * 3, (0, 0, 0), ln, orientation=xcut)
-        k = np.array([0.0, 1.2e7, 0.4e7])
-        ph = zero_point_stress(substrate, k, 3, 1.0)
-        amp = coupling_rate(mode, inc, ph)
-        E = mode.field_zp * mode.field_direction
-        S = induced_strain(inc.d_lab, E)
-        expect = (
-            inc.volume
-            * np.einsum("ij,ij->", S, ph.stress_zp)
-            * form_factor(inc, k)
-            / CONSTANTS.hbar
-        )
-        assert amp.value == pytest.approx(expect, rel=1e-13)
-        assert np.allclose(amp.induced_strain, S, atol=0)
-
-    def test_zero_for_non_piezo_inclusion(self, substrate, silicon):
-        mode = make_mode(substrate)
-        inc = Inclusion((0.1e-6,) * 3, (0, 0, 0), silicon)
-        ph = zero_point_stress(substrate, [0, 0, 1e7], 3, 1.0)
-        assert coupling_rate(mode, inc, ph).value == 0
-
-    def test_sign_enters_linearly(self, substrate, ln, xcut):
-        mode = make_mode(substrate)
-        a = Inclusion((0.1e-6,) * 3, (0, 0, 0), ln, orientation=xcut, sign=1)
-        b = Inclusion((0.1e-6,) * 3, (0, 0, 0), ln, orientation=xcut, sign=-1)
-        ph = zero_point_stress(substrate, [0.3e7, 1e7, 0.2e7], 2, 1.0)
-        assert coupling_rate(mode, b, ph).value == pytest.approx(
-            -coupling_rate(mode, a, ph).value, rel=1e-14
-        )
 
 
 class TestGeometryFactor:

@@ -1,0 +1,60 @@
+"""Golden guard: the quick-mode study tables must not move.
+
+``tests/golden/`` holds the CSVs of ``scripts/run_sweeps.py --quick``.  Each
+fresh table must have the golden header and row count, equal text cells and
+numeric cells within a relative 1e-12.  A change that really moves the
+numbers regenerates the golden files in a change of its own that says why;
+the tolerance is never loosened to let one through.
+"""
+
+import csv
+import math
+import runpy
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+RTOL = 1e-12
+
+run_sweeps = runpy.run_path(str(ROOT / "scripts" / "run_sweeps.py"))
+STUDIES = sorted(run_sweeps["studies"](quick=True))
+
+
+@pytest.fixture(scope="module")
+def fresh(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("quick_studies")
+    assert run_sweeps["main"](["--quick", "--outdir", str(outdir)]) == 0
+    return outdir
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def cell_matches(got, want):
+    if got == want:
+        return True
+    try:
+        g, w = float(got), float(want)
+    except ValueError:
+        return False
+    return math.isfinite(w) and abs(g - w) <= RTOL * abs(w)
+
+
+def test_every_study_has_a_golden_table():
+    assert sorted(p.stem for p in GOLDEN.glob("*.csv")) == STUDIES
+
+
+@pytest.mark.parametrize("study", STUDIES)
+def test_quick_study_matches_golden(fresh, study):
+    got = read_rows(fresh / f"{study}.csv")
+    want = read_rows(GOLDEN / f"{study}.csv")
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for i, (row_got, row_want) in enumerate(zip(got[1:], want[1:]), start=1):
+        assert len(row_got) == len(row_want), f"row {i}"
+        bad = [(g, w) for g, w in zip(row_got, row_want) if not cell_matches(g, w)]
+        assert bad == [], f"row {i}: (got, golden) {bad}"

@@ -146,14 +146,6 @@ class TestOrientationSweep:
         direct = refined_rate(mode, waveguide, substrate, FAST)
         assert sweep.gammas[0] == pytest.approx(direct.total_rate, rel=1e-14)
 
-    def test_rows_property(self, substrate, waveguide):
-        mode = make_mode(substrate)
-        sweep = sweep_orientation(mode, waveguide, substrate, [0.0, 0.5], quad=FAST)
-        rows = sweep.rows
-        assert len(rows) == 2
-        assert rows[0][0] == 0.0
-        assert rows[1][1] == sweep.overlaps[1]
-
     def test_empty_grid_rejected(self, substrate, waveguide):
         with pytest.raises(ValueError, match="empty"):
             sweep_orientation(make_mode(substrate), waveguide, substrate, [], quad=FAST)
