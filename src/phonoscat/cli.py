@@ -8,10 +8,11 @@ one row per sweep point, shortest round-trip float formatting, deterministic
 bytes) and prints a short report with fitted slopes, regime tags and
 quadrature diagnostics to standard output.
 
-Exit codes: 0 success, 2 configuration error (message names the offending
-field; non-finite numbers are configuration errors), 3 numeric failure
-(quadrature that stays unconverged after the built-in refinement cap, or a
-non-finite rate).
+Exit codes, set for every subcommand in ``main`` alone: 0 success, 2
+configuration error (the message names the offending field or path;
+non-finite numbers and unreadable or unwritable paths are configuration
+errors), 3 numeric failure (quadrature that stays unconverged after the
+built-in refinement cap, a non-finite rate, or a failed selftest check).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .radiation import (
     QuadratureSpec,
     brute_force_rate,
     derived_material_constant,
+    loglog_slope,
     min_phase_velocity,
     refined_rate,
     sweep,
@@ -47,25 +49,13 @@ ENV_MATERIALS = "PHONOSCAT_MATERIALS"
 _UM = 1e-6
 _UM3 = 1e-18
 
-_SCENARIOS = (
-    "rayleigh",
-    "mie",
-    "dual_waveguide",
-    "bragg",
-    "figure_of_merit",
-    "orientation",
-    "oracle_check",
-)
+# CSV column header of each rate-sweep axis
+_COLUMNS = {"frequency_GHz": "f_GHz", "height_um": "h_um", "thickness_um": "t_um"}
 
-_AXES = {
-    "rayleigh": ("frequency_GHz", "height_um", "thickness_um"),
-    "mie": ("frequency_GHz", "height_um", "thickness_um"),
-    "dual_waveguide": ("separation_um",),
-    "bragg": ("n_periods",),
-    "figure_of_merit": ("height_um", "frequency_GHz"),
-    "orientation": ("angle_deg",),
-    "oracle_check": ("frequency_GHz",),
-}
+# Size bounds: a sweep and the twice-refined quadrature grid (with its
+# n_theta x n_theta Gauss-Legendre companion matrix) must fit in memory.
+_MAX_COUNT = 10_000
+_MAX_THETA, _MAX_PHI = 1024, 2048
 
 
 class ConfigError(ValueError):
@@ -88,61 +78,67 @@ def _check_keys(d: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(f"{path}.{key}: unknown field (expected one of {sorted(allowed)})")
 
 
-def _number(d: dict, key: str, path: str, default=None, positive=False, nonnegative=False):
-    if key not in d:
-        if default is not None or (default is None and not positive and not nonnegative):
-            return default
+def _given(d: dict, key: str, path: str, default) -> bool:
+    """Whether ``key`` is present; a field without a default is required."""
+    if key in d:
+        return True
+    if default is None:
         raise ConfigError(f"{path}.{key}: required")
+    return False
+
+
+def _number(d: dict, key: str, path: str, default=None, positive=False):
+    if not _given(d, key, path, default):
+        return default
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        v = np.inf
     if not np.isfinite(v):
         raise ConfigError(f"{path}.{key}: must be finite")
     if positive and not v > 0:
         raise ConfigError(f"{path}.{key}: must be positive")
-    if nonnegative and v < 0:
-        raise ConfigError(f"{path}.{key}: must not be negative")
     return v
 
 
-def _integer(d: dict, key: str, path: str, default=None, minimum=None):
-    if key not in d:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}.{key}: required")
+def _integer(d: dict, key: str, path: str, default=None, minimum=None, maximum=None):
+    if not _given(d, key, path, default):
+        return default
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{path}.{key}: expected an integer")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{path}.{key}: must be at least {minimum}")
+    if maximum is not None and v > maximum:
+        raise ConfigError(f"{path}.{key}: must be at most {maximum}")
     return v
 
 
-def _vector3(d: dict, key: str, path: str, default=None, positive=False) -> np.ndarray:
-    if key not in d:
-        if default is not None:
-            return np.asarray(default, dtype=float)
-        raise ConfigError(f"{path}.{key}: required")
+def _vector3(d: dict, key: str, path: str, default=None, positive=False, nonzero=False) -> np.ndarray:
+    if not _given(d, key, path, default):
+        return np.asarray(default, dtype=float)
     v = d[key]
     if not isinstance(v, (list, tuple)) or len(v) != 3:
         raise ConfigError(f"{path}.{key}: expected a 3-component list")
     try:
         arr = np.array([float(x) for x in v])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path}.{key}: expected numeric components") from None
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{path}.{key}: components must be finite")
     if positive and not np.all(arr > 0):
         raise ConfigError(f"{path}.{key}: components must be positive")
+    if nonzero and not np.any(arr):
+        raise ConfigError(f"{path}.{key}: must be nonzero")
     return arr
 
 
 def _string(d: dict, key: str, path: str, default=None, choices=None):
-    if key not in d:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}.{key}: required")
+    if not _given(d, key, path, default):
+        return default
     v = d[key]
     if not isinstance(v, str):
         raise ConfigError(f"{path}.{key}: expected a string")
@@ -168,17 +164,14 @@ def _orientation(d: dict | None, path: str) -> Orientation:
                 raise ConfigError(f"{path}: give either matrix or axis/angle_deg, not both")
             try:
                 m = np.asarray(d["matrix"], dtype=float)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 m = None
             if m is None or m.shape != (3, 3):
                 raise ConfigError(f"{path}.matrix: expected a 3x3 matrix")
             return Orientation(m)
         if "axis" in d or "angle_deg" in d:
             axis = _vector3(d, "axis", path)
-            angle = _number(d, "angle_deg", path)
-            if angle is None:
-                raise ConfigError(f"{path}.angle_deg: required with axis")
-            return Orientation.about_axis(axis, np.deg2rad(angle))
+            return Orientation.about_axis(axis, np.deg2rad(_number(d, "angle_deg", path)))
     except MaterialError as e:
         raise ConfigError(f"{path}: {e}") from None
     raise ConfigError(f"{path}: expected matrix or axis/angle_deg")
@@ -212,21 +205,21 @@ def _load_db(cfg: dict) -> dict[str, MaterialSpec]:
         path = os.environ.get(ENV_MATERIALS)
     if path is None:
         return default_materials()
+    if not isinstance(path, str):
+        raise ConfigError("materials_db: expected a string path")
     try:
         return load_materials(path)
     except FileNotFoundError:
         raise ConfigError(f"materials_db: no such file '{path}'") from None
-    except (MaterialError, json.JSONDecodeError) as e:
+    except (MaterialError, OSError) as e:
         raise ConfigError(f"materials_db: {e}") from None
 
 
 def _sweep_values(sweep: dict, axis: str) -> np.ndarray:
     grid = _string(sweep, "grid", "sweep", default="log", choices=("log", "linear"))
-    count = _integer(sweep, "count", "sweep", minimum=1)
+    count = _integer(sweep, "count", "sweep", minimum=1, maximum=_MAX_COUNT)
     start = _number(sweep, "start", "sweep")
     stop = _number(sweep, "stop", "sweep", default=start)
-    if start is None:
-        raise ConfigError("sweep.start: required")
     if grid == "log":
         if not (start > 0 and stop > 0):
             raise ConfigError("sweep.start: log grids need positive bounds")
@@ -249,12 +242,12 @@ def _sweep_values(sweep: dict, axis: str) -> np.ndarray:
 def load_run_config(path: str) -> RunConfig:
     """Parse and validate a JSON run configuration."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"no such config file '{path}'") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise ConfigError(f"{path}: {e}") from None
     raw = _require_dict(raw, "config")
     _check_keys(
         raw,
@@ -283,19 +276,17 @@ def load_run_config(path: str) -> RunConfig:
     _check_keys(mode_cfg, {"frequency_GHz", "mode_volume_um3", "field_direction", "eps_eff"}, "mode")
     f_ghz = _number(mode_cfg, "frequency_GHz", "mode", positive=True)
     v_e = _number(mode_cfg, "mode_volume_um3", "mode", positive=True)
-    e_dir = _vector3(mode_cfg, "field_direction", "mode", default=[0.0, 1.0, 0.0])
-    if not np.any(e_dir):
-        raise ConfigError("mode.field_direction: must be nonzero")
+    e_dir = _vector3(mode_cfg, "field_direction", "mode", default=[0.0, 1.0, 0.0], nonzero=True)
     eps_eff = mode_cfg.get("eps_eff")
     if eps_eff is None:
         eps_eff = default_eps_eff(substrate)
-    elif isinstance(eps_eff, bool) or not isinstance(eps_eff, (int, float)) or not 0 < eps_eff < np.inf:
-        raise ConfigError("mode.eps_eff: expected a positive finite number or null")
+    else:
+        eps_eff = _number(mode_cfg, "eps_eff", "mode", positive=True)
     mode = MicrowaveMode(
         omega0=2 * np.pi * f_ghz * 1e9,
         mode_volume=v_e * _UM3,
         field_direction=e_dir,
-        eps_eff=float(eps_eff),
+        eps_eff=eps_eff,
     )
 
     incs_cfg = raw.get("inclusions")
@@ -326,10 +317,11 @@ def load_run_config(path: str) -> RunConfig:
     sweep = _require_dict(raw.get("sweep"), "sweep")
     _check_keys(sweep, {"axis", "grid", "start", "stop", "count"}, "sweep")
     axis = _string(sweep, "axis", "sweep")
-    if axis not in _AXES[scenario]:
+    _, axes = _SCENARIOS[scenario]
+    if axis not in axes:
         raise ConfigError(
             f"sweep.axis: '{axis}' is not valid for scenario '{scenario}' "
-            f"(expected one of {list(_AXES[scenario])})"
+            f"(expected one of {list(axes)})"
         )
     values = _sweep_values(sweep, axis)
 
@@ -337,17 +329,15 @@ def load_run_config(path: str) -> RunConfig:
     quad_cfg = _require_dict(quad_cfg, "quadrature")
     _check_keys(quad_cfg, {"n_theta", "n_phi", "tolerance", "threads"}, "quadrature")
     quad = QuadratureSpec(
-        n_theta=_integer(quad_cfg, "n_theta", "quadrature", default=64, minimum=2),
-        n_phi=_integer(quad_cfg, "n_phi", "quadrature", default=128, minimum=4),
+        n_theta=_integer(quad_cfg, "n_theta", "quadrature", default=64, minimum=2, maximum=_MAX_THETA),
+        n_phi=_integer(quad_cfg, "n_phi", "quadrature", default=128, minimum=4, maximum=_MAX_PHI),
         tolerance=_number(quad_cfg, "tolerance", "quadrature", default=1e-3, positive=True),
         threads=_integer(quad_cfg, "threads", "quadrature", default=1, minimum=1),
     )
 
     dual_cfg = _require_dict(raw.get("dual") or {}, "dual")
     _check_keys(dual_cfg, {"direction", "relative_sign"}, "dual")
-    dual_dir = _vector3(dual_cfg, "direction", "dual", default=[1.0, 0.0, 0.0])
-    if not np.any(dual_dir):
-        raise ConfigError("dual.direction: must be nonzero")
+    dual_dir = _vector3(dual_cfg, "direction", "dual", default=[1.0, 0.0, 0.0], nonzero=True)
     dual_dir = dual_dir / np.linalg.norm(dual_dir)
     dual_sign = _integer(dual_cfg, "relative_sign", "dual", default=-1)
     if dual_sign not in (1, -1):
@@ -360,9 +350,7 @@ def load_run_config(path: str) -> RunConfig:
         bragg_low = _material(db, _string(bragg_cfg, "low", "bragg"), "bragg.low")
         bragg_high = _material(db, _string(bragg_cfg, "high", "bragg"), "bragg.high")
     bragg_center = _number(bragg_cfg, "center_frequency_GHz", "bragg", default=f_ghz, positive=True)
-    bragg_normal = _vector3(bragg_cfg, "normal", "bragg", default=[0.0, 0.0, 1.0])
-    if not np.any(bragg_normal):
-        raise ConfigError("bragg.normal: must be nonzero")
+    bragg_normal = _vector3(bragg_cfg, "normal", "bragg", default=[0.0, 0.0, 1.0], nonzero=True)
 
     eo = None
     if raw.get("eo") is not None:
@@ -379,9 +367,7 @@ def load_run_config(path: str) -> RunConfig:
     elif scenario == "figure_of_merit":
         raise ConfigError("eo: required for the figure_of_merit scenario")
 
-    ori_axis = _vector3(raw, "orientation_axis", "config", default=[0.0, 0.0, 1.0])
-    if not np.any(ori_axis):
-        raise ConfigError("orientation_axis: must be nonzero")
+    ori_axis = _vector3(raw, "orientation_axis", "config", default=[0.0, 0.0, 1.0], nonzero=True)
 
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
@@ -439,14 +425,11 @@ def _sweep(cfg: RunConfig, engine: str = "mie"):
     return sweep(cfg.mode, cfg.inclusions, cfg.substrate, axis, values, cfg.quad, engine)
 
 
-def _slope_line(xs, qs, label: str) -> list[str]:
-    xs = np.asarray(xs, dtype=float)
-    qs = np.asarray(qs, dtype=float)
-    mask = (xs > 0) & np.isfinite(qs) & (qs > 0)
-    if np.sum(mask) < 3 or np.allclose(xs[mask], xs[mask][0]):
+def _slope_line(xs, ys, label: str) -> list[str]:
+    try:
+        return [f"fitted log-log slope of {label}: {loglog_slope(xs, ys):+.4f}"]
+    except ValueError:  # too few points, or a constant axis
         return []
-    slope = float(np.polyfit(np.log(xs[mask]), np.log(qs[mask]), 1)[0])
-    return [f"fitted log-log slope of {label}: {slope:+.4f}"]
 
 
 def _wavelength_line(cfg: RunConfig) -> str:
@@ -475,7 +458,7 @@ def _run_rate_sweep(cfg: RunConfig) -> RunTable:
     sw = _sweep(cfg, engine=cfg.scenario)
     results = sw.results
     rows = [(float(v), r.total_rate, r.q_factor, r.regime) for v, r in zip(cfg.values, results)]
-    col0 = {"frequency_GHz": "f_GHz", "height_um": "h_um", "thickness_um": "t_um"}[cfg.axis]
+    col0 = _COLUMNS[cfg.axis]
     report = _slope_line(cfg.values, sw.q_factors, f"Q vs {cfg.axis}")
     report += _diag_lines(results)
     mode0, incs0 = sweep_point(cfg.mode, cfg.inclusions, sw.axis_name, sw.values[0])
@@ -523,25 +506,23 @@ def _run_dual(cfg: RunConfig) -> RunTable:
 
 def _run_bragg(cfg: RunConfig) -> RunTable:
     base = refined_rate(cfg.mode, cfg.inclusions, cfg.substrate, cfg.quad)
-    fc = cfg.bragg_center_ghz * 1e9
+    mirror = BraggStack.quarter_wave(
+        cfg.substrate, cfg.bragg_low, cfg.bragg_high, cfg.bragg_center_ghz * 1e9, 1, cfg.bragg_normal
+    )
     rows = []
     for n in cfg.values:
-        stack = BraggStack.quarter_wave(
-            cfg.substrate, cfg.bragg_low, cfg.bragg_high, fc, int(n), cfg.bragg_normal
-        )
-        refl, trans = bragg_transmission(stack, cfg.mode.omega0)
-        mit = mitigated_rate(base, stack)
+        refl, trans = bragg_transmission(dataclasses.replace(mirror, n_periods=int(n)), cfg.mode.omega0)
+        mit = mitigated_rate(base, trans)
         rows.append(
             (int(n), refl, trans, mit.total_rate, mit.q_factor, mit.q_factor / base.q_factor)
         )
-    stack1 = BraggStack.quarter_wave(cfg.substrate, cfg.bragg_low, cfg.bragg_high, fc, 1, cfg.bragg_normal)
     report = [
         "mirror model: 1D normal-incidence transfer matrix; the emitted rate is "
         "scaled by the transmittance at f0 (an approximation that collapses the "
         "angular emission pattern onto the stack normal)",
         f"mirror center frequency: {cfg.bragg_center_ghz:g} GHz; unmitigated Q: {base.q_factor:.4e}",
     ]
-    for layer in stack1.period:
+    for layer in mirror.period:
         report.append(
             f"layer {layer.name}: Z = {layer.impedance:.4e} Pa s/m, "
             f"v = {layer.speed:.1f} m/s, quarter-wave thickness = {layer.thickness / _UM:.4f} um"
@@ -562,7 +543,7 @@ def _run_figure_of_merit(cfg: RunConfig) -> RunTable:
         (float(v), r.total_rate, r.q_factor, g_hz, figure_of_merit(cfg.eo, cfg.mode, r))
         for v, r in zip(cfg.values, _sweep(cfg).results)
     ]
-    col0 = "f_GHz" if cfg.axis == "frequency_GHz" else "h_um"
+    col0 = _COLUMNS[cfg.axis]
     etas = np.array([row[4] for row in rows])
     best = int(np.argmax(etas))
     report = [
@@ -609,19 +590,22 @@ def _run_oracle_check(cfg: RunConfig) -> RunTable:
     return RunTable(["f_GHz", "Gamma_mie_rad_s", "Gamma_brute_rad_s", "rel_deviation"], rows, report)
 
 
-_RUNNERS = {
-    "rayleigh": _run_rate_sweep,
-    "mie": _run_rate_sweep,
-    "dual_waveguide": _run_dual,
-    "bragg": _run_bragg,
-    "figure_of_merit": _run_figure_of_merit,
-    "orientation": _run_orientation,
-    "oracle_check": _run_oracle_check,
+# Every scenario -> (runner, the sweep axes it accepts), in the order error
+# messages list them.
+_SCENARIOS = {
+    "rayleigh": (_run_rate_sweep, ("frequency_GHz", "height_um", "thickness_um")),
+    "mie": (_run_rate_sweep, ("frequency_GHz", "height_um", "thickness_um")),
+    "dual_waveguide": (_run_dual, ("separation_um",)),
+    "bragg": (_run_bragg, ("n_periods",)),
+    "figure_of_merit": (_run_figure_of_merit, ("height_um", "frequency_GHz")),
+    "orientation": (_run_orientation, ("angle_deg",)),
+    "oracle_check": (_run_oracle_check, ("frequency_GHz",)),
 }
 
 
 def execute(cfg: RunConfig) -> RunTable:
-    return _RUNNERS[cfg.scenario](cfg)
+    runner, _ = _SCENARIOS[cfg.scenario]
+    return runner(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -671,48 +655,35 @@ def _parse_quad(text: str) -> tuple[int, int]:
 
 
 def _cmd_run(args) -> int:
+    cfg = load_run_config(args.config)
+    if args.out is not None:
+        cfg.output = args.out
+    overrides = {}
+    if args.quad is not None:
+        if args.quad[0] > _MAX_THETA or args.quad[1] > _MAX_PHI:
+            raise ConfigError(f"--quad: node counts must be at most {_MAX_THETA}x{_MAX_PHI}")
+        overrides["n_theta"], overrides["n_phi"] = args.quad
+    if args.threads is not None:
+        if args.threads < 1:
+            raise ConfigError("--threads: must be at least 1")
+        overrides["threads"] = args.threads
+    if overrides:
+        try:
+            cfg.quad = dataclasses.replace(cfg.quad, **overrides)
+        except ValueError as e:  # only --quad can be out of range here
+            raise ConfigError(f"--quad: {e}") from None
+    table = execute(cfg)
     try:
-        cfg = load_run_config(args.config)
-        if args.out is not None:
-            cfg.output = args.out
-        overrides = {}
-        if args.quad is not None:
-            overrides["n_theta"], overrides["n_phi"] = args.quad
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads: must be at least 1")
-            overrides["threads"] = args.threads
-        if overrides:
-            try:
-                cfg.quad = dataclasses.replace(cfg.quad, **overrides)
-            except ValueError as e:  # only --quad can be out of range here
-                raise ConfigError(f"--quad: {e}") from None
-        table = execute(cfg)
-    except ValueError as e:  # ConfigError, or a library check of an input value
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except (NumericFailure, FloatingPointError) as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return 3
-    write_csv(cfg.output, table)
+        write_csv(cfg.output, table)
+    except OSError as e:
+        raise ConfigError(f"output: {e}") from None
     _print_report(cfg, table)
     return 0
 
 
 def _cmd_materials_validate(args) -> int:
-    try:
-        db = load_materials(args.db)
-    except FileNotFoundError:
-        print(f"config error: no such file '{args.db}'", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as e:
-        print(f"config error: line {e.lineno}, column {e.colno}: {e.msg}", file=sys.stderr)
-        return 2
-    except MaterialError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    for name in sorted(db):
-        m = db[name]
+    db = load_materials(args.db)
+    for name, m in sorted(db.items()):
         flags = []
         flags.append("isotropic" if m.isotropic else "anisotropic")
         flags.append("piezoelectric" if m.piezoelectric else "non-piezoelectric")
@@ -727,8 +698,7 @@ def _cmd_selftest(_args) -> int:
         print(f"  {'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
     failed = sum(not r.passed for r in results)
     if failed:
-        print(f"selftest: {failed} of {len(results)} checks failed", file=sys.stderr)
-        return 3
+        raise NumericFailure(f"selftest: {failed} of {len(results)} checks failed")
     print(f"selftest: all {len(results)} checks passed")
     return 0
 
@@ -761,8 +731,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; every error it raises becomes an exit code here.
+
+    A ValueError (a ConfigError, or a library check of an input value) or
+    an OSError (a path that cannot be read or written, or a closed standard
+    output) exits 2; a NumericFailure or FloatingPointError exits 3.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except (NumericFailure, FloatingPointError) as e:
+        print(f"numeric failure: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -347,9 +347,9 @@ _RECORD_KEYS = {"name", "rho", "C", "d", "eps_r", "isotropic", "piezoelectric"}
 
 
 def _record_to_spec(rec: dict, idx: int) -> MaterialSpec:
-    label = rec.get("name", f"record {idx}")
     if not isinstance(rec, dict):
         raise MaterialError(f"record {idx}: expected an object")
+    label = rec.get("name", f"record {idx}")
     missing = {"name", "rho", "C", "d", "eps_r"} - rec.keys()
     if missing:
         raise MaterialError(f"material '{label}': missing keys {sorted(missing)}")
@@ -357,20 +357,23 @@ def _record_to_spec(rec: dict, idx: int) -> MaterialSpec:
     if unknown:
         raise MaterialError(f"material '{label}': unknown keys {sorted(unknown)}")
 
-    def grid(key, n, shape):
-        vals = rec[key]
-        if not isinstance(vals, list) or len(vals) != n:
+    shapes = {"C": (6, 6), "d": (3, 6), "eps_r": (3, 3)}
+    for key, (rows, cols) in shapes.items():
+        if not isinstance(rec[key], list) or len(rec[key]) != rows * cols:
             raise MaterialError(
-                f"material '{label}': key '{key}' must be a flat row-major list of {n} numbers"
+                f"material '{label}': key '{key}' must be a flat row-major list of {rows * cols} numbers"
             )
-        return np.asarray(vals, dtype=float).reshape(shape)
-
+    try:
+        rho = float(rec["rho"])
+        C, d, eps_r = (np.asarray(rec[key], dtype=float).reshape(shape) for key, shape in shapes.items())
+    except (TypeError, ValueError, OverflowError):
+        raise MaterialError(f"material '{label}': rho, C, d and eps_r must hold numbers only") from None
     return MaterialSpec(
         name=str(rec["name"]),
-        rho=float(rec["rho"]),
-        C=grid("C", 36, (6, 6)),
-        d=grid("d", 18, (3, 6)),
-        eps_r=grid("eps_r", 9, (3, 3)),
+        rho=rho,
+        C=C,
+        d=d,
+        eps_r=eps_r,
         isotropic=bool(rec.get("isotropic", False)),
         piezoelectric=bool(rec.get("piezoelectric", False)),
     )
@@ -378,10 +381,9 @@ def _record_to_spec(rec: dict, idx: int) -> MaterialSpec:
 
 def load_materials(path) -> dict[str, MaterialSpec]:
     """Load a material database (JSON array of records) keyed by name."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise MaterialError(f"material database {path}: invalid JSON ({exc})") from None
     if not isinstance(raw, list):
         raise MaterialError(f"material database {path}: top level must be an array")

@@ -255,14 +255,15 @@ def bragg_transmission(stack: BraggStack, omega: float) -> tuple[float, float]:
     return reflectance, transmittance
 
 
-def mitigated_rate(result: RadiationResult, stack: BraggStack) -> RadiationResult:
+def mitigated_rate(result: RadiationResult, transmittance: float) -> RadiationResult:
     """Rate behind the mirror: every branch scaled by the transmittance.
 
-    This is a one-dimensional normal-incidence approximation: the angular
-    emission pattern is collapsed onto the stack normal and the whole rate is
+    ``transmittance`` is the mirror's T at the mode frequency, the second
+    value of ``bragg_transmission(stack, result.omega0)``.  This is a
+    one-dimensional normal-incidence approximation: the angular emission
+    pattern is collapsed onto the stack normal and the whole rate is
     multiplied by T(omega0).  It captures the stopband trend, not the full
     angle-resolved mode-density modification.
     """
-    _, transmittance = bragg_transmission(stack, result.omega0)
     branch_rates = np.asarray(result.branch_rates) * transmittance
     return _result(result.omega0, branch_rates, result.regime, result.diagnostics)

@@ -454,13 +454,25 @@ class SweepResult:
         return np.array([r.q_factor for r in self.results])
 
     def loglog_slope(self) -> float:
-        """Least-squares slope of log Q versus log axis over the finite-Q points."""
-        x = np.asarray(self.values, dtype=float)
-        y = self.q_factors
-        mask = np.isfinite(y) & (y > 0)
-        if np.sum(mask) < 2:
-            raise ValueError("slope fit needs at least two points with finite, positive Q")
-        return float(np.polyfit(np.log(x[mask]), np.log(y[mask]), 1)[0])
+        """Slope of log Q versus log axis value, by ``loglog_slope``'s rule."""
+        return loglog_slope(self.values, self.q_factors)
+
+
+def loglog_slope(x, y) -> float:
+    """Least-squares slope of log y versus log x.
+
+    The points with x > 0 and a finite y > 0 count: at least three, on an x
+    axis that is not constant (relative spread above 1e-5), or ValueError.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    mask = (x > 0) & np.isfinite(y) & (y > 0)
+    if np.sum(mask) < 3 or np.allclose(x[mask], x[mask][0], atol=0.0):
+        raise ValueError(
+            "slope fit needs at least three points with x > 0 and a finite y > 0, "
+            "on an x axis that is not constant"
+        )
+    return float(np.polyfit(np.log(x[mask]), np.log(y[mask]), 1)[0])
 
 
 def sweep_point(mode: MicrowaveMode, inclusions, axis: str, value: float):

@@ -78,6 +78,19 @@ class TestRunRayleigh:
         y = np.log([float(r[2]) for r in rows])
         assert np.polyfit(x, y, 1)[0] == pytest.approx(-3.0, abs=0.01)
 
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            {"axis": "frequency_GHz", "grid": "log", "start": 1.0, "stop": 10.0, "count": 2},
+            {"axis": "frequency_GHz", "grid": "log", "start": 1.0, "count": 3},
+        ],
+        ids=["two_points", "constant_axis"],
+    )
+    def test_no_slope_line_without_a_fit(self, tmp_path, capsys, sweep):
+        code, _ = run_cli(tmp_path, base_config(sweep=sweep))
+        assert code == 0
+        assert "fitted log-log slope" not in capsys.readouterr().out
+
     def test_default_output_name(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = main(["run", write_config(tmp_path, base_config())])
@@ -186,6 +199,33 @@ class TestRunOtherScenarios:
         assert float(rows[-1][5]) >= 10.0
         assert "unmitigated Q" in capsys.readouterr().out
 
+    def test_bragg_builds_one_stack_and_one_transmission_per_point(self, tmp_path, monkeypatch):
+        import phonoscat.cli as cli
+
+        calls = {"quarter_wave": 0, "bragg_transmission": 0}
+        quarter_wave, transmission = cli.BraggStack.quarter_wave, cli.bragg_transmission
+
+        def counting_quarter_wave(*args, **kwargs):
+            calls["quarter_wave"] += 1
+            return quarter_wave(*args, **kwargs)
+
+        def counting_transmission(*args, **kwargs):
+            calls["bragg_transmission"] += 1
+            return transmission(*args, **kwargs)
+
+        monkeypatch.setattr(cli.BraggStack, "quarter_wave", staticmethod(counting_quarter_wave))
+        monkeypatch.setattr(cli, "bragg_transmission", counting_transmission)
+        cfg = base_config(
+            scenario="bragg",
+            quadrature={"n_theta": 8, "n_phi": 16},
+            bragg={"low": "silicon", "high": "sapphire", "center_frequency_GHz": 11.0},
+        )
+        cfg["sweep"] = {"axis": "n_periods", "grid": "linear", "start": 0, "stop": 6, "count": 7}
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 0
+        assert len(read_csv(out)[1]) == 7
+        assert calls == {"quarter_wave": 1, "bragg_transmission": 7}
+
     def test_figure_of_merit(self, tmp_path, capsys):
         cfg = base_config(
             scenario="figure_of_merit",
@@ -251,6 +291,21 @@ class TestConfigErrors:
         cfg = base_config()
         cfg["mode"]["frequency_GHz"] = float("inf")
         self.check(tmp_path, capsys, cfg, "mode.frequency_GHz: must be finite")
+
+    def test_integer_beyond_float_range_names_field(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["mode"]["frequency_GHz"] = 10**400
+        self.check(tmp_path, capsys, cfg, "mode.frequency_GHz: must be finite")
+
+    @pytest.mark.parametrize(
+        ("section", "key", "maximum"),
+        [("sweep", "count", 10_000), ("quadrature", "n_theta", 1024), ("quadrature", "n_phi", 2048)],
+    )
+    @pytest.mark.parametrize("value", [10**400, 2**62])
+    def test_size_beyond_its_maximum_names_field(self, tmp_path, capsys, section, key, maximum, value):
+        cfg = base_config()
+        cfg.setdefault(section, {})[key] = value
+        self.check(tmp_path, capsys, cfg, f"{section}.{key}: must be at most {maximum}")
 
     def test_infinite_eps_eff(self, tmp_path, capsys):
         cfg = base_config()
@@ -329,6 +384,12 @@ class TestConfigErrors:
         assert code == 2
         assert err.startswith("config error: --quad: quadrature needs n_theta >= 2")
 
+    def test_quad_flag_beyond_its_maximum(self, tmp_path, capsys):
+        code = main(["run", write_config(tmp_path, base_config()), "--quad", f"{10**400}x8"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: --quad: node counts must be at most 1024x2048")
+
     def test_bad_threads_flag(self, tmp_path, capsys):
         code = main(["run", write_config(tmp_path, base_config()), "--threads", "0"])
         assert code == 2
@@ -347,6 +408,45 @@ class TestConfigErrors:
         cfg = base_config()
         cfg["inclusions"][0]["orientation"] = {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}
         self.check(tmp_path, capsys, cfg, "orientation")
+
+
+class TestPathErrors:
+    """A path that cannot be read or written exits 2 and names the path."""
+
+    def check(self, capsys, argv, path):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:")
+        assert str(path) in err
+        assert "Traceback" not in err
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        self.check(capsys, ["run", str(tmp_path)], tmp_path)
+
+    def test_materials_db_is_a_directory(self, tmp_path, capsys):
+        cfg = base_config(materials_db=str(tmp_path))
+        self.check(capsys, ["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o.csv")], tmp_path)
+
+    def test_materials_db_is_not_a_string(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, base_config(materials_db=5))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: materials_db: expected a string path")
+
+    def test_output_in_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.csv"
+        self.check(capsys, ["run", write_config(tmp_path, base_config()), "--out", str(out)], out)
+
+    def test_output_is_a_directory(self, tmp_path, capsys):
+        self.check(capsys, ["run", write_config(tmp_path, base_config()), "--out", str(tmp_path)], tmp_path)
+
+    def test_validate_a_directory(self, tmp_path, capsys):
+        self.check(capsys, ["materials", "validate", str(tmp_path)], tmp_path)
+
+    def test_validate_a_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('[{"name": "caf\u00e9"}]'.encode("latin-1"))
+        self.check(capsys, ["materials", "validate", str(path)], path)
 
 
 class TestNumericFailure:

@@ -1,16 +1,20 @@
-"""Config fuzz: whatever a config file holds, ``phonoscat run`` ends with a
+"""Input fuzz: whatever a config file holds, ``phonoscat run`` ends with a
 documented exit code (0 success, 2 configuration error, 3 numeric failure)
-and never with a traceback.
+and never with a traceback; whatever a materials file holds, ``phonoscat
+materials validate`` ends with 0 or 2.
 
-Each example takes a valid small config of one scenario and mutates one or
-two of its fields: a value of the wrong type, a non-finite, negative or zero
-number, a field removed, or a sweep axis that belongs to another scenario.
-Grids stay at 8x16 nodes or fewer and sweeps at three points or fewer, so
-every example runs in a fraction of a second.
+Each config example takes a valid small config of one scenario and mutates
+one or two of its fields: a value of the wrong type, a non-finite, negative
+or zero number, an integer beyond the float range, a field removed, or a
+sweep axis that belongs to another scenario.  Grids stay at 8x16 nodes or fewer and sweeps at three points or
+fewer, so every example runs in a fraction of a second.  Each materials
+example is random bytes, a truncated copy of the bundled database, or a copy
+with one or two of its fields mutated the same way.
 """
 
 import copy
 import json
+from importlib import resources
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -57,6 +61,7 @@ AXES = ["frequency_GHz", "height_um", "thickness_um", "separation_um", "n_period
 BAD = [
     None, True, "abc", "", [], {}, [1.0, 2.0], ["a", "b", "c"], [float("nan"), 0.0, 0.0],
     [-1.0, -1.0, -1.0], [0, 0, 0], float("nan"), float("inf"), float("-inf"), -1, -2.5, 0, 0.0,
+    10**400,
 ] + AXES
 
 
@@ -109,3 +114,30 @@ def test_fuzzed_config_exits_0_2_or_3(tmp_path, cfg):
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "--out", str(tmp_path / "fuzz.csv")]) in (0, 2, 3)
+
+
+MATERIALS = (resources.files("phonoscat") / "data" / "materials.json").read_bytes()
+
+
+@st.composite
+def fuzzed_databases(draw):
+    kind = draw(st.sampled_from(["bytes", "truncated", "mutated"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    if kind == "truncated":
+        return MATERIALS[: draw(st.integers(0, len(MATERIALS) - 1))]
+    records = json.loads(MATERIALS)
+    paths = list(_paths(records))
+    for _ in range(draw(st.integers(1, 2))):
+        path, key = draw(st.sampled_from(paths))
+        action = draw(st.sampled_from(["delete", "replace"]))
+        _mutate(records, path, key, action, draw(st.sampled_from(BAD)))
+    return json.dumps(records).encode()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzzed_databases())
+def test_fuzzed_database_validates_with_0_or_2(tmp_path, data):
+    path = tmp_path / "materials.json"
+    path.write_bytes(data)
+    assert main(["materials", "validate", str(path)]) in (0, 2)

@@ -280,7 +280,19 @@ class TestSweeps:
     def test_loglog_slope_needs_two_points(self, substrate, small_cube):
         res = sweep(make_mode(substrate), small_cube, substrate, "omega0", [2 * np.pi * 1e9],
                     engine="rayleigh")
-        with pytest.raises(ValueError, match="two points"):
+        with pytest.raises(ValueError, match="three points"):
+            res.loglog_slope()
+
+    def test_loglog_slope_needs_three_points(self, substrate, small_cube):
+        omegas = 2 * np.pi * np.array([1e9, 2e9])
+        res = sweep(make_mode(substrate), small_cube, substrate, "omega0", omegas, engine="rayleigh")
+        with pytest.raises(ValueError, match="three points"):
+            res.loglog_slope()
+
+    def test_loglog_slope_needs_a_varying_axis(self, substrate, small_cube):
+        res = sweep(make_mode(substrate), small_cube, substrate, "omega0", [2 * np.pi * 1e9] * 3,
+                    engine="rayleigh")
+        with pytest.raises(ValueError, match="not constant"):
             res.loglog_slope()
 
     def test_unknown_engine_and_axis(self, substrate, small_cube):

@@ -1,20 +1,24 @@
-"""The names the benchmark tooling and the package surface rely on.
+"""The names the benchmark tooling, the package surface and the README rely on.
 
 ``perfbench/tracer.py`` rebinds the functions listed in its ``TRACED`` table
 inside every loaded phonoscat module, and reads the substrate of each
 ``mie_rate`` call from its third positional argument.  Renaming or deleting
 one of those functions breaks a traced benchmark run, so the names are
 checked here.  The tracer file is only read, never imported as a module.
+The README's "Scenarios" table is checked against the CLI's scenario table.
 """
 
 import importlib
 import inspect
+import re
 import runpy
 from pathlib import Path
 
 import phonoscat
+from phonoscat.cli import _SCENARIOS
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_every_traced_function_resolves():
@@ -34,3 +38,13 @@ def test_every_exported_name_resolves():
     missing = [name for name in phonoscat.__all__ if not hasattr(phonoscat, name)]
     assert missing == []
     assert len(set(phonoscat.__all__)) == len(phonoscat.__all__)
+
+
+def test_readme_scenarios_table_matches_the_cli():
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Scenarios\n", 1)[1]
+    rows = [line for line in section.split("\n\n", 1)[0].splitlines() if line.startswith("| `")]
+    documented = {}
+    for row in rows:
+        name, _, axes = (cell.strip() for cell in row.strip("|").split("|"))
+        documented[name.strip("`")] = tuple(re.findall(r"`([^`]+)`", axes))
+    assert documented == {name: axes for name, (_, axes) in _SCENARIOS.items()}
