@@ -672,6 +672,8 @@ def _cmd_run(args) -> int:
             cfg.quad = dataclasses.replace(cfg.quad, **overrides)
         except ValueError as e:  # only --quad can be out of range here
             raise ConfigError(f"--quad: {e}") from None
+    if not os.path.isdir(os.path.dirname(cfg.output) or "."):
+        raise ConfigError(f"output: no such directory for '{cfg.output}'")
     table = execute(cfg)
     try:
         write_csv(cfg.output, table)

@@ -21,7 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .materials import CONSTANTS, MaterialSpec, Orientation, rotate_piezo, strain_voigt_to_tensor
+from .materials import (
+    CONSTANTS, MaterialSpec, Orientation, piezo_voigt_to_tensor, rotate_piezo, strain_voigt_to_tensor,
+)
 
 
 @dataclass(frozen=True)
@@ -127,29 +129,27 @@ def form_factor(inclusion: Inclusion, k) -> complex:
     return inclusion.sign * phase * float(np.prod(sincs))
 
 
-def geometry_factor(field_direction, d, stress_direction) -> float:
+def geometry_factor(field_direction, d, stress_directions) -> float | np.ndarray:
     """Normalized tensor alignment G in [0, 1].
 
     ``G = |e_E . d : T_hat|^2 / |d|_F^2`` with ``e_E`` and the stress
     direction normalized (Frobenius for the stress).  G = 1 when the piezo
     tensor is a single entry perfectly aligned with field and stress; G = 0
     for orthogonal arrangements or a vanishing piezo tensor.
+
+    ``stress_directions`` is one 3x3 stress or a stack of shape (..., 3, 3),
+    and G has the stack's leading shape: a scalar for a single stress.
     """
     e = np.asarray(field_direction, dtype=float)
     en = np.linalg.norm(e)
     if en == 0:
         raise ValueError("field direction must be nonzero")
     e = e / en
-    from .materials import piezo_voigt_to_tensor
-
     dt = piezo_voigt_to_tensor(d)
     dn2 = float(np.sum(dt * dt))
-    if dn2 == 0:
-        return 0.0
-    T = np.asarray(stress_direction, dtype=float)
-    Tn = np.sqrt(np.sum(T * T))
-    if Tn == 0:
+    T = np.asarray(stress_directions, dtype=float)
+    Tn = np.sqrt(np.sum(T * T, axis=(-2, -1)))
+    if np.any(Tn == 0):
         raise ValueError("stress direction must be nonzero")
-    T = T / Tn
-    num = float(np.einsum("i,ijk,jk->", e, dt, T))
-    return num * num / dn2
+    num = np.einsum("i,ijk,...jk->...", e, dt, T) / Tn
+    return num * num / dn2 if dn2 else 0.0 * num

@@ -84,9 +84,7 @@ def emission_weighted_overlap(
     for q in range(3):
         tau = stress_pattern(c, grid.khats, grid.polarizations[:, :, q])
         w = grid.weights / grid.velocities[:, q] ** 5
-        g = np.array(
-            [geometry_factor(mode.field_direction, d_lab, tau[i]) for i in range(tau.shape[0])]
-        )
+        g = geometry_factor(mode.field_direction, d_lab, tau)
         num += float(np.sum(w * g))
         den += float(np.sum(w))
     return num / den

@@ -233,3 +233,46 @@ class TestGeometryFactor:
             geometry_factor([0, 0, 0], ln.d, np.eye(3))
         with pytest.raises(ValueError, match="stress"):
             geometry_factor([0, 0, 1], ln.d, np.zeros((3, 3)))
+
+
+def random_stresses(rng, shape):
+    T = rng.normal(size=shape + (3, 3))
+    return T + np.swapaxes(T, -1, -2)
+
+
+class TestGeometryFactorStack:
+    """A (..., 3, 3) stack of stresses gives G of shape (...)."""
+
+    def test_single_stress_gives_a_scalar(self, ln):
+        assert np.ndim(geometry_factor([0, 1, 0], ln.d, np.eye(3))) == 0
+        assert np.ndim(geometry_factor([0, 1, 0], np.zeros((3, 6)), np.eye(3))) == 0
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (2, 5)])
+    def test_each_entry_is_the_scalar_call(self, shape):
+        rng = np.random.default_rng(11)
+        d = rng.normal(scale=1e-12, size=(3, 6))
+        e = rng.normal(size=3)
+        T = random_stresses(rng, shape)
+        G = geometry_factor(e, d, T)
+        assert G.shape == shape
+        for idx in np.ndindex(*shape):
+            assert G[idx] == pytest.approx(geometry_factor(e, d, T[idx]), rel=1e-14, abs=0)
+
+    def test_vanishing_piezo_gives_zeros_of_the_stack_shape(self, silicon):
+        G = geometry_factor([0, 1, 0], silicon.d, random_stresses(np.random.default_rng(2), (4,)))
+        assert G.shape == (4,)
+        assert np.all(G == 0.0)
+
+    def test_one_zero_stress_in_a_stack_is_rejected(self, ln):
+        T = random_stresses(np.random.default_rng(3), (5,))
+        T[2] = 0.0
+        with pytest.raises(ValueError, match="stress"):
+            geometry_factor([0, 0, 1], ln.d, T)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_bounds(self, seed):
+        rng = np.random.default_rng(seed)
+        d = rng.normal(scale=1e-12, size=(3, 6))
+        G = geometry_factor(rng.normal(size=3), d, random_stresses(rng, (16,)))
+        assert np.all((G >= 0.0) & (G <= 1.0 + 1e-12))

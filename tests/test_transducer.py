@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+import phonoscat.transducer as transducer
 from phonoscat.coupling import Inclusion
+from phonoscat.elastodynamics import angular_table, stress_pattern
+from phonoscat.materials import Orientation, piezo_voigt_to_tensor
 from phonoscat.radiation import QuadratureSpec, mie_rate, rayleigh_rate, refined_rate
 from phonoscat.transducer import (
     EoModel,
@@ -15,6 +18,27 @@ from phonoscat.transducer import (
 from conftest import make_mode
 
 FAST = QuadratureSpec(n_theta=16, n_phi=32)
+# (axis, angle) spins on top of the x-cut: none, and three turns about generic axes.
+TURNS = [((0, 0, 1), 0.0), ((1, 2, 3), 0.7), ((-2, 1, 0.5), 2.3), ((1, -1, 4), 4.1)]
+
+
+def overlap_per_node(mode, inclusion, substrate):
+    """Reference for emission_weighted_overlap: G node by node, one stress at a time."""
+    grid = angular_table(substrate, 16, 32)
+    dt = piezo_voigt_to_tensor(inclusion.d_lab)
+    dn2 = float(np.sum(dt * dt))
+    num = 0.0
+    den = 0.0
+    for q in range(3):
+        tau = stress_pattern(substrate.stiffness_tensor, grid.khats, grid.polarizations[:, :, q])
+        w = grid.weights / grid.velocities[:, q] ** 5
+        g = []
+        for T in tau:
+            x = float(np.einsum("i,ijk,jk->", mode.field_direction, dt, T / np.sqrt(np.sum(T * T))))
+            g.append(x * x / dn2)
+        num += float(np.sum(w * np.array(g)))
+        den += float(np.sum(w))
+    return num / den
 
 
 class TestEoModel:
@@ -56,6 +80,20 @@ class TestFigureOfMerit:
         r = rayleigh_rate(mode, small_cube, substrate)
         eta = figure_of_merit(eo, mode, r)
         assert eta == pytest.approx((eo.g_mo(mode.mode_volume) / (2 * np.pi)) ** 2 * r.q_factor)
+
+    @pytest.mark.parametrize("name", ["sapphire", "silicon"])
+    def test_invariance_on_anisotropic_substrates(self, db, ln, name):
+        """A sub-nm rotated cuboid: eta must not move when V_E doubles."""
+        substrate = db[name]
+        inc = Inclusion(
+            (0.5e-9, 0.7e-9, 0.9e-9), (0, 0, 0), ln, orientation=Orientation.about_axis((1, 2, 3), 0.7)
+        )
+        eo = EoModel(g0=2 * np.pi * 2e3, v_ref=8e-15)
+        etas = []
+        for v_e in (8e-15, 16e-15):
+            mode = make_mode(substrate, f_hz=1e9, mode_volume=v_e)
+            etas.append(figure_of_merit(eo, mode, refined_rate(mode, inc, substrate, FAST)))
+        assert etas[1] == pytest.approx(etas[0], rel=1e-12)
 
     def test_mode_volume_invariance_over_three_decades(self, substrate, small_cube):
         """g_MO^2 ~ 1/V_E and Q ~ V_E cancel; eta must not drift."""
@@ -111,6 +149,31 @@ class TestEmissionWeightedOverlap:
         ga = emission_weighted_overlap(mode, a, substrate)
         gb = emission_weighted_overlap(mode, b, substrate)
         assert ga == pytest.approx(gb, rel=1e-12)
+
+    @pytest.mark.parametrize("turn", TURNS)
+    @pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
+    def test_matches_the_per_node_loop(self, db, ln, xcut, name, turn):
+        substrate = db[name]
+        axis, angle = turn
+        spin = Orientation.about_axis(axis, angle)
+        inc = Inclusion((1e-6,) * 3, (0, 0, 0), ln, orientation=spin.compose(xcut))
+        for direction in ((0, 1, 0), (1, -2, 0.5)):
+            mode = make_mode(substrate, direction=direction)
+            got = emission_weighted_overlap(mode, inc, substrate)
+            assert got == pytest.approx(overlap_per_node(mode, inc, substrate), rel=1e-14, abs=0)
+
+    def test_one_alignment_call_per_branch(self, monkeypatch, substrate, waveguide):
+        """Each branch's whole 16x32 table goes through geometry_factor at once."""
+        stacks = []
+        batched = transducer.geometry_factor
+
+        def counted(field_direction, d, stress_directions):
+            stacks.append(np.shape(stress_directions))
+            return batched(field_direction, d, stress_directions)
+
+        monkeypatch.setattr(transducer, "geometry_factor", counted)
+        emission_weighted_overlap(make_mode(substrate), waveguide, substrate)
+        assert stacks == [(16 * 32, 3, 3)] * 3
 
 
 class TestOrientationSweep:
