@@ -674,6 +674,8 @@ def _cmd_run(args) -> int:
             raise ConfigError(f"--quad: {e}") from None
     if not os.path.isdir(os.path.dirname(cfg.output) or "."):
         raise ConfigError(f"output: no such directory for '{cfg.output}'")
+    if os.path.isdir(cfg.output):
+        raise ConfigError(f"output: '{cfg.output}' is a directory")
     table = execute(cfg)
     try:
         write_csv(cfg.output, table)

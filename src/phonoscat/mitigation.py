@@ -19,7 +19,7 @@ import numpy as np
 from .coupling import Inclusion, MicrowaveMode
 from .elastodynamics import christoffel_many
 from .materials import MaterialSpec
-from .radiation import QuadratureSpec, RadiationResult, _result, refined_rate
+from .radiation import QuadratureSpec, RadiationResult, _CouplingTable, _result, refined_rate
 
 
 @dataclass(frozen=True)
@@ -79,15 +79,18 @@ def dual_waveguide_sweep(
 
     Every separation is checked before any rate is computed.  The
     single-inclusion baseline does not depend on the separation, so it is
-    computed once and shared by all results.  Rates go through
-    ``refined_rate``: converged, or NumericFailure.
+    computed once and shared by all results.  Neither does the coupling: the
+    two copies have the strain of ``inclusion``, so the baseline and every
+    pair read one coupling table.  Rates go through ``refined_rate``:
+    converged, or NumericFailure.
     """
     if relative_sign not in (1, -1):
         raise ValueError("relative_sign must be +1 or -1")
     seps = [np.asarray(s, dtype=float) for s in separations]
     for sep in seps:
         _check_pair_geometry(inclusion.dimensions, sep)
-    single = refined_rate(mode, inclusion, substrate, quad)
+    couplings = _CouplingTable(substrate)
+    single = refined_rate(mode, inclusion, substrate, quad, couplings=couplings)
     results = []
     for sep in seps:
         first = dataclasses.replace(inclusion, center=inclusion.center + sep / 2)
@@ -96,7 +99,7 @@ def dual_waveguide_sweep(
             center=inclusion.center - sep / 2,
             sign=inclusion.sign * relative_sign,
         )
-        pair = refined_rate(mode, [first, second], substrate, quad)
+        pair = refined_rate(mode, [first, second], substrate, quad, couplings=couplings)
         ratio = pair.total_rate / (2 * single.total_rate)
         results.append(
             DualWaveguideResult(

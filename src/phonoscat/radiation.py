@@ -21,10 +21,20 @@ the grid, so they come from the substrate's ``AngularTable`` for that grid
 (``elastodynamics.angular_table``): solved on first use and kept on the
 ``MaterialSpec`` instance for its lifetime.  Sweep points, refinement reruns
 (whose coarse grid is the previous fine grid) and the regime tag all read
-these tables; only the coupling, form factor and phase are evaluated per
-point.  Node values are evaluated in fixed-size chunks (optionally across a
-thread pool) and reduced by numpy's deterministic pairwise summation in fixed
-node order, so serial and threaded runs agree bitwise.
+these tables.
+
+The coupling ``M_q = tau_q : S`` of an inclusion with field-induced strain S
+depends only on the substrate, the grid, the branch and S.  A coupling table
+(``_CouplingTable``) computes it once per (grid, strain) and lives as long as
+its owner: ``sweep`` and ``mitigation.dual_waveguide_sweep`` hold one for the
+whole sweep, and ``refined_rate`` makes one per call when it is given none.
+Along the height, thickness and separation axes the strain does not change,
+so a sweep point there costs only the form factor, the phase and the
+reduction.  Along omega0 it does (S = d . E and E_zp grows as sqrt(omega0)),
+so each frequency point computes its own couplings, and the table keeps only
+the strains of the latest point.  Node values are evaluated in fixed-size chunks (optionally across
+a thread pool) and reduced by numpy's deterministic pairwise summation in
+fixed node order, so serial and threaded runs agree bitwise.
 
 ``mie_rate`` is the raw primitive and only flags an unconverged estimate.
 ``refined_rate`` is the one refinement path: it doubles the node counts up to
@@ -101,6 +111,7 @@ class QuadratureDiagnostics:
     rel_error: float
     converged: bool
     method: str = "quadrature"
+    refinements: int = 0  # node doublings refined_rate needed beyond the requested grid
 
 
 @dataclass(frozen=True)
@@ -141,11 +152,6 @@ def _sources(mode: MicrowaveMode, inclusions) -> _Sources:
     )
 
 
-def _couplings(tau: np.ndarray, src: _Sources) -> list[np.ndarray]:
-    """Strain-stress overlap M = tau : S of each inclusion at each node."""
-    return [np.einsum("nij,ij->n", tau, s) for s in src.strain]
-
-
 def _coherent_power(src: _Sources, m: list[np.ndarray], kvec: np.ndarray) -> np.ndarray:
     """|sum_j V_j s_j M_j FF_j(kvec) exp(i kvec . r_j)|^2 at each node.
 
@@ -164,28 +170,92 @@ def _coherent_power(src: _Sources, m: list[np.ndarray], kvec: np.ndarray) -> np.
     return coh.real**2 + coh.imag**2
 
 
+def _each_span(n: int, threads: int, work) -> None:
+    """Call ``work(a, b)`` on the fixed node spans of an n-node grid.
+
+    Spans are _CHUNK nodes long whatever the thread count, so a node's
+    arithmetic does not depend on how the spans are scheduled.
+    """
+    spans = [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
+    if threads > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(lambda span: work(*span), spans))
+    else:
+        for a, b in spans:
+            work(a, b)
+
+
+class _CouplingTable:
+    """Strain-stress overlap M_q(n) = tau_q(n) : S of one substrate.
+
+    M depends only on the substrate, the angular grid, the branch and the
+    inclusion's field-induced strain S, not on the inclusion's size or its
+    position.  So along the height, thickness and separation axes it is the
+    same at every point, and the copies of a pair share it.  S = d . E does
+    change with the frequency, through the zero-point field, so an omega0
+    sweep finds nothing to reuse between its points.  A table is made by the
+    caller that owns a sweep (or one ``refined_rate`` call) and is dropped
+    with it; it holds a (3, N) array per (n_theta, n_phi, strain bytes), and
+    only for the strains of the latest request: a request drops the arrays
+    of every other strain, so a sweep whose strain changes from point to
+    point holds one point's couplings at a time, while a refinement rerun
+    (same strains) still finds its coarse grid.  Each array is filled once,
+    on the engine's fixed node spans, so its values do not depend on which
+    point filled it.
+    """
+
+    def __init__(self, substrate: MaterialSpec):
+        self.substrate = substrate
+        self._m: dict[tuple, np.ndarray] = {}
+
+    def get(self, n_theta: int, n_phi: int, strains, threads: int) -> list[np.ndarray]:
+        """The (3, N) read-only M of each strain on the n_theta x n_phi grid."""
+        keys = [(n_theta, n_phi, s.tobytes()) for s in strains]
+        wanted = {k[2] for k in keys}
+        self._m = {k: m for k, m in self._m.items() if k[2] in wanted}
+        missing = {k: s for k, s in zip(keys, strains) if k not in self._m}
+        if missing:
+            grid = angular_table(self.substrate, n_theta, n_phi)
+            c = self.substrate.stiffness_tensor
+            n = grid.khats.shape[0]
+            fresh = {k: np.empty((3, n)) for k in missing}
+
+            def fill(a, b):
+                for q in range(3):
+                    tau = stress_pattern(c, grid.khats[a:b], grid.polarizations[a:b, :, q])
+                    for k, s in missing.items():
+                        fresh[k][q, a:b] = np.einsum("nij,ij->n", tau, s)
+
+            _each_span(n, threads, fill)
+            for k, m in fresh.items():
+                m.setflags(write=False)
+                self._m[k] = m
+        return [self._m[k] for k in keys]
+
+
 def _node_values(
     mode: MicrowaveMode,
     src: _Sources,
     substrate: MaterialSpec,
     khats: np.ndarray,
     vels: np.ndarray,
-    pols: np.ndarray,
+    m: list[np.ndarray],
     quantization_volume: float,
 ) -> np.ndarray:
-    """Golden-rule integrand at each direction node, shape (3, n)."""
+    """Golden-rule integrand at each direction node, shape (3, n).
+
+    ``m`` holds each inclusion's coupling at these nodes, shape (3, n).
+    """
     hbar = CONSTANTS.hbar
     omega0 = mode.omega0
-    c = substrate.stiffness_tensor
     golden = (2 * np.pi / hbar**2) * (quantization_volume / (8 * np.pi**3))
     u0_sq = hbar / (2 * substrate.rho * omega0 * quantization_volume)
     out = np.empty((3, khats.shape[0]))
     for q in range(3):
         v = vels[:, q]
-        tau = stress_pattern(c, khats, pols[:, :, q])
         k0 = omega0 / v
         kvec = k0[:, None] * khats
-        hg_sq = (k0 * k0 * u0_sq) * _coherent_power(src, _couplings(tau, src), kvec)
+        hg_sq = (k0 * k0 * u0_sq) * _coherent_power(src, [mj[q] for mj in m], kvec)
         out[q] = golden * (k0 * k0 / v) * hg_sq
     return out
 
@@ -193,31 +263,26 @@ def _node_values(
 def _gamma_branches(
     mode: MicrowaveMode,
     inclusions,
-    substrate: MaterialSpec,
+    couplings: _CouplingTable,
     n_theta: int,
     n_phi: int,
     quantization_volume: float,
     threads: int,
 ) -> np.ndarray:
+    substrate = couplings.substrate
     grid = angular_table(substrate, n_theta, n_phi)
     src = _sources(mode, inclusions)
+    m = couplings.get(n_theta, n_phi, src.strain, threads)
     n = grid.khats.shape[0]
     values = np.empty((3, n))
-    spans = [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
 
-    def work(span):
-        a, b = span
+    def work(a, b):
         values[:, a:b] = _node_values(
             mode, src, substrate, grid.khats[a:b], grid.velocities[a:b],
-            grid.polarizations[a:b], quantization_volume,
+            [mj[:, a:b] for mj in m], quantization_volume,
         )
 
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, spans))
-    else:
-        for span in spans:
-            work(span)
+    _each_span(n, threads, work)
     # fixed-order pairwise reduction: deterministic for any thread count
     return np.array([np.add.reduce(grid.weights * values[q]) for q in range(3)])
 
@@ -264,6 +329,8 @@ def mie_rate(
     substrate: MaterialSpec,
     quad: QuadratureSpec | None = None,
     quantization_volume: float = 1.0,
+    *,
+    couplings: _CouplingTable | None = None,
 ) -> RadiationResult:
     """Radiated rate with full form factors, any substrate anisotropy.
 
@@ -272,6 +339,12 @@ def mie_rate(
     counts; the doubled result is returned and the relative change reported
     as the quadrature error estimate (non-convergence is flagged, not fatal;
     ``refined_rate`` is the path that acts on the flag).
+
+    ``couplings`` is a coupling table that a sweep shares between its points;
+    it supplies M = tau : S for each grid and strain and fills what it lacks.
+    The rate is computed on the table's substrate, so a caller builds it from
+    ``substrate``.  None uses a fresh table for this call alone.  The result
+    is the same either way, bit for bit.
 
     Convergence is judged on the total rate summed over the three branches,
     not branch by branch: the total is the loss the quality factor reports,
@@ -282,11 +355,13 @@ def mie_rate(
     incs = _as_inclusion_list(inclusions)
     if not quantization_volume > 0:
         raise ValueError("quantization volume must be positive")
+    if couplings is None:
+        couplings = _CouplingTable(substrate)
     coarse = _gamma_branches(
-        mode, incs, substrate, quad.n_theta, quad.n_phi, quantization_volume, quad.threads
+        mode, incs, couplings, quad.n_theta, quad.n_phi, quantization_volume, quad.threads
     )
     fine = _gamma_branches(
-        mode, incs, substrate, 2 * quad.n_theta, 2 * quad.n_phi, quantization_volume, quad.threads
+        mode, incs, couplings, 2 * quad.n_theta, 2 * quad.n_phi, quantization_volume, quad.threads
     )
     total = float(np.sum(fine))
     rel = abs(total - float(np.sum(coarse))) / total if total > 0 else 0.0
@@ -301,29 +376,41 @@ def mie_rate(
 
 
 def refined_rate(
-    mode: MicrowaveMode, inclusions, substrate: MaterialSpec, quad: QuadratureSpec | None = None
+    mode: MicrowaveMode,
+    inclusions,
+    substrate: MaterialSpec,
+    quad: QuadratureSpec | None = None,
+    *,
+    couplings: _CouplingTable | None = None,
 ) -> RadiationResult:
     """``mie_rate``, re-run with doubled node counts until it converges.
 
     This is the one place that decides between refining and failing: after
     _MAX_REFINEMENTS doublings an unconverged estimate raises NumericFailure
-    rather than being returned as a silently degraded answer.
+    rather than being returned as a silently degraded answer.  The returned
+    diagnostics record how many doublings were needed.
+
+    Every run reads one coupling table (``couplings``, or a fresh one when
+    None), so a rerun finds the couplings of its coarse grid, the previous
+    fine grid, already computed.
     """
     quad = quad or QuadratureSpec()
-    result = mie_rate(mode, inclusions, substrate, quad)
+    if couplings is None:
+        couplings = _CouplingTable(substrate)
+    result = mie_rate(mode, inclusions, substrate, quad, couplings=couplings)
     refinements = 0
     while not result.diagnostics.converged and refinements < _MAX_REFINEMENTS:
         quad = dataclasses.replace(quad, n_theta=2 * quad.n_theta, n_phi=2 * quad.n_phi)
-        result = mie_rate(mode, inclusions, substrate, quad)
+        result = mie_rate(mode, inclusions, substrate, quad, couplings=couplings)
         refinements += 1
-    if not result.diagnostics.converged:
-        d = result.diagnostics
+    d = result.diagnostics
+    if not d.converged:
         raise NumericFailure(
             f"quadrature did not reach tolerance {quad.tolerance:g} after "
             f"{refinements} refinements (n_theta={d.n_theta}, n_phi={d.n_phi}, "
             f"relative error {d.rel_error:.2e})"
         )
-    return result
+    return dataclasses.replace(result, diagnostics=dataclasses.replace(d, refinements=refinements))
 
 
 def rayleigh_rate(
@@ -415,7 +502,8 @@ def brute_force_rate(
     total = 0.0
     for q in range(3):
         v = vels[:, q]
-        m = _couplings(stress_pattern(c, khats, pols[:, :, q]), src)
+        tau = stress_pattern(c, khats, pols[:, :, q])
+        m = [np.einsum("nij,ij->n", tau, s) for s in src.strain]
         for i in range(xi.size):
             omega = omega0 + sigma * xi[i]
             k = omega / v
@@ -507,7 +595,10 @@ def sweep(
 
     engine 'mie' evaluates every point with ``refined_rate``, so each result
     is converged or the sweep raises NumericFailure; engine 'rayleigh' uses
-    the closed form and needs exactly one inclusion.
+    the closed form and needs exactly one inclusion.  The mie points share
+    one coupling table, so along height and thickness the coupling of a grid
+    is computed once per sweep, not once per point; along omega0 the strain
+    changes at every point and each point computes its own.
     """
     incs = _as_inclusion_list(inclusions)
     if engine not in ("mie", "rayleigh"):
@@ -515,11 +606,12 @@ def sweep(
     if engine == "rayleigh" and len(incs) != 1:
         raise ValueError("the rayleigh engine needs exactly one inclusion")
     values = np.asarray(values, dtype=float)
+    couplings = _CouplingTable(substrate)
     results = []
     for v in values:
         m, point = sweep_point(mode, incs, axis, float(v))
         if engine == "mie":
-            results.append(refined_rate(m, point, substrate, quad))
+            results.append(refined_rate(m, point, substrate, quad, couplings=couplings))
         else:
             results.append(rayleigh_rate(m, point[0], substrate))
     return SweepResult(axis, values, tuple(results))

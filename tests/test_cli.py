@@ -456,6 +456,26 @@ class TestPathErrors:
         assert str(out) in err
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("via", ["--out", "output"])
+    def test_output_directory_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch, via):
+        import phonoscat.cli as cli
+
+        def never(cfg):
+            pytest.fail("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "execute", never)
+        out = tmp_path / "out.csv"
+        out.mkdir()
+        if via == "--out":
+            argv = ["run", write_config(tmp_path, base_config()), "--out", str(out)]
+        else:
+            argv = ["run", write_config(tmp_path, base_config(output=str(out)))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output:")
+        assert f"'{out}' is a directory" in err
+        assert list(out.iterdir()) == []
+
     def test_output_is_a_directory(self, tmp_path, capsys):
         self.check(capsys, ["run", write_config(tmp_path, base_config()), "--out", str(tmp_path)], tmp_path)
 
