@@ -52,10 +52,12 @@ _UM3 = 1e-18
 # CSV column header of each rate-sweep axis
 _COLUMNS = {"frequency_GHz": "f_GHz", "height_um": "h_um", "thickness_um": "t_um"}
 
-# Size bounds: a sweep and the twice-refined quadrature grid (with its
-# n_theta x n_theta Gauss-Legendre companion matrix) must fit in memory.
+# Size bounds: a sweep, a Bragg stack and the twice-refined quadrature grid
+# (with its n_theta x n_theta Gauss-Legendre companion matrix) must fit in
+# memory, and a quadrature pool may not start an OS thread per node span.
 _MAX_COUNT = 10_000
 _MAX_THETA, _MAX_PHI = 1024, 2048
+_MAX_THREADS = 64
 
 
 class ConfigError(ValueError):
@@ -230,8 +232,8 @@ def _sweep_values(sweep: dict, axis: str) -> np.ndarray:
         rounded = np.rint(values)
         if not np.allclose(values, rounded, atol=1e-9):
             raise ConfigError("sweep: n_periods grid must contain integers")
-        if np.any(rounded < 0):
-            raise ConfigError("sweep: n_periods must not be negative")
+        if np.any((rounded < 0) | (rounded > _MAX_COUNT)):
+            raise ConfigError(f"sweep: n_periods must be between 0 and {_MAX_COUNT}")
         return rounded.astype(int)
     if axis in ("frequency_GHz", "height_um", "thickness_um", "separation_um"):
         if not np.all(values > 0):
@@ -332,7 +334,7 @@ def load_run_config(path: str) -> RunConfig:
         n_theta=_integer(quad_cfg, "n_theta", "quadrature", default=64, minimum=2, maximum=_MAX_THETA),
         n_phi=_integer(quad_cfg, "n_phi", "quadrature", default=128, minimum=4, maximum=_MAX_PHI),
         tolerance=_number(quad_cfg, "tolerance", "quadrature", default=1e-3, positive=True),
-        threads=_integer(quad_cfg, "threads", "quadrature", default=1, minimum=1),
+        threads=_integer(quad_cfg, "threads", "quadrature", default=1, minimum=1, maximum=_MAX_THREADS),
     )
 
     dual_cfg = _require_dict(raw.get("dual") or {}, "dual")
@@ -664,8 +666,8 @@ def _cmd_run(args) -> int:
             raise ConfigError(f"--quad: node counts must be at most {_MAX_THETA}x{_MAX_PHI}")
         overrides["n_theta"], overrides["n_phi"] = args.quad
     if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("--threads: must be at least 1")
+        if not 1 <= args.threads <= _MAX_THREADS:
+            raise ConfigError(f"--threads: must be between 1 and {_MAX_THREADS}")
         overrides["threads"] = args.threads
     if overrides:
         try:

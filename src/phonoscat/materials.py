@@ -104,9 +104,6 @@ class Orientation:
         """Rotation equivalent to applying ``other`` first, then ``self``."""
         return Orientation(self.matrix @ other.matrix)
 
-    def inverse(self) -> "Orientation":
-        return Orientation(self.matrix.T.copy())
-
 
 def stiffness_voigt_to_tensor(C) -> np.ndarray:
     """Expand a 6x6 Voigt stiffness matrix to the full c_ijkl tensor."""
@@ -228,12 +225,12 @@ def isotropic_stiffness(lam: float, mu: float) -> np.ndarray:
     return C
 
 
-def is_isotropic_stiffness(C, rtol: float = _ISOTROPY_RTOL) -> bool:
+def is_isotropic_stiffness(C) -> bool:
     """True when C matches the isotropic pattern with C11 - C12 = 2 C44."""
     C = np.asarray(C, dtype=float)
     lam, mu = C[0, 1], C[3, 3]
     target = isotropic_stiffness(lam, mu)
-    return bool(np.max(np.abs(C - target)) <= rtol * max(np.max(np.abs(C)), 1.0))
+    return bool(np.max(np.abs(C - target)) <= _ISOTROPY_RTOL * max(np.max(np.abs(C)), 1.0))
 
 
 def _validate_spd(A: np.ndarray, what: str) -> None:
@@ -308,12 +305,6 @@ class MaterialSpec:
         c = stiffness_voigt_to_tensor(self.C)
         c.setflags(write=False)
         return c
-
-    @cached_property
-    def piezo_tensor(self) -> np.ndarray:
-        dt = piezo_voigt_to_tensor(self.d)
-        dt.setflags(write=False)
-        return dt
 
     @cached_property
     def angular_tables(self) -> dict:

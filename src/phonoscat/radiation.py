@@ -32,8 +32,9 @@ Along the height, thickness and separation axes the strain does not change,
 so a sweep point there costs only the form factor, the phase and the
 reduction.  Along omega0 it does (S = d . E and E_zp grows as sqrt(omega0)),
 so each frequency point computes its own couplings, and the table keeps only
-the strains of the latest point.  Node values are evaluated in fixed-size chunks (optionally across
-a thread pool) and reduced by numpy's deterministic pairwise summation in
+the strains of the latest point.  One grid's pass, ``_gamma_branches``,
+evaluates all three branches in fixed-size node spans (optionally across a
+thread pool) and reduces them by numpy's deterministic pairwise summation in
 fixed node order, so serial and threaded runs agree bitwise.
 
 ``mie_rate`` is the raw primitive and only flags an unconverged estimate.
@@ -61,6 +62,9 @@ THETA_REGIME = 0.2
 
 # Fixed evaluation chunk so threading cannot change per-node arithmetic.
 _CHUNK = 2048
+
+# Half-width of the brute-force radial window, in units of sigma.
+_BRUTE_WINDOW = 8.0
 
 # How many times refined_rate re-runs an unconverged quadrature with doubled
 # node counts before it raises NumericFailure.
@@ -96,7 +100,6 @@ class BruteForceSpec:
     n_theta: int = 129  # composite Simpson nodes over theta, odd
     n_phi: int = 96
     n_radial: int = 33  # Simpson nodes across the Gaussian window, odd
-    window: float = 8.0  # half-width of the radial window in units of sigma
 
     def __post_init__(self):
         if self.n_theta % 2 == 0 or self.n_radial % 2 == 0:
@@ -233,54 +236,35 @@ class _CouplingTable:
         return [self._m[k] for k in keys]
 
 
-def _node_values(
-    mode: MicrowaveMode,
-    src: _Sources,
-    substrate: MaterialSpec,
-    khats: np.ndarray,
-    vels: np.ndarray,
-    m: list[np.ndarray],
-    quantization_volume: float,
-) -> np.ndarray:
-    """Golden-rule integrand at each direction node, shape (3, n).
-
-    ``m`` holds each inclusion's coupling at these nodes, shape (3, n).
-    """
-    hbar = CONSTANTS.hbar
-    omega0 = mode.omega0
-    golden = (2 * np.pi / hbar**2) * (quantization_volume / (8 * np.pi**3))
-    u0_sq = hbar / (2 * substrate.rho * omega0 * quantization_volume)
-    out = np.empty((3, khats.shape[0]))
-    for q in range(3):
-        v = vels[:, q]
-        k0 = omega0 / v
-        kvec = k0[:, None] * khats
-        hg_sq = (k0 * k0 * u0_sq) * _coherent_power(src, [mj[q] for mj in m], kvec)
-        out[q] = golden * (k0 * k0 / v) * hg_sq
-    return out
-
-
 def _gamma_branches(
     mode: MicrowaveMode,
-    inclusions,
+    src: _Sources,
     couplings: _CouplingTable,
     n_theta: int,
     n_phi: int,
     quantization_volume: float,
     threads: int,
 ) -> np.ndarray:
-    substrate = couplings.substrate
-    grid = angular_table(substrate, n_theta, n_phi)
-    src = _sources(mode, inclusions)
+    """Golden-rule rate of each branch on one n_theta x n_phi grid, shape (3,).
+
+    All three branches on each fixed node span, then one reduction per branch.
+    """
+    hbar = CONSTANTS.hbar
+    omega0 = mode.omega0
+    grid = angular_table(couplings.substrate, n_theta, n_phi)
     m = couplings.get(n_theta, n_phi, src.strain, threads)
+    golden = (2 * np.pi / hbar**2) * (quantization_volume / (8 * np.pi**3))
+    u0_sq = hbar / (2 * couplings.substrate.rho * omega0 * quantization_volume)
     n = grid.khats.shape[0]
     values = np.empty((3, n))
 
     def work(a, b):
-        values[:, a:b] = _node_values(
-            mode, src, substrate, grid.khats[a:b], grid.velocities[a:b],
-            [mj[:, a:b] for mj in m], quantization_volume,
-        )
+        for q in range(3):
+            v = grid.velocities[a:b, q]
+            k0 = omega0 / v
+            kvec = k0[:, None] * grid.khats[a:b]
+            hg_sq = (k0 * k0 * u0_sq) * _coherent_power(src, [mj[q, a:b] for mj in m], kvec)
+            values[q, a:b] = golden * (k0 * k0 / v) * hg_sq
 
     _each_span(n, threads, work)
     # fixed-order pairwise reduction: deterministic for any thread count
@@ -357,11 +341,12 @@ def mie_rate(
         raise ValueError("quantization volume must be positive")
     if couplings is None:
         couplings = _CouplingTable(substrate)
+    src = _sources(mode, incs)
     coarse = _gamma_branches(
-        mode, incs, couplings, quad.n_theta, quad.n_phi, quantization_volume, quad.threads
+        mode, src, couplings, quad.n_theta, quad.n_phi, quantization_volume, quad.threads
     )
     fine = _gamma_branches(
-        mode, incs, couplings, 2 * quad.n_theta, 2 * quad.n_phi, quantization_volume, quad.threads
+        mode, src, couplings, 2 * quad.n_theta, 2 * quad.n_phi, quantization_volume, quad.threads
     )
     total = float(np.sum(fine))
     rel = abs(total - float(np.sum(coarse))) / total if total > 0 else 0.0
@@ -455,16 +440,16 @@ def brute_force_rate(
     inclusions,
     substrate: MaterialSpec,
     grid: BruteForceSpec | None = None,
-    quantization_volume: float = 1.0,
 ) -> float:
     """Reference rate by direct 3D k-space summation.
 
     The energy delta is replaced by a unit-area Gaussian of width
     ``sigma = omega0/200`` and the golden-rule sum is
     taken over a spherical 3D grid: composite Simpson in theta and in the
-    radial window (+- ``grid.window`` sigma around each branch shell), uniform
-    in phi.  No isofrequency-surface reduction is used, so this checks the
-    delta collapse, the density of states, and the Jacobian independently.
+    radial window (+- ``_BRUTE_WINDOW`` sigma around each branch shell),
+    uniform in phi.  No isofrequency-surface reduction is used, so this checks
+    the delta collapse, the density of states, and the Jacobian independently.
+    The quantization volume is 1; ``mie_rate`` checks that it cancels.
     """
     incs = _as_inclusion_list(inclusions)
     omega0 = mode.omega0
@@ -490,14 +475,14 @@ def brute_force_rate(
     ).reshape(-1, 3)
     w_ang = (w_theta[:, None] * st[:, None] * w_phi[None, :]).reshape(-1)
 
-    xi = np.linspace(-grid.window, grid.window, grid.n_radial)
-    w_xi = _simpson_weights(grid.n_radial) * (2 * grid.window / (grid.n_radial - 1))
+    xi = np.linspace(-_BRUTE_WINDOW, _BRUTE_WINDOW, grid.n_radial)
+    w_xi = _simpson_weights(grid.n_radial) * (2 * _BRUTE_WINDOW / (grid.n_radial - 1))
     gauss = np.exp(-0.5 * xi * xi) / (sigma * np.sqrt(2 * np.pi))
 
     src = _sources(mode, incs)
     vels, pols = christoffel_many(substrate, khats)
     c = substrate.stiffness_tensor
-    f3d = quantization_volume / (8 * np.pi**3)
+    f3d = 1 / (8 * np.pi**3)
 
     total = 0.0
     for q in range(3):
@@ -507,7 +492,7 @@ def brute_force_rate(
         for i in range(xi.size):
             omega = omega0 + sigma * xi[i]
             k = omega / v
-            u0_sq = hbar / (2 * rho * omega * quantization_volume)
+            u0_sq = hbar / (2 * rho * omega)
             kvec = k[:, None] * khats
             hg_sq = (k * k * u0_sq) * _coherent_power(src, m, kvec)
             f = (2 * np.pi / hbar**2) * f3d * hg_sq * gauss[i]

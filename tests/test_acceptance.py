@@ -329,7 +329,7 @@ def test_criterion_10_exactness_properties_and_reproducibility(report, tmp_path)
         c_or = np.einsum("ia,jb,kc,ld,abcd->ijkl", R, R, R, R, c)
         c_got = stiffness_voigt_to_tensor(rotate_stiffness(LN.C, R))
         rot_dev = max(rot_dev, np.max(np.abs(c_got - c_or)) / np.max(np.abs(c_or)))
-        dt = LN.piezo_tensor
+        dt = piezo_voigt_to_tensor(LN.d)
         d_or = np.einsum("ia,jb,kc,abc->ijk", R, R, R, dt)
         d_got = piezo_voigt_to_tensor(rotate_piezo(LN.d, R))
         rot_dev = max(rot_dev, np.max(np.abs(d_got - d_or)) / np.max(np.abs(d_or)))

@@ -395,6 +395,38 @@ class TestConfigErrors:
         assert code == 2
         assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("via", "value", "needle"),
+        [
+            ("n_periods", 4e18, "sweep: n_periods must be between 0 and 10000"),
+            ("n_periods", 10_001, "sweep: n_periods must be between 0 and 10000"),
+            ("threads", 65, "quadrature.threads: must be at most 64"),
+            ("threads", 4 * 10**18, "quadrature.threads: must be at most 64"),
+            ("--threads", 65, "--threads: must be between 1 and 64"),
+            ("--threads", 4 * 10**18, "--threads: must be between 1 and 64"),
+        ],
+    )
+    def test_size_beyond_its_maximum_computes_nothing(self, tmp_path, capsys, monkeypatch, via, value, needle):
+        import phonoscat.cli as cli
+
+        def never(cfg):
+            pytest.fail("a rate was computed before the size bound was checked")
+
+        monkeypatch.setattr(cli, "execute", never)
+        extra = ()
+        cfg = base_config(scenario="mie", quadrature=dict(SMALL_QUAD))
+        if via == "n_periods":
+            cfg = base_config(scenario="bragg", bragg={"low": "silicon", "high": "sapphire"})
+            cfg["sweep"] = {"axis": "n_periods", "grid": "linear", "start": value, "stop": value, "count": 1}
+        elif via == "threads":
+            cfg["quadrature"]["threads"] = value
+        else:
+            extra = ("--threads", str(value))
+        code, _ = run_cli(tmp_path, cfg, *extra)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: {needle}")
+
     def test_orientation_rejects_both_forms(self, tmp_path, capsys):
         cfg = base_config()
         cfg["inclusions"][0]["orientation"] = {

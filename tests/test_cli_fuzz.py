@@ -5,8 +5,9 @@ materials validate`` ends with 0 or 2.
 
 Each config example takes a valid small config of one scenario and mutates
 one or two of its fields: a value of the wrong type, a non-finite, negative
-or zero number, an integer beyond the float range, a field removed, or a
-sweep axis that belongs to another scenario.  Grids stay at 8x16 nodes or fewer and sweeps at three points or
+or zero number, an integer beyond the float range, a finite integer beyond
+every size bound, a field removed, or a sweep axis that belongs to another
+scenario.  Grids stay at 8x16 nodes or fewer and sweeps at three points or
 fewer, so every example runs in a fraction of a second.  Each materials
 example is random bytes, a truncated copy of the bundled database, or a copy
 with one or two of its fields mutated the same way.
@@ -61,7 +62,7 @@ AXES = ["frequency_GHz", "height_um", "thickness_um", "separation_um", "n_period
 BAD = [
     None, True, "abc", "", [], {}, [1.0, 2.0], ["a", "b", "c"], [float("nan"), 0.0, 0.0],
     [-1.0, -1.0, -1.0], [0, 0, 0], float("nan"), float("inf"), float("-inf"), -1, -2.5, 0, 0.0,
-    10**400,
+    10**400, 4 * 10**18,
 ] + AXES
 
 

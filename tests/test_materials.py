@@ -93,10 +93,6 @@ class TestOrientation:
         c = Orientation.about_axis([1, 2, 3], 0.9)
         assert np.allclose(a.compose(b).matrix, c.matrix, atol=1e-12)
 
-    def test_inverse(self):
-        r = Orientation.about_axis([1, -1, 2], 1.1)
-        assert np.allclose(r.compose(r.inverse()).matrix, np.eye(3), atol=1e-14)
-
 
 class TestVoigtConversions:
     def test_pair_tables_are_mutually_consistent(self):
@@ -155,7 +151,7 @@ class TestRotationOracles:
 
     def test_piezo_full_index_oracle(self):
         rng = np.random.default_rng(43)
-        dt = LN.piezo_tensor
+        dt = piezo_voigt_to_tensor(LN.d)
         for _ in range(5):
             R = random_rotation(rng)
             oracle = np.einsum("ia,jb,kc,abc->ijk", R, R, R, dt)

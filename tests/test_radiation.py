@@ -96,15 +96,17 @@ class TestAnisotropicRayleighRegime:
 
     EDGES = np.array([0.5e-9, 0.7e-9, 0.9e-9])
 
-    def rate(self, name, f_hz, scale=1.0):
-        substrate = DB[name]
-        inc = Inclusion(
+    def cuboid(self, scale=1.0):
+        return Inclusion(
             self.EDGES * scale,
             (0, 0, 0),
             DB["lithium_niobate"],
             orientation=Orientation.about_axis((1, 2, 3), 0.7),
         )
-        return refined_rate(make_mode(substrate, f_hz=f_hz), inc, substrate, FAST).total_rate
+
+    def rate(self, name, f_hz, scale=1.0):
+        substrate = DB[name]
+        return refined_rate(make_mode(substrate, f_hz=f_hz), self.cuboid(scale), substrate, FAST).total_rate
 
     @pytest.mark.parametrize("name", ["sapphire", "silicon"])
     def test_frequency_fourth_power(self, name):
@@ -114,6 +116,14 @@ class TestAnisotropicRayleighRegime:
     def test_volume_squared(self, name):
         """Doubled edges: V grows 8-fold and Gamma 64-fold."""
         assert self.rate(name, 0.5e9, scale=2.0) == pytest.approx(64 * self.rate(name, 0.5e9), rel=1e-6)
+
+    @pytest.mark.parametrize("name", ["sapphire", "silicon"])
+    def test_q_slope_over_a_frequency_sweep(self, name):
+        """Gamma ~ omega0^4, so Q = omega0 / Gamma falls as omega0^-3."""
+        substrate = DB[name]
+        omegas = 2 * np.pi * np.linspace(0.5e9, 1e9, 5)
+        res = sweep(make_mode(substrate), self.cuboid(), substrate, "omega0", omegas, FAST)
+        assert res.loglog_slope() == pytest.approx(-3.0, abs=1e-6)
 
 
 class TestEngineCrossChecks:

@@ -81,17 +81,26 @@ class TestFigureOfMerit:
         eta = figure_of_merit(eo, mode, r)
         assert eta == pytest.approx((eo.g_mo(mode.mode_volume) / (2 * np.pi)) ** 2 * r.q_factor)
 
-    @pytest.mark.parametrize("name", ["sapphire", "silicon"])
-    def test_invariance_on_anisotropic_substrates(self, db, ln, name):
-        """A sub-nm rotated cuboid: eta must not move when V_E doubles."""
+    @pytest.mark.parametrize(
+        ("name", "finite"),
+        [
+            pytest.param("sapphire", False, id="sapphire"),
+            pytest.param("silicon", False, id="silicon"),
+            pytest.param("sapphire", True, id="sapphire-waveguide"),
+            pytest.param("silicon", True, id="silicon-waveguide"),
+        ],
+    )
+    def test_invariance_on_anisotropic_substrates(self, db, ln, waveguide, name, finite):
+        """eta must not move when V_E doubles: for a sub-nm rotated cuboid at
+        1 GHz, and for the x-cut 0.5x1x5 um waveguide at 10 GHz (Mie regime)."""
         substrate = db[name]
-        inc = Inclusion(
+        inc = waveguide if finite else Inclusion(
             (0.5e-9, 0.7e-9, 0.9e-9), (0, 0, 0), ln, orientation=Orientation.about_axis((1, 2, 3), 0.7)
         )
         eo = EoModel(g0=2 * np.pi * 2e3, v_ref=8e-15)
         etas = []
         for v_e in (8e-15, 16e-15):
-            mode = make_mode(substrate, f_hz=1e9, mode_volume=v_e)
+            mode = make_mode(substrate, f_hz=10e9 if finite else 1e9, mode_volume=v_e)
             etas.append(figure_of_merit(eo, mode, refined_rate(mode, inc, substrate, FAST)))
         assert etas[1] == pytest.approx(etas[0], rel=1e-12)
 
