@@ -68,16 +68,26 @@ class ConfigError(ValueError):
 # config parsing
 
 
-def _require_dict(value, path: str) -> dict:
+def _object(value, path: str, allowed: set[str]) -> dict:
+    """A config object with only ``allowed`` keys; missing or null reads as {}."""
+    if value is None:
+        return {}
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected an object")
+    for key in value:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}: unknown field (expected one of {sorted(allowed)})")
     return value
 
 
-def _check_keys(d: dict, allowed: set[str], path: str) -> None:
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown field (expected one of {sorted(allowed)})")
+def _float(v) -> float:
+    """A JSON number (not a boolean) as a float, inf past the float range; else TypeError."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"not a number: {v!r}")
+    try:
+        return float(v)
+    except OverflowError:  # an integer beyond the float range
+        return np.inf
 
 
 def _given(d: dict, key: str, path: str, default) -> bool:
@@ -92,13 +102,10 @@ def _given(d: dict, key: str, path: str, default) -> bool:
 def _number(d: dict, key: str, path: str, default=None, positive=False):
     if not _given(d, key, path, default):
         return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number")
     try:
-        v = float(v)
-    except OverflowError:  # an integer beyond the float range
-        v = np.inf
+        v = _float(d[key])
+    except TypeError:
+        raise ConfigError(f"{path}.{key}: expected a number") from None
     if not np.isfinite(v):
         raise ConfigError(f"{path}.{key}: must be finite")
     if positive and not v > 0:
@@ -126,8 +133,8 @@ def _vector3(d: dict, key: str, path: str, default=None, positive=False, nonzero
     if not isinstance(v, (list, tuple)) or len(v) != 3:
         raise ConfigError(f"{path}.{key}: expected a 3-component list")
     try:
-        arr = np.array([float(x) for x in v])
-    except (TypeError, ValueError, OverflowError):
+        arr = np.array([_float(x) for x in v])
+    except TypeError:
         raise ConfigError(f"{path}.{key}: expected numeric components") from None
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{path}.{key}: components must be finite")
@@ -158,15 +165,14 @@ def _material(db: dict[str, MaterialSpec], name: str, path: str) -> MaterialSpec
 def _orientation(d: dict | None, path: str) -> Orientation:
     if d is None:
         return Orientation.identity()
-    d = _require_dict(d, path)
-    _check_keys(d, {"matrix", "axis", "angle_deg"}, path)
+    d = _object(d, path, {"matrix", "axis", "angle_deg"})
     try:
         if "matrix" in d:
             if "axis" in d or "angle_deg" in d:
                 raise ConfigError(f"{path}: give either matrix or axis/angle_deg, not both")
             try:
-                m = np.asarray(d["matrix"], dtype=float)
-            except (TypeError, ValueError, OverflowError):
+                m = np.array([[_float(x) for x in row] for row in d["matrix"]])
+            except (TypeError, ValueError):  # not numbers, or rows of unequal length
                 m = None
             if m is None or m.shape != (3, 3):
                 raise ConfigError(f"{path}.matrix: expected a 3x3 matrix")
@@ -250,9 +256,9 @@ def load_run_config(path: str) -> RunConfig:
         raise ConfigError(f"no such config file '{path}'") from None
     except ValueError as e:  # not UTF-8, or not JSON
         raise ConfigError(f"{path}: {e}") from None
-    raw = _require_dict(raw, "config")
-    _check_keys(
+    raw = _object(
         raw,
+        "config",
         {
             "scenario",
             "materials_db",
@@ -267,15 +273,14 @@ def load_run_config(path: str) -> RunConfig:
             "orientation_axis",
             "output",
         },
-        "config",
     )
 
     scenario = _string(raw, "scenario", "config", choices=_SCENARIOS)
     db = _load_db(raw)
     substrate = _material(db, _string(raw, "substrate", "config"), "substrate")
 
-    mode_cfg = _require_dict(raw.get("mode"), "mode")
-    _check_keys(mode_cfg, {"frequency_GHz", "mode_volume_um3", "field_direction", "eps_eff"}, "mode")
+    mode_keys = {"frequency_GHz", "mode_volume_um3", "field_direction", "eps_eff"}
+    mode_cfg = _object(raw.get("mode"), "mode", mode_keys)
     f_ghz = _number(mode_cfg, "frequency_GHz", "mode", positive=True)
     v_e = _number(mode_cfg, "mode_volume_um3", "mode", positive=True)
     e_dir = _vector3(mode_cfg, "field_direction", "mode", default=[0.0, 1.0, 0.0], nonzero=True)
@@ -297,8 +302,7 @@ def load_run_config(path: str) -> RunConfig:
     inclusions = []
     for i, inc_cfg in enumerate(incs_cfg):
         p = f"inclusions[{i}]"
-        inc_cfg = _require_dict(inc_cfg, p)
-        _check_keys(inc_cfg, {"material", "dimensions_um", "center_um", "orientation", "sign"}, p)
+        inc_cfg = _object(inc_cfg, p, {"material", "dimensions_um", "center_um", "orientation", "sign"})
         mat = _material(db, _string(inc_cfg, "material", p), f"{p}.material")
         dims = _vector3(inc_cfg, "dimensions_um", p, positive=True)
         center = _vector3(inc_cfg, "center_um", p, default=[0.0, 0.0, 0.0])
@@ -316,8 +320,7 @@ def load_run_config(path: str) -> RunConfig:
             )
         )
 
-    sweep = _require_dict(raw.get("sweep"), "sweep")
-    _check_keys(sweep, {"axis", "grid", "start", "stop", "count"}, "sweep")
+    sweep = _object(raw.get("sweep"), "sweep", {"axis", "grid", "start", "stop", "count"})
     axis = _string(sweep, "axis", "sweep")
     _, axes = _SCENARIOS[scenario]
     if axis not in axes:
@@ -327,9 +330,7 @@ def load_run_config(path: str) -> RunConfig:
         )
     values = _sweep_values(sweep, axis)
 
-    quad_cfg = raw.get("quadrature") or {}
-    quad_cfg = _require_dict(quad_cfg, "quadrature")
-    _check_keys(quad_cfg, {"n_theta", "n_phi", "tolerance", "threads"}, "quadrature")
+    quad_cfg = _object(raw.get("quadrature"), "quadrature", {"n_theta", "n_phi", "tolerance", "threads"})
     quad = QuadratureSpec(
         n_theta=_integer(quad_cfg, "n_theta", "quadrature", default=64, minimum=2, maximum=_MAX_THETA),
         n_phi=_integer(quad_cfg, "n_phi", "quadrature", default=128, minimum=4, maximum=_MAX_PHI),
@@ -337,16 +338,14 @@ def load_run_config(path: str) -> RunConfig:
         threads=_integer(quad_cfg, "threads", "quadrature", default=1, minimum=1, maximum=_MAX_THREADS),
     )
 
-    dual_cfg = _require_dict(raw.get("dual") or {}, "dual")
-    _check_keys(dual_cfg, {"direction", "relative_sign"}, "dual")
+    dual_cfg = _object(raw.get("dual"), "dual", {"direction", "relative_sign"})
     dual_dir = _vector3(dual_cfg, "direction", "dual", default=[1.0, 0.0, 0.0], nonzero=True)
     dual_dir = dual_dir / np.linalg.norm(dual_dir)
     dual_sign = _integer(dual_cfg, "relative_sign", "dual", default=-1)
     if dual_sign not in (1, -1):
         raise ConfigError("dual.relative_sign: must be +1 or -1")
 
-    bragg_cfg = _require_dict(raw.get("bragg") or {}, "bragg")
-    _check_keys(bragg_cfg, {"low", "high", "center_frequency_GHz", "normal"}, "bragg")
+    bragg_cfg = _object(raw.get("bragg"), "bragg", {"low", "high", "center_frequency_GHz", "normal"})
     bragg_low = bragg_high = None
     if scenario == "bragg":
         bragg_low = _material(db, _string(bragg_cfg, "low", "bragg"), "bragg.low")
@@ -356,8 +355,7 @@ def load_run_config(path: str) -> RunConfig:
 
     eo = None
     if raw.get("eo") is not None:
-        eo_cfg = _require_dict(raw["eo"], "eo")
-        _check_keys(eo_cfg, {"g0_Hz", "v_ref_um3", "overlap"}, "eo")
+        eo_cfg = _object(raw["eo"], "eo", {"g0_Hz", "v_ref_um3", "overlap"})
         overlap = _number(eo_cfg, "overlap", "eo", default=1.0)
         if not 0.0 <= overlap <= 1.0:
             raise ConfigError("eo.overlap: must lie in [0, 1]")
@@ -395,7 +393,7 @@ def load_run_config(path: str) -> RunConfig:
         axis=axis,
         values=values,
         quad=quad,
-        output=output or f"phonoscat_{scenario}.csv",
+        output=f"phonoscat_{scenario}.csv" if output is None else output,
         dual_direction=dual_dir,
         dual_relative_sign=dual_sign,
         bragg_low=bragg_low,
@@ -648,32 +646,12 @@ def _print_report(cfg: RunConfig, table: RunTable) -> None:
 # entry points
 
 
-def _parse_quad(text: str) -> tuple[int, int]:
-    try:
-        a, b = text.lower().split("x")
-        return int(a), int(b)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected N_THETAxN_PHI, e.g. 64x128") from None
-
-
 def _cmd_run(args) -> int:
     cfg = load_run_config(args.config)
     if args.out is not None:
         cfg.output = args.out
-    overrides = {}
-    if args.quad is not None:
-        if args.quad[0] > _MAX_THETA or args.quad[1] > _MAX_PHI:
-            raise ConfigError(f"--quad: node counts must be at most {_MAX_THETA}x{_MAX_PHI}")
-        overrides["n_theta"], overrides["n_phi"] = args.quad
-    if args.threads is not None:
-        if not 1 <= args.threads <= _MAX_THREADS:
-            raise ConfigError(f"--threads: must be between 1 and {_MAX_THREADS}")
-        overrides["threads"] = args.threads
-    if overrides:
-        try:
-            cfg.quad = dataclasses.replace(cfg.quad, **overrides)
-        except ValueError as e:  # only --quad can be out of range here
-            raise ConfigError(f"--quad: {e}") from None
+    if not cfg.output:
+        raise ConfigError("output: expected a non-empty path")
     if not os.path.isdir(os.path.dirname(cfg.output) or "."):
         raise ConfigError(f"output: no such directory for '{cfg.output}'")
     if os.path.isdir(cfg.output):
@@ -719,9 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a JSON run configuration")
     p_run.add_argument("config", help="path to the JSON config")
     p_run.add_argument("--out", help="CSV output path (overrides the config)")
-    p_run.add_argument("--threads", type=int, help="quadrature worker threads")
-    p_run.add_argument("--quad", type=_parse_quad, metavar="NxM",
-                       help="quadrature node counts, e.g. 64x128")
     p_run.set_defaults(func=_cmd_run)
 
     p_mat = sub.add_parser("materials", help="material database utilities")

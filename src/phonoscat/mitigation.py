@@ -19,7 +19,7 @@ import numpy as np
 from .coupling import Inclusion, MicrowaveMode
 from .elastodynamics import christoffel_many
 from .materials import MaterialSpec
-from .radiation import QuadratureSpec, RadiationResult, _CouplingTable, _result, refined_rate
+from .radiation import QuadratureSpec, RadiationResult, _rates, _result
 
 
 @dataclass(frozen=True)
@@ -79,19 +79,17 @@ def dual_waveguide_sweep(
 
     Every separation is checked before any rate is computed.  The
     single-inclusion baseline does not depend on the separation, so it is
-    computed once and shared by all results.  Neither does the coupling: the
-    two copies have the strain of ``inclusion``, so the baseline and every
-    pair read one coupling table.  Rates go through ``refined_rate``:
-    converged, or NumericFailure.
+    computed once and shared by all results.  The baseline and the pairs go
+    to ``_rates`` as one list, baseline first: the two copies have the
+    strain of ``inclusion``, so every point reads the same couplings, and
+    each rate is converged, or NumericFailure.
     """
     if relative_sign not in (1, -1):
         raise ValueError("relative_sign must be +1 or -1")
     seps = [np.asarray(s, dtype=float) for s in separations]
     for sep in seps:
         _check_pair_geometry(inclusion.dimensions, sep)
-    couplings = _CouplingTable(substrate)
-    single = refined_rate(mode, inclusion, substrate, quad, couplings=couplings)
-    results = []
+    points = [(mode, [inclusion])]
     for sep in seps:
         first = dataclasses.replace(inclusion, center=inclusion.center + sep / 2)
         second = dataclasses.replace(
@@ -99,7 +97,10 @@ def dual_waveguide_sweep(
             center=inclusion.center - sep / 2,
             sign=inclusion.sign * relative_sign,
         )
-        pair = refined_rate(mode, [first, second], substrate, quad, couplings=couplings)
+        points.append((mode, [first, second]))
+    single, *pairs = _rates(substrate, points, quad)
+    results = []
+    for sep, pair in zip(seps, pairs):
         ratio = pair.total_rate / (2 * single.total_rate)
         results.append(
             DualWaveguideResult(

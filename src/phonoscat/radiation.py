@@ -25,23 +25,23 @@ these tables.
 
 The coupling ``M_q = tau_q : S`` of an inclusion with field-induced strain S
 depends only on the substrate, the grid, the branch and S.  A coupling table
-(``_CouplingTable``) computes it once per (grid, strain) and lives as long as
-its owner: ``sweep`` and ``mitigation.dual_waveguide_sweep`` hold one for the
-whole sweep, and ``refined_rate`` makes one per call when it is given none.
-Along the height, thickness and separation axes the strain does not change,
-so a sweep point there costs only the form factor, the phase and the
-reduction.  Along omega0 it does (S = d . E and E_zp grows as sqrt(omega0)),
-so each frequency point computes its own couplings, and the table keeps only
-the strains of the latest point.  One grid's pass, ``_gamma_branches``,
-evaluates all three branches in fixed-size node spans (optionally across a
-thread pool) and reduces them by numpy's deterministic pairwise summation in
-fixed node order, so serial and threaded runs agree bitwise.
+(``_CouplingTable``) computes it once per (grid, strain) for all the points
+of one ``_rates`` call.  Along the height, thickness and separation axes the
+strain does not change, so a sweep point there costs only the form factor,
+the phase and the reduction.  Along omega0 it does (S = d . E and E_zp grows
+as sqrt(omega0)), so each frequency point computes its own couplings, and
+the table keeps only the strains of the latest point.  One grid's pass,
+``_gamma_branches``, evaluates all three branches in fixed-size node spans
+(optionally across a thread pool) and reduces them by numpy's deterministic
+pairwise summation in fixed node order, so serial and threaded runs agree
+bitwise.
 
 ``mie_rate`` is the raw primitive and only flags an unconverged estimate.
-``refined_rate`` is the one refinement path: it doubles the node counts up to
-twice and raises NumericFailure if the estimate still has not converged.
-``sweep`` evaluates every quadrature point through it, and so do the
-orientation scan, the antiparallel pair and the command-line scenarios.
+``_rates`` is the one evaluator: it owns the coupling table, doubles the node
+counts of an unconverged point up to twice and raises NumericFailure if the
+estimate still has not converged.  ``refined_rate`` is its one-point call;
+``sweep`` and ``mitigation.dual_waveguide_sweep`` pass all their points at
+once.  The orientation scan and the command-line scenarios go through these.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ _CHUNK = 2048
 # Half-width of the brute-force radial window, in units of sigma.
 _BRUTE_WINDOW = 8.0
 
-# How many times refined_rate re-runs an unconverged quadrature with doubled
+# How many times _rates re-runs an unconverged quadrature with doubled
 # node counts before it raises NumericFailure.
 _MAX_REFINEMENTS = 2
 
@@ -114,7 +114,7 @@ class QuadratureDiagnostics:
     rel_error: float
     converged: bool
     method: str = "quadrature"
-    refinements: int = 0  # node doublings refined_rate needed beyond the requested grid
+    refinements: int = 0  # node doublings _rates needed beyond the requested grid
 
 
 @dataclass(frozen=True)
@@ -188,6 +188,26 @@ def _each_span(n: int, threads: int, work) -> None:
             work(a, b)
 
 
+def _contract(substrate: MaterialSpec, n_theta: int, n_phi: int, strains, threads: int) -> list:
+    """The (3, N) read-only M = tau : S of each strain on the n_theta x n_phi
+    grid, filled on the engine's fixed node spans whatever the caller."""
+    grid = angular_table(substrate, n_theta, n_phi)
+    c = substrate.stiffness_tensor
+    n = grid.khats.shape[0]
+    out = [np.empty((3, n)) for _ in strains]
+
+    def fill(a, b):
+        for q in range(3):
+            tau = stress_pattern(c, grid.khats[a:b], grid.polarizations[a:b, :, q])
+            for m, s in zip(out, strains):
+                m[q, a:b] = np.einsum("nij,ij->n", tau, s)
+
+    _each_span(n, threads, fill)
+    for m in out:
+        m.setflags(write=False)
+    return out
+
+
 class _CouplingTable:
     """Strain-stress overlap M_q(n) = tau_q(n) : S of one substrate.
 
@@ -196,15 +216,13 @@ class _CouplingTable:
     position.  So along the height, thickness and separation axes it is the
     same at every point, and the copies of a pair share it.  S = d . E does
     change with the frequency, through the zero-point field, so an omega0
-    sweep finds nothing to reuse between its points.  A table is made by the
-    caller that owns a sweep (or one ``refined_rate`` call) and is dropped
-    with it; it holds a (3, N) array per (n_theta, n_phi, strain bytes), and
-    only for the strains of the latest request: a request drops the arrays
-    of every other strain, so a sweep whose strain changes from point to
-    point holds one point's couplings at a time, while a refinement rerun
-    (same strains) still finds its coarse grid.  Each array is filled once,
-    on the engine's fixed node spans, so its values do not depend on which
-    point filled it.
+    sweep finds nothing to reuse between its points.  ``_rates`` makes the
+    one table of its points and drops it when they are done; the table holds
+    a (3, N) array per (n_theta, n_phi, strain bytes), and only for the
+    strains of the latest request: a request drops the arrays of every other
+    strain, so a sweep whose strain changes from point to point holds one
+    point's couplings at a time, while a refinement rerun (same strains)
+    still finds its coarse grid.
     """
 
     def __init__(self, substrate: MaterialSpec):
@@ -218,28 +236,16 @@ class _CouplingTable:
         self._m = {k: m for k, m in self._m.items() if k[2] in wanted}
         missing = {k: s for k, s in zip(keys, strains) if k not in self._m}
         if missing:
-            grid = angular_table(self.substrate, n_theta, n_phi)
-            c = self.substrate.stiffness_tensor
-            n = grid.khats.shape[0]
-            fresh = {k: np.empty((3, n)) for k in missing}
-
-            def fill(a, b):
-                for q in range(3):
-                    tau = stress_pattern(c, grid.khats[a:b], grid.polarizations[a:b, :, q])
-                    for k, s in missing.items():
-                        fresh[k][q, a:b] = np.einsum("nij,ij->n", tau, s)
-
-            _each_span(n, threads, fill)
-            for k, m in fresh.items():
-                m.setflags(write=False)
-                self._m[k] = m
+            fresh = _contract(self.substrate, n_theta, n_phi, list(missing.values()), threads)
+            self._m.update(zip(missing, fresh))
         return [self._m[k] for k in keys]
 
 
 def _gamma_branches(
     mode: MicrowaveMode,
     src: _Sources,
-    couplings: _CouplingTable,
+    substrate: MaterialSpec,
+    couplings,
     n_theta: int,
     n_phi: int,
     quantization_volume: float,
@@ -247,14 +253,15 @@ def _gamma_branches(
 ) -> np.ndarray:
     """Golden-rule rate of each branch on one n_theta x n_phi grid, shape (3,).
 
-    All three branches on each fixed node span, then one reduction per branch.
+    ``couplings(n_theta, n_phi, strains, threads)`` gives M = tau : S.  All
+    three branches on each fixed node span, then one reduction per branch.
     """
     hbar = CONSTANTS.hbar
     omega0 = mode.omega0
-    grid = angular_table(couplings.substrate, n_theta, n_phi)
-    m = couplings.get(n_theta, n_phi, src.strain, threads)
+    grid = angular_table(substrate, n_theta, n_phi)
+    m = couplings(n_theta, n_phi, src.strain, threads)
     golden = (2 * np.pi / hbar**2) * (quantization_volume / (8 * np.pi**3))
-    u0_sq = hbar / (2 * couplings.substrate.rho * omega0 * quantization_volume)
+    u0_sq = hbar / (2 * substrate.rho * omega0 * quantization_volume)
     n = grid.khats.shape[0]
     values = np.empty((3, n))
 
@@ -324,11 +331,11 @@ def mie_rate(
     as the quadrature error estimate (non-convergence is flagged, not fatal;
     ``refined_rate`` is the path that acts on the flag).
 
-    ``couplings`` is a coupling table that a sweep shares between its points;
-    it supplies M = tau : S for each grid and strain and fills what it lacks.
-    The rate is computed on the table's substrate, so a caller builds it from
-    ``substrate``.  None uses a fresh table for this call alone.  The result
-    is the same either way, bit for bit.
+    ``couplings`` is the coupling table that ``_rates`` shares between its
+    points and refinement reruns; it supplies M = tau : S for each grid and
+    strain and fills what it lacks.  It belongs to ``substrate``.  None
+    computes the couplings of both grids for this call alone.  The result is
+    the same either way, bit for bit.
 
     Convergence is judged on the total rate summed over the three branches,
     not branch by branch: the total is the loss the quality factor reports,
@@ -339,14 +346,13 @@ def mie_rate(
     incs = _as_inclusion_list(inclusions)
     if not quantization_volume > 0:
         raise ValueError("quantization volume must be positive")
-    if couplings is None:
-        couplings = _CouplingTable(substrate)
     src = _sources(mode, incs)
+    get = couplings.get if couplings is not None else lambda *args: _contract(substrate, *args)
     coarse = _gamma_branches(
-        mode, src, couplings, quad.n_theta, quad.n_phi, quantization_volume, quad.threads
+        mode, src, substrate, get, quad.n_theta, quad.n_phi, quantization_volume, quad.threads
     )
     fine = _gamma_branches(
-        mode, src, couplings, 2 * quad.n_theta, 2 * quad.n_phi, quantization_volume, quad.threads
+        mode, src, substrate, get, 2 * quad.n_theta, 2 * quad.n_phi, quantization_volume, quad.threads
     )
     total = float(np.sum(fine))
     rel = abs(total - float(np.sum(coarse))) / total if total > 0 else 0.0
@@ -360,42 +366,48 @@ def mie_rate(
     return _result(mode.omega0, fine, regime_label(mode.omega0, incs, substrate), diag)
 
 
+def _rates(substrate: MaterialSpec, points, quad: QuadratureSpec | None = None) -> list[RadiationResult]:
+    """The converged ``mie_rate`` of each (mode, inclusions) point, in order.
+
+    The one place that decides between refining and failing: an unconverged
+    point is re-run with doubled node counts, and after _MAX_REFINEMENTS
+    doublings it raises NumericFailure rather than return a silently degraded
+    answer; the diagnostics record the doublings.  All runs read one coupling
+    table, so a rerun finds its coarse grid (the previous fine grid) computed.
+    """
+    quad = quad or QuadratureSpec()
+    couplings = _CouplingTable(substrate)
+    results = []
+    for mode, inclusions in points:
+        for refinements in range(_MAX_REFINEMENTS + 1):
+            k = 2**refinements
+            q = dataclasses.replace(quad, n_theta=k * quad.n_theta, n_phi=k * quad.n_phi)
+            result = mie_rate(mode, inclusions, substrate, q, couplings=couplings)
+            if result.diagnostics.converged:
+                break
+        d = dataclasses.replace(result.diagnostics, refinements=refinements)
+        if not d.converged:
+            raise NumericFailure(
+                f"quadrature did not reach tolerance {quad.tolerance:g} after "
+                f"{refinements} refinements (n_theta={d.n_theta}, n_phi={d.n_phi}, "
+                f"relative error {d.rel_error:.2e})"
+            )
+        results.append(dataclasses.replace(result, diagnostics=d))
+    return results
+
+
 def refined_rate(
     mode: MicrowaveMode,
     inclusions,
     substrate: MaterialSpec,
     quad: QuadratureSpec | None = None,
-    *,
-    couplings: _CouplingTable | None = None,
 ) -> RadiationResult:
     """``mie_rate``, re-run with doubled node counts until it converges.
 
-    This is the one place that decides between refining and failing: after
-    _MAX_REFINEMENTS doublings an unconverged estimate raises NumericFailure
-    rather than being returned as a silently degraded answer.  The returned
-    diagnostics record how many doublings were needed.
-
-    Every run reads one coupling table (``couplings``, or a fresh one when
-    None), so a rerun finds the couplings of its coarse grid, the previous
-    fine grid, already computed.
+    One point through ``_rates``: NumericFailure after _MAX_REFINEMENTS
+    doublings, and the diagnostics record how many doublings were needed.
     """
-    quad = quad or QuadratureSpec()
-    if couplings is None:
-        couplings = _CouplingTable(substrate)
-    result = mie_rate(mode, inclusions, substrate, quad, couplings=couplings)
-    refinements = 0
-    while not result.diagnostics.converged and refinements < _MAX_REFINEMENTS:
-        quad = dataclasses.replace(quad, n_theta=2 * quad.n_theta, n_phi=2 * quad.n_phi)
-        result = mie_rate(mode, inclusions, substrate, quad, couplings=couplings)
-        refinements += 1
-    d = result.diagnostics
-    if not d.converged:
-        raise NumericFailure(
-            f"quadrature did not reach tolerance {quad.tolerance:g} after "
-            f"{refinements} refinements (n_theta={d.n_theta}, n_phi={d.n_phi}, "
-            f"relative error {d.rel_error:.2e})"
-        )
-    return dataclasses.replace(result, diagnostics=dataclasses.replace(d, refinements=refinements))
+    return _rates(substrate, [(mode, inclusions)], quad)[0]
 
 
 def rayleigh_rate(
@@ -578,7 +590,7 @@ def sweep(
 ) -> SweepResult:
     """Rates along one axis (see ``sweep_point``), one result per value.
 
-    engine 'mie' evaluates every point with ``refined_rate``, so each result
+    engine 'mie' evaluates all points in one ``_rates`` call, so each result
     is converged or the sweep raises NumericFailure; engine 'rayleigh' uses
     the closed form and needs exactly one inclusion.  The mie points share
     one coupling table, so along height and thickness the coupling of a grid
@@ -591,14 +603,11 @@ def sweep(
     if engine == "rayleigh" and len(incs) != 1:
         raise ValueError("the rayleigh engine needs exactly one inclusion")
     values = np.asarray(values, dtype=float)
-    couplings = _CouplingTable(substrate)
-    results = []
-    for v in values:
-        m, point = sweep_point(mode, incs, axis, float(v))
-        if engine == "mie":
-            results.append(refined_rate(m, point, substrate, quad, couplings=couplings))
-        else:
-            results.append(rayleigh_rate(m, point[0], substrate))
+    points = [sweep_point(mode, incs, axis, float(v)) for v in values]
+    if engine == "mie":
+        results = _rates(substrate, points, quad)
+    else:
+        results = [rayleigh_rate(m, point[0], substrate) for m, point in points]
     return SweepResult(axis, values, tuple(results))
 
 

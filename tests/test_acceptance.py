@@ -350,10 +350,12 @@ def test_criterion_10_exactness_properties_and_reproducibility(report, tmp_path)
     }
     cfg_path = tmp_path / "repro.json"
     cfg_path.write_text(json.dumps(cfg))
+    threaded_path = tmp_path / "repro_threads.json"
+    threaded_path.write_text(json.dumps(dict(cfg, quadrature=dict(cfg["quadrature"], threads=4))))
     outs = [tmp_path / f"out{i}.csv" for i in range(3)]
     assert cli_main(["run", str(cfg_path), "--out", str(outs[0])]) == 0
     assert cli_main(["run", str(cfg_path), "--out", str(outs[1])]) == 0
-    assert cli_main(["run", str(cfg_path), "--out", str(outs[2]), "--threads", "4"]) == 0
+    assert cli_main(["run", str(threaded_path), "--out", str(outs[2])]) == 0
     identical = (
         outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
     )

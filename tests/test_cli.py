@@ -37,15 +37,15 @@ def base_config(**overrides):
     return cfg
 
 
-def write_config(tmp_path, cfg, name="run.json"):
-    path = tmp_path / name
+def write_config(tmp_path, cfg):
+    path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     return str(path)
 
 
-def run_cli(tmp_path, cfg, *extra, name="run.json"):
+def run_cli(tmp_path, cfg):
     out = tmp_path / "out.csv"
-    code = main(["run", write_config(tmp_path, cfg, name), "--out", str(out)] + list(extra))
+    code = main(["run", write_config(tmp_path, cfg), "--out", str(out)])
     return code, out
 
 
@@ -137,19 +137,10 @@ class TestRunMie:
         cfg["sweep"] = {"axis": "frequency_GHz", "grid": "log", "start": 5.0, "stop": 10.0, "count": 2}
         _, out1 = run_cli(tmp_path, cfg)
         serial = out1.read_bytes()
-        code = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "t.csv"), "--threads", "4"])
+        cfg["quadrature"]["threads"] = 4
+        code = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "t.csv")])
         assert code == 0
         assert (tmp_path / "t.csv").read_bytes() == serial
-
-    def test_quad_flag_overrides_config(self, tmp_path):
-        cfg = self._cfg(quadrature={"n_theta": 8, "n_phi": 16})
-        ref = self._cfg(quadrature={"n_theta": 24, "n_phi": 48})
-        _, out_ref = run_cli(tmp_path, ref, name="ref.json")
-        code = main(
-            ["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "q.csv"), "--quad", "24x48"]
-        )
-        assert code == 0
-        assert (tmp_path / "q.csv").read_bytes() == out_ref.read_bytes()
 
     def test_anisotropic_substrate_allowed(self, tmp_path):
         cfg = self._cfg(substrate="sapphire")
@@ -374,26 +365,18 @@ class TestConfigErrors:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
-    def test_bad_quad_flag(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            main(["run", write_config(tmp_path, base_config()), "--quad", "64"])
+    def test_bad_quad_flag(self, tmp_path, monkeypatch):
+        """The quadrature is set in the config only: either flag is a usage error."""
+        import phonoscat.cli as cli
 
-    def test_out_of_range_quad_flag(self, tmp_path, capsys):
-        code = main(["run", write_config(tmp_path, base_config()), "--quad", "1x2"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("config error: --quad: quadrature needs n_theta >= 2")
+        def never(cfg):
+            pytest.fail("a rate was computed for an unknown flag")
 
-    def test_quad_flag_beyond_its_maximum(self, tmp_path, capsys):
-        code = main(["run", write_config(tmp_path, base_config()), "--quad", f"{10**400}x8"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("config error: --quad: node counts must be at most 1024x2048")
-
-    def test_bad_threads_flag(self, tmp_path, capsys):
-        code = main(["run", write_config(tmp_path, base_config()), "--threads", "0"])
-        assert code == 2
-        assert "--threads" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "execute", never)
+        for flag in (["--quad", "24x48"], ["--threads", "2"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["run", write_config(tmp_path, base_config())] + flag)
+            assert exit_info.value.code == 2
 
     @pytest.mark.parametrize(
         ("via", "value", "needle"),
@@ -402,8 +385,6 @@ class TestConfigErrors:
             ("n_periods", 10_001, "sweep: n_periods must be between 0 and 10000"),
             ("threads", 65, "quadrature.threads: must be at most 64"),
             ("threads", 4 * 10**18, "quadrature.threads: must be at most 64"),
-            ("--threads", 65, "--threads: must be between 1 and 64"),
-            ("--threads", 4 * 10**18, "--threads: must be between 1 and 64"),
         ],
     )
     def test_size_beyond_its_maximum_computes_nothing(self, tmp_path, capsys, monkeypatch, via, value, needle):
@@ -413,19 +394,58 @@ class TestConfigErrors:
             pytest.fail("a rate was computed before the size bound was checked")
 
         monkeypatch.setattr(cli, "execute", never)
-        extra = ()
         cfg = base_config(scenario="mie", quadrature=dict(SMALL_QUAD))
         if via == "n_periods":
             cfg = base_config(scenario="bragg", bragg={"low": "silicon", "high": "sapphire"})
             cfg["sweep"] = {"axis": "n_periods", "grid": "linear", "start": value, "stop": value, "count": 1}
-        elif via == "threads":
-            cfg["quadrature"]["threads"] = value
         else:
-            extra = ("--threads", str(value))
-        code, _ = run_cli(tmp_path, cfg, *extra)
+            cfg["quadrature"]["threads"] = value
+        code, _ = run_cli(tmp_path, cfg)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"config error: {needle}")
+
+    @pytest.mark.parametrize(
+        ("where", "value", "needle"),
+        [
+            ("dimensions_um", ["0.01", "0.01", "0.01"], "inclusions[0].dimensions_um: expected numeric components"),
+            ("dimensions_um", [True, True, True], "inclusions[0].dimensions_um: expected numeric components"),
+            ("field_direction", [False, True, False], "mode.field_direction: expected numeric components"),
+            ("matrix", [[False, False, True], [False, True, False], [True, False, False]],
+             "inclusions[0].orientation.matrix: expected a 3x3 matrix"),
+            ("matrix", [["0", "0", "-1"], ["0", "1", "0"], ["1", "0", "0"]],
+             "inclusions[0].orientation.matrix: expected a 3x3 matrix"),
+        ],
+        ids=["dimension-strings", "dimension-booleans", "field-booleans", "matrix-booleans", "matrix-strings"],
+    )
+    def test_strings_and_booleans_are_not_numbers(self, tmp_path, capsys, monkeypatch, where, value, needle):
+        import phonoscat.cli as cli
+
+        def never(cfg):
+            pytest.fail("a rate was computed for a non-numeric component")
+
+        monkeypatch.setattr(cli, "execute", never)
+        cfg = base_config(scenario="mie", quadrature=dict(SMALL_QUAD))
+        if where == "field_direction":
+            cfg["mode"][where] = value
+        elif where == "matrix":
+            cfg["inclusions"][0]["orientation"] = {"matrix": value}
+        else:
+            cfg["inclusions"][0][where] = value
+        self.check(tmp_path, capsys, cfg, needle)
+
+    @pytest.mark.parametrize(
+        ("section", "value"),
+        [("quadrature", []), ("quadrature", False), ("quadrature", 0), ("quadrature", ""), ("dual", []), ("bragg", 0)],
+    )
+    def test_section_that_is_not_an_object(self, tmp_path, capsys, monkeypatch, section, value):
+        import phonoscat.cli as cli
+
+        def never(cfg):
+            pytest.fail("a rate was computed for a section of the wrong type")
+
+        monkeypatch.setattr(cli, "execute", never)
+        self.check(tmp_path, capsys, base_config(**{section: value}), f"config error: {section}: expected an object")
 
     def test_orientation_rejects_both_forms(self, tmp_path, capsys):
         cfg = base_config()
@@ -507,6 +527,23 @@ class TestPathErrors:
         assert err.startswith("config error: output:")
         assert f"'{out}' is a directory" in err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("via", ["--out", "output"])
+    def test_empty_output_path_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch, via):
+        import phonoscat.cli as cli
+
+        def never(cfg):
+            pytest.fail("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "execute", never)
+        monkeypatch.chdir(tmp_path)
+        if via == "--out":
+            argv = ["run", write_config(tmp_path, base_config()), "--out", ""]
+        else:
+            argv = ["run", write_config(tmp_path, base_config(output=""))]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: output: expected a non-empty path")
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_output_is_a_directory(self, tmp_path, capsys):
         self.check(capsys, ["run", write_config(tmp_path, base_config()), "--out", str(tmp_path)], tmp_path)
@@ -686,6 +723,12 @@ class TestLoadRunConfig:
         cfg = load_run_config(write_config(tmp_path, cfg_dict))
         R = cfg.inclusions[0].orientation.matrix
         assert np.allclose(R @ [1, 0, 0], [0, 1, 0], atol=1e-12)
+
+    def test_null_section_reads_as_its_defaults(self, tmp_path):
+        cfg = load_run_config(write_config(tmp_path, base_config(quadrature=None, dual=None, bragg=None, eo=None)))
+        assert cfg.quad == load_run_config(write_config(tmp_path, base_config())).quad
+        assert cfg.dual_relative_sign == -1
+        assert cfg.eo is None
 
     def test_eps_eff_defaults_to_substrate_average(self, tmp_path, db):
         cfg = load_run_config(write_config(tmp_path, base_config()))

@@ -218,12 +218,13 @@ def test_threads_do_not_change_csv_bytes(tmp_path, scenario, axis):
         "sweep": {"axis": axis, "grid": "linear", "start": 1.0, "stop": 2.0, "count": 3},
         "quadrature": {"n_theta": 32, "n_phi": 64},
     }
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(cfg))
     data = []
-    for threads in ("1", "2"):
+    for threads in (1, 2):
+        cfg["quadrature"]["threads"] = threads
+        path = tmp_path / f"t{threads}.json"
+        path.write_text(json.dumps(cfg))
         out = tmp_path / f"t{threads}.csv"
-        assert main(["run", str(path), "--out", str(out), "--threads", threads]) == 0
+        assert main(["run", str(path), "--out", str(out)]) == 0
         data.append(out.read_bytes())
     assert data[0] == data[1]
 

@@ -5,9 +5,11 @@ inside every loaded phonoscat module, and reads the substrate of each
 ``mie_rate`` call from its third positional argument.  Renaming or deleting
 one of those functions breaks a traced benchmark run, so the names are
 checked here.  The tracer file is only read, never imported as a module.
-The README's "Scenarios" table is checked against the CLI's scenario table.
+The README's "Scenarios" table is checked against the CLI's scenario table,
+and the options the README names for ``phonoscat run`` against its parser.
 """
 
+import argparse
 import importlib
 import inspect
 import re
@@ -15,7 +17,7 @@ import runpy
 from pathlib import Path
 
 import phonoscat
-from phonoscat.cli import _SCENARIOS
+from phonoscat.cli import _SCENARIOS, build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -48,3 +50,10 @@ def test_readme_scenarios_table_matches_the_cli():
         name, _, axes = (cell.strip() for cell in row.strip("|").split("|"))
         documented[name.strip("`")] = tuple(re.findall(r"`([^`]+)`", axes))
     assert documented == {name: axes for name, (_, axes) in _SCENARIOS.items()}
+
+
+def test_readme_names_exactly_the_run_options():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {flag for a in commands.choices["run"]._actions for flag in a.option_strings}
+    prose = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
+    assert set(re.findall(r"`(--[a-z][a-z-]*)", prose)) == options - {"-h", "--help"}
