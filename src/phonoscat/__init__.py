@@ -39,7 +39,6 @@ from .mitigation import (
     transfer_matrix,
 )
 from .radiation import (
-    BruteForceSpec,
     NumericFailure,
     QuadratureDiagnostics,
     QuadratureSpec,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BraggLayer",
     "BraggStack",
-    "BruteForceSpec",
     "CONSTANTS",
     "DualWaveguideResult",
     "EoModel",

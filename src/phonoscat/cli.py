@@ -506,6 +506,8 @@ def _run_dual(cfg: RunConfig) -> RunTable:
 
 def _run_bragg(cfg: RunConfig) -> RunTable:
     base = refined_rate(cfg.mode, cfg.inclusions, cfg.substrate, cfg.quad)
+    if base.total_rate == 0:
+        raise NumericFailure("the unmitigated rate is exactly zero, so the Q gain is undefined")
     mirror = BraggStack.quarter_wave(
         cfg.substrate, cfg.bragg_low, cfg.bragg_high, cfg.bragg_center_ghz * 1e9, 1, cfg.bragg_normal
     )
@@ -521,7 +523,7 @@ def _run_bragg(cfg: RunConfig) -> RunTable:
         "scaled by the transmittance at f0 (an approximation that collapses the "
         "angular emission pattern onto the stack normal)",
         f"mirror center frequency: {cfg.bragg_center_ghz:g} GHz; unmitigated Q: {base.q_factor:.4e}",
-    ]
+    ] + _diag_lines([base])
     for layer in mirror.period:
         report.append(
             f"layer {layer.name}: Z = {layer.impedance:.4e} Pa s/m, "
@@ -539,9 +541,10 @@ def _run_bragg(cfg: RunConfig) -> RunTable:
 def _run_figure_of_merit(cfg: RunConfig) -> RunTable:
     # g_MO depends on the mode volume only, which no sweep axis changes
     g_hz = cfg.eo.g_mo(cfg.mode.mode_volume) / (2 * np.pi)
+    results = _sweep(cfg).results
     rows = [
         (float(v), r.total_rate, r.q_factor, g_hz, figure_of_merit(cfg.eo, cfg.mode, r))
-        for v, r in zip(cfg.values, _sweep(cfg).results)
+        for v, r in zip(cfg.values, results)
     ]
     col0 = _COLUMNS[cfg.axis]
     etas = np.array([row[4] for row in rows])
@@ -549,7 +552,7 @@ def _run_figure_of_merit(cfg: RunConfig) -> RunTable:
     report = [
         f"peak figure of merit: {etas[best]:.4e} Hz^2 at {col0} = {cfg.values[best]:g}",
         _wavelength_line(cfg),
-    ]
+    ] + _diag_lines(results)
     return RunTable([col0, "Gamma_rad_s", "Q", "g_mo_Hz", "eta_Hz2"], rows, report)
 
 
@@ -577,8 +580,14 @@ def _run_orientation(cfg: RunConfig) -> RunTable:
 
 
 def _run_oracle_check(cfg: RunConfig) -> RunTable:
+    results = _sweep(cfg).results
+    for f_ghz, r in zip(cfg.values, results):
+        if r.total_rate == 0:
+            raise NumericFailure(
+                f"the mie rate at {f_ghz:g} GHz is exactly zero, so the relative deviation is undefined"
+            )
     rows = []
-    for f_ghz, r in zip(cfg.values, _sweep(cfg).results):
+    for f_ghz, r in zip(cfg.values, results):
         mode = dataclasses.replace(cfg.mode, omega0=r.omega0)
         brute = brute_force_rate(mode, cfg.inclusions, cfg.substrate)
         rows.append((float(f_ghz), r.total_rate, brute, abs(r.total_rate - brute) / r.total_rate))
@@ -586,7 +595,7 @@ def _run_oracle_check(cfg: RunConfig) -> RunTable:
     verdict = "within threshold" if worst < 0.02 else "EXCEEDS threshold"
     report = [
         f"mie vs brute-force relative deviation: max {worst:.3e} (threshold 2e-02): {verdict}"
-    ]
+    ] + _diag_lines(results)
     return RunTable(["f_GHz", "Gamma_mie_rad_s", "Gamma_brute_rad_s", "rel_deviation"], rows, report)
 
 

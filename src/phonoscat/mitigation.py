@@ -19,7 +19,7 @@ import numpy as np
 from .coupling import Inclusion, MicrowaveMode
 from .elastodynamics import christoffel_many
 from .materials import MaterialSpec
-from .radiation import QuadratureSpec, RadiationResult, _rates, _result
+from .radiation import NumericFailure, QuadratureSpec, RadiationResult, _rates, _result
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ def dual_waveguide_sweep(
     single-inclusion baseline does not depend on the separation, so it is
     computed once and shared by all results.  The baseline and the pairs go
     to ``_rates`` as one list, baseline first: the two copies have the
-    strain of ``inclusion``, so every point reads the same couplings, and
-    each rate is converged, or NumericFailure.
+    strain of ``inclusion``, so every point reads the same couplings.  Each
+    rate is converged and the baseline is not zero, or NumericFailure.
     """
     if relative_sign not in (1, -1):
         raise ValueError("relative_sign must be +1 or -1")
@@ -99,6 +99,10 @@ def dual_waveguide_sweep(
         )
         points.append((mode, [first, second]))
     single, *pairs = _rates(substrate, points, quad)
+    if single.total_rate == 0:
+        raise NumericFailure(
+            "the single-inclusion rate is exactly zero, so the suppression ratio is undefined"
+        )
     results = []
     for sep, pair in zip(seps, pairs):
         ratio = pair.total_rate / (2 * single.total_rate)

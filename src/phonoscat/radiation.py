@@ -12,8 +12,9 @@ the phase velocity, so
     int d^3k delta(Omega - omega0) F = oint dOmega_hat k0^2 F / v_q(khat)
 
 with ``k0 = omega0 / v_q(khat)``.  The quantization volume V_T cancels
-exactly between the density of states and the zero-point displacement; it is
-kept as an explicit knob so the cancellation is checked, not assumed.
+exactly between the density of states and the zero-point displacement, so
+the engine sets it to 1, as do its two references (the isotropic closed form
+and the brute-force broadened-delta sum).
 
 Quadrature is Gauss-Legendre in cos(theta) times a uniform periodic rule in
 phi.  The Christoffel eigenpairs at the nodes depend only on the substrate and
@@ -65,6 +66,8 @@ _CHUNK = 2048
 
 # Half-width of the brute-force radial window, in units of sigma.
 _BRUTE_WINDOW = 8.0
+# Brute-force grid: Simpson nodes over theta and the radial window (odd), uniform phi.
+_BRUTE_THETA, _BRUTE_PHI, _BRUTE_RADIAL = 129, 96, 33
 
 # How many times _rates re-runs an unconverged quadrature with doubled
 # node counts before it raises NumericFailure.
@@ -72,7 +75,7 @@ _MAX_REFINEMENTS = 2
 
 
 class NumericFailure(Exception):
-    """Quadrature failed to converge within the refinement cap."""
+    """No finite answer: unconverged quadrature, or a ratio over a zero rate."""
 
 
 @dataclass(frozen=True)
@@ -91,19 +94,6 @@ class QuadratureSpec:
             raise ValueError("quadrature tolerance must be positive")
         if self.threads < 1:
             raise ValueError("thread count must be at least 1")
-
-
-@dataclass(frozen=True)
-class BruteForceSpec:
-    """Grid controls for the broadened-delta reference sum."""
-
-    n_theta: int = 129  # composite Simpson nodes over theta, odd
-    n_phi: int = 96
-    n_radial: int = 33  # Simpson nodes across the Gaussian window, odd
-
-    def __post_init__(self):
-        if self.n_theta % 2 == 0 or self.n_radial % 2 == 0:
-            raise ValueError("Simpson node counts must be odd")
 
 
 @dataclass(frozen=True)
@@ -248,7 +238,6 @@ def _gamma_branches(
     couplings,
     n_theta: int,
     n_phi: int,
-    quantization_volume: float,
     threads: int,
 ) -> np.ndarray:
     """Golden-rule rate of each branch on one n_theta x n_phi grid, shape (3,).
@@ -260,8 +249,8 @@ def _gamma_branches(
     omega0 = mode.omega0
     grid = angular_table(substrate, n_theta, n_phi)
     m = couplings(n_theta, n_phi, src.strain, threads)
-    golden = (2 * np.pi / hbar**2) * (quantization_volume / (8 * np.pi**3))
-    u0_sq = hbar / (2 * substrate.rho * omega0 * quantization_volume)
+    golden = (2 * np.pi / hbar**2) * (1.0 / (8 * np.pi**3))
+    u0_sq = hbar / (2 * substrate.rho * omega0)
     n = grid.khats.shape[0]
     values = np.empty((3, n))
 
@@ -319,17 +308,16 @@ def mie_rate(
     inclusions,
     substrate: MaterialSpec,
     quad: QuadratureSpec | None = None,
-    quantization_volume: float = 1.0,
     *,
     couplings: _CouplingTable | None = None,
 ) -> RadiationResult:
     """Radiated rate with full form factors, any substrate anisotropy.
 
-    The coupling of all inclusions is summed coherently at each node.  The
-    rate is evaluated once at the requested node counts and once at doubled
-    counts; the doubled result is returned and the relative change reported
-    as the quadrature error estimate (non-convergence is flagged, not fatal;
-    ``refined_rate`` is the path that acts on the flag).
+    The coupling of all inclusions is summed coherently at each node, with
+    V_T = 1.  The rate is evaluated once at the requested node counts and
+    once at doubled counts; the doubled result is returned and the relative
+    change reported as the quadrature error estimate (non-convergence is
+    flagged, not fatal; ``refined_rate`` is the path that acts on the flag).
 
     ``couplings`` is the coupling table that ``_rates`` shares between its
     points and refinement reruns; it supplies M = tau : S for each grid and
@@ -344,16 +332,10 @@ def mie_rate(
     """
     quad = quad or QuadratureSpec()
     incs = _as_inclusion_list(inclusions)
-    if not quantization_volume > 0:
-        raise ValueError("quantization volume must be positive")
     src = _sources(mode, incs)
     get = couplings.get if couplings is not None else lambda *args: _contract(substrate, *args)
-    coarse = _gamma_branches(
-        mode, src, substrate, get, quad.n_theta, quad.n_phi, quantization_volume, quad.threads
-    )
-    fine = _gamma_branches(
-        mode, src, substrate, get, 2 * quad.n_theta, 2 * quad.n_phi, quantization_volume, quad.threads
-    )
+    coarse = _gamma_branches(mode, src, substrate, get, quad.n_theta, quad.n_phi, quad.threads)
+    fine = _gamma_branches(mode, src, substrate, get, 2 * quad.n_theta, 2 * quad.n_phi, quad.threads)
     total = float(np.sum(fine))
     rel = abs(total - float(np.sum(coarse))) / total if total > 0 else 0.0
     diag = QuadratureDiagnostics(
@@ -451,7 +433,6 @@ def brute_force_rate(
     mode: MicrowaveMode,
     inclusions,
     substrate: MaterialSpec,
-    grid: BruteForceSpec | None = None,
 ) -> float:
     """Reference rate by direct 3D k-space summation.
 
@@ -461,34 +442,33 @@ def brute_force_rate(
     radial window (+- ``_BRUTE_WINDOW`` sigma around each branch shell),
     uniform in phi.  No isofrequency-surface reduction is used, so this checks
     the delta collapse, the density of states, and the Jacobian independently.
-    The quantization volume is 1; ``mie_rate`` checks that it cancels.
+    V_T is 1 (it cancels), and every caller shares the fixed ``_BRUTE_*`` grid.
     """
     incs = _as_inclusion_list(inclusions)
     omega0 = mode.omega0
     sigma = omega0 / 200.0
-    grid = grid or BruteForceSpec()
     hbar = CONSTANTS.hbar
     rho = substrate.rho
 
     # angular grid: Simpson over theta, uniform over phi (distinct family
     # from the production Gauss-Legendre rule on purpose)
-    theta = np.linspace(0.0, np.pi, grid.n_theta)
-    w_theta = _simpson_weights(grid.n_theta) * (np.pi / (grid.n_theta - 1))
-    phi = 2 * np.pi * np.arange(grid.n_phi) / grid.n_phi
-    w_phi = np.full(grid.n_phi, 2 * np.pi / grid.n_phi)
+    theta = np.linspace(0.0, np.pi, _BRUTE_THETA)
+    w_theta = _simpson_weights(_BRUTE_THETA) * (np.pi / (_BRUTE_THETA - 1))
+    phi = 2 * np.pi * np.arange(_BRUTE_PHI) / _BRUTE_PHI
+    w_phi = np.full(_BRUTE_PHI, 2 * np.pi / _BRUTE_PHI)
     st, ct = np.sin(theta), np.cos(theta)
     khats = np.stack(
         [
             (st[:, None] * np.cos(phi)[None, :]),
             (st[:, None] * np.sin(phi)[None, :]),
-            np.broadcast_to(ct[:, None], (grid.n_theta, grid.n_phi)),
+            np.broadcast_to(ct[:, None], (_BRUTE_THETA, _BRUTE_PHI)),
         ],
         axis=-1,
     ).reshape(-1, 3)
     w_ang = (w_theta[:, None] * st[:, None] * w_phi[None, :]).reshape(-1)
 
-    xi = np.linspace(-_BRUTE_WINDOW, _BRUTE_WINDOW, grid.n_radial)
-    w_xi = _simpson_weights(grid.n_radial) * (2 * _BRUTE_WINDOW / (grid.n_radial - 1))
+    xi = np.linspace(-_BRUTE_WINDOW, _BRUTE_WINDOW, _BRUTE_RADIAL)
+    w_xi = _simpson_weights(_BRUTE_RADIAL) * (2 * _BRUTE_WINDOW / (_BRUTE_RADIAL - 1))
     gauss = np.exp(-0.5 * xi * xi) / (sigma * np.sqrt(2 * np.pi))
 
     src = _sources(mode, incs)

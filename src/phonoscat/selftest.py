@@ -3,10 +3,11 @@
 Each check exercises one equivalence the engine is built on: the closed-form
 point-scatterer limit against the quadrature engine, the quadrature engine
 against a brute-force broadened-delta sum, the cubic frequency scaling of the
-quality factor, exact cancellation of the quantization volume, losslessness
-of the mirror transfer matrix, the interference limits of an antiparallel
-pair, and mode-volume invariance of the figure of merit.  All checks run in
-seconds; they are smoke tests, not the full test suite.
+quality factor, losslessness of the mirror transfer matrix, the interference
+limits of an antiparallel pair, and mode-volume invariance of the figure of
+merit.  The rates come from the paths the command line runs, so each
+converges or raises NumericFailure.  All checks run in seconds; they are
+smoke tests, not the full test suite.
 """
 
 from __future__ import annotations
@@ -19,14 +20,7 @@ import numpy as np
 from .coupling import Inclusion, MicrowaveMode, default_eps_eff
 from .materials import Orientation, default_materials
 from .mitigation import BraggStack, bragg_transmission, dual_waveguide_rate
-from .radiation import (
-    BruteForceSpec,
-    QuadratureSpec,
-    brute_force_rate,
-    mie_rate,
-    rayleigh_rate,
-    sweep,
-)
+from .radiation import QuadratureSpec, brute_force_rate, rayleigh_rate, refined_rate, sweep
 from .transducer import EoModel, figure_of_merit
 
 # Crystal X along the film normal, crystal Z in the film plane (along -x lab).
@@ -42,7 +36,6 @@ class CheckResult:
 
 def _fixtures():
     db = default_materials()
-    ln = db["lithium_niobate"]
     substrate = db["sapphire_iso"]
     mode = MicrowaveMode(
         omega0=2 * np.pi * 1e9,
@@ -53,15 +46,13 @@ def _fixtures():
     cube = Inclusion(
         dimensions=np.full(3, 10e-9),
         center=np.zeros(3),
-        material=ln,
+        material=db["lithium_niobate"],
         orientation=Orientation(_X_CUT),
     )
-    return db, ln, substrate, mode, cube
+    return db, substrate, mode, cube
 
 
-def _check_rayleigh_vs_mie(substrate, mode, cube) -> CheckResult:
-    quad = QuadratureSpec(n_theta=32, n_phi=64)
-    g_mie = mie_rate(mode, cube, substrate, quad).total_rate
+def _check_rayleigh_vs_mie(g_mie, substrate, mode, cube) -> CheckResult:
     g_ray = rayleigh_rate(mode, cube, substrate).total_rate
     rel = abs(g_mie - g_ray) / g_ray
     return CheckResult(
@@ -71,12 +62,8 @@ def _check_rayleigh_vs_mie(substrate, mode, cube) -> CheckResult:
     )
 
 
-def _check_brute_force(substrate, mode, cube) -> CheckResult:
-    quad = QuadratureSpec(n_theta=32, n_phi=64)
-    g_mie = mie_rate(mode, cube, substrate, quad).total_rate
-    g_brute = brute_force_rate(
-        mode, cube, substrate, grid=BruteForceSpec(n_theta=65, n_phi=48, n_radial=17)
-    )
+def _check_brute_force(g_mie, substrate, mode, cube) -> CheckResult:
+    g_brute = brute_force_rate(mode, cube, substrate)
     rel = abs(g_mie - g_brute) / g_mie
     return CheckResult(
         "quadrature engine vs brute-force broadened-delta sum",
@@ -92,18 +79,6 @@ def _check_frequency_scaling(substrate, mode, cube) -> CheckResult:
         "quality factor scales as frequency cubed",
         abs(slope + 3.0) < 0.05,
         f"log-log slope {slope:+.4f} (expected -3.00 +- 0.05)",
-    )
-
-
-def _check_quantization_volume(substrate, mode, cube) -> CheckResult:
-    quad = QuadratureSpec(n_theta=32, n_phi=64)
-    g1 = mie_rate(mode, cube, substrate, quad, quantization_volume=1.0).total_rate
-    g2 = mie_rate(mode, cube, substrate, quad, quantization_volume=1e3).total_rate
-    rel = abs(g1 - g2) / g1
-    return CheckResult(
-        "quantization volume cancels from the rate",
-        rel < 1e-10,
-        f"relative change {rel:.2e} under a 1000x volume change (tolerance 1e-10)",
     )
 
 
@@ -141,12 +116,11 @@ def _check_pair_limits(substrate, mode, cube) -> CheckResult:
 def _check_eta_invariance(substrate, mode, cube) -> CheckResult:
     quad = QuadratureSpec(n_theta=16, n_phi=32)
     eo = EoModel(g0=2 * np.pi * 2e3, v_ref=8e-15, overlap=1.0)
-    eta_ref = figure_of_merit(eo, mode, mie_rate(mode, cube, substrate, quad))
-    worst = 0.0
-    for scale in (1e1, 1e3):
+    etas = []
+    for scale in (1.0, 1e1, 1e3):
         m = dataclasses.replace(mode, mode_volume=mode.mode_volume * scale)
-        eta = figure_of_merit(eo, m, mie_rate(m, cube, substrate, quad))
-        worst = max(worst, abs(eta - eta_ref) / eta_ref)
+        etas.append(figure_of_merit(eo, m, refined_rate(m, cube, substrate, quad)))
+    worst = max(abs(eta - etas[0]) / etas[0] for eta in etas[1:])
     return CheckResult(
         "figure of merit is mode-volume invariant",
         worst < 1e-9,
@@ -156,12 +130,12 @@ def _check_eta_invariance(substrate, mode, cube) -> CheckResult:
 
 def run_all() -> list[CheckResult]:
     """Run every self-check and return the individual results."""
-    db, ln, substrate, mode, cube = _fixtures()
+    db, substrate, mode, cube = _fixtures()
+    g_mie = refined_rate(mode, cube, substrate, QuadratureSpec(32, 64)).total_rate
     return [
-        _check_rayleigh_vs_mie(substrate, mode, cube),
-        _check_brute_force(substrate, mode, cube),
+        _check_rayleigh_vs_mie(g_mie, substrate, mode, cube),
+        _check_brute_force(g_mie, substrate, mode, cube),
         _check_frequency_scaling(substrate, mode, cube),
-        _check_quantization_volume(substrate, mode, cube),
         _check_mirror(db, substrate),
         _check_pair_limits(substrate, mode, cube),
         _check_eta_invariance(substrate, mode, cube),

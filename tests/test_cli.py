@@ -583,6 +583,39 @@ class TestNumericFailure:
         assert err.startswith("numeric failure: non-finite radiated rate")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "scenario,material,f_ghz,sweep,needle",
+        [
+            ("dual_waveguide", "sapphire", 10.0, ("separation_um", 0.02, 0.1, 3), "single-inclusion rate"),
+            ("dual_waveguide", "lithium_niobate", 1e-100, ("separation_um", 0.02, 0.1, 3), "single-inclusion rate"),
+            ("bragg", "sapphire", 10.0, ("n_periods", 0, 2, 3), "unmitigated rate"),
+            ("oracle_check", "sapphire", 5.0, ("frequency_GHz", 5.0, 5.0, 1), "mie rate at 5 GHz"),
+            ("oracle_check", "lithium_niobate", 1e-100, ("frequency_GHz", 1e-100, 1e-100, 1), "mie rate at 1e-100 GHz"),
+        ],
+    )
+    def test_ratio_over_a_zero_rate_exits_3(self, tmp_path, capsys, scenario, material, f_ghz, sweep, needle):
+        """A non-piezoelectric inclusion, or a rate that underflows, leaves a
+        ratio over the zero rate undefined: exit 3, no nan, nothing written."""
+        extra = {
+            "dual_waveguide": {"dual": {"direction": [1, 0, 0], "relative_sign": -1}},
+            "bragg": {"bragg": {"low": "silicon", "high": "sapphire", "center_frequency_GHz": 11.0}},
+        }.get(scenario, {})
+        cfg = base_config(scenario=scenario, quadrature=dict(SMALL_QUAD), **extra)
+        cfg["inclusions"][0]["material"] = material
+        cfg["mode"]["frequency_GHz"] = f_ghz
+        axis, start, stop, count = sweep
+        cfg["sweep"] = {"axis": axis, "grid": "linear", "start": start, "stop": stop, "count": count}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, cfg)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("numeric failure:")
+        assert f"{needle} is exactly zero" in captured.err
+        assert "nan" not in captured.out
+        assert caught == []
+        assert not out.exists()
+
 
 class TestRefinementPath:
     """Every quadrature scenario refines an unconverged grid or exits 3."""
@@ -608,11 +641,17 @@ class TestRefinementPath:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "scenario,axis,start,stop",
-        [("dual_waveguide", "separation_um", 2.0, 3.0), ("orientation", "angle_deg", 0.0, 90.0)],
+        "scenario,axis,start,stop,extra",
+        [
+            ("dual_waveguide", "separation_um", 2.0, 3.0, {}),
+            ("orientation", "angle_deg", 0.0, 90.0, {}),
+            ("bragg", "n_periods", 0, 2, {"bragg": {"low": "silicon", "high": "sapphire"}}),
+            ("figure_of_merit", "height_um", 0.4, 1.0, {"eo": {"g0_Hz": 2000.0, "v_ref_um3": 8000.0}}),
+            ("oracle_check", "frequency_GHz", 1.0, 2.0, {}),
+        ],
     )
-    def test_diagnostics_are_reported(self, tmp_path, capsys, scenario, axis, start, stop):
-        cfg = self._waveguide(scenario, axis, start, stop, 2, quadrature=dict(SMALL_QUAD))
+    def test_diagnostics_are_reported(self, tmp_path, capsys, scenario, axis, start, stop, extra):
+        cfg = self._waveguide(scenario, axis, start, stop, 2, quadrature=dict(SMALL_QUAD), **extra)
         code, _ = run_cli(tmp_path, cfg)
         out = capsys.readouterr().out
         assert code == 0

@@ -1,19 +1,23 @@
 """Input fuzz: whatever a config file holds, ``phonoscat run`` ends with a
 documented exit code (0 success, 2 configuration error, 3 numeric failure)
-and never with a traceback; whatever a materials file holds, ``phonoscat
-materials validate`` ends with 0 or 2.
+and never with a traceback, and a run that succeeds writes no ``nan`` cell;
+whatever a materials file holds, ``phonoscat materials validate`` ends with
+0 or 2.
 
 Each config example takes a valid small config of one scenario and mutates
 one or two of its fields: a value of the wrong type, a non-finite, negative
 or zero number, an integer beyond the float range, a finite integer beyond
-every size bound, a field removed, or a sweep axis that belongs to another
-scenario.  Grids stay at 8x16 nodes or fewer and sweeps at three points or
-fewer, so every example runs in a fraction of a second.  Each materials
+every size bound, a field removed, a sweep axis that belongs to another
+scenario, or the name of a stock material that is not piezoelectric
+(``sapphire``), whose inclusion radiates exactly nothing.  Grids stay at
+8x16 nodes or fewer and sweeps at three points or fewer, so every example
+runs in a fraction of a second.  Each materials
 example is random bytes, a truncated copy of the bundled database, or a copy
 with one or two of its fields mutated the same way.
 """
 
 import copy
+import csv
 import json
 from importlib import resources
 
@@ -62,7 +66,7 @@ AXES = ["frequency_GHz", "height_um", "thickness_um", "separation_um", "n_period
 BAD = [
     None, True, "abc", "", [], {}, [1.0, 2.0], ["a", "b", "c"], [float("nan"), 0.0, 0.0],
     [-1.0, -1.0, -1.0], [0, 0, 0], float("nan"), float("inf"), float("-inf"), -1, -2.5, 0, 0.0,
-    10**400, 4 * 10**18,
+    10**400, 4 * 10**18, "sapphire",
 ] + AXES
 
 
@@ -102,6 +106,14 @@ def fuzzed_configs(draw):
     return cfg
 
 
+def _nan_cells(path):
+    """The ``nan`` cells of a written CSV; none if nothing was written."""
+    if not path.exists():
+        return []
+    with open(path, newline="") as fh:
+        return [cell for row in csv.reader(fh) for cell in row if cell == "nan"]
+
+
 def test_every_base_config_runs(tmp_path):
     for i, cfg in enumerate(BASES):
         path = tmp_path / f"{i}.json"
@@ -109,12 +121,28 @@ def test_every_base_config_runs(tmp_path):
         assert main(["run", str(path), "--out", str(tmp_path / f"{i}.csv")]) == 0, cfg["scenario"]
 
 
+def test_zero_rate_in_every_scenario(tmp_path):
+    """A non-piezoelectric inclusion radiates exactly nothing.  Each scenario
+    reports the zero rate (exit 0) or a ratio it leaves undefined (exit 3),
+    and writes no nan."""
+    for i, base in enumerate(BASES):
+        cfg = copy.deepcopy(base)
+        cfg["inclusions"][0]["material"] = "sapphire"
+        path, out = tmp_path / f"{i}.json", tmp_path / f"{i}.csv"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(out)]) in (0, 3), cfg["scenario"]
+        assert _nan_cells(out) == [], cfg["scenario"]
+
+
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(fuzzed_configs())
 def test_fuzzed_config_exits_0_2_or_3(tmp_path, cfg):
-    path = tmp_path / "fuzz.json"
+    path, out = tmp_path / "fuzz.json", tmp_path / "fuzz.csv"
     path.write_text(json.dumps(cfg))
-    assert main(["run", str(path), "--out", str(tmp_path / "fuzz.csv")]) in (0, 2, 3)
+    code = main(["run", str(path), "--out", str(out)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert _nan_cells(out) == []
 
 
 MATERIALS = (resources.files("phonoscat") / "data" / "materials.json").read_bytes()

@@ -1,9 +1,9 @@
 """The radiated-rate engines and their exact invariances.
 
-The quantization volume must drop out of every rate, rates must transform
-correctly under a global rotation of the device, and the independent engines
-(closed form, isofrequency quadrature, broadened-delta 3D sum) must agree in
-their overlapping domains.
+Rates must scale as the golden rule says, transform correctly under a global
+rotation of the device, and the independent engines (closed form,
+isofrequency quadrature, broadened-delta 3D sum) must agree in their
+overlapping domains.
 """
 
 import dataclasses
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from phonoscat.coupling import Inclusion
 from phonoscat.materials import Orientation, default_materials
 from phonoscat.radiation import (
-    BruteForceSpec,
     QuadratureDiagnostics,
     QuadratureSpec,
     _result,
@@ -34,19 +33,6 @@ from conftest import make_mode, remixed_substrate
 
 DB = default_materials()
 FAST = QuadratureSpec(n_theta=16, n_phi=32)
-
-
-class TestQuantizationVolume:
-    def test_rate_is_independent_of_v_t(self, substrate, small_cube):
-        mode = make_mode(substrate, f_hz=1e9)
-        a = mie_rate(mode, small_cube, substrate, FAST, quantization_volume=1.0)
-        b = mie_rate(mode, small_cube, substrate, FAST, quantization_volume=1e3)
-        assert abs(a.total_rate - b.total_rate) / a.total_rate < 1e-10
-
-    def test_invalid_volume_rejected(self, substrate, small_cube):
-        mode = make_mode(substrate)
-        with pytest.raises(ValueError, match="quantization volume"):
-            mie_rate(mode, small_cube, substrate, FAST, quantization_volume=0.0)
 
 
 class TestScalings:
@@ -141,9 +127,7 @@ class TestEngineCrossChecks:
     def test_brute_force_matches_mie(self, substrate, waveguide):
         mode = make_mode(substrate, f_hz=2e9)
         fine = mie_rate(mode, waveguide, substrate, QuadratureSpec(48, 96))
-        brute = brute_force_rate(
-            mode, waveguide, substrate, grid=BruteForceSpec(65, 48, 17)
-        )
+        brute = brute_force_rate(mode, waveguide, substrate)
         assert brute == pytest.approx(fine.total_rate, rel=2e-2)
 
     def test_brute_force_anisotropic_consistency(self, sapphire, ln, xcut):
@@ -151,7 +135,7 @@ class TestEngineCrossChecks:
         mode = make_mode(sapphire, f_hz=2e9)
         inc = Inclusion((0.1e-6,) * 3, (0, 0, 0), ln, orientation=xcut)
         fine = mie_rate(mode, inc, sapphire, QuadratureSpec(32, 64))
-        brute = brute_force_rate(mode, inc, sapphire, grid=BruteForceSpec(65, 48, 17))
+        brute = brute_force_rate(mode, inc, sapphire)
         assert brute == pytest.approx(fine.total_rate, rel=2e-2)
 
     def test_rayleigh_rejects_anisotropic_substrate(self, sapphire, small_cube):
@@ -253,10 +237,6 @@ class TestQuadratureControls:
             QuadratureSpec(tolerance=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(threads=0)
-        with pytest.raises(ValueError, match="odd"):
-            BruteForceSpec(n_theta=64)
-        with pytest.raises(ValueError, match="odd"):
-            BruteForceSpec(n_radial=10)
 
     def test_empty_inclusion_list_rejected(self, substrate):
         with pytest.raises(ValueError, match="at least one"):

@@ -6,7 +6,8 @@ inside every loaded phonoscat module, and reads the substrate of each
 one of those functions breaks a traced benchmark run, so the names are
 checked here.  The tracer file is only read, never imported as a module.
 The README's "Scenarios" table is checked against the CLI's scenario table,
-and the options the README names for ``phonoscat run`` against its parser.
+the options the README names for ``phonoscat run`` against its parser, and
+the README's "Selftest" output against the checks ``run_all`` returns.
 """
 
 import argparse
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import phonoscat
 from phonoscat.cli import _SCENARIOS, build_parser
+from phonoscat.selftest import run_all
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -57,3 +59,11 @@ def test_readme_names_exactly_the_run_options():
     options = {flag for a in commands.choices["run"]._actions for flag in a.option_strings}
     prose = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
     assert set(re.findall(r"`(--[a-z][a-z-]*)", prose)) == options - {"-h", "--help"}
+
+
+def test_readme_selftest_block_names_exactly_the_checks():
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Selftest\n", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, flags=re.S).group(1)
+    names = [check.name for check in run_all()]
+    assert re.findall(r"^  PASS (.+?): ", block, flags=re.M) == names
+    assert block.splitlines()[-1] == f"selftest: all {len(names)} checks passed"
