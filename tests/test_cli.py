@@ -641,16 +641,26 @@ class TestRefinementPath:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "scenario,axis,start,stop",
+        [("dual_waveguide", "separation_um", 2.0, 3.0), ("orientation", "angle_deg", 0.0, 90.0)],
+    )
+    def test_diagnostics_are_reported(self, tmp_path, capsys, scenario, axis, start, stop):
+        self._assert_diagnostics(tmp_path, capsys, scenario, axis, start, stop, {})
+
+    @pytest.mark.parametrize(
         "scenario,axis,start,stop,extra",
         [
-            ("dual_waveguide", "separation_um", 2.0, 3.0, {}),
-            ("orientation", "angle_deg", 0.0, 90.0, {}),
             ("bragg", "n_periods", 0, 2, {"bragg": {"low": "silicon", "high": "sapphire"}}),
             ("figure_of_merit", "height_um", 0.4, 1.0, {"eo": {"g0_Hz": 2000.0, "v_ref_um3": 8000.0}}),
             ("oracle_check", "frequency_GHz", 1.0, 2.0, {}),
         ],
     )
-    def test_diagnostics_are_reported(self, tmp_path, capsys, scenario, axis, start, stop, extra):
+    def test_diagnostics_are_reported_for_every_quadrature_scenario(
+        self, tmp_path, capsys, scenario, axis, start, stop, extra
+    ):
+        self._assert_diagnostics(tmp_path, capsys, scenario, axis, start, stop, extra)
+
+    def _assert_diagnostics(self, tmp_path, capsys, scenario, axis, start, stop, extra):
         cfg = self._waveguide(scenario, axis, start, stop, 2, quadrature=dict(SMALL_QUAD), **extra)
         code, _ = run_cli(tmp_path, cfg)
         out = capsys.readouterr().out
