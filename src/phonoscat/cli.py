@@ -542,11 +542,16 @@ def _run_figure_of_merit(cfg: RunConfig) -> RunTable:
     # g_MO depends on the mode volume only, which no sweep axis changes
     g_hz = cfg.eo.g_mo(cfg.mode.mode_volume) / (2 * np.pi)
     results = _sweep(cfg).results
+    col0 = _COLUMNS[cfg.axis]
+    for v, r in zip(cfg.values, results):
+        if r.total_rate == 0:
+            raise NumericFailure(
+                f"the rate at {col0} = {v:g} is exactly zero, so the figure of merit is unbounded"
+            )
     rows = [
         (float(v), r.total_rate, r.q_factor, g_hz, figure_of_merit(cfg.eo, cfg.mode, r))
         for v, r in zip(cfg.values, results)
     ]
-    col0 = _COLUMNS[cfg.axis]
     etas = np.array([row[4] for row in rows])
     best = int(np.argmax(etas))
     report = [

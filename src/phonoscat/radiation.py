@@ -17,25 +17,26 @@ the engine sets it to 1, as do its two references (the isotropic closed form
 and the brute-force broadened-delta sum).
 
 Quadrature is Gauss-Legendre in cos(theta) times a uniform periodic rule in
-phi.  The Christoffel eigenpairs at the nodes depend only on the substrate and
-the grid, so they come from the substrate's ``AngularTable`` for that grid
-(``elastodynamics.angular_table``): solved on first use and kept on the
-``MaterialSpec`` instance for its lifetime.  Sweep points, refinement reruns
-(whose coarse grid is the previous fine grid) and the regime tag all read
-these tables.
+phi.  The phase velocities and the stress pattern ``tau_q = c : (khat e_q)``
+at the nodes depend only on the substrate and the grid, so they come from the
+substrate's ``AngularTable`` for that grid (``elastodynamics.angular_table``):
+solved on first use and kept on the ``MaterialSpec`` instance for its
+lifetime.  Sweep points, refinement reruns (whose coarse grid is the previous
+fine grid) and the regime tag all read these tables; the engine never solves
+tau itself.
 
 The coupling ``M_q = tau_q : S`` of an inclusion with field-induced strain S
 depends only on the substrate, the grid, the branch and S.  A coupling table
-(``_CouplingTable``) computes it once per (grid, strain) for all the points
-of one ``_rates`` call.  Along the height, thickness and separation axes the
-strain does not change, so a sweep point there costs only the form factor,
-the phase and the reduction.  Along omega0 it does (S = d . E and E_zp grows
-as sqrt(omega0)), so each frequency point computes its own couplings, and
-the table keeps only the strains of the latest point.  One grid's pass,
-``_gamma_branches``, evaluates all three branches in fixed-size node spans
-(optionally across a thread pool) and reduces them by numpy's deterministic
-pairwise summation in fixed node order, so serial and threaded runs agree
-bitwise.
+(``_CouplingTable``) contracts the table's tau with S once per (grid, strain)
+for all the points of one ``_rates`` call.  Along the height, thickness and
+separation axes the strain does not change, so a sweep point there costs only
+the form factor, the phase and the reduction.  Along omega0 it does
+(S = d . E and E_zp grows as sqrt(omega0)), so each frequency point computes
+its own couplings, and the table keeps only the strains of the latest point.
+One grid's pass, ``_gamma_branches``, evaluates all three branches in
+fixed-size node spans (optionally across a thread pool) and reduces them by
+numpy's deterministic pairwise summation in fixed node order, so serial and
+threaded runs agree bitwise.
 
 ``mie_rate`` is the raw primitive and only flags an unconverged estimate.
 ``_rates`` is the one evaluator: it owns the coupling table, doubles the node
@@ -150,17 +151,20 @@ def _coherent_power(src: _Sources, m: list[np.ndarray], kvec: np.ndarray) -> np.
 
     The one coherent-sum kernel of the quadrature engine and the brute-force
     oracle.  Inclusions are accumulated one at a time, in list order, so the
-    float additions happen in a fixed order.  The caller builds ``kvec`` and
-    keeps it alive across calls: on the oracle's 12k-node grid, freeing it
-    here as well made the allocator return and re-fault the heap on every
-    call (+30% oracle time).
+    float additions happen in a fixed order.  When every centre is exactly
+    zero the phase is exactly 1 + 0j, so the sum is accumulated as a real
+    array, bit for bit the same.  The caller builds ``kvec`` and keeps it
+    alive across calls: on the oracle's 12k-node grid, freeing it here as
+    well made the allocator return and re-fault the heap on every call (+30%
+    oracle time).
     """
-    coh = np.zeros(kvec.shape[0], dtype=complex)
+    centred = not np.any(src.center)
+    coh = np.zeros(kvec.shape[0], dtype=float if centred else complex)
     for j in range(src.volume.size):
         ff = np.prod(np.sinc(kvec * (src.dims[j] / 2.0) / np.pi), axis=1)
-        phase = np.exp(1j * (kvec @ src.center[j]))
-        coh += src.volume[j] * m[j] * (src.sign[j] * ff) * phase
-    return coh.real**2 + coh.imag**2
+        term = src.volume[j] * m[j] * (src.sign[j] * ff)
+        coh += term if centred else term * np.exp(1j * (kvec @ src.center[j]))
+    return coh * coh if centred else coh.real**2 + coh.imag**2
 
 
 def _each_span(n: int, threads: int, work) -> None:
@@ -182,13 +186,12 @@ def _contract(substrate: MaterialSpec, n_theta: int, n_phi: int, strains, thread
     """The (3, N) read-only M = tau : S of each strain on the n_theta x n_phi
     grid, filled on the engine's fixed node spans whatever the caller."""
     grid = angular_table(substrate, n_theta, n_phi)
-    c = substrate.stiffness_tensor
     n = grid.khats.shape[0]
     out = [np.empty((3, n)) for _ in strains]
 
     def fill(a, b):
         for q in range(3):
-            tau = stress_pattern(c, grid.khats[a:b], grid.polarizations[a:b, :, q])
+            tau = grid.stress(q, a, b)
             for m, s in zip(out, strains):
                 m[q, a:b] = np.einsum("nij,ij->n", tau, s)
 
@@ -201,9 +204,10 @@ def _contract(substrate: MaterialSpec, n_theta: int, n_phi: int, strains, thread
 class _CouplingTable:
     """Strain-stress overlap M_q(n) = tau_q(n) : S of one substrate.
 
-    M depends only on the substrate, the angular grid, the branch and the
-    inclusion's field-induced strain S, not on the inclusion's size or its
-    position.  So along the height, thickness and separation axes it is the
+    tau comes from the substrate's angular table, so filling M for a new
+    strain costs the 9-term contraction alone.  M depends only on the
+    substrate, the angular grid, the branch and the inclusion's
+    field-induced strain S, not on the inclusion's size or its position.  So along the height, thickness and separation axes it is the
     same at every point, and the copies of a pair share it.  S = d . E does
     change with the frequency, through the zero-point field, so an omega0
     sweep finds nothing to reuse between its points.  ``_rates`` makes the

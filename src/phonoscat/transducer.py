@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode, geometry_factor
-from .elastodynamics import angular_table, stress_pattern
+from .elastodynamics import angular_table
 from .materials import MaterialSpec, Orientation
 from .radiation import QuadratureSpec, RadiationResult, SweepResult, refined_rate
 
@@ -77,12 +77,11 @@ def emission_weighted_overlap(
     emission measure 1 / v_q^5.  G = 0 for a non-piezoelectric inclusion.
     """
     grid = angular_table(substrate, 16, 32)
-    c = substrate.stiffness_tensor
     d_lab = inclusion.d_lab
     num = 0.0
     den = 0.0
     for q in range(3):
-        tau = stress_pattern(c, grid.khats, grid.polarizations[:, :, q])
+        tau = grid.stress(q)
         w = grid.weights / grid.velocities[:, q] ** 5
         g = geometry_factor(mode.field_direction, d_lab, tau)
         num += float(np.sum(w * g))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phonoscat.coupling import Inclusion, MicrowaveMode, default_eps_eff
-from phonoscat.elastodynamics import angular_table
+from phonoscat.elastodynamics import _voigt_stresses, angular_table, christoffel_many
 from phonoscat.materials import Orientation, default_materials
 
 # Film-normal cut: crystal X along lab z, crystal Z along lab -x.  With the
@@ -73,13 +73,16 @@ def remix_degenerate(velocities, polarizations, rng, rtol=1e-8):
 
 def remixed_substrate(substrate, quad, rng):
     """A fresh copy of ``substrate`` whose memoized angular tables for the two
-    grids ``mie_rate(..., quad)`` reads carry remixed polarizations."""
+    grids ``mie_rate(..., quad)`` reads carry stresses built from remixed
+    polarizations."""
     fresh = dataclasses.replace(substrate)
     for grid in ((quad.n_theta, quad.n_phi), (2 * quad.n_theta, 2 * quad.n_phi)):
         table = angular_table(substrate, *grid)
-        pols = remix_degenerate(table.velocities, table.polarizations, rng)
-        pols.setflags(write=False)
-        fresh.angular_tables[grid] = dataclasses.replace(table, polarizations=pols)
+        vels, pols = christoffel_many(substrate, table.khats)
+        pols = remix_degenerate(vels, pols, rng)
+        stresses = _voigt_stresses(substrate.stiffness_tensor, table.khats, pols)
+        stresses.setflags(write=False)
+        fresh.angular_tables[grid] = dataclasses.replace(table, stresses=stresses)
     return fresh
 
 

@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 import phonoscat.elastodynamics as elastodynamics
+import phonoscat.radiation as radiation
 from phonoscat.cli import main
 from phonoscat.coupling import Inclusion, induced_strain
-from phonoscat.elastodynamics import AngularTable, angular_table, christoffel_many
+from phonoscat.elastodynamics import AngularTable, angular_table, christoffel_many, stress_pattern
 from phonoscat.materials import CONSTANTS, Orientation, default_materials
 from phonoscat.radiation import NumericFailure, QuadratureSpec, mie_rate, refined_rate
 
@@ -103,6 +104,25 @@ def test_mie_rate_is_bitwise_equal_to_per_chunk_solve(db, ln, name, n_incs, thre
     assert got.diagnostics.rel_error == abs(total - float(np.sum(coarse))) / total
 
 
+@pytest.mark.parametrize("name", ["sapphire", "silicon", "sapphire_iso"])
+def test_couplings_are_bitwise_equal_to_the_stress_pattern_formula(db, ln, name):
+    """M = tau : S from the table's stresses is the per-call stress_pattern
+    contraction the engine used before the table held tau, bit for bit."""
+    substrate = db[name]
+    mode = make_mode(substrate)
+    E = mode.field_zp * mode.field_direction
+    turned = Orientation.about_axis([1.0, 2.0, 3.0], 0.7).compose(Orientation(XCUT_MATRIX))
+    incs = [_waveguide(ln), dataclasses.replace(_waveguide(ln), orientation=turned)]
+    strains = [induced_strain(inc.d_lab, E) for inc in incs]
+    got = radiation._contract(substrate, 16, 32, strains, 1)
+    khats, _ = _reference_grid(16, 32)  # 512 nodes: one span
+    _, pols = christoffel_many(substrate, khats)
+    for q in range(3):
+        tau = stress_pattern(substrate.stiffness_tensor, khats, pols[:, :, q])
+        for m, strain in zip(got, strains):
+            assert np.array_equal(m[q], np.einsum("nij,ij->n", tau, strain))
+
+
 # ---------------------------------------------------------------------------
 # The table itself
 
@@ -113,15 +133,23 @@ def test_table_matches_a_direct_solve_bitwise(sapphire):
     assert np.array_equal(table.khats, khats)
     assert np.array_equal(table.weights, weights)
     assert np.sum(table.weights) == pytest.approx(4 * np.pi, rel=1e-13)
+    voigt = [(0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1)]
     for a in range(0, khats.shape[0], _REF_CHUNK):
-        vels, pols = christoffel_many(sapphire, khats[a : a + _REF_CHUNK])
-        assert np.array_equal(table.velocities[a : a + _REF_CHUNK], vels)
-        assert np.array_equal(table.polarizations[a : a + _REF_CHUNK], pols)
+        b = min(a + _REF_CHUNK, khats.shape[0])
+        vels, pols = christoffel_many(sapphire, khats[a:b])
+        assert np.array_equal(table.velocities[a:b], vels)
+        for q in range(3):
+            tau = stress_pattern(sapphire.stiffness_tensor, khats[a:b], pols[:, :, q])
+            for col, (i, j) in enumerate(voigt):
+                assert np.array_equal(table.stresses[q, a:b, col], tau[:, i, j])
+            got = table.stress(q, a, b)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, tau)
 
 
 def test_table_arrays_are_read_only(substrate):
     table = angular_table(substrate, 8, 16)
-    for field in ("khats", "weights", "velocities", "polarizations"):
+    for field in ("khats", "weights", "velocities", "stresses"):
         arr = getattr(table, field)
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

@@ -589,6 +589,7 @@ class TestNumericFailure:
             ("dual_waveguide", "sapphire", 10.0, ("separation_um", 0.02, 0.1, 3), "single-inclusion rate"),
             ("dual_waveguide", "lithium_niobate", 1e-100, ("separation_um", 0.02, 0.1, 3), "single-inclusion rate"),
             ("bragg", "sapphire", 10.0, ("n_periods", 0, 2, 3), "unmitigated rate"),
+            ("figure_of_merit", "sapphire", 10.0, ("height_um", 0.2, 0.4, 2), "rate at h_um = 0.2"),
             ("oracle_check", "sapphire", 5.0, ("frequency_GHz", 5.0, 5.0, 1), "mie rate at 5 GHz"),
             ("oracle_check", "lithium_niobate", 1e-100, ("frequency_GHz", 1e-100, 1e-100, 1), "mie rate at 1e-100 GHz"),
         ],
@@ -599,6 +600,7 @@ class TestNumericFailure:
         extra = {
             "dual_waveguide": {"dual": {"direction": [1, 0, 0], "relative_sign": -1}},
             "bragg": {"bragg": {"low": "silicon", "high": "sapphire", "center_frequency_GHz": 11.0}},
+            "figure_of_merit": {"eo": {"g0_Hz": 2000.0, "v_ref_um3": 8000.0}},
         }.get(scenario, {})
         cfg = base_config(scenario=scenario, quadrature=dict(SMALL_QUAD), **extra)
         cfg["inclusions"][0]["material"] = material

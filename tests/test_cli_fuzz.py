@@ -121,10 +121,26 @@ def test_every_base_config_runs(tmp_path):
         assert main(["run", str(path), "--out", str(tmp_path / f"{i}.csv")]) == 0, cfg["scenario"]
 
 
+def _inf_cells(path):
+    """The ``inf`` cells of a written CSV outside the columns where the README
+    documents one: a Q of an exactly-zero rate, and the q_gain of an exactly
+    cancelling pair."""
+    if not path.exists():
+        return []
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return [
+        (name, cell)
+        for row in rows[1:]
+        for name, cell in zip(rows[0], row)
+        if cell in ("inf", "-inf") and name not in ("Q", "Q_pair", "q_gain")
+    ]
+
+
 def test_zero_rate_in_every_scenario(tmp_path):
     """A non-piezoelectric inclusion radiates exactly nothing.  Each scenario
     reports the zero rate (exit 0) or a ratio it leaves undefined (exit 3),
-    and writes no nan."""
+    and writes no nan and no inf outside the documented columns."""
     for i, base in enumerate(BASES):
         cfg = copy.deepcopy(base)
         cfg["inclusions"][0]["material"] = "sapphire"
@@ -132,6 +148,7 @@ def test_zero_rate_in_every_scenario(tmp_path):
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(out)]) in (0, 3), cfg["scenario"]
         assert _nan_cells(out) == [], cfg["scenario"]
+        assert _inf_cells(out) == [], cfg["scenario"]
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -4,11 +4,13 @@ The coupling M_q = tau_q : S depends only on the substrate, the grid, the
 branch and the inclusion strain, so a sweep computes it once per (grid,
 strain) and shares it between its points.  The strain S = d . E follows the
 zero-point field, which grows with the frequency, so an omega0 sweep has a new
-strain at every point.  These tests pin down that sharing changes no bit of
-any result, that the contraction runs once per height sweep and once per
-frequency point, that a frequency sweep holds one point's couplings at a
-time, that the table dies with the sweep, and that refined_rate records how
-many refinements it needed.
+strain at every point.  The stress pattern tau itself is substrate-only and
+comes from the angular table.  These tests pin down that sharing changes no
+bit of any result, that the contraction runs once per height sweep and once
+per frequency point, that a frequency sweep holds one point's couplings at a
+time, that an orientation scan solves tau only while it builds tables, that
+the table dies with the sweep, and that refined_rate records how many
+refinements it needed.
 """
 
 import dataclasses
@@ -18,6 +20,7 @@ import json
 import numpy as np
 import pytest
 
+import phonoscat.elastodynamics as elastodynamics
 import phonoscat.radiation as radiation
 from phonoscat.cli import main
 from phonoscat.coupling import Inclusion
@@ -31,6 +34,7 @@ from phonoscat.radiation import (
     sweep,
     sweep_point,
 )
+from phonoscat.transducer import sweep_orientation
 
 from conftest import XCUT_MATRIX, make_mode
 
@@ -67,15 +71,16 @@ def _same(a, b):
 
 @pytest.fixture
 def contractions(monkeypatch):
-    """Count the stress_pattern calls the quadrature engine makes."""
+    """Record the (n_theta, n_phi) of every (grid, strain) coupling the
+    quadrature engine fills, one entry per strain of each _contract call."""
     calls = []
-    original = radiation.stress_pattern
+    original = radiation._contract
 
-    def counting(*args):
-        calls.append(args[1].shape[0])
-        return original(*args)
+    def counting(substrate, n_theta, n_phi, strains, threads):
+        calls.extend([(n_theta, n_phi)] * len(strains))
+        return original(substrate, n_theta, n_phi, strains, threads)
 
-    monkeypatch.setattr(radiation, "stress_pattern", counting)
+    monkeypatch.setattr(radiation, "_contract", counting)
     return calls
 
 
@@ -136,8 +141,8 @@ def test_sweep_contractions(db, ln, contractions, axis, values, per_point):
     contractions.clear()
     six = sweep(mode, _bar(ln), substrate, axis, values, LOOSE)
     assert all(r.diagnostics.refinements == 0 for r in one.results + six.results)
-    # 3 branches on one 512-node coarse and one 2048-node fine span
-    assert n_one == 6
+    # one strain on the 16x32 coarse and the 32x64 fine grid
+    assert n_one == 2
     assert len(contractions) == (6 * n_one if per_point else n_one)
 
 
@@ -167,7 +172,7 @@ def test_pair_shares_the_coupling_of_its_copies(db, ln, contractions):
         dataclasses.replace(bar, center=np.array([-0.5e-6, 0.0, 0.0]), sign=-1),
     ]
     refined_rate(mode, pair, substrate, LOOSE)
-    assert n_single == 6
+    assert n_single == 2
     assert len(contractions) == n_single
     contractions.clear()
     seps = [np.array([s, 0.0, 0.0]) for s in (0.5e-6, 1e-6, 2e-6)]
@@ -181,9 +186,34 @@ def test_refinement_rerun_reuses_its_coarse_couplings(db, ln, contractions):
     cube = dataclasses.replace(_waveguide(ln), dimensions=np.full(3, 0.5e-6))
     r = refined_rate(make_mode(substrate), cube, substrate, QuadratureSpec(4, 8, tolerance=1e-6))
     # Three mie_rate calls use 4x8/8x16, 8x16/16x32 and 16x32/32x64: four
-    # distinct grids of one span each, contracted once per branch.
+    # distinct grids, each contracted once.
     assert r.diagnostics.refinements == 2
-    assert len(contractions) == 4 * 3
+    assert sorted(contractions) == [(4, 8), (8, 16), (16, 32), (32, 64)]
+
+
+def test_orientation_scan_solves_stresses_only_in_table_builds(db, ln, monkeypatch):
+    substrate = dataclasses.replace(db["sapphire"])  # a copy with no tables yet
+    mode = make_mode(substrate)
+    solves, stresses = [], []
+    solve, stress = elastodynamics.christoffel_many, elastodynamics.stress_pattern
+
+    def counting_solve(material, khats):
+        solves.append(khats.shape[0])
+        return solve(material, khats)
+
+    def counting_stress(c, khats, pols):
+        stresses.append(khats.shape[0])
+        return stress(c, khats, pols)
+
+    monkeypatch.setattr(elastodynamics, "christoffel_many", counting_solve)
+    monkeypatch.setattr(elastodynamics, "stress_pattern", counting_stress)
+    monkeypatch.setattr(radiation, "stress_pattern", counting_stress)
+    scan = sweep_orientation(mode, _bar(ln), substrate, np.linspace(0.0, np.pi, 6), quad=LOOSE)
+    assert all(r.diagnostics.refinements == 0 for r in scan.results)
+    # the 16x32 grid (coarse, regime tag and G) and the 32x64 fine grid, one
+    # span each, built once: 3 branches per span and nothing per angle
+    assert sorted(solves) == [16 * 32, 32 * 64]
+    assert sorted(stresses) == [16 * 32] * 3 + [32 * 64] * 3
 
 
 def test_threads_do_not_change_shared_results(db, ln):

@@ -14,11 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phonoscat.coupling import Inclusion
+from phonoscat.elastodynamics import angular_table
 from phonoscat.materials import Orientation, default_materials
 from phonoscat.radiation import (
     QuadratureDiagnostics,
     QuadratureSpec,
+    _coherent_power,
+    _contract,
     _result,
+    _sources,
     brute_force_rate,
     derived_material_constant,
     mie_rate,
@@ -164,6 +168,26 @@ class TestDeterminism:
             shear_ref = np.sum(ref.branch_rates[:2])
             shear_mix = np.sum(remixed.branch_rates[:2])
             assert abs(shear_mix - shear_ref) / shear_ref < 1e-9
+
+    @pytest.mark.parametrize("n_incs", [1, 2])
+    def test_centred_coherent_power_equals_the_complex_sum(self, sapphire, waveguide, n_incs):
+        """With every centre exactly at the origin the phase is exactly 1 + 0j,
+        so the real accumulation gives |sum|^2 bit for bit."""
+        mode = make_mode(sapphire)
+        small = dataclasses.replace(waveguide, dimensions=np.array([0.3e-6, 0.7e-6, 2e-6]), sign=-1)
+        src = _sources(mode, [waveguide, small][:n_incs])
+        assert not np.any(src.center)
+        grid = angular_table(sapphire, 16, 32)
+        m = _contract(sapphire, 16, 32, src.strain, 1)
+        for q in range(3):
+            kvec = (mode.omega0 / grid.velocities[:, q])[:, None] * grid.khats
+            coh = np.zeros(kvec.shape[0], dtype=complex)
+            for j in range(n_incs):
+                ff = np.prod(np.sinc(kvec * (src.dims[j] / 2.0) / np.pi), axis=1)
+                phase = np.exp(1j * (kvec @ src.center[j]))
+                coh += src.volume[j] * m[j][q] * (src.sign[j] * ff) * phase
+            got = _coherent_power(src, [mj[q] for mj in m], kvec)
+            assert np.array_equal(got, coh.real**2 + coh.imag**2)
 
 
 class TestFrameCovariance:

@@ -5,7 +5,7 @@ import pytest
 
 import phonoscat.transducer as transducer
 from phonoscat.coupling import Inclusion
-from phonoscat.elastodynamics import angular_table, stress_pattern
+from phonoscat.elastodynamics import angular_table, christoffel_many, stress_pattern
 from phonoscat.materials import Orientation, piezo_voigt_to_tensor
 from phonoscat.radiation import QuadratureSpec, mie_rate, rayleigh_rate, refined_rate
 from phonoscat.transducer import (
@@ -23,14 +23,16 @@ TURNS = [((0, 0, 1), 0.0), ((1, 2, 3), 0.7), ((-2, 1, 0.5), 2.3), ((1, -1, 4), 4
 
 
 def overlap_per_node(mode, inclusion, substrate):
-    """Reference for emission_weighted_overlap: G node by node, one stress at a time."""
+    """Reference for emission_weighted_overlap: G node by node, one stress at a
+    time, from a Christoffel solve of its own on the 16x32 grid."""
     grid = angular_table(substrate, 16, 32)
+    _, pols = christoffel_many(substrate, grid.khats)
     dt = piezo_voigt_to_tensor(inclusion.d_lab)
     dn2 = float(np.sum(dt * dt))
     num = 0.0
     den = 0.0
     for q in range(3):
-        tau = stress_pattern(substrate.stiffness_tensor, grid.khats, grid.polarizations[:, :, q])
+        tau = stress_pattern(substrate.stiffness_tensor, grid.khats, pols[:, :, q])
         w = grid.weights / grid.velocities[:, q] ** 5
         g = []
         for T in tau:
