@@ -206,17 +206,17 @@ class _CouplingTable:
 
     tau comes from the substrate's angular table, so filling M for a new
     strain costs the 9-term contraction alone.  M depends only on the
-    substrate, the angular grid, the branch and the inclusion's
-    field-induced strain S, not on the inclusion's size or its position.  So along the height, thickness and separation axes it is the
-    same at every point, and the copies of a pair share it.  S = d . E does
-    change with the frequency, through the zero-point field, so an omega0
-    sweep finds nothing to reuse between its points.  ``_rates`` makes the
-    one table of its points and drops it when they are done; the table holds
-    a (3, N) array per (n_theta, n_phi, strain bytes), and only for the
-    strains of the latest request: a request drops the arrays of every other
-    strain, so a sweep whose strain changes from point to point holds one
-    point's couplings at a time, while a refinement rerun (same strains)
-    still finds its coarse grid.
+    substrate, the angular grid, the branch and the inclusion's field-induced
+    strain S, not on the inclusion's size or its position.  So along the
+    height, thickness and separation axes it is the same at every point, and
+    the copies of a pair share it.  S = d . E does change with the frequency,
+    through the zero-point field, so an omega0 sweep finds nothing to reuse
+    between its points.  ``_rates`` makes the one table of its points and
+    drops it when they are done; the table holds a (3, N) array per
+    (n_theta, n_phi, strain bytes), and only for the strains of the latest
+    request: a request drops the arrays of every other strain, so a sweep
+    whose strain changes from point to point holds one point's couplings at a
+    time, while a refinement rerun (same strains) still finds its coarse grid.
     """
 
     def __init__(self, substrate: MaterialSpec):

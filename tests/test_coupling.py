@@ -147,6 +147,15 @@ class TestFormFactor:
             self._inc(ln, dims=(0.2e-6, 0.9e-6, 0.3e-6), center=(0.5e-6, -0.1e-6, 0.2e-6), sign=-1),
             self._inc(ln, dims=(1.3e-6, 0.1e-6, 0.6e-6), center=(-0.4e-6, 0.8e-6, -0.7e-6)),
         ]
+        self._check_coherent_sum(incs, substrate)
+
+    def test_is_the_reference_of_the_centred_coherent_sum(self, ln, substrate):
+        """Inclusions all at the origin take the kernel's real accumulation;
+        it must still equal the complex form-factor sum."""
+        incs = [self._inc(ln), self._inc(ln, dims=(0.2e-6, 0.9e-6, 0.3e-6), sign=-1)]
+        self._check_coherent_sum(incs, substrate)
+
+    def _check_coherent_sum(self, incs, substrate):
         kvecs = np.random.default_rng(12).normal(scale=5e6, size=(8, 3))
         kvecs[0] = 0.0
         src = _sources(make_mode(substrate), incs)
