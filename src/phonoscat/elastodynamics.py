@@ -14,6 +14,12 @@ branch there; both depend only on the substrate and the grid.
 the read-only result on the ``MaterialSpec`` instance, so its lifetime is the
 substrate object's.  The polarizations are a build-time intermediate: the
 table keeps the velocities and the six unique components of each tau.
+
+The build fills the Christoffel matrices and the Voigt stresses with
+component-major kernels, one elementwise pass per (j, k) or (k, l) term, that
+repeat einsum's float operations in einsum's order.  ``stress_pattern``, the
+einsum form, is the stress of the brute-force oracle, so the oracle shares no
+stress code with the table.
 """
 
 from __future__ import annotations
@@ -24,13 +30,13 @@ import numpy as np
 
 from .materials import MaterialSpec
 
-# Fixed span of one batched solve when a table is built, so a node's
-# arithmetic does not depend on the size of the grid it belongs to.
+# Span of one batched solve when a table is built.  A node's arithmetic is
+# elementwise, so the span only bounds the build's temporaries.
 _CHUNK = 2048
 
 # Voigt order (xx, yy, zz, yz, xz, xy) of the six unique components of a
 # symmetric 3x3 tensor, and the Voigt column of each of the nine (i, j) in
-# row-major order.
+# row-major order.  (_VOIGT_J, _VOIGT_I) walks the lower triangle, i >= j.
 _VOIGT_I = np.array([0, 1, 2, 1, 0, 0])
 _VOIGT_J = np.array([0, 1, 2, 2, 2, 1])
 _FULL = np.array([0, 5, 4, 5, 1, 3, 4, 3, 2])
@@ -57,10 +63,28 @@ def christoffel_many(material: MaterialSpec, khats: np.ndarray) -> tuple[np.ndar
         branch q.  Within a degenerate pair any orthonormal basis of the
         degenerate plane may be returned; complete branch sums do not depend
         on the choice.
+
+    The float operations and their order are einsum's, so every table, rate
+    and CSV is bit for bit what the einsum form gives.  That order is fixed
+    on purpose: the golden guard compares the studies at rtol 1e-12, and
+    ``oracle_check``'s ``rel_deviation``, the difference of two rates that
+    agree to about 1e-4, amplifies an ulp of a rate about 1e4-fold.
     """
     khats = np.asarray(khats, dtype=float)
-    G = np.einsum("ijkl,nj,nk->nil", material.stiffness_tensor, khats, khats) / material.rho
-    w, vec = np.linalg.eigh(G)
+    kt = np.ascontiguousarray(khats.T)
+    # row v accumulates the lower-triangle entry G[J_v, I_v], the one eigh
+    # reads, as einsum("ijkl,nj,nk->nil") does: (c_ijkl khat_j) khat_k added
+    # to zero in (j, k) row-major order
+    coef = material.stiffness_tensor[_VOIGT_J, :, :, _VOIGT_I][..., None]
+    acc = np.zeros((6, kt.shape[1]))
+    term = np.empty_like(acc)
+    for j in range(3):
+        for k in range(3):
+            np.multiply(coef[:, j, k], kt[j], out=term)
+            term *= kt[k]
+            acc += term
+    acc /= material.rho
+    w, vec = np.linalg.eigh(np.take(acc.T, _FULL, axis=1).reshape(-1, 3, 3))
     if np.min(w) <= 0:
         raise MaterialInstabilityError(
             f"material '{material.name}': non-positive Christoffel eigenvalue"
@@ -136,17 +160,31 @@ def stress_pattern(stiffness_tensor: np.ndarray, khats: np.ndarray, pols: np.nda
     """Stress per unit (i k u0) at each node: tau_nij = c_ijkl khat_nk e_nl, shape (n, 3, 3).
 
     ``khats`` and ``pols`` are (n, 3): the propagation directions and one
-    branch's polarizations.  Each tau_n is symmetric.
+    branch's polarizations.  Each tau_n is symmetric.  This einsum form is the
+    brute-force oracle's stress and the reference of ``_voigt_stresses``.
     """
     return np.einsum("ijkl,nk,nl->nij", stiffness_tensor, khats, pols)
 
 
 def _voigt_stresses(stiffness_tensor: np.ndarray, khats: np.ndarray, pols: np.ndarray) -> np.ndarray:
-    """The stress pattern of all three branches in Voigt form, shape (3, n, 6).
+    """The stress pattern of all three branches in Voigt form, a (3, n, 6) view.
 
     ``pols`` is (n, 3, 3) as ``christoffel_many`` returns it.  tau is
-    symmetric bit for bit (c_ijkl == c_jikl), so the six columns hold all of it.
+    symmetric bit for bit (c_ijkl == c_jikl), so the six columns hold all of
+    it.  Each component is ``stress_pattern``'s einsum sum, bit for bit and
+    for the reason ``christoffel_many`` gives: (c_ijkl khat_k) e_l added to
+    zero in (k, l) row-major order.  The product c_ijkl khat_k is shared by
+    the three branches.
     """
-    return np.stack(
-        [stress_pattern(stiffness_tensor, khats, pols[:, :, q])[:, _VOIGT_I, _VOIGT_J] for q in range(3)]
-    )
+    kt = np.ascontiguousarray(khats.T)
+    e = np.ascontiguousarray(pols.transpose(2, 1, 0))  # e[q, l]: component l of branch q
+    coef = stiffness_tensor[_VOIGT_I, _VOIGT_J][..., None]
+    acc = np.zeros((3, 6, kt.shape[1]))
+    ck = np.empty((6, kt.shape[1]))
+    term = np.empty_like(acc)
+    for k in range(3):
+        for l in range(3):
+            np.multiply(coef[:, k, l], kt[k], out=ck)
+            np.multiply(ck, e[:, l, None], out=term)
+            acc += term
+    return acc.transpose(0, 2, 1)

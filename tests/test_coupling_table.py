@@ -195,7 +195,7 @@ def test_orientation_scan_solves_stresses_only_in_table_builds(db, ln, monkeypat
     substrate = dataclasses.replace(db["sapphire"])  # a copy with no tables yet
     mode = make_mode(substrate)
     solves, stresses = [], []
-    solve, stress = elastodynamics.christoffel_many, elastodynamics.stress_pattern
+    solve, stress = elastodynamics.christoffel_many, elastodynamics._voigt_stresses
 
     def counting_solve(material, khats):
         solves.append(khats.shape[0])
@@ -206,14 +206,17 @@ def test_orientation_scan_solves_stresses_only_in_table_builds(db, ln, monkeypat
         return stress(c, khats, pols)
 
     monkeypatch.setattr(elastodynamics, "christoffel_many", counting_solve)
-    monkeypatch.setattr(elastodynamics, "stress_pattern", counting_stress)
-    monkeypatch.setattr(radiation, "stress_pattern", counting_stress)
+    monkeypatch.setattr(elastodynamics, "_voigt_stresses", counting_stress)
+    einsum_stresses = []  # the oracle's einsum form has no caller here
+    for module in (elastodynamics, radiation):
+        monkeypatch.setattr(module, "stress_pattern", lambda *args: einsum_stresses.append(args))
     scan = sweep_orientation(mode, _bar(ln), substrate, np.linspace(0.0, np.pi, 6), quad=LOOSE)
     assert all(r.diagnostics.refinements == 0 for r in scan.results)
     # the 16x32 grid (coarse, regime tag and G) and the 32x64 fine grid, one
-    # span each, built once: 3 branches per span and nothing per angle
+    # span each, built once: all 3 branches per span and nothing per angle
     assert sorted(solves) == [16 * 32, 32 * 64]
-    assert sorted(stresses) == [16 * 32] * 3 + [32 * 64] * 3
+    assert sorted(stresses) == [16 * 32, 32 * 64]
+    assert einsum_stresses == []
 
 
 def test_threads_do_not_change_shared_results(db, ln):

@@ -7,10 +7,16 @@ in the test and a full-index stress contraction serve as independent oracles.
 import numpy as np
 import pytest
 
-from phonoscat.elastodynamics import MaterialInstabilityError, christoffel_many, stress_pattern
-from phonoscat.materials import default_materials
+from phonoscat.elastodynamics import (
+    _FULL,
+    MaterialInstabilityError,
+    _voigt_stresses,
+    christoffel_many,
+    stress_pattern,
+)
+from phonoscat.materials import Orientation, default_materials
 
-from conftest import remix_degenerate
+from conftest import XCUT_MATRIX, remix_degenerate
 
 DB = default_materials()
 
@@ -119,6 +125,37 @@ class TestStressPattern:
         assert got.shape == (4, 3, 3)
         assert np.allclose(got, oracle, rtol=1e-13)
         assert np.allclose(got, got.transpose(0, 2, 1), rtol=1e-12)
+
+
+KERNEL_SUBSTRATES = {
+    **DB,
+    "lithium_niobate_rotated": DB["lithium_niobate"].rotated(
+        Orientation(XCUT_MATRIX).compose(Orientation.about_axis([1, 2, 3], 0.7))
+    ),
+}
+
+
+class TestKernelsAreTheEinsumForms:
+    """The table's component-major kernels repeat einsum's float operations
+    in einsum's order, so they agree with the einsum forms bit for bit:
+    array_equal, not allclose.  One node is the call BraggStack makes per
+    layer; 2048 is one table span."""
+
+    @pytest.mark.parametrize("n", [1, 7, 2048, 2049])
+    @pytest.mark.parametrize("name", sorted(KERNEL_SUBSTRATES))
+    def test_bitwise(self, name, n):
+        substrate = KERNEL_SUBSTRATES[name]
+        c = substrate.stiffness_tensor
+        khats = np.random.default_rng(n).normal(size=(n, 3))
+        khats /= np.linalg.norm(khats, axis=1, keepdims=True)
+        w, vec = np.linalg.eigh(np.einsum("ijkl,nj,nk->nil", c, khats, khats) / substrate.rho)
+        vels, pols = christoffel_many(substrate, khats)
+        assert np.array_equal(vels, np.sqrt(w)) and np.array_equal(pols, vec)
+        voigt = _voigt_stresses(c, khats, pols)
+        assert voigt.shape == (3, n, 6)
+        for q in range(3):
+            full = np.take(voigt[q], _FULL, axis=1).reshape(-1, 3, 3)
+            assert np.array_equal(full, stress_pattern(c, khats, pols[:, :, q]))
 
 
 class TestZeroPointStress:
