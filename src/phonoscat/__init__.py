@@ -11,7 +11,6 @@ from .coupling import (
     Inclusion,
     MicrowaveMode,
     default_eps_eff,
-    form_factor,
     geometry_factor,
     induced_strain,
 )
@@ -26,7 +25,6 @@ from .materials import (
     load_materials,
     rotate_piezo,
     rotate_stiffness,
-    save_materials,
 )
 from .mitigation import (
     BraggLayer,
@@ -90,7 +88,6 @@ __all__ = [
     "dual_waveguide_sweep",
     "emission_weighted_overlap",
     "figure_of_merit",
-    "form_factor",
     "geometry_factor",
     "induced_strain",
     "isotropic_stiffness",
@@ -103,7 +100,6 @@ __all__ = [
     "regime_label",
     "rotate_piezo",
     "rotate_stiffness",
-    "save_materials",
     "sweep",
     "sweep_orientation",
     "transfer_matrix",

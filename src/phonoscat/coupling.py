@@ -6,12 +6,13 @@ A uniform microwave field of zero-point amplitude
 phonon plane wave is the overlap of that strain with the mode's zero-point
 stress over the inclusion volume:
 
-    hbar g = V_int (S : T_zp) * form_factor(k)
+    hbar g = V_int (S : T_zp) * FF(k)
 
 The cuboid faces are aligned with the laboratory axes; the ``orientation``
 field of an inclusion rotates its crystal tensors (the piezo matrix) into the
 lab frame and leaves the geometry untouched.  The form factor of a cuboid is
-separable, ``s * e^{i k . r0} * prod_i sinc(k_i L_i / 2)``.
+separable, ``FF(k) = s * e^{i k . r0} * prod_i sinc(k_i L_i / 2)``;
+``radiation._coherent_power`` evaluates it at the quadrature nodes.
 """
 
 from __future__ import annotations
@@ -114,19 +115,6 @@ def induced_strain(d: np.ndarray, E: np.ndarray) -> np.ndarray:
     """
     s_voigt = np.asarray(d, dtype=float).T @ np.asarray(E, dtype=float)
     return strain_voigt_to_tensor(s_voigt)
-
-
-def form_factor(inclusion: Inclusion, k) -> complex:
-    """Cuboid plane-wave overlap, normalized to 1 at k = 0.
-
-    Separable product of sinc factors times the center phase:
-    ``s * e^{i k . r0} * prod_i sinc(k_i L_i / 2)`` with sinc(0) = 1.
-    """
-    k = np.asarray(k, dtype=float)
-    args = k * inclusion.dimensions / 2.0
-    sincs = np.sinc(args / np.pi)  # np.sinc(x) = sin(pi x)/(pi x)
-    phase = np.exp(1j * float(k @ inclusion.center))
-    return inclusion.sign * phase * float(np.prod(sincs))
 
 
 def geometry_factor(field_direction, d, stress_directions) -> float | np.ndarray:

@@ -28,18 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import MaterialSpec
+from .materials import VOIGT_OF_PAIR, VOIGT_PAIRS, MaterialSpec
 
 # Span of one batched solve when a table is built.  A node's arithmetic is
 # elementwise, so the span only bounds the build's temporaries.
 _CHUNK = 2048
 
-# Voigt order (xx, yy, zz, yz, xz, xy) of the six unique components of a
-# symmetric 3x3 tensor, and the Voigt column of each of the nine (i, j) in
+# The (i, j) of the six unique components of a symmetric 3x3 tensor in the
+# package's Voigt order, and the Voigt column of each of the nine (i, j) in
 # row-major order.  (_VOIGT_J, _VOIGT_I) walks the lower triangle, i >= j.
-_VOIGT_I = np.array([0, 1, 2, 1, 0, 0])
-_VOIGT_J = np.array([0, 1, 2, 2, 2, 1])
-_FULL = np.array([0, 5, 4, 5, 1, 3, 4, 3, 2])
+_VOIGT_I, _VOIGT_J = np.array(VOIGT_PAIRS).T
+_FULL = VOIGT_OF_PAIR.ravel()
 
 
 class MaterialInstabilityError(ValueError):

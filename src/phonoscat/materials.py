@@ -111,15 +111,6 @@ def stiffness_voigt_to_tensor(C) -> np.ndarray:
     return C[VOIGT_OF_PAIR[:, :, None, None], VOIGT_OF_PAIR[None, None, :, :]]
 
 
-def stiffness_tensor_to_voigt(c) -> np.ndarray:
-    c = np.asarray(c, dtype=float)
-    out = np.zeros((6, 6))
-    for I, (i, j) in enumerate(VOIGT_PAIRS):
-        for J, (k, l) in enumerate(VOIGT_PAIRS):
-            out[I, J] = c[i, j, k, l]
-    return out
-
-
 def piezo_voigt_to_tensor(d) -> np.ndarray:
     """Expand the 3x6 strain-form d matrix to d_ijk (symmetric in jk).
 
@@ -135,15 +126,6 @@ def piezo_voigt_to_tensor(d) -> np.ndarray:
     return dt
 
 
-def piezo_tensor_to_voigt(dt) -> np.ndarray:
-    dt = np.asarray(dt, dtype=float)
-    out = np.zeros((3, 6))
-    for J, (j, k) in enumerate(VOIGT_PAIRS):
-        fac = 1.0 if j == k else 2.0
-        out[:, J] = fac * dt[:, j, k]
-    return out
-
-
 def strain_voigt_to_tensor(s) -> np.ndarray:
     """Engineering-shear Voigt strain vector to the symmetric 3x3 tensor."""
     s = np.asarray(s, dtype=float)
@@ -157,11 +139,6 @@ def strain_voigt_to_tensor(s) -> np.ndarray:
         ]
     )
     return S
-
-
-def strain_tensor_to_voigt(S) -> np.ndarray:
-    S = np.asarray(S, dtype=float)
-    return np.array([S[0, 0], S[1, 1], S[2, 2], 2 * S[1, 2], 2 * S[0, 2], 2 * S[0, 1]])
 
 
 def bond_stress_matrix(R) -> np.ndarray:
@@ -385,24 +362,6 @@ def load_materials(path) -> dict[str, MaterialSpec]:
             raise MaterialError(f"material '{spec.name}': duplicate record")
         db[spec.name] = spec
     return db
-
-
-def save_materials(db: dict[str, MaterialSpec], path) -> None:
-    """Write a database in the same JSON schema accepted by load_materials."""
-    out = []
-    for spec in db.values():
-        out.append(
-            {
-                "name": spec.name,
-                "rho": spec.rho,
-                "C": spec.C.ravel().tolist(),
-                "d": spec.d.ravel().tolist(),
-                "eps_r": spec.eps_r.ravel().tolist(),
-                "isotropic": spec.isotropic,
-                "piezoelectric": spec.piezoelectric,
-            }
-        )
-    Path(path).write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
 
 
 def default_materials() -> dict[str, MaterialSpec]:

@@ -27,12 +27,14 @@ tau itself.
 
 The coupling ``M_q = tau_q : S`` of an inclusion with field-induced strain S
 depends only on the substrate, the grid, the branch and S.  A coupling table
-(``_CouplingTable``) contracts the table's tau with S once per (grid, strain)
-for all the points of one ``_rates`` call.  Along the height, thickness and
-separation axes the strain does not change, so a sweep point there costs only
-the form factor, the phase and the reduction.  Along omega0 it does
-(S = d . E and E_zp grows as sqrt(omega0)), so each frequency point computes
-its own couplings, and the table keeps only the strains of the latest point.
+(``_CouplingTable``) is the engine's only source of M: it contracts the
+table's tau with S once per (grid, strain) for all the points of one
+``_rates`` call, or for the two grids of a lone ``mie_rate`` call.  Along the
+height, thickness and separation axes the strain does not change, so a sweep
+point there costs only the form factor, the phase and the reduction.  Along
+omega0 it does (S = d . E and E_zp grows as sqrt(omega0)), so each frequency
+point computes its own couplings, and the table keeps only the strains of the
+latest point.
 One grid's pass, ``_gamma_branches``, evaluates all three branches in
 fixed-size node spans (optionally across a thread pool) and reduces them by
 numpy's deterministic pairwise summation in fixed node order, so serial and
@@ -42,8 +44,9 @@ threaded runs agree bitwise.
 ``_rates`` is the one evaluator: it owns the coupling table, doubles the node
 counts of an unconverged point up to twice and raises NumericFailure if the
 estimate still has not converged.  ``refined_rate`` is its one-point call;
-``sweep`` and ``mitigation.dual_waveguide_sweep`` pass all their points at
-once.  The orientation scan and the command-line scenarios go through these.
+``sweep``, ``mitigation.dual_waveguide_sweep`` and
+``transducer.sweep_orientation`` pass all their points at once.  The
+command-line scenarios go through these.
 """
 
 from __future__ import annotations
@@ -212,11 +215,12 @@ class _CouplingTable:
     the copies of a pair share it.  S = d . E does change with the frequency,
     through the zero-point field, so an omega0 sweep finds nothing to reuse
     between its points.  ``_rates`` makes the one table of its points and
-    drops it when they are done; the table holds a (3, N) array per
-    (n_theta, n_phi, strain bytes), and only for the strains of the latest
-    request: a request drops the arrays of every other strain, so a sweep
-    whose strain changes from point to point holds one point's couplings at a
-    time, while a refinement rerun (same strains) still finds its coarse grid.
+    drops it when they are done, and a lone ``mie_rate`` makes one for its
+    call.  The table holds a (3, N) array per (n_theta, n_phi, strain bytes),
+    and only for the strains of the latest request: a request drops the
+    arrays of every other strain, so a sweep whose strain changes from point
+    to point holds one point's couplings at a time, while a refinement rerun
+    (same strains) still finds its coarse grid.
     """
 
     def __init__(self, substrate: MaterialSpec):
@@ -238,21 +242,21 @@ class _CouplingTable:
 def _gamma_branches(
     mode: MicrowaveMode,
     src: _Sources,
-    substrate: MaterialSpec,
-    couplings,
+    couplings: _CouplingTable,
     n_theta: int,
     n_phi: int,
     threads: int,
 ) -> np.ndarray:
     """Golden-rule rate of each branch on one n_theta x n_phi grid, shape (3,).
 
-    ``couplings(n_theta, n_phi, strains, threads)`` gives M = tau : S.  All
-    three branches on each fixed node span, then one reduction per branch.
+    The coupling table gives M = tau : S and names the substrate.  All three
+    branches on each fixed node span, then one reduction per branch.
     """
     hbar = CONSTANTS.hbar
     omega0 = mode.omega0
+    substrate = couplings.substrate
     grid = angular_table(substrate, n_theta, n_phi)
-    m = couplings(n_theta, n_phi, src.strain, threads)
+    m = couplings.get(n_theta, n_phi, src.strain, threads)
     golden = (2 * np.pi / hbar**2) * (1.0 / (8 * np.pi**3))
     u0_sq = hbar / (2 * substrate.rho * omega0)
     n = grid.khats.shape[0]
@@ -325,9 +329,9 @@ def mie_rate(
 
     ``couplings`` is the coupling table that ``_rates`` shares between its
     points and refinement reruns; it supplies M = tau : S for each grid and
-    strain and fills what it lacks.  It belongs to ``substrate``.  None
-    computes the couplings of both grids for this call alone.  The result is
-    the same either way, bit for bit.
+    strain and fills what it lacks.  It belongs to ``substrate``.  None makes
+    a table for this call alone, so the copies of a pair still share their
+    couplings.  The result is the same either way, bit for bit.
 
     Convergence is judged on the total rate summed over the three branches,
     not branch by branch: the total is the loss the quality factor reports,
@@ -337,9 +341,10 @@ def mie_rate(
     quad = quad or QuadratureSpec()
     incs = _as_inclusion_list(inclusions)
     src = _sources(mode, incs)
-    get = couplings.get if couplings is not None else lambda *args: _contract(substrate, *args)
-    coarse = _gamma_branches(mode, src, substrate, get, quad.n_theta, quad.n_phi, quad.threads)
-    fine = _gamma_branches(mode, src, substrate, get, 2 * quad.n_theta, 2 * quad.n_phi, quad.threads)
+    if couplings is None:
+        couplings = _CouplingTable(substrate)
+    coarse = _gamma_branches(mode, src, couplings, quad.n_theta, quad.n_phi, quad.threads)
+    fine = _gamma_branches(mode, src, couplings, 2 * quad.n_theta, 2 * quad.n_phi, quad.threads)
     total = float(np.sum(fine))
     rel = abs(total - float(np.sum(coarse))) / total if total > 0 else 0.0
     diag = QuadratureDiagnostics(

@@ -18,7 +18,7 @@ import numpy as np
 from .coupling import Inclusion, MicrowaveMode, geometry_factor
 from .elastodynamics import angular_table
 from .materials import MaterialSpec, Orientation
-from .radiation import QuadratureSpec, RadiationResult, SweepResult, refined_rate
+from .radiation import QuadratureSpec, RadiationResult, SweepResult, _rates
 
 
 @dataclass(frozen=True)
@@ -101,18 +101,16 @@ def sweep_orientation(
 
     Each angle applies an additional laboratory-frame rotation on top of the
     inclusion's base orientation; the cuboid geometry itself stays fixed, as
-    for a film whose crystal axes are rotated about the film normal.  Rates
-    go through ``refined_rate``: converged, or NumericFailure.
+    for a film whose crystal axes are rotated about the film normal.  All
+    angles go to ``radiation._rates`` in one call, like the points of
+    ``sweep``: each rate is converged, or the scan raises NumericFailure.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.size == 0:
         raise ValueError("angle grid must not be empty")
     axis = np.asarray(axis, dtype=float)
-    overlaps = np.empty(angles.size)
-    results = []
-    for i, angle in enumerate(angles):
-        spin = Orientation.about_axis(axis, float(angle))
-        inc = dataclasses.replace(inclusion, orientation=spin.compose(inclusion.orientation))
-        results.append(refined_rate(mode, inc, substrate, quad))
-        overlaps[i] = emission_weighted_overlap(mode, inc, substrate)
+    spins = [Orientation.about_axis(axis, float(angle)) for angle in angles]
+    incs = [dataclasses.replace(inclusion, orientation=s.compose(inclusion.orientation)) for s in spins]
+    results = _rates(substrate, [(mode, [inc]) for inc in incs], quad)
+    overlaps = np.array([emission_weighted_overlap(mode, inc, substrate) for inc in incs])
     return OrientationSweep("angle", angles, tuple(results), axis=axis, overlaps=overlaps)

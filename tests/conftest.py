@@ -1,6 +1,10 @@
-"""Shared fixtures: the bundled materials and a standard device geometry."""
+"""Shared fixtures: the bundled materials and a standard device geometry,
+and the test references that the package itself does not need: the cuboid
+form factor and a writer for the material database."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +55,37 @@ def make_mode(substrate, f_hz=10e9, mode_volume=8e-15, direction=(0.0, 1.0, 0.0)
         field_direction=np.asarray(direction, dtype=float),
         eps_eff=default_eps_eff(substrate),
     )
+
+
+def form_factor(inclusion, k) -> complex:
+    """Cuboid plane-wave overlap, normalized to 1 at k = 0: the reference of
+    the coherent sum that ``radiation._coherent_power`` evaluates.
+
+    Separable product of sinc factors times the center phase:
+    ``s * e^{i k . r0} * prod_i sinc(k_i L_i / 2)`` with sinc(0) = 1.
+    """
+    k = np.asarray(k, dtype=float)
+    args = k * inclusion.dimensions / 2.0
+    sincs = np.sinc(args / np.pi)  # np.sinc(x) = sin(pi x)/(pi x)
+    phase = np.exp(1j * float(k @ inclusion.center))
+    return inclusion.sign * phase * float(np.prod(sincs))
+
+
+def save_materials(db, path) -> None:
+    """Write a database in the JSON schema that ``load_materials`` accepts."""
+    out = [
+        {
+            "name": spec.name,
+            "rho": spec.rho,
+            "C": spec.C.ravel().tolist(),
+            "d": spec.d.ravel().tolist(),
+            "eps_r": spec.eps_r.ravel().tolist(),
+            "isotropic": spec.isotropic,
+            "piezoelectric": spec.piezoelectric,
+        }
+        for spec in db.values()
+    ]
+    Path(path).write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
 
 
 def remix_degenerate(velocities, polarizations, rng, rtol=1e-8):

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from phonoscat.cli import ENV_MATERIALS, load_run_config, main
-from phonoscat.materials import default_materials, save_materials
+from phonoscat.materials import default_materials
+
+from conftest import save_materials
 
 SMALL_QUAD = {"n_theta": 16, "n_phi": 32}
 

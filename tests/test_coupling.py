@@ -15,14 +15,13 @@ from phonoscat.coupling import (
     Inclusion,
     MicrowaveMode,
     default_eps_eff,
-    form_factor,
     geometry_factor,
     induced_strain,
 )
 from phonoscat.materials import CONSTANTS, default_materials
 from phonoscat.radiation import _coherent_power, _sources
 
-from conftest import XCUT_MATRIX, make_mode
+from conftest import XCUT_MATRIX, form_factor, make_mode
 
 DB = default_materials()
 

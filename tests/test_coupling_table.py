@@ -10,7 +10,8 @@ bit of any result, that the contraction runs once per height sweep and once
 per frequency point, that a frequency sweep holds one point's couplings at a
 time, that an orientation scan solves tau only while it builds tables, that
 the table dies with the sweep, and that refined_rate records how many
-refinements it needed.
+refinements it needed.  A lone mie_rate and an orientation scan read a
+coupling table too, one per call.
 """
 
 import dataclasses
@@ -181,6 +182,18 @@ def test_pair_shares_the_coupling_of_its_copies(db, ln, contractions):
     assert len(contractions) == n_single
 
 
+def test_lone_mie_rate_shares_the_coupling_of_its_copies(db, ln, contractions):
+    substrate = db["sapphire"]
+    bar = _bar(ln)
+    pair = [
+        dataclasses.replace(bar, center=np.array([0.5e-6, 0.0, 0.0])),
+        dataclasses.replace(bar, center=np.array([-0.5e-6, 0.0, 0.0]), sign=-1),
+    ]
+    mie_rate(make_mode(substrate), pair, substrate, LOOSE)
+    # one strain on the 16x32 coarse and the 32x64 fine grid
+    assert contractions == [(16, 32), (32, 64)]
+
+
 def test_refinement_rerun_reuses_its_coarse_couplings(db, ln, contractions):
     substrate = db["sapphire_iso"]
     cube = dataclasses.replace(_waveguide(ln), dimensions=np.full(3, 0.5e-6))
@@ -217,6 +230,22 @@ def test_orientation_scan_solves_stresses_only_in_table_builds(db, ln, monkeypat
     assert sorted(solves) == [16 * 32, 32 * 64]
     assert sorted(stresses) == [16 * 32, 32 * 64]
     assert einsum_stresses == []
+
+
+def test_orientation_scan_makes_one_coupling_table(db, ln, monkeypatch):
+    substrate = db["sapphire"]
+    made = []
+
+    class Counting(radiation._CouplingTable):
+        def __init__(self, substrate):
+            made.append(1)
+            super().__init__(substrate)
+
+    monkeypatch.setattr(radiation, "_CouplingTable", Counting)
+    angles = np.linspace(0.0, np.pi, 6)
+    scan = sweep_orientation(make_mode(substrate), _bar(ln), substrate, angles, quad=LOOSE)
+    assert all(r.diagnostics.refinements == 0 for r in scan.results)
+    assert len(made) == 1  # one for the whole scan, not one per angle
 
 
 def test_threads_do_not_change_shared_results(db, ln):

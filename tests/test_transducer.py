@@ -1,5 +1,7 @@
 """Electro-optic model, mode-volume invariance and orientation sweeps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -216,9 +218,17 @@ class TestOrientationSweep:
 
     def test_zero_angle_matches_unrotated_rate(self, substrate, waveguide):
         mode = make_mode(substrate)
-        sweep = sweep_orientation(mode, waveguide, substrate, [0.0], quad=FAST)
+        angles = [0.0, 0.4, 1.3, 2.9]
+        sweep = sweep_orientation(mode, waveguide, substrate, angles, quad=FAST)
         direct = refined_rate(mode, waveguide, substrate, FAST)
         assert sweep.gammas[0] == pytest.approx(direct.total_rate, rel=1e-14)
+        # every angle of the scan is its own refined_rate, bit for bit
+        for angle, r in zip(angles, sweep.results):
+            spin = Orientation.about_axis((0.0, 0.0, 1.0), angle)
+            inc = dataclasses.replace(waveguide, orientation=spin.compose(waveguide.orientation))
+            alone = refined_rate(mode, inc, substrate, FAST)
+            assert np.array_equal(r.branch_rates, alone.branch_rates)
+            assert r.diagnostics == alone.diagnostics
 
     def test_empty_grid_rejected(self, substrate, waveguide):
         with pytest.raises(ValueError, match="empty"):
