@@ -11,8 +11,9 @@ quadrature diagnostics to standard output.
 Exit codes, set for every subcommand in ``main`` alone: 0 success, 2
 configuration error (the message names the offending field or path;
 non-finite numbers and unreadable or unwritable paths are configuration
-errors), 3 numeric failure (quadrature that stays unconverged after the
-built-in refinement cap, a non-finite rate, or a failed selftest check).
+errors), 3 numeric failure (quadrature unconverged after the built-in
+refinement cap, a non-finite rate or Bragg transfer matrix, a ratio over an
+exactly-zero rate, or a failed selftest check).
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ def _sweep_values(sweep: dict, axis: str) -> np.ndarray:
         values = np.linspace(start, stop, count)
     if axis == "n_periods":
         rounded = np.rint(values)
-        if not np.allclose(values, rounded, atol=1e-9):
+        if not np.allclose(values, rounded, rtol=0, atol=1e-9):
             raise ConfigError("sweep: n_periods grid must contain integers")
         if np.any((rounded < 0) | (rounded > _MAX_COUNT)):
             raise ConfigError(f"sweep: n_periods must be between 0 and {_MAX_COUNT}")

@@ -232,14 +232,18 @@ def transfer_matrix(stack: BraggStack, omega: float) -> np.ndarray:
     Each lossless layer contributes [[cos phi, i Z sin phi],
     [i sin phi / Z, cos phi]] with phi = omega d / v; the product is ordered
     so the matrix maps field values on the incidence face to the exit face.
+    A product that overflows raises NumericFailure.
     """
     if not omega > 0:
         raise ValueError("frequency must be positive")
     m = np.eye(2, dtype=complex)
-    for layer in stack.layers:
-        phi = omega * layer.thickness / layer.speed
-        c, s = np.cos(phi), np.sin(phi)
-        m = np.array([[c, 1j * layer.impedance * s], [1j * s / layer.impedance, c]]) @ m
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in stack.layers:
+            phi = omega * layer.thickness / layer.speed
+            c, s = np.cos(phi), np.sin(phi)
+            m = np.array([[c, 1j * layer.impedance * s], [1j * s / layer.impedance, c]]) @ m
+    if not np.all(np.isfinite(m)):
+        raise NumericFailure(f"the mirror's transfer matrix overflows at {stack.n_periods} periods")
     return m
 
 

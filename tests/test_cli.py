@@ -346,8 +346,10 @@ class TestConfigErrors:
             scenario="bragg",
             bragg={"low": "silicon", "high": "sapphire"},
         )
-        cfg["sweep"] = {"axis": "n_periods", "grid": "linear", "start": 0, "stop": 5, "count": 3}
-        self.check(tmp_path, capsys, cfg, "integers")
+        # 9000.05 is within numpy's default rtol of 9000, so the check needs rtol=0
+        for start, stop, count in ((0, 5, 3), (9000.05, 9000.05, 1)):
+            cfg["sweep"] = {"axis": "n_periods", "grid": "linear", "start": start, "stop": stop, "count": count}
+            self.check(tmp_path, capsys, cfg, "sweep: n_periods grid must contain integers")
 
     def test_overlapping_dual_separation(self, tmp_path, capsys):
         cfg = base_config(scenario="dual_waveguide", quadrature=dict(SMALL_QUAD))
@@ -448,6 +450,42 @@ class TestConfigErrors:
 
         monkeypatch.setattr(cli, "execute", never)
         self.check(tmp_path, capsys, base_config(**{section: value}), f"config error: {section}: expected an object")
+
+    @pytest.mark.parametrize(
+        ("edit", "needle"),
+        [
+            ({"mode": {"frequency_GHz": "10"}}, "mode.frequency_GHz: expected a number"),
+            ({"mode": {"mode_volume_um3": 0}}, "mode.mode_volume_um3: must be positive"),
+            ({"quadrature": {"n_theta": 1}}, "quadrature.n_theta: must be at least 2"),
+            ({"mode": {"field_direction": [0, 0, 0]}}, "mode.field_direction: must be nonzero"),
+            ({"inclusion": {"orientation": {}}}, "inclusions[0].orientation: expected matrix or axis/angle_deg"),
+            ({"sweep": {"grid": "log", "start": -1.0}}, "sweep.start: log grids need positive bounds"),
+            ({"sweep": {"grid": "linear", "start": -1.0}}, "sweep: frequency_GHz values must be positive"),
+            ({"inclusion": {"sign": 0}}, "inclusions[0].sign: must be +1 or -1"),
+            ({"dual": {"relative_sign": 2}}, "dual.relative_sign: must be +1 or -1"),
+            ({"eo": {"g0_Hz": 2000.0, "v_ref_um3": 8000.0, "overlap": 1.5}}, "eo.overlap: must lie in [0, 1]"),
+            ({"output": 5}, "output: expected a string path"),
+            ({"sweep": {"axis": "height_um", "start": 0.01}, "copies": 2},
+             "inclusions: sweep axis 'height_um' needs exactly one inclusion"),
+        ],
+        ids=["number-type", "number-positive", "integer-minimum", "vector-nonzero", "orientation-empty",
+             "log-bounds", "axis-positive", "inclusion-sign", "dual-sign", "eo-overlap", "output-type",
+             "axis-one-inclusion"],
+    )
+    def test_each_field_check_names_its_field(self, tmp_path, capsys, monkeypatch, edit, needle):
+        import phonoscat.cli as cli
+
+        def never(cfg):
+            pytest.fail("a rate was computed for an invalid config")
+
+        monkeypatch.setattr(cli, "execute", never)
+        cfg = base_config(scenario="mie", quadrature=dict(SMALL_QUAD))
+        for section in ("mode", "sweep", "quadrature"):
+            cfg[section].update(edit.get(section, {}))
+        cfg["inclusions"][0].update(edit.get("inclusion", {}))
+        cfg["inclusions"] *= edit.get("copies", 1)
+        cfg.update({key: edit[key] for key in ("dual", "eo", "output") if key in edit})
+        self.check(tmp_path, capsys, cfg, f"config error: {needle}")
 
     def test_orientation_rejects_both_forms(self, tmp_path, capsys):
         cfg = base_config()
@@ -573,6 +611,35 @@ class TestNumericFailure:
         assert err.startswith("numeric failure:")
         assert "did not reach tolerance" in err
 
+
+    def test_overflowing_bragg_mirror_exits_3(self, tmp_path, capsys):
+        """Past about 600 periods the transfer matrix overflows: one message
+        that names the mirror, and no numpy warning."""
+        cfg = base_config(
+            scenario="bragg",
+            bragg={"low": "silicon", "high": "sapphire", "center_frequency_GHz": 11.0},
+            quadrature=dict(SMALL_QUAD),
+        )
+        cfg["sweep"] = {"axis": "n_periods", "grid": "linear", "start": 1000, "stop": 1000, "count": 1}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "numeric failure: the mirror's transfer matrix overflows at 1000 periods\n"
+        assert caught == []
+        assert not out.exists()
+
+    def test_unwritable_output_names_the_field(self, tmp_path, capsys, monkeypatch):
+        import phonoscat.cli as cli
+
+        def refuse(path, table):
+            raise OSError(f"[Errno 13] Permission denied: '{path}'")
+
+        monkeypatch.setattr(cli, "write_csv", refuse)
+        code, out = run_cli(tmp_path, base_config())
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: output: [Errno 13] Permission denied: '{out}'\n"
 
     def test_non_finite_rate_exits_3(self, tmp_path, capsys, monkeypatch):
         import phonoscat.radiation as radiation
@@ -760,6 +827,18 @@ class TestSelftestCommand:
         assert code == 0
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_a_failing_check_exits_3(self, capsys, monkeypatch):
+        import phonoscat.cli as cli
+        from phonoscat.selftest import CheckResult
+
+        results = [CheckResult("good", True, "ok"), CheckResult("bad", False, "off by 2")]
+        monkeypatch.setattr(cli, "run_all", lambda: results)
+        code = main(["selftest"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "  FAIL bad: off by 2" in captured.out
+        assert captured.err == "numeric failure: selftest: 1 of 2 checks failed\n"
 
 
 class TestLoadRunConfig:

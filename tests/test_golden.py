@@ -4,7 +4,8 @@
 fresh table must have the golden header and row count, equal text cells and
 numeric cells within a relative 1e-12.  A change that really moves the
 numbers regenerates the golden files in a change of its own that says why;
-the tolerance is never loosened to let one through.
+the tolerance is never loosened to let one through.  ``--only`` is checked
+here too: a named study writes its one table, and an unknown name exits 2.
 """
 
 import csv
@@ -48,9 +49,8 @@ def test_every_study_has_a_golden_table():
     assert sorted(p.stem for p in GOLDEN.glob("*.csv")) == STUDIES
 
 
-@pytest.mark.parametrize("study", STUDIES)
-def test_quick_study_matches_golden(fresh, study):
-    got = read_rows(fresh / f"{study}.csv")
+def assert_matches_golden(path, study):
+    got = read_rows(path)
     want = read_rows(GOLDEN / f"{study}.csv")
     assert got[0] == want[0]
     assert len(got) == len(want)
@@ -58,3 +58,22 @@ def test_quick_study_matches_golden(fresh, study):
         assert len(row_got) == len(row_want), f"row {i}"
         bad = [(g, w) for g, w in zip(row_got, row_want) if not cell_matches(g, w)]
         assert bad == [], f"row {i}: (got, golden) {bad}"
+
+
+@pytest.mark.parametrize("study", STUDIES)
+def test_quick_study_matches_golden(fresh, study):
+    assert_matches_golden(fresh / f"{study}.csv", study)
+
+
+def test_only_runs_the_named_study(tmp_path):
+    assert run_sweeps["main"](["--only", "bragg_mirror", "--quick", "--outdir", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.glob("*.csv")] == ["bragg_mirror.csv"]
+    assert_matches_golden(tmp_path / "bragg_mirror.csv", "bragg_mirror")
+
+
+def test_only_rejects_an_unknown_study(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_sweeps["main"](["--only", "no_such_study", "--quick", "--outdir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "unknown study names ['no_such_study']" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []

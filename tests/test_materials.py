@@ -34,7 +34,7 @@ from phonoscat.materials import (
     strain_voigt_to_tensor,
 )
 
-from conftest import save_materials
+from conftest import XCUT_MATRIX, save_materials
 
 DB = default_materials()
 LN = DB["lithium_niobate"]
@@ -51,6 +51,59 @@ def rodrigues(axis, angle):
 def random_rotation(rng):
     axis = rng.normal(size=3)
     return rodrigues(axis, rng.uniform(0, 2 * np.pi))
+
+
+# Element-by-element references of the Voigt expansions and the Bond matrices,
+# the loops they are checked against bit for bit.
+
+
+def loop_piezo_tensor(d):
+    dt = np.zeros((3, 3, 3))
+    for J, (j, k) in enumerate(VOIGT_PAIRS):
+        fac = 1.0 if j == k else 0.5
+        dt[:, j, k] = fac * d[:, J]
+        dt[:, k, j] = fac * d[:, J]
+    return dt
+
+
+def loop_strain_tensor(s):
+    return np.array(
+        [
+            [s[0], s[5] / 2, s[4] / 2],
+            [s[5] / 2, s[1], s[3] / 2],
+            [s[4] / 2, s[3] / 2, s[2]],
+        ]
+    )
+
+
+def loop_bond_stress(R):
+    M = np.zeros((6, 6))
+    for I, (i, j) in enumerate(VOIGT_PAIRS):
+        for J, (k, l) in enumerate(VOIGT_PAIRS):
+            if k == l:
+                M[I, J] = R[i, k] * R[j, k]
+            else:
+                M[I, J] = R[i, k] * R[j, l] + R[i, l] * R[j, k]
+    return M
+
+
+def loop_bond_strain(R):
+    N = np.zeros((6, 6))
+    for I, (i, j) in enumerate(VOIGT_PAIRS):
+        for J, (k, l) in enumerate(VOIGT_PAIRS):
+            if i == j:
+                N[I, J] = R[i, k] ** 2 if k == l else R[i, k] * R[i, l]  # numpy scalar **: libm pow
+            else:
+                N[I, J] = 2 * R[i, k] * R[j, k] if k == l else R[i, k] * R[j, l] + R[i, l] * R[j, k]
+    return N
+
+
+def haar_rotations(rng, n):
+    """n random proper rotations, uniform on SO(3): QR of Gaussian matrices."""
+    q, r = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    q[np.linalg.det(q) < 0] *= -1
+    return q
 
 
 class TestOrientation:
@@ -133,6 +186,16 @@ class TestVoigtConversions:
         assert S[1, 2] == S[2, 1] == pytest.approx(gamma / 2)
         assert np.array_equal(S, [[0, 0, 0], [0, 0, gamma / 2], [0, gamma / 2, 0]])
 
+    def test_expansions_equal_the_element_loops(self):
+        rng = np.random.default_rng(2)
+        scales = 10.0 ** rng.integers(-30, 30, size=(500, 1))
+        for d, s in zip(rng.normal(size=(500, 3, 6)) * scales[:, None], rng.normal(size=(500, 6)) * scales):
+            for got, want in ((piezo_voigt_to_tensor(d), loop_piezo_tensor(d)),
+                              (strain_voigt_to_tensor(s), loop_strain_tensor(s))):
+                assert np.array_equal(got, want)
+                assert got.flags.c_contiguous
+        assert np.array_equal(piezo_voigt_to_tensor(LN.d), loop_piezo_tensor(LN.d))
+
     @given(st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6))
     def test_strain_tensor_entries_are_voigt_entries(self, values):
         v = np.array(values)
@@ -167,6 +230,20 @@ class TestRotationOracles:
         rng = np.random.default_rng(44)
         R = random_rotation(rng)
         assert np.allclose(rotate_permittivity(LN.eps_r, R), R @ LN.eps_r @ R.T, atol=1e-12)
+
+    def test_bond_matrices_equal_the_element_loops(self):
+        """Bit for bit, so every rotated stiffness and d_lab keeps its bytes;
+        N's normal block must stay libm pow, which x * x misses by an ulp."""
+        rotations = list(haar_rotations(np.random.default_rng(49), 10_000))
+        rotations.append(XCUT_MATRIX)
+        rng = np.random.default_rng(50)
+        for _ in range(200):
+            rotations.append(Orientation.about_axis(rng.normal(size=3), rng.uniform(-np.pi, np.pi)).matrix)
+        turns = np.linspace(0, 2 * np.pi, 13)
+        rotations += [Orientation.about_axis(axis, t).matrix for axis in np.eye(3) for t in turns]
+        for R in rotations:
+            assert np.array_equal(bond_stress_matrix(R), loop_bond_stress(R))
+            assert np.array_equal(bond_strain_matrix(R), loop_bond_strain(R))
 
     def test_bond_matrices_invert_by_transposing_the_partner(self):
         rng = np.random.default_rng(45)

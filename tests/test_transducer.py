@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import phonoscat.transducer as transducer
-from phonoscat.coupling import Inclusion
+from phonoscat.coupling import Inclusion, geometry_factor
 from phonoscat.elastodynamics import angular_table, christoffel_many, stress_pattern
 from phonoscat.materials import Orientation, piezo_voigt_to_tensor
 from phonoscat.radiation import QuadratureSpec, mie_rate, rayleigh_rate, refined_rate
@@ -143,6 +143,17 @@ class TestFigureOfMerit:
         assert etas[0] < etas[1] < etas[2]
 
 
+def overlap_per_branch(mode, inclusion, substrate):
+    """emission_weighted_overlap with one geometry_factor call per branch."""
+    grid = angular_table(substrate, 16, 32)
+    num = den = 0.0
+    for q in range(3):
+        w = grid.weights / grid.velocities[:, q] ** 5
+        num += float(np.sum(w * geometry_factor(mode.field_direction, inclusion.d_lab, grid.stress(q))))
+        den += float(np.sum(w))
+    return num / den
+
+
 class TestEmissionWeightedOverlap:
     def test_zero_for_non_piezo(self, substrate, silicon):
         mode = make_mode(substrate)
@@ -174,9 +185,10 @@ class TestEmissionWeightedOverlap:
             mode = make_mode(substrate, direction=direction)
             got = emission_weighted_overlap(mode, inc, substrate)
             assert got == pytest.approx(overlap_per_node(mode, inc, substrate), rel=1e-14, abs=0)
+            assert got == overlap_per_branch(mode, inc, substrate)  # the stacked call is bit for bit
 
-    def test_one_alignment_call_per_branch(self, monkeypatch, substrate, waveguide):
-        """Each branch's whole 16x32 table goes through geometry_factor at once."""
+    def test_one_alignment_call_per_angle(self, monkeypatch, substrate, waveguide):
+        """The three branches' whole 16x32 tables go through geometry_factor at once."""
         stacks = []
         batched = transducer.geometry_factor
 
@@ -186,7 +198,7 @@ class TestEmissionWeightedOverlap:
 
         monkeypatch.setattr(transducer, "geometry_factor", counted)
         emission_weighted_overlap(make_mode(substrate), waveguide, substrate)
-        assert stacks == [(16 * 32, 3, 3)] * 3
+        assert stacks == [(3, 16 * 32, 3, 3)]
 
 
 class TestOrientationSweep:
