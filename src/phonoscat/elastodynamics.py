@@ -9,11 +9,13 @@ branch 3 is the (quasi-)longitudinal one.  Dispersion is linear,
 
 The quadrature engine needs the Christoffel solution at every node of an
 angular grid, and the stress pattern ``tau_q(n) = c : (khat_n e_qn)`` of each
-branch there; both depend only on the substrate and the grid.
-``angular_table`` solves them once per (substrate, n_theta, n_phi) and keeps
-the read-only result on the ``MaterialSpec`` instance, so its lifetime is the
-substrate object's.  The polarizations are a build-time intermediate: the
-table keeps the velocities and the six unique components of each tau.
+branch there; both depend only on the substrate's density and stiffness and
+on the grid.  ``angular_table`` solves them once per process for each
+(rho, C, n_theta, n_phi) and keeps the read-only result in a module-level
+memo keyed by exactly those values, so every ``MaterialSpec`` with the same
+physics, however it was loaded, shares one table per grid.  The polarizations
+are a build-time intermediate: the table keeps the velocities and the six
+unique components of each tau, 200 bytes per node.
 
 The build fills the Christoffel matrices and the Voigt stresses with
 component-major kernels, one elementwise pass per (j, k) or (k, l) term, that
@@ -139,19 +141,32 @@ def _build_table(material: MaterialSpec, n_theta: int, n_phi: int) -> AngularTab
     return AngularTable(khats, weights, velocities, stresses)
 
 
+# The memo of angular_table for the life of the process.  It has no eviction:
+# production substrates come only from the materials database, so it holds at
+# most one table per (database substrate, requested grid).
+_TABLES: dict[tuple, AngularTable] = {}
+
+
+def _table_key(material: MaterialSpec, n_theta: int, n_phi: int) -> tuple:
+    """Everything ``_build_table`` reads: the name only labels an error that a
+    validated (positive definite) stiffness cannot raise."""
+    return (material.rho, material.C.tobytes(), n_theta, n_phi)
+
+
 def angular_table(material: MaterialSpec, n_theta: int, n_phi: int) -> AngularTable:
     """The Christoffel solution of ``material`` on the n_theta x n_phi grid.
 
-    Solved once per grid and memoized on the material instance; a copy made
-    by ``MaterialSpec.rotated`` (or any other constructor call) starts with
-    no tables.
+    Solved once per process for each (rho, C, grid) and shared by every
+    material with that density and stiffness: two loads of the database
+    share their tables, while a rotated copy or any other change of C or rho
+    gets its own.
     """
-    tables = material.angular_tables
-    table = tables.get((n_theta, n_phi))
+    key = _table_key(material, n_theta, n_phi)
+    table = _TABLES.get(key)
     if table is None:
         # setdefault is atomic: threads that race on a first use may both
         # solve, but all of them get the one table that is stored
-        table = tables.setdefault((n_theta, n_phi), _build_table(material, n_theta, n_phi))
+        table = _TABLES.setdefault(key, _build_table(material, n_theta, n_phi))
     return table
 
 

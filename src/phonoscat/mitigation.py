@@ -253,7 +253,10 @@ def bragg_transmission(stack: BraggStack, omega: float) -> tuple[float, float]:
     Continuity of stress and particle velocity at every interface fixes the
     reflected and transmitted amplitudes; R and T are computed independently
     (T carries the impedance ratio of the outer media) so that R + T = 1 is a
-    genuine check of losslessness rather than an identity.
+    genuine check of losslessness rather than an identity.  T comes from
+    entries that grow with the period count, so deep in a stopband it is lost
+    to cancellation long before the matrix overflows; the ``bragg`` scenario
+    fails a point whose R + T misses 1 by more than 1e-12.
     """
     m = transfer_matrix(stack, omega)
     a, b = m[0]

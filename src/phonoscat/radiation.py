@@ -20,10 +20,11 @@ Quadrature is Gauss-Legendre in cos(theta) times a uniform periodic rule in
 phi.  The phase velocities and the stress pattern ``tau_q = c : (khat e_q)``
 at the nodes depend only on the substrate and the grid, so they come from the
 substrate's ``AngularTable`` for that grid (``elastodynamics.angular_table``):
-solved on first use and kept on the ``MaterialSpec`` instance for its
-lifetime.  Sweep points, refinement reruns (whose coarse grid is the previous
-fine grid) and the regime tag all read these tables; the engine never solves
-tau itself.
+solved on first use and kept for the life of the process, shared by every
+material with the same density and stiffness.  Sweep points, refinement
+reruns (whose coarse grid is the previous fine grid), the regime tag and
+later configs in the same process all read these tables; the engine never
+solves tau itself.
 
 The coupling ``M_q = tau_q : S`` of an inclusion with field-induced strain S
 depends only on the substrate, the grid, the branch and S.  A coupling table
@@ -113,7 +114,13 @@ class QuadratureDiagnostics:
 
 @dataclass(frozen=True)
 class RadiationResult:
-    """Radiated rate, per branch and total, with Q = omega0 / Gamma."""
+    """Radiated rate, per branch and total, with Q = omega0 / Gamma.
+
+    On an isotropic substrate the two shear branches are degenerate at every
+    node, and ``eigh`` returns an arbitrary basis of that plane there.  So
+    ``branch_rates[0]`` and ``branch_rates[1]`` alone depend on that choice;
+    only their sum, the shear rate, is meaningful.
+    """
 
     omega0: float
     branch_rates: np.ndarray  # (3,) ascending-velocity branch order

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import phonoscat.elastodynamics as elastodynamics
 from phonoscat.coupling import Inclusion, MicrowaveMode, default_eps_eff
 from phonoscat.elastodynamics import _voigt_stresses, angular_table, christoffel_many
 from phonoscat.materials import Orientation, default_materials
@@ -106,19 +107,42 @@ def remix_degenerate(velocities, polarizations, rng, rtol=1e-8):
     return pols
 
 
-def remixed_substrate(substrate, quad, rng):
-    """A fresh copy of ``substrate`` whose memoized angular tables for the two
-    grids ``mie_rate(..., quad)`` reads carry stresses built from remixed
-    polarizations."""
-    fresh = dataclasses.replace(substrate)
-    for grid in ((quad.n_theta, quad.n_phi), (2 * quad.n_theta, 2 * quad.n_phi)):
-        table = angular_table(substrate, *grid)
-        vels, pols = christoffel_many(substrate, table.khats)
-        pols = remix_degenerate(vels, pols, rng)
-        stresses = _voigt_stresses(substrate.stiffness_tensor, table.khats, pols)
-        stresses.setflags(write=False)
-        fresh.angular_tables[grid] = dataclasses.replace(table, stresses=stresses)
-    return fresh
+def rate_grids(quad):
+    """The two (n_theta, n_phi) grids that ``mie_rate(..., quad)`` reads."""
+    return [(quad.n_theta, quad.n_phi), (2 * quad.n_theta, 2 * quad.n_phi)]
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """An empty angular-table memo for one test; the process's memo, with
+    every table it held, is back once the test ends."""
+    tables = {}
+    monkeypatch.setattr(elastodynamics, "_TABLES", tables)
+    return tables
+
+
+@pytest.fixture
+def remix_tables(monkeypatch):
+    """``remix(substrate, quad, rng)`` puts into the angular-table memo, until
+    the test ends, tables of ``substrate`` on the two grids of
+    ``mie_rate(..., quad)`` whose stresses are built from remixed
+    polarizations, and returns them by grid.  Every material with the same
+    density and stiffness reads them meanwhile."""
+
+    def remix(substrate, quad, rng):
+        remixed = {}
+        for grid in rate_grids(quad):
+            table = angular_table(substrate, *grid)
+            vels, pols = christoffel_many(substrate, table.khats)
+            pols = remix_degenerate(vels, pols, rng)
+            stresses = _voigt_stresses(substrate.stiffness_tensor, table.khats, pols)
+            stresses.setflags(write=False)
+            remixed[grid] = dataclasses.replace(table, stresses=stresses)
+            key = elastodynamics._table_key(substrate, *grid)
+            monkeypatch.setitem(elastodynamics._TABLES, key, remixed[grid])
+        return remixed
+
+    return remix
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
 """The per-substrate angular table behind the quadrature engine.
 
-The Christoffel solution on an angular grid depends only on the substrate and
-the grid, so it is solved once per (substrate, n_theta, n_phi) and memoized on
-the material instance.  These tests pin down that the table changes no bit of
-any rate, that each grid is solved exactly once, and that the memo cannot leak
-between materials.
+The Christoffel solution on an angular grid depends only on the substrate's
+density and stiffness and on the grid, so it is solved once per process for
+each (rho, C, n_theta, n_phi) and memoized under exactly that key.  These
+tests pin down that the table changes no bit of any rate, that each grid is
+solved exactly once, also across runs and database loads, and that the memo
+cannot leak between materials of different physics.
 """
 
 import dataclasses
@@ -20,7 +21,13 @@ import phonoscat.elastodynamics as elastodynamics
 import phonoscat.radiation as radiation
 from phonoscat.cli import main
 from phonoscat.coupling import Inclusion, induced_strain
-from phonoscat.elastodynamics import AngularTable, angular_table, christoffel_many, stress_pattern
+from phonoscat.elastodynamics import (
+    AngularTable,
+    _table_key,
+    angular_table,
+    christoffel_many,
+    stress_pattern,
+)
 from phonoscat.materials import CONSTANTS, Orientation, default_materials
 from phonoscat.radiation import NumericFailure, QuadratureSpec, mie_rate, refined_rate
 
@@ -158,17 +165,16 @@ def test_table_arrays_are_read_only(substrate):
             setattr(table, field, arr.copy())
 
 
-def test_table_is_memoized_per_grid():
+def test_table_is_memoized_per_grid(empty_memo):
     material = default_materials()["sapphire"]
-    assert material.angular_tables == {}
     t = angular_table(material, 8, 16)
     assert isinstance(t, AngularTable)
     assert angular_table(material, 8, 16) is t
     assert angular_table(material, 8, 18) is not t
-    assert set(material.angular_tables) == {(8, 16), (8, 18)}
+    assert set(empty_memo) == {(material.rho, material.C.tobytes(), 8, g) for g in (16, 18)}
 
 
-def test_threads_racing_on_a_first_use_share_one_table():
+def test_threads_racing_on_a_first_use_share_one_table(empty_memo):
     material = default_materials()["sapphire"]
     workers = 8
     barrier = threading.Barrier(workers, timeout=30)
@@ -186,20 +192,44 @@ def test_threads_racing_on_a_first_use_share_one_table():
         sys.setswitchinterval(interval)
     assert len(tables) == workers
     assert all(t is tables[0] for t in tables)
-    assert material.angular_tables == {(8, 16): tables[0]}
+    assert list(empty_memo) == [_table_key(material, 8, 16)]
+    assert empty_memo[_table_key(material, 8, 16)] is tables[0]
 
 
-def test_rotated_copy_never_sees_the_original_table():
+def test_rotated_copy_never_sees_the_original_table(empty_memo):
     original = default_materials()["sapphire"]
     t0 = angular_table(original, 8, 16)
-    for ori in (Orientation.identity(), Orientation.about_axis([1.0, 1.0, 0.0], 0.7)):
-        rotated = original.rotated(ori)
-        assert rotated.angular_tables == {}
+    for axis, angle in (([1.0, 1.0, 0.0], 0.7), ([0.0, 0.0, 1.0], 0.3)):
+        rotated = original.rotated(Orientation.about_axis(axis, angle))
         t1 = angular_table(rotated, 8, 16)
         assert t1 is not t0
+        assert empty_memo[_table_key(rotated, 8, 16)] is t1
         assert np.array_equal(t1.velocities, christoffel_many(rotated, t1.khats)[0])
-    assert np.max(np.abs(t1.velocities - t0.velocities)) > 1.0  # anisotropic: really rotated
-    assert original.angular_tables == {(8, 16): t0}
+        assert np.max(np.abs(t1.velocities - t0.velocities)) > 1.0  # anisotropic: really rotated
+    assert len(empty_memo) == 3
+    assert empty_memo[_table_key(original, 8, 16)] is t0
+
+
+def test_separately_loaded_databases_share_one_table(empty_memo):
+    first, second = default_materials(), default_materials()
+    for name in ("sapphire", "silicon", "sapphire_iso"):
+        assert first[name] is not second[name]
+        assert angular_table(first[name], 8, 16) is angular_table(second[name], 8, 16)
+    # a new name, or a rotation that maps C onto itself bit for bit, is the same physics
+    sapphire = first["sapphire"]
+    same = [dataclasses.replace(sapphire, name="renamed"), sapphire.rotated(Orientation.identity())]
+    for material in same:
+        assert angular_table(material, 8, 16) is angular_table(sapphire, 8, 16)
+    assert len(empty_memo) == 3
+
+
+def test_density_alone_separates_tables(empty_memo):
+    sapphire = default_materials()["sapphire"]
+    denser = dataclasses.replace(sapphire, rho=1.21 * sapphire.rho)
+    t0, t1 = angular_table(sapphire, 8, 16), angular_table(denser, 8, 16)
+    assert t1 is not t0
+    assert set(empty_memo) == {_table_key(sapphire, 8, 16), _table_key(denser, 8, 16)}
+    np.testing.assert_allclose(t1.velocities, t0.velocities / 1.1, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +237,9 @@ def test_rotated_copy_never_sees_the_original_table():
 
 
 @pytest.fixture
-def solved(monkeypatch):
-    """Record the node count of every Christoffel solve a table build makes."""
+def solved(monkeypatch, empty_memo):
+    """Record the node count of every Christoffel solve a table build makes,
+    starting from an empty memo."""
     sizes = []
     original = elastodynamics.christoffel_many
 
@@ -220,31 +251,52 @@ def solved(monkeypatch):
     return sizes
 
 
-def test_sweep_solves_each_grid_once(tmp_path, solved):
-    cfg = {
-        "scenario": "mie",
-        "substrate": "sapphire_iso",
-        "mode": {"frequency_GHz": 10.0, "mode_volume_um3": 8000.0, "field_direction": [0, 1, 0]},
-        "inclusions": [
-            {
-                "material": "lithium_niobate",
-                "dimensions_um": [0.2, 0.4, 0.5],
-                "orientation": {"matrix": XCUT_MATRIX.tolist()},
-            }
-        ],
-        "sweep": {"axis": "height_um", "grid": "linear", "start": 0.1, "stop": 0.3, "count": 12},
-        "quadrature": {"n_theta": 12, "n_phi": 24, "tolerance": 0.5},
-    }
+def _grids(memo):
+    return sorted(key[2:] for key in memo)
+
+
+SWEEP = {
+    "scenario": "mie",
+    "substrate": "sapphire_iso",
+    "mode": {"frequency_GHz": 10.0, "mode_volume_um3": 8000.0, "field_direction": [0, 1, 0]},
+    "inclusions": [
+        {
+            "material": "lithium_niobate",
+            "dimensions_um": [0.2, 0.4, 0.5],
+            "orientation": {"matrix": XCUT_MATRIX.tolist()},
+        }
+    ],
+    "sweep": {"axis": "height_um", "grid": "linear", "start": 0.1, "stop": 0.3, "count": 12},
+    "quadrature": {"n_theta": 12, "n_phi": 24, "tolerance": 0.5},
+}
+
+
+def test_sweep_solves_each_grid_once(tmp_path, solved, empty_memo):
     path = tmp_path / "sweep.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(SWEEP))
     out = tmp_path / "sweep.csv"
     assert main(["run", str(path), "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 13
     # coarse 12x24, fine 24x48 and the 16x32 regime grid, once each
     assert sorted(solved) == [12 * 24, 16 * 32, 24 * 48]
+    assert _grids(empty_memo) == [(12, 24), (16, 32), (24, 48)]
 
 
-def test_refinement_rerun_reuses_its_coarse_grid(ln, solved):
+def test_second_run_in_a_process_solves_no_grid(tmp_path, solved, empty_memo):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(SWEEP))
+    outs = [tmp_path / "first.csv", tmp_path / "second.csv"]
+    assert main(["run", str(path), "--out", str(outs[0])]) == 0
+    assert _grids(empty_memo) == [(12, 24), (16, 32), (24, 48)]
+    del solved[:]
+    # the second run loads its materials afresh, and finds their tables
+    assert main(["run", str(path), "--out", str(outs[1])]) == 0
+    assert solved == []
+    assert _grids(empty_memo) == [(12, 24), (16, 32), (24, 48)]
+    assert outs[1].read_bytes() == outs[0].read_bytes()
+
+
+def test_refinement_rerun_reuses_its_coarse_grid(ln, solved, empty_memo):
     substrate = default_materials()["sapphire_iso"]
     mode = make_mode(substrate)
     with pytest.raises(NumericFailure):
@@ -252,3 +304,4 @@ def test_refinement_rerun_reuses_its_coarse_grid(ln, solved):
     # Three mie_rate calls use 2x4/4x8, 4x8/8x16 and 8x16/16x32, and the regime
     # tag uses 16x32: four distinct grids, each solved once.
     assert sorted(solved) == [2 * 4, 4 * 8, 8 * 16, 16 * 32]
+    assert _grids(empty_memo) == [(2, 4), (4, 8), (8, 16), (16, 32)]

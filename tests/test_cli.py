@@ -630,6 +630,47 @@ class TestNumericFailure:
         assert caught == []
         assert not out.exists()
 
+    @staticmethod
+    def _bragg_10_on_11(start, stop):
+        """A 10 GHz mode behind a silicon/sapphire mirror centred at 11 GHz."""
+        cfg = base_config(
+            scenario="bragg",
+            bragg={"low": "silicon", "high": "sapphire", "center_frequency_GHz": 11.0},
+            quadrature=dict(SMALL_QUAD),
+        )
+        cfg["sweep"] = {"axis": "n_periods", "grid": "linear", "start": start, "stop": stop,
+                        "count": stop - start + 1}
+        return cfg
+
+    @pytest.mark.parametrize("periods,miss", [(52, "36"), (300, "2.1e+167")])
+    def test_bragg_transmittance_lost_to_cancellation_exits_3(self, tmp_path, capsys, periods, miss):
+        """Deep in the stopband T is lost to cancellation while the matrix is
+        still finite: T read 36 at 52 periods and 2e167 at 300."""
+        code, out = run_cli(tmp_path, self._bragg_10_on_11(periods, periods))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == (
+            f"numeric failure: the mirror's R + T misses 1 by {miss} at {periods} periods: "
+            "its transmittance is lost to cancellation\n"
+        )
+        assert not out.exists()
+
+    def test_bragg_energy_check_leaves_a_lossless_sweep_alone(self, tmp_path, monkeypatch):
+        import phonoscat.cli as cli
+
+        cfg = self._bragg_10_on_11(0, 6)
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 0
+        checked = out.read_bytes()
+        monkeypatch.setattr(cli, "_LOSSLESS_ATOL", np.inf)
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 0
+        assert out.read_bytes() == checked
+        _, rows = read_csv(out)
+        assert [int(r[0]) for r in rows] == list(range(7))
+        for r in rows:
+            assert abs(float(r[1]) + float(r[2]) - 1.0) <= 1e-15
+
     def test_unwritable_output_names_the_field(self, tmp_path, capsys, monkeypatch):
         import phonoscat.cli as cli
 

@@ -25,7 +25,7 @@ import phonoscat.elastodynamics as elastodynamics
 import phonoscat.radiation as radiation
 from phonoscat.cli import main
 from phonoscat.coupling import Inclusion
-from phonoscat.elastodynamics import angular_table
+from phonoscat.elastodynamics import AngularTable, _table_key, angular_table
 from phonoscat.materials import Orientation
 from phonoscat.mitigation import dual_waveguide_rate, dual_waveguide_sweep
 from phonoscat.radiation import (
@@ -204,8 +204,8 @@ def test_refinement_rerun_reuses_its_coarse_couplings(db, ln, contractions):
     assert sorted(contractions) == [(4, 8), (8, 16), (16, 32), (32, 64)]
 
 
-def test_orientation_scan_solves_stresses_only_in_table_builds(db, ln, monkeypatch):
-    substrate = dataclasses.replace(db["sapphire"])  # a copy with no tables yet
+def test_orientation_scan_solves_stresses_only_in_table_builds(db, ln, monkeypatch, empty_memo):
+    substrate = db["sapphire"]
     mode = make_mode(substrate)
     solves, stresses = [], []
     solve, stress = elastodynamics.christoffel_many, elastodynamics._voigt_stresses
@@ -229,6 +229,7 @@ def test_orientation_scan_solves_stresses_only_in_table_builds(db, ln, monkeypat
     # span each, built once: all 3 branches per span and nothing per angle
     assert sorted(solves) == [16 * 32, 32 * 64]
     assert sorted(stresses) == [16 * 32, 32 * 64]
+    assert set(empty_memo) == {_table_key(substrate, 16, 32), _table_key(substrate, 32, 64)}
     assert einsum_stresses == []
 
 
@@ -291,7 +292,7 @@ def test_threads_do_not_change_csv_bytes(tmp_path, scenario, axis):
     assert data[0] == data[1]
 
 
-def test_table_is_dropped_with_the_sweep(db, ln):
+def test_table_is_dropped_with_the_sweep(db, ln, empty_memo):
     substrate = dataclasses.replace(db["sapphire"])
     mode = make_mode(substrate)
     inc = _waveguide(ln)
@@ -299,12 +300,13 @@ def test_table_is_dropped_with_the_sweep(db, ln):
     dual_waveguide_sweep(mode, inc, substrate, [np.array([2e-6, 0.0, 0.0])], -1, QUAD)
     gc.collect()
     assert not any(isinstance(o, radiation._CouplingTable) for o in gc.get_objects())
-    # the substrate gained its angular tables and nothing else
+    # the memo gained the substrate's angular tables and nothing else, and the
+    # substrate itself gained nothing that a table build does not cache
+    assert set(empty_memo) == {_table_key(substrate, n, 2 * n) for n in (16, 32, 64)}
+    assert all(type(t) is AngularTable for t in empty_memo.values())
     ref = dataclasses.replace(db["sapphire"])
-    for grid in substrate.angular_tables:
-        angular_table(ref, *grid)
+    angular_table(ref, 8, 16)
     assert vars(substrate).keys() == vars(ref).keys()
-    assert substrate.angular_tables.keys() == ref.angular_tables.keys()
 
 
 @pytest.mark.parametrize("edge_um,refinements", [(0.1, 1), (0.5, 2)])

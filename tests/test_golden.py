@@ -2,7 +2,9 @@
 
 ``tests/golden/`` holds the CSVs of ``scripts/run_sweeps.py --quick``.  Each
 fresh table must have the golden header and row count, equal text cells and
-numeric cells within a relative 1e-12.  A change that really moves the
+numeric cells within a relative 1e-12.  The studies run cold, from an empty
+angular-table memo, and a second time warm, on the tables the first run
+left; the warm CSVs must be byte-identical to the cold ones.  A change that really moves the
 numbers regenerates the golden files in a change of its own that says why;
 the tolerance is never loosened to let one through.  ``--only`` is checked
 here too: a named study writes its one table, and an unknown name exits 2.
@@ -15,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+import phonoscat.elastodynamics as elastodynamics
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 RTOL = 1e-12
@@ -24,10 +28,18 @@ STUDIES = sorted(run_sweeps["studies"](quick=True))
 
 
 @pytest.fixture(scope="module")
-def fresh(tmp_path_factory):
-    outdir = tmp_path_factory.mktemp("quick_studies")
-    assert run_sweeps["main"](["--quick", "--outdir", str(outdir)]) == 0
-    return outdir
+def runs(tmp_path_factory):
+    """The quick studies run twice in this process: cold, from an empty
+    angular-table memo, then warm, reading the tables the cold run left."""
+    dirs, built = {}, {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(elastodynamics, "_TABLES", {})
+        for run in ("cold", "warm"):
+            dirs[run] = tmp_path_factory.mktemp(f"quick_studies_{run}")
+            assert run_sweeps["main"](["--quick", "--outdir", str(dirs[run])]) == 0
+            built[run] = set(elastodynamics._TABLES)
+    assert built["cold"] and built["warm"] == built["cold"]  # the warm run built no table
+    return dirs
 
 
 def read_rows(path):
@@ -61,8 +73,13 @@ def assert_matches_golden(path, study):
 
 
 @pytest.mark.parametrize("study", STUDIES)
-def test_quick_study_matches_golden(fresh, study):
-    assert_matches_golden(fresh / f"{study}.csv", study)
+def test_quick_study_matches_golden(runs, study):
+    assert_matches_golden(runs["cold"] / f"{study}.csv", study)
+
+
+@pytest.mark.parametrize("study", STUDIES)
+def test_warm_tables_write_the_same_bytes(runs, study):
+    assert (runs["warm"] / f"{study}.csv").read_bytes() == (runs["cold"] / f"{study}.csv").read_bytes()
 
 
 def test_only_runs_the_named_study(tmp_path):
