@@ -13,9 +13,11 @@ branch there; both depend only on the substrate's density and stiffness and
 on the grid.  ``angular_table`` solves them once per process for each
 (rho, C, n_theta, n_phi) and keeps the read-only result in a module-level
 memo keyed by exactly those values, so every ``MaterialSpec`` with the same
-physics, however it was loaded, shares one table per grid.  The polarizations
-are a build-time intermediate: the table keeps the velocities and the six
-unique components of each tau, 200 bytes per node.
+physics, however it was loaded, shares one table per grid.  Nothing is
+evicted: the memo grows by one table per distinct (rho, C, grid) for the life
+of the process.  The polarizations are a build-time intermediate: the table
+keeps the velocities and the six unique components of each tau, 200 bytes
+per node.
 
 The build fills the Christoffel matrices and the Voigt stresses with
 component-major kernels, one elementwise pass per (j, k) or (k, l) term, that
@@ -141,9 +143,9 @@ def _build_table(material: MaterialSpec, n_theta: int, n_phi: int) -> AngularTab
     return AngularTable(khats, weights, velocities, stresses)
 
 
-# The memo of angular_table for the life of the process.  It has no eviction:
-# production substrates come only from the materials database, so it holds at
-# most one table per (database substrate, requested grid).
+# The memo of angular_table.  It has no eviction: it holds one table for
+# every distinct (rho, C, n_theta, n_phi) requested in the process, rotated
+# and edited substrates included, for the life of the process.
 _TABLES: dict[tuple, AngularTable] = {}
 
 
@@ -159,7 +161,9 @@ def angular_table(material: MaterialSpec, n_theta: int, n_phi: int) -> AngularTa
     Solved once per process for each (rho, C, grid) and shared by every
     material with that density and stiffness: two loads of the database
     share their tables, while a rotated copy or any other change of C or rho
-    gets its own.
+    gets its own.  Every table is kept until the process ends, at 200 bytes
+    per node, so memory grows with the number of distinct (rho, C, grid)
+    requested.
     """
     key = _table_key(material, n_theta, n_phi)
     table = _TABLES.get(key)

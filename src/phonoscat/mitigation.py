@@ -21,6 +21,10 @@ from .elastodynamics import christoffel_many
 from .materials import MaterialSpec
 from .radiation import NumericFailure, QuadratureSpec, RadiationResult, _rates, _result
 
+# How far R + T of a lossless mirror may miss 1 before bragg_transmission
+# treats its T as lost to cancellation.
+_LOSSLESS_ATOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DualWaveguideResult:
@@ -255,8 +259,8 @@ def bragg_transmission(stack: BraggStack, omega: float) -> tuple[float, float]:
     (T carries the impedance ratio of the outer media) so that R + T = 1 is a
     genuine check of losslessness rather than an identity.  T comes from
     entries that grow with the period count, so deep in a stopband it is lost
-    to cancellation long before the matrix overflows; the ``bragg`` scenario
-    fails a point whose R + T misses 1 by more than 1e-12.
+    to cancellation long before the matrix overflows: an (R, T) whose sum
+    misses 1 by more than ``_LOSSLESS_ATOL`` raises NumericFailure.
     """
     m = transfer_matrix(stack, omega)
     a, b = m[0]
@@ -267,6 +271,12 @@ def bragg_transmission(stack: BraggStack, omega: float) -> tuple[float, float]:
     t = a * (1 + r) + b * (1 - r) / stack.z_in
     reflectance = float(np.abs(r) ** 2)
     transmittance = float((stack.z_in / stack.z_out) * np.abs(t) ** 2)
+    miss = abs(reflectance + transmittance - 1.0)
+    if not miss <= _LOSSLESS_ATOL:
+        raise NumericFailure(
+            f"the mirror's R + T misses 1 by {miss:.2g} at {stack.n_periods} periods: "
+            "its transmittance is lost to cancellation"
+        )
     return reflectance, transmittance
 
 

@@ -210,6 +210,22 @@ def test_rotated_copy_never_sees_the_original_table(empty_memo):
     assert empty_memo[_table_key(original, 8, 16)] is t0
 
 
+def test_memo_grows_by_distinct_physics_not_by_copies(empty_memo):
+    """The memo's bound: one table per distinct (rho, C, grid) ever requested.
+    Ten fresh copies of each of three rotations, on two grids, add six
+    tables, not sixty; each new rotation adds one table per grid."""
+    sapphire = default_materials()["sapphire"]
+    turns = [Orientation.about_axis([1.0, 1.0, 0.0], angle) for angle in (0.3, 0.7, 1.1)]
+    for grid in ((8, 16), (16, 32)):
+        for turn in turns:
+            first = angular_table(sapphire.rotated(turn), *grid)
+            for _ in range(9):
+                assert angular_table(sapphire.rotated(turn), *grid) is first
+    assert len(empty_memo) == len(turns) * 2
+    angular_table(sapphire.rotated(Orientation.about_axis([1.0, 1.0, 0.0], 1.5)), 8, 16)
+    assert len(empty_memo) == len(turns) * 2 + 1
+
+
 def test_separately_loaded_databases_share_one_table(empty_memo):
     first, second = default_materials(), default_materials()
     for name in ("sapphire", "silicon", "sapphire_iso"):

@@ -656,13 +656,13 @@ class TestNumericFailure:
         assert not out.exists()
 
     def test_bragg_energy_check_leaves_a_lossless_sweep_alone(self, tmp_path, monkeypatch):
-        import phonoscat.cli as cli
+        import phonoscat.mitigation as mitigation
 
         cfg = self._bragg_10_on_11(0, 6)
         code, out = run_cli(tmp_path, cfg)
         assert code == 0
         checked = out.read_bytes()
-        monkeypatch.setattr(cli, "_LOSSLESS_ATOL", np.inf)
+        monkeypatch.setattr(mitigation, "_LOSSLESS_ATOL", np.inf)
         code, out = run_cli(tmp_path, cfg)
         assert code == 0
         assert out.read_bytes() == checked

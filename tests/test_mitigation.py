@@ -21,7 +21,7 @@ from phonoscat.mitigation import (
     mitigated_rate,
     transfer_matrix,
 )
-from phonoscat.radiation import QuadratureSpec, mie_rate
+from phonoscat.radiation import NumericFailure, QuadratureSpec, mie_rate
 
 from conftest import make_mode
 
@@ -282,6 +282,14 @@ class TestBraggTransmission:
         a = bragg_transmission(stack, 2 * np.pi * f)
         b = bragg_transmission(stack, 2 * np.pi * (f + 4 * 11e9))
         assert a[1] == pytest.approx(b[1], rel=1e-9)
+
+    @pytest.mark.parametrize("periods", [40, 52, 300])
+    def test_transmittance_lost_to_cancellation_raises(self, periods):
+        """Off-centre deep in the stopband T is lost to cancellation while the
+        matrix is still finite (T read 2.2e-6, 36 and 2e167): a library call
+        raises instead of returning it."""
+        with pytest.raises(NumericFailure, match=f"R \\+ T misses 1 by .* at {periods} periods"):
+            bragg_transmission(quarter_wave_stack(periods), 2 * np.pi * 10e9)
 
     def test_transmittance_strictly_decreasing_in_periods(self):
         omega_c = 2 * np.pi * 11e9
