@@ -222,8 +222,6 @@ class MaterialSpec:
         material is flagged piezoelectric.
     eps_r:
         3x3 relative permittivity.  Symmetric positive definite.
-    isotropic:
-        Declares the isotropic stiffness pattern; checked on construction.
     piezoelectric:
         Permits nonzero ``d``.
     """
@@ -233,7 +231,6 @@ class MaterialSpec:
     C: np.ndarray
     d: np.ndarray
     eps_r: np.ndarray
-    isotropic: bool = False
     piezoelectric: bool = False
 
     def __post_init__(self):
@@ -249,11 +246,6 @@ class MaterialSpec:
             _validate_spd(eps, "relative permittivity")
         except MaterialError as exc:
             raise MaterialError(f"material '{self.name}': {exc}") from None
-        if self.isotropic and not is_isotropic_stiffness(C):
-            raise MaterialError(
-                f"material '{self.name}': flagged isotropic but stiffness violates "
-                "C11 - C12 = 2*C44 (relative tolerance 1e-9)"
-            )
         if not self.piezoelectric and np.any(d != 0):
             raise MaterialError(
                 f"material '{self.name}': nonzero piezo matrix requires the piezoelectric flag"
@@ -270,9 +262,14 @@ class MaterialSpec:
         c.setflags(write=False)
         return c
 
+    @cached_property
+    def isotropic(self) -> bool:
+        """Whether the stiffness has the isotropic pattern; computed from C alone."""
+        return is_isotropic_stiffness(self.C)
+
     def lame(self) -> tuple[float, float]:
         """Lame parameters (lambda, mu) for an isotropic stiffness."""
-        if not is_isotropic_stiffness(self.C):
+        if not self.isotropic:
             raise MaterialError(f"material '{self.name}' is not isotropic")
         return float(self.C[0, 1]), float(self.C[3, 3])
 
@@ -284,7 +281,6 @@ class MaterialSpec:
             C=rotate_stiffness(self.C, orientation),
             d=rotate_piezo(self.d, orientation),
             eps_r=rotate_permittivity(self.eps_r, orientation),
-            isotropic=self.isotropic,
             piezoelectric=self.piezoelectric,
         )
 
@@ -314,15 +310,14 @@ def _record_to_spec(rec: dict, idx: int) -> MaterialSpec:
         C, d, eps_r = (np.asarray(rec[key], dtype=float).reshape(shape) for key, shape in shapes.items())
     except (TypeError, ValueError, OverflowError):
         raise MaterialError(f"material '{label}': rho, C, d and eps_r must hold numbers only") from None
-    return MaterialSpec(
-        name=str(rec["name"]),
-        rho=rho,
-        C=C,
-        d=d,
-        eps_r=eps_r,
-        isotropic=bool(rec.get("isotropic", False)),
-        piezoelectric=bool(rec.get("piezoelectric", False)),
-    )
+    piezo = bool(rec.get("piezoelectric", False))
+    spec = MaterialSpec(name=str(rec["name"]), rho=rho, C=C, d=d, eps_r=eps_r, piezoelectric=piezo)
+    if rec.get("isotropic") and not spec.isotropic:
+        raise MaterialError(
+            f"material '{spec.name}': flagged isotropic but stiffness violates "
+            "C11 - C12 = 2*C44 (relative tolerance 1e-9)"
+        )
+    return spec
 
 
 def load_materials(path) -> dict[str, MaterialSpec]:

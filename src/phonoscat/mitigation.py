@@ -19,7 +19,7 @@ import numpy as np
 from .coupling import Inclusion, MicrowaveMode
 from .elastodynamics import christoffel_many
 from .materials import MaterialSpec
-from .radiation import NumericFailure, QuadratureSpec, RadiationResult, _rates, _result
+from .radiation import NumericFailure, QuadratureSpec, RadiationResult, _rates, _require_nonzero, _result
 
 # How far R + T of a lossless mirror may miss 1 before bragg_transmission
 # treats its T as lost to cancellation.
@@ -103,10 +103,7 @@ def dual_waveguide_sweep(
         )
         points.append((mode, [first, second]))
     single, *pairs = _rates(substrate, points, quad)
-    if single.total_rate == 0:
-        raise NumericFailure(
-            "the single-inclusion rate is exactly zero, so the suppression ratio is undefined"
-        )
+    _require_nonzero(single.total_rate, "the single-inclusion rate", "the suppression ratio is undefined")
     results = []
     for sep, pair in zip(seps, pairs):
         ratio = pair.total_rate / (2 * single.total_rate)

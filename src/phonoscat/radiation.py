@@ -83,6 +83,12 @@ class NumericFailure(Exception):
     """No finite answer: unconverged quadrature, or a ratio over a zero rate."""
 
 
+def _require_nonzero(rate: float, what: str, consequence: str) -> None:
+    """NumericFailure when ``rate`` is zero, naming the rate and what that leaves undefined."""
+    if rate == 0:
+        raise NumericFailure(f"{what} is exactly zero, so {consequence}")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Angular quadrature controls for the isofrequency integral."""
@@ -445,6 +451,9 @@ def rayleigh_rate(
     return _result(mode.omega0, rates, regime_label(mode.omega0, [inclusion], substrate), diag)
 
 
+ORACLE_RTOL = 2e-2  # relative deviation up to which mie_rate agrees with brute_force_rate
+
+
 def brute_force_rate(
     mode: MicrowaveMode,
     inclusions,
@@ -609,17 +618,20 @@ def sweep(
 
 def derived_material_constant(
     result: RadiationResult, mode: MicrowaveMode, inclusion: Inclusion, substrate: MaterialSpec
-) -> np.ndarray:
-    """Dimensionless per-branch constant obtained by inverting the closed form
-    ``Gamma_q = CG_q (V^2 / V_E) 4 pi omega0^4 / v_q^3`` (isotropic substrates).
-
-    Diagnostic only; no rate is ever computed from it.
+) -> tuple[float, float] | None:
+    """Dimensionless constants (shear, longitudinal) obtained by inverting the
+    closed form ``Gamma_q = CG_q (V^2 / V_E) 4 pi omega0^4 / v_q^3`` (isotropic
+    substrates).  Shear sums the two shear branches, the only meaningful shear
+    value (``RadiationResult``).  None for a zero rate, or when V^2 omega0^4 or
+    the constant leaves the float range.  Diagnostic only; no rate is ever
+    computed from it.
     """
     lam, mu = substrate.lame()
-    v = np.array([np.sqrt(mu / substrate.rho)] * 2 + [np.sqrt((lam + 2 * mu) / substrate.rho)])
-    return (
-        np.asarray(result.branch_rates)
-        * mode.mode_volume
-        * v**3
-        / (4 * np.pi * inclusion.volume**2 * mode.omega0**4)
-    )
+    if result.total_rate == 0:
+        return None
+    rates = np.array([result.branch_rates[0] + result.branch_rates[1], result.branch_rates[2]])
+    v = np.sqrt(np.array([mu, lam + 2 * mu]) / substrate.rho)
+    with np.errstate(all="ignore"):
+        scale = 4 * np.pi * np.float64(inclusion.volume) ** 2 * np.float64(mode.omega0) ** 4
+        cg = rates * mode.mode_volume * v**3 / scale
+    return (float(cg[0]), float(cg[1])) if 0 < scale < np.inf and np.all(np.isfinite(cg)) else None

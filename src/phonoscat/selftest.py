@@ -20,7 +20,7 @@ import numpy as np
 from .coupling import Inclusion, MicrowaveMode, default_eps_eff
 from .materials import Orientation, default_materials
 from .mitigation import BraggStack, bragg_transmission, dual_waveguide_rate
-from .radiation import QuadratureSpec, brute_force_rate, rayleigh_rate, refined_rate, sweep
+from .radiation import ORACLE_RTOL, QuadratureSpec, brute_force_rate, rayleigh_rate, refined_rate, sweep
 from .transducer import EoModel, figure_of_merit
 
 # Crystal X along the film normal, crystal Z in the film plane (along -x lab).
@@ -67,8 +67,8 @@ def _check_brute_force(g_mie, substrate, mode, cube) -> CheckResult:
     rel = abs(g_mie - g_brute) / g_mie
     return CheckResult(
         "quadrature engine vs brute-force broadened-delta sum",
-        rel < 2e-2,
-        f"relative deviation {rel:.2e} (tolerance 2e-02)",
+        rel < ORACLE_RTOL,
+        f"relative deviation {rel:.2e} (tolerance {ORACLE_RTOL:.0e})",
     )
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from phonoscat.cli import ENV_MATERIALS, load_run_config, main
 from phonoscat.materials import default_materials
+from phonoscat.radiation import QuadratureSpec
 
 from conftest import save_materials
 
@@ -125,6 +126,25 @@ class TestRunMie:
         assert "nan" not in stdout
         assert "derived material constant: skipped (zero rate)" in stdout
         assert read_csv(out)[1] == [["0.01", "0.0", "inf", "rayleigh"]]
+
+    def test_derived_constant_ignores_the_shear_basis(self, tmp_path, capsys, substrate, remix_tables):
+        """The two shear branches of an isotropic substrate are degenerate, so
+        remixing their eigenbasis must not move the printed constant."""
+        quad = QuadratureSpec(n_theta=64, n_phi=128)
+        cfg = self._cfg(quadrature={"n_theta": quad.n_theta, "n_phi": quad.n_phi})
+        cfg["inclusions"][0]["dimensions_um"] = [0.5, 1.0, 5.0]
+        cfg["sweep"] = {"axis": "frequency_GHz", "grid": "log", "start": 1.0, "count": 1}
+
+        def derived_line():
+            assert run_cli(tmp_path, cfg)[0] == 0
+            out = capsys.readouterr().out
+            assert f"quadrature: up to {4 * quad.n_theta * quad.n_phi} nodes" in out  # no refinement
+            return [line for line in out.splitlines() if line.startswith("derived material constant C*G")]
+
+        genuine = derived_line()
+        assert len(genuine) == 1
+        remix_tables(substrate, quad, np.random.default_rng(1))
+        assert derived_line() == genuine
 
     def test_byte_identical_repeats(self, tmp_path):
         cfg = self._cfg()
@@ -832,6 +852,21 @@ class TestMaterialsEnvAndValidate:
         cfg = base_config(materials_db=str(db_path))
         code, _ = run_cli(tmp_path, cfg)
         assert code == 0
+
+    def test_isotropy_comes_from_the_stiffness(self, tmp_path, capsys):
+        """With no ``isotropic`` flag in the database, sapphire_iso's stiffness
+        still makes it isotropic, so the closed-form scenario runs."""
+        db_path = tmp_path / "db.json"
+        save_materials(default_materials(), db_path)
+        records = json.loads(db_path.read_text())
+        for rec in records:
+            del rec["isotropic"]
+        db_path.write_text(json.dumps(records))
+        code, _ = run_cli(tmp_path, base_config(materials_db=str(db_path)))
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "substrate: sapphire_iso (isotropic)" in out
+        assert "derived material constant C*G (shear, longitudinal)" in out
 
     def test_env_var_missing_file(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(ENV_MATERIALS, str(tmp_path / "nowhere.json"))

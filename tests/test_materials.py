@@ -314,7 +314,6 @@ class TestMaterialSpec:
             C=isotropic_stiffness(50e9, 30e9),
             d=np.zeros((3, 6)),
             eps_r=np.eye(3) * 10,
-            isotropic=True,
         )
         base.update(overrides)
         return MaterialSpec(**base)
@@ -327,26 +326,38 @@ class TestMaterialSpec:
         C = isotropic_stiffness(50e9, 30e9)
         C[0, 5] = 1e9
         with pytest.raises(MaterialError, match="symmetric"):
-            self._spec(C=C, isotropic=False)
+            self._spec(C=C)
 
     def test_rejects_indefinite_stiffness(self):
         with pytest.raises(MaterialError, match="positive definite"):
-            self._spec(C=-isotropic_stiffness(50e9, 30e9), isotropic=False)
+            self._spec(C=-isotropic_stiffness(50e9, 30e9))
 
     def test_rejects_negative_density(self):
         with pytest.raises(MaterialError, match="density"):
             self._spec(rho=-1.0)
 
-    def test_isotropic_flag_is_checked(self):
+    def test_isotropic_flag_is_checked(self, tmp_path):
+        """A database record's optional ``isotropic`` flag is checked against C."""
+        rec = {
+            "name": "bad",
+            "rho": 2329.0,
+            "C": DB["silicon"].C.ravel().tolist(),
+            "d": [0.0] * 18,
+            "eps_r": np.eye(3).ravel().tolist(),
+            "isotropic": True,
+        }
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps([rec]))
         with pytest.raises(MaterialError, match="isotropic"):
-            MaterialSpec(
-                name="bad",
-                rho=2329.0,
-                C=DB["silicon"].C.copy(),
-                d=np.zeros((3, 6)),
-                eps_r=np.eye(3),
-                isotropic=True,
-            )
+            load_materials(path)
+
+    def test_isotropy_is_computed_from_the_stiffness(self):
+        assert self._spec().isotropic
+        assert not self._spec(C=DB["silicon"].C).isotropic
+        assert DB["sapphire_iso"].rotated(Orientation.about_axis([1, 1, 0], 0.8)).isotropic
+        assert not DB["sapphire"].rotated(Orientation.about_axis([1, 1, 0], 0.8)).isotropic
+        with pytest.raises(TypeError, match="isotropic"):
+            self._spec(isotropic=True)
 
     def test_nonzero_piezo_requires_flag(self):
         d = np.zeros((3, 6))
@@ -426,6 +437,19 @@ class TestDatabase:
         del rec["eps_r"]
         with pytest.raises(MaterialError, match="lithium_niobate.*eps_r"):
             load_materials(self._write(tmp_path, [rec]))
+
+    def test_unflagged_isotropic_record_is_isotropic(self, tmp_path):
+        iso = DB["sapphire_iso"]
+        rec = {
+            "name": "iso",
+            "rho": iso.rho,
+            "C": iso.C.ravel().tolist(),
+            "d": [0.0] * 18,
+            "eps_r": iso.eps_r.ravel().tolist(),
+        }
+        spec = load_materials(self._write(tmp_path, [rec]))["iso"]
+        assert spec.isotropic
+        assert spec.lame() == iso.lame()
 
     def test_unknown_key_names_record(self, tmp_path):
         rec = self._ln_record()

@@ -7,6 +7,7 @@ overlapping domains.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,77 @@ class TestFrameCovariance:
         assert np.allclose(b.branch_rates, a.branch_rates, rtol=1e-10)
 
 
+class TestExactInvariances:
+    """Identities of the output that hold to rounding on every substrate, so
+    they check the anisotropic path without a second implementation: the
+    x-cut 0.5 x 1 x 5 um waveguide at 10 GHz, ``mie_rate`` at 64 x 128."""
+
+    QUAD = QuadratureSpec(n_theta=64, n_phi=128)
+    SUBSTRATES = ["sapphire", "silicon", "sapphire_iso"]
+
+    @pytest.mark.parametrize("name", SUBSTRATES)
+    def test_frequency_size_scaling(self, name, waveguide):
+        """Gamma(lam omega0, L / lam) = lam^-2 Gamma(omega0, L) at fixed V_E:
+        k0^4, u0^2 ~ 1/omega0, M^2 ~ omega0 and V^2 ~ L^6 leave the form
+        factor's arguments k L unchanged."""
+        substrate = DB[name]
+        mode = make_mode(substrate)
+        base = mie_rate(mode, waveguide, substrate, self.QUAD).total_rate
+        for lam in (2.0, 0.5, 3.0):
+            m = dataclasses.replace(mode, omega0=lam * mode.omega0)
+            inc = dataclasses.replace(waveguide, dimensions=waveguide.dimensions / lam)
+            scaled = mie_rate(m, inc, substrate, self.QUAD).total_rate
+            assert abs(lam**2 * scaled / base - 1) < 1e-13
+
+    @pytest.mark.parametrize("name", SUBSTRATES)
+    def test_translation(self, name, waveguide):
+        """A lone inclusion's phase has modulus 1: off centre (the complex
+        accumulation) gives the centred rate (the real accumulation)."""
+        substrate = DB[name]
+        mode = make_mode(substrate)
+        centred = mie_rate(mode, waveguide, substrate, self.QUAD).total_rate
+        moved = dataclasses.replace(waveguide, center=np.array([0.3e-6, -0.2e-6, 0.1e-6]))
+        assert abs(mie_rate(mode, moved, substrate, self.QUAD).total_rate / centred - 1) < 1e-14
+
+    @pytest.mark.parametrize("name", SUBSTRATES)
+    def test_swapping_the_copies_of_a_pair(self, name, waveguide):
+        """Exchanging which copy of an antiparallel pair is inverted."""
+        substrate = DB[name]
+        mode = make_mode(substrate)
+        here, there = np.array([0.4e-6, 0.0, 0.0]), np.array([-0.4e-6, 0.0, 0.0])
+
+        def pair(plus, minus):
+            copies = [
+                dataclasses.replace(waveguide, center=plus),
+                dataclasses.replace(waveguide, center=minus, sign=-1),
+            ]
+            return mie_rate(mode, copies, substrate, self.QUAD).total_rate
+
+        a, b = pair(here, there), pair(there, here)
+        assert a > 0
+        assert abs(b / a - 1) < 1e-14
+
+    @pytest.mark.parametrize("n_phi", [128, 120])
+    @pytest.mark.parametrize("name", SUBSTRATES)
+    def test_quarter_turn_of_the_whole_device(self, name, n_phi, waveguide):
+        """Substrate, inclusion and field turned by 90 deg about z: the phi
+        grid maps onto itself when n_phi % 4 == 0."""
+        substrate = DB[name]
+        quad = QuadratureSpec(n_theta=64, n_phi=n_phi)
+        R = Orientation(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        mode = make_mode(substrate)
+        turned = Inclusion(
+            waveguide.dimensions[[1, 0, 2]],
+            waveguide.center,
+            waveguide.material,
+            orientation=R.compose(waveguide.orientation),
+        )
+        mode_r = dataclasses.replace(mode, field_direction=R.matrix @ mode.field_direction)
+        a = mie_rate(mode, waveguide, substrate, quad).total_rate
+        b = mie_rate(mode_r, turned, substrate.rotated(R), quad).total_rate
+        assert abs(b / a - 1) < 1e-13
+
+
 class TestQuadratureControls:
     def test_error_estimate_shrinks_with_nodes(self, substrate, waveguide):
         mode = make_mode(substrate)
@@ -350,16 +422,15 @@ class TestSweeps:
 
 class TestDerivedConstant:
     def test_inverts_closed_form(self, substrate, small_cube):
+        """Shear rebuilds the sum of the two shear branches, longitudinal the third."""
         mode = make_mode(substrate, f_hz=1e9)
         r = rayleigh_rate(mode, small_cube, substrate)
         cg = derived_material_constant(r, mode, small_cube, substrate)
         lam, mu = substrate.lame()
-        v = np.array(
-            [np.sqrt(mu / substrate.rho)] * 2
-            + [np.sqrt((lam + 2 * mu) / substrate.rho)]
-        )
-        rebuilt = cg * small_cube.volume**2 / mode.mode_volume * 4 * np.pi * mode.omega0**4 / v**3
-        assert np.allclose(rebuilt, r.branch_rates, rtol=1e-12)
+        v = np.array([np.sqrt(mu / substrate.rho), np.sqrt((lam + 2 * mu) / substrate.rho)])
+        rebuilt = np.array(cg) * small_cube.volume**2 / mode.mode_volume * 4 * np.pi * mode.omega0**4 / v**3
+        wanted = [r.branch_rates[0] + r.branch_rates[1], r.branch_rates[2]]
+        np.testing.assert_allclose(rebuilt, wanted, rtol=1e-12, atol=0)
 
     def test_constant_is_scale_free(self, substrate, ln, xcut):
         """Changing frequency, inclusion volume or mode volume must not move it."""
@@ -370,6 +441,27 @@ class TestDerivedConstant:
         cg1 = derived_material_constant(rayleigh_rate(m1, inc1, substrate), m1, inc1, substrate)
         cg2 = derived_material_constant(rayleigh_rate(m2, inc2, substrate), m2, inc2, substrate)
         assert np.allclose(cg1, cg2, rtol=1e-12)
+
+    def test_zero_rate_has_no_constant(self, substrate, silicon):
+        """A non-piezoelectric inclusion radiates exactly nothing: no 0/0."""
+        mode = make_mode(substrate)
+        inc = Inclusion((10e-9,) * 3, (0, 0, 0), silicon)
+        r = rayleigh_rate(mode, inc, substrate)
+        assert r.total_rate == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert derived_material_constant(r, mode, inc, substrate) is None
+
+    @pytest.mark.parametrize("f_hz", [1e-90, 1e78])
+    def test_constant_beyond_the_float_range_is_none(self, substrate, small_cube, f_hz):
+        """omega0^4 underflows to zero, or overflows, while a (made-up) rate
+        stays in the float range."""
+        mode = make_mode(substrate, f_hz=f_hz)
+        diag = QuadratureDiagnostics(n_theta=0, n_phi=0, nodes=0, rel_error=0.0, converged=True)
+        r = _result(mode.omega0, np.array([1.0, 1.0, 1.0]), "rayleigh", diag)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert derived_material_constant(r, mode, small_cube, substrate) is None
 
 
 class TestNonFiniteRates:

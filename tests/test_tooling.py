@@ -7,7 +7,8 @@ one of those functions breaks a traced benchmark run, so the names are
 checked here.  The tracer file is only read, never imported as a module.
 The README's "Scenarios" table is checked against the CLI's scenario table,
 the options the README names for ``phonoscat run`` against its parser, and
-the README's "Selftest" output against the checks ``run_all`` returns.
+the README's "Selftest" output against the checks ``run_all`` returns, and
+the record keys its materials-file paragraph names against the loader's.
 """
 
 import argparse
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import phonoscat
 from phonoscat.cli import _SCENARIOS, build_parser
+from phonoscat.materials import _RECORD_KEYS
 from phonoscat.selftest import run_all
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,3 +69,9 @@ def test_readme_selftest_block_names_exactly_the_checks():
     names = [check.name for check in run_all()]
     assert re.findall(r"^  PASS (.+?): ", block, flags=re.M) == names
     assert block.splitlines()[-1] == f"selftest: all {len(names)} checks passed"
+
+
+def test_readme_materials_file_names_exactly_the_record_keys():
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Materials\n", 1)[1]
+    paragraph = next(p for p in section.split("\n\n") if p.startswith("A materials file is"))
+    assert set(re.findall(r"`([^`]+)`", paragraph)) == _RECORD_KEYS
