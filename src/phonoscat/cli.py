@@ -13,9 +13,10 @@ Exit codes, set for every subcommand in ``main`` alone: 0 success, 2
 configuration error (the message names the offending field or path;
 non-finite numbers and unreadable or unwritable paths are configuration
 errors), 3 numeric failure (quadrature unconverged after the built-in
-refinement cap, a non-finite rate or Bragg transfer matrix, a Bragg R + T
-that misses 1, a ratio over an exactly-zero rate, or a failed selftest
-check).
+refinement cap, a non-finite rate or Bragg transfer matrix, a Bragg
+transmittance below the smallest normal double or a rate behind the mirror
+that leaves the float range, a Bragg R + T that misses 1, a ratio over an
+exactly-zero rate, or a failed selftest check).
 """
 
 from __future__ import annotations

@@ -52,6 +52,9 @@ class MicrowaveMode:
         e = e / n
         e.setflags(write=False)
         object.__setattr__(self, "field_direction", e)
+        denominator = 2 * CONSTANTS.eps0 * self.eps_eff * self.mode_volume  # may underflow to zero
+        if not (denominator > 0 and np.isfinite(self.field_zp)):
+            raise ValueError(f"mode volume {self.mode_volume:.3g} m^3 is too small for a finite zero-point field")
 
     @property
     def field_zp(self) -> float:

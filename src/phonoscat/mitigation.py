@@ -19,10 +19,9 @@ import numpy as np
 from .coupling import Inclusion, MicrowaveMode
 from .elastodynamics import christoffel_many
 from .materials import MaterialSpec
-from .radiation import NumericFailure, QuadratureSpec, RadiationResult, _rates, _require_nonzero, _result
+from .radiation import NumericFailure, QuadratureSpec, RadiationResult, _rates, _require_nonzero
 
-# How far R + T of a lossless mirror may miss 1 before bragg_transmission
-# treats its T as lost to cancellation.
+# How far R + T may miss 1 before bragg_transmission calls a mirror not lossless.
 _LOSSLESS_ATOL = 1e-12
 
 
@@ -33,20 +32,30 @@ class DualWaveguideResult:
     ``suppression_ratio`` is Gamma_pair / (2 Gamma_single): the coherent pair
     rate relative to two independent copies.  ``q_gain`` is its inverse, the
     quality-factor gain interference buys over the incoherent pair (infinite
-    for exact cancellation).
+    for exact cancellation).  A zero single rate raises NumericFailure.
     """
 
     pair: RadiationResult
     single: RadiationResult
     separation: np.ndarray
     relative_sign: int
-    suppression_ratio: float
-    q_gain: float
 
     def __post_init__(self):
+        _require_nonzero(
+            self.single.total_rate, "the single-inclusion rate", "the suppression ratio is undefined"
+        )
         sep = np.asarray(self.separation, dtype=float)
         sep.setflags(write=False)
         object.__setattr__(self, "separation", sep)
+
+    @property
+    def suppression_ratio(self) -> float:
+        return self.pair.total_rate / (2 * self.single.total_rate)
+
+    @property
+    def q_gain(self) -> float:
+        ratio = self.suppression_ratio
+        return np.inf if ratio == 0 else 1.0 / ratio
 
 
 def _check_pair_geometry(dimensions: np.ndarray, separation: np.ndarray) -> None:
@@ -103,21 +112,7 @@ def dual_waveguide_sweep(
         )
         points.append((mode, [first, second]))
     single, *pairs = _rates(substrate, points, quad)
-    _require_nonzero(single.total_rate, "the single-inclusion rate", "the suppression ratio is undefined")
-    results = []
-    for sep, pair in zip(seps, pairs):
-        ratio = pair.total_rate / (2 * single.total_rate)
-        results.append(
-            DualWaveguideResult(
-                pair=pair,
-                single=single,
-                separation=sep,
-                relative_sign=relative_sign,
-                suppression_ratio=ratio,
-                q_gain=np.inf if ratio == 0 else 1.0 / ratio,
-            )
-        )
-    return tuple(results)
+    return tuple(DualWaveguideResult(pair, single, sep, relative_sign) for sep, pair in zip(seps, pairs))
 
 
 def dual_waveguide_rate(
@@ -252,28 +247,28 @@ def bragg_transmission(stack: BraggStack, omega: float) -> tuple[float, float]:
     """Power reflectance and transmittance (R, T) at normal incidence.
 
     Continuity of stress and particle velocity at every interface fixes the
-    reflected and transmitted amplitudes; R and T are computed independently
-    (T carries the impedance ratio of the outer media) so that R + T = 1 is a
-    genuine check of losslessness rather than an identity.  T comes from
-    entries that grow with the period count, so deep in a stopband it is lost
-    to cancellation long before the matrix overflows: an (R, T) whose sum
-    misses 1 by more than ``_LOSSLESS_ATOL`` raises NumericFailure.
+    reflected and transmitted amplitudes.  A lossless stack has det M = 1, so
+    ``t = 2 z_out / (z_in (s + p))`` does not cancel deep in a stopband, where
+    the entries of M grow exponentially with the period count.  R and T are
+    computed independently, so an (R, T) whose sum misses 1 by more than
+    ``_LOSSLESS_ATOL`` raises NumericFailure, and so does a T below the
+    smallest normal double (from about 430 periods of silicon/sapphire).
     """
     m = transfer_matrix(stack, omega)
     a, b = m[0]
     c, d = m[1]
-    p = a - stack.z_out * c
-    s = (stack.z_out * d - b) / stack.z_in
-    r = (s - p) / (s + p)
-    t = a * (1 + r) + b * (1 - r) / stack.z_in
-    reflectance = float(np.abs(r) ** 2)
-    transmittance = float((stack.z_in / stack.z_out) * np.abs(t) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = a - stack.z_out * c
+        s = (stack.z_out * d - b) / stack.z_in
+        r = (s - p) / (s + p)
+        t = 2 * stack.z_out / (stack.z_in * (s + p))
+        reflectance = float(np.abs(r) ** 2)
+        transmittance = float((stack.z_in / stack.z_out) * np.abs(t) ** 2)
+    if not transmittance >= np.finfo(float).tiny:
+        raise NumericFailure(f"the mirror's transmittance underflows at {stack.n_periods} periods")
     miss = abs(reflectance + transmittance - 1.0)
     if not miss <= _LOSSLESS_ATOL:
-        raise NumericFailure(
-            f"the mirror's R + T misses 1 by {miss:.2g} at {stack.n_periods} periods: "
-            "its transmittance is lost to cancellation"
-        )
+        raise NumericFailure(f"the mirror's R + T misses 1 by {miss:.2g} at {stack.n_periods} periods")
     return reflectance, transmittance
 
 
@@ -285,7 +280,9 @@ def mitigated_rate(result: RadiationResult, transmittance: float) -> RadiationRe
     one-dimensional normal-incidence approximation: the angular emission
     pattern is collapsed onto the stack normal and the whole rate is
     multiplied by T(omega0).  It captures the stopband trend, not the full
-    angle-resolved mode-density modification.
+    angle-resolved mode-density modification.  A Q that overflows raises NumericFailure.
     """
-    branch_rates = np.asarray(result.branch_rates) * transmittance
-    return _result(result.omega0, branch_rates, result.regime, result.diagnostics)
+    mitigated = dataclasses.replace(result, branch_rates=result.branch_rates * transmittance)
+    if result.total_rate > 0 and mitigated.q_factor == np.inf:
+        raise NumericFailure(f"the rate behind the mirror underflows at T = {transmittance:.3g}")
+    return mitigated

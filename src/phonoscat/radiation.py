@@ -111,16 +111,22 @@ class QuadratureSpec:
 class QuadratureDiagnostics:
     n_theta: int
     n_phi: int
-    nodes: int
     rel_error: float
     converged: bool
-    method: str = "quadrature"
     refinements: int = 0  # node doublings _rates needed beyond the requested grid
+
+    @property
+    def nodes(self) -> int:
+        return self.n_theta * self.n_phi
+
+    @property
+    def method(self) -> str:
+        return "analytic" if self.nodes == 0 else "quadrature"
 
 
 @dataclass(frozen=True)
 class RadiationResult:
-    """Radiated rate, per branch and total, with Q = omega0 / Gamma.
+    """Finite radiated rate per branch; its total and Q = omega0 / Gamma (inf at 0).
 
     On an isotropic substrate the two shear branches are degenerate at every
     node, and ``eigh`` returns an arbitrary basis of that plane there.  So
@@ -130,15 +136,24 @@ class RadiationResult:
 
     omega0: float
     branch_rates: np.ndarray  # (3,) ascending-velocity branch order
-    total_rate: float
-    q_factor: float
     regime: str
     diagnostics: QuadratureDiagnostics
 
     def __post_init__(self):
         br = np.asarray(self.branch_rates, dtype=float)
+        if not np.all(np.isfinite(br)):
+            raise FloatingPointError(f"non-finite radiated rate per branch: {br}")
         br.setflags(write=False)
         object.__setattr__(self, "branch_rates", br)
+
+    @property
+    def total_rate(self) -> float:
+        return float(np.sum(self.branch_rates))
+
+    @property
+    def q_factor(self) -> float:
+        total = self.total_rate
+        return self.omega0 / total if total > 0 else np.inf
 
 
 class _Sources(NamedTuple):
@@ -309,21 +324,6 @@ def _as_inclusion_list(inclusions) -> list[Inclusion]:
     return incs
 
 
-def _result(omega0, branch_rates, regime, diagnostics) -> RadiationResult:
-    if not np.all(np.isfinite(branch_rates)):
-        raise FloatingPointError(f"non-finite radiated rate per branch: {branch_rates}")
-    total = float(np.sum(branch_rates))
-    q = omega0 / total if total > 0 else np.inf
-    return RadiationResult(
-        omega0=omega0,
-        branch_rates=branch_rates,
-        total_rate=total,
-        q_factor=q,
-        regime=regime,
-        diagnostics=diagnostics,
-    )
-
-
 def mie_rate(
     mode: MicrowaveMode,
     inclusions,
@@ -361,13 +361,9 @@ def mie_rate(
     total = float(np.sum(fine))
     rel = abs(total - float(np.sum(coarse))) / total if total > 0 else 0.0
     diag = QuadratureDiagnostics(
-        n_theta=2 * quad.n_theta,
-        n_phi=2 * quad.n_phi,
-        nodes=4 * quad.n_theta * quad.n_phi,
-        rel_error=rel,
-        converged=rel <= quad.tolerance,
+        n_theta=2 * quad.n_theta, n_phi=2 * quad.n_phi, rel_error=rel, converged=rel <= quad.tolerance
     )
-    return _result(mode.omega0, fine, regime_label(mode.omega0, incs, substrate), diag)
+    return RadiationResult(mode.omega0, fine, regime_label(mode.omega0, incs, substrate), diag)
 
 
 def _rates(substrate: MaterialSpec, points, quad: QuadratureSpec | None = None) -> list[RadiationResult]:
@@ -445,10 +441,8 @@ def rayleigh_rate(
     gamma_l = pref * m2_long / v_l**5
     gamma_t = pref * m2_shear / v_t**5
     rates = np.array([gamma_t / 2, gamma_t / 2, gamma_l])
-    diag = QuadratureDiagnostics(
-        n_theta=0, n_phi=0, nodes=0, rel_error=0.0, converged=True, method="analytic"
-    )
-    return _result(mode.omega0, rates, regime_label(mode.omega0, [inclusion], substrate), diag)
+    diag = QuadratureDiagnostics(n_theta=0, n_phi=0, rel_error=0.0, converged=True)
+    return RadiationResult(mode.omega0, rates, regime_label(mode.omega0, [inclusion], substrate), diag)
 
 
 ORACLE_RTOL = 2e-2  # relative deviation up to which mie_rate agrees with brute_force_rate

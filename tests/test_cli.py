@@ -15,7 +15,7 @@ from phonoscat.cli import ENV_MATERIALS, load_run_config, main
 from phonoscat.materials import default_materials
 from phonoscat.radiation import QuadratureSpec
 
-from conftest import save_materials
+from conftest import DEEP_STOPBAND_T, save_materials
 
 SMALL_QUAD = {"n_theta": 16, "n_phi": 32}
 
@@ -521,6 +521,18 @@ class TestConfigErrors:
         cfg["inclusions"][0]["orientation"] = {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}
         self.check(tmp_path, capsys, cfg, "orientation")
 
+    @pytest.mark.parametrize("scenario", ["rayleigh", "mie"])
+    def test_mode_volume_too_small_for_a_finite_field_exits_2(self, tmp_path, capsys, scenario):
+        """2 eps0 eps_eff V_E underflowed to zero: a ZeroDivisionError traceback."""
+        cfg = base_config(scenario=scenario, quadrature=dict(SMALL_QUAD))
+        cfg["mode"]["mode_volume_um3"] = 1e-300
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: mode volume 1e-318 m^3 is too small for a finite zero-point field\n"
+        )
+        assert not out.exists()
+
 
 class TestPathErrors:
     """A path that cannot be read or written exits 2 and names the path."""
@@ -662,17 +674,42 @@ class TestNumericFailure:
                         "count": stop - start + 1}
         return cfg
 
-    @pytest.mark.parametrize("periods,miss", [(52, "36"), (300, "2.1e+167")])
-    def test_bragg_transmittance_lost_to_cancellation_exits_3(self, tmp_path, capsys, periods, miss):
-        """Deep in the stopband T is lost to cancellation while the matrix is
-        still finite: T read 36 at 52 periods and 2e167 at 300."""
-        code, out = run_cli(tmp_path, self._bragg_10_on_11(periods, periods))
-        err = capsys.readouterr().err
+    @pytest.mark.parametrize("periods", [28, 52, 300])
+    def test_deep_stopband_bragg_writes_the_reference_transmittance(self, tmp_path, periods):
+        """Where t = a (1 + r) + b (1 - r) / z_in cancelled, T read 1.1e-13
+        at 28 periods (exit 0, a Q gain 1e5 too small), 36 at 52 and 2e167 at
+        300 (exit 3)."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, self._bragg_10_on_11(periods, periods))
+        assert code == 0
+        assert caught == []
+        _, [row] = read_csv(out)
+        assert float(row[2]) == pytest.approx(DEEP_STOPBAND_T[periods], rel=1e-12, abs=0)
+        assert float(row[5]) == pytest.approx(1 / DEEP_STOPBAND_T[periods], rel=1e-12)
+        assert all(np.isfinite(float(x)) for x in row)
+
+    @pytest.mark.parametrize(
+        "periods,err",
+        [
+            (463, "the rate behind the mirror underflows at T = 8.59e-308\n"),
+            (464, "the mirror's transmittance underflows at 464 periods\n"),
+            (10_000, "the mirror's transfer matrix overflows at 10000 periods\n"),
+        ],
+        ids=["463", "464", "10000"],
+    )
+    def test_bragg_past_the_float_range_exits_3(self, tmp_path, capsys, periods, err):
+        """T's last normal value scales the rate below the float range; then T
+        itself goes subnormal; then the matrix overflows.  One message, no
+        numpy warning, no inf or nan written."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, self._bragg_10_on_11(periods, periods))
+        captured = capsys.readouterr()
         assert code == 3
-        assert err == (
-            f"numeric failure: the mirror's R + T misses 1 by {miss} at {periods} periods: "
-            "its transmittance is lost to cancellation\n"
-        )
+        assert captured.err.startswith("numeric failure: " + err)
+        assert captured.err.count("\n") == 1
+        assert caught == []
         assert not out.exists()
 
     def test_bragg_energy_check_leaves_a_lossless_sweep_alone(self, tmp_path, monkeypatch):

@@ -55,6 +55,10 @@ class TestMicrowaveMode:
             (dict(omega0=float("inf")), "frequency"),
             (dict(mode_volume=float("inf")), "volume"),
             (dict(eps_eff=float("inf")), "permittivity"),
+            # 2 eps0 eps_eff V_E underflows to zero, or hbar omega0 over it overflows
+            (dict(mode_volume=1e-318), "^mode volume 1e-318 m\\^3 is too small for a finite zero-point field$"),
+            (dict(mode_volume=5e-324), "too small for a finite zero-point field"),
+            (dict(mode_volume=1e-310, omega0=1e300), "too small for a finite zero-point field"),
         ],
     )
     def test_validation(self, kwargs, msg):
@@ -62,6 +66,9 @@ class TestMicrowaveMode:
         base.update(kwargs)
         with pytest.raises(ValueError, match=msg):
             MicrowaveMode(**base)
+
+    def test_smallest_volume_with_a_finite_field_is_kept(self):
+        assert np.isfinite(MicrowaveMode(1e10, 1e-310, (0, 1, 0), 5.0).field_zp)
 
     def test_default_eps_eff_is_diagonal_mean(self, substrate):
         assert default_eps_eff(substrate) == pytest.approx(

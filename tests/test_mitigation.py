@@ -5,6 +5,9 @@ the two-source interference factor, and the mirror against the closed-form
 quarter-wave reflectance and the Fresnel step.
 """
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,14 +19,21 @@ from phonoscat.materials import default_materials
 from phonoscat.mitigation import (
     BraggLayer,
     BraggStack,
+    DualWaveguideResult,
     bragg_transmission,
     dual_waveguide_rate,
     mitigated_rate,
     transfer_matrix,
 )
-from phonoscat.radiation import NumericFailure, QuadratureSpec, mie_rate
+from phonoscat.radiation import (
+    NumericFailure,
+    QuadratureDiagnostics,
+    QuadratureSpec,
+    RadiationResult,
+    mie_rate,
+)
 
-from conftest import make_mode
+from conftest import DEEP_STOPBAND_T, make_mode
 
 DB = default_materials()
 FAST = QuadratureSpec(n_theta=16, n_phi=32)
@@ -38,7 +48,29 @@ def slab(ln, xcut):
     return Inclusion(SLAB_DIMS, np.zeros(3), ln, orientation=xcut)
 
 
+def made_up_result(branch_rates, omega0=2 * np.pi * 10e9):
+    diag = QuadratureDiagnostics(n_theta=32, n_phi=64, rel_error=0.0, converged=True)
+    return RadiationResult(omega0, branch_rates, "mie", diag)
+
+
 class TestDualWaveguide:
+    def test_ratio_and_gain_follow_the_rates(self):
+        pair, single = made_up_result(np.array([1.0, 2.0, 3.0])), made_up_result(np.full(3, 2.0))
+        res = DualWaveguideResult(pair, single, (1e-7, 0, 0), -1)
+        assert res.suppression_ratio == 6.0 / 12.0
+        assert res.q_gain == 2.0
+        assert {"suppression_ratio", "q_gain"}.isdisjoint(
+            f.name for f in dataclasses.fields(DualWaveguideResult)
+        )
+
+    def test_zero_single_rate_raises_at_construction(self):
+        zero = made_up_result(np.zeros(3))
+        with pytest.raises(
+            NumericFailure,
+            match="^the single-inclusion rate is exactly zero, so the suppression ratio is undefined$",
+        ):
+            DualWaveguideResult(zero, zero, (1e-7, 0, 0), -1)
+
     def test_opposite_signs_cancel_exactly_at_zero_separation(self, slab):
         for name in ("sapphire_iso", "sapphire", "silicon"):
             substrate = DB[name]
@@ -57,8 +89,6 @@ class TestDualWaveguide:
         mode = make_mode(substrate)
         sep = np.array([20e-9, 0.0, 0.0])
         res = dual_waveguide_rate(mode, slab, substrate, sep, -1, FAST)
-        import dataclasses
-
         a = dataclasses.replace(slab, center=slab.center + sep / 2)
         b = dataclasses.replace(slab, center=slab.center - sep / 2, sign=-slab.sign)
         direct = mie_rate(mode, [a, b], substrate, FAST)
@@ -283,13 +313,54 @@ class TestBraggTransmission:
         b = bragg_transmission(stack, 2 * np.pi * (f + 4 * 11e9))
         assert a[1] == pytest.approx(b[1], rel=1e-9)
 
-    @pytest.mark.parametrize("periods", [40, 52, 300])
-    def test_transmittance_lost_to_cancellation_raises(self, periods):
-        """Off-centre deep in the stopband T is lost to cancellation while the
-        matrix is still finite (T read 2.2e-6, 36 and 2e167): a library call
-        raises instead of returning it."""
-        with pytest.raises(NumericFailure, match=f"R \\+ T misses 1 by .* at {periods} periods"):
-            bragg_transmission(quarter_wave_stack(periods), 2 * np.pi * 10e9)
+    @pytest.mark.parametrize("periods", sorted(DEEP_STOPBAND_T))
+    def test_deep_stopband_transmittance_matches_reference(self, periods):
+        """Off-centre deep in the stopband, where t = a (1 + r) + b (1 - r) / z_in
+        cancelled (T read 1.1e-13 at 28 periods, 36 at 52, 2e167 at 300)."""
+        R, T = bragg_transmission(quarter_wave_stack(periods), 2 * np.pi * 10e9)
+        assert T == pytest.approx(DEEP_STOPBAND_T[periods], rel=1e-13, abs=0)
+        assert R + T == pytest.approx(1.0, abs=1e-15)
+
+    def test_centre_transmittance_matches_closed_form_to_300_periods(self):
+        """At the centre, T = 4x / (1 + x)^2 with x = (Z1/Z2)^(2N)."""
+        omega_c = 2 * np.pi * 11e9
+        period = quarter_wave_stack(1).period
+        x_one = (period[0].impedance / period[1].impedance) ** 2
+        for n in range(301):
+            x = x_one**n
+            _, T = bragg_transmission(quarter_wave_stack(n), omega_c)
+            assert T == pytest.approx(4 * x / (1 + x) ** 2, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize(
+        "periods,f_ghz,needle",
+        [
+            (434, 11.0, "transmittance underflows"),
+            (464, 10.0, "transmittance underflows"),
+            (488, 10.0, "transmittance underflows"),
+            (700, 10.0, "transmittance underflows"),
+            (867, 11.0, "transfer matrix overflows"),
+        ],
+    )
+    def test_transmittance_below_the_normal_range_raises(self, periods, f_ghz, needle):
+        """T goes subnormal, then to zero; further out z_in (s + p) and then the
+        matrix overflow.  Each raises naming the period count, with no numpy
+        warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure, match=f"{needle} at {periods} periods"):
+                bragg_transmission(quarter_wave_stack(periods), 2 * np.pi * f_ghz * 1e9)
+
+    def test_last_normal_transmittance_is_returned(self):
+        _, T = bragg_transmission(quarter_wave_stack(463), 2 * np.pi * 10e9)
+        assert np.finfo(float).tiny <= T < 1e-306
+
+    def test_a_stack_that_is_not_lossless_raises(self, monkeypatch):
+        """det M = 4: T = 1/4 and R = 0, so R + T misses 1."""
+        import phonoscat.mitigation as mitigation
+
+        monkeypatch.setattr(mitigation, "transfer_matrix", lambda stack, omega: 2 * np.eye(2, dtype=complex))
+        with pytest.raises(NumericFailure, match="R \\+ T misses 1 by 0.75 at 3 periods$"):
+            bragg_transmission(quarter_wave_stack(3), 2 * np.pi * 11e9)
 
     def test_transmittance_strictly_decreasing_in_periods(self):
         omega_c = 2 * np.pi * 11e9
@@ -323,3 +394,14 @@ class TestMitigatedRate:
         qs = [mitigated_rate(base, t).q_factor for t in ts]
         assert all(b > a for a, b in zip(qs, qs[1:]))
         assert qs[6] / qs[0] >= 10.0
+
+    def test_rate_scaled_below_the_float_range_raises(self):
+        base = made_up_result(np.full(3, 1e-10))
+        with pytest.raises(NumericFailure, match="rate behind the mirror underflows"):
+            mitigated_rate(base, np.finfo(float).tiny)
+
+    def test_zero_rate_stays_zero(self):
+        """A non-piezoelectric inclusion radiates nothing with or without the mirror."""
+        out = mitigated_rate(made_up_result(np.zeros(3)), 1e-300)
+        assert out.total_rate == 0.0
+        assert out.q_factor == np.inf

@@ -20,9 +20,9 @@ from phonoscat.materials import Orientation, default_materials
 from phonoscat.radiation import (
     QuadratureDiagnostics,
     QuadratureSpec,
+    RadiationResult,
     _coherent_power,
     _contract,
-    _result,
     _sources,
     brute_force_rate,
     derived_material_constant,
@@ -457,8 +457,8 @@ class TestDerivedConstant:
         """omega0^4 underflows to zero, or overflows, while a (made-up) rate
         stays in the float range."""
         mode = make_mode(substrate, f_hz=f_hz)
-        diag = QuadratureDiagnostics(n_theta=0, n_phi=0, nodes=0, rel_error=0.0, converged=True)
-        r = _result(mode.omega0, np.array([1.0, 1.0, 1.0]), "rayleigh", diag)
+        diag = QuadratureDiagnostics(n_theta=0, n_phi=0, rel_error=0.0, converged=True)
+        r = RadiationResult(mode.omega0, np.array([1.0, 1.0, 1.0]), "rayleigh", diag)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert derived_material_constant(r, mode, small_cube, substrate) is None
@@ -467,6 +467,39 @@ class TestDerivedConstant:
 class TestNonFiniteRates:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_result_refuses_non_finite_rate(self, bad):
-        diag = QuadratureDiagnostics(n_theta=2, n_phi=4, nodes=8, rel_error=0.0, converged=True)
+        """Built directly, not only through an engine."""
+        diag = QuadratureDiagnostics(n_theta=2, n_phi=4, rel_error=0.0, converged=True)
         with pytest.raises(FloatingPointError, match="non-finite"):
-            _result(1e10, np.array([1.0, bad, 1.0]), "mie", diag)
+            RadiationResult(1e10, np.array([1.0, bad, 1.0]), "mie", diag)
+
+
+class TestDerivedNumbers:
+    """A result stores its inputs; the numbers they fix are read from them."""
+
+    def test_no_field_stores_a_derived_number(self):
+        derived = {"total_rate", "q_factor", "nodes", "method"}
+        for cls in (RadiationResult, QuadratureDiagnostics):
+            assert derived.isdisjoint(f.name for f in dataclasses.fields(cls))
+
+    def test_total_and_q_follow_the_branches(self):
+        diag = QuadratureDiagnostics(n_theta=2, n_phi=4, rel_error=0.0, converged=True)
+        r = RadiationResult(1e10, np.array([1.0, 2.0, 4.0]), "mie", diag)
+        assert r.total_rate == 7.0
+        assert r.q_factor == 1e10 / 7.0
+        zero = dataclasses.replace(r, branch_rates=np.zeros(3))
+        assert zero.total_rate == 0.0
+        assert zero.q_factor == np.inf
+
+    def test_empty_grid_is_the_closed_form(self):
+        d = QuadratureDiagnostics(0, 0, rel_error=0.0, converged=True)
+        assert d.nodes == 0
+        assert d.method == "analytic"
+        q = QuadratureDiagnostics(32, 64, rel_error=1e-4, converged=True)
+        assert q.nodes == 2048
+        assert q.method == "quadrature"
+
+    def test_engines_report_their_grid(self, substrate, small_cube):
+        mode = make_mode(substrate)
+        assert rayleigh_rate(mode, small_cube, substrate).diagnostics.method == "analytic"
+        d = mie_rate(mode, small_cube, substrate, FAST).diagnostics
+        assert (d.method, d.nodes) == ("quadrature", 32 * 64)
