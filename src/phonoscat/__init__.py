@@ -30,6 +30,7 @@ from .mitigation import (
     BraggLayer,
     BraggStack,
     DualWaveguideResult,
+    bragg_sweep,
     bragg_transmission,
     dual_waveguide_rate,
     dual_waveguide_sweep,
@@ -79,6 +80,7 @@ __all__ = [
     "QuadratureSpec",
     "RadiationResult",
     "SweepResult",
+    "bragg_sweep",
     "bragg_transmission",
     "brute_force_rate",
     "default_eps_eff",

@@ -13,10 +13,11 @@ Exit codes, set for every subcommand in ``main`` alone: 0 success, 2
 configuration error (the message names the offending field or path;
 non-finite numbers and unreadable or unwritable paths are configuration
 errors), 3 numeric failure (quadrature unconverged after the built-in
-refinement cap, a non-finite rate or Bragg transfer matrix, a Bragg
-transmittance below the smallest normal double or a rate behind the mirror
-that leaves the float range, a Bragg R + T that misses 1, a ratio over an
-exactly-zero rate, or a failed selftest check).
+refinement cap or before a refinement past the largest grid, a non-finite
+rate or Bragg transfer matrix, a Bragg transmittance below the smallest
+normal double or a rate behind the mirror that leaves the float range, a
+Bragg R + T that misses 1, a ratio over an exactly-zero rate, or a failed
+selftest check).
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode, default_eps_eff
 from .materials import MaterialError, MaterialSpec, Orientation, default_materials, load_materials
-from .mitigation import BraggStack, bragg_transmission, dual_waveguide_sweep, mitigated_rate
+from .mitigation import BraggStack, bragg_sweep, dual_waveguide_sweep, mitigated_rate
 from .radiation import (
+    _MAX_PHI,
+    _MAX_THETA,
     ORACLE_RTOL,
     NumericFailure,
     QuadratureSpec,
@@ -58,11 +61,10 @@ _UM3 = 1e-18
 # CSV column header of each rate-sweep axis
 _COLUMNS = {"frequency_GHz": "f_GHz", "height_um": "h_um", "thickness_um": "t_um"}
 
-# Size bounds: a sweep, a Bragg stack and the twice-refined quadrature grid
-# (with its n_theta x n_theta Gauss-Legendre companion matrix) must fit in
-# memory, and a quadrature pool may not start an OS thread per node span.
+# Size bounds: a sweep and a Bragg stack must fit in memory, and a quadrature
+# pool may not start an OS thread per node span.  The quadrature grid caps
+# belong to radiation, which also bounds the grids its refinements build.
 _MAX_COUNT = 10_000
-_MAX_THETA, _MAX_PHI = 1024, 2048
 _MAX_THREADS = 64
 
 
@@ -453,10 +455,10 @@ def _diag_lines(results) -> list[str]:
     else:
         worst = max(d.rel_error for d in diags)
         nodes = max(d.nodes for d in diags)
-        ok = all(d.converged for d in diags)
+        refinements = max(d.refinements for d in diags)
         lines.append(
             f"quadrature: up to {nodes} nodes, max relative error {worst:.2e}, "
-            f"all converged: {ok}"
+            f"max refinements: {refinements}"
         )
     return lines
 
@@ -512,12 +514,12 @@ def _run_bragg(cfg: RunConfig) -> RunTable:
     mirror = BraggStack.quarter_wave(
         cfg.substrate, cfg.bragg_low, cfg.bragg_high, cfg.bragg_center_ghz * 1e9, 1, cfg.bragg_normal
     )
+    counts = [int(n) for n in cfg.values]
     rows = []
-    for n in cfg.values:
-        refl, trans = bragg_transmission(dataclasses.replace(mirror, n_periods=int(n)), cfg.mode.omega0)
+    for n, (refl, trans) in zip(counts, bragg_sweep(mirror, cfg.mode.omega0, counts)):
         mit = mitigated_rate(base, trans)
         rows.append(
-            (int(n), refl, trans, mit.total_rate, mit.q_factor, mit.q_factor / base.q_factor)
+            (n, refl, trans, mit.total_rate, mit.q_factor, mit.q_factor / base.q_factor)
         )
     report = [
         "mirror model: 1D normal-incidence transfer matrix; the emitted rate is "

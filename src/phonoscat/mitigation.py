@@ -94,8 +94,9 @@ def dual_waveguide_sweep(
     single-inclusion baseline does not depend on the separation, so it is
     computed once and shared by all results.  The baseline and the pairs go
     to ``_rates`` as one list, baseline first: the two copies have the
-    strain of ``inclusion``, so every point reads the same couplings.  Each
-    rate is converged and the baseline is not zero, or NumericFailure.
+    strain and the dimensions of ``inclusion``, so every point reads the
+    baseline's couplings and sinc columns.  Each rate is converged and the
+    baseline is not zero, or NumericFailure.
     """
     if relative_sign not in (1, -1):
         raise ValueError("relative_sign must be +1 or -1")
@@ -230,17 +231,35 @@ def transfer_matrix(stack: BraggStack, omega: float) -> np.ndarray:
     so the matrix maps field values on the incidence face to the exit face.
     A product that overflows raises NumericFailure.
     """
+    return next(_transfer_matrices(stack, omega, [stack.n_periods]))
+
+
+def _transfer_matrices(stack: BraggStack, omega: float, counts):
+    """Yield ``transfer_matrix`` of the stack at each period count, in order.
+
+    One running product over the sorted distinct counts: the matrix at n
+    periods continues the product at the previous count with the same
+    ``L @ m`` products in the same order as a product built for n alone, so
+    each matrix is the same bit for bit, and a sweep over N counts costs
+    O(N) layer products, not O(N^2).  A product that overflows raises
+    NumericFailure when its count is reached in ``counts``.
+    """
     if not omega > 0:
         raise ValueError("frequency must be positive")
+    products = {}
     m = np.eye(2, dtype=complex)
+    done = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for layer in stack.layers:
-            phi = omega * layer.thickness / layer.speed
-            c, s = np.cos(phi), np.sin(phi)
-            m = np.array([[c, 1j * layer.impedance * s], [1j * s / layer.impedance, c]]) @ m
-    if not np.all(np.isfinite(m)):
-        raise NumericFailure(f"the mirror's transfer matrix overflows at {stack.n_periods} periods")
-    return m
+        for n in sorted(set(counts)):
+            for layer in stack.period * (n - done):
+                phi = omega * layer.thickness / layer.speed
+                c, s = np.cos(phi), np.sin(phi)
+                m = np.array([[c, 1j * layer.impedance * s], [1j * s / layer.impedance, c]]) @ m
+            products[n], done = m, n
+    for n in counts:
+        if not np.all(np.isfinite(products[n])):
+            raise NumericFailure(f"the mirror's transfer matrix overflows at {n} periods")
+        yield products[n]
 
 
 def bragg_transmission(stack: BraggStack, omega: float) -> tuple[float, float]:
@@ -254,7 +273,24 @@ def bragg_transmission(stack: BraggStack, omega: float) -> tuple[float, float]:
     ``_LOSSLESS_ATOL`` raises NumericFailure, and so does a T below the
     smallest normal double (from about 430 periods of silicon/sapphire).
     """
-    m = transfer_matrix(stack, omega)
+    return _reflectance_transmittance(stack, transfer_matrix(stack, omega))
+
+
+def bragg_sweep(stack: BraggStack, omega: float, counts):
+    """Yield ``bragg_transmission`` of the stack at each period count, in order.
+
+    The stack's own ``n_periods`` is ignored.  The transfer matrices come
+    from one running product over the counts, so each (R, T) is the same bit
+    for bit as a ``bragg_transmission`` call for that count alone, and each
+    count raises what that call would raise, when it is reached.
+    """
+    counts = list(counts)
+    for n, m in zip(counts, _transfer_matrices(stack, omega, counts)):
+        yield _reflectance_transmittance(dataclasses.replace(stack, n_periods=n), m)
+
+
+def _reflectance_transmittance(stack: BraggStack, m: np.ndarray) -> tuple[float, float]:
+    """(R, T) of the stack from its transfer matrix, checked as ``bragg_transmission`` says."""
     a, b = m[0]
     c, d = m[1]
     with np.errstate(over="ignore", invalid="ignore"):

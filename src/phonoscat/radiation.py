@@ -17,37 +17,46 @@ the engine sets it to 1, as do its two references (the isotropic closed form
 and the brute-force broadened-delta sum).
 
 Quadrature is Gauss-Legendre in cos(theta) times a uniform periodic rule in
-phi.  The phase velocities and the stress pattern ``tau_q = c : (khat e_q)``
-at the nodes depend only on the substrate and the grid, so they come from the
-substrate's ``AngularTable`` for that grid (``elastodynamics.angular_table``):
-solved on first use and kept for the life of the process, shared by every
-material with the same density and stiffness.  Sweep points, refinement
-reruns (whose coarse grid is the previous fine grid), the regime tag and
-later configs in the same process all read these tables; the engine never
-solves tau itself.
+phi.  At each node and branch the integrand is
 
-The coupling ``M_q = tau_q : S`` of an inclusion with field-induced strain S
-depends only on the substrate, the grid, the branch and S.  A coupling table
-(``_CouplingTable``) is the engine's only source of M: it contracts the
-table's tau with S once per (grid, strain) for all the points of one
-``_rates`` call, or for the two grids of a lone ``mie_rate`` call.  Along the
-height, thickness and separation axes the strain does not change, so a sweep
-point there costs only the form factor, the phase and the reduction.  Along
-omega0 it does (S = d . E and E_zp grows as sqrt(omega0)), so each frequency
-point computes its own couplings, and the table keeps only the strains of the
-latest point.
-One grid's pass, ``_gamma_branches``, evaluates all three branches in
-fixed-size node spans (optionally across a thread pool) and reduces them by
-numpy's deterministic pairwise summation in fixed node order, so serial and
-threaded runs agree bitwise.
+    A * (B * |sum_j V_j s_j M_j FF_j exp(i k . r_j)|^2)
+
+with ``A = golden k0^2 / v``, ``B = k0^2 u0^2``, the coupling
+``M = tau : S`` of an inclusion with field-induced strain S, and the cuboid
+form factor ``FF = sinc(k0 khat_x L_x / 2) sinc(k0 khat_y L_y / 2)
+sinc(k0 khat_z L_z / 2)``.  Each factor is computed once for what it depends
+on, and the points of a sweep share it:
+
+- per (substrate, grid): the phase velocities and the stress pattern
+  ``tau_q = c : (khat e_q)``, 200 B/node, in the substrate's
+  ``AngularTable`` (``elastodynamics.angular_table``), solved on first use
+  and kept for the life of the process;
+- per (grid, strain): M, 24 B/node;
+- per (grid, omega0): A and B, 24 B/node each;
+- per (grid, omega0, axis, L): one sinc column of the form factor, 24 B/node.
+
+The last three live in a ``_SweepTables`` that ``_rates`` makes for its
+points and drops when they are done.  So a height point computes only its x
+and y sinc columns, a thickness point only its z column, and a separation
+point or an orientation angle no column (an angle computes its own M, since
+the strain turns with the crystal).  A frequency point computes everything
+but the angular table.  What remains per point is the product of the columns,
+V M, the phase of an off-centre inclusion, the coherent sum and the
+reduction.  One grid's pass, ``_gamma_branches``, evaluates all three
+branches in fixed-size node spans (optionally across a thread pool) and
+reduces them by numpy's deterministic pairwise summation in fixed node order,
+so serial and threaded runs agree bitwise.  Every factor is computed in the
+float order of a point that computes it alone, so a sweep point equals its
+lone ``refined_rate`` bit for bit.
 
 ``mie_rate`` is the raw primitive and only flags an unconverged estimate.
-``_rates`` is the one evaluator: it owns the coupling table, doubles the node
+``_rates`` is the one evaluator: it owns the sweep tables, doubles the node
 counts of an unconverged point up to twice and raises NumericFailure if the
-estimate still has not converged.  ``refined_rate`` is its one-point call;
-``sweep``, ``mitigation.dual_waveguide_sweep`` and
-``transducer.sweep_orientation`` pass all their points at once.  The
-command-line scenarios go through these.
+estimate still has not converged, or if a doubling would build a grid finer
+than the fine grid of a request at the ``_MAX_THETA`` x ``_MAX_PHI`` cap.
+``refined_rate`` is its one-point call; ``sweep``,
+``mitigation.dual_waveguide_sweep`` and ``transducer.sweep_orientation`` pass
+all their points at once.  The command-line scenarios go through these.
 """
 
 from __future__ import annotations
@@ -77,6 +86,11 @@ _BRUTE_THETA, _BRUTE_PHI, _BRUTE_RADIAL = 129, 96, 33
 # How many times _rates re-runs an unconverged quadrature with doubled
 # node counts before it raises NumericFailure.
 _MAX_REFINEMENTS = 2
+
+# The largest grid a caller may request.  mie_rate also reads the doubled
+# grid, so _rates builds nothing finer than 2048 x 4096 nodes (1.7 GB of
+# angular table at 200 B/node); a refinement past that raises NumericFailure.
+_MAX_THETA, _MAX_PHI = 1024, 2048
 
 
 class NumericFailure(Exception):
@@ -177,23 +191,40 @@ def _sources(mode: MicrowaveMode, inclusions) -> _Sources:
     )
 
 
-def _coherent_power(src: _Sources, m: list[np.ndarray], kvec: np.ndarray) -> np.ndarray:
-    """|sum_j V_j s_j M_j FF_j(kvec) exp(i kvec . r_j)|^2 at each node.
+def _sinc(x: np.ndarray) -> np.ndarray:
+    """sin(x) / x with 1 at x = 0: ``np.sinc(x / pi)`` bit for bit.
+
+    It runs np.sinc's own operations (divide by pi, multiply by pi, exact
+    zeros replaced by the float epsilon, sin(y) / y) in place on one copy of
+    ``x``, so it makes two float arrays where ``np.sinc(x / pi)`` makes five.
+    """
+    y = x / np.pi
+    y *= np.pi
+    y[y == 0] = np.finfo(float).eps
+    s = np.sin(y)
+    s /= y
+    return s
+
+
+def _coherent_power(
+    src: _Sources, vm: list[np.ndarray], ff: list[np.ndarray], kvec: np.ndarray | None
+) -> np.ndarray:
+    """|sum_j s_j (V_j M_j) FF_j exp(i kvec . r_j)|^2 at each node.
 
     The one coherent-sum kernel of the quadrature engine and the brute-force
-    oracle.  Inclusions are accumulated one at a time, in list order, so the
-    float additions happen in a fixed order.  When every centre is exactly
-    zero the phase is exactly 1 + 0j, so the sum is accumulated as a real
-    array, bit for bit the same.  The caller builds ``kvec`` and keeps it
-    alive across calls: on the oracle's 12k-node grid, freeing it here as
-    well made the allocator return and re-fault the heap on every call (+30%
-    oracle time).
+    oracle: ``vm[j]`` is V_j M_j and ``ff[j]`` the form factor of inclusion j
+    at the nodes.  Inclusions are accumulated one at a time, in list order,
+    so the float additions happen in a fixed order.  When every centre is
+    exactly zero the phase is exactly 1 + 0j, so the sum is accumulated as a
+    real array, bit for bit the same, and ``kvec`` is not read (it may be
+    None).  Otherwise the caller builds ``kvec`` and keeps it alive across
+    calls: on the oracle's 12k-node grid, freeing it here as well made the
+    allocator return and re-fault the heap on every call (+30% oracle time).
     """
     centred = not np.any(src.center)
-    coh = np.zeros(kvec.shape[0], dtype=float if centred else complex)
+    coh = np.zeros(ff[0].shape[0], dtype=float if centred else complex)
     for j in range(src.volume.size):
-        ff = np.prod(np.sinc(kvec * (src.dims[j] / 2.0) / np.pi), axis=1)
-        term = src.volume[j] * m[j] * (src.sign[j] * ff)
+        term = vm[j] * (src.sign[j] * ff[j])
         coh += term if centred else term * np.exp(1j * (kvec @ src.center[j]))
     return coh * coh if centred else coh.real**2 + coh.imag**2
 
@@ -232,71 +263,145 @@ def _contract(substrate: MaterialSpec, n_theta: int, n_phi: int, strains, thread
     return out
 
 
-class _CouplingTable:
-    """Strain-stress overlap M_q(n) = tau_q(n) : S of one substrate.
+def _wave_factors(substrate: MaterialSpec, n_theta: int, n_phi: int, omega0: float):
+    """The (3, N) read-only A = golden k0^2 / v and B = k0^2 u0^2 at omega0,
+    with k0 = omega0 / v, on the n_theta x n_phi grid."""
+    hbar = CONSTANTS.hbar
+    golden = (2 * np.pi / hbar**2) * (1.0 / (8 * np.pi**3))
+    u0_sq = hbar / (2 * substrate.rho * omega0)
+    velocities = angular_table(substrate, n_theta, n_phi).velocities
+    a, b = np.empty((3, velocities.shape[0])), np.empty((3, velocities.shape[0]))
+    for q in range(3):
+        v = velocities[:, q]
+        k0 = omega0 / v
+        k0_sq = k0 * k0
+        a[q] = golden * (k0_sq / v)
+        b[q] = k0_sq * u0_sq
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
 
-    tau comes from the substrate's angular table, so filling M for a new
-    strain costs the 9-term contraction alone.  M depends only on the
-    substrate, the angular grid, the branch and the inclusion's field-induced
-    strain S, not on the inclusion's size or its position.  So along the
-    height, thickness and separation axes it is the same at every point, and
-    the copies of a pair share it.  S = d . E does change with the frequency,
-    through the zero-point field, so an omega0 sweep finds nothing to reuse
-    between its points.  ``_rates`` makes the one table of its points and
-    drops it when they are done, and a lone ``mie_rate`` makes one for its
-    call.  The table holds a (3, N) array per (n_theta, n_phi, strain bytes),
-    and only for the strains of the latest request: a request drops the
-    arrays of every other strain, so a sweep whose strain changes from point
-    to point holds one point's couplings at a time, while a refinement rerun
-    (same strains) still finds its coarse grid.
+
+def _sinc_columns(substrate: MaterialSpec, n_theta: int, n_phi: int, omega0: float, axis_lengths) -> list:
+    """The (3, N) read-only sinc(k0 khat_axis L / 2) of each (axis, L) in
+    ``axis_lengths``, with k0 = omega0 / v, on the n_theta x n_phi grid."""
+    grid = angular_table(substrate, n_theta, n_phi)
+    cols = [np.empty((3, grid.khats.shape[0])) for _ in axis_lengths]
+    for q in range(3):
+        k0 = omega0 / grid.velocities[:, q]
+        for col, (axis, length) in zip(cols, axis_lengths):
+            col[q] = _sinc(k0 * grid.khats[:, axis] * (length / 2.0))
+    for col in cols:
+        col.setflags(write=False)
+    return cols
+
+
+def _fetch(store: dict, grid: tuple, tags: list, build) -> list:
+    """The entries of ``tags`` on ``grid``, in order, from ``store``.
+
+    Entries are keyed (grid, tag).  The request first drops every entry whose
+    tag it does not want, on any grid, so a sweep whose tag changes from point
+    to point holds one point's entries at a time, while a refinement rerun
+    (same tags) still finds its coarse grid.  ``build(tags)`` then makes the
+    missing entries, each distinct tag once.
+    """
+    wanted = set(tags)
+    for key in [key for key in store if key[1] not in wanted]:
+        del store[key]
+    missing = [t for t in dict.fromkeys(tags) if (grid, t) not in store]
+    if missing:
+        store.update(zip([(grid, t) for t in missing], build(missing)))
+    return [store[grid, t] for t in tags]
+
+
+class _SweepTables:
+    """The per-grid factors that the points of one ``_rates`` call share.
+
+    Each entry is a read-only (3, N) array, one row per branch, of one
+    substrate on one n_theta x n_phi grid:
+
+    - ``M = tau : S`` per (grid, strain), 24 B/node.  tau comes from the
+      substrate's angular table, so a new strain costs the 9-term
+      contraction alone.  S = d . E does not change along the height,
+      thickness and separation axes, and the copies of a pair share it; it
+      changes with the crystal orientation, and with omega0 through the
+      zero-point field.
+    - ``A = golden k0^2 / v`` and ``B = k0^2 u0^2`` per (grid, omega0),
+      24 B/node each.
+    - ``sinc(k0 khat_a L_a / 2)`` per (grid, omega0, axis a, L_a), 24 B/node.
+      Inclusions with the same length on an axis share the column.
+
+    That is 24 B/node per entry beside the angular table's 200 B/node.  Each
+    kind keeps only the keys of the latest request (``_fetch``): a height
+    sweep holds one z column and one point's x and y columns per grid, and a
+    frequency sweep holds one point's entries.  ``_rates`` makes the one
+    instance of its points and drops it when they are done, and a lone
+    ``mie_rate`` makes one for its two grids.
     """
 
     def __init__(self, substrate: MaterialSpec):
         self.substrate = substrate
         self._m: dict[tuple, np.ndarray] = {}
+        self._ab: dict[tuple, tuple] = {}
+        self._sinc: dict[tuple, np.ndarray] = {}
 
-    def get(self, n_theta: int, n_phi: int, strains, threads: int) -> list[np.ndarray]:
-        """The (3, N) read-only M of each strain on the n_theta x n_phi grid."""
-        keys = [(n_theta, n_phi, s.tobytes()) for s in strains]
-        wanted = {k[2] for k in keys}
-        self._m = {k: m for k, m in self._m.items() if k[2] in wanted}
-        missing = {k: s for k, s in zip(keys, strains) if k not in self._m}
-        if missing:
-            fresh = _contract(self.substrate, n_theta, n_phi, list(missing.values()), threads)
-            self._m.update(zip(missing, fresh))
-        return [self._m[k] for k in keys]
+    def couplings(self, n_theta: int, n_phi: int, strains, threads: int) -> list[np.ndarray]:
+        """M of each strain on the n_theta x n_phi grid."""
+        by_key = {s.tobytes(): s for s in strains}
+
+        def build(keys):
+            return _contract(self.substrate, n_theta, n_phi, [by_key[k] for k in keys], threads)
+
+        return _fetch(self._m, (n_theta, n_phi), [s.tobytes() for s in strains], build)
+
+    def wave_factors(self, n_theta: int, n_phi: int, omega0: float) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B) at omega0 on the n_theta x n_phi grid."""
+
+        def build(_):
+            return [_wave_factors(self.substrate, n_theta, n_phi, omega0)]
+
+        return _fetch(self._ab, (n_theta, n_phi), [omega0], build)[0]
+
+    def sinc_columns(self, n_theta: int, n_phi: int, omega0: float, dims: np.ndarray) -> list[list[np.ndarray]]:
+        """The x, y and z sinc columns of each row of ``dims`` at omega0."""
+
+        def build(tags):
+            return _sinc_columns(self.substrate, n_theta, n_phi, omega0, [t[1:] for t in tags])
+
+        tags = [(omega0, axis, float(length)) for lengths in dims for axis, length in enumerate(lengths)]
+        cols = _fetch(self._sinc, (n_theta, n_phi), tags, build)
+        return [cols[3 * j : 3 * j + 3] for j in range(len(dims))]
 
 
 def _gamma_branches(
     mode: MicrowaveMode,
     src: _Sources,
-    couplings: _CouplingTable,
+    tables: _SweepTables,
     n_theta: int,
     n_phi: int,
     threads: int,
 ) -> np.ndarray:
     """Golden-rule rate of each branch on one n_theta x n_phi grid, shape (3,).
 
-    The coupling table gives M = tau : S and names the substrate.  All three
-    branches on each fixed node span, then one reduction per branch.
+    The sweep tables give M, A, B and the sinc columns and name the
+    substrate.  All three branches on each fixed node span, then one
+    reduction per branch.
     """
-    hbar = CONSTANTS.hbar
     omega0 = mode.omega0
-    substrate = couplings.substrate
-    grid = angular_table(substrate, n_theta, n_phi)
-    m = couplings.get(n_theta, n_phi, src.strain, threads)
-    golden = (2 * np.pi / hbar**2) * (1.0 / (8 * np.pi**3))
-    u0_sq = hbar / (2 * substrate.rho * omega0)
+    grid = angular_table(tables.substrate, n_theta, n_phi)
+    m = tables.couplings(n_theta, n_phi, src.strain, threads)
+    a_fac, b_fac = tables.wave_factors(n_theta, n_phi, omega0)
+    cols = tables.sinc_columns(n_theta, n_phi, omega0, src.dims)
+    centred = not np.any(src.center)
     n = grid.khats.shape[0]
     values = np.empty((3, n))
 
     def work(a, b):
         for q in range(3):
-            v = grid.velocities[a:b, q]
-            k0 = omega0 / v
-            kvec = k0[:, None] * grid.khats[a:b]
-            hg_sq = (k0 * k0 * u0_sq) * _coherent_power(src, [mj[q, a:b] for mj in m], kvec)
-            values[q, a:b] = golden * (k0 * k0 / v) * hg_sq
+            vm = [v * mj[q, a:b] for v, mj in zip(src.volume, m)]
+            ff = [(x[q, a:b] * y[q, a:b]) * z[q, a:b] for x, y, z in cols]
+            kvec = None if centred else (omega0 / grid.velocities[a:b, q])[:, None] * grid.khats[a:b]
+            values[q, a:b] = a_fac[q, a:b] * (b_fac[q, a:b] * _coherent_power(src, vm, ff, kvec))
 
     _each_span(n, threads, work)
     # fixed-order pairwise reduction: deterministic for any thread count
@@ -330,7 +435,7 @@ def mie_rate(
     substrate: MaterialSpec,
     quad: QuadratureSpec | None = None,
     *,
-    couplings: _CouplingTable | None = None,
+    tables: _SweepTables | None = None,
 ) -> RadiationResult:
     """Radiated rate with full form factors, any substrate anisotropy.
 
@@ -340,11 +445,11 @@ def mie_rate(
     change reported as the quadrature error estimate (non-convergence is
     flagged, not fatal; ``refined_rate`` is the path that acts on the flag).
 
-    ``couplings`` is the coupling table that ``_rates`` shares between its
-    points and refinement reruns; it supplies M = tau : S for each grid and
-    strain and fills what it lacks.  It belongs to ``substrate``.  None makes
-    a table for this call alone, so the copies of a pair still share their
-    couplings.  The result is the same either way, bit for bit.
+    ``tables`` are the sweep tables that ``_rates`` shares between its points
+    and refinement reruns; they supply M, A, B and the sinc columns for each
+    grid and fill what they lack.  They belong to ``substrate``.  None makes
+    tables for this call alone, so the copies of a pair still share their
+    couplings and columns.  The result is the same either way, bit for bit.
 
     Convergence is judged on the total rate summed over the three branches,
     not branch by branch: the total is the loss the quality factor reports,
@@ -354,10 +459,10 @@ def mie_rate(
     quad = quad or QuadratureSpec()
     incs = _as_inclusion_list(inclusions)
     src = _sources(mode, incs)
-    if couplings is None:
-        couplings = _CouplingTable(substrate)
-    coarse = _gamma_branches(mode, src, couplings, quad.n_theta, quad.n_phi, quad.threads)
-    fine = _gamma_branches(mode, src, couplings, 2 * quad.n_theta, 2 * quad.n_phi, quad.threads)
+    if tables is None:
+        tables = _SweepTables(substrate)
+    coarse = _gamma_branches(mode, src, tables, quad.n_theta, quad.n_phi, quad.threads)
+    fine = _gamma_branches(mode, src, tables, 2 * quad.n_theta, 2 * quad.n_phi, quad.threads)
     total = float(np.sum(fine))
     rel = abs(total - float(np.sum(coarse))) / total if total > 0 else 0.0
     diag = QuadratureDiagnostics(
@@ -372,17 +477,28 @@ def _rates(substrate: MaterialSpec, points, quad: QuadratureSpec | None = None) 
     The one place that decides between refining and failing: an unconverged
     point is re-run with doubled node counts, and after _MAX_REFINEMENTS
     doublings it raises NumericFailure rather than return a silently degraded
-    answer; the diagnostics record the doublings.  All runs read one coupling
-    table, so a rerun finds its coarse grid (the previous fine grid) computed.
+    answer; the diagnostics record the doublings.  A doubling whose fine grid
+    would be finer than that of a _MAX_THETA x _MAX_PHI request raises
+    NumericFailure before it builds anything.  All runs read one set of sweep
+    tables, so a rerun finds its coarse grid (the previous fine grid)
+    computed.
     """
     quad = quad or QuadratureSpec()
-    couplings = _CouplingTable(substrate)
+    tables = _SweepTables(substrate)
     results = []
     for mode, inclusions in points:
         for refinements in range(_MAX_REFINEMENTS + 1):
             k = 2**refinements
             q = dataclasses.replace(quad, n_theta=k * quad.n_theta, n_phi=k * quad.n_phi)
-            result = mie_rate(mode, inclusions, substrate, q, couplings=couplings)
+            if refinements and (q.n_theta > _MAX_THETA or q.n_phi > _MAX_PHI):
+                d = result.diagnostics
+                raise NumericFailure(
+                    f"quadrature did not reach tolerance {quad.tolerance:g} at n_theta={d.n_theta}, "
+                    f"n_phi={d.n_phi} (relative error {d.rel_error:.2e}), and the next refinement's "
+                    f"{2 * q.n_theta} x {2 * q.n_phi} grid exceeds the largest grid, "
+                    f"{2 * _MAX_THETA} x {2 * _MAX_PHI}"
+                )
+            result = mie_rate(mode, inclusions, substrate, q, tables=tables)
             if result.diagnostics.converged:
                 break
         d = dataclasses.replace(result.diagnostics, refinements=refinements)
@@ -499,13 +615,15 @@ def brute_force_rate(
     for q in range(3):
         v = vels[:, q]
         tau = stress_pattern(c, khats, pols[:, :, q])
-        m = [np.einsum("nij,ij->n", tau, s) for s in src.strain]
+        vm = [vol * np.einsum("nij,ij->n", tau, s) for vol, s in zip(src.volume, src.strain)]
         for i in range(xi.size):
             omega = omega0 + sigma * xi[i]
             k = omega / v
             u0_sq = hbar / (2 * rho * omega)
             kvec = k[:, None] * khats
-            hg_sq = (k * k * u0_sq) * _coherent_power(src, m, kvec)
+            cols = [[_sinc(kvec[:, a] * (L[a] / 2.0)) for a in range(3)] for L in src.dims]
+            ff = [(x * y) * z for x, y, z in cols]
+            hg_sq = (k * k * u0_sq) * _coherent_power(src, vm, ff, kvec)
             f = (2 * np.pi / hbar**2) * f3d * hg_sq * gauss[i]
             # measure: k^2 dk dOmega with dk = (sigma/v) dxi
             total += w_xi[i] * float(np.add.reduce(w_ang * (k * k) * (sigma / v) * f))
@@ -592,9 +710,10 @@ def sweep(
     engine 'mie' evaluates all points in one ``_rates`` call, so each result
     is converged or the sweep raises NumericFailure; engine 'rayleigh' uses
     the closed form and needs exactly one inclusion.  The mie points share
-    one coupling table, so along height and thickness the coupling of a grid
-    is computed once per sweep, not once per point; along omega0 the strain
-    changes at every point and each point computes its own.
+    one set of sweep tables, so a height point computes only its x and y
+    sinc columns and a thickness point only its z column, while the coupling
+    and A, B are computed once per sweep per grid; along omega0 everything
+    but the angular table changes at every point.
     """
     incs = _as_inclusion_list(inclusions)
     if engine not in ("mie", "rayleigh"):

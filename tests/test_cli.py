@@ -6,6 +6,7 @@ messages are asserted directly.
 
 import csv
 import json
+import re
 import warnings
 
 import numpy as np
@@ -213,21 +214,30 @@ class TestRunOtherScenarios:
         assert "unmitigated Q" in capsys.readouterr().out
 
     def test_bragg_builds_one_stack_and_one_transmission_per_point(self, tmp_path, monkeypatch):
+        """One stack, one running product of its layers for the whole sweep,
+        and one (R, T) per swept period count."""
         import phonoscat.cli as cli
+        import phonoscat.mitigation as mitigation
 
-        calls = {"quarter_wave": 0, "bragg_transmission": 0}
-        quarter_wave, transmission = cli.BraggStack.quarter_wave, cli.bragg_transmission
+        calls = {"quarter_wave": 0, "products": 0, "transmissions": 0}
+        quarter_wave = cli.BraggStack.quarter_wave
+        products, transmission = mitigation._transfer_matrices, mitigation._reflectance_transmittance
 
         def counting_quarter_wave(*args, **kwargs):
             calls["quarter_wave"] += 1
             return quarter_wave(*args, **kwargs)
 
+        def counting_products(*args, **kwargs):
+            calls["products"] += 1
+            return products(*args, **kwargs)
+
         def counting_transmission(*args, **kwargs):
-            calls["bragg_transmission"] += 1
+            calls["transmissions"] += 1
             return transmission(*args, **kwargs)
 
         monkeypatch.setattr(cli.BraggStack, "quarter_wave", staticmethod(counting_quarter_wave))
-        monkeypatch.setattr(cli, "bragg_transmission", counting_transmission)
+        monkeypatch.setattr(mitigation, "_transfer_matrices", counting_products)
+        monkeypatch.setattr(mitigation, "_reflectance_transmittance", counting_transmission)
         cfg = base_config(
             scenario="bragg",
             quadrature={"n_theta": 8, "n_phi": 16},
@@ -237,7 +247,7 @@ class TestRunOtherScenarios:
         code, out = run_cli(tmp_path, cfg)
         assert code == 0
         assert len(read_csv(out)[1]) == 7
-        assert calls == {"quarter_wave": 1, "bragg_transmission": 7}
+        assert calls == {"quarter_wave": 1, "products": 1, "transmissions": 7}
 
     def test_figure_of_merit(self, tmp_path, capsys):
         cfg = base_config(
@@ -835,7 +845,32 @@ class TestRefinementPath:
         out = capsys.readouterr().out
         assert code == 0
         assert "regime tags: mie" in out
-        assert "all converged: True" in out
+        assert re.search(r"max refinements: [012]\n", out)
+
+    @pytest.mark.parametrize("edge_um,refinements", [(0.1, 1), (0.5, 2)])
+    def test_report_names_the_refinements_a_coarse_grid_needed(self, tmp_path, capsys, edge_um, refinements):
+        cfg = base_config(scenario="mie", quadrature={"n_theta": 4, "n_phi": 8, "tolerance": 1e-6})
+        cfg["inclusions"][0]["dimensions_um"] = [edge_um] * 3
+        cfg["sweep"] = {"axis": "frequency_GHz", "grid": "linear", "start": 10.0, "stop": 10.0, "count": 1}
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 0
+        assert f"max refinements: {refinements}\n" in capsys.readouterr().out
+
+    def test_a_refinement_past_the_grid_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        import phonoscat.radiation as radiation
+
+        monkeypatch.setattr(radiation, "_MAX_THETA", 8)
+        monkeypatch.setattr(radiation, "_MAX_PHI", 16)
+        cfg = base_config(scenario="mie", quadrature={"n_theta": 4, "n_phi": 8, "tolerance": 1e-6})
+        cfg["inclusions"][0]["dimensions_um"] = [0.5] * 3
+        cfg["sweep"] = {"axis": "frequency_GHz", "grid": "linear", "start": 10.0, "stop": 10.0, "count": 1}
+        code, out = run_cli(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1
+        assert err.startswith("numeric failure: quadrature did not reach tolerance 1e-06 at n_theta=16, n_phi=32")
+        assert "the next refinement's 32 x 64 grid exceeds the largest grid, 16 x 32" in err
+        assert not out.exists()
 
     def test_dual_computes_the_single_rate_once(self, tmp_path, monkeypatch):
         import phonoscat.radiation as radiation

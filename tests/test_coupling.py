@@ -19,7 +19,7 @@ from phonoscat.coupling import (
     induced_strain,
 )
 from phonoscat.materials import CONSTANTS, default_materials
-from phonoscat.radiation import _coherent_power, _sources
+from phonoscat.radiation import _coherent_power, _sinc, _sources
 
 from conftest import XCUT_MATRIX, form_factor, make_mode
 
@@ -147,7 +147,8 @@ class TestFormFactor:
         )
 
     def test_is_the_reference_of_the_coherent_sum_kernel(self, ln, substrate):
-        """With unit couplings the production kernel is |sum_j V_j form_factor_j(k)|^2."""
+        """With unit couplings and the sinc columns of ``_sinc`` the production
+        kernel is |sum_j V_j form_factor_j(k)|^2."""
         incs = [
             self._inc(ln),
             self._inc(ln, dims=(0.2e-6, 0.9e-6, 0.3e-6), center=(0.5e-6, -0.1e-6, 0.2e-6), sign=-1),
@@ -165,7 +166,9 @@ class TestFormFactor:
         kvecs = np.random.default_rng(12).normal(scale=5e6, size=(8, 3))
         kvecs[0] = 0.0
         src = _sources(make_mode(substrate), incs)
-        got = _coherent_power(src, [np.ones(len(kvecs))] * len(incs), kvecs)
+        vm = [inc.volume * np.ones(len(kvecs)) for inc in incs]
+        cols = [[_sinc(kvecs[:, a] * (inc.dimensions[a] / 2.0)) for a in range(3)] for inc in incs]
+        got = _coherent_power(src, vm, [(x * y) * z for x, y, z in cols], kvecs)
         want = [abs(sum(inc.volume * form_factor(inc, k) for inc in incs)) ** 2 for k in kvecs]
         assert np.allclose(got, want, rtol=1e-13, atol=0)
 

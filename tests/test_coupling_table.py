@@ -1,17 +1,20 @@
-"""The sweep-scoped coupling table behind the quadrature engine.
+"""The sweep-scoped tables behind the quadrature engine.
 
 The coupling M_q = tau_q : S depends only on the substrate, the grid, the
 branch and the inclusion strain, so a sweep computes it once per (grid,
 strain) and shares it between its points.  The strain S = d . E follows the
 zero-point field, which grows with the frequency, so an omega0 sweep has a new
-strain at every point.  The stress pattern tau itself is substrate-only and
-comes from the angular table.  These tests pin down that sharing changes no
-bit of any result, that the contraction runs once per height sweep and once
-per frequency point, that a frequency sweep holds one point's couplings at a
-time, that an orientation scan solves tau only while it builds tables, that
-the table dies with the sweep, and that refined_rate records how many
-refinements it needed.  A lone mie_rate and an orientation scan read a
-coupling table too, one per call.
+strain at every point.  The factors A = golden k0^2 / v and B = k0^2 u0^2
+depend on the grid and omega0, and each sinc column of the form factor on
+the grid, omega0, its axis and the inclusion's length along it.  The stress
+pattern tau itself is substrate-only and comes from the angular table.  These
+tests pin down that sharing changes no bit of any result, that the
+contraction runs once per height sweep and once per frequency point, that
+each sinc column and (A, B) is built once for what it depends on, that a
+frequency sweep holds one point's couplings at a time, that an orientation
+scan solves tau only while it builds tables, that the tables die with the
+sweep, and that refined_rate records how many refinements it needed.  A lone
+mie_rate and an orientation scan read sweep tables too, one per call.
 """
 
 import dataclasses
@@ -90,26 +93,38 @@ def held(monkeypatch):
     """Record the bytes of couplings a table holds after each request."""
     sizes = []
 
-    class Recording(radiation._CouplingTable):
-        def get(self, *args):
-            out = super().get(*args)
+    class Recording(radiation._SweepTables):
+        def couplings(self, *args):
+            out = super().couplings(*args)
             sizes.append(sum(m.nbytes for m in self._m.values()))
             return out
 
-    monkeypatch.setattr(radiation, "_CouplingTable", Recording)
+    monkeypatch.setattr(radiation, "_SweepTables", Recording)
     return sizes
 
 
+def _lone(result, mode, inclusions, substrate, quad):
+    """The result equals the point's own refined_rate, bit for bit."""
+    return _same(result, refined_rate(mode, inclusions, substrate, quad))
+
+
+# 32 x 64: the fine grid spans four node chunks
+SPANS = QuadratureSpec(32, 64)
+
+
 @pytest.mark.parametrize("axis", sorted(AXES))
-@pytest.mark.parametrize("name", ["sapphire_iso", "sapphire"])
+@pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
 def test_sweep_equals_independent_points(db, ln, name, axis):
+    """Each point, of an off-centre waveguide, equals its lone refined_rate
+    bit for bit, whichever sweep tables it shares with earlier points."""
     substrate = db[name]
     mode = make_mode(substrate)
-    inc = _waveguide(ln)
-    got = sweep(mode, inc, substrate, axis, AXES[axis], QUAD)
-    for v, r in zip(AXES[axis], got.results):
+    inc = _waveguide(ln, center=(0.2e-6, -0.1e-6, 0.0))
+    values = np.append(AXES[axis], AXES[axis][0])  # a value seen before
+    got = sweep(mode, inc, substrate, axis, values, SPANS)
+    for v, r in zip(values, got.results):
         m, point = sweep_point(mode, [inc], axis, float(v))
-        assert _same(r, refined_rate(m, point, substrate, QUAD))
+        assert _lone(r, m, point, substrate, SPANS)
 
 
 @pytest.mark.parametrize("name", ["sapphire_iso", "sapphire"])
@@ -145,6 +160,124 @@ def test_sweep_contractions(db, ln, contractions, axis, values, per_point):
     # one strain on the 16x32 coarse and the 32x64 fine grid
     assert n_one == 2
     assert len(contractions) == (6 * n_one if per_point else n_one)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Record the grid of every (A, B) build and the (grid, axis) of every
+    sinc column the quadrature engine builds."""
+    calls = {"wave_factors": [], "sinc": []}
+    wave_factors, sinc_columns = radiation._wave_factors, radiation._sinc_columns
+
+    def counting_wave_factors(substrate, n_theta, n_phi, omega0):
+        calls["wave_factors"].append((n_theta, n_phi))
+        return wave_factors(substrate, n_theta, n_phi, omega0)
+
+    def counting_sinc_columns(substrate, n_theta, n_phi, omega0, axis_lengths):
+        calls["sinc"].extend(((n_theta, n_phi), axis) for axis, _ in axis_lengths)
+        return sinc_columns(substrate, n_theta, n_phi, omega0, axis_lengths)
+
+    monkeypatch.setattr(radiation, "_wave_factors", counting_wave_factors)
+    monkeypatch.setattr(radiation, "_sinc_columns", counting_sinc_columns)
+    return calls
+
+
+GRIDS = [(16, 32), (32, 64)]  # the coarse and fine grid of LOOSE
+
+
+def _per_grid(axes, points):
+    return sorted(((grid, axis) for grid in GRIDS for axis in axes for _ in range(points)))
+
+
+@pytest.mark.parametrize(
+    "axis,values,per_point_axes",
+    [
+        ("height", np.linspace(0.1e-6, 0.3e-6, 12), (0, 1)),
+        ("thickness", np.linspace(0.3e-6, 0.6e-6, 12), (2,)),
+    ],
+)
+def test_sweep_builds_each_column_once_for_what_it_depends_on(db, ln, builds, axis, values, per_point_axes):
+    """A height point builds its x and y columns, a thickness point its z
+    column; the other columns and (A, B) are built once per grid."""
+    substrate = db["sapphire"]
+    got = sweep(make_mode(substrate), _bar(ln), substrate, axis, values, LOOSE)
+    assert all(r.diagnostics.refinements == 0 for r in got.results)
+    assert builds["wave_factors"] == GRIDS
+    shared_axes = [a for a in range(3) if a not in per_point_axes]
+    assert sorted(builds["sinc"]) == sorted(_per_grid(per_point_axes, 12) + _per_grid(shared_axes, 1))
+
+
+def test_height_sweep_holds_one_point_of_columns(db, ln, monkeypatch):
+    """After the first point, the tables hold per grid the shared z column,
+    the latest point's x and y columns and one (A, B)."""
+    held = []
+
+    class Recording(radiation._SweepTables):
+        def sinc_columns(self, *args):
+            out = super().sinc_columns(*args)
+            held.append((len(self._sinc), len(self._ab)))
+            return out
+
+    monkeypatch.setattr(radiation, "_SweepTables", Recording)
+    substrate = db["sapphire_iso"]
+    got = sweep(make_mode(substrate), _bar(ln), substrate, "height", np.linspace(0.1e-6, 0.3e-6, 6), LOOSE)
+    assert all(r.diagnostics.refinements == 0 for r in got.results)
+    # the coarse, then the fine grid of each point
+    assert held == [(3, 1), (6, 2)] + [(4, 2), (6, 2)] * 5
+
+
+def test_frequency_point_builds_every_column(db, ln, builds):
+    substrate = db["sapphire_iso"]
+    freqs = 2 * np.pi * np.linspace(6e9, 11e9, 4)
+    got = sweep(make_mode(substrate), _bar(ln), substrate, "omega0", freqs, LOOSE)
+    assert all(r.diagnostics.refinements == 0 for r in got.results)
+    assert sorted(builds["wave_factors"]) == sorted(GRIDS * 4)
+    assert sorted(builds["sinc"]) == _per_grid(range(3), 4)
+
+
+def test_separation_and_orientation_points_build_no_column(db, ln, builds):
+    substrate = db["sapphire"]
+    mode = make_mode(substrate)
+    seps = [np.array([s, 0.0, 0.0]) for s in (0.5e-6, 1e-6, 2e-6)]
+    duals = dual_waveguide_sweep(mode, _bar(ln), substrate, seps, -1, LOOSE)
+    assert all(r.pair.diagnostics.refinements == 0 for r in duals)
+    # the single baseline builds the three columns of each grid, and the
+    # two copies of every pair read them
+    assert builds["wave_factors"] == GRIDS
+    assert sorted(builds["sinc"]) == _per_grid(range(3), 1)
+    builds["wave_factors"].clear()
+    builds["sinc"].clear()
+    scan = sweep_orientation(mode, _bar(ln), substrate, np.linspace(0.0, np.pi, 5), quad=LOOSE)
+    assert all(r.diagnostics.refinements == 0 for r in scan.results)
+    assert builds["wave_factors"] == GRIDS
+    assert sorted(builds["sinc"]) == _per_grid(range(3), 1)
+
+
+@pytest.mark.parametrize("name", ["sapphire", "silicon"])
+def test_every_separation_equals_its_lone_refined_rate(db, ln, name):
+    substrate = db[name]
+    mode = make_mode(substrate)
+    inc = _waveguide(ln)
+    seps = [np.array([s, 0.0, 0.0]) for s in (1e-6, 2e-6, 4e-6)]
+    got = dual_waveguide_sweep(mode, inc, substrate, seps, -1, SPANS)
+    for sep, r in zip(seps, got):
+        first = dataclasses.replace(inc, center=inc.center + sep / 2)
+        second = dataclasses.replace(inc, center=inc.center - sep / 2, sign=-inc.sign)
+        assert _lone(r.pair, mode, [first, second], substrate, SPANS)
+        assert _lone(r.single, mode, [inc], substrate, SPANS)
+
+
+@pytest.mark.parametrize("name", ["sapphire", "silicon"])
+def test_every_orientation_equals_its_lone_refined_rate(db, ln, name):
+    substrate = db[name]
+    mode = make_mode(substrate)
+    inc = _waveguide(ln)
+    angles = np.linspace(0.0, np.pi, 4)
+    axis = np.array([1.0, -1.0, 2.0])
+    scan = sweep_orientation(mode, inc, substrate, angles, axis=axis, quad=SPANS)
+    for angle, r in zip(angles, scan.results):
+        turned = Orientation.about_axis(axis, float(angle)).compose(inc.orientation)
+        assert _lone(r, mode, [dataclasses.replace(inc, orientation=turned)], substrate, SPANS)
 
 
 def test_frequency_sweep_holds_one_point_of_couplings(db, ln, held):
@@ -237,12 +370,12 @@ def test_orientation_scan_makes_one_coupling_table(db, ln, monkeypatch):
     substrate = db["sapphire"]
     made = []
 
-    class Counting(radiation._CouplingTable):
+    class Counting(radiation._SweepTables):
         def __init__(self, substrate):
             made.append(1)
             super().__init__(substrate)
 
-    monkeypatch.setattr(radiation, "_CouplingTable", Counting)
+    monkeypatch.setattr(radiation, "_SweepTables", Counting)
     angles = np.linspace(0.0, np.pi, 6)
     scan = sweep_orientation(make_mode(substrate), _bar(ln), substrate, angles, quad=LOOSE)
     assert all(r.diagnostics.refinements == 0 for r in scan.results)
@@ -299,7 +432,7 @@ def test_table_is_dropped_with_the_sweep(db, ln, empty_memo):
     sweep(mode, inc, substrate, "height", AXES["height"], QUAD)
     dual_waveguide_sweep(mode, inc, substrate, [np.array([2e-6, 0.0, 0.0])], -1, QUAD)
     gc.collect()
-    assert not any(isinstance(o, radiation._CouplingTable) for o in gc.get_objects())
+    assert not any(isinstance(o, radiation._SweepTables) for o in gc.get_objects())
     # the memo gained the substrate's angular tables and nothing else, and the
     # substrate itself gained nothing that a table build does not cache
     assert set(empty_memo) == {_table_key(substrate, n, 2 * n) for n in (16, 32, 64)}

@@ -20,6 +20,7 @@ from phonoscat.mitigation import (
     BraggLayer,
     BraggStack,
     DualWaveguideResult,
+    bragg_sweep,
     bragg_transmission,
     dual_waveguide_rate,
     mitigated_rate,
@@ -367,6 +368,49 @@ class TestBraggTransmission:
         ts = [bragg_transmission(quarter_wave_stack(n), omega_c)[1] for n in range(7)]
         assert ts[0] == 1.0
         assert all(b < a for a, b in zip(ts, ts[1:]))
+
+
+class TestBraggSweep:
+    """One running product over the swept period counts gives each count's
+    ``bragg_transmission`` bit for bit, and raises what it would raise."""
+
+    @pytest.mark.parametrize("f_ghz", [11.0, 10.0, 7.0])
+    def test_equals_each_count_alone(self, f_ghz):
+        omega = 2 * np.pi * f_ghz * 1e9
+        counts = list(range(301))
+        got = np.array(list(bragg_sweep(quarter_wave_stack(1), omega, counts)))
+        want = np.array([bragg_transmission(quarter_wave_stack(n), omega) for n in counts])
+        assert got.tobytes() == want.tobytes()
+
+    def test_unsorted_and_repeated_counts_keep_their_order(self):
+        omega = 2 * np.pi * 10e9
+        counts = [7, 0, 300, 7, 2]
+        got = list(bragg_sweep(quarter_wave_stack(5), omega, counts))
+        assert got == [bragg_transmission(quarter_wave_stack(n), omega) for n in counts]
+
+    @pytest.mark.parametrize(
+        "counts,message",
+        [
+            ([2, 470, 1000], "transmittance underflows at 470 periods"),
+            ([1000, 470, 2], "transfer matrix overflows at 1000 periods"),
+        ],
+    )
+    def test_raises_at_the_first_failing_count_in_order(self, counts, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = bragg_sweep(quarter_wave_stack(1), 2 * np.pi * 10e9, counts)
+            with pytest.raises(NumericFailure, match=message):
+                list(sweep)
+
+    def test_transfer_matrix_is_the_running_product(self):
+        omega = 2 * np.pi * 10e9
+        for n in (0, 1, 6, 40):
+            m = np.eye(2, dtype=complex)
+            for layer in quarter_wave_stack(n).layers:
+                phi = omega * layer.thickness / layer.speed
+                c, s = np.cos(phi), np.sin(phi)
+                m = np.array([[c, 1j * layer.impedance * s], [1j * s / layer.impedance, c]]) @ m
+            assert transfer_matrix(quarter_wave_stack(n), omega).tobytes() == m.tobytes()
 
 
 class TestMitigatedRate:

@@ -18,11 +18,13 @@ from phonoscat.coupling import Inclusion
 from phonoscat.elastodynamics import angular_table
 from phonoscat.materials import Orientation, default_materials
 from phonoscat.radiation import (
+    NumericFailure,
     QuadratureDiagnostics,
     QuadratureSpec,
     RadiationResult,
     _coherent_power,
     _contract,
+    _sinc,
     _sources,
     brute_force_rate,
     derived_material_constant,
@@ -174,6 +176,14 @@ class TestDeterminism:
             shear_mix = np.sum(remixed.branch_rates[:2])
             assert abs(shear_mix - shear_ref) / shear_ref < 1e-9
 
+    def test_sinc_is_numpys_sinc_bit_for_bit(self):
+        x = np.random.default_rng(7).normal(scale=30.0, size=4096)
+        tiny = np.finfo(float).tiny
+        specials = [0.0, -0.0, tiny / 4, -tiny / 4, 5e-324, tiny, 1e-300, 1e300, -1e300, np.nan]
+        x = np.concatenate([x, specials, np.pi * np.arange(-5, 6)])
+        got = _sinc(x)
+        assert np.array_equal(got, np.sinc(x / np.pi), equal_nan=True)
+
     @pytest.mark.parametrize("n_incs", [1, 2])
     def test_centred_coherent_power_equals_the_complex_sum(self, sapphire, waveguide, n_incs):
         """With every centre exactly at the origin the phase is exactly 1 + 0j,
@@ -191,7 +201,9 @@ class TestDeterminism:
                 ff = np.prod(np.sinc(kvec * (src.dims[j] / 2.0) / np.pi), axis=1)
                 phase = np.exp(1j * (kvec @ src.center[j]))
                 coh += src.volume[j] * m[j][q] * (src.sign[j] * ff) * phase
-            got = _coherent_power(src, [mj[q] for mj in m], kvec)
+            vm = [src.volume[j] * m[j][q] for j in range(n_incs)]
+            cols = [[_sinc(kvec[:, a] * (src.dims[j][a] / 2.0)) for a in range(3)] for j in range(n_incs)]
+            got = _coherent_power(src, vm, [(x * y) * z for x, y, z in cols], kvec)
             assert np.array_equal(got, coh.real**2 + coh.imag**2)
 
 
@@ -337,6 +349,23 @@ class TestQuadratureControls:
             QuadratureSpec(tolerance=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(threads=0)
+
+    @pytest.mark.parametrize("cap,built", [((8, 16), [(4, 8), (8, 16), (16, 32)]), ((7, 16), [(4, 8), (8, 16)])])
+    def test_no_refinement_past_the_grid_cap_is_built(self, substrate, waveguide, monkeypatch, empty_memo, cap, built):
+        """With the caps at 8 x 16 a 4 x 8 request may refine once, to 8 x 16
+        (read on 8 x 16 and 16 x 32); the second refinement would read a
+        32 x 64 grid, so it raises before any table of it is solved.  A cap
+        below the first refinement stops it too."""
+        import phonoscat.radiation as radiation
+
+        monkeypatch.setattr(radiation, "_MAX_THETA", cap[0])
+        monkeypatch.setattr(radiation, "_MAX_PHI", cap[1])
+        cube = dataclasses.replace(waveguide, dimensions=np.full(3, 0.5e-6))
+        quad = QuadratureSpec(4, 8, tolerance=1e-6)
+        with pytest.raises(NumericFailure, match=r"quadrature did not reach tolerance 1e-06 at n_theta=\d+"):
+            refined_rate(make_mode(substrate), cube, substrate, quad)
+        grids = {key[2:] for key in empty_memo}
+        assert grids == set(built) | {(16, 32)}  # the regime tag reads 16 x 32
 
     def test_empty_inclusion_list_rejected(self, substrate):
         with pytest.raises(ValueError, match="at least one"):
