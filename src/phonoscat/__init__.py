@@ -30,7 +30,6 @@ from .mitigation import (
     BraggLayer,
     BraggStack,
     DualWaveguideResult,
-    bragg_sweep,
     bragg_transmission,
     dual_waveguide_rate,
     dual_waveguide_sweep,
@@ -80,7 +79,6 @@ __all__ = [
     "QuadratureSpec",
     "RadiationResult",
     "SweepResult",
-    "bragg_sweep",
     "bragg_transmission",
     "brute_force_rate",
     "default_eps_eff",

@@ -34,7 +34,7 @@ import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode, default_eps_eff
 from .materials import MaterialError, MaterialSpec, Orientation, default_materials, load_materials
-from .mitigation import BraggStack, bragg_sweep, dual_waveguide_sweep, mitigated_rate
+from .mitigation import BraggStack, _bragg_sweep, dual_waveguide_sweep, mitigated_rate
 from .radiation import (
     _MAX_PHI,
     _MAX_THETA,
@@ -516,7 +516,7 @@ def _run_bragg(cfg: RunConfig) -> RunTable:
     )
     counts = [int(n) for n in cfg.values]
     rows = []
-    for n, (refl, trans) in zip(counts, bragg_sweep(mirror, cfg.mode.omega0, counts)):
+    for n, (refl, trans) in zip(counts, _bragg_sweep(mirror, cfg.mode.omega0, counts)):
         mit = mitigated_rate(base, trans)
         rows.append(
             (n, refl, trans, mit.total_rate, mit.q_factor, mit.q_factor / base.q_factor)

@@ -276,17 +276,18 @@ def bragg_transmission(stack: BraggStack, omega: float) -> tuple[float, float]:
     return _reflectance_transmittance(stack, transfer_matrix(stack, omega))
 
 
-def bragg_sweep(stack: BraggStack, omega: float, counts):
+def _bragg_sweep(stack: BraggStack, omega: float, counts):
     """Yield ``bragg_transmission`` of the stack at each period count, in order.
 
-    The stack's own ``n_periods`` is ignored.  The transfer matrices come
-    from one running product over the counts, so each (R, T) is the same bit
-    for bit as a ``bragg_transmission`` call for that count alone, and each
-    count raises what that call would raise, when it is reached.
+    The stack's own ``n_periods`` is ignored.  Every count is checked as a
+    stack's ``n_periods`` before any product is built.  The transfer matrices
+    come from one running product over the counts, so each (R, T) is the same
+    bit for bit as a ``bragg_transmission`` call for that count alone, and
+    each count raises what that call would raise, when it is reached.
     """
-    counts = list(counts)
-    for n, m in zip(counts, _transfer_matrices(stack, omega, counts)):
-        yield _reflectance_transmittance(dataclasses.replace(stack, n_periods=n), m)
+    stacks = [dataclasses.replace(stack, n_periods=n) for n in counts]
+    for one, m in zip(stacks, _transfer_matrices(stack, omega, [one.n_periods for one in stacks])):
+        yield _reflectance_transmittance(one, m)
 
 
 def _reflectance_transmittance(stack: BraggStack, m: np.ndarray) -> tuple[float, float]:

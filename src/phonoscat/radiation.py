@@ -24,36 +24,37 @@ phi.  At each node and branch the integrand is
 with ``A = golden k0^2 / v``, ``B = k0^2 u0^2``, the coupling
 ``M = tau : S`` of an inclusion with field-induced strain S, and the cuboid
 form factor ``FF = sinc(k0 khat_x L_x / 2) sinc(k0 khat_y L_y / 2)
-sinc(k0 khat_z L_z / 2)``.  Each factor is computed once for what it depends
-on, and the points of a sweep share it:
+sinc(k0 khat_z L_z / 2)``.  The costly factors are computed once for what
+they depend on, and the points of a sweep share them:
 
 - per (substrate, grid): the phase velocities and the stress pattern
   ``tau_q = c : (khat e_q)``, 200 B/node, in the substrate's
   ``AngularTable`` (``elastodynamics.angular_table``), solved on first use
   and kept for the life of the process;
 - per (grid, strain): M, 24 B/node;
-- per (grid, omega0): A and B, 24 B/node each;
 - per (grid, omega0, axis, L): one sinc column of the form factor, 24 B/node.
 
-The last three live in a ``_SweepTables`` that ``_rates`` makes for its
+The last two live in a ``_SweepTables`` that ``_rates`` makes for its
 points and drops when they are done.  So a height point computes only its x
 and y sinc columns, a thickness point only its z column, and a separation
 point or an orientation angle no column (an angle computes its own M, since
 the strain turns with the crystal).  A frequency point computes everything
-but the angular table.  What remains per point is the product of the columns,
-V M, the phase of an off-centre inclusion, the coherent sum and the
-reduction.  One grid's pass, ``_gamma_branches``, evaluates all three
-branches in fixed-size node spans (optionally across a thread pool) and
-reduces them by numpy's deterministic pairwise summation in fixed node order,
-so serial and threaded runs agree bitwise.  Every factor is computed in the
+but the angular table.  What remains per point is A and B (a few
+elementwise operations per node, cheaper to redo than to store), the
+product of the columns, V M, the phase of an off-centre inclusion, the
+coherent sum and the reduction.  One grid's pass, ``_gamma_branches``,
+evaluates all three branches in fixed-size node spans (optionally across a
+thread pool) and reduces them by numpy's deterministic pairwise summation in
+fixed node order, so serial and threaded runs agree bitwise.  Every factor is computed in the
 float order of a point that computes it alone, so a sweep point equals its
 lone ``refined_rate`` bit for bit.
 
 ``mie_rate`` is the raw primitive and only flags an unconverged estimate.
 ``_rates`` is the one evaluator: it owns the sweep tables, doubles the node
 counts of an unconverged point up to twice and raises NumericFailure if the
-estimate still has not converged, or if a doubling would build a grid finer
-than the fine grid of a request at the ``_MAX_THETA`` x ``_MAX_PHI`` cap.
+estimate still has not converged, or if a doubling would build a grid with
+more nodes than the fine grid of a request at the ``_MAX_THETA`` x
+``_MAX_PHI`` cap.
 ``refined_rate`` is its one-point call; ``sweep``,
 ``mitigation.dual_waveguide_sweep`` and ``transducer.sweep_orientation`` pass
 all their points at once.  The command-line scenarios go through these.
@@ -88,8 +89,12 @@ _BRUTE_THETA, _BRUTE_PHI, _BRUTE_RADIAL = 129, 96, 33
 _MAX_REFINEMENTS = 2
 
 # The largest grid a caller may request.  mie_rate also reads the doubled
-# grid, so _rates builds nothing finer than 2048 x 4096 nodes (1.7 GB of
-# angular table at 200 B/node); a refinement past that raises NumericFailure.
+# grid, so the largest request reads 2048 x 4096 nodes (1.7 GB of angular
+# table at 200 B/node), and _rates builds no refinement with more nodes: it
+# raises NumericFailure first.  A lopsided request may still refine along
+# its short axis.  Its n_theta stays at most 8192 (the request cap doubled
+# by mie_rate and by _MAX_REFINEMENTS), whose Gauss-Legendre companion
+# matrix is 0.5 GB.
 _MAX_THETA, _MAX_PHI = 1024, 2048
 
 
@@ -263,25 +268,6 @@ def _contract(substrate: MaterialSpec, n_theta: int, n_phi: int, strains, thread
     return out
 
 
-def _wave_factors(substrate: MaterialSpec, n_theta: int, n_phi: int, omega0: float):
-    """The (3, N) read-only A = golden k0^2 / v and B = k0^2 u0^2 at omega0,
-    with k0 = omega0 / v, on the n_theta x n_phi grid."""
-    hbar = CONSTANTS.hbar
-    golden = (2 * np.pi / hbar**2) * (1.0 / (8 * np.pi**3))
-    u0_sq = hbar / (2 * substrate.rho * omega0)
-    velocities = angular_table(substrate, n_theta, n_phi).velocities
-    a, b = np.empty((3, velocities.shape[0])), np.empty((3, velocities.shape[0]))
-    for q in range(3):
-        v = velocities[:, q]
-        k0 = omega0 / v
-        k0_sq = k0 * k0
-        a[q] = golden * (k0_sq / v)
-        b[q] = k0_sq * u0_sq
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b
-
-
 def _sinc_columns(substrate: MaterialSpec, n_theta: int, n_phi: int, omega0: float, axis_lengths) -> list:
     """The (3, N) read-only sinc(k0 khat_axis L / 2) of each (axis, L) in
     ``axis_lengths``, with k0 = omega0 / v, on the n_theta x n_phi grid."""
@@ -326,8 +312,6 @@ class _SweepTables:
       thickness and separation axes, and the copies of a pair share it; it
       changes with the crystal orientation, and with omega0 through the
       zero-point field.
-    - ``A = golden k0^2 / v`` and ``B = k0^2 u0^2`` per (grid, omega0),
-      24 B/node each.
     - ``sinc(k0 khat_a L_a / 2)`` per (grid, omega0, axis a, L_a), 24 B/node.
       Inclusions with the same length on an axis share the column.
 
@@ -342,7 +326,6 @@ class _SweepTables:
     def __init__(self, substrate: MaterialSpec):
         self.substrate = substrate
         self._m: dict[tuple, np.ndarray] = {}
-        self._ab: dict[tuple, tuple] = {}
         self._sinc: dict[tuple, np.ndarray] = {}
 
     def couplings(self, n_theta: int, n_phi: int, strains, threads: int) -> list[np.ndarray]:
@@ -353,14 +336,6 @@ class _SweepTables:
             return _contract(self.substrate, n_theta, n_phi, [by_key[k] for k in keys], threads)
 
         return _fetch(self._m, (n_theta, n_phi), [s.tobytes() for s in strains], build)
-
-    def wave_factors(self, n_theta: int, n_phi: int, omega0: float) -> tuple[np.ndarray, np.ndarray]:
-        """(A, B) at omega0 on the n_theta x n_phi grid."""
-
-        def build(_):
-            return [_wave_factors(self.substrate, n_theta, n_phi, omega0)]
-
-        return _fetch(self._ab, (n_theta, n_phi), [omega0], build)[0]
 
     def sinc_columns(self, n_theta: int, n_phi: int, omega0: float, dims: np.ndarray) -> list[list[np.ndarray]]:
         """The x, y and z sinc columns of each row of ``dims`` at omega0."""
@@ -383,14 +358,16 @@ def _gamma_branches(
 ) -> np.ndarray:
     """Golden-rule rate of each branch on one n_theta x n_phi grid, shape (3,).
 
-    The sweep tables give M, A, B and the sinc columns and name the
-    substrate.  All three branches on each fixed node span, then one
-    reduction per branch.
+    The sweep tables give M and the sinc columns and name the substrate.
+    All three branches on each fixed node span, then one reduction per
+    branch.
     """
     omega0 = mode.omega0
+    hbar = CONSTANTS.hbar
+    golden = (2 * np.pi / hbar**2) * (1.0 / (8 * np.pi**3))
+    u0_sq = hbar / (2 * tables.substrate.rho * omega0)
     grid = angular_table(tables.substrate, n_theta, n_phi)
     m = tables.couplings(n_theta, n_phi, src.strain, threads)
-    a_fac, b_fac = tables.wave_factors(n_theta, n_phi, omega0)
     cols = tables.sinc_columns(n_theta, n_phi, omega0, src.dims)
     centred = not np.any(src.center)
     n = grid.khats.shape[0]
@@ -398,10 +375,13 @@ def _gamma_branches(
 
     def work(a, b):
         for q in range(3):
-            vm = [v * mj[q, a:b] for v, mj in zip(src.volume, m)]
+            vm = [vol * mj[q, a:b] for vol, mj in zip(src.volume, m)]
             ff = [(x[q, a:b] * y[q, a:b]) * z[q, a:b] for x, y, z in cols]
-            kvec = None if centred else (omega0 / grid.velocities[a:b, q])[:, None] * grid.khats[a:b]
-            values[q, a:b] = a_fac[q, a:b] * (b_fac[q, a:b] * _coherent_power(src, vm, ff, kvec))
+            v = grid.velocities[a:b, q]
+            k0 = omega0 / v
+            kvec = None if centred else k0[:, None] * grid.khats[a:b]
+            k0_sq = k0 * k0
+            values[q, a:b] = golden * (k0_sq / v) * ((k0_sq * u0_sq) * _coherent_power(src, vm, ff, kvec))
 
     _each_span(n, threads, work)
     # fixed-order pairwise reduction: deterministic for any thread count
@@ -446,8 +426,8 @@ def mie_rate(
     flagged, not fatal; ``refined_rate`` is the path that acts on the flag).
 
     ``tables`` are the sweep tables that ``_rates`` shares between its points
-    and refinement reruns; they supply M, A, B and the sinc columns for each
-    grid and fill what they lack.  They belong to ``substrate``.  None makes
+    and refinement reruns; they supply M and the sinc columns for each grid
+    and fill what they lack.  They belong to ``substrate``.  None makes
     tables for this call alone, so the copies of a pair still share their
     couplings and columns.  The result is the same either way, bit for bit.
 
@@ -478,7 +458,7 @@ def _rates(substrate: MaterialSpec, points, quad: QuadratureSpec | None = None) 
     point is re-run with doubled node counts, and after _MAX_REFINEMENTS
     doublings it raises NumericFailure rather than return a silently degraded
     answer; the diagnostics record the doublings.  A doubling whose fine grid
-    would be finer than that of a _MAX_THETA x _MAX_PHI request raises
+    would have more nodes than that of a _MAX_THETA x _MAX_PHI request raises
     NumericFailure before it builds anything.  All runs read one set of sweep
     tables, so a rerun finds its coarse grid (the previous fine grid)
     computed.
@@ -490,12 +470,12 @@ def _rates(substrate: MaterialSpec, points, quad: QuadratureSpec | None = None) 
         for refinements in range(_MAX_REFINEMENTS + 1):
             k = 2**refinements
             q = dataclasses.replace(quad, n_theta=k * quad.n_theta, n_phi=k * quad.n_phi)
-            if refinements and (q.n_theta > _MAX_THETA or q.n_phi > _MAX_PHI):
+            if refinements and q.n_theta * q.n_phi > _MAX_THETA * _MAX_PHI:
                 d = result.diagnostics
                 raise NumericFailure(
                     f"quadrature did not reach tolerance {quad.tolerance:g} at n_theta={d.n_theta}, "
                     f"n_phi={d.n_phi} (relative error {d.rel_error:.2e}), and the next refinement's "
-                    f"{2 * q.n_theta} x {2 * q.n_phi} grid exceeds the largest grid, "
+                    f"{2 * q.n_theta} x {2 * q.n_phi} grid has more nodes than the largest grid, "
                     f"{2 * _MAX_THETA} x {2 * _MAX_PHI}"
                 )
             result = mie_rate(mode, inclusions, substrate, q, tables=tables)
@@ -712,8 +692,8 @@ def sweep(
     the closed form and needs exactly one inclusion.  The mie points share
     one set of sweep tables, so a height point computes only its x and y
     sinc columns and a thickness point only its z column, while the coupling
-    and A, B are computed once per sweep per grid; along omega0 everything
-    but the angular table changes at every point.
+    is computed once per sweep per grid; along omega0 everything but the
+    angular table changes at every point.
     """
     incs = _as_inclusion_list(inclusions)
     if engine not in ("mie", "rayleigh"):

@@ -869,7 +869,7 @@ class TestRefinementPath:
         assert code == 3
         assert err.count("\n") == 1
         assert err.startswith("numeric failure: quadrature did not reach tolerance 1e-06 at n_theta=16, n_phi=32")
-        assert "the next refinement's 32 x 64 grid exceeds the largest grid, 16 x 32" in err
+        assert "the next refinement's 32 x 64 grid has more nodes than the largest grid, 16 x 32" in err
         assert not out.exists()
 
     def test_dual_computes_the_single_rate_once(self, tmp_path, monkeypatch):

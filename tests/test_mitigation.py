@@ -20,7 +20,7 @@ from phonoscat.mitigation import (
     BraggLayer,
     BraggStack,
     DualWaveguideResult,
-    bragg_sweep,
+    _bragg_sweep,
     bragg_transmission,
     dual_waveguide_rate,
     mitigated_rate,
@@ -378,14 +378,14 @@ class TestBraggSweep:
     def test_equals_each_count_alone(self, f_ghz):
         omega = 2 * np.pi * f_ghz * 1e9
         counts = list(range(301))
-        got = np.array(list(bragg_sweep(quarter_wave_stack(1), omega, counts)))
+        got = np.array(list(_bragg_sweep(quarter_wave_stack(1), omega, counts)))
         want = np.array([bragg_transmission(quarter_wave_stack(n), omega) for n in counts])
         assert got.tobytes() == want.tobytes()
 
     def test_unsorted_and_repeated_counts_keep_their_order(self):
         omega = 2 * np.pi * 10e9
         counts = [7, 0, 300, 7, 2]
-        got = list(bragg_sweep(quarter_wave_stack(5), omega, counts))
+        got = list(_bragg_sweep(quarter_wave_stack(5), omega, counts))
         assert got == [bragg_transmission(quarter_wave_stack(n), omega) for n in counts]
 
     @pytest.mark.parametrize(
@@ -398,9 +398,17 @@ class TestBraggSweep:
     def test_raises_at_the_first_failing_count_in_order(self, counts, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sweep = bragg_sweep(quarter_wave_stack(1), 2 * np.pi * 10e9, counts)
+            sweep = _bragg_sweep(quarter_wave_stack(1), 2 * np.pi * 10e9, counts)
             with pytest.raises(NumericFailure, match=message):
                 list(sweep)
+
+    @pytest.mark.parametrize("counts", [[2, -1], [3, 2.5]])
+    def test_rejects_a_bad_count_before_any_product(self, counts, monkeypatch):
+        import phonoscat.mitigation as mitigation
+
+        monkeypatch.setattr(mitigation, "_transfer_matrices", lambda *args: pytest.fail("product built"))
+        with pytest.raises(ValueError, match="n_periods must be a nonnegative integer"):
+            next(_bragg_sweep(quarter_wave_stack(1), 2 * np.pi * 10e9, counts))
 
     def test_transfer_matrix_is_the_running_product(self):
         omega = 2 * np.pi * 10e9

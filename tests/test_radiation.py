@@ -367,6 +367,19 @@ class TestQuadratureControls:
         grids = {key[2:] for key in empty_memo}
         assert grids == set(built) | {(16, 32)}  # the regime tag reads 16 x 32
 
+    @pytest.mark.parametrize("cap", [(4, 32), (16, 8)])
+    def test_a_lopsided_request_at_a_cap_still_refines(self, substrate, waveguide, monkeypatch, cap):
+        """The cap bounds nodes, not each axis: with 128 nodes allowed a 4 x 8
+        request at the n_theta or the n_phi cap refines once, to 8 x 16."""
+        import phonoscat.radiation as radiation
+
+        monkeypatch.setattr(radiation, "_MAX_THETA", cap[0])
+        monkeypatch.setattr(radiation, "_MAX_PHI", cap[1])
+        cube = dataclasses.replace(waveguide, dimensions=np.full(3, 0.1e-6))
+        result = refined_rate(make_mode(substrate), cube, substrate, QuadratureSpec(4, 8, tolerance=1e-6))
+        assert result.diagnostics.refinements == 1
+        assert (result.diagnostics.n_theta, result.diagnostics.n_phi) == (16, 32)
+
     def test_empty_inclusion_list_rejected(self, substrate):
         with pytest.raises(ValueError, match="at least one"):
             mie_rate(make_mode(substrate), [], substrate, FAST)
