@@ -58,11 +58,17 @@ more nodes than the fine grid of a request at the ``_MAX_THETA`` x
 ``refined_rate`` is its one-point call; ``sweep``,
 ``mitigation.dual_waveguide_sweep`` and ``transducer.sweep_orientation`` pass
 all their points at once.  The command-line scenarios go through these.
+
+``brute_force_rate``, the independent oracle, splits its work the same way
+on its own grid: the grid once per process, the Christoffel solve and the
+einsum stress once per (rho, C) in the module-level ``_ORACLE`` memo
+(2.1 MB per substrate, never evicted), and only the radial loop per call.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -70,7 +76,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode, induced_strain
-from .elastodynamics import angular_table, christoffel_many, stress_pattern
+from .elastodynamics import _FULL, _VOIGT_I, _VOIGT_J, angular_table, christoffel_many, stress_pattern
 from .materials import CONSTANTS, MaterialSpec
 
 # Regime boundary: Rayleigh when max_i |k| L_i stays below this.
@@ -83,6 +89,8 @@ _CHUNK = 2048
 _BRUTE_WINDOW = 8.0
 # Brute-force grid: Simpson nodes over theta and the radial window (odd), uniform phi.
 _BRUTE_THETA, _BRUTE_PHI, _BRUTE_RADIAL = 129, 96, 33
+# brute_force_rate's memo, (rho, C bytes) -> _oracle_substrate's entry; never evicted.
+_ORACLE: dict[tuple, tuple] = {}
 
 # How many times _rates re-runs an unconverged quadrature with doubled
 # node counts before it raises NumericFailure.
@@ -544,29 +552,12 @@ def rayleigh_rate(
 ORACLE_RTOL = 2e-2  # relative deviation up to which mie_rate agrees with brute_force_rate
 
 
-def brute_force_rate(
-    mode: MicrowaveMode,
-    inclusions,
-    substrate: MaterialSpec,
-) -> float:
-    """Reference rate by direct 3D k-space summation.
-
-    The energy delta is replaced by a unit-area Gaussian of width
-    ``sigma = omega0/200`` and the golden-rule sum is
-    taken over a spherical 3D grid: composite Simpson in theta and in the
-    radial window (+- ``_BRUTE_WINDOW`` sigma around each branch shell),
-    uniform in phi.  No isofrequency-surface reduction is used, so this checks
-    the delta collapse, the density of states, and the Jacobian independently.
-    V_T is 1 (it cancels), and every caller shares the fixed ``_BRUTE_*`` grid.
-    """
-    incs = _as_inclusion_list(inclusions)
-    omega0 = mode.omega0
-    sigma = omega0 / 200.0
-    hbar = CONSTANTS.hbar
-    rho = substrate.rho
-
-    # angular grid: Simpson over theta, uniform over phi (distinct family
-    # from the production Gauss-Legendre rule on purpose)
+@functools.cache
+def _oracle_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The brute-force angular grid: khats (N, 3), weights (N,) and the rows
+    of khats (3, N), read-only and built on first use.  Simpson over theta,
+    uniform over phi: a distinct family from the production Gauss-Legendre
+    rule on purpose."""
     theta = np.linspace(0.0, np.pi, _BRUTE_THETA)
     w_theta = _simpson_weights(_BRUTE_THETA) * (np.pi / (_BRUTE_THETA - 1))
     phi = 2 * np.pi * np.arange(_BRUTE_PHI) / _BRUTE_PHI
@@ -581,32 +572,87 @@ def brute_force_rate(
         axis=-1,
     ).reshape(-1, 3)
     w_ang = (w_theta[:, None] * st[:, None] * w_phi[None, :]).reshape(-1)
+    grid = (khats, w_ang, np.ascontiguousarray(khats.T))
+    for arr in grid:
+        arr.setflags(write=False)
+    return grid
+
+
+def _oracle_substrate(substrate: MaterialSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The phase velocities (3, N) and each branch's ``stress_pattern`` tau as
+    six Voigt columns (3, N, 6) on the brute-force grid, read-only.
+
+    Solved once per process for each (rho, C) and kept in ``_ORACLE``, as
+    ``angular_table`` keeps its tables: 2.1 MB per substrate.
+    """
+    key = (substrate.rho, substrate.C.tobytes())
+    entry = _ORACLE.get(key)
+    if entry is None:
+        khats = _oracle_grid()[0]
+        vels, pols = christoffel_many(substrate, khats)
+        c = substrate.stiffness_tensor
+        taus = np.stack([stress_pattern(c, khats, pols[:, :, q])[:, _VOIGT_I, _VOIGT_J] for q in range(3)])
+        entry = (np.ascontiguousarray(vels.T), taus)
+        for arr in entry:
+            arr.setflags(write=False)
+        entry = _ORACLE.setdefault(key, entry)
+    return entry
+
+
+def brute_force_rate(
+    mode: MicrowaveMode,
+    inclusions,
+    substrate: MaterialSpec,
+) -> float:
+    """Reference rate by direct 3D k-space summation.
+
+    The energy delta is replaced by a unit-area Gaussian of width
+    ``sigma = omega0/200`` and the golden-rule sum is
+    taken over a spherical 3D grid: composite Simpson in theta and in the
+    radial window (+- ``_BRUTE_WINDOW`` sigma around each branch shell),
+    uniform in phi.  No isofrequency-surface reduction is used, so this checks
+    the delta collapse, the density of states, and the Jacobian independently.
+    V_T is 1 (it cancels), and every caller shares the fixed ``_BRUTE_*`` grid.
+
+    The oracle shares no Christoffel or stress code with the engine's
+    ``AngularTable``: it solves ``christoffel_many`` and the einsum
+    ``stress_pattern`` on its own grid, once per substrate
+    (``_oracle_substrate``).  Each call pays only the radial loop.
+    """
+    incs = _as_inclusion_list(inclusions)
+    omega0 = mode.omega0
+    sigma = omega0 / 200.0
+    hbar = CONSTANTS.hbar
+    rho = substrate.rho
+    khats, w_ang, rows = _oracle_grid()
+    vels, taus = _oracle_substrate(substrate)
 
     xi = np.linspace(-_BRUTE_WINDOW, _BRUTE_WINDOW, _BRUTE_RADIAL)
     w_xi = _simpson_weights(_BRUTE_RADIAL) * (2 * _BRUTE_WINDOW / (_BRUTE_RADIAL - 1))
     gauss = np.exp(-0.5 * xi * xi) / (sigma * np.sqrt(2 * np.pi))
 
     src = _sources(mode, incs)
-    vels, pols = christoffel_many(substrate, khats)
-    c = substrate.stiffness_tensor
+    centred = not np.any(src.center)
     f3d = 1 / (8 * np.pi**3)
 
     total = 0.0
     for q in range(3):
-        v = vels[:, q]
-        tau = stress_pattern(c, khats, pols[:, :, q])
+        v = vels[q]
+        # np.take keeps tau C-ordered, for the reason AngularTable.stress gives
+        tau = np.take(taus[q], _FULL, axis=1).reshape(-1, 3, 3)
         vm = [vol * np.einsum("nij,ij->n", tau, s) for vol, s in zip(src.volume, src.strain)]
+        dk = sigma / v  # measure: k^2 dk dOmega with dk = (sigma/v) dxi
         for i in range(xi.size):
             omega = omega0 + sigma * xi[i]
             k = omega / v
+            k_sq = k * k
             u0_sq = hbar / (2 * rho * omega)
-            kvec = k[:, None] * khats
-            cols = [[_sinc(kvec[:, a] * (L[a] / 2.0)) for a in range(3)] for L in src.dims]
+            kvec = None if centred else k[:, None] * khats
+            cols = [[_sinc((k * rows[a]) * (L[a] / 2.0)) for a in range(3)] for L in src.dims]
             ff = [(x * y) * z for x, y, z in cols]
-            hg_sq = (k * k * u0_sq) * _coherent_power(src, vm, ff, kvec)
+            hg_sq = (k_sq * u0_sq) * _coherent_power(src, vm, ff, kvec)
             f = (2 * np.pi / hbar**2) * f3d * hg_sq * gauss[i]
-            # measure: k^2 dk dOmega with dk = (sigma/v) dxi
-            total += w_xi[i] * float(np.add.reduce(w_ang * (k * k) * (sigma / v) * f))
+            total += w_xi[i] * float(np.add.reduce(w_ang * k_sq * dk * f))
     return total
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures: the bundled materials and a standard device geometry,
 and the test references that the package itself does not need: the cuboid
-form factor and a writer for the material database."""
+form factor, the per-call brute-force sum and a writer for the material
+database."""
 
 import dataclasses
 import json
@@ -10,9 +11,21 @@ import numpy as np
 import pytest
 
 import phonoscat.elastodynamics as elastodynamics
+import phonoscat.radiation as radiation
 from phonoscat.coupling import Inclusion, MicrowaveMode, default_eps_eff
-from phonoscat.elastodynamics import _voigt_stresses, angular_table, christoffel_many
-from phonoscat.materials import Orientation, default_materials
+from phonoscat.elastodynamics import _voigt_stresses, angular_table, christoffel_many, stress_pattern
+from phonoscat.materials import CONSTANTS, Orientation, default_materials
+from phonoscat.radiation import (
+    _BRUTE_PHI,
+    _BRUTE_RADIAL,
+    _BRUTE_THETA,
+    _BRUTE_WINDOW,
+    _as_inclusion_list,
+    _coherent_power,
+    _simpson_weights,
+    _sinc,
+    _sources,
+)
 
 # Film-normal cut: crystal X along lab z, crystal Z along lab -x.  With the
 # field along lab y this drives the strong in-plane piezo coefficients.
@@ -83,6 +96,59 @@ def form_factor(inclusion, k) -> complex:
     return inclusion.sign * phase * float(np.prod(sincs))
 
 
+def brute_force_reference(mode, inclusions, substrate) -> float:
+    """``radiation.brute_force_rate`` solved from scratch on every call: the
+    grid, the Christoffel solve and the einsum stress inside the call, and
+    each float operation in the order ``brute_force_rate`` must keep."""
+    incs = _as_inclusion_list(inclusions)
+    omega0 = mode.omega0
+    sigma = omega0 / 200.0
+    hbar = CONSTANTS.hbar
+    rho = substrate.rho
+
+    theta = np.linspace(0.0, np.pi, _BRUTE_THETA)
+    w_theta = _simpson_weights(_BRUTE_THETA) * (np.pi / (_BRUTE_THETA - 1))
+    phi = 2 * np.pi * np.arange(_BRUTE_PHI) / _BRUTE_PHI
+    w_phi = np.full(_BRUTE_PHI, 2 * np.pi / _BRUTE_PHI)
+    st, ct = np.sin(theta), np.cos(theta)
+    khats = np.stack(
+        [
+            (st[:, None] * np.cos(phi)[None, :]),
+            (st[:, None] * np.sin(phi)[None, :]),
+            np.broadcast_to(ct[:, None], (_BRUTE_THETA, _BRUTE_PHI)),
+        ],
+        axis=-1,
+    ).reshape(-1, 3)
+    w_ang = (w_theta[:, None] * st[:, None] * w_phi[None, :]).reshape(-1)
+
+    xi = np.linspace(-_BRUTE_WINDOW, _BRUTE_WINDOW, _BRUTE_RADIAL)
+    w_xi = _simpson_weights(_BRUTE_RADIAL) * (2 * _BRUTE_WINDOW / (_BRUTE_RADIAL - 1))
+    gauss = np.exp(-0.5 * xi * xi) / (sigma * np.sqrt(2 * np.pi))
+
+    src = _sources(mode, incs)
+    vels, pols = christoffel_many(substrate, khats)
+    c = substrate.stiffness_tensor
+    f3d = 1 / (8 * np.pi**3)
+
+    total = 0.0
+    for q in range(3):
+        v = vels[:, q]
+        tau = stress_pattern(c, khats, pols[:, :, q])
+        vm = [vol * np.einsum("nij,ij->n", tau, s) for vol, s in zip(src.volume, src.strain)]
+        for i in range(xi.size):
+            omega = omega0 + sigma * xi[i]
+            k = omega / v
+            u0_sq = hbar / (2 * rho * omega)
+            kvec = k[:, None] * khats
+            cols = [[_sinc(kvec[:, a] * (L[a] / 2.0)) for a in range(3)] for L in src.dims]
+            ff = [(x * y) * z for x, y, z in cols]
+            hg_sq = (k * k * u0_sq) * _coherent_power(src, vm, ff, kvec)
+            f = (2 * np.pi / hbar**2) * f3d * hg_sq * gauss[i]
+            # measure: k^2 dk dOmega with dk = (sigma/v) dxi
+            total += w_xi[i] * float(np.add.reduce(w_ang * (k * k) * (sigma / v) * f))
+    return total
+
+
 def save_materials(db, path) -> None:
     """Write a database in the JSON schema that ``load_materials`` accepts."""
     out = [
@@ -130,6 +196,14 @@ def empty_memo(monkeypatch):
     tables = {}
     monkeypatch.setattr(elastodynamics, "_TABLES", tables)
     return tables
+
+
+@pytest.fixture
+def empty_oracle(monkeypatch):
+    """An empty brute-force oracle memo for one test, like ``empty_memo``."""
+    entries = {}
+    monkeypatch.setattr(radiation, "_ORACLE", entries)
+    return entries
 
 
 @pytest.fixture
