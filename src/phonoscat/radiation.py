@@ -60,15 +60,14 @@ more nodes than the fine grid of a request at the ``_MAX_THETA`` x
 all their points at once.  The command-line scenarios go through these.
 
 ``brute_force_rate``, the independent oracle, splits its work the same way
-on its own grid: the grid once per process, the Christoffel solve and the
-einsum stress once per (rho, C) in the module-level ``_ORACLE`` memo
-(2.1 MB per substrate, never evicted), and only the radial loop per call.
+on its own grid: the Christoffel solve and the einsum stress once per
+(rho, C) in the module-level ``_ORACLE`` memo (2.1 MB per substrate, never
+evicted), and per call only the grid (under 1 ms) and the radial loop.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -552,12 +551,10 @@ def rayleigh_rate(
 ORACLE_RTOL = 2e-2  # relative deviation up to which mie_rate agrees with brute_force_rate
 
 
-@functools.cache
 def _oracle_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The brute-force angular grid: khats (N, 3), weights (N,) and the rows
-    of khats (3, N), read-only and built on first use.  Simpson over theta,
-    uniform over phi: a distinct family from the production Gauss-Legendre
-    rule on purpose."""
+    of khats (3, N).  Simpson over theta, uniform over phi: a distinct family
+    from the production Gauss-Legendre rule on purpose."""
     theta = np.linspace(0.0, np.pi, _BRUTE_THETA)
     w_theta = _simpson_weights(_BRUTE_THETA) * (np.pi / (_BRUTE_THETA - 1))
     phi = 2 * np.pi * np.arange(_BRUTE_PHI) / _BRUTE_PHI
@@ -572,15 +569,12 @@ def _oracle_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         axis=-1,
     ).reshape(-1, 3)
     w_ang = (w_theta[:, None] * st[:, None] * w_phi[None, :]).reshape(-1)
-    grid = (khats, w_ang, np.ascontiguousarray(khats.T))
-    for arr in grid:
-        arr.setflags(write=False)
-    return grid
+    return khats, w_ang, np.ascontiguousarray(khats.T)
 
 
-def _oracle_substrate(substrate: MaterialSpec) -> tuple[np.ndarray, np.ndarray]:
+def _oracle_substrate(substrate: MaterialSpec, khats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The phase velocities (3, N) and each branch's ``stress_pattern`` tau as
-    six Voigt columns (3, N, 6) on the brute-force grid, read-only.
+    six Voigt columns (3, N, 6) on the brute-force grid ``khats``, read-only.
 
     Solved once per process for each (rho, C) and kept in ``_ORACLE``, as
     ``angular_table`` keeps its tables: 2.1 MB per substrate.
@@ -588,7 +582,6 @@ def _oracle_substrate(substrate: MaterialSpec) -> tuple[np.ndarray, np.ndarray]:
     key = (substrate.rho, substrate.C.tobytes())
     entry = _ORACLE.get(key)
     if entry is None:
-        khats = _oracle_grid()[0]
         vels, pols = christoffel_many(substrate, khats)
         c = substrate.stiffness_tensor
         taus = np.stack([stress_pattern(c, khats, pols[:, :, q])[:, _VOIGT_I, _VOIGT_J] for q in range(3)])
@@ -625,7 +618,7 @@ def brute_force_rate(
     hbar = CONSTANTS.hbar
     rho = substrate.rho
     khats, w_ang, rows = _oracle_grid()
-    vels, taus = _oracle_substrate(substrate)
+    vels, taus = _oracle_substrate(substrate, khats)
 
     xi = np.linspace(-_BRUTE_WINDOW, _BRUTE_WINDOW, _BRUTE_RADIAL)
     w_xi = _simpson_weights(_BRUTE_RADIAL) * (2 * _BRUTE_WINDOW / (_BRUTE_RADIAL - 1))

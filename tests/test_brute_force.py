@@ -102,17 +102,18 @@ def test_each_substrate_is_solved_once(tmp_path, oracle_solves, empty_oracle):
 def test_rotated_substrate_gets_its_own_entry(sapphire, xcut, oracle_solves, empty_oracle):
     rotated = sapphire.rotated(xcut)
     assert not np.array_equal(rotated.C, sapphire.C)
-    original = radiation._oracle_substrate(sapphire)
-    assert radiation._oracle_substrate(sapphire) is original
-    assert radiation._oracle_substrate(rotated) is not original
+    khats = radiation._oracle_grid()[0]
+    original = radiation._oracle_substrate(sapphire, khats)
+    assert radiation._oracle_substrate(sapphire, khats) is original
+    assert radiation._oracle_substrate(rotated, khats) is not original
     assert len(oracle_solves) == 2
     assert set(empty_oracle) == {(s.rho, s.C.tobytes()) for s in (sapphire, rotated)}
 
 
 def test_entries_are_read_only(sapphire, empty_oracle):
-    vels, taus = radiation._oracle_substrate(sapphire)
+    vels, taus = radiation._oracle_substrate(sapphire, radiation._oracle_grid()[0])
     assert vels.shape == (3, ORACLE_NODES) and taus.shape == (3, ORACLE_NODES, 6)
-    for arr in (vels, taus, *radiation._oracle_grid()):
+    for arr in (vels, taus):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
 
@@ -122,7 +123,7 @@ def test_six_voigt_columns_hold_the_whole_stress(db, name, empty_oracle):
     substrate = db[name]
     khats = radiation._oracle_grid()[0]
     _, pols = christoffel_many(substrate, khats)
-    _, taus = radiation._oracle_substrate(substrate)
+    _, taus = radiation._oracle_substrate(substrate, khats)
     for q in range(3):
         tau = stress_pattern(substrate.stiffness_tensor, khats, pols[:, :, q])
         assert np.array_equal(tau, tau.transpose(0, 2, 1))
