@@ -16,8 +16,8 @@ errors), 3 numeric failure (quadrature unconverged after the built-in
 refinement cap or before a refinement past the largest grid, a non-finite
 rate or Bragg transfer matrix, a Bragg transmittance below the smallest
 normal double or a rate behind the mirror that leaves the float range, a
-Bragg R + T that misses 1, a ratio over an exactly-zero rate, or a failed
-selftest check).
+Bragg R + T that misses 1, a ratio over an exactly-zero rate, a failed
+selftest check, or an allocation that runs out of memory).
 """
 
 from __future__ import annotations
@@ -729,7 +729,8 @@ def main(argv=None) -> int:
 
     A ValueError (a ConfigError, or a library check of an input value) or
     an OSError (a path that cannot be read or written, or a closed standard
-    output) exits 2; a NumericFailure or FloatingPointError exits 3.
+    output) exits 2; a NumericFailure, FloatingPointError or MemoryError
+    exits 3.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -739,6 +740,10 @@ def main(argv=None) -> int:
         return 2
     except (NumericFailure, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:
+        # a bare MemoryError has no message
+        print(f"numeric failure: out of memory: {e}".removesuffix(": "), file=sys.stderr)
         return 3
 
 

@@ -10,20 +10,21 @@ branch 3 is the (quasi-)longitudinal one.  Dispersion is linear,
 The quadrature engine needs the Christoffel solution at every node of an
 angular grid, and the stress pattern ``tau_q(n) = c : (khat_n e_qn)`` of each
 branch there; both depend only on the substrate's density and stiffness and
-on the grid.  ``angular_table`` solves them once per process for each
-(rho, C, n_theta, n_phi) and keeps the read-only result in a module-level
-memo keyed by exactly those values, so every ``MaterialSpec`` with the same
-physics, however it was loaded, shares one table per grid.  Nothing is
-evicted: the memo grows by one table per distinct (rho, C, grid) for the life
-of the process.  The polarizations are a build-time intermediate: the table
-keeps the velocities and the six unique components of each tau, 200 bytes
-per node.
+on the grid.  ``_TABLES`` is the one memo of such solved grids, a read-only
+``AngularTable`` each: ``angular_table`` keeps the engine's under
+(rho, C, n_theta, n_phi), and ``radiation._oracle_table`` the brute-force
+oracle's under (rho, C, "oracle").  Every ``MaterialSpec`` with the same
+physics shares them, however it was loaded.  Nothing is evicted: the memo
+grows by one table per distinct key for the life of the process.  A table
+keeps the directions, weights, velocities and the six unique components of
+each tau (the polarizations are a build-time intermediate): 200 bytes per
+node, so about 2.5 MB for the oracle's 12,384 nodes.
 
-The build fills the Christoffel matrices and the Voigt stresses with
-component-major kernels, one elementwise pass per (j, k) or (k, l) term, that
-repeat einsum's float operations in einsum's order.  ``stress_pattern``, the
-einsum form, is the stress of the brute-force oracle, so the oracle shares no
-stress code with the table.
+The engine's build fills the Christoffel matrices and the Voigt stresses
+with component-major kernels, one elementwise pass per (j, k) or (k, l) term,
+that repeat einsum's float operations in einsum's order.  ``stress_pattern``,
+the einsum form, is the oracle's stress: the oracle shares the table
+container with the engine, but no stress kernel.
 """
 
 from __future__ import annotations
@@ -100,14 +101,18 @@ class AngularTable:
     """Christoffel solution and stress pattern of one substrate on one
     angular quadrature grid.
 
-    Nodes follow the theta-major order of the Gauss-Legendre x uniform grid.
-    All arrays are read-only.
+    Nodes are in the theta-major order of ``_product_grid``.  All arrays are
+    made read-only on construction.
     """
 
     khats: np.ndarray  # (N, 3) unit propagation directions
     weights: np.ndarray  # (N,) solid-angle weights, summing to 4 pi
     velocities: np.ndarray  # (N, 3) phase velocities, ascending
     stresses: np.ndarray  # (3, N, 6), [q, n] the Voigt tau of branch q at node n
+
+    def __post_init__(self):
+        for arr in (self.khats, self.weights, self.velocities, self.stresses):
+            arr.setflags(write=False)
 
     def stress(self, q: int, a: int = 0, b: int | None = None) -> np.ndarray:
         """The (n, 3, 3) C-contiguous stress pattern tau of branch q on nodes a:b."""
@@ -116,17 +121,22 @@ class AngularTable:
         return np.take(self.stresses[q, a:b], _FULL, axis=1).reshape(-1, 3, 3)
 
 
-def _angular_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre x uniform product grid; theta-major fixed node order."""
-    x, w = np.polynomial.legendre.leggauss(n_theta)
+def _product_grid(ct, st, w_ring, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rings at polar (cos theta, sin theta) = (ct, st), each of weight
+    ``w_ring``, times n_phi uniform azimuths; theta-major fixed node order."""
     phi = 2 * np.pi * np.arange(n_phi) / n_phi
-    st = np.sqrt(1.0 - x * x)
     kx = st[:, None] * np.cos(phi)[None, :]
     ky = st[:, None] * np.sin(phi)[None, :]
-    kz = np.broadcast_to(x[:, None], kx.shape)
+    kz = np.broadcast_to(ct[:, None], kx.shape)
     khats = np.stack([kx, ky, kz], axis=-1).reshape(-1, 3)
-    weights = np.repeat(w, n_phi) * (2 * np.pi / n_phi)
+    weights = np.repeat(w_ring, n_phi) * (2 * np.pi / n_phi)
     return khats, weights
+
+
+def _angular_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The engine's Gauss-Legendre (in cos theta) x uniform product grid."""
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    return _product_grid(x, np.sqrt(1.0 - x * x), w, n_phi)
 
 
 def _build_table(material: MaterialSpec, n_theta: int, n_phi: int) -> AngularTable:
@@ -138,40 +148,37 @@ def _build_table(material: MaterialSpec, n_theta: int, n_phi: int) -> AngularTab
         b = min(a + _CHUNK, n)
         velocities[a:b], pols = christoffel_many(material, khats[a:b])
         stresses[:, a:b] = _voigt_stresses(material.stiffness_tensor, khats[a:b], pols)
-    for arr in (khats, weights, velocities, stresses):
-        arr.setflags(write=False)
     return AngularTable(khats, weights, velocities, stresses)
 
 
-# The memo of angular_table.  It has no eviction: it holds one table for
-# every distinct (rho, C, n_theta, n_phi) requested in the process, rotated
-# and edited substrates included, for the life of the process.
+# The one memo of solved grids (see the module docstring); no eviction.
 _TABLES: dict[tuple, AngularTable] = {}
 
 
-def _table_key(material: MaterialSpec, n_theta: int, n_phi: int) -> tuple:
-    """Everything ``_build_table`` reads: the name only labels an error that a
-    validated (positive definite) stiffness cannot raise."""
-    return (material.rho, material.C.tobytes(), n_theta, n_phi)
+def _table_key(material: MaterialSpec, *grid) -> tuple:
+    """Everything a table build reads besides the grid: the name only labels
+    an error that a validated (positive definite) stiffness cannot raise."""
+    return (material.rho, material.C.tobytes(), *grid)
 
 
-def angular_table(material: MaterialSpec, n_theta: int, n_phi: int) -> AngularTable:
-    """The Christoffel solution of ``material`` on the n_theta x n_phi grid.
-
-    Solved once per process for each (rho, C, grid) and shared by every
-    material with that density and stiffness: two loads of the database
-    share their tables, while a rotated copy or any other change of C or rho
-    gets its own.  Every table is kept until the process ends, at 200 bytes
-    per node, so memory grows with the number of distinct (rho, C, grid)
-    requested.
-    """
-    key = _table_key(material, n_theta, n_phi)
+def _memo_table(material: MaterialSpec, grid: tuple, build) -> AngularTable:
+    """The memo's one lookup: the table of ``material`` on ``grid``, from
+    ``build()`` on first use."""
+    key = _table_key(material, *grid)
     table = _TABLES.get(key)
     if table is None:
         # setdefault is atomic: threads that race on a first use may both
         # solve, but all of them get the one table that is stored
-        table = _TABLES.setdefault(key, _build_table(material, n_theta, n_phi))
+        table = _TABLES.setdefault(key, build())
     return table
+
+
+def angular_table(material: MaterialSpec, n_theta: int, n_phi: int) -> AngularTable:
+    """The Christoffel solution of ``material`` on the n_theta x n_phi grid,
+    solved once per process for each (rho, C, grid) and kept until it ends:
+    two loads of the database share their tables, while a rotated copy or
+    any other change of C or rho gets its own."""
+    return _memo_table(material, (n_theta, n_phi), lambda: _build_table(material, n_theta, n_phi))
 
 
 def stress_pattern(stiffness_tensor: np.ndarray, khats: np.ndarray, pols: np.ndarray) -> np.ndarray:

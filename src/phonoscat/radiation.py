@@ -60,9 +60,10 @@ more nodes than the fine grid of a request at the ``_MAX_THETA`` x
 all their points at once.  The command-line scenarios go through these.
 
 ``brute_force_rate``, the independent oracle, splits its work the same way
-on its own grid: the Christoffel solve and the einsum stress once per
-(rho, C) in the module-level ``_ORACLE`` memo (2.1 MB per substrate, never
-evicted), and per call only the grid (under 1 ms) and the radial loop.
+on its own Simpson x uniform grid: the Christoffel solve and the einsum
+stress once per (rho, C), an ``AngularTable`` in the same memo under
+(rho, C, "oracle") (about 2.5 MB per substrate, never evicted), and per call
+only the radial loop.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode, induced_strain
-from .elastodynamics import _FULL, _VOIGT_I, _VOIGT_J, angular_table, christoffel_many, stress_pattern
+from .elastodynamics import _VOIGT_I, _VOIGT_J, AngularTable, _memo_table, _product_grid
+from .elastodynamics import angular_table, christoffel_many, stress_pattern
 from .materials import CONSTANTS, MaterialSpec
 
 # Regime boundary: Rayleigh when max_i |k| L_i stays below this.
@@ -88,8 +90,6 @@ _CHUNK = 2048
 _BRUTE_WINDOW = 8.0
 # Brute-force grid: Simpson nodes over theta and the radial window (odd), uniform phi.
 _BRUTE_THETA, _BRUTE_PHI, _BRUTE_RADIAL = 129, 96, 33
-# brute_force_rate's memo, (rho, C bytes) -> _oracle_substrate's entry; never evicted.
-_ORACLE: dict[tuple, tuple] = {}
 
 # How many times _rates re-runs an unconverged quadrature with doubled
 # node counts before it raises NumericFailure.
@@ -551,45 +551,26 @@ def rayleigh_rate(
 ORACLE_RTOL = 2e-2  # relative deviation up to which mie_rate agrees with brute_force_rate
 
 
-def _oracle_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The brute-force angular grid: khats (N, 3), weights (N,) and the rows
-    of khats (3, N).  Simpson over theta, uniform over phi: a distinct family
-    from the production Gauss-Legendre rule on purpose."""
-    theta = np.linspace(0.0, np.pi, _BRUTE_THETA)
-    w_theta = _simpson_weights(_BRUTE_THETA) * (np.pi / (_BRUTE_THETA - 1))
-    phi = 2 * np.pi * np.arange(_BRUTE_PHI) / _BRUTE_PHI
-    w_phi = np.full(_BRUTE_PHI, 2 * np.pi / _BRUTE_PHI)
-    st, ct = np.sin(theta), np.cos(theta)
-    khats = np.stack(
-        [
-            (st[:, None] * np.cos(phi)[None, :]),
-            (st[:, None] * np.sin(phi)[None, :]),
-            np.broadcast_to(ct[:, None], (_BRUTE_THETA, _BRUTE_PHI)),
-        ],
-        axis=-1,
-    ).reshape(-1, 3)
-    w_ang = (w_theta[:, None] * st[:, None] * w_phi[None, :]).reshape(-1)
-    return khats, w_ang, np.ascontiguousarray(khats.T)
-
-
-def _oracle_substrate(substrate: MaterialSpec, khats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The phase velocities (3, N) and each branch's ``stress_pattern`` tau as
-    six Voigt columns (3, N, 6) on the brute-force grid ``khats``, read-only.
-
-    Solved once per process for each (rho, C) and kept in ``_ORACLE``, as
-    ``angular_table`` keeps its tables: 2.1 MB per substrate.
+def _oracle_table(substrate: MaterialSpec) -> AngularTable:
+    """The brute-force oracle's substrate on its own 129x96 grid, Simpson over
+    theta and uniform over phi: a distinct family from the engine's
+    Gauss-Legendre rule on purpose.  It shares the ``AngularTable`` container,
+    its memo (key (rho, C, "oracle"), about 2.5 MB) and its Voigt expansion
+    with the engine, not the engine's Christoffel batching or stress kernel:
+    one whole-grid ``christoffel_many`` and the einsum ``stress_pattern``.
     """
-    key = (substrate.rho, substrate.C.tobytes())
-    entry = _ORACLE.get(key)
-    if entry is None:
+
+    def build():
+        theta = np.linspace(0.0, np.pi, _BRUTE_THETA)
+        st = np.sin(theta)
+        w_theta = _simpson_weights(_BRUTE_THETA) * (np.pi / (_BRUTE_THETA - 1))
+        khats, weights = _product_grid(np.cos(theta), st, w_theta * st, _BRUTE_PHI)
         vels, pols = christoffel_many(substrate, khats)
         c = substrate.stiffness_tensor
         taus = np.stack([stress_pattern(c, khats, pols[:, :, q])[:, _VOIGT_I, _VOIGT_J] for q in range(3)])
-        entry = (np.ascontiguousarray(vels.T), taus)
-        for arr in entry:
-            arr.setflags(write=False)
-        entry = _ORACLE.setdefault(key, entry)
-    return entry
+        return AngularTable(khats, weights, vels, taus)
+
+    return _memo_table(substrate, ("oracle",), build)
 
 
 def brute_force_rate(
@@ -607,18 +588,17 @@ def brute_force_rate(
     the delta collapse, the density of states, and the Jacobian independently.
     V_T is 1 (it cancels), and every caller shares the fixed ``_BRUTE_*`` grid.
 
-    The oracle shares no Christoffel or stress code with the engine's
-    ``AngularTable``: it solves ``christoffel_many`` and the einsum
-    ``stress_pattern`` on its own grid, once per substrate
-    (``_oracle_substrate``).  Each call pays only the radial loop.
+    The substrate is solved once per process (``_oracle_table``), so each
+    call pays only the radial loop.
     """
     incs = _as_inclusion_list(inclusions)
     omega0 = mode.omega0
     sigma = omega0 / 200.0
     hbar = CONSTANTS.hbar
     rho = substrate.rho
-    khats, w_ang, rows = _oracle_grid()
-    vels, taus = _oracle_substrate(substrate, khats)
+    table = _oracle_table(substrate)
+    khats, w_ang = table.khats, table.weights
+    rows = np.ascontiguousarray(khats.T)
 
     xi = np.linspace(-_BRUTE_WINDOW, _BRUTE_WINDOW, _BRUTE_RADIAL)
     w_xi = _simpson_weights(_BRUTE_RADIAL) * (2 * _BRUTE_WINDOW / (_BRUTE_RADIAL - 1))
@@ -630,9 +610,8 @@ def brute_force_rate(
 
     total = 0.0
     for q in range(3):
-        v = vels[q]
-        # np.take keeps tau C-ordered, for the reason AngularTable.stress gives
-        tau = np.take(taus[q], _FULL, axis=1).reshape(-1, 3, 3)
+        v = np.ascontiguousarray(table.velocities[:, q])  # a row: the radial loop reads it 33 times
+        tau = table.stress(q)
         vm = [vol * np.einsum("nij,ij->n", tau, s) for vol, s in zip(src.volume, src.strain)]
         dk = sigma / v  # measure: k^2 dk dOmega with dk = (sigma/v) dxi
         for i in range(xi.size):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import phonoscat.elastodynamics as elastodynamics
-import phonoscat.radiation as radiation
 from phonoscat.coupling import Inclusion, MicrowaveMode, default_eps_eff
 from phonoscat.elastodynamics import _voigt_stresses, angular_table, christoffel_many, stress_pattern
 from phonoscat.materials import CONSTANTS, Orientation, default_materials
@@ -191,19 +190,12 @@ def rate_grids(quad):
 
 @pytest.fixture
 def empty_memo(monkeypatch):
-    """An empty angular-table memo for one test; the process's memo, with
-    every table it held, is back once the test ends."""
+    """An empty angular-table memo, the engine's and the brute-force oracle's
+    tables alike, for one test; the process's memo, with every table it held,
+    is back once the test ends."""
     tables = {}
     monkeypatch.setattr(elastodynamics, "_TABLES", tables)
     return tables
-
-
-@pytest.fixture
-def empty_oracle(monkeypatch):
-    """An empty brute-force oracle memo for one test, like ``empty_memo``."""
-    entries = {}
-    monkeypatch.setattr(radiation, "_ORACLE", entries)
-    return entries
 
 
 @pytest.fixture

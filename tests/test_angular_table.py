@@ -5,7 +5,9 @@ density and stiffness and on the grid, so it is solved once per process for
 each (rho, C, n_theta, n_phi) and memoized under exactly that key.  These
 tests pin down that the table changes no bit of any rate, that each grid is
 solved exactly once, also across runs and database loads, and that the memo
-cannot leak between materials of different physics.
+cannot leak between materials of different physics.  The brute-force
+oracle's table, under (rho, C, "oracle") in the same memo, is held to the
+same memo guarantees.
 """
 
 import dataclasses
@@ -155,14 +157,14 @@ def test_table_matches_a_direct_solve_bitwise(sapphire):
 
 
 def test_table_arrays_are_read_only(substrate):
-    table = angular_table(substrate, 8, 16)
-    for field in ("khats", "weights", "velocities", "stresses"):
-        arr = getattr(table, field)
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(table, field, arr.copy())
+    for table in (angular_table(substrate, 8, 16), radiation._oracle_table(substrate)):
+        for field in ("khats", "weights", "velocities", "stresses"):
+            arr = getattr(table, field)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(table, field, arr.copy())
 
 
 def test_table_is_memoized_per_grid(empty_memo):
@@ -196,18 +198,25 @@ def test_threads_racing_on_a_first_use_share_one_table(empty_memo):
     assert empty_memo[_table_key(material, 8, 16)] is tables[0]
 
 
+# The engine's table on one grid and the brute-force oracle's table, each
+# with the grid part of its memo key: the memo keeps both alike.
+TABLES = [(lambda material: angular_table(material, 8, 16), (8, 16)), (radiation._oracle_table, ("oracle",))]
+
+
 def test_rotated_copy_never_sees_the_original_table(empty_memo):
     original = default_materials()["sapphire"]
-    t0 = angular_table(original, 8, 16)
-    for axis, angle in (([1.0, 1.0, 0.0], 0.7), ([0.0, 0.0, 1.0], 0.3)):
-        rotated = original.rotated(Orientation.about_axis(axis, angle))
-        t1 = angular_table(rotated, 8, 16)
-        assert t1 is not t0
-        assert empty_memo[_table_key(rotated, 8, 16)] is t1
-        assert np.array_equal(t1.velocities, christoffel_many(rotated, t1.khats)[0])
-        assert np.max(np.abs(t1.velocities - t0.velocities)) > 1.0  # anisotropic: really rotated
-    assert len(empty_memo) == 3
-    assert empty_memo[_table_key(original, 8, 16)] is t0
+    for table_of, grid in TABLES:
+        t0 = table_of(original)
+        for axis, angle in (([1.0, 1.0, 0.0], 0.7), ([0.0, 0.0, 1.0], 0.3)):
+            rotated = original.rotated(Orientation.about_axis(axis, angle))
+            t1 = table_of(rotated)
+            assert t1 is not t0
+            assert table_of(rotated) is t1
+            assert empty_memo[_table_key(rotated, *grid)] is t1
+            assert np.array_equal(t1.velocities, christoffel_many(rotated, t1.khats)[0])
+            assert np.max(np.abs(t1.velocities - t0.velocities)) > 1.0  # anisotropic: really rotated
+        assert empty_memo[_table_key(original, *grid)] is t0
+    assert len(empty_memo) == 3 * len(TABLES)
 
 
 def test_memo_grows_by_distinct_physics_not_by_copies(empty_memo):
@@ -228,24 +237,27 @@ def test_memo_grows_by_distinct_physics_not_by_copies(empty_memo):
 
 def test_separately_loaded_databases_share_one_table(empty_memo):
     first, second = default_materials(), default_materials()
-    for name in ("sapphire", "silicon", "sapphire_iso"):
-        assert first[name] is not second[name]
-        assert angular_table(first[name], 8, 16) is angular_table(second[name], 8, 16)
-    # a new name, or a rotation that maps C onto itself bit for bit, is the same physics
     sapphire = first["sapphire"]
+    # a new name, or a rotation that maps C onto itself bit for bit, is the same physics
     same = [dataclasses.replace(sapphire, name="renamed"), sapphire.rotated(Orientation.identity())]
-    for material in same:
-        assert angular_table(material, 8, 16) is angular_table(sapphire, 8, 16)
-    assert len(empty_memo) == 3
+    for table_of, _ in TABLES:
+        for name in ("sapphire", "silicon", "sapphire_iso"):
+            assert first[name] is not second[name]
+            assert table_of(first[name]) is table_of(second[name])
+        for material in same:
+            assert table_of(material) is table_of(sapphire)
+    assert len(empty_memo) == 3 * len(TABLES)
 
 
 def test_density_alone_separates_tables(empty_memo):
     sapphire = default_materials()["sapphire"]
     denser = dataclasses.replace(sapphire, rho=1.21 * sapphire.rho)
-    t0, t1 = angular_table(sapphire, 8, 16), angular_table(denser, 8, 16)
-    assert t1 is not t0
-    assert set(empty_memo) == {_table_key(sapphire, 8, 16), _table_key(denser, 8, 16)}
-    np.testing.assert_allclose(t1.velocities, t0.velocities / 1.1, rtol=1e-14)
+    for table_of, grid in TABLES:
+        t0, t1 = table_of(sapphire), table_of(denser)
+        assert t1 is not t0
+        assert empty_memo[_table_key(sapphire, *grid)] is t0 and empty_memo[_table_key(denser, *grid)] is t1
+        np.testing.assert_allclose(t1.velocities, t0.velocities / 1.1, rtol=1e-14)
+    assert set(empty_memo) == {_table_key(m, *grid) for m in (sapphire, denser) for _, grid in TABLES}
 
 
 # ---------------------------------------------------------------------------

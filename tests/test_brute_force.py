@@ -1,9 +1,12 @@
 """The brute-force oracle solves its substrate once per process.
 
 ``brute_force_rate`` keeps each substrate's Christoffel solution and einsum
-stress on its own grid in ``radiation._ORACLE``, keyed by (rho, C).  Every
-rate must be bit for bit the per-call sum of ``conftest.brute_force_reference``,
-whether the memo is cold or warm, and only a new (rho, C) may solve again.
+stress on its own grid as an ``AngularTable`` in the angular-table memo,
+keyed by (rho, C, "oracle").  Every rate must be bit for bit the per-call sum
+of ``conftest.brute_force_reference``, whether the memo is cold or warm, and
+only a new (rho, C) may solve again.  The memo's other guarantees (read-only
+arrays, one entry per distinct physics) are pinned for the oracle's table
+beside the engine's in ``test_angular_table.py``.
 """
 
 import dataclasses
@@ -12,11 +15,12 @@ import json
 import numpy as np
 import pytest
 
+import phonoscat.elastodynamics as elastodynamics
 import phonoscat.radiation as radiation
 from conftest import XCUT_MATRIX, brute_force_reference, make_mode
 from phonoscat.cli import main
 from phonoscat.coupling import Inclusion
-from phonoscat.elastodynamics import _FULL, christoffel_many, stress_pattern
+from phonoscat.elastodynamics import _table_key, angular_table, christoffel_many, stress_pattern
 from phonoscat.radiation import _BRUTE_PHI, _BRUTE_THETA, brute_force_rate
 
 ORACLE_NODES = _BRUTE_THETA * _BRUTE_PHI  # 12,384
@@ -40,21 +44,39 @@ def _antiparallel_pair(ln, xcut):
 
 @pytest.mark.parametrize("geometry", [_cube, _offcentre_waveguide, _antiparallel_pair])
 @pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
-def test_rate_is_the_per_call_sum_bit_for_bit(db, ln, xcut, empty_oracle, name, geometry):
+def test_rate_is_the_per_call_sum_bit_for_bit(db, ln, xcut, empty_memo, name, geometry):
     """The first frequency solves the substrate (cold memo), the second
-    reads the entry the first one left (warm memo)."""
+    reads the table the first one left (warm memo)."""
     substrate = db[name]
     incs = geometry(ln, xcut)
     for f_hz in (1e9, 10e9):
         mode = make_mode(substrate, f_hz)
         assert brute_force_rate(mode, incs, substrate) == brute_force_reference(mode, incs, substrate)
-        assert len(empty_oracle) == 1
+        assert list(empty_memo) == [_table_key(substrate, "oracle")]
+
+
+def test_oracle_never_runs_the_engine_stress_kernel(db, ln, xcut, empty_memo, monkeypatch):
+    """The oracle shares the table container with the engine, not its
+    stress kernel: with ``_voigt_stresses`` broken, it still gives the
+    per-call einsum sum exactly."""
+
+    def broken(*args):
+        raise AssertionError("the engine's stress kernel ran")
+
+    monkeypatch.setattr(elastodynamics, "_voigt_stresses", broken)
+    substrate = db["sapphire"]
+    with pytest.raises(AssertionError, match="engine's stress kernel"):
+        angular_table(substrate, 8, 16)
+    incs = _offcentre_waveguide(ln, xcut)
+    mode = make_mode(substrate, 10e9)
+    assert brute_force_rate(mode, incs, substrate) == brute_force_reference(mode, incs, substrate)
+    assert list(empty_memo) == [_table_key(substrate, "oracle")]
 
 
 @pytest.fixture
-def oracle_solves(monkeypatch, empty_oracle):
+def oracle_solves(monkeypatch, empty_memo):
     """The substrate name of every Christoffel solve on the oracle's grid,
-    starting from an empty oracle memo."""
+    starting from an empty memo."""
     names = []
     original = radiation.christoffel_many
 
@@ -87,7 +109,7 @@ def _oracle_config(tmp_path, name, size_um, start_ghz, count):
     return path
 
 
-def test_each_substrate_is_solved_once(tmp_path, oracle_solves, empty_oracle):
+def test_each_substrate_is_solved_once(tmp_path, db, oracle_solves, empty_memo):
     first = _oracle_config(tmp_path, "first", 0.008, 1.0, 3)
     assert main(["run", str(first), "--out", str(tmp_path / "first.csv")]) == 0
     assert len((tmp_path / "first.csv").read_text().splitlines()) == 4
@@ -96,35 +118,16 @@ def test_each_substrate_is_solved_once(tmp_path, oracle_solves, empty_oracle):
     second = _oracle_config(tmp_path, "second", 0.05, 2.0, 2)
     assert main(["run", str(second), "--out", str(tmp_path / "second.csv")]) == 0
     assert oracle_solves == ["sapphire_iso"]
-    assert len(empty_oracle) == 1
-
-
-def test_rotated_substrate_gets_its_own_entry(sapphire, xcut, oracle_solves, empty_oracle):
-    rotated = sapphire.rotated(xcut)
-    assert not np.array_equal(rotated.C, sapphire.C)
-    khats = radiation._oracle_grid()[0]
-    original = radiation._oracle_substrate(sapphire, khats)
-    assert radiation._oracle_substrate(sapphire, khats) is original
-    assert radiation._oracle_substrate(rotated, khats) is not original
-    assert len(oracle_solves) == 2
-    assert set(empty_oracle) == {(s.rho, s.C.tobytes()) for s in (sapphire, rotated)}
-
-
-def test_entries_are_read_only(sapphire, empty_oracle):
-    vels, taus = radiation._oracle_substrate(sapphire, radiation._oracle_grid()[0])
-    assert vels.shape == (3, ORACLE_NODES) and taus.shape == (3, ORACLE_NODES, 6)
-    for arr in (vels, taus):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0.0
+    assert [key for key in empty_memo if key[2:] == ("oracle",)] == [_table_key(db["sapphire_iso"], "oracle")]
 
 
 @pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
-def test_six_voigt_columns_hold_the_whole_stress(db, name, empty_oracle):
+def test_six_voigt_columns_hold_the_whole_stress(db, name, empty_memo):
     substrate = db[name]
-    khats = radiation._oracle_grid()[0]
-    _, pols = christoffel_many(substrate, khats)
-    _, taus = radiation._oracle_substrate(substrate, khats)
+    table = radiation._oracle_table(substrate)
+    assert table.stresses.shape == (3, ORACLE_NODES, 6)
+    _, pols = christoffel_many(substrate, table.khats)
     for q in range(3):
-        tau = stress_pattern(substrate.stiffness_tensor, khats, pols[:, :, q])
+        tau = stress_pattern(substrate.stiffness_tensor, table.khats, pols[:, :, q])
         assert np.array_equal(tau, tau.transpose(0, 2, 1))
-        assert np.array_equal(np.take(taus[q], _FULL, axis=1).reshape(-1, 3, 3), tau)
+        assert np.array_equal(table.stress(q), tau)

@@ -760,6 +760,19 @@ class TestNumericFailure:
         assert err.startswith("numeric failure: non-finite radiated rate")
         assert not out.exists()
 
+    def test_out_of_memory_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
+        import phonoscat.cli as cli
+
+        # 8 PiB: more than any address space, so it fails at once and allocates nothing
+        monkeypatch.setattr(cli, "execute", lambda cfg: np.empty(1 << 50))
+        code, out = run_cli(tmp_path, base_config())
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numeric failure: out of memory: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "scenario,material,f_ghz,sweep,needle",
         [

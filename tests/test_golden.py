@@ -2,9 +2,9 @@
 
 ``tests/golden/`` holds the CSVs of ``scripts/run_sweeps.py --quick``.  Each
 fresh table must have the golden header and row count, equal text cells and
-numeric cells within a relative 1e-12.  The studies run cold, from empty
-angular-table and brute-force oracle memos, and a second time warm, on the
-tables and oracle entries the first run left; the warm CSVs must be
+numeric cells within a relative 1e-12.  The studies run cold, from an
+empty angular-table memo, and a second time warm, on the tables the first
+run left (the brute-force oracle's among them); the warm CSVs must be
 byte-identical to the cold ones.  A change that really moves the
 numbers regenerates the golden files in a change of its own that says why;
 the tolerance is never loosened to let one through.  ``--only`` is checked
@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 import phonoscat.elastodynamics as elastodynamics
-import phonoscat.radiation as radiation
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -31,19 +30,17 @@ STUDIES = sorted(run_sweeps["studies"](quick=True))
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """The quick studies run twice in this process: cold, from empty
-    angular-table and oracle memos, then warm, reading what the cold run left."""
-    dirs, built, solved = {}, {}, {}
+    """The quick studies run twice in this process: cold, from an empty
+    angular-table memo, then warm, reading what the cold run left."""
+    dirs, built = {}, {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(elastodynamics, "_TABLES", {})
-        mp.setattr(radiation, "_ORACLE", {})
         for run in ("cold", "warm"):
             dirs[run] = tmp_path_factory.mktemp(f"quick_studies_{run}")
             assert run_sweeps["main"](["--quick", "--outdir", str(dirs[run])]) == 0
             built[run] = set(elastodynamics._TABLES)
-            solved[run] = set(radiation._ORACLE)
-    assert built["cold"] and built["warm"] == built["cold"]  # the warm run built no table
-    assert solved["cold"] and solved["warm"] == solved["cold"]  # nor an oracle entry
+    assert built["warm"] == built["cold"]  # the warm run built no table
+    assert {key[2:] for key in built["cold"]} >= {(16, 32), ("oracle",)}  # engine and oracle tables
     return dirs
 
 
