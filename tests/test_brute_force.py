@@ -5,8 +5,8 @@ stress on its own grid as an ``AngularTable`` in the angular-table memo,
 keyed by (rho, C, "oracle").  Every rate must be bit for bit the per-call sum
 of ``conftest.brute_force_reference``, whether the memo is cold or warm, and
 only a new (rho, C) may solve again.  The memo's other guarantees (read-only
-arrays, one entry per distinct physics) are pinned for the oracle's table
-beside the engine's in ``test_angular_table.py``.
+arrays, one entry per distinct physics) are also pinned for the oracle's
+table beside the engine's in ``test_angular_table.py``.
 """
 
 import dataclasses
@@ -119,6 +119,25 @@ def test_each_substrate_is_solved_once(tmp_path, db, oracle_solves, empty_memo):
     assert main(["run", str(second), "--out", str(tmp_path / "second.csv")]) == 0
     assert oracle_solves == ["sapphire_iso"]
     assert [key for key in empty_memo if key[2:] == ("oracle",)] == [_table_key(db["sapphire_iso"], "oracle")]
+
+
+def test_rotated_substrate_gets_its_own_entry(sapphire, xcut, oracle_solves, empty_memo):
+    rotated = sapphire.rotated(xcut)
+    assert not np.array_equal(rotated.C, sapphire.C)
+    original = radiation._oracle_table(sapphire)
+    assert radiation._oracle_table(sapphire) is original
+    assert radiation._oracle_table(rotated) is not original
+    assert len(oracle_solves) == 2
+    assert set(empty_memo) == {_table_key(s, "oracle") for s in (sapphire, rotated)}
+
+
+def test_entries_are_read_only(sapphire, empty_memo):
+    table = radiation._oracle_table(sapphire)
+    assert table.velocities.shape == (ORACLE_NODES, 3)
+    assert table.stresses.shape == (3, ORACLE_NODES, 6)
+    for arr in (table.velocities, table.stresses):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 @pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
