@@ -16,9 +16,9 @@ on the grid.  ``_TABLES`` is the one memo of such solved grids, a read-only
 oracle's under (rho, C, "oracle").  Every ``MaterialSpec`` with the same
 physics shares them, however it was loaded.  Nothing is evicted: the memo
 grows by one table per distinct key for the life of the process.  A table
-keeps the directions, weights, velocities and the six unique components of
-each tau (the polarizations are a build-time intermediate): 200 bytes per
-node, so about 2.5 MB for the oracle's 12,384 nodes.
+keeps the directions, weights, velocities and each tau as the C-ordered 3x3
+that M = tau : S and G read (polarizations are a build-time intermediate):
+272 bytes per node, so about 3.4 MB for the oracle's 12,384 nodes.
 
 The engine's build fills the Christoffel matrices and the Voigt stresses
 with component-major kernels, one elementwise pass per (j, k) or (k, l) term,
@@ -108,17 +108,15 @@ class AngularTable:
     khats: np.ndarray  # (N, 3) unit propagation directions
     weights: np.ndarray  # (N,) solid-angle weights, summing to 4 pi
     velocities: np.ndarray  # (N, 3) phase velocities, ascending
-    stresses: np.ndarray  # (3, N, 6), [q, n] the Voigt tau of branch q at node n
+    stresses: np.ndarray  # (3, N, 3, 3) C-contiguous, [q, n] the tau of branch q at node n
 
     def __post_init__(self):
         for arr in (self.khats, self.weights, self.velocities, self.stresses):
             arr.setflags(write=False)
 
     def stress(self, q: int, a: int = 0, b: int | None = None) -> np.ndarray:
-        """The (n, 3, 3) C-contiguous stress pattern tau of branch q on nodes a:b."""
-        # np.take, not fancy indexing: [:, _FULL] returns an F-ordered array,
-        # on which einsum picks another kernel and moves results by an ulp
-        return np.take(self.stresses[q, a:b], _FULL, axis=1).reshape(-1, 3, 3)
+        """The (n, 3, 3) C-contiguous stress pattern tau of branch q on nodes a:b, a view."""
+        return self.stresses[q, a:b]
 
 
 def _product_grid(ct, st, w_ring, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,12 +141,12 @@ def _build_table(material: MaterialSpec, n_theta: int, n_phi: int) -> AngularTab
     khats, weights = _angular_grid(n_theta, n_phi)
     n = khats.shape[0]
     velocities = np.empty((n, 3))
-    stresses = np.empty((3, n, 6))
+    stresses = np.empty((3, n, 9))  # row n of branch q: its tau, row-major
     for a in range(0, n, _CHUNK):
         b = min(a + _CHUNK, n)
         velocities[a:b], pols = christoffel_many(material, khats[a:b])
-        stresses[:, a:b] = _voigt_stresses(material.stiffness_tensor, khats[a:b], pols)
-    return AngularTable(khats, weights, velocities, stresses)
+        stresses[:, a:b] = _voigt_stresses(material.stiffness_tensor, khats[a:b], pols)[..., _FULL]
+    return AngularTable(khats, weights, velocities, stresses.reshape(3, n, 3, 3))
 
 
 # The one memo of solved grids (see the module docstring); no eviction.

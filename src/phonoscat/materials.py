@@ -124,7 +124,7 @@ def piezo_voigt_to_tensor(d) -> np.ndarray:
     ``S_jk = d_ijk E_i`` holds for the tensor strain.
     """
     d = _as_matrix(d, (3, 6), "piezo matrix")
-    # np.take, not d[:, VOIGT_OF_PAIR], for the reason AngularTable.stress gives
+    # np.take: fancy indexing returns an F-ordered array, on which einsum picks another kernel and moves G by an ulp
     return np.take(d, VOIGT_OF_PAIR.ravel(), axis=1).reshape(3, 3, 3) * _UNPACK_SHEAR
 
 

@@ -28,7 +28,7 @@ sinc(k0 khat_z L_z / 2)``.  The costly factors are computed once for what
 they depend on, and the points of a sweep share them:
 
 - per (substrate, grid): the phase velocities and the stress pattern
-  ``tau_q = c : (khat e_q)``, 200 B/node, in the substrate's
+  ``tau_q = c : (khat e_q)`` as full 3x3 tensors, 272 B/node, in the substrate's
   ``AngularTable`` (``elastodynamics.angular_table``), solved on first use
   and kept for the life of the process;
 - per (grid, strain): M, 24 B/node;
@@ -62,21 +62,20 @@ all their points at once.  The command-line scenarios go through these.
 ``brute_force_rate``, the independent oracle, splits its work the same way
 on its own Simpson x uniform grid: the Christoffel solve and the einsum
 stress once per (rho, C), an ``AngularTable`` in the same memo under
-(rho, C, "oracle") (about 2.5 MB per substrate, never evicted), and per call
+(rho, C, "oracle") (about 3.4 MB per substrate, never evicted), and per call
 only the radial loop.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode, induced_strain
-from .elastodynamics import _VOIGT_I, _VOIGT_J, AngularTable, _memo_table, _product_grid
+from .elastodynamics import AngularTable, _memo_table, _product_grid
 from .elastodynamics import angular_table, christoffel_many, stress_pattern
 from .materials import CONSTANTS, MaterialSpec
 
@@ -96,8 +95,8 @@ _BRUTE_THETA, _BRUTE_PHI, _BRUTE_RADIAL = 129, 96, 33
 _MAX_REFINEMENTS = 2
 
 # The largest grid a caller may request.  mie_rate also reads the doubled
-# grid, so the largest request reads 2048 x 4096 nodes (1.7 GB of angular
-# table at 200 B/node), and _rates builds no refinement with more nodes: it
+# grid, so the largest request reads 2048 x 4096 nodes (2.28 GB of angular
+# table at 272 B/node), and _rates builds no refinement with more nodes: it
 # raises NumericFailure first.  A lopsided request may still refine along
 # its short axis.  Its n_theta stays at most 8192 (the request cap doubled
 # by mie_rate and by _MAX_REFINEMENTS), whose Gauss-Legendre companion
@@ -249,6 +248,7 @@ def _each_span(n: int, threads: int, work) -> None:
     """
     spans = [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
     if threads > 1 and len(spans) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imported only when a pool runs
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda span: work(*span), spans))
     else:
@@ -322,7 +322,7 @@ class _SweepTables:
     - ``sinc(k0 khat_a L_a / 2)`` per (grid, omega0, axis a, L_a), 24 B/node.
       Inclusions with the same length on an axis share the column.
 
-    That is 24 B/node per entry beside the angular table's 200 B/node.  Each
+    That is 24 B/node per entry beside the angular table's 272 B/node.  Each
     kind keeps only the keys of the latest request (``_fetch``): a height
     sweep holds one z column and one point's x and y columns per grid, and a
     frequency sweep holds one point's entries.  ``_rates`` makes the one
@@ -554,10 +554,11 @@ ORACLE_RTOL = 2e-2  # relative deviation up to which mie_rate agrees with brute_
 def _oracle_table(substrate: MaterialSpec) -> AngularTable:
     """The brute-force oracle's substrate on its own 129x96 grid, Simpson over
     theta and uniform over phi: a distinct family from the engine's
-    Gauss-Legendre rule on purpose.  It shares the ``AngularTable`` container,
-    its memo (key (rho, C, "oracle"), about 2.5 MB) and its Voigt expansion
-    with the engine, not the engine's Christoffel batching or stress kernel:
-    one whole-grid ``christoffel_many`` and the einsum ``stress_pattern``.
+    Gauss-Legendre rule on purpose.  It shares the ``AngularTable`` container
+    and its memo (key (rho, C, "oracle"), about 3.4 MB) with the engine, not
+    the engine's Christoffel batching or stress kernel: one whole-grid
+    ``christoffel_many`` and the einsum ``stress_pattern``, stored as it is
+    (it is symmetric bit for bit).
     """
 
     def build():
@@ -566,8 +567,7 @@ def _oracle_table(substrate: MaterialSpec) -> AngularTable:
         w_theta = _simpson_weights(_BRUTE_THETA) * (np.pi / (_BRUTE_THETA - 1))
         khats, weights = _product_grid(np.cos(theta), st, w_theta * st, _BRUTE_PHI)
         vels, pols = christoffel_many(substrate, khats)
-        c = substrate.stiffness_tensor
-        taus = np.stack([stress_pattern(c, khats, pols[:, :, q])[:, _VOIGT_I, _VOIGT_J] for q in range(3)])
+        taus = np.stack([stress_pattern(substrate.stiffness_tensor, khats, pols[:, :, q]) for q in range(3)])
         return AngularTable(khats, weights, vels, taus)
 
     return _memo_table(substrate, ("oracle",), build)

@@ -78,7 +78,7 @@ def emission_weighted_overlap(
     """
     grid = angular_table(substrate, 16, 32)
     w = grid.weights / grid.velocities.T ** 5
-    g = geometry_factor(mode.field_direction, inclusion.d_lab, np.stack([grid.stress(q) for q in range(3)]))
+    g = geometry_factor(mode.field_direction, inclusion.d_lab, grid.stresses)
     # a sum per branch, added in branch order: one sum of all three moves G by ~1e-14
     num = sum(float(np.sum(w[q] * g[q])) for q in range(3))
     return num / sum(float(np.sum(w[q])) for q in range(3))

@@ -12,7 +12,7 @@ import pytest
 
 import phonoscat.elastodynamics as elastodynamics
 from phonoscat.coupling import Inclusion, MicrowaveMode, default_eps_eff
-from phonoscat.elastodynamics import _voigt_stresses, angular_table, christoffel_many, stress_pattern
+from phonoscat.elastodynamics import _FULL, _voigt_stresses, angular_table, christoffel_many, stress_pattern
 from phonoscat.materials import CONSTANTS, Orientation, default_materials
 from phonoscat.radiation import (
     _BRUTE_PHI,
@@ -203,8 +203,9 @@ def remix_tables(monkeypatch):
     """``remix(substrate, quad, rng)`` puts into the angular-table memo, until
     the test ends, tables of ``substrate`` on the two grids of
     ``mie_rate(..., quad)`` whose stresses are built from remixed
-    polarizations, and returns them by grid.  Every material with the same
-    density and stiffness reads them meanwhile."""
+    polarizations, expanded from the Voigt kernel to the (3, N, 3, 3)
+    C-ordered tau as a table build does, and returns them by grid.  Every
+    material with the same density and stiffness reads them meanwhile."""
 
     def remix(substrate, quad, rng):
         remixed = {}
@@ -212,8 +213,9 @@ def remix_tables(monkeypatch):
             table = angular_table(substrate, *grid)
             vels, pols = christoffel_many(substrate, table.khats)
             pols = remix_degenerate(vels, pols, rng)
-            stresses = _voigt_stresses(substrate.stiffness_tensor, table.khats, pols)
-            stresses.setflags(write=False)
+            voigt = _voigt_stresses(substrate.stiffness_tensor, table.khats, pols)
+            stresses = np.take(voigt, _FULL, axis=2).reshape(table.stresses.shape)
+            assert stresses.flags.c_contiguous
             remixed[grid] = dataclasses.replace(table, stresses=stresses)
             key = elastodynamics._table_key(substrate, *grid)
             monkeypatch.setitem(elastodynamics._TABLES, key, remixed[grid])

@@ -22,16 +22,19 @@ import pytest
 import phonoscat.elastodynamics as elastodynamics
 import phonoscat.radiation as radiation
 from phonoscat.cli import main
-from phonoscat.coupling import Inclusion, induced_strain
+from phonoscat.coupling import Inclusion, geometry_factor, induced_strain
 from phonoscat.elastodynamics import (
+    _FULL,
     AngularTable,
     _table_key,
+    _voigt_stresses,
     angular_table,
     christoffel_many,
     stress_pattern,
 )
 from phonoscat.materials import CONSTANTS, Orientation, default_materials
 from phonoscat.radiation import NumericFailure, QuadratureSpec, mie_rate, refined_rate
+from phonoscat.transducer import emission_weighted_overlap
 
 from conftest import XCUT_MATRIX, make_mode
 
@@ -142,15 +145,15 @@ def test_table_matches_a_direct_solve_bitwise(sapphire):
     assert np.array_equal(table.khats, khats)
     assert np.array_equal(table.weights, weights)
     assert np.sum(table.weights) == pytest.approx(4 * np.pi, rel=1e-13)
-    voigt = [(0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1)]
+    assert table.stresses.shape == (3, khats.shape[0], 3, 3)
+    assert table.stresses.flags.c_contiguous
     for a in range(0, khats.shape[0], _REF_CHUNK):
         b = min(a + _REF_CHUNK, khats.shape[0])
         vels, pols = christoffel_many(sapphire, khats[a:b])
         assert np.array_equal(table.velocities[a:b], vels)
         for q in range(3):
             tau = stress_pattern(sapphire.stiffness_tensor, khats[a:b], pols[:, :, q])
-            for col, (i, j) in enumerate(voigt):
-                assert np.array_equal(table.stresses[q, a:b, col], tau[:, i, j])
+            assert np.array_equal(table.stresses[q, a:b], tau)
             got = table.stress(q, a, b)
             assert got.flags.c_contiguous
             assert np.array_equal(got, tau)
@@ -165,6 +168,89 @@ def test_table_arrays_are_read_only(substrate):
                 arr[0] = 0.0
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(table, field, arr.copy())
+
+
+# ---------------------------------------------------------------------------
+# The stored tau is the full C-ordered 3x3 that every reader takes as it is.
+# The references are the path it replaced: a table of six Voigt columns per
+# node, expanded with np.take on every read.
+
+
+def _voigt_table(substrate, n_theta, n_phi):
+    """The (3, N, 6) Voigt stresses of the grid, solved span by span as a table build does."""
+    khats, _ = _reference_grid(n_theta, n_phi)
+    n = khats.shape[0]
+    voigt = np.empty((3, n, 6))
+    for a in range(0, n, _REF_CHUNK):
+        b = min(a + _REF_CHUNK, n)
+        _, pols = christoffel_many(substrate, khats[a:b])
+        voigt[:, a:b] = _voigt_stresses(substrate.stiffness_tensor, khats[a:b], pols)
+    return voigt
+
+
+def _expand(voigt_rows):
+    """(n, 6) Voigt rows as the (n, 3, 3) C-contiguous tau a read expanded them to."""
+    return np.take(voigt_rows, _FULL, axis=1).reshape(-1, 3, 3)
+
+
+def _turned(ln, turns):
+    """The x-cut waveguide spun by each (axis, angle) of ``turns``."""
+    xcut = Orientation(XCUT_MATRIX)
+    spins = [Orientation.about_axis(axis, angle) for axis, angle in turns]
+    return [dataclasses.replace(_waveguide(ln), orientation=spin.compose(xcut)) for spin in spins]
+
+
+@pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
+def test_stored_tau_is_the_expanded_voigt_kernel_and_symmetric(db, name):
+    substrate = db[name]
+    table = angular_table(substrate, 48, 96)  # 4608 nodes: spans of 2048, 2048 and 512
+    assert table.stresses.shape == (3, 4608, 3, 3)
+    assert table.stresses.flags.c_contiguous
+    assert np.array_equal(table.stresses, table.stresses.transpose(0, 1, 3, 2))
+    voigt = _voigt_table(substrate, 48, 96)
+    for q in range(3):
+        assert np.array_equal(table.stresses[q], _expand(voigt[q]))
+
+
+@pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
+def test_contract_is_the_per_span_voigt_expansion_bit_for_bit(db, ln, name):
+    substrate = db[name]
+    mode = make_mode(substrate)
+    incs = _turned(ln, [((0, 0, 1), 0.0), ((1, 2, 3), 0.7)])
+    strains = [induced_strain(inc.d_lab, mode.field_zp * mode.field_direction) for inc in incs]
+    got = radiation._contract(substrate, 48, 96, strains, 1)
+    voigt = _voigt_table(substrate, 48, 96)
+    n = voigt.shape[1]
+    for m, s in zip(got, strains):
+        want = np.empty((3, n))
+        for a in range(0, n, _REF_CHUNK):  # the last span is partial
+            b = min(a + _REF_CHUNK, n)
+            for q in range(3):
+                want[q, a:b] = np.einsum("nij,ij->n", _expand(voigt[q, a:b]), s)
+        assert np.array_equal(m, want)
+
+
+def test_stress_is_a_read_only_view(sapphire):
+    table = angular_table(sapphire, 48, 96)
+    for q, a, b in [(0, 0, None), (1, 2048, 4096), (2, 4096, 4608), (2, 100, 101)]:
+        got = table.stress(q, a, b)
+        assert np.shares_memory(got, table.stresses) and not got.flags.owndata
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert np.array_equal(got, table.stresses[q, a:b])
+
+
+@pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
+def test_overlap_is_the_stacked_voigt_expansion_bit_for_bit(db, ln, name):
+    substrate = db[name]
+    mode = make_mode(substrate)
+    grid = angular_table(substrate, 16, 32)
+    taus = np.stack([_expand(v) for v in _voigt_table(substrate, 16, 32)])
+    w = grid.weights / grid.velocities.T**5
+    # the last turn is one where an F-ordered stack moves G by an ulp
+    for inc in _turned(ln, [((0, 0, 1), 0.0), ((1, 2, 3), 0.7), ((-2, 1, 0.5), 2.3)]):
+        g = geometry_factor(mode.field_direction, inc.d_lab, taus)
+        want = sum(float(np.sum(w[q] * g[q])) for q in range(3)) / sum(float(np.sum(w[q])) for q in range(3))
+        assert emission_weighted_overlap(mode, inc, substrate) == want
 
 
 def test_table_is_memoized_per_grid(empty_memo):

@@ -134,7 +134,7 @@ def test_rotated_substrate_gets_its_own_entry(sapphire, xcut, oracle_solves, emp
 def test_entries_are_read_only(sapphire, empty_memo):
     table = radiation._oracle_table(sapphire)
     assert table.velocities.shape == (ORACLE_NODES, 3)
-    assert table.stresses.shape == (3, ORACLE_NODES, 6)
+    assert table.stresses.shape == (3, ORACLE_NODES, 3, 3)
     for arr in (table.velocities, table.stresses):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
@@ -142,11 +142,16 @@ def test_entries_are_read_only(sapphire, empty_memo):
 
 @pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
 def test_six_voigt_columns_hold_the_whole_stress(db, name, empty_memo):
+    """The oracle's einsum tau is symmetric bit for bit, so its six Voigt
+    columns hold all of it and the table keeps it as it comes: (3, N, 3, 3),
+    C-ordered, each branch exactly ``stress_pattern``'s output."""
     substrate = db[name]
     table = radiation._oracle_table(substrate)
-    assert table.stresses.shape == (3, ORACLE_NODES, 6)
+    assert table.stresses.shape == (3, ORACLE_NODES, 3, 3)
+    assert table.stresses.flags.c_contiguous
     _, pols = christoffel_many(substrate, table.khats)
     for q in range(3):
         tau = stress_pattern(substrate.stiffness_tensor, table.khats, pols[:, :, q])
         assert np.array_equal(tau, tau.transpose(0, 2, 1))
+        assert np.array_equal(table.stresses[q], tau)
         assert np.array_equal(table.stress(q), tau)

@@ -1,13 +1,18 @@
 """End-to-end command-line behavior: configs, CSV output and exit codes.
 
 Everything runs in-process through main(argv), so exit codes and stderr
-messages are asserted directly.
+messages are asserted directly; only the import check starts a fresh
+interpreter.
 """
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -981,6 +986,20 @@ class TestMaterialsEnvAndValidate:
         assert code == 2
 
 
+def test_importing_the_cli_loads_only_what_a_run_uses():
+    """A fresh ``phonoscat run`` pays for no thread pool, logging or selftest
+    import: the pool is imported when a threaded pass starts, the checks
+    when ``selftest`` runs."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, phonoscat.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'logging', 'phonoscat.selftest') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
 class TestSelftestCommand:
     def test_all_checks_pass(self, capsys):
         code = main(["selftest"])
@@ -990,11 +1009,12 @@ class TestSelftestCommand:
         assert "FAIL" not in out
 
     def test_a_failing_check_exits_3(self, capsys, monkeypatch):
-        import phonoscat.cli as cli
+        import phonoscat.selftest as selftest
         from phonoscat.selftest import CheckResult
 
         results = [CheckResult("good", True, "ok"), CheckResult("bad", False, "off by 2")]
-        monkeypatch.setattr(cli, "run_all", lambda: results)
+        # the command imports run_all when it runs, so it finds the patched one
+        monkeypatch.setattr(selftest, "run_all", lambda: results)
         code = main(["selftest"])
         captured = capsys.readouterr()
         assert code == 3
