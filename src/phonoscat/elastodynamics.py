@@ -102,13 +102,17 @@ class AngularTable:
     angular quadrature grid.
 
     Nodes are in the theta-major order of ``_product_grid``.  All arrays are
-    made read-only on construction.
+    made read-only on construction.  ``mirrored``: ring n_theta-1-i has the
+    velocities, khat_x and khat_y of ring i and the negated khat_z, bit for
+    bit, as an engine build (symmetric ``leggauss`` nodes) finds on
+    ``sapphire_iso`` and ``silicon``, also turned about z; never the oracle's.
     """
 
     khats: np.ndarray  # (N, 3) unit propagation directions
     weights: np.ndarray  # (N,) solid-angle weights, summing to 4 pi
     velocities: np.ndarray  # (N, 3) phase velocities, ascending
     stresses: np.ndarray  # (3, N, 3, 3) C-contiguous, [q, n] the tau of branch q at node n
+    mirrored: bool = False
 
     def __post_init__(self):
         for arr in (self.khats, self.weights, self.velocities, self.stresses):
@@ -146,7 +150,9 @@ def _build_table(material: MaterialSpec, n_theta: int, n_phi: int) -> AngularTab
         b = min(a + _CHUNK, n)
         velocities[a:b], pols = christoffel_many(material, khats[a:b])
         stresses[:, a:b] = _voigt_stresses(material.stiffness_tensor, khats[a:b], pols)[..., _FULL]
-    return AngularTable(khats, weights, velocities, stresses.reshape(3, n, 3, 3))
+    k, v = khats.reshape(n_theta, n_phi, 3), velocities.reshape(n_theta, n_phi, 3)
+    mirrored = np.array_equal(v, v[::-1]) and np.array_equal(k, k[::-1] * [1.0, 1.0, -1.0])
+    return AngularTable(khats, weights, velocities, stresses.reshape(3, n, 3, 3), mirrored)
 
 
 # The one memo of solved grids (see the module docstring); no eviction.

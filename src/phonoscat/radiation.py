@@ -32,7 +32,9 @@ they depend on, and the points of a sweep share them:
   ``AngularTable`` (``elastodynamics.angular_table``), solved on first use
   and kept for the life of the process;
 - per (grid, strain): M, 24 B/node;
-- per (grid, omega0, axis, L): one sinc column of the form factor, 24 B/node.
+- per (grid, omega0, axis, L): one sinc column of the form factor, 24 B/node,
+  evaluated on half the rings of a mirror-symmetric substrate (``sapphire_iso``
+  and ``silicon``; ``AngularTable.mirrored``) and copied to the other half.
 
 The last two live in a ``_SweepTables`` that ``_rates`` makes for its
 points and drops when they are done.  So a height point computes only its x
@@ -41,13 +43,14 @@ point or an orientation angle no column (an angle computes its own M, since
 the strain turns with the crystal).  A frequency point computes everything
 but the angular table.  What remains per point is A and B (a few
 elementwise operations per node, cheaper to redo than to store), the
-product of the columns, V M, the phase of an off-centre inclusion, the
-coherent sum and the reduction.  One grid's pass, ``_gamma_branches``,
-evaluates all three branches in fixed-size node spans (optionally across a
-thread pool) and reduces them by numpy's deterministic pairwise summation in
-fixed node order, so serial and threaded runs agree bitwise.  Every factor is computed in the
-float order of a point that computes it alone, so a sweep point equals its
-lone ``refined_rate`` bit for bit.
+product of the columns, V M, the phase of an off-centre inclusion (one per
+mirrored pair of centres), the coherent sum and the reduction.  One grid's
+pass, ``_gamma_branches``, evaluates all three branches in fixed-size node
+spans (optionally across a thread pool) and reduces them by numpy's
+deterministic pairwise summation in fixed node order, so serial and threaded
+runs agree bitwise.  Every factor is computed in the float order of a point
+that computes it alone, so a sweep point equals its lone ``refined_rate`` bit
+for bit.
 
 ``mie_rate`` is the raw primitive and only flags an unconverged estimate.
 ``_rates`` is the one evaluator: it owns the sweep tables, doubles the node
@@ -62,8 +65,8 @@ all their points at once.  The command-line scenarios go through these.
 ``brute_force_rate``, the independent oracle, splits its work the same way
 on its own Simpson x uniform grid: the Christoffel solve and the einsum
 stress once per (rho, C), an ``AngularTable`` in the same memo under
-(rho, C, "oracle") (about 3.4 MB per substrate, never evicted), and per call
-only the radial loop.
+(rho, C, "oracle") (about 3.4 MB per substrate, never evicted, never
+mirrored), and per call only the radial loop, which evaluates every sinc.
 """
 
 from __future__ import annotations
@@ -231,12 +234,24 @@ def _coherent_power(
     None).  Otherwise the caller builds ``kvec`` and keeps it alive across
     calls: on the oracle's 12k-node grid, freeing it here as well made the
     allocator return and re-fault the heap on every call (+30% oracle time).
+    A centre that negates an earlier one (the copies of a pair about the
+    origin) takes the conjugate of its phase: kvec . (-r) == -(kvec . r) and
+    exp(-ix) == conj(exp(ix)) bit for bit.  The sum starts from the first
+    term and adds or subtracts each by its sign; a signed zero that flips
+    vanishes in the square.
     """
     centred = not np.any(src.center)
-    coh = np.zeros(ff[0].shape[0], dtype=float if centred else complex)
+    phases = []
     for j in range(src.volume.size):
-        term = vm[j] * (src.sign[j] * ff[j])
-        coh += term if centred else term * np.exp(1j * (kvec @ src.center[j]))
+        term = vm[j] * ff[j]
+        if not centred:
+            mirror = [p for p, r in zip(phases, src.center) if np.array_equal(r, -src.center[j])]
+            phases.append(mirror[0].conj() if mirror else np.exp(1j * (kvec @ src.center[j])))
+            term = term * phases[j]
+        if j == 0:
+            coh = term if src.sign[j] > 0 else -term
+        else:
+            (np.add if src.sign[j] > 0 else np.subtract)(coh, term, out=coh)
     return coh * coh if centred else coh.real**2 + coh.imag**2
 
 
@@ -277,14 +292,20 @@ def _contract(substrate: MaterialSpec, n_theta: int, n_phi: int, strains, thread
 
 def _sinc_columns(substrate: MaterialSpec, n_theta: int, n_phi: int, omega0: float, axis_lengths) -> list:
     """The (3, N) read-only sinc(k0 khat_axis L / 2) of each (axis, L) in
-    ``axis_lengths``, with k0 = omega0 / v, on the n_theta x n_phi grid."""
+    ``axis_lengths``, with k0 = omega0 / v, on the n_theta x n_phi grid.  On
+    a ``mirrored`` table ring n_theta-1-i copies ring i of the first
+    ceil(n_theta / 2), bit for bit: equal x and y arguments, a negated z
+    argument, and ``_sinc`` is even."""
     grid = angular_table(substrate, n_theta, n_phi)
+    h = (n_theta + 1) // 2 if grid.mirrored else n_theta
     cols = [np.empty((3, grid.khats.shape[0])) for _ in axis_lengths]
     for q in range(3):
-        k0 = omega0 / grid.velocities[:, q]
+        k0 = omega0 / grid.velocities[: h * n_phi, q]
         for col, (axis, length) in zip(cols, axis_lengths):
-            col[q] = _sinc(k0 * grid.khats[:, axis] * (length / 2.0))
+            col[q, : h * n_phi] = _sinc(k0 * grid.khats[: h * n_phi, axis] * (length / 2.0))
     for col in cols:
+        rings = col.reshape(3, n_theta, n_phi)
+        rings[:, h:] = rings[:, : n_theta - h][:, ::-1]
         col.setflags(write=False)
     return cols
 
@@ -320,7 +341,8 @@ class _SweepTables:
       changes with the crystal orientation, and with omega0 through the
       zero-point field.
     - ``sinc(k0 khat_a L_a / 2)`` per (grid, omega0, axis a, L_a), 24 B/node.
-      Inclusions with the same length on an axis share the column.
+      Inclusions with the same length on an axis share the column, and a
+      mirrored table's columns are evaluated on half the rings.
 
     That is 24 B/node per entry beside the angular table's 272 B/node.  Each
     kind keeps only the keys of the latest request (``_fetch``): a height

@@ -14,8 +14,12 @@ the record keys its materials-file paragraph names against the loader's.
 import argparse
 import importlib
 import inspect
+import json
+import os
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import phonoscat
@@ -75,3 +79,25 @@ def test_readme_materials_file_names_exactly_the_record_keys():
     section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Materials\n", 1)[1]
     paragraph = next(p for p in section.split("\n\n") if p.startswith("A materials file is"))
     assert set(re.findall(r"`([^`]+)`", paragraph)) == _RECORD_KEYS
+
+
+def test_variant_outputs_records_a_slot_as_the_references_store_it(tmp_path):
+    """``scripts/variant_outputs.py`` runs each stored variant of the chosen
+    slot through the CLI, writes exit code, report and CSV per variant with
+    its temporary paths normalised, and leaves the references untouched."""
+    references = sorted((ROOT / "perfbench" / "reference").iterdir())
+    before = {path: path.read_bytes() for path in references}
+    out = tmp_path / "outputs.json"
+    script = [sys.executable, str(ROOT / "scripts" / "variant_outputs.py"), str(out), "--only", "mixed_cold/mie_iso_pair"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    assert subprocess.run(script, env=env, capture_output=True, timeout=300).returncode == 0
+    got = json.loads(out.read_text(encoding="utf-8"))
+    pool = json.loads(before[ROOT / "perfbench" / "reference" / "mixed_cold.json"])
+    slot = next(s for s in pool["slots"] if s["name"] == "mie_iso_pair")
+    assert set(got) == {f"mixed_cold/mie_iso_pair/{i}" for i in range(len(slot["variants"]))}
+    for i, variant in enumerate(slot["variants"]):
+        code, report, csv = got[f"mixed_cold/mie_iso_pair/{i}"]
+        assert [code, csv] == [variant["exit"], variant["csv"]]
+        assert report.endswith("csv: <tmp>/out.csv (2 rows)\n")
+    assert sorted((ROOT / "perfbench" / "reference").iterdir()) == references
+    assert all(path.read_bytes() == data for path, data in before.items())
