@@ -13,11 +13,14 @@ phonoscat is imported from the path, not from this checkout.
 Run it once on each of two source trees and compare the files; equal files
 mean the same exit code, report and CSV bytes on every variant:
 
-    PYTHONPATH=src python scripts/variant_outputs.py new.json
     PYTHONPATH=../old/src python scripts/variant_outputs.py old.json
+    PYTHONPATH=src python scripts/variant_outputs.py new.json
     cmp old.json new.json
 
-``--only`` runs the slots named ``workload/slot`` alone.
+``--compare OLD.json`` also names each variant whose exit code, report or
+CSV differs from OLD.json, or that only one of the two files has, and exits
+1 if there is any.  ``--only`` runs the slots named ``workload/slot`` alone,
+and compares only their variants.
 """
 
 import argparse
@@ -55,18 +58,41 @@ def variant_outputs(only=None) -> dict[str, list]:
     return outputs
 
 
+def differences(old: dict[str, list], new: dict[str, list]) -> list[str]:
+    """One line per variant whose outputs differ, naming what differs."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new or name not in old:
+            lines.append(f"{name}: only in the {'old' if name in old else 'new'} outputs")
+            continue
+        parts = [part for part, a, b in zip(("exit code", "report", "csv"), old[name], new[name]) if a != b]
+        if parts:
+            lines.append(f"{name}: differs in {', '.join(parts)}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="JSON file to write")
     parser.add_argument("--only", nargs="+", metavar="WORKLOAD/SLOT", help="run only these slots")
+    parser.add_argument("--compare", metavar="OLD.json", help="name every variant that differs from OLD.json")
     args = parser.parse_args(argv)
-    outputs = variant_outputs(set(args.only) if args.only else None)
+    only = set(args.only) if args.only else None
+    old = json.loads(Path(args.compare).read_text(encoding="utf-8")) if args.compare else None
+    if old is not None and only is not None:
+        old = {name: value for name, value in old.items() if name.rsplit("/", 1)[0] in only}
+    outputs = variant_outputs(only)
     if not outputs:
         parser.error(f"no stored variant matches {args.only}")
     Path(args.out).write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     failed = sum(code != 0 for code, _, _ in outputs.values())
     print(f"{len(outputs)} variants written to {args.out}, {failed} with a non-zero exit")
-    return 0
+    if old is None:
+        return 0
+    lines = differences(old, outputs)
+    compared = len(old.keys() | outputs.keys())
+    print("\n".join(lines + [f"{len(lines)} of {compared} variants differ from {args.compare}"]))
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":

@@ -32,25 +32,25 @@ they depend on, and the points of a sweep share them:
   ``AngularTable`` (``elastodynamics.angular_table``), solved on first use
   and kept for the life of the process;
 - per (grid, strain): M, 24 B/node;
+- per (grid, omega0): the wave factors ``k0``, ``A`` and ``B``, 72 B/node;
 - per (grid, omega0, axis, L): one sinc column of the form factor, 24 B/node,
   evaluated on half the rings of a mirror-symmetric substrate (``sapphire_iso``
   and ``silicon``; ``AngularTable.mirrored``) and copied to the other half.
 
-The last two live in a ``_SweepTables`` that ``_rates`` makes for its
+The last three live in a ``_SweepTables`` that ``_rates`` makes for its
 points and drops when they are done.  So a height point computes only its x
 and y sinc columns, a thickness point only its z column, and a separation
 point or an orientation angle no column (an angle computes its own M, since
 the strain turns with the crystal).  A frequency point computes everything
-but the angular table.  What remains per point is A and B (a few
-elementwise operations per node, cheaper to redo than to store), the
-product of the columns, V M, the phase of an off-centre inclusion (one per
-mirrored pair of centres), the coherent sum and the reduction.  One grid's
-pass, ``_gamma_branches``, evaluates all three branches in fixed-size node
-spans (optionally across a thread pool) and reduces them by numpy's
-deterministic pairwise summation in fixed node order, so serial and threaded
-runs agree bitwise.  Every factor is computed in the float order of a point
-that computes it alone, so a sweep point equals its lone ``refined_rate`` bit
-for bit.
+but the angular table.  What remains per point is the product of the
+columns, V M, the phase of an off-centre inclusion (one cosine and one sine
+per mirrored pair of centres), the coherent sum and the reduction.  One
+grid's pass, ``_gamma_branches``, evaluates all three branches together on
+fixed-size node spans (optionally across a thread pool) and reduces them by
+numpy's deterministic pairwise summation in fixed node order, so serial and
+threaded runs agree bitwise.  Every factor is computed in the float order of
+a point that computes it alone, so a sweep point equals its lone
+``refined_rate`` bit for bit.
 
 ``mie_rate`` is the raw primitive and only flags an unconverged estimate.
 ``_rates`` is the one evaluator: it owns the sweep tables, doubles the node
@@ -87,6 +87,9 @@ THETA_REGIME = 0.2
 
 # Fixed evaluation chunk so threading cannot change per-node arithmetic.
 _CHUNK = 2048
+
+# What np.sinc puts in place of an exact zero argument.
+_EPS = np.finfo(float).eps
 
 # Half-width of the brute-force radial window, in units of sigma.
 _BRUTE_WINDOW = 8.0
@@ -192,16 +195,19 @@ class _Sources(NamedTuple):
     dims: np.ndarray  # (n, 3)
     center: np.ndarray  # (n, 3)
     sign: np.ndarray  # (n,)
+    centred: bool  # every centre exactly at the origin: the phase is 1
 
 
 def _sources(mode: MicrowaveMode, inclusions) -> _Sources:
     E = mode.field_zp * mode.field_direction
+    center = np.array([inc.center for inc in inclusions])
     return _Sources(
         volume=np.array([inc.volume for inc in inclusions]),
         strain=np.array([induced_strain(inc.d_lab, E) for inc in inclusions]),
         dims=np.array([inc.dimensions for inc in inclusions]),
-        center=np.array([inc.center for inc in inclusions]),
+        center=center,
         sign=np.array([float(inc.sign) for inc in inclusions]),
+        centred=not np.any(center),
     )
 
 
@@ -214,7 +220,7 @@ def _sinc(x: np.ndarray) -> np.ndarray:
     """
     y = x / np.pi
     y *= np.pi
-    y[y == 0] = np.finfo(float).eps
+    y[y == 0] = _EPS
     s = np.sin(y)
     s /= y
     return s
@@ -227,32 +233,48 @@ def _coherent_power(
 
     The one coherent-sum kernel of the quadrature engine and the brute-force
     oracle: ``vm[j]`` is V_j M_j and ``ff[j]`` the form factor of inclusion j
-    at the nodes.  Inclusions are accumulated one at a time, in list order,
-    so the float additions happen in a fixed order.  When every centre is
-    exactly zero the phase is exactly 1 + 0j, so the sum is accumulated as a
-    real array, bit for bit the same, and ``kvec`` is not read (it may be
-    None).  Otherwise the caller builds ``kvec`` and keeps it alive across
-    calls: on the oracle's 12k-node grid, freeing it here as well made the
-    allocator return and re-fault the heap on every call (+30% oracle time).
-    A centre that negates an earlier one (the copies of a pair about the
-    origin) takes the conjugate of its phase: kvec . (-r) == -(kvec . r) and
-    exp(-ix) == conj(exp(ix)) bit for bit.  The sum starts from the first
-    term and adds or subtracts each by its sign; a signed zero that flips
-    vanishes in the square.
+    at the nodes, of any one shape, and ``kvec`` has that shape plus a last
+    axis of 3.  Inclusions are accumulated one at a time, in list order, so
+    the float additions happen in a fixed order.  When ``src.centred`` the
+    phase is exactly 1, so the sum is accumulated as one real array and
+    ``kvec`` is not read (it may be None).  Otherwise the caller builds
+    ``kvec`` and keeps it alive across calls: on the oracle's 12k-node grid,
+    freeing it here as well made the allocator return and re-fault the heap
+    on every call (+30% oracle time).
+
+    The phase exp(i x) of x = kvec . r_j is taken as (cos x, sin x), which
+    are the parts of ``np.exp(1j * x)`` bit for bit, and the real and the
+    imaginary part of the sum are accumulated as two real arrays: a real
+    term t times (c + i s) is (t c, t s) exactly.  A centre that negates an
+    earlier one (the copies of a pair about the origin) reuses (c, -s):
+    kvec . (-r) == -(kvec . r) and sin is odd.  Each sum starts from the
+    first term and adds or subtracts each by its sign; a signed zero that
+    flips vanishes in the square.
     """
-    centred = not np.any(src.center)
     phases = []
     for j in range(src.volume.size):
-        term = vm[j] * ff[j]
-        if not centred:
-            mirror = [p for p, r in zip(phases, src.center) if np.array_equal(r, -src.center[j])]
-            phases.append(mirror[0].conj() if mirror else np.exp(1j * (kvec @ src.center[j])))
-            term = term * phases[j]
-        if j == 0:
-            coh = term if src.sign[j] > 0 else -term
+        t = vm[j] * ff[j]
+        if src.centred:
+            terms = [t]
         else:
-            (np.add if src.sign[j] > 0 else np.subtract)(coh, term, out=coh)
-    return coh * coh if centred else coh.real**2 + coh.imag**2
+            mirror = [p for p, r in zip(phases, src.center) if np.array_equal(r, -src.center[j])]
+            if mirror:
+                c, s = mirror[0]
+                phases.append((c, -s))
+            else:
+                arg = kvec @ src.center[j]
+                phases.append((np.cos(arg), np.sin(arg)))
+            terms = [t * part for part in phases[j]]
+        if j == 0:
+            sums = terms if src.sign[j] > 0 else [-term for term in terms]
+        else:
+            for acc, term in zip(sums, terms):
+                (np.add if src.sign[j] > 0 else np.subtract)(acc, term, out=acc)
+    if src.centred:
+        (re,) = sums
+        return re * re
+    re, im = sums
+    return re * re + im * im
 
 
 def _each_span(n: int, threads: int, work) -> None:
@@ -271,42 +293,61 @@ def _each_span(n: int, threads: int, work) -> None:
             work(a, b)
 
 
-def _contract(substrate: MaterialSpec, n_theta: int, n_phi: int, strains, threads: int) -> list:
+def _contract(substrate: MaterialSpec, n_theta: int, n_phi: int, strains) -> list:
     """The (3, N) read-only M = tau : S of each strain on the n_theta x n_phi
-    grid, filled on the engine's fixed node spans whatever the caller."""
+    grid, one einsum per branch over the whole grid."""
     grid = angular_table(substrate, n_theta, n_phi)
-    n = grid.khats.shape[0]
-    out = [np.empty((3, n)) for _ in strains]
-
-    def fill(a, b):
-        for q in range(3):
-            tau = grid.stress(q, a, b)
-            for m, s in zip(out, strains):
-                m[q, a:b] = np.einsum("nij,ij->n", tau, s)
-
-    _each_span(n, threads, fill)
+    out = [np.empty((3, grid.khats.shape[0])) for _ in strains]
+    for q in range(3):
+        tau = grid.stress(q)
+        for m, s in zip(out, strains):
+            m[q] = np.einsum("nij,ij->n", tau, s)
     for m in out:
         m.setflags(write=False)
     return out
 
 
-def _sinc_columns(substrate: MaterialSpec, n_theta: int, n_phi: int, omega0: float, axis_lengths) -> list:
+class _Wave(NamedTuple):
+    """The factors of the integrand that depend on the grid and omega0 alone,
+    each a C-contiguous, read-only (3, N) array, one row per branch."""
+
+    k0: np.ndarray  # omega0 / v
+    A: np.ndarray  # golden k0^2 / v
+    B: np.ndarray  # k0^2 u0^2
+
+
+def _wave(substrate: MaterialSpec, n_theta: int, n_phi: int, omega0: float) -> _Wave:
+    """k0, A and B of every branch and node of the n_theta x n_phi grid."""
+    hbar = CONSTANTS.hbar
+    golden = (2 * np.pi / hbar**2) * (1.0 / (8 * np.pi**3))
+    u0_sq = hbar / (2 * substrate.rho * omega0)
+    v = np.ascontiguousarray(angular_table(substrate, n_theta, n_phi).velocities.T)
+    k0 = omega0 / v
+    k0_sq = k0 * k0
+    wave = _Wave(k0, golden * (k0_sq / v), k0_sq * u0_sq)
+    for row in wave:
+        row.setflags(write=False)
+    return wave
+
+
+def _sinc_columns(substrate: MaterialSpec, n_theta: int, n_phi: int, k0: np.ndarray, axis_lengths) -> list:
     """The (3, N) read-only sinc(k0 khat_axis L / 2) of each (axis, L) in
-    ``axis_lengths``, with k0 = omega0 / v, on the n_theta x n_phi grid.  On
-    a ``mirrored`` table ring n_theta-1-i copies ring i of the first
-    ceil(n_theta / 2), bit for bit: equal x and y arguments, a negated z
-    argument, and ``_sinc`` is even."""
+    ``axis_lengths`` on the n_theta x n_phi grid, from the (3, N) ``k0`` of
+    its wave entry, one ``_sinc`` call per column.  On a ``mirrored`` table
+    ring n_theta-1-i copies ring i of the first ceil(n_theta / 2), bit for
+    bit: equal x and y arguments, a negated z argument, and ``_sinc`` is
+    even."""
     grid = angular_table(substrate, n_theta, n_phi)
     h = (n_theta + 1) // 2 if grid.mirrored else n_theta
-    cols = [np.empty((3, grid.khats.shape[0])) for _ in axis_lengths]
-    for q in range(3):
-        k0 = omega0 / grid.velocities[: h * n_phi, q]
-        for col, (axis, length) in zip(cols, axis_lengths):
-            col[q, : h * n_phi] = _sinc(k0 * grid.khats[: h * n_phi, axis] * (length / 2.0))
-    for col in cols:
+    head = h * n_phi
+    cols = []
+    for axis, length in axis_lengths:
+        col = np.empty((3, grid.khats.shape[0]))
+        col[:, :head] = _sinc(k0[:, :head] * grid.khats[:head, axis] * (length / 2.0))
         rings = col.reshape(3, n_theta, n_phi)
         rings[:, h:] = rings[:, : n_theta - h][:, ::-1]
         col.setflags(write=False)
+        cols.append(col)
     return cols
 
 
@@ -331,7 +372,7 @@ def _fetch(store: dict, grid: tuple, tags: list, build) -> list:
 class _SweepTables:
     """The per-grid factors that the points of one ``_rates`` call share.
 
-    Each entry is a read-only (3, N) array, one row per branch, of one
+    Each entry holds read-only (3, N) arrays, one row per branch, of one
     substrate on one n_theta x n_phi grid:
 
     - ``M = tau : S`` per (grid, strain), 24 B/node.  tau comes from the
@@ -340,37 +381,49 @@ class _SweepTables:
       thickness and separation axes, and the copies of a pair share it; it
       changes with the crystal orientation, and with omega0 through the
       zero-point field.
+    - the wave factors ``k0 = omega0 / v``, ``A = golden k0^2 / v`` and
+      ``B = k0^2 u0^2`` per (grid, omega0), 72 B/node.  Only a frequency
+      point builds new ones.
     - ``sinc(k0 khat_a L_a / 2)`` per (grid, omega0, axis a, L_a), 24 B/node.
       Inclusions with the same length on an axis share the column, and a
       mirrored table's columns are evaluated on half the rings.
 
-    That is 24 B/node per entry beside the angular table's 272 B/node.  Each
-    kind keeps only the keys of the latest request (``_fetch``): a height
-    sweep holds one z column and one point's x and y columns per grid, and a
-    frequency sweep holds one point's entries.  ``_rates`` makes the one
-    instance of its points and drops it when they are done, and a lone
-    ``mie_rate`` makes one for its two grids.
+    Each kind keeps only the keys of the latest request (``_fetch``): a
+    height sweep holds one wave entry and one z column and one point's x and
+    y columns per grid, and a frequency sweep holds one point's entries.
+    ``_rates`` makes the one instance of its points and drops it when they
+    are done, and a lone ``mie_rate`` makes one for its two grids.
     """
 
     def __init__(self, substrate: MaterialSpec):
         self.substrate = substrate
         self._m: dict[tuple, np.ndarray] = {}
+        self._wave: dict[tuple, _Wave] = {}
         self._sinc: dict[tuple, np.ndarray] = {}
 
-    def couplings(self, n_theta: int, n_phi: int, strains, threads: int) -> list[np.ndarray]:
+    def couplings(self, n_theta: int, n_phi: int, strains) -> list[np.ndarray]:
         """M of each strain on the n_theta x n_phi grid."""
         by_key = {s.tobytes(): s for s in strains}
 
         def build(keys):
-            return _contract(self.substrate, n_theta, n_phi, [by_key[k] for k in keys], threads)
+            return _contract(self.substrate, n_theta, n_phi, [by_key[k] for k in keys])
 
         return _fetch(self._m, (n_theta, n_phi), [s.tobytes() for s in strains], build)
+
+    def wave(self, n_theta: int, n_phi: int, omega0: float) -> _Wave:
+        """The wave factors at omega0 on the n_theta x n_phi grid."""
+
+        def build(tags):
+            return [_wave(self.substrate, n_theta, n_phi, omega0)]
+
+        return _fetch(self._wave, (n_theta, n_phi), [omega0], build)[0]
 
     def sinc_columns(self, n_theta: int, n_phi: int, omega0: float, dims: np.ndarray) -> list[list[np.ndarray]]:
         """The x, y and z sinc columns of each row of ``dims`` at omega0."""
 
         def build(tags):
-            return _sinc_columns(self.substrate, n_theta, n_phi, omega0, [t[1:] for t in tags])
+            k0 = self.wave(n_theta, n_phi, omega0).k0
+            return _sinc_columns(self.substrate, n_theta, n_phi, k0, [t[1:] for t in tags])
 
         tags = [(omega0, axis, float(length)) for lengths in dims for axis, length in enumerate(lengths)]
         cols = _fetch(self._sinc, (n_theta, n_phi), tags, build)
@@ -387,30 +440,23 @@ def _gamma_branches(
 ) -> np.ndarray:
     """Golden-rule rate of each branch on one n_theta x n_phi grid, shape (3,).
 
-    The sweep tables give M and the sinc columns and name the substrate.
-    All three branches on each fixed node span, then one reduction per
+    The sweep tables give M, the wave factors and the sinc columns and name
+    the substrate.  Each fixed node span evaluates A * (B * |sum|^2) for all
+    three branches at once, as (3, span) blocks; then one reduction per
     branch.
     """
-    omega0 = mode.omega0
-    hbar = CONSTANTS.hbar
-    golden = (2 * np.pi / hbar**2) * (1.0 / (8 * np.pi**3))
-    u0_sq = hbar / (2 * tables.substrate.rho * omega0)
     grid = angular_table(tables.substrate, n_theta, n_phi)
-    m = tables.couplings(n_theta, n_phi, src.strain, threads)
-    cols = tables.sinc_columns(n_theta, n_phi, omega0, src.dims)
-    centred = not np.any(src.center)
+    m = tables.couplings(n_theta, n_phi, src.strain)
+    wave = tables.wave(n_theta, n_phi, mode.omega0)
+    cols = tables.sinc_columns(n_theta, n_phi, mode.omega0, src.dims)
     n = grid.khats.shape[0]
     values = np.empty((3, n))
 
     def work(a, b):
-        for q in range(3):
-            vm = [vol * mj[q, a:b] for vol, mj in zip(src.volume, m)]
-            ff = [(x[q, a:b] * y[q, a:b]) * z[q, a:b] for x, y, z in cols]
-            v = grid.velocities[a:b, q]
-            k0 = omega0 / v
-            kvec = None if centred else k0[:, None] * grid.khats[a:b]
-            k0_sq = k0 * k0
-            values[q, a:b] = golden * (k0_sq / v) * ((k0_sq * u0_sq) * _coherent_power(src, vm, ff, kvec))
+        vm = [vol * mj[:, a:b] for vol, mj in zip(src.volume, m)]
+        ff = [(x[:, a:b] * y[:, a:b]) * z[:, a:b] for x, y, z in cols]
+        kvec = None if src.centred else wave.k0[:, a:b, None] * grid.khats[a:b]
+        values[:, a:b] = wave.A[:, a:b] * (wave.B[:, a:b] * _coherent_power(src, vm, ff, kvec))
 
     _each_span(n, threads, work)
     # fixed-order pairwise reduction: deterministic for any thread count
@@ -627,7 +673,6 @@ def brute_force_rate(
     gauss = np.exp(-0.5 * xi * xi) / (sigma * np.sqrt(2 * np.pi))
 
     src = _sources(mode, incs)
-    centred = not np.any(src.center)
     f3d = 1 / (8 * np.pi**3)
 
     total = 0.0
@@ -641,7 +686,7 @@ def brute_force_rate(
             k = omega / v
             k_sq = k * k
             u0_sq = hbar / (2 * rho * omega)
-            kvec = None if centred else k[:, None] * khats
+            kvec = None if src.centred else k[:, None] * khats
             cols = [[_sinc((k * rows[a]) * (L[a] / 2.0)) for a in range(3)] for L in src.dims]
             ff = [(x * y) * z for x, y, z in cols]
             hg_sq = (k_sq * u0_sq) * _coherent_power(src, vm, ff, kvec)

@@ -126,7 +126,7 @@ def test_couplings_are_bitwise_equal_to_the_stress_pattern_formula(db, ln, name)
     turned = Orientation.about_axis([1.0, 2.0, 3.0], 0.7).compose(Orientation(XCUT_MATRIX))
     incs = [_waveguide(ln), dataclasses.replace(_waveguide(ln), orientation=turned)]
     strains = [induced_strain(inc.d_lab, E) for inc in incs]
-    got = radiation._contract(substrate, 16, 32, strains, 1)
+    got = radiation._contract(substrate, 16, 32, strains)
     khats, _ = _reference_grid(16, 32)  # 512 nodes: one span
     _, pols = christoffel_many(substrate, khats)
     for q in range(3):
@@ -218,7 +218,7 @@ def test_contract_is_the_per_span_voigt_expansion_bit_for_bit(db, ln, name):
     mode = make_mode(substrate)
     incs = _turned(ln, [((0, 0, 1), 0.0), ((1, 2, 3), 0.7)])
     strains = [induced_strain(inc.d_lab, mode.field_zp * mode.field_direction) for inc in incs]
-    got = radiation._contract(substrate, 48, 96, strains, 1)
+    got = radiation._contract(substrate, 48, 96, strains)
     voigt = _voigt_table(substrate, 48, 96)
     n = voigt.shape[1]
     for m, s in zip(got, strains):

@@ -5,12 +5,13 @@ branch and the inclusion strain, so a sweep computes it once per (grid,
 strain) and shares it between its points.  The strain S = d . E follows the
 zero-point field, which grows with the frequency, so an omega0 sweep has a new
 strain at every point.  Each sinc column of the form factor depends on the
-grid, omega0, its axis and the inclusion's length along it.  The stress
-pattern tau itself is substrate-only and comes from the angular table.  These
-tests pin down that sharing changes no bit of any result, that the
-contraction runs once per height sweep and once per frequency point, that
-each sinc column is built once for what it depends on, that a
-frequency sweep holds one point's couplings at a time, that an orientation
+grid, omega0, its axis and the inclusion's length along it, and the wave
+factors k0, A and B on the grid and omega0 alone.  The stress pattern tau
+itself is substrate-only and comes from the angular table.  These tests pin
+down that sharing changes no bit of any result, that the contraction runs
+once per height sweep and once per frequency point, that each sinc column
+and each wave entry is built once for what it depends on, that a frequency
+sweep holds one point's couplings and wave entries at a time, that an orientation
 scan solves tau only while it builds tables, that the tables die with the
 sweep, and that refined_rate records how many refinements it needed.  A lone
 mie_rate and an orientation scan read sweep tables too, one per call.
@@ -79,9 +80,9 @@ def contractions(monkeypatch):
     calls = []
     original = radiation._contract
 
-    def counting(substrate, n_theta, n_phi, strains, threads):
+    def counting(substrate, n_theta, n_phi, strains):
         calls.extend([(n_theta, n_phi)] * len(strains))
-        return original(substrate, n_theta, n_phi, strains, threads)
+        return original(substrate, n_theta, n_phi, strains)
 
     monkeypatch.setattr(radiation, "_contract", counting)
     return calls
@@ -178,9 +179,9 @@ def builds(monkeypatch):
     calls = []
     sinc_columns = radiation._sinc_columns
 
-    def counting_sinc_columns(substrate, n_theta, n_phi, omega0, axis_lengths):
+    def counting_sinc_columns(substrate, n_theta, n_phi, k0, axis_lengths):
         calls.extend(((n_theta, n_phi), axis) for axis, _ in axis_lengths)
-        return sinc_columns(substrate, n_theta, n_phi, omega0, axis_lengths)
+        return sinc_columns(substrate, n_theta, n_phi, k0, axis_lengths)
 
     monkeypatch.setattr(radiation, "_sinc_columns", counting_sinc_columns)
     return calls
@@ -277,6 +278,69 @@ def test_every_orientation_equals_its_lone_refined_rate(db, ln, name):
     for angle, r in zip(angles, scan.results):
         turned = Orientation.about_axis(axis, float(angle)).compose(inc.orientation)
         assert _lone(r, mode, [dataclasses.replace(inc, orientation=turned)], substrate, SPANS)
+
+
+def test_wave_entry_is_the_per_node_products_bit_for_bit(db):
+    """k0, A and B in the float order the golden-rule pass used when it
+    computed them per span, as contiguous read-only (3, N) rows."""
+    substrate = db["sapphire"]
+    omega0 = 2 * np.pi * 7.3e9
+    hbar = radiation.CONSTANTS.hbar
+    golden = (2 * np.pi / hbar**2) * (1.0 / (8 * np.pi**3))
+    u0_sq = hbar / (2 * substrate.rho * omega0)
+    wave = radiation._wave(substrate, 16, 32, omega0)
+    v = angular_table(substrate, 16, 32).velocities
+    for row in wave:
+        assert row.shape == (3, 512) and row.flags.c_contiguous and not row.flags.writeable
+    for q in range(3):
+        k0 = omega0 / v[:, q]
+        k0_sq = k0 * k0
+        assert np.array_equal(wave.k0[q], k0)
+        assert np.array_equal(wave.A[q], golden * (k0_sq / v[:, q]))
+        assert np.array_equal(wave.B[q], k0_sq * u0_sq)
+
+
+@pytest.fixture
+def waves(monkeypatch):
+    """Record the (grid, omega0) of every wave entry the engine builds, and
+    the (grid, omega0) keys a table holds after each request."""
+    built, held = [], []
+    wave = radiation._wave
+
+    def counting(substrate, n_theta, n_phi, omega0):
+        built.append(((n_theta, n_phi), omega0))
+        return wave(substrate, n_theta, n_phi, omega0)
+
+    class Recording(radiation._SweepTables):
+        def wave(self, *args):
+            out = super().wave(*args)
+            held.append(sorted(self._wave))
+            return out
+
+    monkeypatch.setattr(radiation, "_wave", counting)
+    monkeypatch.setattr(radiation, "_SweepTables", Recording)
+    return built, held
+
+
+def test_height_sweep_builds_one_wave_entry_per_grid(db, ln, waves):
+    built, _ = waves
+    substrate = db["sapphire_iso"]
+    mode = make_mode(substrate)
+    got = sweep(mode, _bar(ln), substrate, "height", np.linspace(0.1e-6, 0.3e-6, 12), LOOSE)
+    assert all(r.diagnostics.refinements == 0 for r in got.results)
+    assert built == [(grid, mode.omega0) for grid in GRIDS]
+
+
+def test_frequency_sweep_holds_one_wave_entry_per_grid(db, ln, waves):
+    built, held = waves
+    substrate = db["sapphire_iso"]
+    freqs = 2 * np.pi * np.linspace(6e9, 11e9, 6)
+    got = sweep(make_mode(substrate), _bar(ln), substrate, "omega0", freqs, LOOSE)
+    assert all(r.diagnostics.refinements == 0 for r in got.results)
+    assert built == [(grid, f) for f in freqs for grid in GRIDS]
+    # per point the coarse grid's entry, then the coarse and the fine grid's
+    changes = [keys for i, keys in enumerate(held) if i == 0 or keys != held[i - 1]]
+    assert changes == [keys for f in freqs for keys in ([(GRIDS[0], f)], [(GRIDS[0], f), (GRIDS[1], f)])]
 
 
 def test_frequency_sweep_holds_one_point_of_couplings(db, ln, held):

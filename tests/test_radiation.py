@@ -193,7 +193,7 @@ class TestDeterminism:
         src = _sources(mode, [waveguide, small][:n_incs])
         assert not np.any(src.center)
         grid = angular_table(sapphire, 16, 32)
-        m = _contract(sapphire, 16, 32, src.strain, 1)
+        m = _contract(sapphire, 16, 32, src.strain)
         for q in range(3):
             kvec = (mode.omega0 / grid.velocities[:, q])[:, None] * grid.khats
             coh = np.zeros(kvec.shape[0], dtype=complex)

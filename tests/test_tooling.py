@@ -101,3 +101,40 @@ def test_variant_outputs_records_a_slot_as_the_references_store_it(tmp_path):
         assert report.endswith("csv: <tmp>/out.csv (2 rows)\n")
     assert sorted((ROOT / "perfbench" / "reference").iterdir()) == references
     assert all(path.read_bytes() == data for path, data in before.items())
+
+
+def test_variant_outputs_compare_names_each_differing_variant(tmp_path):
+    """``--compare OLD.json`` exits 0 on equal outputs, and otherwise exits 1
+    and names each variant that differs, with what differs; with ``--only``
+    the variants of other slots in OLD.json are not compared."""
+    script = [sys.executable, str(ROOT / "scripts" / "variant_outputs.py")]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    first = tmp_path / "first.json"
+    only = ["--only", "mixed_cold/mie_iso_pair"]
+    assert subprocess.run([*script, str(first), *only], env=env, capture_output=True, timeout=300).returncode == 0
+    old = json.loads(first.read_text(encoding="utf-8"))
+    old["sweep_hot/elsewhere/0"] = [0, "", None]  # another slot: not compared under --only
+    changed = dict(old)
+    changed["mixed_cold/mie_iso_pair/3"] = [2, *old["mixed_cold/mie_iso_pair/3"][1:]]
+    changed["mixed_cold/mie_iso_pair/7"] = [0, "report\n", "csv\n"]
+    del changed["mixed_cold/mie_iso_pair/11"]
+    for path, data in [(tmp_path / "same.json", old), (tmp_path / "changed.json", changed)]:
+        path.write_text(json.dumps(data), encoding="utf-8")
+
+    def compare(path):
+        run = subprocess.run(
+            [*script, str(tmp_path / "new.json"), *only, "--compare", str(path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        return run.returncode, run.stdout.splitlines()[1:]
+
+    assert compare(tmp_path / "same.json") == (0, [f"0 of 16 variants differ from {tmp_path / 'same.json'}"])
+    assert compare(tmp_path / "changed.json") == (
+        1,
+        [
+            "mixed_cold/mie_iso_pair/11: only in the new outputs",
+            "mixed_cold/mie_iso_pair/3: differs in exit code",
+            "mixed_cold/mie_iso_pair/7: differs in report, csv",
+            f"3 of 16 variants differ from {tmp_path / 'changed.json'}",
+        ],
+    )
