@@ -4,7 +4,9 @@ Two mitigation schemes share this module.  The first places a congruent copy
 of an inclusion at the mirrored position with an inverted coupling sign, so
 the two emission amplitudes interfere; in the long-wavelength limit the pair
 radiates like a difference of dipoles and the rate falls as the square of the
-separation.  The second inserts a stack of alternating acoustic-impedance
+separation.  For copies about the origin the real part of the coherent sum
+cancels exactly (the imaginary part, for equal signs), so the engine
+evaluates one phase part per node for the pair.  The second inserts a stack of alternating acoustic-impedance
 quarter-wave layers between the source and the bulk, modelled by the standard
 one-dimensional lossless transfer matrix at normal incidence.
 """

@@ -43,11 +43,15 @@ and y sinc columns, a thickness point only its z column, and a separation
 point or an orientation angle no column (an angle computes its own M, since
 the strain turns with the crystal).  A frequency point computes everything
 but the angular table.  What remains per point is the product of the
-columns, V M, the phase of an off-centre inclusion (one cosine and one sine
-per mirrored pair of centres), the coherent sum and the reduction.  One
-grid's pass, ``_gamma_branches``, evaluates all three branches together on
-fixed-size node spans (optionally across a thread pool) and reduces them by
-numpy's deterministic pairwise summation in fixed node order, so serial and
+columns, V M, the phase of an off-centre inclusion, the coherent sum and the
+reduction.  The phase costs one cosine and one sine per node for each centre
+that does not negate an earlier one.  An antipodal pair (the two copies of a
+``dual_waveguide`` pair about the origin) costs one sine (opposite signs) or
+one cosine (equal signs) per node, on half the rings of a mirrored table
+when the separation has no z component.  One grid's pass,
+``_gamma_branches``, evaluates all three branches together on fixed-size
+node spans (optionally across a thread pool) and reduces them by numpy's
+deterministic pairwise summation in fixed node order, so serial and
 threaded runs agree bitwise.  Every factor is computed in the float order of
 a point that computes it alone, so a sweep point equals its lone
 ``refined_rate`` bit for bit.
@@ -196,18 +200,30 @@ class _Sources(NamedTuple):
     center: np.ndarray  # (n, 3)
     sign: np.ndarray  # (n,)
     centred: bool  # every centre exactly at the origin: the phase is 1
+    part: str | None  # "sin" or "cos": the one phase part of an antipodal pair
 
 
 def _sources(mode: MicrowaveMode, inclusions) -> _Sources:
+    """The stacked inclusions, with ``part`` set for an antipodal pair: two
+    inclusions with the same volume, strain and dimensions, bit for bit, at
+    centres r and -r with r != 0 (``_coherent_power`` says why one part
+    suffices).  The part is sin for opposite signs and cos for equal ones."""
     E = mode.field_zp * mode.field_direction
+    volume = np.array([inc.volume for inc in inclusions])
+    strain = np.array([induced_strain(inc.d_lab, E) for inc in inclusions])
+    dims = np.array([inc.dimensions for inc in inclusions])
     center = np.array([inc.center for inc in inclusions])
+    sign = np.array([float(inc.sign) for inc in inclusions])
+    twins = len(inclusions) == 2 and all(x[0].tobytes() == x[1].tobytes() for x in (volume, strain, dims))
+    antipodal = twins and np.any(center[0]) and np.array_equal(center[1], -center[0])
     return _Sources(
-        volume=np.array([inc.volume for inc in inclusions]),
-        strain=np.array([induced_strain(inc.d_lab, E) for inc in inclusions]),
-        dims=np.array([inc.dimensions for inc in inclusions]),
+        volume=volume,
+        strain=strain,
+        dims=dims,
         center=center,
-        sign=np.array([float(inc.sign) for inc in inclusions]),
+        sign=sign,
         centred=not np.any(center),
+        part=("sin" if sign[0] != sign[1] else "cos") if antipodal else None,
     )
 
 
@@ -227,7 +243,11 @@ def _sinc(x: np.ndarray) -> np.ndarray:
 
 
 def _coherent_power(
-    src: _Sources, vm: list[np.ndarray], ff: list[np.ndarray], kvec: np.ndarray | None
+    src: _Sources,
+    vm: list[np.ndarray],
+    ff: list[np.ndarray],
+    kvec: np.ndarray | None,
+    part: np.ndarray | None = None,
 ) -> np.ndarray:
     """|sum_j s_j (V_j M_j) FF_j exp(i kvec . r_j)|^2 at each node.
 
@@ -240,17 +260,33 @@ def _coherent_power(
     ``kvec`` is not read (it may be None).  Otherwise the caller builds
     ``kvec`` and keeps it alive across calls: on the oracle's 12k-node grid,
     freeing it here as well made the allocator return and re-fault the heap
-    on every call (+30% oracle time).
+    on every call (+30% oracle time).  The result is an array of the
+    kernel's own: it never writes into ``vm`` or ``ff``, which the oracle
+    reuses across its radial nodes.
 
     The phase exp(i x) of x = kvec . r_j is taken as (cos x, sin x), which
     are the parts of ``np.exp(1j * x)`` bit for bit, and the real and the
     imaginary part of the sum are accumulated as two real arrays: a real
     term t times (c + i s) is (t c, t s) exactly.  A centre that negates an
-    earlier one (the copies of a pair about the origin) reuses (c, -s):
-    kvec . (-r) == -(kvec . r) and sin is odd.  Each sum starts from the
-    first term and adds or subtracts each by its sign; a signed zero that
-    flips vanishes in the square.
+    earlier one reuses (c, -s): kvec . (-r) == -(kvec . r) and sin is odd.
+    Each sum starts from the first term and adds or subtracts each by its
+    sign; a signed zero that flips vanishes in the square.
+
+    An antipodal pair (``src.part``) has one term t for both copies, so that
+    sum is (+-(t c -+ t c), +-(t s +- t s)): one part is x - x = +0 and the
+    other +-(h), h = t p + t p with p = ``src.part`` of x.  The square is
+    h * h bit for bit (+0 + y * y == y * y), so only ``vm[0]``, ``ff[0]`` and
+    one transcendental are read: ``part``, p at the nodes (the engine's
+    ``_part_column``), or with ``part`` None p of ``kvec``.  That holds for
+    finite t; an infinite t gives h * h = inf where the general path gives
+    nan, and ``_gamma_branches`` reruns such a grid on the general path.
     """
+    if src.part is not None:
+        h = vm[0] * ff[0]
+        h *= getattr(np, src.part)(kvec @ src.center[0]) if part is None else part
+        h += h
+        h *= h
+        return h
     phases = []
     for j in range(src.volume.size):
         t = vm[j] * ff[j]
@@ -264,17 +300,19 @@ def _coherent_power(
             else:
                 arg = kvec @ src.center[j]
                 phases.append((np.cos(arg), np.sin(arg)))
-            terms = [t * part for part in phases[j]]
+            terms = [t * p for p in phases[j]]
         if j == 0:
             sums = terms if src.sign[j] > 0 else [-term for term in terms]
         else:
             for acc, term in zip(sums, terms):
                 (np.add if src.sign[j] > 0 else np.subtract)(acc, term, out=acc)
+    for acc in sums:
+        acc *= acc
     if src.centred:
-        (re,) = sums
-        return re * re
+        return sums[0]
     re, im = sums
-    return re * re + im * im
+    re += im
+    return re
 
 
 def _each_span(n: int, threads: int, work) -> None:
@@ -349,6 +387,37 @@ def _sinc_columns(substrate: MaterialSpec, n_theta: int, n_phi: int, k0: np.ndar
         col.setflags(write=False)
         cols.append(col)
     return cols
+
+
+def _part_column(src: _Sources, grid: AngularTable, k0: np.ndarray, n_theta: int, n_phi: int, threads: int):
+    """The (3, N) ``src.part`` of an antipodal pair on the n_theta x n_phi
+    grid, from the (3, N) ``k0`` of its wave entry.
+
+    x is computed span by span as the kernel computes it, from
+    ``k0 * khat`` of each whole node span.  On a ``mirrored`` table with
+    r_z == 0, ring n_theta-1-i copies ring i of the first ceil(n_theta / 2):
+    its x is the same float up to the sign of an exact zero, which vanishes
+    in the square.  numpy's matmul takes another path for a one-node span,
+    whose x may differ from the mirrored ring's in the last bit, so a grid
+    that ends in one evaluates every ring.
+    """
+    n = grid.khats.shape[0]
+    r = src.center[0]
+    mirrored = grid.mirrored and r[2] == 0 and n % _CHUNK != 1
+    h = (n_theta + 1) // 2 if mirrored else n_theta
+    head = h * n_phi
+    col = np.empty((3, n))
+
+    def work(a, b):
+        if a < head:
+            x = (k0[:, a:b, None] * grid.khats[a:b]) @ r
+            c = min(b, head)
+            col[:, a:c] = getattr(np, src.part)(x[:, : c - a])
+
+    _each_span(n, threads, work)
+    rings = col.reshape(3, n_theta, n_phi)
+    rings[:, h:] = rings[:, : n_theta - h][:, ::-1]
+    return col
 
 
 def _fetch(store: dict, grid: tuple, tags: list, build) -> list:
@@ -441,9 +510,11 @@ def _gamma_branches(
     """Golden-rule rate of each branch on one n_theta x n_phi grid, shape (3,).
 
     The sweep tables give M, the wave factors and the sinc columns and name
-    the substrate.  Each fixed node span evaluates A * (B * |sum|^2) for all
-    three branches at once, as (3, span) blocks; then one reduction per
-    branch.
+    the substrate.  An antipodal pair's phase part is evaluated once for the
+    grid (``_part_column``).  Each fixed node span evaluates
+    A * (B * |sum|^2) for all three branches at once, as (3, span) blocks,
+    scaling the kernel's array in place and writing the product straight
+    into the grid's values; then one reduction per branch.
     """
     grid = angular_table(tables.substrate, n_theta, n_phi)
     m = tables.couplings(n_theta, n_phi, src.strain)
@@ -451,16 +522,31 @@ def _gamma_branches(
     cols = tables.sinc_columns(n_theta, n_phi, mode.omega0, src.dims)
     n = grid.khats.shape[0]
     values = np.empty((3, n))
+    part = None if src.part is None else _part_column(src, grid, wave.k0, n_theta, n_phi, threads)
+    terms = 1 if src.part else src.volume.size  # the copies of a pair share one term
 
     def work(a, b):
-        vm = [vol * mj[:, a:b] for vol, mj in zip(src.volume, m)]
-        ff = [(x[:, a:b] * y[:, a:b]) * z[:, a:b] for x, y, z in cols]
-        kvec = None if src.centred else wave.k0[:, a:b, None] * grid.khats[a:b]
-        values[:, a:b] = wave.A[:, a:b] * (wave.B[:, a:b] * _coherent_power(src, vm, ff, kvec))
+        vm = [vol * mj[:, a:b] for vol, mj in zip(src.volume[:terms], m)]
+        ff = []
+        for x, y, z in cols[:terms]:
+            f = x[:, a:b] * y[:, a:b]
+            f *= z[:, a:b]
+            ff.append(f)
+        if part is not None:
+            p = _coherent_power(src, vm, ff, None, part[:, a:b])
+        else:
+            kvec = None if src.centred else wave.k0[:, a:b, None] * grid.khats[a:b]
+            p = _coherent_power(src, vm, ff, kvec)
+        p *= wave.B[:, a:b]
+        np.multiply(wave.A[:, a:b], p, out=values[:, a:b])
 
     _each_span(n, threads, work)
     # fixed-order pairwise reduction: deterministic for any thread count
-    return np.array([np.add.reduce(grid.weights * values[q]) for q in range(3)])
+    rates = np.array([np.add.reduce(grid.weights * values[q]) for q in range(3)])
+    if src.part is not None and not np.all(np.isfinite(rates)):
+        # an infinite V M: the general path's inf - inf gives nan where the pair's h * h is inf
+        return _gamma_branches(mode, src._replace(part=None), tables, n_theta, n_phi, threads)
+    return rates
 
 
 def min_phase_velocity(substrate: MaterialSpec) -> float:
@@ -672,26 +758,32 @@ def brute_force_rate(
     w_xi = _simpson_weights(_BRUTE_RADIAL) * (2 * _BRUTE_WINDOW / (_BRUTE_RADIAL - 1))
     gauss = np.exp(-0.5 * xi * xi) / (sigma * np.sqrt(2 * np.pi))
 
-    src = _sources(mode, incs)
     f3d = 1 / (8 * np.pi**3)
 
-    total = 0.0
-    for q in range(3):
-        v = np.ascontiguousarray(table.velocities[:, q])  # a row: the radial loop reads it 33 times
-        tau = table.stress(q)
-        vm = [vol * np.einsum("nij,ij->n", tau, s) for vol, s in zip(src.volume, src.strain)]
-        dk = sigma / v  # measure: k^2 dk dOmega with dk = (sigma/v) dxi
-        for i in range(xi.size):
-            omega = omega0 + sigma * xi[i]
-            k = omega / v
-            k_sq = k * k
-            u0_sq = hbar / (2 * rho * omega)
-            kvec = None if src.centred else k[:, None] * khats
-            cols = [[_sinc((k * rows[a]) * (L[a] / 2.0)) for a in range(3)] for L in src.dims]
-            ff = [(x * y) * z for x, y, z in cols]
-            hg_sq = (k_sq * u0_sq) * _coherent_power(src, vm, ff, kvec)
-            f = (2 * np.pi / hbar**2) * f3d * hg_sq * gauss[i]
-            total += w_xi[i] * float(np.add.reduce(w_ang * k_sq * dk * f))
+    def radial_sum(src: _Sources) -> float:
+        total = 0.0
+        for q in range(3):
+            v = np.ascontiguousarray(table.velocities[:, q])  # a row: the radial loop reads it 33 times
+            tau = table.stress(q)
+            vm = [vol * np.einsum("nij,ij->n", tau, s) for vol, s in zip(src.volume, src.strain)]
+            dk = sigma / v  # measure: k^2 dk dOmega with dk = (sigma/v) dxi
+            for i in range(xi.size):
+                omega = omega0 + sigma * xi[i]
+                k = omega / v
+                k_sq = k * k
+                u0_sq = hbar / (2 * rho * omega)
+                kvec = None if src.centred else k[:, None] * khats
+                cols = [[_sinc((k * rows[a]) * (L[a] / 2.0)) for a in range(3)] for L in src.dims]
+                ff = [(x * y) * z for x, y, z in cols]
+                hg_sq = (k_sq * u0_sq) * _coherent_power(src, vm, ff, kvec)
+                f = (2 * np.pi / hbar**2) * f3d * hg_sq * gauss[i]
+                total += w_xi[i] * float(np.add.reduce(w_ang * k_sq * dk * f))
+        return total
+
+    src = _sources(mode, incs)
+    total = radial_sum(src)
+    if src.part is not None and not np.isfinite(total):
+        total = radial_sum(src._replace(part=None))  # an infinite V M, as in _gamma_branches
     return total
 
 

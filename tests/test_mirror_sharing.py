@@ -6,10 +6,13 @@ substrate symmetric under z -> -z the velocities of the two rings are equal
 bit for bit too, and the angular table records that once as ``mirrored``.
 The sinc columns are then computed on half the rings and copied, and the
 coherent sum reuses the cosine and the negated sine of the phase for a
-centre that negates an earlier one.  These tests pin down which tables are
-mirrored, that both shortcuts give the bits of the full computation they
+centre that negates an earlier one.  An antipodal pair (two copies with the
+same strain, volume and dimensions at r and -r) keeps one phase part, sin or
+cos, which the engine evaluates once per grid pass, on half the rings of a
+mirrored table when r_z == 0.  These tests pin down which tables are
+mirrored, that the shortcuts give the bits of the full computation they
 replace (the references below are that computation, as the engine ran it
-before), and that they halve the counted work where they apply and leave it
+before), and that they cut the counted work where they apply and leave it
 alone where they do not.  The golden-rule pass itself, which reads k0, A and
 B from a wave entry and evaluates the three branches together, is checked
 against the pass that computed them per span, one branch at a time.
@@ -20,19 +23,21 @@ import dataclasses
 import numpy as np
 import pytest
 
+import conftest
 import phonoscat.radiation as radiation
 from phonoscat.coupling import Inclusion
 from phonoscat.elastodynamics import _table_key, angular_table
 from phonoscat.materials import Orientation
 from phonoscat.mitigation import dual_waveguide_sweep
-from phonoscat.radiation import QuadratureSpec, _coherent_power, _sinc, _sinc_columns, _sources, sweep
+from phonoscat.radiation import QuadratureSpec, _coherent_power, _sinc, _sinc_columns, _sources, brute_force_rate, sweep
 
-from conftest import XCUT_MATRIX, make_mode
+from conftest import XCUT_MATRIX, brute_force_reference, make_mode
 
 # ---------------------------------------------------------------------------
 # References: the full-grid sinc columns, one branch at a time; the coherent
 # sum with a zeros start, a sign * ff multiply and one np.exp per inclusion;
-# and the complex kernel that took the conjugate phase of a mirrored centre.
+# the complex kernel that took the conjugate phase of a mirrored centre; and
+# the real kernel that took (cos, sin) for every pair of centres.
 
 
 def _full_sinc_columns(substrate, n_theta, n_phi, k0, axis_lengths):
@@ -69,6 +74,33 @@ def _complex_coherent_power(src, vm, ff, kvec):
         else:
             (np.add if src.sign[j] > 0 else np.subtract)(coh, term, out=coh)
     return coh * coh if centred else coh.real**2 + coh.imag**2
+
+
+def _real_coherent_power(src, vm, ff, kvec):
+    phases = []
+    for j in range(src.volume.size):
+        t = vm[j] * ff[j]
+        if src.centred:
+            terms = [t]
+        else:
+            mirror = [p for p, r in zip(phases, src.center) if np.array_equal(r, -src.center[j])]
+            if mirror:
+                c, s = mirror[0]
+                phases.append((c, -s))
+            else:
+                arg = kvec @ src.center[j]
+                phases.append((np.cos(arg), np.sin(arg)))
+            terms = [t * part for part in phases[j]]
+        if j == 0:
+            sums = terms if src.sign[j] > 0 else [-term for term in terms]
+        else:
+            for acc, term in zip(sums, terms):
+                (np.add if src.sign[j] > 0 else np.subtract)(acc, term, out=acc)
+    if src.centred:
+        (re,) = sums
+        return re * re
+    re, im = sums
+    return re * re + im * im
 
 
 TILT = Orientation.about_axis([1.0, 0.0, 0.0], 0.3)
@@ -225,15 +257,17 @@ CENTRES = {
 }
 
 
-def _kernel_inputs(db, ln, centres, signs, branch=0):
+def _kernel_inputs(db, ln, centres, signs, branch=0, twins=False):
     """Realistic per-node factors on a 16x32 sapphire grid, with exact zeros
     of both signs mixed in, and a kvec with a zero row: the (N,) rows of one
     branch, or with ``branch`` None the (3, N) blocks of all three, as the
-    engine passes them."""
+    engine passes them.  ``twins`` gives every inclusion the same dimensions
+    and the same V M, as the copies of a dual pair have."""
     substrate = db["sapphire"]
     mode = make_mode(substrate)
     rng = np.random.default_rng([len(centres), *(s + 1 for s in signs)])
-    incs = [_inc(ln, c, s, dims=rng.uniform(0.1e-6, 2e-6, 3)) for c, s in zip(centres, signs)]
+    dims = [rng.uniform(0.1e-6, 2e-6, 3) for _ in centres]
+    incs = [_inc(ln, c, s, dims=dims[0] if twins else d) for c, s, d in zip(centres, signs, dims)]
     src = _sources(mode, incs)
     grid = angular_table(substrate, 16, 32)
     kvec = (mode.omega0 / grid.velocities.T)[:, :, None] * grid.khats
@@ -241,7 +275,10 @@ def _kernel_inputs(db, ln, centres, signs, branch=0):
     vm = [rng.normal(size=kvec.shape[:2]) for _ in incs]
     ff = [np.prod([_sinc(kvec[..., a] * (L[a] / 2.0)) for a in range(3)], axis=0) for L in src.dims]
     vm[0][:, :4] = [0.0, -0.0, 0.0, -0.0]
-    ff[-1][:, 4:8] = [-0.0, 0.0, 0.0, -0.0]
+    for f in ff if twins else ff[-1:]:
+        f[:, 4:8] = [-0.0, 0.0, 0.0, -0.0]
+    if twins:
+        vm = [vm[0].copy() for _ in incs]
     if branch is None:
         return src, vm, ff, kvec
     return src, [x[branch] for x in vm], [x[branch] for x in ff], kvec[branch]
@@ -280,8 +317,10 @@ def test_coherent_power_equals_the_complex_kernel_bit_for_bit(db, ln, name):
 @pytest.fixture
 def exponentials(monkeypatch):
     """Record (function, elements) of every evaluation of a phase: each
-    np.cos and np.sin call inside ``radiation._coherent_power``, and each
-    complex np.exp call (the references' phase) anywhere."""
+    np.cos and np.sin call inside ``radiation._coherent_power`` or
+    ``radiation._part_column`` (where the engine builds an antipodal pair's
+    phase part), and each complex np.exp call (the references' phase)
+    anywhere."""
     counted, inside = [], []
     originals = {"cos": np.cos, "sin": np.sin, "exp": np.exp}
 
@@ -293,16 +332,20 @@ def exponentials(monkeypatch):
 
         return call
 
-    def flagged(*args):
-        inside.append(True)
-        try:
-            return _coherent_power(*args)
-        finally:
-            inside.pop()
+    def flagged(function):
+        def call(*args, **kwargs):
+            inside.append(True)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return call
 
     for name in originals:
         monkeypatch.setattr(np, name, counting(name))
-    monkeypatch.setattr(radiation, "_coherent_power", flagged)
+    for name in ("_coherent_power", "_part_column"):
+        monkeypatch.setattr(radiation, name, flagged(getattr(radiation, name)))
     return counted
 
 
@@ -310,9 +353,50 @@ def exponentials(monkeypatch):
     "name, calls", [("pair mirrored", 1), ("three, mirror and origin", 2), ("pair about a base centre", 2)]
 )
 def test_a_mirrored_centre_reuses_its_phase(db, ln, exponentials, name, calls):
-    src, vm, ff, kvec = _kernel_inputs(db, ln, CENTRES[name], [1, -1, 1][: len(CENTRES[name])])
+    """Copies of different dimensions reuse (c, -s); the same copies at r and
+    -r (twins) are an antipodal pair, which evaluates sin alone (signs +-),
+    and twins elsewhere take the same path as the others."""
+    signs = [1, -1, 1][: len(CENTRES[name])]
+    src, vm, ff, kvec = _kernel_inputs(db, ln, CENTRES[name], signs)
+    assert src.part is None
     radiation._coherent_power(src, vm, ff, kvec)
     assert exponentials == [("cos", kvec.shape[0]), ("sin", kvec.shape[0])] * calls
+    exponentials.clear()
+    src, vm, ff, kvec = _kernel_inputs(db, ln, CENTRES[name], signs, twins=True)
+    radiation._coherent_power(src, vm, ff, kvec)
+    if name == "pair mirrored":
+        assert src.part == "sin" and exponentials == [("sin", kvec.shape[0])]
+    else:
+        assert src.part is None and exponentials == [("cos", kvec.shape[0]), ("sin", kvec.shape[0])] * calls
+
+
+# ---------------------------------------------------------------------------
+# An antipodal pair: one phase part, on half the rings of a mirrored table
+
+TWIN_SIGNS = [(1, -1), (-1, 1), (1, 1), (-1, -1)]
+
+
+@pytest.mark.parametrize("signs", TWIN_SIGNS)
+@pytest.mark.parametrize("name", ["pair mirrored", "pair mirrored on an axis"])
+def test_antipodal_pair_equals_the_parent_kernel_bit_for_bit(db, ln, name, signs):
+    """(3, N) blocks over magnitudes from subnormal terms to squares that
+    overflow, with signed zeros: the pair's one part gives the bits of the
+    kernel that evaluated cos and sin, whether the part is passed in or
+    taken from kvec, and the kernel never writes into vm or ff."""
+    src, vm, ff, kvec = _kernel_inputs(db, ln, CENTRES[name], signs, branch=None, twins=True)
+    assert src.part == ("sin" if signs[0] != signs[1] else "cos")
+    with np.errstate(over="ignore", under="ignore"):
+        scale = 10.0 ** np.random.default_rng([s + 1 for s in signs]).uniform(-330.0, 160.0, vm[0].shape)
+        vm = [v * scale for v in vm]
+        part = getattr(np, src.part)(kvec @ src.center[0])
+        term = vm[0] * ff[0] * part
+        assert np.any((term != 0) & (np.abs(term) < np.finfo(float).tiny))
+        assert np.any(np.isinf(4 * term * term))
+        inputs = [x.copy() for x in vm + ff]
+        want = _real_coherent_power(src, vm, ff, kvec)
+        for got in (_coherent_power(src, vm, ff, kvec), _coherent_power(src, vm, ff, None, part)):
+            assert np.array_equal(got, want) and not np.any(np.signbit(got))
+    assert all(np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in zip(vm + ff, inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +448,7 @@ def test_gamma_branches_equals_the_per_branch_pass_bit_for_bit(db, ln, name, cen
 def _with_references(monkeypatch):
     monkeypatch.setattr(radiation, "_sinc_columns", _full_sinc_columns)
     monkeypatch.setattr(radiation, "_coherent_power", _one_phase_each_coherent_power)
+    monkeypatch.setattr(radiation, "_sources", lambda *args: _sources(*args)._replace(part=None))
 
 
 @pytest.mark.parametrize("name, ratio", [("sapphire_iso", 2), ("sapphire", 1)])
@@ -386,19 +471,203 @@ def test_height_sweep_evaluates_half_the_sinc_elements(db, ln, monkeypatch, name
         assert np.array_equal(g.branch_rates, w.branch_rates) and g.diagnostics == w.diagnostics
 
 
+SMALL = np.array([6e-9, 0.02e-6, 0.02e-6])
+PAIR_ELEMENTS = 3 * (32 * 64 + 64 * 128)  # a 32x64 point's two grids, three branches
+
+
+def _phase_counts(exponentials):
+    return {f: sum(n for g, n in exponentials if g == f) for f in ("cos", "sin", "exp")}
+
+
 @pytest.mark.parametrize("name", ["sapphire_iso", "sapphire"])
 def test_dual_pair_point_evaluates_half_the_exponentials(db, ln, monkeypatch, exponentials, name):
+    """One part per node: sin for opposite signs, cos for equal ones, on half
+    the rings of the mirrored sapphire_iso and on all of them on sapphire
+    or for a separation with a z component.  The reference engine takes one
+    np.exp per copy and node."""
     substrate = db[name]
     mode = make_mode(substrate)
-    inc = dataclasses.replace(_inc(ln, (0.0, 0.0, 0.0)), dimensions=np.array([6e-9, 0.02e-6, 0.02e-6]))
+    inc = dataclasses.replace(_inc(ln, (0.0, 0.0, 0.0)), dimensions=SMALL)
     quad = QuadratureSpec(32, 64)
-    got = dual_waveguide_sweep(mode, inc, substrate, [(0.05e-6, 0.0, 0.0)], -1, quad)[0]
-    halved = {name: sum(n for f, n in exponentials if f == name) for name in ("cos", "sin", "exp")}
-    exponentials.clear()
+    for separation, rings in [((0.05e-6, 0.0, 0.0), 2 if name == "sapphire_iso" else 1), ((0.05e-6, 0.0, 0.03e-6), 1)]:
+        for relative_sign, part in [(-1, "sin"), (1, "cos")]:
+            exponentials.clear()
+            got = dual_waveguide_sweep(mode, inc, substrate, [separation], relative_sign, quad)[0]
+            assert _phase_counts(exponentials) == {"cos": 0, "sin": 0, "exp": 0, part: PAIR_ELEMENTS // rings}
+            exponentials.clear()
+            with monkeypatch.context() as patch:
+                _with_references(patch)
+                want = dual_waveguide_sweep(mode, inc, substrate, [separation], relative_sign, quad)[0]
+            assert _phase_counts(exponentials) == {"cos": 0, "sin": 0, "exp": 2 * PAIR_ELEMENTS}
+            assert np.array_equal(got.pair.branch_rates, want.pair.branch_rates)
+            assert np.array_equal(got.single.branch_rates, want.single.branch_rates)
+            assert got.pair.diagnostics == want.pair.diagnostics
+
+
+@dataclasses.dataclass(frozen=True)
+class _Heavier(Inclusion):
+    """An inclusion whose volume is twice its box's."""
+
+    @property
+    def volume(self):
+        return 2 * super().volume
+
+
+def _twin_pair(ln, dims=SMALL, signs=(1, -1), center=(0.05e-6, 0.0, 0.0)):
+    inc = dataclasses.replace(_inc(ln, center, signs[0]), dimensions=dims)
+    return [inc, dataclasses.replace(inc, center=-inc.center, sign=signs[1])]
+
+
+def _not_a_pair(ln, case):
+    """Two or three inclusions that miss the rule by one thing."""
+    first, second = _twin_pair(ln)
+    if case == "dimensions":
+        return [first, dataclasses.replace(second, dimensions=SMALL[[1, 0, 2]])]
+    if case == "strain":
+        turned = Orientation(Orientation.about_axis([0.0, 0.0, 1.0], 0.4).matrix @ XCUT_MATRIX)
+        return [first, dataclasses.replace(second, orientation=turned)]
+    if case == "volume":
+        return [first, _Heavier(**{f.name: getattr(second, f.name) for f in dataclasses.fields(Inclusion)})]
+    return [first, second, dataclasses.replace(first, center=np.zeros(3))]
+
+
+@pytest.mark.parametrize("case, calls", [("dimensions", 1), ("strain", 1), ("volume", 1), ("three", 2)])
+def test_a_near_pair_takes_the_general_path(db, ln, monkeypatch, exponentials, case, calls):
+    """Copies that differ in dimensions (the same volume), strain or volume
+    alone, or a third inclusion: cos and sin at every node, as before."""
+    substrate = db["sapphire_iso"]
+    mode = make_mode(substrate)
+    incs = _not_a_pair(ln, case)
+    assert _sources(mode, incs).part is None and not _sources(mode, incs).centred
+    quad = QuadratureSpec(32, 64)
+    got = radiation.mie_rate(mode, incs, substrate, quad)
+    each = calls * PAIR_ELEMENTS
+    assert _phase_counts(exponentials) == {"cos": each, "sin": each, "exp": 0}
     _with_references(monkeypatch)
-    want = dual_waveguide_sweep(mode, inc, substrate, [(0.05e-6, 0.0, 0.0)], -1, quad)[0]
-    assert halved == {"cos": 3 * (32 * 64 + 64 * 128), "sin": 3 * (32 * 64 + 64 * 128), "exp": 0}
-    assert {f for f, _ in exponentials} == {"exp"}
-    assert sum(n for _, n in exponentials) == 2 * halved["cos"]
+    want = radiation.mie_rate(mode, incs, substrate, quad)
+    assert np.array_equal(got.branch_rates, want.branch_rates) and got.diagnostics == want.diagnostics
+
+
+@pytest.mark.parametrize("center, counts", [((0.1e-6, 0.0, 0.0), 3 * PAIR_ELEMENTS), ((0.0, 0.0, 0.0), 0)])
+def test_an_off_origin_or_zero_separation_pair_keeps_its_path(db, ln, monkeypatch, exponentials, center, counts):
+    """A pair about a non-zero centre (copies at c +- s/2) evaluates cos and
+    sin for both copies, beside the off-centre baseline's one of each; a
+    zero separation stays centred, with no phase."""
+    substrate = db["sapphire_iso"]
+    mode = make_mode(substrate)
+    inc = dataclasses.replace(_inc(ln, center), dimensions=SMALL)
+    separation = (0.05e-6, 0.0, 0.0) if any(center) else (0.0, 0.0, 0.0)
+    quad = QuadratureSpec(32, 64)
+    got = dual_waveguide_sweep(mode, inc, substrate, [separation], -1, quad)[0]
+    assert _phase_counts(exponentials) == {"cos": counts, "sin": counts, "exp": 0}
+    _with_references(monkeypatch)
+    want = dual_waveguide_sweep(mode, inc, substrate, [separation], -1, quad)[0]
     assert np.array_equal(got.pair.branch_rates, want.pair.branch_rates)
-    assert np.array_equal(got.single.branch_rates, want.single.branch_rates)
+    assert got.pair.diagnostics == want.pair.diagnostics
+
+
+def _reference_pass(mode, src, tables, n_theta, n_phi, threads):
+    return _per_branch_gamma(mode, src, tables.substrate, n_theta, n_phi)
+
+
+@pytest.mark.parametrize("relative_sign", [-1, 1])
+@pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
+def test_dual_waveguide_sweep_equals_the_reference_pass_bit_for_bit(db, ln, monkeypatch, name, relative_sign):
+    """Separations along x, with a z component, along y and in the xy plane,
+    with any refinement reruns, against the per-branch pass of the parent
+    engine."""
+    substrate = db[name]
+    mode = make_mode(substrate)
+    inc = dataclasses.replace(_inc(ln, (0.0, 0.0, 0.0)), dimensions=SMALL)
+    seps = [(0.05e-6, 0.0, 0.0), (0.03e-6, 0.0, 0.04e-6), (0.0, 0.07e-6, 0.0), (0.08e-6, -0.06e-6, 0.0)]
+    quad = QuadratureSpec(16, 32)
+    got = dual_waveguide_sweep(mode, inc, substrate, seps, relative_sign, quad)
+    monkeypatch.setattr(radiation, "_gamma_branches", _reference_pass)
+    want = dual_waveguide_sweep(mode, inc, substrate, seps, relative_sign, quad)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.pair.branch_rates, w.pair.branch_rates) and g.pair.diagnostics == w.pair.diagnostics
+        assert np.array_equal(g.single.branch_rates, w.single.branch_rates)
+
+
+@pytest.mark.parametrize("grid", [(48, 96), (9, 5), (3, 683), (5, 683), (4, 512)])
+@pytest.mark.parametrize("signs", [(1, -1), (1, 1)])
+@pytest.mark.parametrize("name", ["sapphire_iso", "silicon", "sapphire"])
+def test_antipodal_pair_pass_equals_the_per_branch_pass_bit_for_bit(db, ln, name, signs, grid):
+    """Partial spans, a half that ends inside a span (48x96), one node past
+    a span (5x683), a grid of 2049 nodes, whose last span is one node, and
+    one of 2048, serial and on three threads.  numpy's matmul gives a
+    one-node span's x by another path, which differs in the last bit from
+    the mirrored ring's for a centre with two non-zero components."""
+    substrate = db[name]
+    mode = make_mode(substrate, f_hz=7.3e9)
+    for dims, center in [([0.5e-6, 1.0e-6, 5.0e-6], (0.04e-6, -0.03e-6, 0.0)), (SMALL, (0.05e-6, 0.0, 0.03e-6))]:
+        src = _sources(mode, _twin_pair(ln, np.array(dims), signs, center))
+        assert src.part == ("sin" if signs[0] != signs[1] else "cos")
+        tables = radiation._SweepTables(substrate)
+        got = radiation._gamma_branches(mode, src, tables, *grid, 1)
+        assert np.array_equal(got, _per_branch_gamma(mode, src, substrate, *grid))
+        assert np.array_equal(radiation._gamma_branches(mode, src, tables, *grid, 3), got)
+
+
+@pytest.mark.parametrize("grid", [(48, 96), (9, 5), (3, 683), (5, 683), (4, 512)])
+@pytest.mark.parametrize("name", ["sapphire_iso", "silicon", "sapphire"])
+def test_part_column_equals_the_per_span_phase_bit_for_bit(db, ln, name, grid):
+    """The column against sin and cos of x = kvec . r as the kernel took it,
+    from kvec of each whole node span: a one-node rate difference can round
+    away in the reduction, so the column is compared node by node."""
+    substrate = db[name]
+    k0 = radiation._wave(substrate, *grid, 2 * np.pi * 7.3e9).k0
+    table = angular_table(substrate, *grid)
+    n = table.khats.shape[0]
+    for center in [(0.04e-6, -0.03e-6, 0.0), (1.3e-7, 0.7e-7, 0.0), (0.05e-6, 0.0, 0.03e-6)]:
+        for signs, part in [((1, -1), np.sin), ((1, 1), np.cos)]:
+            src = _sources(make_mode(substrate), _twin_pair(ln, SMALL, signs, center))
+            spans = [(a, min(a + radiation._CHUNK, n)) for a in range(0, n, radiation._CHUNK)]
+            x = np.concatenate([(k0[:, a:b, None] * table.khats[a:b]) @ src.center[0] for a, b in spans], axis=1)
+            assert np.array_equal(radiation._part_column(src, table, k0, *grid, 1), part(x))
+
+
+@pytest.mark.parametrize("signs", [(1, -1), (-1, -1)])
+def test_brute_force_pair_equals_the_reference_bit_for_bit(db, ln, monkeypatch, signs):
+    """The oracle's pair takes its one part from its own whole-grid kvec; the
+    per-call reference gives the same bits with this kernel and with the
+    kernel that evaluated cos and sin."""
+    substrate = db["sapphire_iso"]
+    mode = make_mode(substrate)
+    incs = _twin_pair(ln, np.array([0.5e-6, 1.0e-6, 5.0e-6]), signs)
+    assert _sources(mode, incs).part == ("sin" if signs[0] != signs[1] else "cos")
+    got = brute_force_rate(mode, incs, substrate)
+    assert got == brute_force_reference(mode, incs, substrate)
+    monkeypatch.setattr(conftest, "_coherent_power", _real_coherent_power)
+    assert got == brute_force_reference(mode, incs, substrate)
+
+
+@pytest.mark.parametrize("signs", [(1, -1), (1, 1)])
+def test_an_infinite_pair_term_keeps_the_general_paths_nan(db, ln, monkeypatch, signs):
+    """With V M past the float range at some nodes, the pair's h * h is inf
+    where the general path's inf - inf is nan.  The volume puts V M 5% past
+    the float range at the oracle's largest |M|, so the nodes that overflow
+    carry weight and the other nodes stay finite: without the reruns on the
+    general path the oracle would give inf and the engine another error."""
+    substrate = db["sapphire_iso"]
+    mode = make_mode(substrate, mode_volume=1e-300)
+    strain = _sources(mode, _twin_pair(ln)).strain[0]
+    table = radiation._oracle_table(substrate)
+    m_max = max(np.max(np.abs(np.einsum("nij,ij->n", table.stress(q), strain))) for q in range(3))
+    side = (1.05 * (np.finfo(float).max / m_max)) ** (1 / 3)
+    incs = _twin_pair(ln, np.full(3, side), signs, center=(3 * side, 0.0, 0.0))
+    assert _sources(mode, incs).part is not None
+    quad = QuadratureSpec(16, 32)
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError) as got:
+            radiation.mie_rate(mode, incs, substrate, quad)
+        oracle = brute_force_rate(mode, incs, substrate)
+        with monkeypatch.context() as patch:
+            _with_references(patch)
+            with pytest.raises(FloatingPointError) as want:
+                radiation.mie_rate(mode, incs, substrate, quad)
+        with monkeypatch.context() as patch:
+            patch.setattr(conftest, "_coherent_power", _real_coherent_power)
+            reference = brute_force_reference(mode, incs, substrate)
+    assert str(got.value) == str(want.value) and "nan" in str(got.value)
+    assert np.isnan(oracle) and np.isnan(reference)
