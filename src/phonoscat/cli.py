@@ -11,13 +11,16 @@ with fitted slopes, regime tags and quadrature diagnostics to standard output.
 
 Exit codes, set for every subcommand in ``main`` alone: 0 success, 2
 configuration error (the message names the offending field or path;
-non-finite numbers and unreadable or unwritable paths are configuration
-errors), 3 numeric failure (quadrature unconverged after the built-in
-refinement cap or before a refinement past the largest grid, a non-finite
-rate or Bragg transfer matrix, a Bragg transmittance below the smallest
-normal double or a rate behind the mirror that leaves the float range, a
-Bragg R + T that misses 1, a ratio over an exactly-zero rate, a failed
-selftest check, or an allocation that runs out of memory).
+non-finite numbers, finite ones that overflow once converted, such as a
+frequency past the float range in rad/s or a direction whose length
+overflows, and unreadable or unwritable paths are configuration errors),
+3 numeric failure (quadrature unconverged after the built-in refinement
+cap or before a refinement past the largest grid, a non-finite rate,
+brute-force total, figure of merit or Bragg transfer matrix, a Bragg
+transmittance below the smallest normal double or a rate behind the mirror
+that leaves the float range, a Bragg R + T that misses 1, a ratio over an
+exactly-zero rate, a failed selftest check, or an allocation that runs out
+of memory).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode, default_eps_eff
-from .materials import MaterialError, MaterialSpec, Orientation, default_materials, load_materials
+from .materials import MaterialError, MaterialSpec, Orientation, default_materials, load_materials, unit_vector
 from .mitigation import BraggStack, _bragg_sweep, dual_waveguide_sweep, mitigated_rate
 from .radiation import (
     _MAX_PHI,
@@ -231,6 +234,15 @@ def _load_db(cfg: dict) -> dict[str, MaterialSpec]:
         raise ConfigError(f"materials_db: {e}") from None
 
 
+def _rad_per_s(f_ghz: float, path: str) -> float:
+    """A frequency in GHz as rad/s, or a ConfigError naming ``path`` when that
+    overflows (Python floats: no numpy warning)."""
+    omega = 2 * np.pi * f_ghz * 1e9
+    if omega == np.inf:
+        raise ConfigError(f"{path}: {f_ghz:g} GHz is too large for a finite angular frequency")
+    return omega
+
+
 def _sweep_values(sweep: dict, axis: str) -> np.ndarray:
     grid = _string(sweep, "grid", "sweep", default="log", choices=("log", "linear"))
     count = _integer(sweep, "count", "sweep", minimum=1, maximum=_MAX_COUNT)
@@ -252,6 +264,9 @@ def _sweep_values(sweep: dict, axis: str) -> np.ndarray:
     if axis in ("frequency_GHz", "height_um", "thickness_um", "separation_um"):
         if not np.all(values > 0):
             raise ConfigError(f"sweep: {axis} values must be positive")
+    if axis == "frequency_GHz":
+        for f_ghz in values:
+            _rad_per_s(float(f_ghz), "sweep")
     return values
 
 
@@ -298,7 +313,7 @@ def load_run_config(path: str) -> RunConfig:
     else:
         eps_eff = _number(mode_cfg, "eps_eff", "mode", positive=True)
     mode = MicrowaveMode(
-        omega0=2 * np.pi * f_ghz * 1e9,
+        omega0=_rad_per_s(f_ghz, "mode.frequency_GHz"),
         mode_volume=v_e * _UM3,
         field_direction=e_dir,
         eps_eff=eps_eff,
@@ -348,7 +363,7 @@ def load_run_config(path: str) -> RunConfig:
 
     dual_cfg = _object(raw.get("dual"), "dual", {"direction", "relative_sign"})
     dual_dir = _vector3(dual_cfg, "direction", "dual", default=[1.0, 0.0, 0.0], nonzero=True)
-    dual_dir = dual_dir / np.linalg.norm(dual_dir)
+    dual_dir = unit_vector(dual_dir, "dual.direction")
     dual_sign = _integer(dual_cfg, "relative_sign", "dual", default=-1)
     if dual_sign not in (1, -1):
         raise ConfigError("dual.relative_sign: must be +1 or -1")
@@ -729,8 +744,8 @@ def main(argv=None) -> int:
 
     A ValueError (a ConfigError, or a library check of an input value) or
     an OSError (a path that cannot be read or written, or a closed standard
-    output) exits 2; a NumericFailure, FloatingPointError or MemoryError
-    exits 3.
+    output) exits 2; a NumericFailure (a non-finite rate among them) or a
+    MemoryError exits 3.  No np.errstate wraps the run.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -738,7 +753,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (NumericFailure, FloatingPointError) as e:
+    except NumericFailure as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
     except MemoryError as e:

@@ -17,6 +17,7 @@ separable, ``FF(k) = s * e^{i k . r0} * prod_i sinc(k_i L_i / 2)``;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from .materials import (
     CONSTANTS, MaterialSpec, Orientation, piezo_voigt_to_tensor, rotate_piezo, strain_voigt_to_tensor,
+    unit_vector,
 )
 
 
@@ -43,13 +45,7 @@ class MicrowaveMode:
             raise ValueError("mode volume must be positive and finite")
         if not 0 < self.eps_eff < np.inf:
             raise ValueError("effective permittivity must be positive and finite")
-        e = np.asarray(self.field_direction, dtype=float)
-        if not np.all(np.isfinite(e)):
-            raise ValueError("field direction must be finite")
-        n = np.linalg.norm(e)
-        if n == 0:
-            raise ValueError("field direction must be nonzero")
-        e = e / n
+        e = unit_vector(self.field_direction, "field direction")
         e.setflags(write=False)
         object.__setattr__(self, "field_direction", e)
         denominator = 2 * CONSTANTS.eps0 * self.eps_eff * self.mode_volume  # may underflow to zero
@@ -89,6 +85,8 @@ class Inclusion:
         r0 = np.asarray(self.center, dtype=float)
         if L.shape != (3,) or not np.all((L > 0) & (L < np.inf)):
             raise ValueError("inclusion dimensions must be three positive finite lengths")
+        if not math.prod(L.tolist()) < math.inf:  # Python floats: an overflow gives inf, with no warning
+            raise ValueError("inclusion volume must be finite")
         if r0.shape != (3,) or not np.all(np.isfinite(r0)):
             raise ValueError("inclusion center must be a finite 3-vector")
         if self.sign not in (1, -1):
@@ -131,11 +129,7 @@ def geometry_factor(field_direction, d, stress_directions) -> float | np.ndarray
     ``stress_directions`` is one 3x3 stress or a stack of shape (..., 3, 3),
     and G has the stack's leading shape: a scalar for a single stress.
     """
-    e = np.asarray(field_direction, dtype=float)
-    en = np.linalg.norm(e)
-    if en == 0:
-        raise ValueError("field direction must be nonzero")
-    e = e / en
+    e = unit_vector(field_direction, "field direction")
     dt = piezo_voigt_to_tensor(d)
     dn2 = float(np.sum(dt * dt))
     T = np.asarray(stress_directions, dtype=float)

@@ -61,6 +61,18 @@ class PhysicalConstants:
 CONSTANTS = PhysicalConstants()
 
 
+def unit_vector(v, what: str, error: type[ValueError] = ValueError) -> np.ndarray:
+    """``v / np.linalg.norm(v)``, or ``error`` naming ``what`` when that
+    length is zero or not finite (a component past about 1e154 overflows
+    it), with no numpy warning."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(v)
+    if not 0 < norm < np.inf:
+        raise error(f"{what} must be finite and nonzero in length")
+    return v / norm
+
+
 def _as_matrix(x, shape, what: str) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.shape != shape:
@@ -72,7 +84,8 @@ def _as_matrix(x, shape, what: str) -> np.ndarray:
 
 def _check_rotation(R) -> np.ndarray:
     R = _as_matrix(R, (3, 3), "rotation matrix")
-    if np.max(np.abs(R.T @ R - np.eye(3))) > _ORTHONORMALITY_TOL:
+    # an entry past 1 + tol fails either way; checked first, R.T @ R cannot overflow
+    if np.abs(R).max() > 1 + _ORTHONORMALITY_TOL or np.max(np.abs(R.T @ R - np.eye(3))) > _ORTHONORMALITY_TOL:
         raise MaterialError("rotation matrix is not orthonormal to 1e-12")
     if abs(np.linalg.det(R) - 1.0) > _ORTHONORMALITY_TOL:
         raise MaterialError("rotation matrix must be proper (det = +1)")
@@ -97,11 +110,7 @@ class Orientation:
     @staticmethod
     def about_axis(axis, angle: float) -> "Orientation":
         """Right-handed rotation by ``angle`` (radians) about ``axis``."""
-        n = np.asarray(axis, dtype=float)
-        norm = np.linalg.norm(n)
-        if norm == 0:
-            raise MaterialError("rotation axis must be nonzero")
-        n = n / norm
+        n = unit_vector(axis, "rotation axis", MaterialError)
         K = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
         R = np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * (K @ K)
         return Orientation(R)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode
 from .elastodynamics import christoffel_many
-from .materials import MaterialSpec
+from .materials import MaterialSpec, unit_vector
 from .radiation import NumericFailure, QuadratureSpec, RadiationResult, _rates, _require_nonzero
 
 # How far R + T may miss 1 before bragg_transmission calls a mirror not lossless.
@@ -196,13 +196,9 @@ class BraggStack:
         a quarter wavelength at the center frequency ``center_frequency`` (Hz).
         The incidence and exit media are both the substrate.
         """
-        if not center_frequency > 0:
-            raise ValueError("center frequency must be positive")
-        normal = np.asarray(normal, dtype=float)
-        norm = np.linalg.norm(normal)
-        if norm == 0:
-            raise ValueError("stack normal must be nonzero")
-        khat = normal / norm
+        if not 0 < center_frequency < np.inf:
+            raise ValueError("center frequency must be positive and finite")
+        khat = unit_vector(normal, "stack normal")
 
         def longitudinal_speed(mat: MaterialSpec) -> float:
             return float(christoffel_many(mat, khat[None, :])[0][0, 2])

@@ -115,7 +115,7 @@ _MAX_THETA, _MAX_PHI = 1024, 2048
 
 
 class NumericFailure(Exception):
-    """No finite answer: unconverged quadrature, or a ratio over a zero rate."""
+    """No finite answer: unconverged quadrature, a non-finite rate, or a ratio over a zero rate."""
 
 
 def _require_nonzero(rate: float, what: str, consequence: str) -> None:
@@ -161,7 +161,7 @@ class QuadratureDiagnostics:
 
 @dataclass(frozen=True)
 class RadiationResult:
-    """Finite radiated rate per branch; its total and Q = omega0 / Gamma (inf at 0).
+    """Finite radiated rate per branch, else NumericFailure; its total and Q = omega0 / Gamma (inf at 0).
 
     On an isotropic substrate the two shear branches are degenerate at every
     node, and ``eigh`` returns an arbitrary basis of that plane there.  So
@@ -177,7 +177,7 @@ class RadiationResult:
     def __post_init__(self):
         br = np.asarray(self.branch_rates, dtype=float)
         if not np.all(np.isfinite(br)):
-            raise FloatingPointError(f"non-finite radiated rate per branch: {br}")
+            raise NumericFailure(f"non-finite radiated rate per branch: {br}")
         br.setflags(write=False)
         object.__setattr__(self, "branch_rates", br)
 
@@ -275,15 +275,13 @@ def _coherent_power(
     An antipodal pair (``src.part``) has one term t for both copies, so that
     sum is (+-(t c -+ t c), +-(t s +- t s)): one part is x - x = +0 and the
     other +-(h), h = t p + t p with p = ``src.part`` of x.  The square is
-    h * h bit for bit (+0 + y * y == y * y), so only ``vm[0]``, ``ff[0]`` and
-    one transcendental are read: ``part``, p at the nodes (the engine's
-    ``_part_column``), or with ``part`` None p of ``kvec``.  That holds for
-    finite t; an infinite t gives h * h = inf where the general path gives
-    nan, and ``_gamma_branches`` reruns such a grid on the general path.
+    h * h bit for bit (+0 + y * y == y * y) for finite t (an infinite one gives
+    inf where the general path gives nan), so only ``vm[0]``, ``ff[0]`` and
+    ``part``, p at the nodes (the engine's ``_part_column``), are read.
     """
     if src.part is not None:
         h = vm[0] * ff[0]
-        h *= getattr(np, src.part)(kvec @ src.center[0]) if part is None else part
+        h *= part
         h += h
         h *= h
         return h
@@ -324,8 +322,14 @@ def _each_span(n: int, threads: int, work) -> None:
     spans = [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
     if threads > 1 and len(spans) > 1:
         from concurrent.futures import ThreadPoolExecutor  # imported only when a pool runs
+        state = np.geterr()  # a pool thread does not inherit the caller's np.errstate
+
+        def task(span):
+            with np.errstate(**state):
+                work(*span)
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda span: work(*span), spans))
+            list(pool.map(task, spans))
     else:
         for a, b in spans:
             work(a, b)
@@ -542,11 +546,7 @@ def _gamma_branches(
 
     _each_span(n, threads, work)
     # fixed-order pairwise reduction: deterministic for any thread count
-    rates = np.array([np.add.reduce(grid.weights * values[q]) for q in range(3)])
-    if src.part is not None and not np.all(np.isfinite(rates)):
-        # an infinite V M: the general path's inf - inf gives nan where the pair's h * h is inf
-        return _gamma_branches(mode, src._replace(part=None), tables, n_theta, n_phi, threads)
-    return rates
+    return np.array([np.add.reduce(grid.weights * values[q]) for q in range(3)])
 
 
 def min_phase_velocity(substrate: MaterialSpec) -> float:
@@ -599,13 +599,14 @@ def mie_rate(
     """
     quad = quad or QuadratureSpec()
     incs = _as_inclusion_list(inclusions)
-    src = _sources(mode, incs)
     if tables is None:
         tables = _SweepTables(substrate)
-    coarse = _gamma_branches(mode, src, tables, quad.n_theta, quad.n_phi, quad.threads)
-    fine = _gamma_branches(mode, src, tables, 2 * quad.n_theta, 2 * quad.n_phi, quad.threads)
-    total = float(np.sum(fine))
-    rel = abs(total - float(np.sum(coarse))) / total if total > 0 else 0.0
+    with np.errstate(all="ignore"):  # RadiationResult refuses overflow; "all" skips numpy's status checks
+        src = _sources(mode, incs)
+        coarse = _gamma_branches(mode, src, tables, quad.n_theta, quad.n_phi, quad.threads)
+        fine = _gamma_branches(mode, src, tables, 2 * quad.n_theta, 2 * quad.n_phi, quad.threads)
+        total = float(np.sum(fine))
+        rel = abs(total - float(np.sum(coarse))) / total if total > 0 else 0.0
     diag = QuadratureDiagnostics(
         n_theta=2 * quad.n_theta, n_phi=2 * quad.n_phi, rel_error=rel, converged=rel <= quad.tolerance
     )
@@ -690,14 +691,16 @@ def rayleigh_rate(
     v_l = np.sqrt((lam + 2 * mu) / rho)
     E = mode.field_zp * mode.field_direction
     a = induced_strain(inclusion.d_lab, E)
-    t = float(np.trace(a))
-    s2 = float(np.sum(a * a))
-    m2_long = lam**2 * t**2 + (4 * lam * mu / 3) * t**2 + (4 * mu**2 / 15) * (t**2 + 2 * s2)
-    m2_shear = (4 * mu**2 / 15) * (3 * s2 - t**2)
-    pref = inclusion.volume**2 * mode.omega0**3 / (2 * np.pi * CONSTANTS.hbar * rho)
-    gamma_l = pref * m2_long / v_l**5
-    gamma_t = pref * m2_shear / v_t**5
-    rates = np.array([gamma_t / 2, gamma_t / 2, gamma_l])
+    # float64, not Python float, powers: an overflow gives inf, which RadiationResult refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.trace(a)
+        s2 = np.sum(a * a)
+        m2_long = lam**2 * t**2 + (4 * lam * mu / 3) * t**2 + (4 * mu**2 / 15) * (t**2 + 2 * s2)
+        m2_shear = (4 * mu**2 / 15) * (3 * s2 - t**2)
+        pref = np.float64(inclusion.volume) ** 2 * np.float64(mode.omega0) ** 3 / (2 * np.pi * CONSTANTS.hbar * rho)
+        gamma_l = pref * m2_long / v_l**5
+        gamma_t = pref * m2_shear / v_t**5
+        rates = np.array([gamma_t / 2, gamma_t / 2, gamma_l])
     diag = QuadratureDiagnostics(n_theta=0, n_phi=0, rel_error=0.0, converged=True)
     return RadiationResult(mode.omega0, rates, regime_label(mode.omega0, [inclusion], substrate), diag)
 
@@ -743,7 +746,8 @@ def brute_force_rate(
     V_T is 1 (it cancels), and every caller shares the fixed ``_BRUTE_*`` grid.
 
     The substrate is solved once per process (``_oracle_table``), so each
-    call pays only the radial loop.
+    call pays only the radial loop.  A pair takes the general sum, not the
+    engine's one-part rule.  A non-finite total raises NumericFailure.
     """
     incs = _as_inclusion_list(inclusions)
     omega0 = mode.omega0
@@ -760,8 +764,9 @@ def brute_force_rate(
 
     f3d = 1 / (8 * np.pi**3)
 
-    def radial_sum(src: _Sources) -> float:
-        total = 0.0
+    total = 0.0
+    with np.errstate(all="ignore"):  # as in mie_rate; the gate below refuses what overflows
+        src = _sources(mode, incs)._replace(part=None)
         for q in range(3):
             v = np.ascontiguousarray(table.velocities[:, q])  # a row: the radial loop reads it 33 times
             tau = table.stress(q)
@@ -778,12 +783,8 @@ def brute_force_rate(
                 hg_sq = (k_sq * u0_sq) * _coherent_power(src, vm, ff, kvec)
                 f = (2 * np.pi / hbar**2) * f3d * hg_sq * gauss[i]
                 total += w_xi[i] * float(np.add.reduce(w_ang * k_sq * dk * f))
-        return total
-
-    src = _sources(mode, incs)
-    total = radial_sum(src)
-    if src.part is not None and not np.isfinite(total):
-        total = radial_sum(src._replace(part=None))  # an infinite V M, as in _gamma_branches
+    if not np.isfinite(total):
+        raise NumericFailure(f"non-finite brute-force rate: {total}")
     return total
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .coupling import Inclusion, MicrowaveMode, geometry_factor
 from .elastodynamics import angular_table
 from .materials import MaterialSpec, Orientation
-from .radiation import QuadratureSpec, RadiationResult, SweepResult, _rates
+from .radiation import NumericFailure, QuadratureSpec, RadiationResult, SweepResult, _rates
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,18 @@ def figure_of_merit(eo: EoModel, mode: MicrowaveMode, radiation: RadiationResult
     """eta = (g_MO / 2 pi)^2 * Q in Hz^2, ordinary-frequency convention.
 
     ``radiation`` must have been computed for the same ``mode`` so that the
-    mode-volume dependences of g_MO and Q refer to the same resonator.
+    mode-volume dependences of g_MO and Q refer to the same resonator.  An
+    eta that is not finite (past the float range, or the Q of a zero rate)
+    raises NumericFailure.
     """
     g = eo.g_mo(mode.mode_volume)
-    return (g / (2 * np.pi)) ** 2 * radiation.q_factor
+    q = radiation.q_factor
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_sq = (g / (2 * np.pi)) ** 2
+        eta = g_sq * q
+    if not np.isfinite(eta):
+        raise NumericFailure(f"non-finite figure of merit: (g_MO / 2 pi)^2 = {g_sq:.3g} Hz^2, Q = {q:.3g}")
+    return eta
 
 
 @dataclass(frozen=True)

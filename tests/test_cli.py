@@ -765,6 +765,42 @@ class TestNumericFailure:
         assert err.startswith("numeric failure: non-finite radiated rate")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "signs, pair, grid, threads, rates",
+        [
+            ((1, -1), True, (8, 16), 1, "[inf inf inf]"),
+            ((1, 1), True, (8, 16), 1, "[inf inf inf]"),
+            ((1, -1), False, (8, 16), 1, "[nan nan nan]"),
+            ((1, -1), True, (32, 64), 2, "[inf inf inf]"),
+        ],
+        ids=["pair-opposite", "pair-equal", "general", "pair-threads"],
+    )
+    def test_overflowing_pair_exits_3_with_one_line(self, tmp_path, capsys, signs, pair, grid, threads, rates):
+        """Two 1e66 um cuboids at +-3e66 um with V_E = 1e-282 um^3: V M
+        overflows.  An antipodal pair's one part gives inf, a copy of
+        other dimensions takes the general sum and gives nan, and a pool
+        thread runs under the pass's error state: one message, no numpy
+        warning, nothing written."""
+        cube = {"material": "lithium_niobate", "dimensions_um": [1e66] * 3, "orientation": XCUT}
+        other = dict(cube, dimensions_um=[1e66] * 3 if pair else [1e66, 1e66, 0.5e66])
+        cfg = base_config(
+            scenario="mie",
+            inclusions=[
+                dict(cube, center_um=[3e66, 0, 0], sign=signs[0]),
+                dict(other, center_um=[-3e66, 0, 0], sign=signs[1]),
+            ],
+            quadrature={"n_theta": grid[0], "n_phi": grid[1], "threads": threads},
+        )
+        cfg["mode"]["mode_volume_um3"] = 1e-282
+        cfg["sweep"] = {"axis": "frequency_GHz", "grid": "log", "start": 10.0, "stop": 10.0, "count": 1}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, cfg)
+        assert code == 3
+        assert capsys.readouterr().err == f"numeric failure: non-finite radiated rate per branch: {rates}\n"
+        assert caught == []
+        assert not out.exists()
+
     def test_out_of_memory_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
         import phonoscat.cli as cli
 
@@ -911,13 +947,26 @@ class TestRefinementPath:
         # one single-inclusion rate and four pair rates, none refined
         assert calls == [True] * 5
 
-    def test_overflowing_frequency_is_a_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "field, path",
+        [("mode", "mode.frequency_GHz"), ("stop", "sweep")],
+        ids=["mode", "sweep"],
+    )
+    def test_overflowing_frequency_is_a_config_error(self, tmp_path, capsys, field, path):
+        """Finite in GHz, but omega0 overflows: one message that names the
+        field, and no numpy warning."""
         cfg = base_config()
-        cfg["mode"]["frequency_GHz"] = 1e300  # finite, but omega0 overflows
-        code, _ = run_cli(tmp_path, cfg)
-        err = capsys.readouterr().err
+        if field == "mode":
+            cfg["mode"]["frequency_GHz"] = 1e300
+        else:
+            cfg["sweep"]["stop"] = 1e300
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run_cli(tmp_path, cfg)
         assert code == 2
-        assert err.startswith("config error: mode frequency must be positive and finite")
+        err = capsys.readouterr().err
+        assert err == f"config error: {path}: 1e+300 GHz is too large for a finite angular frequency\n"
+        assert caught == []
 
 
 class TestMaterialsEnvAndValidate:

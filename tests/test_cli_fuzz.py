@@ -1,6 +1,7 @@
 """Input fuzz: whatever a config file holds, ``phonoscat run`` ends with a
 documented exit code (0 success, 2 configuration error, 3 numeric failure)
-and never with a traceback, and a run that succeeds writes no ``nan`` cell;
+and never with a traceback, and a run that succeeds writes no ``nan`` cell
+and no ``inf`` outside the columns where the README documents one;
 whatever a materials file holds, ``phonoscat materials validate`` ends with
 0 or 2.
 
@@ -11,7 +12,8 @@ every size bound, a field removed, a sweep axis that belongs to another
 scenario, or the name of a stock material that is not piezoelectric
 (``sapphire``), whose inclusion radiates exactly nothing.  Grids stay at
 8x16 nodes or fewer and sweeps at three points or fewer, so every example
-runs in a fraction of a second.  Each materials
+runs in a fraction of a second.  A sweep of its own sets each number of
+each valid config, one at a time, to 1e300.  Each materials
 example is random bytes, a truncated copy of the bundled database, or a copy
 with one or two of its fields mutated the same way.
 """
@@ -19,6 +21,7 @@ with one or two of its fields mutated the same way.
 import copy
 import csv
 import json
+import warnings
 from importlib import resources
 
 from hypothesis import HealthCheck, given, settings
@@ -160,6 +163,40 @@ def test_fuzzed_config_exits_0_2_or_3(tmp_path, cfg):
     assert code in (0, 2, 3)
     if code == 0:
         assert _nan_cells(out) == []
+        assert _inf_cells(out) == []
+
+
+def _numeric_leaves(cfg):
+    """The (container path, key) of every number in a config, booleans aside."""
+    for path, key in _paths(cfg):
+        node = cfg
+        for step in path:
+            node = node[step]
+        if isinstance(node[key], (int, float)) and not isinstance(node[key], bool):
+            yield path, key
+
+
+def test_every_number_at_1e300(tmp_path):
+    """Each number of each base config, one at a time, set to 1e300: finite,
+    but past the float range once squared or converted to SI.  Every run
+    ends with 0, 2 or 3, prints no numpy warning, and writes no nan and no
+    inf outside the documented columns."""
+    runs = 0
+    for i, base in enumerate(BASES):
+        for path, key in _numeric_leaves(base):
+            cfg = copy.deepcopy(base)
+            _mutate(cfg, path, key, "replace", 1e300)
+            where = (base["scenario"], *path, key)
+            config, out = tmp_path / f"{i}-{runs}.json", tmp_path / f"{i}-{runs}.csv"
+            config.write_text(json.dumps(cfg))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["run", str(config), "--out", str(out)]) in (0, 2, 3), where
+            assert [str(w.message) for w in caught] == [], where
+            assert _nan_cells(out) == [], where
+            assert _inf_cells(out) == [], where
+            runs += 1
+    assert runs == 217
 
 
 MATERIALS = (resources.files("phonoscat") / "data" / "materials.json").read_bytes()

@@ -354,8 +354,9 @@ def exponentials(monkeypatch):
 )
 def test_a_mirrored_centre_reuses_its_phase(db, ln, exponentials, name, calls):
     """Copies of different dimensions reuse (c, -s); the same copies at r and
-    -r (twins) are an antipodal pair, which evaluates sin alone (signs +-),
-    and twins elsewhere take the same path as the others."""
+    -r (twins) are an antipodal pair, whose one part (sin for signs +-) the
+    caller passes in, so the kernel evaluates no phase; twins elsewhere take
+    the same path as the others."""
     signs = [1, -1, 1][: len(CENTRES[name])]
     src, vm, ff, kvec = _kernel_inputs(db, ln, CENTRES[name], signs)
     assert src.part is None
@@ -363,9 +364,10 @@ def test_a_mirrored_centre_reuses_its_phase(db, ln, exponentials, name, calls):
     assert exponentials == [("cos", kvec.shape[0]), ("sin", kvec.shape[0])] * calls
     exponentials.clear()
     src, vm, ff, kvec = _kernel_inputs(db, ln, CENTRES[name], signs, twins=True)
-    radiation._coherent_power(src, vm, ff, kvec)
+    part = None if src.part is None else getattr(np, src.part)(kvec @ src.center[0])
+    radiation._coherent_power(src, vm, ff, kvec, part)
     if name == "pair mirrored":
-        assert src.part == "sin" and exponentials == [("sin", kvec.shape[0])]
+        assert src.part == "sin" and exponentials == []
     else:
         assert src.part is None and exponentials == [("cos", kvec.shape[0]), ("sin", kvec.shape[0])] * calls
 
@@ -380,9 +382,9 @@ TWIN_SIGNS = [(1, -1), (-1, 1), (1, 1), (-1, -1)]
 @pytest.mark.parametrize("name", ["pair mirrored", "pair mirrored on an axis"])
 def test_antipodal_pair_equals_the_parent_kernel_bit_for_bit(db, ln, name, signs):
     """(3, N) blocks over magnitudes from subnormal terms to squares that
-    overflow, with signed zeros: the pair's one part gives the bits of the
-    kernel that evaluated cos and sin, whether the part is passed in or
-    taken from kvec, and the kernel never writes into vm or ff."""
+    overflow, with signed zeros: the pair's one part, passed in, gives the
+    bits of the kernel that evaluated cos and sin, the kernel reads no kvec,
+    and it never writes into vm or ff."""
     src, vm, ff, kvec = _kernel_inputs(db, ln, CENTRES[name], signs, branch=None, twins=True)
     assert src.part == ("sin" if signs[0] != signs[1] else "cos")
     with np.errstate(over="ignore", under="ignore"):
@@ -394,8 +396,8 @@ def test_antipodal_pair_equals_the_parent_kernel_bit_for_bit(db, ln, name, signs
         assert np.any(np.isinf(4 * term * term))
         inputs = [x.copy() for x in vm + ff]
         want = _real_coherent_power(src, vm, ff, kvec)
-        for got in (_coherent_power(src, vm, ff, kvec), _coherent_power(src, vm, ff, None, part)):
-            assert np.array_equal(got, want) and not np.any(np.signbit(got))
+        got = _coherent_power(src, vm, ff, None, part)
+        assert np.array_equal(got, want) and not np.any(np.signbit(got))
     assert all(np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in zip(vm + ff, inputs))
 
 
@@ -628,27 +630,31 @@ def test_part_column_equals_the_per_span_phase_bit_for_bit(db, ln, name, grid):
 
 
 @pytest.mark.parametrize("signs", [(1, -1), (-1, -1)])
-def test_brute_force_pair_equals_the_reference_bit_for_bit(db, ln, monkeypatch, signs):
-    """The oracle's pair takes its one part from its own whole-grid kvec; the
-    per-call reference gives the same bits with this kernel and with the
-    kernel that evaluated cos and sin."""
+def test_brute_force_pair_equals_the_reference_bit_for_bit(db, ln, monkeypatch, exponentials, signs):
+    """The oracle takes the general sum for a pair, a cosine and a sine at
+    every node, not the engine's one part, so that rule is checked against a
+    path that does not share it; the per-call reference gives the same bits
+    with this kernel and with the kernel that evaluated cos and sin."""
     substrate = db["sapphire_iso"]
     mode = make_mode(substrate)
     incs = _twin_pair(ln, np.array([0.5e-6, 1.0e-6, 5.0e-6]), signs)
     assert _sources(mode, incs).part == ("sin" if signs[0] != signs[1] else "cos")
     got = brute_force_rate(mode, incs, substrate)
+    nodes = 3 * radiation._BRUTE_RADIAL * radiation._BRUTE_THETA * radiation._BRUTE_PHI
+    assert _phase_counts(exponentials) == {"cos": nodes, "sin": nodes, "exp": 0}
     assert got == brute_force_reference(mode, incs, substrate)
     monkeypatch.setattr(conftest, "_coherent_power", _real_coherent_power)
     assert got == brute_force_reference(mode, incs, substrate)
 
 
 @pytest.mark.parametrize("signs", [(1, -1), (1, 1)])
-def test_an_infinite_pair_term_keeps_the_general_paths_nan(db, ln, monkeypatch, signs):
+def test_an_infinite_pair_term_fails_the_finite_result_gates(db, ln, signs):
     """With V M past the float range at some nodes, the pair's h * h is inf
-    where the general path's inf - inf is nan.  The volume puts V M 5% past
+    and the general path's inf - inf is nan.  The volume puts V M 5% past
     the float range at the oracle's largest |M|, so the nodes that overflow
-    carry weight and the other nodes stay finite: without the reruns on the
-    general path the oracle would give inf and the engine another error."""
+    carry weight and the other nodes stay finite.  The engine and the
+    oracle each raise NumericFailure, with no numpy warning (the suite turns
+    one into an error)."""
     substrate = db["sapphire_iso"]
     mode = make_mode(substrate, mode_volume=1e-300)
     strain = _sources(mode, _twin_pair(ln)).strain[0]
@@ -657,17 +663,7 @@ def test_an_infinite_pair_term_keeps_the_general_paths_nan(db, ln, monkeypatch, 
     side = (1.05 * (np.finfo(float).max / m_max)) ** (1 / 3)
     incs = _twin_pair(ln, np.full(3, side), signs, center=(3 * side, 0.0, 0.0))
     assert _sources(mode, incs).part is not None
-    quad = QuadratureSpec(16, 32)
-    with np.errstate(all="ignore"):
-        with pytest.raises(FloatingPointError) as got:
-            radiation.mie_rate(mode, incs, substrate, quad)
-        oracle = brute_force_rate(mode, incs, substrate)
-        with monkeypatch.context() as patch:
-            _with_references(patch)
-            with pytest.raises(FloatingPointError) as want:
-                radiation.mie_rate(mode, incs, substrate, quad)
-        with monkeypatch.context() as patch:
-            patch.setattr(conftest, "_coherent_power", _real_coherent_power)
-            reference = brute_force_reference(mode, incs, substrate)
-    assert str(got.value) == str(want.value) and "nan" in str(got.value)
-    assert np.isnan(oracle) and np.isnan(reference)
+    with pytest.raises(radiation.NumericFailure, match=r"non-finite radiated rate per branch: \[inf inf inf\]"):
+        radiation.mie_rate(mode, incs, substrate, QuadratureSpec(8, 16))
+    with pytest.raises(radiation.NumericFailure, match="non-finite brute-force rate: nan"):
+        brute_force_rate(mode, incs, substrate)

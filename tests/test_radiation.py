@@ -511,7 +511,7 @@ class TestNonFiniteRates:
     def test_result_refuses_non_finite_rate(self, bad):
         """Built directly, not only through an engine."""
         diag = QuadratureDiagnostics(n_theta=2, n_phi=4, rel_error=0.0, converged=True)
-        with pytest.raises(FloatingPointError, match="non-finite"):
+        with pytest.raises(NumericFailure, match="non-finite"):
             RadiationResult(1e10, np.array([1.0, bad, 1.0]), "mie", diag)
 
 
