@@ -19,8 +19,15 @@ mean the same exit code, report and CSV bytes on every variant:
 
 ``--compare OLD.json`` also names each variant whose exit code, report or
 CSV differs from OLD.json, or that only one of the two files has, and exits
-1 if there is any.  ``--only`` runs the slots named ``workload/slot`` alone,
-and compares only their variants.
+1 if there is any.  ``--check-references`` names each variant whose exit
+code or CSV misses the reference stored beside its config, judged as the
+benchmark judges a run (``harness.csv_matches``), and exits 1 if there is
+any; OUT is then optional:
+
+    PYTHONPATH=src python scripts/variant_outputs.py --check-references
+
+``--only`` runs the slots named ``workload/slot`` alone, and compares and
+checks only their variants.
 """
 
 import argparse
@@ -37,6 +44,17 @@ import harness  # noqa: E402
 import workloads  # noqa: E402
 
 
+def stored_variants(only=None):
+    """(name, variant) of each stored variant, in file order."""
+    for path in sorted(workloads.REFERENCE_DIR.glob("*.json")):
+        pool = json.loads(path.read_text(encoding="utf-8"))
+        for slot in pool["slots"]:
+            if only is not None and f"{pool['workload']}/{slot['name']}" not in only:
+                continue
+            for index, variant in enumerate(slot["variants"]):
+                yield f"{pool['workload']}/{slot['name']}/{index}", variant
+
+
 def variant_outputs(only=None) -> dict[str, list]:
     """The [exit code, report, csv] of each stored variant, by name; csv is
     None when the run wrote none."""
@@ -44,18 +62,29 @@ def variant_outputs(only=None) -> dict[str, list]:
     os.environ.pop("PHONOSCAT_MATERIALS", None)  # the bundled database, as the references used
     with tempfile.TemporaryDirectory() as tmp:
         config, csv = Path(tmp) / "config.json", Path(tmp) / "out.csv"
-        for path in sorted(workloads.REFERENCE_DIR.glob("*.json")):
-            pool = json.loads(path.read_text(encoding="utf-8"))
-            for slot in pool["slots"]:
-                if only is not None and f"{pool['workload']}/{slot['name']}" not in only:
-                    continue
-                for index, variant in enumerate(slot["variants"]):
-                    config.write_bytes(workloads.config_bytes(variant["config"]))
-                    csv.unlink(missing_ok=True)
-                    code, report = harness.run_config(cli, config, csv)
-                    text = csv.read_text(encoding="utf-8") if csv.exists() else None
-                    outputs[f"{pool['workload']}/{slot['name']}/{index}"] = [code, report.replace(tmp, "<tmp>"), text]
+        for name, variant in stored_variants(only):
+            config.write_bytes(workloads.config_bytes(variant["config"]))
+            csv.unlink(missing_ok=True)
+            code, report = harness.run_config(cli, config, csv)
+            text = csv.read_text(encoding="utf-8") if csv.exists() else None
+            outputs[name] = [code, report.replace(tmp, "<tmp>"), text]
     return outputs
+
+
+def reference_failures(outputs: dict[str, list], only=None) -> list[str]:
+    """One line per stored variant whose exit code or CSV misses its stored
+    reference, as the benchmark judges it (``harness.csv_matches``)."""
+    lines = []
+    for name, variant in stored_variants(only):
+        code, _, text = outputs[name]
+        parts = []
+        if code != variant["exit"]:
+            parts.append("exit code")
+        if not harness.csv_matches(text, variant["csv"]):
+            parts.append("csv")
+        if parts:
+            lines.append(f"{name}: misses its reference in {', '.join(parts)}")
+    return lines
 
 
 def differences(old: dict[str, list], new: dict[str, list]) -> list[str]:
@@ -73,10 +102,16 @@ def differences(old: dict[str, list], new: dict[str, list]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", help="JSON file to write")
+    parser.add_argument("out", nargs="?", help="JSON file to write (optional with --check-references)")
     parser.add_argument("--only", nargs="+", metavar="WORKLOAD/SLOT", help="run only these slots")
     parser.add_argument("--compare", metavar="OLD.json", help="name every variant that differs from OLD.json")
+    parser.add_argument(
+        "--check-references", action="store_true",
+        help="name every variant whose exit code or CSV misses its stored reference",
+    )
     args = parser.parse_args(argv)
+    if args.out is None and not args.check_references:
+        parser.error("OUT is required unless --check-references is given")
     only = set(args.only) if args.only else None
     old = json.loads(Path(args.compare).read_text(encoding="utf-8")) if args.compare else None
     if old is not None and only is not None:
@@ -84,14 +119,20 @@ def main(argv=None) -> int:
     outputs = variant_outputs(only)
     if not outputs:
         parser.error(f"no stored variant matches {args.only}")
-    Path(args.out).write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    failed = sum(code != 0 for code, _, _ in outputs.values())
-    print(f"{len(outputs)} variants written to {args.out}, {failed} with a non-zero exit")
-    if old is None:
-        return 0
-    lines = differences(old, outputs)
-    compared = len(old.keys() | outputs.keys())
-    print("\n".join(lines + [f"{len(lines)} of {compared} variants differ from {args.compare}"]))
+    if args.out is not None:
+        Path(args.out).write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        failed = sum(code != 0 for code, _, _ in outputs.values())
+        print(f"{len(outputs)} variants written to {args.out}, {failed} with a non-zero exit")
+    lines = []
+    if old is not None:
+        diffs = differences(old, outputs)
+        compared = len(old.keys() | outputs.keys())
+        print("\n".join(diffs + [f"{len(diffs)} of {compared} variants differ from {args.compare}"]))
+        lines += diffs
+    if args.check_references:
+        misses = reference_failures(outputs, only)
+        print("\n".join(misses + [f"{len(misses)} of {len(outputs)} variants miss their stored reference"]))
+        lines += misses
     return 1 if lines else 0
 
 

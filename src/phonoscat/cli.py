@@ -150,8 +150,10 @@ def _vector3(d: dict, key: str, path: str, default=None, positive=False, nonzero
         raise ConfigError(f"{path}.{key}: components must be finite")
     if positive and not np.all(arr > 0):
         raise ConfigError(f"{path}.{key}: components must be positive")
-    if nonzero and not np.any(arr):
-        raise ConfigError(f"{path}.{key}: must be nonzero")
+    if nonzero:  # a direction
+        if not np.any(arr):
+            raise ConfigError(f"{path}.{key}: must be nonzero")
+        unit_vector(arr, f"{path}.{key}", ConfigError)  # a length past the float range
     return arr
 
 
@@ -333,15 +335,11 @@ def load_run_config(path: str) -> RunConfig:
         if sign not in (1, -1):
             raise ConfigError(f"{p}.sign: must be +1 or -1")
         ori = _orientation(inc_cfg.get("orientation"), f"{p}.orientation")
-        inclusions.append(
-            Inclusion(
-                dimensions=dims * _UM,
-                center=center * _UM,
-                material=mat,
-                orientation=ori,
-                sign=sign,
-            )
-        )
+        try:
+            inc = Inclusion(dimensions=dims * _UM, center=center * _UM, material=mat, orientation=ori, sign=sign)
+        except ValueError as e:  # the cuboid's volume overflows
+            raise ConfigError(f"{p}: {e}") from None
+        inclusions.append(inc)
 
     sweep = _object(raw.get("sweep"), "sweep", {"axis", "grid", "start", "stop", "count"})
     axis = _string(sweep, "axis", "sweep")
@@ -407,6 +405,12 @@ def load_run_config(path: str) -> RunConfig:
     if axis in ("height_um", "thickness_um", "separation_um", "angle_deg", "n_periods"):
         if len(inclusions) != 1:
             raise ConfigError(f"inclusions: sweep axis '{axis}' needs exactly one inclusion")
+    if axis in ("height_um", "thickness_um"):
+        for v in values:
+            try:
+                sweep_point(mode, inclusions, axis.removesuffix("_um"), float(v) * _UM)
+            except ValueError as e:  # the swept cuboid's volume overflows
+                raise ConfigError(f"sweep: {axis} = {v:g}: {e}") from None
 
     return RunConfig(
         scenario=scenario,

@@ -131,10 +131,22 @@ def geometry_factor(field_direction, d, stress_directions) -> float | np.ndarray
     """
     e = unit_vector(field_direction, "field direction")
     dt = piezo_voigt_to_tensor(d)
-    dn2 = float(np.sum(dt * dt))
     T = np.asarray(stress_directions, dtype=float)
+    return _alignment(e, dt, T, _stress_norms(T))
+
+
+def _stress_norms(T: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each 3x3 stress of a (..., 3, 3) stack, or
+    ValueError when one is zero."""
     Tn = np.sqrt(np.sum(T * T, axis=(-2, -1)))
     if np.any(Tn == 0):
         raise ValueError("stress direction must be nonzero")
+    return Tn
+
+
+def _alignment(e: np.ndarray, dt: np.ndarray, T: np.ndarray, Tn: np.ndarray) -> float | np.ndarray:
+    """``geometry_factor``'s G of the unit field ``e`` and the d_ijk tensor
+    ``dt`` over the stress stack ``T`` of norms ``Tn`` (``_stress_norms``)."""
+    dn2 = float(np.sum(dt * dt))
     num = np.einsum("i,ijk,...jk->...", e, dt, T) / Tn
     return num * num / dn2 if dn2 else 0.0 * num

@@ -147,7 +147,16 @@ def strain_voigt_to_tensor(s) -> np.ndarray:
 
 def bond_stress_matrix(R) -> np.ndarray:
     """6x6 Bond matrix M transforming Voigt stress vectors, T' = M T."""
-    R = _check_rotation(R)
+    return _bond_stress(_check_rotation(R))
+
+
+def bond_strain_matrix(R) -> np.ndarray:
+    """6x6 Bond matrix N transforming engineering-shear strain vectors."""
+    return _bond_strain(_check_rotation(R))
+
+
+def _bond_stress(R: np.ndarray) -> np.ndarray:
+    """``bond_stress_matrix`` of a rotation matrix that is already checked."""
     k, l = np.array(VOIGT_PAIRS).T  # column J is the pair (k, l), row I the pair (i, j)
     i, j = k[:, None], l[:, None]
     M = R[i, k] * R[j, l] + R[i, l] * R[j, k]
@@ -155,15 +164,16 @@ def bond_stress_matrix(R) -> np.ndarray:
     return M
 
 
-def bond_strain_matrix(R) -> np.ndarray:
-    """6x6 Bond matrix N transforming engineering-shear strain vectors."""
+def _bond_strain(R: np.ndarray) -> np.ndarray:
+    """``bond_strain_matrix`` of a rotation matrix that is already checked."""
     D = np.repeat([1.0, 2.0], 3)
-    N = bond_stress_matrix(R) * (D[:, None] / D)
+    N = _bond_stress(R) * (D[:, None] / D)
     N[:3, :3] = np.float_power(R, 2)  # libm pow, not x * x: see the module docstring
     return N
 
 
 def _rotation_of(R) -> np.ndarray:
+    """The checked matrix of ``R``: an Orientation's was checked when it was made."""
     if isinstance(R, Orientation):
         return R.matrix
     return _check_rotation(R)
@@ -172,7 +182,7 @@ def _rotation_of(R) -> np.ndarray:
 def rotate_stiffness(C, R) -> np.ndarray:
     """Rotate a Voigt stiffness matrix into the frame defined by ``R``."""
     C = _as_matrix(C, (6, 6), "stiffness")
-    M = bond_stress_matrix(_rotation_of(R))
+    M = _bond_stress(_rotation_of(R))
     return M @ C @ M.T
 
 
@@ -180,7 +190,7 @@ def rotate_piezo(d, R) -> np.ndarray:
     """Rotate a 3x6 strain-form piezoelectric matrix by ``R``."""
     d = _as_matrix(d, (3, 6), "piezo matrix")
     Rm = _rotation_of(R)
-    return Rm @ d @ bond_strain_matrix(Rm).T
+    return Rm @ d @ _bond_strain(Rm).T
 
 
 def rotate_permittivity(eps, R) -> np.ndarray:

@@ -337,13 +337,9 @@ def _each_span(n: int, threads: int, work) -> None:
 
 def _contract(substrate: MaterialSpec, n_theta: int, n_phi: int, strains) -> list:
     """The (3, N) read-only M = tau : S of each strain on the n_theta x n_phi
-    grid, one einsum per branch over the whole grid."""
+    grid, one einsum over all three branches of the whole grid."""
     grid = angular_table(substrate, n_theta, n_phi)
-    out = [np.empty((3, grid.khats.shape[0])) for _ in strains]
-    for q in range(3):
-        tau = grid.stress(q)
-        for m, s in zip(out, strains):
-            m[q] = np.einsum("nij,ij->n", tau, s)
+    out = [np.einsum("qnij,ij->qn", grid.stresses, s) for s in strains]
     for m in out:
         m.setflags(write=False)
     return out

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import Inclusion, MicrowaveMode, geometry_factor
+from .coupling import Inclusion, MicrowaveMode, _alignment, _stress_norms
 from .elastodynamics import angular_table
-from .materials import MaterialSpec, Orientation
+from .materials import MaterialSpec, Orientation, piezo_voigt_to_tensor, unit_vector
 from .radiation import NumericFailure, QuadratureSpec, RadiationResult, SweepResult, _rates
 
 
@@ -43,10 +43,18 @@ class EoModel:
             raise ValueError("overlap fraction must lie in [0, 1]")
 
     def g_mo(self, mode_volume: float) -> float:
-        """Microwave-optical coupling (rad/s) at the given mode volume."""
+        """Microwave-optical coupling (rad/s) at the given mode volume, or
+        NumericFailure when it is not finite (V_ref / V_E past the float
+        range makes it inf, or nan at a zero overlap)."""
         if not mode_volume > 0:
             raise ValueError("mode volume must be positive")
-        return self.g0 * self.overlap * np.sqrt(self.v_ref / mode_volume)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = self.g0 * self.overlap * np.sqrt(self.v_ref / mode_volume)
+        if not np.isfinite(g):
+            raise NumericFailure(
+                f"non-finite coupling g_MO = {g:.3g} rad/s: V_ref / V_E = {self.v_ref:.3g} / {mode_volume:.3g} m^3"
+            )
+        return g
 
 
 def figure_of_merit(eo: EoModel, mode: MicrowaveMode, radiation: RadiationResult) -> float:
@@ -84,12 +92,25 @@ def emission_weighted_overlap(
     over propagation directions and branches, weighted by the point-source
     emission measure 1 / v_q^5.  G = 0 for a non-piezoelectric inclusion.
     """
+    return _overlaps(mode, [inclusion], substrate)[0]
+
+
+def _overlaps(mode: MicrowaveMode, inclusions, substrate: MaterialSpec) -> list[float]:
+    """``emission_weighted_overlap`` of each inclusion.  The 16x32 table's
+    emission weights, their sum and its stress norms depend on the substrate
+    alone and are computed once; each inclusion pays for its d tensor and
+    one alignment contraction over all three branches."""
     grid = angular_table(substrate, 16, 32)
     w = grid.weights / grid.velocities.T ** 5
-    g = geometry_factor(mode.field_direction, inclusion.d_lab, grid.stresses)
-    # a sum per branch, added in branch order: one sum of all three moves G by ~1e-14
-    num = sum(float(np.sum(w[q] * g[q])) for q in range(3))
-    return num / sum(float(np.sum(w[q])) for q in range(3))
+    w_total = sum(float(np.sum(w[q])) for q in range(3))
+    norms = _stress_norms(grid.stresses)
+    e = unit_vector(mode.field_direction, "field direction")  # normalised again, as geometry_factor does, so G keeps its bits
+    out = []
+    for inc in inclusions:
+        g = _alignment(e, piezo_voigt_to_tensor(inc.d_lab), grid.stresses, norms)
+        # a sum per branch, added in branch order: one sum of all three moves G by ~1e-14
+        out.append(sum(float(np.sum(w[q] * g[q])) for q in range(3)) / w_total)
+    return out
 
 
 def sweep_orientation(
@@ -107,6 +128,8 @@ def sweep_orientation(
     for a film whose crystal axes are rotated about the film normal.  All
     angles go to ``radiation._rates`` in one call, like the points of
     ``sweep``: each rate is converged, or the scan raises NumericFailure.
+    G's substrate factors are computed once per scan, so an angle pays only
+    for what the rotation changes: its piezo tensor and one contraction.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.size == 0:
@@ -115,5 +138,5 @@ def sweep_orientation(
     spins = [Orientation.about_axis(axis, float(angle)) for angle in angles]
     incs = [dataclasses.replace(inclusion, orientation=s.compose(inclusion.orientation)) for s in spins]
     results = _rates(substrate, [(mode, [inc]) for inc in incs], quad)
-    overlaps = np.array([emission_weighted_overlap(mode, inc, substrate) for inc in incs])
+    overlaps = np.array(_overlaps(mode, incs, substrate))
     return OrientationSweep("angle", angles, tuple(results), axis=axis, overlaps=overlaps)

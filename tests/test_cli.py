@@ -549,6 +549,50 @@ class TestConfigErrors:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        ("scenario", "edit", "needle"),
+        [
+            ("figure_of_merit", lambda c: c["mode"].update(field_direction=[0, 1e300, 0]), "mode.field_direction"),
+            ("orientation", lambda c: c.update(orientation_axis=[0, 1e300, 0]), "config.orientation_axis"),
+            ("bragg", lambda c: c["bragg"].update(normal=[0, 1e300, 0]), "bragg.normal"),
+        ],
+        ids=["field_direction", "orientation_axis", "bragg_normal"],
+    )
+    def test_direction_whose_length_overflows_names_field(self, tmp_path, capsys, scenario, edit, needle):
+        cfg = base_config(
+            scenario=scenario,
+            quadrature=dict(SMALL_QUAD),
+            eo={"g0_Hz": 2000.0, "v_ref_um3": 8000.0},
+            bragg={"low": "silicon", "high": "sapphire", "center_frequency_GHz": 11.0},
+        )
+        if scenario == "bragg":
+            cfg["sweep"] = {"axis": "n_periods", "grid": "linear", "start": 0, "stop": 2, "count": 3}
+        elif scenario == "orientation":
+            cfg["sweep"] = {"axis": "angle_deg", "grid": "linear", "start": 0.0, "stop": 90.0, "count": 2}
+        edit(cfg)
+        self.check(tmp_path, capsys, cfg, f"{needle} must be finite and nonzero in length")
+
+    @pytest.mark.parametrize(("scenario", "axis"), [("figure_of_merit", "height_um"), ("mie", "thickness_um")])
+    def test_swept_volume_past_the_float_range_names_field(self, tmp_path, capsys, monkeypatch, scenario, axis):
+        import phonoscat.cli as cli
+
+        def never(cfg):
+            pytest.fail("a rate was computed for an invalid config")
+
+        monkeypatch.setattr(cli, "execute", never)
+        cfg = base_config(
+            scenario=scenario, quadrature=dict(SMALL_QUAD), eo={"g0_Hz": 2000.0, "v_ref_um3": 8000.0}
+        )
+        cfg["inclusions"][0]["dimensions_um"] = [1e150, 1e150, 0.01]
+        cfg["sweep"] = {"axis": axis, "grid": "linear", "start": 0.01, "stop": 1e300, "count": 2}
+        self.check(tmp_path, capsys, cfg, f"sweep: {axis} = 1e+300: inclusion volume must be finite")
+
+    def test_volume_past_the_float_range_names_field(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["inclusions"][0]["dimensions_um"] = [1e150, 1e150, 1e150]
+        self.check(tmp_path, capsys, cfg, "inclusions[0]: inclusion volume must be finite")
+
+
 class TestPathErrors:
     """A path that cannot be read or written exits 2 and names the path."""
 
@@ -658,6 +702,25 @@ class TestNumericFailure:
         assert err.startswith("numeric failure:")
         assert "did not reach tolerance" in err
 
+
+    def test_coupling_past_the_float_range_exits_3(self, tmp_path, capsys):
+        """V_ref / V_E overflows and the overlap is zero: g_MO = 0 * inf is
+        one message that names g_MO, and no numpy warning."""
+        cfg = base_config(
+            scenario="figure_of_merit",
+            quadrature=dict(SMALL_QUAD),
+            eo={"g0_Hz": 2000.0, "v_ref_um3": 1e300, "overlap": 0},
+        )
+        cfg["mode"]["mode_volume_um3"] = 1e-10
+        cfg["sweep"] = {"axis": "height_um", "grid": "linear", "start": 0.01, "stop": 0.02, "count": 2}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "numeric failure: non-finite coupling g_MO = nan rad/s: V_ref / V_E = 1e+282 / 1e-28 m^3\n"
+        assert caught == []
+        assert not out.exists()
 
     def test_overflowing_bragg_mirror_exits_3(self, tmp_path, capsys):
         """Past about 600 periods the transfer matrix overflows: one message

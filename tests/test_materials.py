@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phonoscat.materials as materials
 from phonoscat.materials import (
     CONSTANTS,
     VOIGT_OF_PAIR,
@@ -291,6 +292,41 @@ class TestRotationOracles:
         assert np.allclose(
             rotate_piezo(LN.d, xcut), rotate_piezo(LN.d, xcut.matrix), atol=0
         )
+
+    def test_an_orientation_is_not_checked_again(self, monkeypatch, xcut):
+        """An Orientation checked its matrix when it was made: rotating by it
+        runs no second check."""
+        checks = []
+        check = materials._check_rotation
+
+        def counted(R):
+            checks.append(1)
+            return check(R)
+
+        monkeypatch.setattr(materials, "_check_rotation", counted)
+        want = rotate_piezo(LN.d, xcut.matrix)
+        checks.clear()
+        assert np.array_equal(rotate_piezo(LN.d, xcut), want)
+        rotate_stiffness(LN.C, xcut)
+        assert checks == []
+
+    @pytest.mark.parametrize(
+        "rotate",
+        [
+            bond_stress_matrix,
+            bond_strain_matrix,
+            lambda R: rotate_piezo(LN.d, R),
+            lambda R: rotate_stiffness(LN.C, R),
+        ],
+        ids=["bond_stress_matrix", "bond_strain_matrix", "rotate_piezo", "rotate_stiffness"],
+    )
+    @pytest.mark.parametrize(
+        "R, needle",
+        [(np.diag([1.0, 1.0, 1.1]), "orthonormal"), (np.diag([1.0, 1.0, -1.0]), "proper")],
+    )
+    def test_a_raw_matrix_is_still_checked(self, rotate, R, needle):
+        with pytest.raises(MaterialError, match=needle):
+            rotate(R)
 
 
 class TestIsotropy:

@@ -138,3 +138,43 @@ def test_variant_outputs_compare_names_each_differing_variant(tmp_path):
             f"3 of 16 variants differ from {tmp_path / 'changed.json'}",
         ],
     )
+
+
+def test_variant_outputs_check_references_names_each_failing_variant(tmp_path):
+    """``--check-references`` exits 0 when every variant gives its stored
+    exit code and CSV, and otherwise exits 1 and names each one that does
+    not; it needs no OUT file and leaves the references untouched."""
+    references = sorted((ROOT / "perfbench" / "reference").iterdir())
+    before = {path: path.read_bytes() for path in references}
+    script = ROOT / "scripts" / "variant_outputs.py"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    args = ["--check-references", "--only", "mixed_cold/mie_iso_pair"]
+    # variant 3 writes no CSV and variant 7 exits 3 with its CSV intact
+    broken = f"""
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("variant_outputs", {str(script)!r})
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+run, calls = tool.harness.run_config, []
+def run_config(cli, config, csv):
+    calls.append(config)
+    code, report = run(cli, config, csv)
+    if len(calls) == 4:
+        csv.unlink()
+    return (3 if len(calls) == 8 else code), report
+tool.harness.run_config = run_config
+sys.exit(tool.main(sys.argv[1:]))
+"""
+    runs = [
+        subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+        for command in ([sys.executable, str(script), *args], [sys.executable, "-c", broken, *args])
+    ]
+    assert [run.returncode for run in runs] == [0, 1]
+    assert runs[0].stdout.splitlines() == ["0 of 16 variants miss their stored reference"]
+    assert runs[1].stdout.splitlines() == [
+        "mixed_cold/mie_iso_pair/3: misses its reference in csv",
+        "mixed_cold/mie_iso_pair/7: misses its reference in exit code",
+        "2 of 16 variants miss their stored reference",
+    ]
+    assert sorted((ROOT / "perfbench" / "reference").iterdir()) == references
+    assert all(path.read_bytes() == data for path, data in before.items())

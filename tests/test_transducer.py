@@ -188,17 +188,25 @@ class TestEmissionWeightedOverlap:
             assert got == overlap_per_branch(mode, inc, substrate)  # the stacked call is bit for bit
 
     def test_one_alignment_call_per_angle(self, monkeypatch, substrate, waveguide):
-        """The three branches' whole 16x32 tables go through geometry_factor at once."""
-        stacks = []
-        batched = transducer.geometry_factor
+        """A scan computes the 16x32 table's stress norms once; each angle
+        contracts the three branches' whole table at once."""
+        normed, stacks = [], []
+        norms, alignment = transducer._stress_norms, transducer._alignment
 
-        def counted(field_direction, d, stress_directions):
-            stacks.append(np.shape(stress_directions))
-            return batched(field_direction, d, stress_directions)
+        def counted_norms(T):
+            normed.append(np.shape(T))
+            return norms(T)
 
-        monkeypatch.setattr(transducer, "geometry_factor", counted)
-        emission_weighted_overlap(make_mode(substrate), waveguide, substrate)
-        assert stacks == [(3, 16 * 32, 3, 3)]
+        def counted_alignment(e, dt, T, Tn):
+            stacks.append(np.shape(T))
+            return alignment(e, dt, T, Tn)
+
+        monkeypatch.setattr(transducer, "_stress_norms", counted_norms)
+        monkeypatch.setattr(transducer, "_alignment", counted_alignment)
+        angles = np.linspace(0.0, 3.0, 5)
+        sweep_orientation(make_mode(substrate), waveguide, substrate, angles, quad=FAST)
+        assert normed == [(3, 16 * 32, 3, 3)]
+        assert stacks == [(3, 16 * 32, 3, 3)] * angles.size
 
 
 class TestOrientationSweep:
@@ -241,6 +249,23 @@ class TestOrientationSweep:
             alone = refined_rate(mode, inc, substrate, FAST)
             assert np.array_equal(r.branch_rates, alone.branch_rates)
             assert r.diagnostics == alone.diagnostics
+
+    @pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
+    def test_overlaps_are_the_per_angle_overlaps(self, db, waveguide, name):
+        """The scan's shared substrate factors leave each G bit for bit."""
+        substrate = db[name]
+        mode = make_mode(substrate, direction=(1, -2, 0.5))
+        angles = [0.0, 0.4, 1.3, 2.9]
+        axis = (1.0, 2.0, 3.0)
+        sweep = sweep_orientation(mode, waveguide, substrate, angles, axis=axis, quad=FAST)
+        alone, per_branch = [], []
+        for angle in angles:
+            spin = Orientation.about_axis(axis, angle)
+            inc = dataclasses.replace(waveguide, orientation=spin.compose(waveguide.orientation))
+            alone.append(emission_weighted_overlap(mode, inc, substrate))
+            per_branch.append(overlap_per_branch(mode, inc, substrate))
+        assert np.array_equal(sweep.overlaps, alone)
+        assert np.array_equal(sweep.overlaps, per_branch)
 
     def test_empty_grid_rejected(self, substrate, waveguide):
         with pytest.raises(ValueError, match="empty"):
