@@ -118,10 +118,6 @@ class AngularTable:
         for arr in (self.khats, self.weights, self.velocities, self.stresses):
             arr.setflags(write=False)
 
-    def stress(self, q: int, a: int = 0, b: int | None = None) -> np.ndarray:
-        """The (n, 3, 3) C-contiguous stress pattern tau of branch q on nodes a:b, a view."""
-        return self.stresses[q, a:b]
-
 
 def _product_grid(ct, st, w_ring, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     """Rings at polar (cos theta, sin theta) = (ct, st), each of weight

@@ -5,8 +5,9 @@ of an inclusion at the mirrored position with an inverted coupling sign, so
 the two emission amplitudes interfere; in the long-wavelength limit the pair
 radiates like a difference of dipoles and the rate falls as the square of the
 separation.  For copies about the origin the real part of the coherent sum
-cancels exactly (the imaginary part, for equal signs), so the engine
-evaluates one phase part per node for the pair.  The second inserts a stack of alternating acoustic-impedance
+cancels exactly (the imaginary part, for equal signs), so the engine's
+coherent-sum kernel evaluates one phase part, sin or cos, per node for the
+pair.  The second inserts a stack of alternating acoustic-impedance
 quarter-wave layers between the source and the bulk, modelled by the standard
 one-dimensional lossless transfer matrix at normal incidence.
 """

@@ -44,11 +44,10 @@ point or an orientation angle no column (an angle computes its own M, since
 the strain turns with the crystal).  A frequency point computes everything
 but the angular table.  What remains per point is the product of the
 columns, V M, the phase of an off-centre inclusion, the coherent sum and the
-reduction.  The phase costs one cosine and one sine per node for each centre
-that does not negate an earlier one.  An antipodal pair (the two copies of a
+reduction.  The phase costs one cosine and one sine per node for each
+off-centre inclusion.  An antipodal pair (the two copies of a
 ``dual_waveguide`` pair about the origin) costs one sine (opposite signs) or
-one cosine (equal signs) per node, on half the rings of a mirrored table
-when the separation has no z component.  One grid's pass,
+one cosine (equal signs) per node.  One grid's pass,
 ``_gamma_branches``, evaluates all three branches together on fixed-size
 node spans (optionally across a thread pool) and reduces them by numpy's
 deterministic pairwise summation in fixed node order, so serial and
@@ -242,13 +241,7 @@ def _sinc(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _coherent_power(
-    src: _Sources,
-    vm: list[np.ndarray],
-    ff: list[np.ndarray],
-    kvec: np.ndarray | None,
-    part: np.ndarray | None = None,
-) -> np.ndarray:
+def _coherent_power(src: _Sources, vm: list[np.ndarray], ff: list[np.ndarray], kvec: np.ndarray | None) -> np.ndarray:
     """|sum_j s_j (V_j M_j) FF_j exp(i kvec . r_j)|^2 at each node.
 
     The one coherent-sum kernel of the quadrature engine and the brute-force
@@ -264,41 +257,35 @@ def _coherent_power(
     kernel's own: it never writes into ``vm`` or ``ff``, which the oracle
     reuses across its radial nodes.
 
-    The phase exp(i x) of x = kvec . r_j is taken as (cos x, sin x), which
-    are the parts of ``np.exp(1j * x)`` bit for bit, and the real and the
-    imaginary part of the sum are accumulated as two real arrays: a real
-    term t times (c + i s) is (t c, t s) exactly.  A centre that negates an
-    earlier one reuses (c, -s): kvec . (-r) == -(kvec . r) and sin is odd.
-    Each sum starts from the first term and adds or subtracts each by its
-    sign; a signed zero that flips vanishes in the square.
+    The phase exp(i x) of x = kvec . r_j is taken as (cos x, sin x), one
+    cosine and one sine per centre, which are the parts of
+    ``np.exp(1j * x)`` bit for bit, and the real and the imaginary part of
+    the sum are accumulated as two real arrays: a real term t times
+    (c + i s) is (t c, t s) exactly.  Each sum starts from the first term
+    and adds or subtracts each by its sign; a signed zero that flips
+    vanishes in the square.
 
-    An antipodal pair (``src.part``) has one term t for both copies, so that
-    sum is (+-(t c -+ t c), +-(t s +- t s)): one part is x - x = +0 and the
-    other +-(h), h = t p + t p with p = ``src.part`` of x.  The square is
-    h * h bit for bit (+0 + y * y == y * y) for finite t (an infinite one gives
-    inf where the general path gives nan), so only ``vm[0]``, ``ff[0]`` and
-    ``part``, p at the nodes (the engine's ``_part_column``), are read.
+    An antipodal pair (``src.part``) has one term t for both copies, and
+    kvec . (-r) == -(kvec . r) with cos even and sin odd, so that sum is
+    (+-(t c -+ t c), +-(t s +- t s)): one part is x - x = +0 and the other
+    +-(h), h = t p + t p with p = ``src.part`` of x = kvec . r_0.  The square
+    is h * h bit for bit (+0 + y * y == y * y) for finite t (an infinite one
+    gives inf where the general path gives nan), so only ``vm[0]``, ``ff[0]``
+    and one phase part are read.
     """
     if src.part is not None:
         h = vm[0] * ff[0]
-        h *= part
+        h *= getattr(np, src.part)(kvec @ src.center[0])
         h += h
         h *= h
         return h
-    phases = []
     for j in range(src.volume.size):
         t = vm[j] * ff[j]
         if src.centred:
             terms = [t]
         else:
-            mirror = [p for p, r in zip(phases, src.center) if np.array_equal(r, -src.center[j])]
-            if mirror:
-                c, s = mirror[0]
-                phases.append((c, -s))
-            else:
-                arg = kvec @ src.center[j]
-                phases.append((np.cos(arg), np.sin(arg)))
-            terms = [t * p for p in phases[j]]
+            arg = kvec @ src.center[j]
+            terms = [t * np.cos(arg), t * np.sin(arg)]
         if j == 0:
             sums = terms if src.sign[j] > 0 else [-term for term in terms]
         else:
@@ -387,37 +374,6 @@ def _sinc_columns(substrate: MaterialSpec, n_theta: int, n_phi: int, k0: np.ndar
         col.setflags(write=False)
         cols.append(col)
     return cols
-
-
-def _part_column(src: _Sources, grid: AngularTable, k0: np.ndarray, n_theta: int, n_phi: int, threads: int):
-    """The (3, N) ``src.part`` of an antipodal pair on the n_theta x n_phi
-    grid, from the (3, N) ``k0`` of its wave entry.
-
-    x is computed span by span as the kernel computes it, from
-    ``k0 * khat`` of each whole node span.  On a ``mirrored`` table with
-    r_z == 0, ring n_theta-1-i copies ring i of the first ceil(n_theta / 2):
-    its x is the same float up to the sign of an exact zero, which vanishes
-    in the square.  numpy's matmul takes another path for a one-node span,
-    whose x may differ from the mirrored ring's in the last bit, so a grid
-    that ends in one evaluates every ring.
-    """
-    n = grid.khats.shape[0]
-    r = src.center[0]
-    mirrored = grid.mirrored and r[2] == 0 and n % _CHUNK != 1
-    h = (n_theta + 1) // 2 if mirrored else n_theta
-    head = h * n_phi
-    col = np.empty((3, n))
-
-    def work(a, b):
-        if a < head:
-            x = (k0[:, a:b, None] * grid.khats[a:b]) @ r
-            c = min(b, head)
-            col[:, a:c] = getattr(np, src.part)(x[:, : c - a])
-
-    _each_span(n, threads, work)
-    rings = col.reshape(3, n_theta, n_phi)
-    rings[:, h:] = rings[:, : n_theta - h][:, ::-1]
-    return col
 
 
 def _fetch(store: dict, grid: tuple, tags: list, build) -> list:
@@ -510,11 +466,11 @@ def _gamma_branches(
     """Golden-rule rate of each branch on one n_theta x n_phi grid, shape (3,).
 
     The sweep tables give M, the wave factors and the sinc columns and name
-    the substrate.  An antipodal pair's phase part is evaluated once for the
-    grid (``_part_column``).  Each fixed node span evaluates
-    A * (B * |sum|^2) for all three branches at once, as (3, span) blocks,
-    scaling the kernel's array in place and writing the product straight
-    into the grid's values; then one reduction per branch.
+    the substrate.  Each fixed node span builds kvec = k0 khat of an
+    off-centre source and evaluates A * (B * |sum|^2) for all three branches
+    at once, as (3, span) blocks, scaling the kernel's array in place and
+    writing the product straight into the grid's values; then one reduction
+    per branch.  The copies of an antipodal pair pass their one shared term.
     """
     grid = angular_table(tables.substrate, n_theta, n_phi)
     m = tables.couplings(n_theta, n_phi, src.strain)
@@ -522,7 +478,6 @@ def _gamma_branches(
     cols = tables.sinc_columns(n_theta, n_phi, mode.omega0, src.dims)
     n = grid.khats.shape[0]
     values = np.empty((3, n))
-    part = None if src.part is None else _part_column(src, grid, wave.k0, n_theta, n_phi, threads)
     terms = 1 if src.part else src.volume.size  # the copies of a pair share one term
 
     def work(a, b):
@@ -532,11 +487,8 @@ def _gamma_branches(
             f = x[:, a:b] * y[:, a:b]
             f *= z[:, a:b]
             ff.append(f)
-        if part is not None:
-            p = _coherent_power(src, vm, ff, None, part[:, a:b])
-        else:
-            kvec = None if src.centred else wave.k0[:, a:b, None] * grid.khats[a:b]
-            p = _coherent_power(src, vm, ff, kvec)
+        kvec = None if src.centred else wave.k0[:, a:b, None] * grid.khats[a:b]
+        p = _coherent_power(src, vm, ff, kvec)
         p *= wave.B[:, a:b]
         np.multiply(wave.A[:, a:b], p, out=values[:, a:b])
 
@@ -742,8 +694,11 @@ def brute_force_rate(
     V_T is 1 (it cancels), and every caller shares the fixed ``_BRUTE_*`` grid.
 
     The substrate is solved once per process (``_oracle_table``), so each
-    call pays only the radial loop.  A pair takes the general sum, not the
-    engine's one-part rule.  A non-finite total raises NumericFailure.
+    call pays only the radial loop, which reads each branch's stresses
+    ``table.stresses[q]`` as a view.  Its sources have ``part`` None, so a
+    pair takes the kernel's general sum, a cosine and a sine per copy and
+    node, not the engine's one-part rule.  A non-finite total raises
+    NumericFailure.
     """
     incs = _as_inclusion_list(inclusions)
     omega0 = mode.omega0
@@ -765,7 +720,7 @@ def brute_force_rate(
         src = _sources(mode, incs)._replace(part=None)
         for q in range(3):
             v = np.ascontiguousarray(table.velocities[:, q])  # a row: the radial loop reads it 33 times
-            tau = table.stress(q)
+            tau = table.stresses[q]
             vm = [vol * np.einsum("nij,ij->n", tau, s) for vol, s in zip(src.volume, src.strain)]
             dk = sigma / v  # measure: k^2 dk dOmega with dk = (sigma/v) dxi
             for i in range(xi.size):

@@ -154,4 +154,3 @@ def test_six_voigt_columns_hold_the_whole_stress(db, name, empty_memo):
         tau = stress_pattern(substrate.stiffness_tensor, table.khats, pols[:, :, q])
         assert np.array_equal(tau, tau.transpose(0, 2, 1))
         assert np.array_equal(table.stresses[q], tau)
-        assert np.array_equal(table.stress(q), tau)

@@ -1,21 +1,21 @@
-"""The engine's sharing of work between mirrored rings and mirrored centres.
+"""The engine's sharing of work between mirrored rings and antipodal copies.
 
 numpy's ``leggauss`` symmetrizes its nodes, so on every engine grid ring
 n_theta-1-i has the khat_x and khat_y of ring i and the negated khat_z.  On a
 substrate symmetric under z -> -z the velocities of the two rings are equal
 bit for bit too, and the angular table records that once as ``mirrored``.
-The sinc columns are then computed on half the rings and copied, and the
-coherent sum reuses the cosine and the negated sine of the phase for a
-centre that negates an earlier one.  An antipodal pair (two copies with the
-same strain, volume and dimensions at r and -r) keeps one phase part, sin or
-cos, which the engine evaluates once per grid pass, on half the rings of a
-mirrored table when r_z == 0.  These tests pin down which tables are
-mirrored, that the shortcuts give the bits of the full computation they
+The sinc columns are then computed on half the rings and copied.  The
+coherent sum takes one cosine and one sine per off-centre inclusion, except
+for an antipodal pair (two copies with the same strain, volume and
+dimensions at r and -r), which keeps one phase part, sin or cos, that the
+kernel evaluates from each span's kvec.  These tests pin down which tables
+are mirrored, that the shortcuts give the bits of the full computation they
 replace (the references below are that computation, as the engine ran it
-before), and that they cut the counted work where they apply and leave it
-alone where they do not.  The golden-rule pass itself, which reads k0, A and
-B from a wave entry and evaluates the three branches together, is checked
-against the pass that computed them per span, one branch at a time.
+before, the parent kernels' reuse of a conjugate phase included), and that
+they cut the counted work where they apply and leave it alone where they do
+not.  The golden-rule pass itself, which reads k0, A and B from a wave entry
+and evaluates the three branches together, is checked against the pass that
+computed them per span, one branch at a time.
 """
 
 import dataclasses
@@ -37,7 +37,8 @@ from conftest import XCUT_MATRIX, brute_force_reference, make_mode
 # References: the full-grid sinc columns, one branch at a time; the coherent
 # sum with a zeros start, a sign * ff multiply and one np.exp per inclusion;
 # the complex kernel that took the conjugate phase of a mirrored centre; and
-# the real kernel that took (cos, sin) for every pair of centres.
+# the real kernel that took (cos, -sin) of an earlier phase for a negated
+# centre and (cos, sin) for every other centre.
 
 
 def _full_sinc_columns(substrate, n_theta, n_phi, k0, axis_lengths):
@@ -233,7 +234,7 @@ def test_a_mirrored_table_evaluates_half_the_rings(db, empty_memo, monkeypatch, 
 
 
 # ---------------------------------------------------------------------------
-# One phase per mirrored pair of centres, as a real cosine and sine
+# One real cosine and sine per centre
 
 
 def _inc(ln, center, sign=1, dims=(0.5e-6, 1.0e-6, 5.0e-6)):
@@ -300,7 +301,9 @@ def test_coherent_power_equals_one_phase_per_inclusion_bit_for_bit(db, ln, name)
 @pytest.mark.parametrize("name", sorted(CENTRES))
 def test_coherent_power_equals_the_complex_kernel_bit_for_bit(db, ln, name):
     """The real cosine and sine give the bits of the complex np.exp kernel,
-    on one branch's row and on the (3, N) block of all three branches."""
+    on one branch's row and on the (3, N) block of all three branches, and
+    a negated centre's own cosine and sine give the bits of the parent
+    kernels' reused conjugate phase."""
     centres = CENTRES[name]
     for signs in SIGNS:
         signs = signs[: len(centres)]
@@ -308,6 +311,7 @@ def test_coherent_power_equals_the_complex_kernel_bit_for_bit(db, ln, name):
         got = _coherent_power(src, vm, ff, kvec)
         assert got.shape == (3, 512) and not np.any(np.signbit(got))
         assert np.array_equal(got, _complex_coherent_power(src, vm, ff, kvec))
+        assert np.array_equal(got, _real_coherent_power(src, vm, ff, kvec))
         for q in range(3):
             row = _kernel_inputs(db, ln, centres, signs, branch=q)
             assert np.array_equal(got[q], _coherent_power(*row))
@@ -317,10 +321,8 @@ def test_coherent_power_equals_the_complex_kernel_bit_for_bit(db, ln, name):
 @pytest.fixture
 def exponentials(monkeypatch):
     """Record (function, elements) of every evaluation of a phase: each
-    np.cos and np.sin call inside ``radiation._coherent_power`` or
-    ``radiation._part_column`` (where the engine builds an antipodal pair's
-    phase part), and each complex np.exp call (the references' phase)
-    anywhere."""
+    np.cos and np.sin call inside ``radiation._coherent_power``, and each
+    complex np.exp call (the references' phase) anywhere."""
     counted, inside = [], []
     originals = {"cos": np.cos, "sin": np.sin, "exp": np.exp}
 
@@ -344,36 +346,33 @@ def exponentials(monkeypatch):
 
     for name in originals:
         monkeypatch.setattr(np, name, counting(name))
-    for name in ("_coherent_power", "_part_column"):
-        monkeypatch.setattr(radiation, name, flagged(getattr(radiation, name)))
+    monkeypatch.setattr(radiation, "_coherent_power", flagged(radiation._coherent_power))
     return counted
 
 
-@pytest.mark.parametrize(
-    "name, calls", [("pair mirrored", 1), ("three, mirror and origin", 2), ("pair about a base centre", 2)]
-)
-def test_a_mirrored_centre_reuses_its_phase(db, ln, exponentials, name, calls):
-    """Copies of different dimensions reuse (c, -s); the same copies at r and
-    -r (twins) are an antipodal pair, whose one part (sin for signs +-) the
-    caller passes in, so the kernel evaluates no phase; twins elsewhere take
-    the same path as the others."""
+@pytest.mark.parametrize("name", ["pair mirrored", "three, mirror and origin", "pair about a base centre"])
+def test_each_centre_takes_one_cos_and_one_sin(db, ln, exponentials, name):
+    """A centre that negates an earlier one, or sits at the origin, takes its
+    own cosine and sine like any other; the same copies at r and -r (twins)
+    are an antipodal pair, whose kernel evaluates one part (sin for signs
+    +-) at each node; twins elsewhere take the same path as the others."""
     signs = [1, -1, 1][: len(CENTRES[name])]
     src, vm, ff, kvec = _kernel_inputs(db, ln, CENTRES[name], signs)
     assert src.part is None
     radiation._coherent_power(src, vm, ff, kvec)
-    assert exponentials == [("cos", kvec.shape[0]), ("sin", kvec.shape[0])] * calls
+    each = [("cos", kvec.shape[0]), ("sin", kvec.shape[0])] * len(CENTRES[name])
+    assert exponentials == each
     exponentials.clear()
     src, vm, ff, kvec = _kernel_inputs(db, ln, CENTRES[name], signs, twins=True)
-    part = None if src.part is None else getattr(np, src.part)(kvec @ src.center[0])
-    radiation._coherent_power(src, vm, ff, kvec, part)
+    radiation._coherent_power(src, vm, ff, kvec)
     if name == "pair mirrored":
-        assert src.part == "sin" and exponentials == []
+        assert src.part == "sin" and exponentials == [("sin", kvec.shape[0])]
     else:
-        assert src.part is None and exponentials == [("cos", kvec.shape[0]), ("sin", kvec.shape[0])] * calls
+        assert src.part is None and exponentials == each
 
 
 # ---------------------------------------------------------------------------
-# An antipodal pair: one phase part, on half the rings of a mirrored table
+# An antipodal pair: one phase part
 
 TWIN_SIGNS = [(1, -1), (-1, 1), (1, 1), (-1, -1)]
 
@@ -382,9 +381,9 @@ TWIN_SIGNS = [(1, -1), (-1, 1), (1, 1), (-1, -1)]
 @pytest.mark.parametrize("name", ["pair mirrored", "pair mirrored on an axis"])
 def test_antipodal_pair_equals_the_parent_kernel_bit_for_bit(db, ln, name, signs):
     """(3, N) blocks over magnitudes from subnormal terms to squares that
-    overflow, with signed zeros: the pair's one part, passed in, gives the
-    bits of the kernel that evaluated cos and sin, the kernel reads no kvec,
-    and it never writes into vm or ff."""
+    overflow, with signed zeros: the pair's one part gives the bits of the
+    parent kernel that evaluated cos and sin and reused the conjugate phase,
+    and the kernel never writes into vm, ff or kvec."""
     src, vm, ff, kvec = _kernel_inputs(db, ln, CENTRES[name], signs, branch=None, twins=True)
     assert src.part == ("sin" if signs[0] != signs[1] else "cos")
     with np.errstate(over="ignore", under="ignore"):
@@ -394,11 +393,11 @@ def test_antipodal_pair_equals_the_parent_kernel_bit_for_bit(db, ln, name, signs
         term = vm[0] * ff[0] * part
         assert np.any((term != 0) & (np.abs(term) < np.finfo(float).tiny))
         assert np.any(np.isinf(4 * term * term))
-        inputs = [x.copy() for x in vm + ff]
+        inputs = [x.copy() for x in vm + ff + [kvec]]
         want = _real_coherent_power(src, vm, ff, kvec)
-        got = _coherent_power(src, vm, ff, None, part)
+        got = _coherent_power(src, vm, ff, kvec)
         assert np.array_equal(got, want) and not np.any(np.signbit(got))
-    assert all(np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in zip(vm + ff, inputs))
+    assert all(np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in zip(vm + ff + [kvec], inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +417,7 @@ def _per_branch_gamma(mode, src, substrate, n_theta, n_phi):
     for a in range(0, n, radiation._CHUNK):
         b = min(a + radiation._CHUNK, n)
         for q in range(3):
-            vm = [vol * np.einsum("nij,ij->n", grid.stress(q, a, b), s) for vol, s in zip(src.volume, src.strain)]
+            vm = [vol * np.einsum("nij,ij->n", grid.stresses[q, a:b], s) for vol, s in zip(src.volume, src.strain)]
             v = grid.velocities[a:b, q]
             k0 = omega0 / v
             cols = [[_sinc(k0 * grid.khats[a:b, axis] * (L[axis] / 2.0)) for axis in range(3)] for L in src.dims]
@@ -483,19 +482,20 @@ def _phase_counts(exponentials):
 
 @pytest.mark.parametrize("name", ["sapphire_iso", "sapphire"])
 def test_dual_pair_point_evaluates_half_the_exponentials(db, ln, monkeypatch, exponentials, name):
-    """One part per node: sin for opposite signs, cos for equal ones, on half
-    the rings of the mirrored sapphire_iso and on all of them on sapphire
-    or for a separation with a z component.  The reference engine takes one
-    np.exp per copy and node."""
+    """One part per node: sin for opposite signs, cos for equal ones, on the
+    mirrored sapphire_iso and on sapphire alike, for a separation with or
+    without a z component.  The reference engine takes one np.exp per copy
+    and node."""
     substrate = db[name]
     mode = make_mode(substrate)
     inc = dataclasses.replace(_inc(ln, (0.0, 0.0, 0.0)), dimensions=SMALL)
     quad = QuadratureSpec(32, 64)
-    for separation, rings in [((0.05e-6, 0.0, 0.0), 2 if name == "sapphire_iso" else 1), ((0.05e-6, 0.0, 0.03e-6), 1)]:
+    assert PAIR_ELEMENTS == 30_720
+    for separation in [(0.05e-6, 0.0, 0.0), (0.05e-6, 0.0, 0.03e-6)]:
         for relative_sign, part in [(-1, "sin"), (1, "cos")]:
             exponentials.clear()
             got = dual_waveguide_sweep(mode, inc, substrate, [separation], relative_sign, quad)[0]
-            assert _phase_counts(exponentials) == {"cos": 0, "sin": 0, "exp": 0, part: PAIR_ELEMENTS // rings}
+            assert _phase_counts(exponentials) == {"cos": 0, "sin": 0, "exp": 0, part: PAIR_ELEMENTS}
             exponentials.clear()
             with monkeypatch.context() as patch:
                 _with_references(patch)
@@ -533,10 +533,10 @@ def _not_a_pair(ln, case):
     return [first, second, dataclasses.replace(first, center=np.zeros(3))]
 
 
-@pytest.mark.parametrize("case, calls", [("dimensions", 1), ("strain", 1), ("volume", 1), ("three", 2)])
+@pytest.mark.parametrize("case, calls", [("dimensions", 2), ("strain", 2), ("volume", 2), ("three", 3)])
 def test_a_near_pair_takes_the_general_path(db, ln, monkeypatch, exponentials, case, calls):
     """Copies that differ in dimensions (the same volume), strain or volume
-    alone, or a third inclusion: cos and sin at every node, as before."""
+    alone, or a third inclusion: cos and sin of every centre at every node."""
     substrate = db["sapphire_iso"]
     mode = make_mode(substrate)
     incs = _not_a_pair(ln, case)
@@ -598,8 +598,8 @@ def test_antipodal_pair_pass_equals_the_per_branch_pass_bit_for_bit(db, ln, name
     """Partial spans, a half that ends inside a span (48x96), one node past
     a span (5x683), a grid of 2049 nodes, whose last span is one node, and
     one of 2048, serial and on three threads.  numpy's matmul gives a
-    one-node span's x by another path, which differs in the last bit from
-    the mirrored ring's for a centre with two non-zero components."""
+    one-node span's x by another path, so each node's phase must come from
+    kvec of its own span, as the reference computes it."""
     substrate = db[name]
     mode = make_mode(substrate, f_hz=7.3e9)
     for dims, center in [([0.5e-6, 1.0e-6, 5.0e-6], (0.04e-6, -0.03e-6, 0.0)), (SMALL, (0.05e-6, 0.0, 0.03e-6))]:
@@ -611,37 +611,20 @@ def test_antipodal_pair_pass_equals_the_per_branch_pass_bit_for_bit(db, ln, name
         assert np.array_equal(radiation._gamma_branches(mode, src, tables, *grid, 3), got)
 
 
-@pytest.mark.parametrize("grid", [(48, 96), (9, 5), (3, 683), (5, 683), (4, 512)])
-@pytest.mark.parametrize("name", ["sapphire_iso", "silicon", "sapphire"])
-def test_part_column_equals_the_per_span_phase_bit_for_bit(db, ln, name, grid):
-    """The column against sin and cos of x = kvec . r as the kernel took it,
-    from kvec of each whole node span: a one-node rate difference can round
-    away in the reduction, so the column is compared node by node."""
-    substrate = db[name]
-    k0 = radiation._wave(substrate, *grid, 2 * np.pi * 7.3e9).k0
-    table = angular_table(substrate, *grid)
-    n = table.khats.shape[0]
-    for center in [(0.04e-6, -0.03e-6, 0.0), (1.3e-7, 0.7e-7, 0.0), (0.05e-6, 0.0, 0.03e-6)]:
-        for signs, part in [((1, -1), np.sin), ((1, 1), np.cos)]:
-            src = _sources(make_mode(substrate), _twin_pair(ln, SMALL, signs, center))
-            spans = [(a, min(a + radiation._CHUNK, n)) for a in range(0, n, radiation._CHUNK)]
-            x = np.concatenate([(k0[:, a:b, None] * table.khats[a:b]) @ src.center[0] for a, b in spans], axis=1)
-            assert np.array_equal(radiation._part_column(src, table, k0, *grid, 1), part(x))
-
-
 @pytest.mark.parametrize("signs", [(1, -1), (-1, -1)])
 def test_brute_force_pair_equals_the_reference_bit_for_bit(db, ln, monkeypatch, exponentials, signs):
-    """The oracle takes the general sum for a pair, a cosine and a sine at
-    every node, not the engine's one part, so that rule is checked against a
-    path that does not share it; the per-call reference gives the same bits
-    with this kernel and with the kernel that evaluated cos and sin."""
+    """The oracle takes the general sum for a pair, a cosine and a sine of
+    each copy at every node, not the engine's one part, so that rule is
+    checked against a path that does not share it; the per-call reference
+    gives the same bits with this kernel and with the parent kernel that
+    reused the first copy's conjugate phase."""
     substrate = db["sapphire_iso"]
     mode = make_mode(substrate)
     incs = _twin_pair(ln, np.array([0.5e-6, 1.0e-6, 5.0e-6]), signs)
     assert _sources(mode, incs).part == ("sin" if signs[0] != signs[1] else "cos")
     got = brute_force_rate(mode, incs, substrate)
     nodes = 3 * radiation._BRUTE_RADIAL * radiation._BRUTE_THETA * radiation._BRUTE_PHI
-    assert _phase_counts(exponentials) == {"cos": nodes, "sin": nodes, "exp": 0}
+    assert _phase_counts(exponentials) == {"cos": 2 * nodes, "sin": 2 * nodes, "exp": 0}
     assert got == brute_force_reference(mode, incs, substrate)
     monkeypatch.setattr(conftest, "_coherent_power", _real_coherent_power)
     assert got == brute_force_reference(mode, incs, substrate)
@@ -659,7 +642,7 @@ def test_an_infinite_pair_term_fails_the_finite_result_gates(db, ln, signs):
     mode = make_mode(substrate, mode_volume=1e-300)
     strain = _sources(mode, _twin_pair(ln)).strain[0]
     table = radiation._oracle_table(substrate)
-    m_max = max(np.max(np.abs(np.einsum("nij,ij->n", table.stress(q), strain))) for q in range(3))
+    m_max = max(np.max(np.abs(np.einsum("nij,ij->n", table.stresses[q], strain))) for q in range(3))
     side = (1.05 * (np.finfo(float).max / m_max)) ** (1 / 3)
     incs = _twin_pair(ln, np.full(3, side), signs, center=(3 * side, 0.0, 0.0))
     assert _sources(mode, incs).part is not None

@@ -149,7 +149,7 @@ def overlap_per_branch(mode, inclusion, substrate):
     num = den = 0.0
     for q in range(3):
         w = grid.weights / grid.velocities[:, q] ** 5
-        num += float(np.sum(w * geometry_factor(mode.field_direction, inclusion.d_lab, grid.stress(q))))
+        num += float(np.sum(w * geometry_factor(mode.field_direction, inclusion.d_lab, grid.stresses[q])))
         den += float(np.sum(w))
     return num / den
 
