@@ -611,6 +611,41 @@ def test_antipodal_pair_pass_equals_the_per_branch_pass_bit_for_bit(db, ln, name
         assert np.array_equal(radiation._gamma_branches(mode, src, tables, *grid, 3), got)
 
 
+@pytest.mark.parametrize("grid", [(48, 96), (9, 5), (3, 683), (5, 683), (4, 512)])
+@pytest.mark.parametrize("name", ["sapphire_iso", "silicon", "sapphire"])
+def test_pair_power_equals_the_general_sum_node_by_node(db, ln, monkeypatch, name, grid):
+    """The pair's one-part power in each whole node span of the engine pass
+    against the complex sum of both copies, each with the phase of its own
+    centre, and kvec against k0 khat of that span: a one-node rate
+    difference can round away in the reduction, so the power is compared
+    node by node, the one-node last span of the 2049-node grid included."""
+    substrate = db[name]
+    mode = make_mode(substrate, f_hz=7.3e9)
+    k0 = radiation._wave(substrate, *grid, mode.omega0).k0
+    khats = angular_table(substrate, *grid).khats
+    n = khats.shape[0]
+    spans = [(a, min(a + radiation._CHUNK, n)) for a in range(0, n, radiation._CHUNK)]
+    seen = []
+
+    def checked(src, vm, ff, kvec):
+        a, b = spans[len(seen)]
+        assert len(vm) == len(ff) == 1 and np.array_equal(kvec, k0[:, a:b, None] * khats[a:b])
+        want = _one_phase_each_coherent_power(src, vm * 2, ff * 2, kvec)
+        got = _coherent_power(src, vm, ff, kvec)
+        assert np.array_equal(got, want)
+        seen.append(b - a)
+        return got
+
+    monkeypatch.setattr(radiation, "_coherent_power", checked)
+    for center in [(0.04e-6, -0.03e-6, 0.0), (1.3e-7, 0.7e-7, 0.0), (0.05e-6, 0.0, 0.03e-6)]:
+        for signs, part in [((1, -1), "sin"), ((1, 1), "cos")]:
+            src = _sources(mode, _twin_pair(ln, SMALL, signs, center))
+            assert src.part == part
+            seen.clear()
+            radiation._gamma_branches(mode, src, radiation._SweepTables(substrate), *grid, 1)
+            assert seen == [b - a for a, b in spans]
+
+
 @pytest.mark.parametrize("signs", [(1, -1), (-1, -1)])
 def test_brute_force_pair_equals_the_reference_bit_for_bit(db, ln, monkeypatch, exponentials, signs):
     """The oracle takes the general sum for a pair, a cosine and a sine of
