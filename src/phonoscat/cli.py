@@ -37,7 +37,7 @@ import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode, default_eps_eff
 from .materials import MaterialError, MaterialSpec, Orientation, default_materials, load_materials, unit_vector
-from .mitigation import BraggStack, _bragg_sweep, dual_waveguide_sweep, mitigated_rate
+from .mitigation import BraggStack, _bragg_sweep, _check_pair_geometry, dual_waveguide_sweep, mitigated_rate
 from .radiation import (
     _MAX_PHI,
     _MAX_THETA,
@@ -410,6 +410,12 @@ def load_run_config(path: str) -> RunConfig:
             try:
                 sweep_point(mode, inclusions, axis.removesuffix("_um"), float(v) * _UM)
             except ValueError as e:  # the swept cuboid's volume overflows
+                raise ConfigError(f"sweep: {axis} = {v:g}: {e}") from None
+    if axis == "separation_um":
+        for v in values:
+            try:
+                _check_pair_geometry(inclusions[0].dimensions, float(v) * _UM * dual_dir)
+            except ValueError as e:  # the two copies overlap
                 raise ConfigError(f"sweep: {axis} = {v:g}: {e}") from None
 
     return RunConfig(

@@ -16,9 +16,9 @@ on the grid.  ``_TABLES`` is the one memo of such solved grids, a read-only
 oracle's under (rho, C, "oracle").  Every ``MaterialSpec`` with the same
 physics shares them, however it was loaded.  Nothing is evicted: the memo
 grows by one table per distinct key for the life of the process.  A table
-keeps the directions, weights, velocities and each tau as the C-ordered 3x3
-that M = tau : S and G read (polarizations are a build-time intermediate):
-272 bytes per node, so about 3.4 MB for the oracle's 12,384 nodes.
+keeps the directions and velocities as (3, N) rows, the weights, and each
+tau as the C-ordered 3x3 that M = tau : S and G read (polarizations are a
+build-time intermediate): 272 bytes per node, 3.4 MB for the oracle's grid.
 
 The engine's build fills the Christoffel matrices and the Voigt stresses
 with component-major kernels, one elementwise pass per (j, k) or (k, l) term,
@@ -108,9 +108,9 @@ class AngularTable:
     ``sapphire_iso`` and ``silicon``, also turned about z; never the oracle's.
     """
 
-    khats: np.ndarray  # (N, 3) unit propagation directions
+    khats: np.ndarray  # (3, N) C-contiguous, row a the a-component of the unit directions
     weights: np.ndarray  # (N,) solid-angle weights, summing to 4 pi
-    velocities: np.ndarray  # (N, 3) phase velocities, ascending
+    velocities: np.ndarray  # (3, N) C-contiguous, row q the phase velocity of branch q, ascending
     stresses: np.ndarray  # (3, N, 3, 3) C-contiguous, [q, n] the tau of branch q at node n
     mirrored: bool = False
 
@@ -121,12 +121,12 @@ class AngularTable:
 
 def _product_grid(ct, st, w_ring, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     """Rings at polar (cos theta, sin theta) = (ct, st), each of weight
-    ``w_ring``, times n_phi uniform azimuths; theta-major fixed node order."""
+    ``w_ring``, times n_phi uniform azimuths, as (3, N) direction rows."""
     phi = 2 * np.pi * np.arange(n_phi) / n_phi
     kx = st[:, None] * np.cos(phi)[None, :]
     ky = st[:, None] * np.sin(phi)[None, :]
     kz = np.broadcast_to(ct[:, None], kx.shape)
-    khats = np.stack([kx, ky, kz], axis=-1).reshape(-1, 3)
+    khats = np.stack([kx, ky, kz]).reshape(3, -1)
     weights = np.repeat(w_ring, n_phi) * (2 * np.pi / n_phi)
     return khats, weights
 
@@ -139,15 +139,16 @@ def _angular_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _build_table(material: MaterialSpec, n_theta: int, n_phi: int) -> AngularTable:
     khats, weights = _angular_grid(n_theta, n_phi)
-    n = khats.shape[0]
-    velocities = np.empty((n, 3))
+    n = weights.size
+    velocities = np.empty((3, n))
     stresses = np.empty((3, n, 9))  # row n of branch q: its tau, row-major
     for a in range(0, n, _CHUNK):
         b = min(a + _CHUNK, n)
-        velocities[a:b], pols = christoffel_many(material, khats[a:b])
-        stresses[:, a:b] = _voigt_stresses(material.stiffness_tensor, khats[a:b], pols)[..., _FULL]
-    k, v = khats.reshape(n_theta, n_phi, 3), velocities.reshape(n_theta, n_phi, 3)
-    mirrored = np.array_equal(v, v[::-1]) and np.array_equal(k, k[::-1] * [1.0, 1.0, -1.0])
+        vels, pols = christoffel_many(material, khats[:, a:b].T)
+        velocities[:, a:b] = vels.T
+        stresses[:, a:b] = _voigt_stresses(material.stiffness_tensor, khats[:, a:b], pols)[..., _FULL]
+    k, v = khats.reshape(3, n_theta, n_phi).T, velocities.reshape(3, n_theta, n_phi)
+    mirrored = np.array_equal(v, v[:, ::-1]) and np.array_equal(k, k[:, ::-1] * [1.0, 1.0, -1.0])
     return AngularTable(khats, weights, velocities, stresses.reshape(3, n, 3, 3), mirrored)
 
 
@@ -191,17 +192,16 @@ def stress_pattern(stiffness_tensor: np.ndarray, khats: np.ndarray, pols: np.nda
     return np.einsum("ijkl,nk,nl->nij", stiffness_tensor, khats, pols)
 
 
-def _voigt_stresses(stiffness_tensor: np.ndarray, khats: np.ndarray, pols: np.ndarray) -> np.ndarray:
+def _voigt_stresses(stiffness_tensor: np.ndarray, kt: np.ndarray, pols: np.ndarray) -> np.ndarray:
     """The stress pattern of all three branches in Voigt form, a (3, n, 6) view.
 
-    ``pols`` is (n, 3, 3) as ``christoffel_many`` returns it.  tau is
-    symmetric bit for bit (c_ijkl == c_jikl), so the six columns hold all of
-    it.  Each component is ``stress_pattern``'s einsum sum, bit for bit and
-    for the reason ``christoffel_many`` gives: (c_ijkl khat_k) e_l added to
-    zero in (k, l) row-major order.  The product c_ijkl khat_k is shared by
-    the three branches.
+    ``kt`` is the (3, n) direction rows and ``pols`` is (n, 3, 3) as
+    ``christoffel_many`` returns it.  tau is symmetric bit for bit
+    (c_ijkl == c_jikl), so the six columns hold all of it.  Each component
+    is ``stress_pattern``'s einsum sum, bit for bit and for the reason
+    ``christoffel_many`` gives: (c_ijkl khat_k) e_l added to zero in (k, l)
+    row-major order.  The product c_ijkl khat_k is shared by the branches.
     """
-    kt = np.ascontiguousarray(khats.T)
     e = np.ascontiguousarray(pols.transpose(2, 1, 0))  # e[q, l]: component l of branch q
     coef = stiffness_tensor[_VOIGT_I, _VOIGT_J][..., None]
     acc = np.zeros((3, 6, kt.shape[1]))

@@ -19,7 +19,7 @@ and the brute-force broadened-delta sum).
 Quadrature is Gauss-Legendre in cos(theta) times a uniform periodic rule in
 phi.  At each node and branch the integrand is
 
-    A * (B * |sum_j V_j s_j M_j FF_j exp(i k . r_j)|^2)
+    A * (B * |sum_j s_j V_j M_j FF_j exp(i k . r_j)|^2)
 
 with ``A = golden k0^2 / v``, ``B = k0^2 u0^2``, the coupling
 ``M = tau : S`` of an inclusion with field-induced strain S, and the cuboid
@@ -193,37 +193,28 @@ class RadiationResult:
 class _Sources(NamedTuple):
     """The inclusions of one point as stacked arrays, one row per inclusion."""
 
-    volume: np.ndarray  # (n,)
+    volume: np.ndarray  # (n,) signed volume s_j V_j: the sign flips the whole amplitude
     strain: np.ndarray  # (n, 3, 3) field-induced strain
     dims: np.ndarray  # (n, 3)
     center: np.ndarray  # (n, 3)
-    sign: np.ndarray  # (n,)
     centred: bool  # every centre exactly at the origin: the phase is 1
     part: str | None  # "sin" or "cos": the one phase part of an antipodal pair
 
 
 def _sources(mode: MicrowaveMode, inclusions) -> _Sources:
     """The stacked inclusions, with ``part`` set for an antipodal pair: two
-    inclusions with the same volume, strain and dimensions, bit for bit, at
+    inclusions with the same |volume|, strain and dimensions, bit for bit, at
     centres r and -r with r != 0 (``_coherent_power`` says why one part
     suffices).  The part is sin for opposite signs and cos for equal ones."""
     E = mode.field_zp * mode.field_direction
-    volume = np.array([inc.volume for inc in inclusions])
+    volume = np.array([inc.sign * inc.volume for inc in inclusions])
     strain = np.array([induced_strain(inc.d_lab, E) for inc in inclusions])
     dims = np.array([inc.dimensions for inc in inclusions])
     center = np.array([inc.center for inc in inclusions])
-    sign = np.array([float(inc.sign) for inc in inclusions])
-    twins = len(inclusions) == 2 and all(x[0].tobytes() == x[1].tobytes() for x in (volume, strain, dims))
+    twins = len(inclusions) == 2 and all(x[0].tobytes() == x[1].tobytes() for x in (abs(volume), strain, dims))
     antipodal = twins and np.any(center[0]) and np.array_equal(center[1], -center[0])
-    return _Sources(
-        volume=volume,
-        strain=strain,
-        dims=dims,
-        center=center,
-        sign=sign,
-        centred=not np.any(center),
-        part=("sin" if sign[0] != sign[1] else "cos") if antipodal else None,
-    )
+    part = ("sin" if volume[0] != volume[1] else "cos") if antipodal else None
+    return _Sources(volume, strain, dims, center, centred=not np.any(center), part=part)
 
 
 def _sinc(x: np.ndarray) -> np.ndarray:
@@ -241,11 +232,20 @@ def _sinc(x: np.ndarray) -> np.ndarray:
     return s
 
 
+def _wave_vectors(k: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """k khat from (3, n) direction rows, C-contiguous: ``kvec @ r`` rounds differently on a strided view."""
+    kvec = np.empty((*k.shape, 3))
+    for c in range(3):
+        np.multiply(k, rows[c], out=kvec[..., c])
+    return kvec
+
+
 def _coherent_power(src: _Sources, vm: list[np.ndarray], ff: list[np.ndarray], kvec: np.ndarray | None) -> np.ndarray:
-    """|sum_j s_j (V_j M_j) FF_j exp(i kvec . r_j)|^2 at each node.
+    """|sum_j (s_j V_j M_j) FF_j exp(i kvec . r_j)|^2 at each node.
 
     The one coherent-sum kernel of the quadrature engine and the brute-force
-    oracle: ``vm[j]`` is V_j M_j and ``ff[j]`` the form factor of inclusion j
+    oracle: ``vm[j]`` is s_j V_j M_j, the signed volume ``src.volume[j]``
+    times M_j, and ``ff[j]`` the form factor of inclusion j
     at the nodes, of any one shape, and ``kvec`` has that shape plus a last
     axis of 3.  Inclusions are accumulated one at a time, in list order, so
     the float additions happen in a fixed order.  When ``src.centred`` the
@@ -262,13 +262,12 @@ def _coherent_power(src: _Sources, vm: list[np.ndarray], ff: list[np.ndarray], k
     ``np.exp(1j * x)`` bit for bit, and the real and the imaginary part of
     the sum are accumulated as two real arrays: a real term t times
     (c + i s) is (t c, t s) exactly.  Each sum starts from the first term
-    and adds or subtracts each by its sign; a signed zero that flips
-    vanishes in the square.
+    and adds every later one.
 
-    An antipodal pair (``src.part``) has one term t for both copies, and
+    An antipodal pair (``src.part``) has terms t and +-t, and
     kvec . (-r) == -(kvec . r) with cos even and sin odd, so that sum is
-    (+-(t c -+ t c), +-(t s +- t s)): one part is x - x = +0 and the other
-    +-(h), h = t p + t p with p = ``src.part`` of x = kvec . r_0.  The square
+    (t c +- t c, t s -+ t s): one part is x - x = +0 and the other
+    h = t p + t p with p = ``src.part`` of x = kvec . r_0.  The square
     is h * h bit for bit (+0 + y * y == y * y) for finite t (an infinite one
     gives inf where the general path gives nan), so only ``vm[0]``, ``ff[0]``
     and one phase part are read.
@@ -287,10 +286,10 @@ def _coherent_power(src: _Sources, vm: list[np.ndarray], ff: list[np.ndarray], k
             arg = kvec @ src.center[j]
             terms = [t * np.cos(arg), t * np.sin(arg)]
         if j == 0:
-            sums = terms if src.sign[j] > 0 else [-term for term in terms]
+            sums = terms
         else:
             for acc, term in zip(sums, terms):
-                (np.add if src.sign[j] > 0 else np.subtract)(acc, term, out=acc)
+                acc += term
     for acc in sums:
         acc *= acc
     if src.centred:
@@ -346,7 +345,7 @@ def _wave(substrate: MaterialSpec, n_theta: int, n_phi: int, omega0: float) -> _
     hbar = CONSTANTS.hbar
     golden = (2 * np.pi / hbar**2) * (1.0 / (8 * np.pi**3))
     u0_sq = hbar / (2 * substrate.rho * omega0)
-    v = np.ascontiguousarray(angular_table(substrate, n_theta, n_phi).velocities.T)
+    v = angular_table(substrate, n_theta, n_phi).velocities
     k0 = omega0 / v
     k0_sq = k0 * k0
     wave = _Wave(k0, golden * (k0_sq / v), k0_sq * u0_sq)
@@ -367,8 +366,8 @@ def _sinc_columns(substrate: MaterialSpec, n_theta: int, n_phi: int, k0: np.ndar
     head = h * n_phi
     cols = []
     for axis, length in axis_lengths:
-        col = np.empty((3, grid.khats.shape[0]))
-        col[:, :head] = _sinc(k0[:, :head] * grid.khats[:head, axis] * (length / 2.0))
+        col = np.empty((3, grid.weights.size))
+        col[:, :head] = _sinc(k0[:, :head] * grid.khats[axis, :head] * (length / 2.0))
         rings = col.reshape(3, n_theta, n_phi)
         rings[:, h:] = rings[:, : n_theta - h][:, ::-1]
         col.setflags(write=False)
@@ -470,15 +469,15 @@ def _gamma_branches(
     off-centre source and evaluates A * (B * |sum|^2) for all three branches
     at once, as (3, span) blocks, scaling the kernel's array in place and
     writing the product straight into the grid's values; then one reduction
-    per branch.  The copies of an antipodal pair pass their one shared term.
+    per branch.  An antipodal pair passes its first copy's term alone.
     """
     grid = angular_table(tables.substrate, n_theta, n_phi)
     m = tables.couplings(n_theta, n_phi, src.strain)
     wave = tables.wave(n_theta, n_phi, mode.omega0)
     cols = tables.sinc_columns(n_theta, n_phi, mode.omega0, src.dims)
-    n = grid.khats.shape[0]
+    n = grid.weights.size
     values = np.empty((3, n))
-    terms = 1 if src.part else src.volume.size  # the copies of a pair share one term
+    terms = 1 if src.part else src.volume.size  # the kernel reads a pair's first term alone
 
     def work(a, b):
         vm = [vol * mj[:, a:b] for vol, mj in zip(src.volume[:terms], m)]
@@ -487,7 +486,7 @@ def _gamma_branches(
             f = x[:, a:b] * y[:, a:b]
             f *= z[:, a:b]
             ff.append(f)
-        kvec = None if src.centred else wave.k0[:, a:b, None] * grid.khats[a:b]
+        kvec = None if src.centred else _wave_vectors(wave.k0[:, a:b], grid.khats[:, a:b])
         p = _coherent_power(src, vm, ff, kvec)
         p *= wave.B[:, a:b]
         np.multiply(wave.A[:, a:b], p, out=values[:, a:b])
@@ -671,9 +670,11 @@ def _oracle_table(substrate: MaterialSpec) -> AngularTable:
         st = np.sin(theta)
         w_theta = _simpson_weights(_BRUTE_THETA) * (np.pi / (_BRUTE_THETA - 1))
         khats, weights = _product_grid(np.cos(theta), st, w_theta * st, _BRUTE_PHI)
-        vels, pols = christoffel_many(substrate, khats)
-        taus = np.stack([stress_pattern(substrate.stiffness_tensor, khats, pols[:, :, q]) for q in range(3)])
-        return AngularTable(khats, weights, vels, taus)
+        # einsum on a strided (N, 3) view of the rows rounds some stresses differently
+        nodes = np.ascontiguousarray(khats.T)
+        vels, pols = christoffel_many(substrate, nodes)
+        taus = np.stack([stress_pattern(substrate.stiffness_tensor, nodes, pols[:, :, q]) for q in range(3)])
+        return AngularTable(khats, weights, vels.T.copy(), taus)
 
     return _memo_table(substrate, ("oracle",), build)
 
@@ -694,10 +695,10 @@ def brute_force_rate(
     V_T is 1 (it cancels), and every caller shares the fixed ``_BRUTE_*`` grid.
 
     The substrate is solved once per process (``_oracle_table``), so each
-    call pays only the radial loop, which reads each branch's stresses
-    ``table.stresses[q]`` as a view.  Its sources have ``part`` None, so a
-    pair takes the kernel's general sum, a cosine and a sine per copy and
-    node, not the engine's one-part rule.  A non-finite total raises
+    call pays only the radial loop, which reads the table's rows and each
+    branch's stresses as they are stored.  Its sources have ``part`` None,
+    so a pair takes the kernel's general sum, a cosine and a sine per copy
+    and node, not the engine's one-part rule.  A non-finite total raises
     NumericFailure.
     """
     incs = _as_inclusion_list(inclusions)
@@ -707,7 +708,6 @@ def brute_force_rate(
     rho = substrate.rho
     table = _oracle_table(substrate)
     khats, w_ang = table.khats, table.weights
-    rows = np.ascontiguousarray(khats.T)
 
     xi = np.linspace(-_BRUTE_WINDOW, _BRUTE_WINDOW, _BRUTE_RADIAL)
     w_xi = _simpson_weights(_BRUTE_RADIAL) * (2 * _BRUTE_WINDOW / (_BRUTE_RADIAL - 1))
@@ -719,7 +719,7 @@ def brute_force_rate(
     with np.errstate(all="ignore"):  # as in mie_rate; the gate below refuses what overflows
         src = _sources(mode, incs)._replace(part=None)
         for q in range(3):
-            v = np.ascontiguousarray(table.velocities[:, q])  # a row: the radial loop reads it 33 times
+            v = table.velocities[q]
             tau = table.stresses[q]
             vm = [vol * np.einsum("nij,ij->n", tau, s) for vol, s in zip(src.volume, src.strain)]
             dk = sigma / v  # measure: k^2 dk dOmega with dk = (sigma/v) dxi
@@ -728,8 +728,8 @@ def brute_force_rate(
                 k = omega / v
                 k_sq = k * k
                 u0_sq = hbar / (2 * rho * omega)
-                kvec = None if src.centred else k[:, None] * khats
-                cols = [[_sinc((k * rows[a]) * (L[a] / 2.0)) for a in range(3)] for L in src.dims]
+                kvec = None if src.centred else _wave_vectors(k, khats)
+                cols = [[_sinc((k * khats[a]) * (L[a] / 2.0)) for a in range(3)] for L in src.dims]
                 ff = [(x * y) * z for x, y, z in cols]
                 hg_sq = (k_sq * u0_sq) * _coherent_power(src, vm, ff, kvec)
                 f = (2 * np.pi / hbar**2) * f3d * hg_sq * gauss[i]

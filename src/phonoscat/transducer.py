@@ -101,7 +101,7 @@ def _overlaps(mode: MicrowaveMode, inclusions, substrate: MaterialSpec) -> list[
     alone and are computed once; each inclusion pays for its d tensor and
     one alignment contraction over all three branches."""
     grid = angular_table(substrate, 16, 32)
-    w = grid.weights / grid.velocities.T ** 5
+    w = grid.weights / grid.velocities ** 5
     w_total = sum(float(np.sum(w[q])) for q in range(3))
     norms = _stress_norms(grid.stresses)
     e = unit_vector(mode.field_direction, "field direction")  # normalised again, as geometry_factor does, so G keeps its bits

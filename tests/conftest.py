@@ -211,7 +211,7 @@ def remix_tables(monkeypatch):
         remixed = {}
         for grid in rate_grids(quad):
             table = angular_table(substrate, *grid)
-            vels, pols = christoffel_many(substrate, table.khats)
+            vels, pols = christoffel_many(substrate, table.khats.T)
             pols = remix_degenerate(vels, pols, rng)
             voigt = _voigt_stresses(substrate.stiffness_tensor, table.khats, pols)
             stresses = np.take(voigt, _FULL, axis=2).reshape(table.stresses.shape)

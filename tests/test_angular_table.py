@@ -142,7 +142,7 @@ def test_couplings_are_bitwise_equal_to_the_stress_pattern_formula(db, ln, name)
 def test_table_matches_a_direct_solve_bitwise(sapphire):
     table = angular_table(sapphire, 40, 80)  # 3200 nodes: two solve chunks
     khats, weights = _reference_grid(40, 80)
-    assert np.array_equal(table.khats, khats)
+    assert np.array_equal(table.khats, khats.T)
     assert np.array_equal(table.weights, weights)
     assert np.sum(table.weights) == pytest.approx(4 * np.pi, rel=1e-13)
     assert table.stresses.shape == (3, khats.shape[0], 3, 3)
@@ -150,12 +150,32 @@ def test_table_matches_a_direct_solve_bitwise(sapphire):
     for a in range(0, khats.shape[0], _REF_CHUNK):
         b = min(a + _REF_CHUNK, khats.shape[0])
         vels, pols = christoffel_many(sapphire, khats[a:b])
-        assert np.array_equal(table.velocities[a:b], vels)
+        assert np.array_equal(table.velocities[:, a:b], vels.T)
         for q in range(3):
             tau = stress_pattern(sapphire.stiffness_tensor, khats[a:b], pols[:, :, q])
             got = table.stresses[q, a:b]
             assert got.flags.c_contiguous
             assert np.array_equal(got, tau)
+
+
+@pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
+def test_directions_and_velocities_are_branch_major_rows(db, name):
+    """khats and velocities are read-only, C-contiguous (3, N) rows on the
+    engine's and the oracle's tables, so every reader takes a row as it is
+    stored.  The oracle's stresses are ``stress_pattern`` of a contiguous
+    (N, 3) copy of the directions, bit for bit: einsum on the strided view
+    of the rows may round differently."""
+    substrate = db[name]
+    engine, oracle = angular_table(substrate, 9, 16), radiation._oracle_table(substrate)
+    for table in (engine, oracle):
+        n = table.weights.size
+        for rows in (table.khats, table.velocities):
+            assert rows.shape == (3, n) and rows.flags.c_contiguous and not rows.flags.writeable
+    nodes = np.ascontiguousarray(oracle.khats.T)
+    vels, pols = christoffel_many(substrate, nodes)
+    assert np.array_equal(oracle.velocities, vels.T)
+    for q in range(3):
+        assert np.array_equal(oracle.stresses[q], stress_pattern(substrate.stiffness_tensor, nodes, pols[:, :, q]))
 
 
 def test_table_arrays_are_read_only(substrate):
@@ -183,7 +203,7 @@ def _voigt_table(substrate, n_theta, n_phi):
     for a in range(0, n, _REF_CHUNK):
         b = min(a + _REF_CHUNK, n)
         _, pols = christoffel_many(substrate, khats[a:b])
-        voigt[:, a:b] = _voigt_stresses(substrate.stiffness_tensor, khats[a:b], pols)
+        voigt[:, a:b] = _voigt_stresses(substrate.stiffness_tensor, khats[a:b].T, pols)
     return voigt
 
 
@@ -245,7 +265,7 @@ def test_overlap_is_the_stacked_voigt_expansion_bit_for_bit(db, ln, name):
     mode = make_mode(substrate)
     grid = angular_table(substrate, 16, 32)
     taus = np.stack([_expand(v) for v in _voigt_table(substrate, 16, 32)])
-    w = grid.weights / grid.velocities.T**5
+    w = grid.weights / grid.velocities**5
     # the last turn is one where an F-ordered stack moves G by an ulp
     for inc in _turned(ln, [((0, 0, 1), 0.0), ((1, 2, 3), 0.7), ((-2, 1, 0.5), 2.3)]):
         g = geometry_factor(mode.field_direction, inc.d_lab, taus)
@@ -299,7 +319,7 @@ def test_rotated_copy_never_sees_the_original_table(empty_memo):
             assert t1 is not t0
             assert table_of(rotated) is t1
             assert empty_memo[_table_key(rotated, *grid)] is t1
-            assert np.array_equal(t1.velocities, christoffel_many(rotated, t1.khats)[0])
+            assert np.array_equal(t1.velocities, christoffel_many(rotated, t1.khats.T)[0].T)
             assert np.max(np.abs(t1.velocities - t0.velocities)) > 1.0  # anisotropic: really rotated
         assert empty_memo[_table_key(original, *grid)] is t0
     assert len(empty_memo) == 3 * len(TABLES)

@@ -73,6 +73,25 @@ def test_oracle_never_runs_the_engine_stress_kernel(db, ln, xcut, empty_memo, mo
     assert list(empty_memo) == [_table_key(substrate, "oracle")]
 
 
+def test_the_kernel_gets_node_major_wave_vectors(db, ln, xcut, monkeypatch):
+    """kvec = k khat reaches the kernel as the C-contiguous (N, 3) array that
+    ``brute_force_reference`` builds, not a strided view of the table's (3, N)
+    rows: matmul's bits for kvec @ r depend on the layout, and a one-ulp
+    phase change can round away in the rate, so the rate alone misses it."""
+    substrate = db["sapphire"]
+    wg = _offcentre_waveguide(ln, xcut)
+    incs = [wg, dataclasses.replace(wg, center=np.array([-0.2e-6, 0.1e-6, 0.4e-6]), sign=-1)]
+    kernel, layouts = radiation._coherent_power, []
+
+    def checked(src, vm, ff, kvec):
+        layouts.append((kvec.shape, kvec.flags.c_contiguous))
+        return kernel(src, vm, ff, kvec)
+
+    monkeypatch.setattr(radiation, "_coherent_power", checked)
+    brute_force_rate(make_mode(substrate, 10e9), incs, substrate)
+    assert layouts == [((ORACLE_NODES, 3), True)] * (3 * radiation._BRUTE_RADIAL)
+
+
 @pytest.fixture
 def oracle_solves(monkeypatch, empty_memo):
     """The substrate name of every Christoffel solve on the oracle's grid,
@@ -133,7 +152,7 @@ def test_rotated_substrate_gets_its_own_entry(sapphire, xcut, oracle_solves, emp
 
 def test_entries_are_read_only(sapphire, empty_memo):
     table = radiation._oracle_table(sapphire)
-    assert table.velocities.shape == (ORACLE_NODES, 3)
+    assert table.velocities.shape == (3, ORACLE_NODES)
     assert table.stresses.shape == (3, ORACLE_NODES, 3, 3)
     for arr in (table.velocities, table.stresses):
         with pytest.raises(ValueError, match="read-only"):
@@ -149,8 +168,9 @@ def test_six_voigt_columns_hold_the_whole_stress(db, name, empty_memo):
     table = radiation._oracle_table(substrate)
     assert table.stresses.shape == (3, ORACLE_NODES, 3, 3)
     assert table.stresses.flags.c_contiguous
-    _, pols = christoffel_many(substrate, table.khats)
+    khats = np.ascontiguousarray(table.khats.T)  # (N, 3) node rows, as the oracle's build passes them
+    _, pols = christoffel_many(substrate, khats)
     for q in range(3):
-        tau = stress_pattern(substrate.stiffness_tensor, table.khats, pols[:, :, q])
+        tau = stress_pattern(substrate.stiffness_tensor, khats, pols[:, :, q])
         assert np.array_equal(tau, tau.transpose(0, 2, 1))
         assert np.array_equal(table.stresses[q], tau)

@@ -386,11 +386,20 @@ class TestConfigErrors:
             cfg["sweep"] = {"axis": "n_periods", "grid": "linear", "start": start, "stop": stop, "count": count}
             self.check(tmp_path, capsys, cfg, "sweep: n_periods grid must contain integers")
 
-    def test_overlapping_dual_separation(self, tmp_path, capsys):
+    def test_overlapping_dual_separation(self, tmp_path, capsys, monkeypatch):
+        """Checked at parse, like a swept height: one line naming the field
+        and the value, exit 2, no rate and no CSV."""
+        import phonoscat.cli as cli
+
+        monkeypatch.setattr(cli, "execute", lambda cfg: pytest.fail("a rate was computed for an overlapping pair"))
         cfg = base_config(scenario="dual_waveguide", quadrature=dict(SMALL_QUAD))
         cfg["inclusions"][0]["dimensions_um"] = [0.02, 0.02, 0.02]
-        cfg["sweep"] = {"axis": "separation_um", "grid": "linear", "start": 0.001, "stop": 0.001, "count": 1}
-        self.check(tmp_path, capsys, cfg, "overlap")
+        cfg["sweep"] = {"axis": "separation_um", "grid": "linear", "start": 0.05, "stop": 0.001, "count": 2}
+        code, out = run_cli(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err.startswith("config error: sweep: separation_um = 0.001: ") and "inclusion pair overlaps" in err
+        assert err.count("\n") == 1
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "absent.json")])

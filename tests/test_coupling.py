@@ -166,7 +166,7 @@ class TestFormFactor:
         kvecs = np.random.default_rng(12).normal(scale=5e6, size=(8, 3))
         kvecs[0] = 0.0
         src = _sources(make_mode(substrate), incs)
-        vm = [inc.volume * np.ones(len(kvecs)) for inc in incs]
+        vm = [vol * np.ones(len(kvecs)) for vol in src.volume]  # signed V, as the engine's V M
         cols = [[_sinc(kvecs[:, a] * (inc.dimensions[a] / 2.0)) for a in range(3)] for inc in incs]
         got = _coherent_power(src, vm, [(x * y) * z for x, y, z in cols], kvecs)
         want = [abs(sum(inc.volume * form_factor(inc, k) for inc in incs)) ** 2 for k in kvecs]

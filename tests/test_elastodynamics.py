@@ -151,7 +151,7 @@ class TestKernelsAreTheEinsumForms:
         w, vec = np.linalg.eigh(np.einsum("ijkl,nj,nk->nil", c, khats, khats) / substrate.rho)
         vels, pols = christoffel_many(substrate, khats)
         assert np.array_equal(vels, np.sqrt(w)) and np.array_equal(pols, vec)
-        voigt = _voigt_stresses(c, khats, pols)
+        voigt = _voigt_stresses(c, khats.T, pols)
         assert voigt.shape == (3, n, 6)
         for q in range(3):
             full = np.take(voigt[q], _FULL, axis=1).reshape(-1, 3, 3)

@@ -6,7 +6,7 @@ substrate symmetric under z -> -z the velocities of the two rings are equal
 bit for bit too, and the angular table records that once as ``mirrored``.
 The sinc columns are then computed on half the rings and copied.  The
 coherent sum takes one cosine and one sine per off-centre inclusion, except
-for an antipodal pair (two copies with the same strain, volume and
+for an antipodal pair (two copies with the same strain, |volume| and
 dimensions at r and -r), which keeps one phase part, sin or cos, that the
 kernel evaluates from each span's kvec.  These tests pin down which tables
 are mirrored, that the shortcuts give the bits of the full computation they
@@ -38,30 +38,42 @@ from conftest import XCUT_MATRIX, brute_force_reference, make_mode
 # sum with a zeros start, a sign * ff multiply and one np.exp per inclusion;
 # the complex kernel that took the conjugate phase of a mirrored centre; and
 # the real kernel that took (cos, -sin) of an earlier phase for a negated
-# centre and (cos, sin) for every other centre.
+# centre and (cos, sin) for every other centre.  The three kernels keep the
+# parent's sign dispatch: they read each sign from the signed volume and
+# take the unsigned V M back from ``vm`` (``_unsigned``).
 
 
 def _full_sinc_columns(substrate, n_theta, n_phi, k0, axis_lengths):
     grid = angular_table(substrate, n_theta, n_phi)
-    cols = [np.empty((3, grid.khats.shape[0])) for _ in axis_lengths]
+    cols = [np.empty((3, grid.weights.size)) for _ in axis_lengths]
     for q in range(3):
         for col, (axis, length) in zip(cols, axis_lengths):
-            col[q] = radiation._sinc(k0[q] * grid.khats[:, axis] * (length / 2.0))
+            col[q] = radiation._sinc(k0[q] * grid.khats[axis] * (length / 2.0))
     for col in cols:
         col.setflags(write=False)
     return cols
 
 
+def _unsigned(src, vm):
+    """The sign of each source, read from its signed volume, and its V M
+    without the sign, as the parent kernels took them: a product with +-1
+    is exact."""
+    sign = np.sign(src.volume)
+    return sign, [s * v for s, v in zip(sign, vm)]
+
+
 def _one_phase_each_coherent_power(src, vm, ff, kvec):
+    sign, vm = _unsigned(src, vm)
     centred = not np.any(src.center)
     coh = np.zeros(ff[0].shape, dtype=float if centred else complex)
     for j in range(src.volume.size):
-        term = vm[j] * (src.sign[j] * ff[j])
+        term = vm[j] * (sign[j] * ff[j])
         coh += term if centred else term * np.exp(1j * (kvec @ src.center[j]))
     return coh * coh if centred else coh.real**2 + coh.imag**2
 
 
 def _complex_coherent_power(src, vm, ff, kvec):
+    sign, vm = _unsigned(src, vm)
     centred = not np.any(src.center)
     phases = []
     for j in range(src.volume.size):
@@ -71,13 +83,14 @@ def _complex_coherent_power(src, vm, ff, kvec):
             phases.append(mirror[0].conj() if mirror else np.exp(1j * (kvec @ src.center[j])))
             term = term * phases[j]
         if j == 0:
-            coh = term if src.sign[j] > 0 else -term
+            coh = term if sign[j] > 0 else -term
         else:
-            (np.add if src.sign[j] > 0 else np.subtract)(coh, term, out=coh)
+            (np.add if sign[j] > 0 else np.subtract)(coh, term, out=coh)
     return coh * coh if centred else coh.real**2 + coh.imag**2
 
 
 def _real_coherent_power(src, vm, ff, kvec):
+    sign, vm = _unsigned(src, vm)
     phases = []
     for j in range(src.volume.size):
         t = vm[j] * ff[j]
@@ -93,10 +106,10 @@ def _real_coherent_power(src, vm, ff, kvec):
                 phases.append((np.cos(arg), np.sin(arg)))
             terms = [t * part for part in phases[j]]
         if j == 0:
-            sums = terms if src.sign[j] > 0 else [-term for term in terms]
+            sums = terms if sign[j] > 0 else [-term for term in terms]
         else:
             for acc, term in zip(sums, terms):
-                (np.add if src.sign[j] > 0 else np.subtract)(acc, term, out=acc)
+                (np.add if sign[j] > 0 else np.subtract)(acc, term, out=acc)
     if src.centred:
         (re,) = sums
         return re * re
@@ -125,11 +138,11 @@ def test_z_symmetric_substrates_are_mirrored(db, empty_memo, name, turn, grid):
     substrate = db[name].rotated(Orientation.about_axis([0.0, 0.0, 1.0], turn))
     table = angular_table(substrate, *grid)
     assert table.mirrored is True
-    rings = table.velocities.reshape(grid[0], grid[1], 3)
-    assert np.array_equal(rings, rings[::-1])
-    k = table.khats.reshape(grid[0], grid[1], 3)
-    assert np.array_equal(k[..., :2], k[::-1, :, :2])
-    assert np.array_equal(k[..., 2], -k[::-1, :, 2])
+    rings = table.velocities.reshape(3, *grid)
+    assert np.array_equal(rings, rings[:, ::-1])
+    k = table.khats.reshape(3, *grid)
+    assert np.array_equal(k[:2], k[:2, ::-1])
+    assert np.array_equal(k[2], -k[2, ::-1])
 
 
 @pytest.mark.parametrize("grid", [(5, 8), (12, 24), (16, 32)])
@@ -153,7 +166,7 @@ def _k0(substrate, grid, omega0):
     """The wave entry's k0 rows, checked against omega0 / v of each branch."""
     k0 = radiation._wave(substrate, *grid, omega0).k0
     velocities = angular_table(substrate, *grid).velocities
-    assert all(np.array_equal(k0[q], omega0 / velocities[:, q]) for q in range(3))
+    assert all(np.array_equal(k0[q], omega0 / velocities[q]) for q in range(3))
     return k0
 
 
@@ -262,8 +275,10 @@ def _kernel_inputs(db, ln, centres, signs, branch=0, twins=False):
     """Realistic per-node factors on a 16x32 sapphire grid, with exact zeros
     of both signs mixed in, and a kvec with a zero row: the (N,) rows of one
     branch, or with ``branch`` None the (3, N) blocks of all three, as the
-    engine passes them.  ``twins`` gives every inclusion the same dimensions
-    and the same V M, as the copies of a dual pair have."""
+    engine passes them.  Each ``vm[j]`` carries the sign of its signed
+    volume, as the engine's V M does.  ``twins`` gives every inclusion the
+    same dimensions and the same unsigned V M, as the copies of a dual pair
+    have."""
     substrate = db["sapphire"]
     mode = make_mode(substrate)
     rng = np.random.default_rng([len(centres), *(s + 1 for s in signs)])
@@ -271,7 +286,7 @@ def _kernel_inputs(db, ln, centres, signs, branch=0, twins=False):
     incs = [_inc(ln, c, s, dims=dims[0] if twins else d) for c, s, d in zip(centres, signs, dims)]
     src = _sources(mode, incs)
     grid = angular_table(substrate, 16, 32)
-    kvec = (mode.omega0 / grid.velocities.T)[:, :, None] * grid.khats
+    kvec = np.multiply((mode.omega0 / grid.velocities)[:, :, None], grid.khats.T, order="C")
     kvec[:, 3] = 0.0
     vm = [rng.normal(size=kvec.shape[:2]) for _ in incs]
     ff = [np.prod([_sinc(kvec[..., a] * (L[a] / 2.0)) for a in range(3)], axis=0) for L in src.dims]
@@ -280,12 +295,13 @@ def _kernel_inputs(db, ln, centres, signs, branch=0, twins=False):
         f[:, 4:8] = [-0.0, 0.0, 0.0, -0.0]
     if twins:
         vm = [vm[0].copy() for _ in incs]
+    vm = [np.sign(vol) * v for vol, v in zip(src.volume, vm)]
     if branch is None:
         return src, vm, ff, kvec
     return src, [x[branch] for x in vm], [x[branch] for x in ff], kvec[branch]
 
 
-SIGNS = [(1, 1, 1), (1, -1, 1), (-1, -1, 1)]
+SIGNS = [(1, 1, 1), (1, -1, 1), (-1, -1, 1), (-1, 1, -1)]
 
 
 @pytest.mark.parametrize("name", sorted(CENTRES))
@@ -412,17 +428,20 @@ def _per_branch_gamma(mode, src, substrate, n_theta, n_phi):
     golden = (2 * np.pi / hbar**2) * (1.0 / (8 * np.pi**3))
     u0_sq = hbar / (2 * substrate.rho * omega0)
     grid = angular_table(substrate, n_theta, n_phi)
-    n = grid.khats.shape[0]
+    n = grid.weights.size
     values = np.empty((3, n))
     for a in range(0, n, radiation._CHUNK):
         b = min(a + radiation._CHUNK, n)
+        # the span's directions as C-contiguous (N, 3) node rows: matmul's
+        # bits for kvec @ r depend on the layout
+        nodes = np.ascontiguousarray(grid.khats[:, a:b].T)
         for q in range(3):
             vm = [vol * np.einsum("nij,ij->n", grid.stresses[q, a:b], s) for vol, s in zip(src.volume, src.strain)]
-            v = grid.velocities[a:b, q]
+            v = grid.velocities[q, a:b]
             k0 = omega0 / v
-            cols = [[_sinc(k0 * grid.khats[a:b, axis] * (L[axis] / 2.0)) for axis in range(3)] for L in src.dims]
+            cols = [[_sinc(k0 * nodes[:, axis] * (L[axis] / 2.0)) for axis in range(3)] for L in src.dims]
             ff = [(x * y) * z for x, y, z in cols]
-            kvec = k0[:, None] * grid.khats[a:b]
+            kvec = k0[:, None] * nodes
             k0_sq = k0 * k0
             power = _one_phase_each_coherent_power(src, vm, ff, kvec)
             values[q, a:b] = golden * (k0_sq / v) * ((k0_sq * u0_sq) * power)
@@ -623,14 +642,16 @@ def test_pair_power_equals_the_general_sum_node_by_node(db, ln, monkeypatch, nam
     mode = make_mode(substrate, f_hz=7.3e9)
     k0 = radiation._wave(substrate, *grid, mode.omega0).k0
     khats = angular_table(substrate, *grid).khats
-    n = khats.shape[0]
+    n = khats.shape[1]
     spans = [(a, min(a + radiation._CHUNK, n)) for a in range(0, n, radiation._CHUNK)]
     seen = []
 
     def checked(src, vm, ff, kvec):
         a, b = spans[len(seen)]
-        assert len(vm) == len(ff) == 1 and np.array_equal(kvec, k0[:, a:b, None] * khats[a:b])
-        want = _one_phase_each_coherent_power(src, vm * 2, ff * 2, kvec)
+        assert len(vm) == len(ff) == 1 and np.array_equal(kvec, k0[:, a:b, None] * khats[:, a:b].T)
+        assert kvec.flags.c_contiguous
+        # the second copy's V M: the first's times the ratio of their signed volumes, +-1
+        want = _one_phase_each_coherent_power(src, [vm[0], (src.volume[1] / src.volume[0]) * vm[0]], ff * 2, kvec)
         got = _coherent_power(src, vm, ff, kvec)
         assert np.array_equal(got, want)
         seen.append(b - a)

@@ -187,7 +187,9 @@ class TestDeterminism:
     @pytest.mark.parametrize("n_incs", [1, 2])
     def test_centred_coherent_power_equals_the_complex_sum(self, sapphire, waveguide, n_incs):
         """With every centre exactly at the origin the phase is exactly 1 + 0j,
-        so the real accumulation gives |sum|^2 bit for bit."""
+        so the real accumulation gives |sum|^2 bit for bit.  The reference
+        applies each sign to the form factor, read from the signed volume,
+        so it does not share the kernel's signed V M."""
         mode = make_mode(sapphire)
         small = dataclasses.replace(waveguide, dimensions=np.array([0.3e-6, 0.7e-6, 2e-6]), sign=-1)
         src = _sources(mode, [waveguide, small][:n_incs])
@@ -195,12 +197,12 @@ class TestDeterminism:
         grid = angular_table(sapphire, 16, 32)
         m = _contract(sapphire, 16, 32, src.strain)
         for q in range(3):
-            kvec = (mode.omega0 / grid.velocities[:, q])[:, None] * grid.khats
+            kvec = (mode.omega0 / grid.velocities[q])[:, None] * grid.khats.T
             coh = np.zeros(kvec.shape[0], dtype=complex)
             for j in range(n_incs):
                 ff = np.prod(np.sinc(kvec * (src.dims[j] / 2.0) / np.pi), axis=1)
                 phase = np.exp(1j * (kvec @ src.center[j]))
-                coh += src.volume[j] * m[j][q] * (src.sign[j] * ff) * phase
+                coh += abs(src.volume[j]) * m[j][q] * (np.sign(src.volume[j]) * ff) * phase
             vm = [src.volume[j] * m[j][q] for j in range(n_incs)]
             cols = [[_sinc(kvec[:, a] * (src.dims[j][a] / 2.0)) for a in range(3)] for j in range(n_incs)]
             got = _coherent_power(src, vm, [(x * y) * z for x, y, z in cols], kvec)

@@ -28,14 +28,15 @@ def overlap_per_node(mode, inclusion, substrate):
     """Reference for emission_weighted_overlap: G node by node, one stress at a
     time, from a Christoffel solve of its own on the 16x32 grid."""
     grid = angular_table(substrate, 16, 32)
-    _, pols = christoffel_many(substrate, grid.khats)
+    khats = np.ascontiguousarray(grid.khats.T)  # (N, 3) node rows
+    _, pols = christoffel_many(substrate, khats)
     dt = piezo_voigt_to_tensor(inclusion.d_lab)
     dn2 = float(np.sum(dt * dt))
     num = 0.0
     den = 0.0
     for q in range(3):
-        tau = stress_pattern(substrate.stiffness_tensor, grid.khats, pols[:, :, q])
-        w = grid.weights / grid.velocities[:, q] ** 5
+        tau = stress_pattern(substrate.stiffness_tensor, khats, pols[:, :, q])
+        w = grid.weights / grid.velocities[q] ** 5
         g = []
         for T in tau:
             x = float(np.einsum("i,ijk,jk->", mode.field_direction, dt, T / np.sqrt(np.sum(T * T))))
@@ -148,7 +149,7 @@ def overlap_per_branch(mode, inclusion, substrate):
     grid = angular_table(substrate, 16, 32)
     num = den = 0.0
     for q in range(3):
-        w = grid.weights / grid.velocities[:, q] ** 5
+        w = grid.weights / grid.velocities[q] ** 5
         num += float(np.sum(w * geometry_factor(mode.field_direction, inclusion.d_lab, grid.stresses[q])))
         den += float(np.sum(w))
     return num / den
