@@ -2,18 +2,21 @@
 
 A run is described by a JSON file naming one scenario, the materials, the
 microwave mode, the inclusions, and exactly one sweep axis.  Frequencies are
-given in GHz and lengths in micrometers.  The mode and the inclusions become
-SI at parse time; the sweep values and the Bragg center frequency stay in
-config units, and each runner converts them where it calls the library.
+given in GHz and lengths in micrometers.  The mode, the inclusions, the
+``eo`` block and the Bragg mirror become SI at parse time; the sweep values
+stay in config units, and each runner converts them where it calls the
+library.
 Every run writes one CSV (header row plus one row per sweep point, shortest
 round-trip float formatting, deterministic bytes) and prints a short report
 with fitted slopes, regime tags and quadrature diagnostics to standard output.
 
 Exit codes, set for every subcommand in ``main`` alone: 0 success, 2
 configuration error (the message names the offending field or path;
-non-finite numbers, finite ones that overflow once converted, such as a
-frequency past the float range in rad/s or a direction whose length
-overflows, and unreadable or unwritable paths are configuration errors),
+non-finite numbers, finite ones that leave the float range once converted,
+such as a frequency past it in rad/s, a reference mode volume that
+underflows to zero in m^3, a Bragg center frequency whose quarter-wave
+thickness is not finite, or a direction whose length overflows, and
+unreadable or unwritable paths are configuration errors),
 3 numeric failure (quadrature unconverged after the built-in refinement
 cap or before a refinement past the largest grid, a non-finite rate,
 brute-force total, figure of merit or Bragg transfer matrix, a Bragg
@@ -199,8 +202,9 @@ def _orientation(d: dict | None, path: str) -> Orientation:
 
 @dataclass
 class RunConfig:
-    """Validated run description: SI units, except the sweep values and the
-    Bragg center frequency, which stay in config units for the CSV and report."""
+    """Validated run description: SI units, except the sweep values, which
+    stay in config units for the CSV, and the Bragg center frequency, kept in
+    GHz for the report beside the mirror built from it."""
 
     scenario: str
     substrate: MaterialSpec
@@ -212,10 +216,8 @@ class RunConfig:
     output: str
     dual_direction: np.ndarray
     dual_relative_sign: int
-    bragg_low: MaterialSpec | None
-    bragg_high: MaterialSpec | None
+    mirror: BraggStack | None  # the one-period quarter-wave stack of the bragg scenario
     bragg_center_ghz: float
-    bragg_normal: np.ndarray
     eo: EoModel | None
     orientation_axis: np.ndarray
 
@@ -236,12 +238,12 @@ def _load_db(cfg: dict) -> dict[str, MaterialSpec]:
         raise ConfigError(f"materials_db: {e}") from None
 
 
-def _rad_per_s(f_ghz: float, path: str) -> float:
-    """A frequency in GHz as rad/s, or a ConfigError naming ``path`` when that
-    overflows (Python floats: no numpy warning)."""
-    omega = 2 * np.pi * f_ghz * 1e9
+def _rad_per_s(f: float, path: str, unit: str = "GHz") -> float:
+    """A frequency in ``unit`` (GHz or Hz) as rad/s, or a ConfigError naming
+    ``path`` when that overflows (Python floats: no numpy warning)."""
+    omega = 2 * np.pi * f * (1e9 if unit == "GHz" else 1.0)
     if omega == np.inf:
-        raise ConfigError(f"{path}: {f_ghz:g} GHz is too large for a finite angular frequency")
+        raise ConfigError(f"{path}: {f:g} {unit} is too large for a finite angular frequency")
     return omega
 
 
@@ -367,12 +369,17 @@ def load_run_config(path: str) -> RunConfig:
         raise ConfigError("dual.relative_sign: must be +1 or -1")
 
     bragg_cfg = _object(raw.get("bragg"), "bragg", {"low", "high", "center_frequency_GHz", "normal"})
-    bragg_low = bragg_high = None
     if scenario == "bragg":
-        bragg_low = _material(db, _string(bragg_cfg, "low", "bragg"), "bragg.low")
-        bragg_high = _material(db, _string(bragg_cfg, "high", "bragg"), "bragg.high")
+        low = _material(db, _string(bragg_cfg, "low", "bragg"), "bragg.low")
+        high = _material(db, _string(bragg_cfg, "high", "bragg"), "bragg.high")
     bragg_center = _number(bragg_cfg, "center_frequency_GHz", "bragg", default=f_ghz, positive=True)
     bragg_normal = _vector3(bragg_cfg, "normal", "bragg", default=[0.0, 0.0, 1.0], nonzero=True)
+    mirror = None
+    if scenario == "bragg":
+        try:
+            mirror = BraggStack.quarter_wave(substrate, low, high, bragg_center * 1e9, 1, bragg_normal)
+        except ValueError as e:  # f_c in Hz, or a quarter-wave thickness v / (4 f_c), past the float range
+            raise ConfigError(f"bragg.center_frequency_GHz: {bragg_center:g} GHz: {e}") from None
 
     eo = None
     if raw.get("eo") is not None:
@@ -380,11 +387,12 @@ def load_run_config(path: str) -> RunConfig:
         overlap = _number(eo_cfg, "overlap", "eo", default=1.0)
         if not 0.0 <= overlap <= 1.0:
             raise ConfigError("eo.overlap: must lie in [0, 1]")
-        eo = EoModel(
-            g0=2 * np.pi * _number(eo_cfg, "g0_Hz", "eo", positive=True),
-            v_ref=_number(eo_cfg, "v_ref_um3", "eo", positive=True) * _UM3,
-            overlap=overlap,
-        )
+        g0 = _rad_per_s(_number(eo_cfg, "g0_Hz", "eo", positive=True), "eo.g0_Hz", "Hz")
+        v_ref_um3 = _number(eo_cfg, "v_ref_um3", "eo", positive=True)
+        v_ref = v_ref_um3 * _UM3
+        if not v_ref > 0:
+            raise ConfigError(f"eo.v_ref_um3: {v_ref_um3:g} um^3 is too small for a positive volume in m^3")
+        eo = EoModel(g0=g0, v_ref=v_ref, overlap=overlap)
     elif scenario == "figure_of_merit":
         raise ConfigError("eo: required for the figure_of_merit scenario")
 
@@ -429,10 +437,8 @@ def load_run_config(path: str) -> RunConfig:
         output=f"phonoscat_{scenario}.csv" if output is None else output,
         dual_direction=dual_dir,
         dual_relative_sign=dual_sign,
-        bragg_low=bragg_low,
-        bragg_high=bragg_high,
+        mirror=mirror,
         bragg_center_ghz=bragg_center,
-        bragg_normal=bragg_normal,
         eo=eo,
         orientation_axis=ori_axis,
     )
@@ -535,12 +541,9 @@ def _run_dual(cfg: RunConfig) -> RunTable:
 def _run_bragg(cfg: RunConfig) -> RunTable:
     base = refined_rate(cfg.mode, cfg.inclusions, cfg.substrate, cfg.quad)
     _require_nonzero(base.total_rate, "the unmitigated rate", "the Q gain is undefined")
-    mirror = BraggStack.quarter_wave(
-        cfg.substrate, cfg.bragg_low, cfg.bragg_high, cfg.bragg_center_ghz * 1e9, 1, cfg.bragg_normal
-    )
     counts = [int(n) for n in cfg.values]
     rows = []
-    for n, (refl, trans) in zip(counts, _bragg_sweep(mirror, cfg.mode.omega0, counts)):
+    for n, (refl, trans) in zip(counts, _bragg_sweep(cfg.mirror, cfg.mode.omega0, counts)):
         mit = mitigated_rate(base, trans)
         rows.append(
             (n, refl, trans, mit.total_rate, mit.q_factor, mit.q_factor / base.q_factor)
@@ -551,7 +554,7 @@ def _run_bragg(cfg: RunConfig) -> RunTable:
         "angular emission pattern onto the stack normal)",
         f"mirror center frequency: {cfg.bragg_center_ghz:g} GHz; unmitigated Q: {base.q_factor:.4e}",
     ] + _diag_lines([base])
-    for layer in mirror.period:
+    for layer in cfg.mirror.period:
         report.append(
             f"layer {layer.name}: Z = {layer.impedance:.4e} Pa s/m, "
             f"v = {layer.speed:.1f} m/s, quarter-wave thickness = {layer.thickness / _UM:.4f} um"

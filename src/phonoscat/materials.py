@@ -145,18 +145,9 @@ def strain_voigt_to_tensor(s) -> np.ndarray:
     return s[VOIGT_OF_PAIR] * _UNPACK_SHEAR
 
 
-def bond_stress_matrix(R) -> np.ndarray:
-    """6x6 Bond matrix M transforming Voigt stress vectors, T' = M T."""
-    return _bond_stress(_check_rotation(R))
-
-
-def bond_strain_matrix(R) -> np.ndarray:
-    """6x6 Bond matrix N transforming engineering-shear strain vectors."""
-    return _bond_strain(_check_rotation(R))
-
-
 def _bond_stress(R: np.ndarray) -> np.ndarray:
-    """``bond_stress_matrix`` of a rotation matrix that is already checked."""
+    """6x6 Bond matrix M transforming Voigt stress vectors, T' = M T, of a
+    rotation matrix that is already checked."""
     k, l = np.array(VOIGT_PAIRS).T  # column J is the pair (k, l), row I the pair (i, j)
     i, j = k[:, None], l[:, None]
     M = R[i, k] * R[j, l] + R[i, l] * R[j, k]
@@ -165,7 +156,8 @@ def _bond_stress(R: np.ndarray) -> np.ndarray:
 
 
 def _bond_strain(R: np.ndarray) -> np.ndarray:
-    """``bond_strain_matrix`` of a rotation matrix that is already checked."""
+    """6x6 Bond matrix N transforming engineering-shear strain vectors, of a
+    rotation matrix that is already checked."""
     D = np.repeat([1.0, 2.0], 3)
     N = _bond_stress(R) * (D[:, None] / D)
     N[:3, :3] = np.float_power(R, 2)  # libm pow, not x * x: see the module docstring

@@ -153,8 +153,8 @@ class BraggLayer:
     thickness: float  # m
 
     def __post_init__(self):
-        if not (self.impedance > 0 and self.speed > 0 and self.thickness > 0):
-            raise ValueError(f"layer '{self.name}': impedance, speed and thickness must be positive")
+        if not all(0 < x < np.inf for x in (self.impedance, self.speed, self.thickness)):
+            raise ValueError(f"layer '{self.name}': impedance, speed and thickness must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -175,11 +175,6 @@ class BraggStack:
             raise ValueError("n_periods must be a nonnegative integer")
         if not (self.z_in > 0 and self.z_out > 0):
             raise ValueError("media impedances must be positive")
-
-    @property
-    def layers(self) -> tuple:
-        """The period repeated n_periods times, incidence side first."""
-        return self.period * self.n_periods
 
     @staticmethod
     def quarter_wave(

@@ -38,7 +38,8 @@ they depend on, and the points of a sweep share them:
   and ``silicon``; ``AngularTable.mirrored``) and copied to the other half.
 
 The last three live in a ``_SweepTables`` that ``_rates`` makes for its
-points and drops when they are done.  So a height point computes only its x
+points and drops when they are done; one ``factors`` call gathers a grid
+pass's table and all three.  So a height point computes only its x
 and y sinc columns, a thickness point only its z column, and a separation
 point or an orientation angle no column (an angle computes its own M, since
 the strain turns with the crystal).  A frequency point computes everything
@@ -321,16 +322,6 @@ def _each_span(n: int, threads: int, work) -> None:
             work(a, b)
 
 
-def _contract(substrate: MaterialSpec, n_theta: int, n_phi: int, strains) -> list:
-    """The (3, N) read-only M = tau : S of each strain on the n_theta x n_phi
-    grid, one einsum over all three branches of the whole grid."""
-    grid = angular_table(substrate, n_theta, n_phi)
-    out = [np.einsum("qnij,ij->qn", grid.stresses, s) for s in strains]
-    for m in out:
-        m.setflags(write=False)
-    return out
-
-
 class _Wave(NamedTuple):
     """The factors of the integrand that depend on the grid and omega0 alone,
     each a C-contiguous, read-only (3, N) array, one row per branch."""
@@ -340,12 +331,12 @@ class _Wave(NamedTuple):
     B: np.ndarray  # k0^2 u0^2
 
 
-def _wave(substrate: MaterialSpec, n_theta: int, n_phi: int, omega0: float) -> _Wave:
-    """k0, A and B of every branch and node of the n_theta x n_phi grid."""
+def _wave(table: AngularTable, rho: float, omega0: float) -> _Wave:
+    """k0, A and B of every branch and node of ``table``, a substrate of density ``rho``."""
     hbar = CONSTANTS.hbar
     golden = (2 * np.pi / hbar**2) * (1.0 / (8 * np.pi**3))
-    u0_sq = hbar / (2 * substrate.rho * omega0)
-    v = angular_table(substrate, n_theta, n_phi).velocities
+    u0_sq = hbar / (2 * rho * omega0)
+    v = table.velocities
     k0 = omega0 / v
     k0_sq = k0 * k0
     wave = _Wave(k0, golden * (k0_sq / v), k0_sq * u0_sq)
@@ -354,20 +345,19 @@ def _wave(substrate: MaterialSpec, n_theta: int, n_phi: int, omega0: float) -> _
     return wave
 
 
-def _sinc_columns(substrate: MaterialSpec, n_theta: int, n_phi: int, k0: np.ndarray, axis_lengths) -> list:
+def _sinc_columns(table: AngularTable, n_theta: int, n_phi: int, k0: np.ndarray, axis_lengths) -> list:
     """The (3, N) read-only sinc(k0 khat_axis L / 2) of each (axis, L) in
-    ``axis_lengths`` on the n_theta x n_phi grid, from the (3, N) ``k0`` of
-    its wave entry, one ``_sinc`` call per column.  On a ``mirrored`` table
-    ring n_theta-1-i copies ring i of the first ceil(n_theta / 2), bit for
-    bit: equal x and y arguments, a negated z argument, and ``_sinc`` is
-    even."""
-    grid = angular_table(substrate, n_theta, n_phi)
-    h = (n_theta + 1) // 2 if grid.mirrored else n_theta
+    ``axis_lengths`` on ``table``, the n_theta x n_phi grid, from the (3, N)
+    ``k0`` of its wave entry, one ``_sinc`` call per column.  On a
+    ``mirrored`` table ring n_theta-1-i copies ring i of the first
+    ceil(n_theta / 2), bit for bit: equal x and y arguments, a negated z
+    argument, and ``_sinc`` is even."""
+    h = (n_theta + 1) // 2 if table.mirrored else n_theta
     head = h * n_phi
     cols = []
     for axis, length in axis_lengths:
-        col = np.empty((3, grid.weights.size))
-        col[:, :head] = _sinc(k0[:, :head] * grid.khats[axis, :head] * (length / 2.0))
+        col = np.empty((3, table.weights.size))
+        col[:, :head] = _sinc(k0[:, :head] * table.khats[axis, :head] * (length / 2.0))
         rings = col.reshape(3, n_theta, n_phi)
         rings[:, h:] = rings[:, : n_theta - h][:, ::-1]
         col.setflags(write=False)
@@ -399,20 +389,21 @@ class _SweepTables:
     Each entry holds read-only (3, N) arrays, one row per branch, of one
     substrate on one n_theta x n_phi grid:
 
-    - ``M = tau : S`` per (grid, strain), 24 B/node.  tau comes from the
-      substrate's angular table, so a new strain costs the 9-term
-      contraction alone.  S = d . E does not change along the height,
-      thickness and separation axes, and the copies of a pair share it; it
-      changes with the crystal orientation, and with omega0 through the
-      zero-point field.
+    - ``M = tau : S`` per (grid, strain), 24 B/node, one einsum over the
+      table's stresses, so a new strain costs the 9-term contraction alone.
+      S = d . E does not change along the height, thickness and separation
+      axes, and the copies of a pair share it; it changes with the crystal
+      orientation, and with omega0 through the zero-point field.
     - the wave factors ``k0 = omega0 / v``, ``A = golden k0^2 / v`` and
-      ``B = k0^2 u0^2`` per (grid, omega0), 72 B/node.  Only a frequency
-      point builds new ones.
-    - ``sinc(k0 khat_a L_a / 2)`` per (grid, omega0, axis a, L_a), 24 B/node.
-      Inclusions with the same length on an axis share the column, and a
-      mirrored table's columns are evaluated on half the rings.
+      ``B = k0^2 u0^2`` per (grid, omega0), 72 B/node (``_wave``).  Only a
+      frequency point builds new ones.
+    - ``sinc(k0 khat_a L_a / 2)`` per (grid, omega0, axis a, L_a), 24 B/node
+      (``_sinc_columns``).  Inclusions with the same length on an axis share
+      the column, and a mirrored table's columns are evaluated on half the
+      rings.
 
-    Each kind keeps only the keys of the latest request (``_fetch``): a
+    ``factors`` serves one grid pass: one table lookup, then each kind
+    through ``_fetch``, which keeps only the keys of the latest request: a
     height sweep holds one wave entry and one z column and one point's x and
     y columns per grid, and a frequency sweep holds one point's entries.
     ``_rates`` makes the one instance of its points and drops it when they
@@ -425,33 +416,24 @@ class _SweepTables:
         self._wave: dict[tuple, _Wave] = {}
         self._sinc: dict[tuple, np.ndarray] = {}
 
-    def couplings(self, n_theta: int, n_phi: int, strains) -> list[np.ndarray]:
-        """M of each strain on the n_theta x n_phi grid."""
-        by_key = {s.tobytes(): s for s in strains}
+    def factors(self, n_theta: int, n_phi: int, omega0: float, src: _Sources) -> tuple:
+        """(angular table, M of each source, wave factors, [x, y, z] sinc
+        columns of each source) at omega0 on the n_theta x n_phi grid."""
+        grid = (n_theta, n_phi)
+        table = angular_table(self.substrate, n_theta, n_phi)
+        by_key = {s.tobytes(): s for s in src.strain}
 
-        def build(keys):
-            return _contract(self.substrate, n_theta, n_phi, [by_key[k] for k in keys])
+        def contract(keys):
+            out = [np.einsum("qnij,ij->qn", table.stresses, by_key[k]) for k in keys]
+            for m in out:
+                m.setflags(write=False)
+            return out
 
-        return _fetch(self._m, (n_theta, n_phi), [s.tobytes() for s in strains], build)
-
-    def wave(self, n_theta: int, n_phi: int, omega0: float) -> _Wave:
-        """The wave factors at omega0 on the n_theta x n_phi grid."""
-
-        def build(tags):
-            return [_wave(self.substrate, n_theta, n_phi, omega0)]
-
-        return _fetch(self._wave, (n_theta, n_phi), [omega0], build)[0]
-
-    def sinc_columns(self, n_theta: int, n_phi: int, omega0: float, dims: np.ndarray) -> list[list[np.ndarray]]:
-        """The x, y and z sinc columns of each row of ``dims`` at omega0."""
-
-        def build(tags):
-            k0 = self.wave(n_theta, n_phi, omega0).k0
-            return _sinc_columns(self.substrate, n_theta, n_phi, k0, [t[1:] for t in tags])
-
-        tags = [(omega0, axis, float(length)) for lengths in dims for axis, length in enumerate(lengths)]
-        cols = _fetch(self._sinc, (n_theta, n_phi), tags, build)
-        return [cols[3 * j : 3 * j + 3] for j in range(len(dims))]
+        m = _fetch(self._m, grid, [s.tobytes() for s in src.strain], contract)
+        wave = _fetch(self._wave, grid, [omega0], lambda _: [_wave(table, self.substrate.rho, omega0)])[0]
+        tags = [(omega0, axis, float(length)) for lengths in src.dims for axis, length in enumerate(lengths)]
+        cols = _fetch(self._sinc, grid, tags, lambda new: _sinc_columns(table, *grid, wave.k0, [t[1:] for t in new]))
+        return table, m, wave, [cols[3 * j : 3 * j + 3] for j in range(len(src.dims))]
 
 
 def _gamma_branches(
@@ -464,17 +446,14 @@ def _gamma_branches(
 ) -> np.ndarray:
     """Golden-rule rate of each branch on one n_theta x n_phi grid, shape (3,).
 
-    The sweep tables give M, the wave factors and the sinc columns and name
-    the substrate.  Each fixed node span builds kvec = k0 khat of an
+    One ``tables.factors`` call gives the angular table, M, the wave factors
+    and the sinc columns.  Each fixed node span builds kvec = k0 khat of an
     off-centre source and evaluates A * (B * |sum|^2) for all three branches
     at once, as (3, span) blocks, scaling the kernel's array in place and
     writing the product straight into the grid's values; then one reduction
     per branch.  An antipodal pair passes its first copy's term alone.
     """
-    grid = angular_table(tables.substrate, n_theta, n_phi)
-    m = tables.couplings(n_theta, n_phi, src.strain)
-    wave = tables.wave(n_theta, n_phi, mode.omega0)
-    cols = tables.sinc_columns(n_theta, n_phi, mode.omega0, src.dims)
+    grid, m, wave, cols = tables.factors(n_theta, n_phi, mode.omega0, src)
     n = grid.weights.size
     values = np.empty((3, n))
     terms = 1 if src.part else src.volume.size  # the kernel reads a pair's first term alone
@@ -534,10 +513,10 @@ def mie_rate(
     flagged, not fatal; ``refined_rate`` is the path that acts on the flag).
 
     ``tables`` are the sweep tables that ``_rates`` shares between its points
-    and refinement reruns; they supply M and the sinc columns for each grid
-    and fill what they lack.  They belong to ``substrate``.  None makes
-    tables for this call alone, so the copies of a pair still share their
-    couplings and columns.  The result is the same either way, bit for bit.
+    and refinement reruns; they supply M, the wave factors and the sinc
+    columns of each grid and fill what they lack.  They belong to
+    ``substrate``.  None makes tables for this call alone, so the copies of a
+    pair still share their couplings and columns.  The result is the same either way, bit for bit.
 
     Convergence is judged on the total rate summed over the three branches,
     not branch by branch: the total is the loss the quality factor reports,

@@ -35,10 +35,10 @@ class EoModel:
     overlap: float = 1.0
 
     def __post_init__(self):
-        if not self.g0 > 0:
-            raise ValueError("reference coupling g0 must be positive")
-        if not self.v_ref > 0:
-            raise ValueError("reference mode volume must be positive")
+        if not 0 < self.g0 < np.inf:
+            raise ValueError("reference coupling g0 must be positive and finite")
+        if not 0 < self.v_ref < np.inf:
+            raise ValueError("reference mode volume must be positive and finite")
         if not 0.0 <= self.overlap <= 1.0:
             raise ValueError("overlap fraction must lie in [0, 1]")
 

@@ -401,6 +401,57 @@ class TestConfigErrors:
         assert err.startswith("config error: sweep: separation_um = 0.001: ") and "inclusion pair overlaps" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("g0_Hz", 1e308, "eo.g0_Hz: 1e+308 Hz is too large for a finite angular frequency"),
+            ("v_ref_um3", 1e-310, "eo.v_ref_um3: 1e-310 um^3 is too small for a positive volume in m^3"),
+        ],
+        ids=["g0_Hz", "v_ref_um3"],
+    )
+    def test_eo_value_past_the_float_range_once_converted(self, tmp_path, capsys, field, value, message):
+        """Finite in config units, but 2 pi g0 overflows or V_ref underflows
+        to zero in m^3: one line naming the field, exit 2, no CSV."""
+        cfg = base_config(
+            scenario="figure_of_merit",
+            quadrature=dict(SMALL_QUAD),
+            eo={"g0_Hz": 2000.0, "v_ref_um3": 8000.0, field: value},
+        )
+        cfg["sweep"] = {"axis": "height_um", "grid": "linear", "start": 0.01, "stop": 0.02, "count": 2}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, cfg)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert caught == []
+
+    @pytest.mark.parametrize(
+        "center, cause",
+        [(1e300, "center frequency must be positive and finite"), (1e-320, "thickness must be positive and finite")],
+        ids=["Hz_overflow", "thickness_overflow"],
+    )
+    def test_bragg_center_frequency_past_the_float_range(self, tmp_path, capsys, monkeypatch, center, cause):
+        """The mirror is built at parse: f_c past the float range in Hz, or a
+        quarter-wave thickness v / (4 f_c) that overflows, is one line naming
+        the field, exit 2, before any rate and with no CSV."""
+        import phonoscat.cli as cli
+
+        monkeypatch.setattr(cli, "refined_rate", lambda *args: pytest.fail("a rate was computed"))
+        cfg = base_config(
+            scenario="bragg",
+            bragg={"low": "silicon", "high": "sapphire", "center_frequency_GHz": center},
+            quadrature=dict(SMALL_QUAD),
+        )
+        cfg["sweep"] = {"axis": "n_periods", "grid": "linear", "start": 1, "stop": 1, "count": 1}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err.startswith(f"config error: bragg.center_frequency_GHz: {center:g} GHz: ") and cause in err
+        assert err.count("\n") == 1
+        assert caught == []
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "absent.json")])
         assert code == 2

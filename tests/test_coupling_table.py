@@ -20,6 +20,7 @@ mie_rate and an orientation scan read sweep tables too, one per call.
 import dataclasses
 import gc
 import json
+import types
 
 import numpy as np
 import pytest
@@ -74,33 +75,49 @@ def _same(a, b):
 
 
 @pytest.fixture
-def contractions(monkeypatch):
-    """Record the (n_theta, n_phi) of every (grid, strain) coupling the
-    quadrature engine fills, one entry per strain of each _contract call."""
-    calls = []
-    original = radiation._contract
+def passes(monkeypatch):
+    """Record each grid pass's one ``_SweepTables.factors`` call: its
+    (n_theta, n_phi) while it runs (``grid``), the (n_theta, n_phi) of every
+    (grid, strain) coupling its M build contracts (``m``), and after it the
+    bytes of couplings (``m_bytes``), the sorted (grid, omega0) wave keys
+    (``wave_keys``) and the number of sinc columns (``sinc_count``) the table
+    then holds."""
+    log = types.SimpleNamespace(grid=None, m_store=None, m=[], m_bytes=[], wave_keys=[], sinc_count=[])
+    fetch = radiation._fetch
 
-    def counting(substrate, n_theta, n_phi, strains):
-        calls.extend([(n_theta, n_phi)] * len(strains))
-        return original(substrate, n_theta, n_phi, strains)
+    def counting_fetch(store, grid, tags, build):
+        def counted(missing):
+            if store is log.m_store:
+                log.m.extend([grid] * len(missing))
+            return build(missing)
 
-    monkeypatch.setattr(radiation, "_contract", counting)
-    return calls
+        return fetch(store, grid, tags, counted)
+
+    class Recording(radiation._SweepTables):
+        def factors(self, n_theta, n_phi, *args):
+            log.grid, log.m_store = (n_theta, n_phi), self._m
+            out = super().factors(n_theta, n_phi, *args)
+            log.m_bytes.append(sum(m.nbytes for m in self._m.values()))
+            log.wave_keys.append(sorted(self._wave))
+            log.sinc_count.append(len(self._sinc))
+            return out
+
+    monkeypatch.setattr(radiation, "_fetch", counting_fetch)
+    monkeypatch.setattr(radiation, "_SweepTables", Recording)
+    return log
 
 
 @pytest.fixture
-def held(monkeypatch):
-    """Record the bytes of couplings a table holds after each request."""
-    sizes = []
+def contractions(passes):
+    """The (n_theta, n_phi) of every (grid, strain) coupling the quadrature
+    engine contracts, one entry per strain."""
+    return passes.m
 
-    class Recording(radiation._SweepTables):
-        def couplings(self, *args):
-            out = super().couplings(*args)
-            sizes.append(sum(m.nbytes for m in self._m.values()))
-            return out
 
-    monkeypatch.setattr(radiation, "_SweepTables", Recording)
-    return sizes
+@pytest.fixture
+def held(passes):
+    """The bytes of couplings a table holds after each grid pass."""
+    return passes.m_bytes
 
 
 def _lone(result, mode, inclusions, substrate, quad):
@@ -179,9 +196,9 @@ def builds(monkeypatch):
     calls = []
     sinc_columns = radiation._sinc_columns
 
-    def counting_sinc_columns(substrate, n_theta, n_phi, k0, axis_lengths):
+    def counting_sinc_columns(table, n_theta, n_phi, k0, axis_lengths):
         calls.extend(((n_theta, n_phi), axis) for axis, _ in axis_lengths)
-        return sinc_columns(substrate, n_theta, n_phi, k0, axis_lengths)
+        return sinc_columns(table, n_theta, n_phi, k0, axis_lengths)
 
     monkeypatch.setattr(radiation, "_sinc_columns", counting_sinc_columns)
     return calls
@@ -211,18 +228,10 @@ def test_sweep_builds_each_column_once_for_what_it_depends_on(db, ln, builds, ax
     assert sorted(builds) == sorted(_per_grid(per_point_axes, 12) + _per_grid(shared_axes, 1))
 
 
-def test_height_sweep_holds_one_point_of_columns(db, ln, monkeypatch):
+def test_height_sweep_holds_one_point_of_columns(db, ln, passes):
     """After the first point, the tables hold per grid the shared z column,
     the latest point's x and y columns."""
-    held = []
-
-    class Recording(radiation._SweepTables):
-        def sinc_columns(self, *args):
-            out = super().sinc_columns(*args)
-            held.append(len(self._sinc))
-            return out
-
-    monkeypatch.setattr(radiation, "_SweepTables", Recording)
+    held = passes.sinc_count
     substrate = db["sapphire_iso"]
     got = sweep(make_mode(substrate), _bar(ln), substrate, "height", np.linspace(0.1e-6, 0.3e-6, 6), LOOSE)
     assert all(r.diagnostics.refinements == 0 for r in got.results)
@@ -288,8 +297,8 @@ def test_wave_entry_is_the_per_node_products_bit_for_bit(db):
     hbar = radiation.CONSTANTS.hbar
     golden = (2 * np.pi / hbar**2) * (1.0 / (8 * np.pi**3))
     u0_sq = hbar / (2 * substrate.rho * omega0)
-    wave = radiation._wave(substrate, 16, 32, omega0)
     v = angular_table(substrate, 16, 32).velocities
+    wave = radiation._wave(angular_table(substrate, 16, 32), substrate.rho, omega0)
     for row in wave:
         assert row.shape == (3, 512) and row.flags.c_contiguous and not row.flags.writeable
     for q in range(3):
@@ -301,25 +310,18 @@ def test_wave_entry_is_the_per_node_products_bit_for_bit(db):
 
 
 @pytest.fixture
-def waves(monkeypatch):
+def waves(monkeypatch, passes):
     """Record the (grid, omega0) of every wave entry the engine builds, and
-    the (grid, omega0) keys a table holds after each request."""
-    built, held = [], []
+    the (grid, omega0) keys a table holds after each grid pass."""
+    built = []
     wave = radiation._wave
 
-    def counting(substrate, n_theta, n_phi, omega0):
-        built.append(((n_theta, n_phi), omega0))
-        return wave(substrate, n_theta, n_phi, omega0)
-
-    class Recording(radiation._SweepTables):
-        def wave(self, *args):
-            out = super().wave(*args)
-            held.append(sorted(self._wave))
-            return out
+    def counting(table, rho, omega0):
+        built.append((passes.grid, omega0))
+        return wave(table, rho, omega0)
 
     monkeypatch.setattr(radiation, "_wave", counting)
-    monkeypatch.setattr(radiation, "_SweepTables", Recording)
-    return built, held
+    return built, passes.wave_keys
 
 
 def test_height_sweep_builds_one_wave_entry_per_grid(db, ln, waves):

@@ -26,7 +26,7 @@ import pytest
 import conftest
 import phonoscat.radiation as radiation
 from phonoscat.coupling import Inclusion
-from phonoscat.elastodynamics import _table_key, angular_table
+from phonoscat.elastodynamics import angular_table
 from phonoscat.materials import Orientation
 from phonoscat.mitigation import dual_waveguide_sweep
 from phonoscat.radiation import QuadratureSpec, _coherent_power, _sinc, _sinc_columns, _sources, brute_force_rate, sweep
@@ -43,12 +43,11 @@ from conftest import XCUT_MATRIX, brute_force_reference, make_mode
 # take the unsigned V M back from ``vm`` (``_unsigned``).
 
 
-def _full_sinc_columns(substrate, n_theta, n_phi, k0, axis_lengths):
-    grid = angular_table(substrate, n_theta, n_phi)
-    cols = [np.empty((3, grid.weights.size)) for _ in axis_lengths]
+def _full_sinc_columns(table, n_theta, n_phi, k0, axis_lengths):
+    cols = [np.empty((3, table.weights.size)) for _ in axis_lengths]
     for q in range(3):
         for col, (axis, length) in zip(cols, axis_lengths):
-            col[q] = radiation._sinc(k0[q] * grid.khats[axis] * (length / 2.0))
+            col[q] = radiation._sinc(k0[q] * table.khats[axis] * (length / 2.0))
     for col in cols:
         col.setflags(write=False)
     return cols
@@ -164,16 +163,15 @@ AXIS_LENGTHS = [(0, 0.5e-6), (1, 1.0e-6), (2, 5.0e-6), (2, 0.02e-6), (0, 3.3e-6)
 
 def _k0(substrate, grid, omega0):
     """The wave entry's k0 rows, checked against omega0 / v of each branch."""
-    k0 = radiation._wave(substrate, *grid, omega0).k0
+    k0 = radiation._wave(angular_table(substrate, *grid), substrate.rho, omega0).k0
     velocities = angular_table(substrate, *grid).velocities
     assert all(np.array_equal(k0[q], omega0 / velocities[q]) for q in range(3))
     return k0
 
 
-def _columns_equal_the_full_grid(substrate, grid, omega0):
-    k0 = _k0(substrate, grid, omega0)
-    got = _sinc_columns(substrate, *grid, k0, AXIS_LENGTHS)
-    want = _full_sinc_columns(substrate, *grid, k0, AXIS_LENGTHS)
+def _columns_equal_the_full_grid(table, grid, k0):
+    got = _sinc_columns(table, *grid, k0, AXIS_LENGTHS)
+    want = _full_sinc_columns(table, *grid, k0, AXIS_LENGTHS)
     for g, w in zip(got, want):
         assert g.shape == w.shape and not g.flags.writeable
         assert np.array_equal(g, w)
@@ -184,7 +182,7 @@ def _columns_equal_the_full_grid(substrate, grid, omega0):
 def test_sinc_columns_equal_the_full_grid_bit_for_bit(db, empty_memo, name, grid):
     substrate = _substrate(db, name)
     for f_hz in (1e9, 10e9, 47e9):
-        _columns_equal_the_full_grid(substrate, grid, 2 * np.pi * f_hz)
+        _columns_equal_the_full_grid(angular_table(substrate, *grid), grid, _k0(substrate, grid, 2 * np.pi * f_hz))
 
 
 @pytest.mark.parametrize("grid", [(7, 12), (8, 16)])
@@ -194,12 +192,12 @@ def test_an_unmirrored_table_gives_the_same_columns(db, empty_memo, name, grid):
     substrate = db[name]
     omega0 = 2 * np.pi * 10e9
     k0 = _k0(substrate, grid, omega0)
-    mirrored = _sinc_columns(substrate, *grid, k0, AXIS_LENGTHS)
     table = angular_table(substrate, *grid)
     assert table.mirrored
-    empty_memo[_table_key(substrate, *grid)] = dataclasses.replace(table, mirrored=False)
-    _columns_equal_the_full_grid(substrate, grid, omega0)
-    for a, b in zip(mirrored, _sinc_columns(substrate, *grid, k0, AXIS_LENGTHS)):
+    mirrored = _sinc_columns(table, *grid, k0, AXIS_LENGTHS)
+    unmirrored = dataclasses.replace(table, mirrored=False)
+    _columns_equal_the_full_grid(unmirrored, grid, k0)
+    for a, b in zip(mirrored, _sinc_columns(unmirrored, *grid, k0, AXIS_LENGTHS)):
         assert np.array_equal(a, b)
 
 
@@ -240,8 +238,9 @@ def test_imaginary_exp_is_cos_and_sin_bit_for_bit():
 def test_a_mirrored_table_evaluates_half_the_rings(db, empty_memo, monkeypatch, name, n_theta, computed):
     elements = []
     monkeypatch.setattr(radiation, "_sinc", lambda x: elements.append(x.size) or _sinc(x))
-    k0 = radiation._wave(db[name], n_theta, 16, 2 * np.pi * 10e9).k0
-    _sinc_columns(db[name], n_theta, 16, k0, AXIS_LENGTHS)
+    table = angular_table(db[name], n_theta, 16)
+    k0 = radiation._wave(table, db[name].rho, 2 * np.pi * 10e9).k0
+    _sinc_columns(table, n_theta, 16, k0, AXIS_LENGTHS)
     # one call per column, on all three branches at once
     assert elements == [3 * computed * 16] * len(AXIS_LENGTHS)
 
@@ -640,8 +639,8 @@ def test_pair_power_equals_the_general_sum_node_by_node(db, ln, monkeypatch, nam
     node by node, the one-node last span of the 2049-node grid included."""
     substrate = db[name]
     mode = make_mode(substrate, f_hz=7.3e9)
-    k0 = radiation._wave(substrate, *grid, mode.omega0).k0
     khats = angular_table(substrate, *grid).khats
+    k0 = radiation._wave(angular_table(substrate, *grid), substrate.rho, mode.omega0).k0
     n = khats.shape[1]
     spans = [(a, min(a + radiation._CHUNK, n)) for a in range(0, n, radiation._CHUNK)]
     seen = []

@@ -225,14 +225,12 @@ class TestBraggStack:
         with pytest.raises(ValueError, match="nonzero"):
             BraggStack.quarter_wave(ln, silicon, ln, 11e9, 1, normal=(0, 0, 0))
 
-    def test_layers_repeat_period(self):
-        stack = quarter_wave_stack(3)
-        assert len(stack.layers) == 6
-        assert stack.layers[0] is stack.layers[2] is stack.layers[4]
-
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
             BraggLayer("x", -1.0, 5000.0, 1e-7)
+        for values in [(np.inf, 5000.0, 1e-7), (1e7, np.inf, 1e-7), (1e7, 5000.0, np.inf), (1e7, 5000.0, np.nan)]:
+            with pytest.raises(ValueError, match="positive and finite"):
+                BraggLayer("x", *values)
         with pytest.raises(ValueError, match="n_periods"):
             BraggStack((), -1, 1e7, 1e7)
         with pytest.raises(ValueError, match="BraggLayer"):
@@ -414,7 +412,7 @@ class TestBraggSweep:
         omega = 2 * np.pi * 10e9
         for n in (0, 1, 6, 40):
             m = np.eye(2, dtype=complex)
-            for layer in quarter_wave_stack(n).layers:
+            for layer in quarter_wave_stack(n).period * n:
                 phi = omega * layer.thickness / layer.speed
                 c, s = np.cos(phi), np.sin(phi)
                 m = np.array([[c, 1j * layer.impedance * s], [1j * s / layer.impedance, c]]) @ m

@@ -23,8 +23,8 @@ from phonoscat.radiation import (
     QuadratureSpec,
     RadiationResult,
     _coherent_power,
-    _contract,
     _sinc,
+    _SweepTables,
     _sources,
     brute_force_rate,
     derived_material_constant,
@@ -194,8 +194,7 @@ class TestDeterminism:
         small = dataclasses.replace(waveguide, dimensions=np.array([0.3e-6, 0.7e-6, 2e-6]), sign=-1)
         src = _sources(mode, [waveguide, small][:n_incs])
         assert not np.any(src.center)
-        grid = angular_table(sapphire, 16, 32)
-        m = _contract(sapphire, 16, 32, src.strain)
+        grid, m, _, _ = _SweepTables(sapphire).factors(16, 32, mode.omega0, src)
         for q in range(3):
             kvec = (mode.omega0 / grid.velocities[q])[:, None] * grid.khats.T
             coh = np.zeros(kvec.shape[0], dtype=complex)

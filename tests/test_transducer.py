@@ -65,6 +65,9 @@ class TestEoModel:
             (dict(v_ref=-1e-15), "reference mode volume"),
             (dict(overlap=1.5), "overlap"),
             (dict(overlap=-0.1), "overlap"),
+            (dict(g0=np.inf), "g0 must be positive and finite"),
+            (dict(g0=np.nan), "g0 must be positive and finite"),
+            (dict(v_ref=np.inf), "reference mode volume must be positive and finite"),
         ],
     )
     def test_validation(self, kwargs, msg):
