@@ -13,10 +13,13 @@ with fitted slopes, regime tags and quadrature diagnostics to standard output.
 Exit codes, set for every subcommand in ``main`` alone: 0 success, 2
 configuration error (the message names the offending field or path;
 non-finite numbers, finite ones that leave the float range once converted,
-such as a frequency past it in rad/s, a reference mode volume that
-underflows to zero in m^3, a Bragg center frequency whose quarter-wave
-thickness is not finite, or a direction whose length overflows, and
-unreadable or unwritable paths are configuration errors),
+such as a frequency past it in rad/s, a mode or reference mode volume that
+underflows to zero in m^3, a cuboid whose volume does, an ``eps_eff`` or
+mode volume too small for a finite zero-point field, a Bragg center
+frequency whose quarter-wave thickness or layer phase at the mode frequency
+is not finite, or a direction whose length overflows, and unreadable or
+unwritable paths are configuration errors; a sweep value at fault is blamed
+on ``sweep.start`` or ``sweep.stop`` when it is one),
 3 numeric failure (quadrature unconverged after the built-in refinement
 cap or before a refinement past the largest grid, a non-finite rate,
 brute-force total, figure of merit or Bragg transfer matrix, a Bragg
@@ -195,8 +198,8 @@ def _orientation(d: dict | None, path: str) -> Orientation:
         if "axis" in d or "angle_deg" in d:
             axis = _vector3(d, "axis", path)
             return Orientation.about_axis(axis, np.deg2rad(_number(d, "angle_deg", path)))
-    except MaterialError as e:
-        raise ConfigError(f"{path}: {e}") from None
+    except MaterialError as e:  # a matrix that is not a rotation, or an axis whose length overflows
+        raise ConfigError(f"{path}.{'matrix' if 'matrix' in d else 'axis'}: {e}") from None
     raise ConfigError(f"{path}: expected matrix or axis/angle_deg")
 
 
@@ -247,14 +250,24 @@ def _rad_per_s(f: float, path: str, unit: str = "GHz") -> float:
     return omega
 
 
+def _volume_m3(v_um3: float, path: str) -> float:
+    """A volume in um^3 as m^3, or a ConfigError naming ``path`` when that
+    underflows to zero."""
+    v = v_um3 * _UM3
+    if not v > 0:
+        raise ConfigError(f"{path}: {v_um3:g} um^3 is too small for a positive volume in m^3")
+    return v
+
+
 def _sweep_values(sweep: dict, axis: str) -> np.ndarray:
     grid = _string(sweep, "grid", "sweep", default="log", choices=("log", "linear"))
     count = _integer(sweep, "count", "sweep", minimum=1, maximum=_MAX_COUNT)
     start = _number(sweep, "start", "sweep")
     stop = _number(sweep, "stop", "sweep", default=start)
     if grid == "log":
-        if not (start > 0 and stop > 0):
-            raise ConfigError("sweep.start: log grids need positive bounds")
+        for key, bound in (("start", start), ("stop", stop)):
+            if not bound > 0:
+                raise ConfigError(f"sweep.{key}: log grids need positive bounds")
         values = np.geomspace(start, stop, count)
     else:
         values = np.linspace(start, stop, count)
@@ -262,16 +275,29 @@ def _sweep_values(sweep: dict, axis: str) -> np.ndarray:
         rounded = np.rint(values)
         if not np.allclose(values, rounded, rtol=0, atol=1e-9):
             raise ConfigError("sweep: n_periods grid must contain integers")
-        if np.any((rounded < 0) | (rounded > _MAX_COUNT)):
-            raise ConfigError(f"sweep: n_periods must be between 0 and {_MAX_COUNT}")
+        for where, n in _bounds_first(rounded):
+            if not 0 <= n <= _MAX_COUNT:
+                raise ConfigError(f"{where}: n_periods must be between 0 and {_MAX_COUNT}")
         return rounded.astype(int)
-    if axis in ("frequency_GHz", "height_um", "thickness_um", "separation_um"):
-        if not np.all(values > 0):
-            raise ConfigError(f"sweep: {axis} values must be positive")
-    if axis == "frequency_GHz":
-        for f_ghz in values:
-            _rad_per_s(float(f_ghz), "sweep")
+    for where, v in _bounds_first(values):
+        if axis in ("frequency_GHz", "height_um", "thickness_um", "separation_um") and not v > 0:
+            raise ConfigError(f"{where}: {axis} values must be positive")
+        if axis == "frequency_GHz":
+            _rad_per_s(float(v), where)
     return values
+
+
+def _bounds_first(values):
+    """Each sweep value with the config path a check of it blames: the grid's
+    end points, which are ``sweep.start`` and ``sweep.stop`` exactly, come
+    first.  Every check of a sweep value is monotone in it, so on a linear or
+    log grid it fails at a bound before it fails between them."""
+    last = len(values) - 1
+    yield "sweep.start", values[0]
+    if last:
+        yield "sweep.stop", values[last]
+    for v in values[1:last]:
+        yield "sweep", v
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -309,19 +335,19 @@ def load_run_config(path: str) -> RunConfig:
     mode_keys = {"frequency_GHz", "mode_volume_um3", "field_direction", "eps_eff"}
     mode_cfg = _object(raw.get("mode"), "mode", mode_keys)
     f_ghz = _number(mode_cfg, "frequency_GHz", "mode", positive=True)
-    v_e = _number(mode_cfg, "mode_volume_um3", "mode", positive=True)
+    v_e = _volume_m3(_number(mode_cfg, "mode_volume_um3", "mode", positive=True), "mode.mode_volume_um3")
     e_dir = _vector3(mode_cfg, "field_direction", "mode", default=[0.0, 1.0, 0.0], nonzero=True)
     eps_eff = mode_cfg.get("eps_eff")
     if eps_eff is None:
         eps_eff = default_eps_eff(substrate)
     else:
         eps_eff = _number(mode_cfg, "eps_eff", "mode", positive=True)
-    mode = MicrowaveMode(
-        omega0=_rad_per_s(f_ghz, "mode.frequency_GHz"),
-        mode_volume=v_e * _UM3,
-        field_direction=e_dir,
-        eps_eff=eps_eff,
-    )
+    omega0 = _rad_per_s(f_ghz, "mode.frequency_GHz")
+    try:
+        mode = MicrowaveMode(omega0=omega0, mode_volume=v_e, field_direction=e_dir, eps_eff=eps_eff)
+    except ValueError as e:  # 2 eps0 eps_eff V_E underflows; the message names the factor at fault
+        field = "eps_eff" if "permittivity" in str(e) else "mode_volume_um3"
+        raise ConfigError(f"mode.{field}: {e}") from None
 
     incs_cfg = raw.get("inclusions")
     if not isinstance(incs_cfg, list) or not incs_cfg:
@@ -339,8 +365,8 @@ def load_run_config(path: str) -> RunConfig:
         ori = _orientation(inc_cfg.get("orientation"), f"{p}.orientation")
         try:
             inc = Inclusion(dimensions=dims * _UM, center=center * _UM, material=mat, orientation=ori, sign=sign)
-        except ValueError as e:  # the cuboid's volume overflows
-            raise ConfigError(f"{p}: {e}") from None
+        except ValueError as e:  # the cuboid's volume overflows or underflows
+            raise ConfigError(f"{p}.dimensions_um: {e}") from None
         inclusions.append(inc)
 
     sweep = _object(raw.get("sweep"), "sweep", {"axis", "grid", "start", "stop", "count"})
@@ -380,6 +406,12 @@ def load_run_config(path: str) -> RunConfig:
             mirror = BraggStack.quarter_wave(substrate, low, high, bragg_center * 1e9, 1, bragg_normal)
         except ValueError as e:  # f_c in Hz, or a quarter-wave thickness v / (4 f_c), past the float range
             raise ConfigError(f"bragg.center_frequency_GHz: {bragg_center:g} GHz: {e}") from None
+        # each layer's phase omega0 d / v = (pi / 2) f0 / f_c, as the transfer matrix takes it
+        if not all(mode.omega0 * layer.thickness / layer.speed < np.inf for layer in mirror.period):
+            raise ConfigError(
+                f"bragg.center_frequency_GHz: {bragg_center:g} GHz: a layer's phase (pi / 2) f0 / f_c "
+                f"at f0 = {f_ghz:g} GHz overflows"
+            )
 
     eo = None
     if raw.get("eo") is not None:
@@ -388,10 +420,7 @@ def load_run_config(path: str) -> RunConfig:
         if not 0.0 <= overlap <= 1.0:
             raise ConfigError("eo.overlap: must lie in [0, 1]")
         g0 = _rad_per_s(_number(eo_cfg, "g0_Hz", "eo", positive=True), "eo.g0_Hz", "Hz")
-        v_ref_um3 = _number(eo_cfg, "v_ref_um3", "eo", positive=True)
-        v_ref = v_ref_um3 * _UM3
-        if not v_ref > 0:
-            raise ConfigError(f"eo.v_ref_um3: {v_ref_um3:g} um^3 is too small for a positive volume in m^3")
+        v_ref = _volume_m3(_number(eo_cfg, "v_ref_um3", "eo", positive=True), "eo.v_ref_um3")
         eo = EoModel(g0=g0, v_ref=v_ref, overlap=overlap)
     elif scenario == "figure_of_merit":
         raise ConfigError("eo: required for the figure_of_merit scenario")
@@ -414,17 +443,17 @@ def load_run_config(path: str) -> RunConfig:
         if len(inclusions) != 1:
             raise ConfigError(f"inclusions: sweep axis '{axis}' needs exactly one inclusion")
     if axis in ("height_um", "thickness_um"):
-        for v in values:
+        for where, v in _bounds_first(values):
             try:
                 sweep_point(mode, inclusions, axis.removesuffix("_um"), float(v) * _UM)
-            except ValueError as e:  # the swept cuboid's volume overflows
-                raise ConfigError(f"sweep: {axis} = {v:g}: {e}") from None
+            except ValueError as e:  # the swept cuboid's volume overflows or underflows
+                raise ConfigError(f"{where}: {axis} = {v:g}: {e}") from None
     if axis == "separation_um":
-        for v in values:
+        for where, v in _bounds_first(values):
             try:
                 _check_pair_geometry(inclusions[0].dimensions, float(v) * _UM * dual_dir)
-            except ValueError as e:  # the two copies overlap
-                raise ConfigError(f"sweep: {axis} = {v:g}: {e}") from None
+            except ValueError as e:  # the two copies overlap: blame both fields
+                raise ConfigError(f"{where} and inclusions[0].dimensions_um: {axis} = {v:g}: {e}") from None
 
     return RunConfig(
         scenario=scenario,

@@ -50,7 +50,13 @@ class MicrowaveMode:
         object.__setattr__(self, "field_direction", e)
         denominator = 2 * CONSTANTS.eps0 * self.eps_eff * self.mode_volume  # may underflow to zero
         if not (denominator > 0 and np.isfinite(self.field_zp)):
-            raise ValueError(f"mode volume {self.mode_volume:.3g} m^3 is too small for a finite zero-point field")
+            # blame the permittivity when its factor 2 eps0 eps_eff alone leaves the normal range
+            culprit = (
+                f"effective permittivity {self.eps_eff:.3g}"
+                if not 2 * CONSTANTS.eps0 * self.eps_eff >= np.finfo(float).tiny
+                else f"mode volume {self.mode_volume:.3g} m^3"
+            )
+            raise ValueError(f"{culprit} is too small for a finite zero-point field")
 
     @property
     def field_zp(self) -> float:
@@ -85,8 +91,11 @@ class Inclusion:
         r0 = np.asarray(self.center, dtype=float)
         if L.shape != (3,) or not np.all((L > 0) & (L < np.inf)):
             raise ValueError("inclusion dimensions must be three positive finite lengths")
-        if not math.prod(L.tolist()) < math.inf:  # Python floats: an overflow gives inf, with no warning
+        volume = math.prod(L.tolist())  # Python floats: no warning when it leaves the float range
+        if not volume < math.inf:
             raise ValueError("inclusion volume must be finite")
+        if not volume > 0:
+            raise ValueError("inclusion volume underflows to 0 m^3")
         if r0.shape != (3,) or not np.all(np.isfinite(r0)):
             raise ValueError("inclusion center must be a finite 3-vector")
         if self.sign not in (1, -1):

@@ -105,7 +105,7 @@ def test_mie_rate_is_bitwise_equal_to_per_chunk_solve(db, ln, name, n_incs, thre
     substrate = db[name]
     incs = [_waveguide(ln), _waveguide(ln, center=(0.4e-6, 0.3e-6, 0.0), sign=-1)][:n_incs]
     mode = make_mode(substrate, f_hz=9e9)
-    # 32x80 and 64x160 nodes: several solve and evaluation chunks each
+    # 2560 and 10240 nodes: two and five solve spans, one and three evaluation spans
     quad = QuadratureSpec(32, 80, threads=threads)
     got = mie_rate(mode, incs, substrate, quad)
     coarse = _reference_branches(mode, incs, substrate, 32, 80)

@@ -398,7 +398,8 @@ class TestConfigErrors:
         code, out = run_cli(tmp_path, cfg)
         err = capsys.readouterr().err
         assert code == 2 and not out.exists()
-        assert err.startswith("config error: sweep: separation_um = 0.001: ") and "inclusion pair overlaps" in err
+        assert err.startswith("config error: sweep.stop and inclusions[0].dimensions_um: separation_um = 0.001: ")
+        assert "inclusion pair overlaps" in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
@@ -426,13 +427,57 @@ class TestConfigErrors:
         assert caught == []
 
     @pytest.mark.parametrize(
+        "scenario, section, key, message",
+        [
+            ("mie", "mode", "mode_volume_um3",
+             "mode.mode_volume_um3: 1e-310 um^3 is too small for a positive volume in m^3"),
+            ("mie", "mode", "eps_eff",
+             "mode.eps_eff: effective permittivity 1e-310 is too small for a finite zero-point field"),
+            ("mie", "inclusion", 1, "inclusions[0].dimensions_um: inclusion volume underflows to 0 m^3"),
+            ("bragg", "inclusion", 2, "inclusions[0].dimensions_um: inclusion volume underflows to 0 m^3"),
+        ],
+        ids=["mode_volume_um3", "eps_eff", "mie-dimensions_um", "bragg-dimensions_um"],
+    )
+    def test_value_that_underflows_names_its_field(
+        self, tmp_path, capsys, monkeypatch, scenario, section, key, message
+    ):
+        """1e-310 underflows to 0 m^3 (a mode volume in um^3, or an edge in
+        um times the others), or makes 2 eps0 eps_eff V_E underflow through
+        eps_eff: one line naming that field, exit 2, before any rate and with
+        no CSV.  The cuboid's zero volume was a zero rate (exit 0) or a ratio
+        over it (exit 3)."""
+        import phonoscat.cli as cli
+
+        monkeypatch.setattr(cli, "execute", lambda cfg: pytest.fail("a rate was computed"))
+        cfg = base_config(
+            scenario=scenario, quadrature=dict(SMALL_QUAD), bragg={"low": "silicon", "high": "sapphire"}
+        )
+        if scenario == "bragg":
+            cfg["sweep"] = {"axis": "n_periods", "grid": "linear", "start": 0, "stop": 2, "count": 3}
+        if section == "mode":
+            cfg["mode"][key] = 1e-310
+        else:
+            cfg["inclusions"][0]["dimensions_um"][key] = 1e-310
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, cfg)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert caught == []
+
+    @pytest.mark.parametrize(
         "center, cause",
-        [(1e300, "center frequency must be positive and finite"), (1e-320, "thickness must be positive and finite")],
-        ids=["Hz_overflow", "thickness_overflow"],
+        [
+            (1e300, "center frequency must be positive and finite"),
+            (1e-320, "thickness must be positive and finite"),
+            (1e-310, "a layer's phase (pi / 2) f0 / f_c at f0 = 10 GHz overflows"),
+        ],
+        ids=["Hz_overflow", "thickness_overflow", "phase_overflow"],
     )
     def test_bragg_center_frequency_past_the_float_range(self, tmp_path, capsys, monkeypatch, center, cause):
-        """The mirror is built at parse: f_c past the float range in Hz, or a
-        quarter-wave thickness v / (4 f_c) that overflows, is one line naming
+        """The mirror is built at parse: f_c past the float range in Hz, a
+        quarter-wave thickness v / (4 f_c) that overflows, or a layer phase
+        omega0 d / v that overflows although d is finite, is one line naming
         the field, exit 2, before any rate and with no CSV."""
         import phonoscat.cli as cli
 
@@ -480,8 +525,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         ("via", "value", "needle"),
         [
-            ("n_periods", 4e18, "sweep: n_periods must be between 0 and 10000"),
-            ("n_periods", 10_001, "sweep: n_periods must be between 0 and 10000"),
+            ("n_periods", 4e18, "sweep.start: n_periods must be between 0 and 10000"),
+            ("n_periods", 10_001, "sweep.start: n_periods must be between 0 and 10000"),
             ("threads", 65, "quadrature.threads: must be at most 64"),
             ("threads", 4 * 10**18, "quadrature.threads: must be at most 64"),
         ],
@@ -555,7 +600,8 @@ class TestConfigErrors:
             ({"mode": {"field_direction": [0, 0, 0]}}, "mode.field_direction: must be nonzero"),
             ({"inclusion": {"orientation": {}}}, "inclusions[0].orientation: expected matrix or axis/angle_deg"),
             ({"sweep": {"grid": "log", "start": -1.0}}, "sweep.start: log grids need positive bounds"),
-            ({"sweep": {"grid": "linear", "start": -1.0}}, "sweep: frequency_GHz values must be positive"),
+            ({"sweep": {"grid": "log", "start": 1.0, "stop": -1.0}}, "sweep.stop: log grids need positive bounds"),
+            ({"sweep": {"grid": "linear", "start": -1.0}}, "sweep.start: frequency_GHz values must be positive"),
             ({"inclusion": {"sign": 0}}, "inclusions[0].sign: must be +1 or -1"),
             ({"dual": {"relative_sign": 2}}, "dual.relative_sign: must be +1 or -1"),
             ({"eo": {"g0_Hz": 2000.0, "v_ref_um3": 8000.0, "overlap": 1.5}}, "eo.overlap: must lie in [0, 1]"),
@@ -564,8 +610,8 @@ class TestConfigErrors:
              "inclusions: sweep axis 'height_um' needs exactly one inclusion"),
         ],
         ids=["number-type", "number-positive", "integer-minimum", "vector-nonzero", "orientation-empty",
-             "log-bounds", "axis-positive", "inclusion-sign", "dual-sign", "eo-overlap", "output-type",
-             "axis-one-inclusion"],
+             "log-bounds", "log-stop-bound", "axis-positive", "inclusion-sign", "dual-sign", "eo-overlap",
+             "output-type", "axis-one-inclusion"],
     )
     def test_each_field_check_names_its_field(self, tmp_path, capsys, monkeypatch, edit, needle):
         import phonoscat.cli as cli
@@ -604,7 +650,7 @@ class TestConfigErrors:
         code, out = run_cli(tmp_path, cfg)
         assert code == 2
         assert capsys.readouterr().err == (
-            "config error: mode volume 1e-318 m^3 is too small for a finite zero-point field\n"
+            "config error: mode.mode_volume_um3: mode volume 1e-318 m^3 is too small for a finite zero-point field\n"
         )
         assert not out.exists()
 
@@ -645,12 +691,12 @@ class TestConfigErrors:
         )
         cfg["inclusions"][0]["dimensions_um"] = [1e150, 1e150, 0.01]
         cfg["sweep"] = {"axis": axis, "grid": "linear", "start": 0.01, "stop": 1e300, "count": 2}
-        self.check(tmp_path, capsys, cfg, f"sweep: {axis} = 1e+300: inclusion volume must be finite")
+        self.check(tmp_path, capsys, cfg, f"sweep.stop: {axis} = 1e+300: inclusion volume must be finite")
 
     def test_volume_past_the_float_range_names_field(self, tmp_path, capsys):
         cfg = base_config()
         cfg["inclusions"][0]["dimensions_um"] = [1e150, 1e150, 1e150]
-        self.check(tmp_path, capsys, cfg, "inclusions[0]: inclusion volume must be finite")
+        self.check(tmp_path, capsys, cfg, "inclusions[0].dimensions_um: inclusion volume must be finite")
 
 
 class TestPathErrors:
@@ -1072,7 +1118,7 @@ class TestRefinementPath:
 
     @pytest.mark.parametrize(
         "field, path",
-        [("mode", "mode.frequency_GHz"), ("stop", "sweep")],
+        [("mode", "mode.frequency_GHz"), ("stop", "sweep.stop")],
         ids=["mode", "sweep"],
     )
     def test_overflowing_frequency_is_a_config_error(self, tmp_path, capsys, field, path):

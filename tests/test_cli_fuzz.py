@@ -12,8 +12,9 @@ every size bound, a field removed, a sweep axis that belongs to another
 scenario, or the name of a stock material that is not piezoelectric
 (``sapphire``), whose inclusion radiates exactly nothing.  Grids stay at
 8x16 nodes or fewer and sweeps at three points or fewer, so every example
-runs in a fraction of a second.  A sweep of its own sets each number of
-each valid config, one at a time, to 1e300.  Each materials
+runs in a fraction of a second.  Two sweeps of their own set each number
+of each valid config, one at a time, to 1e300 and to 1e-310, and check that
+a configuration error names that number's field.  Each materials
 example is random bytes, a truncated copy of the bundled database, or a copy
 with one or two of its fields mutated the same way.
 """
@@ -176,27 +177,52 @@ def _numeric_leaves(cfg):
             yield path, key
 
 
-def test_every_number_at_1e300(tmp_path):
-    """Each number of each base config, one at a time, set to 1e300: finite,
-    but past the float range once squared or converted to SI.  Every run
-    ends with 0, 2 or 3, prints no numpy warning, and writes no nan and no
-    inf outside the documented columns."""
+def _config_path(path, key):
+    """The config path of a number as a config error names it: dotted keys
+    and [i] list indices, down to the last named field, so a vector or
+    matrix component is blamed on its whole field."""
+    steps = [*path, key]
+    while isinstance(steps[-1], int):
+        steps.pop()
+    return "".join(f"[{s}]" if isinstance(s, int) else f".{s}" if i else s for i, s in enumerate(steps))
+
+
+def _every_number_at(value, tmp_path, capsys):
+    """Set each number of each base config, one at a time, to ``value``.
+    Every run ends with 0, 2 or 3, prints no numpy warning, and writes no
+    nan and no inf outside the documented columns; an exit-2 run prints one
+    line, which names the config path of the number it was given."""
     runs = 0
     for i, base in enumerate(BASES):
         for path, key in _numeric_leaves(base):
             cfg = copy.deepcopy(base)
-            _mutate(cfg, path, key, "replace", 1e300)
+            _mutate(cfg, path, key, "replace", value)
             where = (base["scenario"], *path, key)
             config, out = tmp_path / f"{i}-{runs}.json", tmp_path / f"{i}-{runs}.csv"
             config.write_text(json.dumps(cfg))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                assert main(["run", str(config), "--out", str(out)]) in (0, 2, 3), where
+                code = main(["run", str(config), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), where
+            if code == 2:
+                assert err.count("\n") == 1 and _config_path(path, key) in err, (where, err)
             assert [str(w.message) for w in caught] == [], where
             assert _nan_cells(out) == [], where
             assert _inf_cells(out) == [], where
             runs += 1
     assert runs == 217
+
+
+def test_every_number_at_1e300(tmp_path, capsys):
+    """Finite, but past the float range once squared or converted to SI."""
+    _every_number_at(1e300, tmp_path, capsys)
+
+
+def test_every_number_at_1e_310(tmp_path, capsys):
+    """Subnormal: zero once multiplied by a unit factor such as 1e-18 um^3
+    in m^3, or by another small number, as in 2 eps0 eps_eff V."""
+    _every_number_at(1e-310, tmp_path, capsys)
 
 
 MATERIALS = (resources.files("phonoscat") / "data" / "materials.json").read_bytes()

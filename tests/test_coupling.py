@@ -59,6 +59,9 @@ class TestMicrowaveMode:
             (dict(mode_volume=1e-318), "^mode volume 1e-318 m\\^3 is too small for a finite zero-point field$"),
             (dict(mode_volume=5e-324), "too small for a finite zero-point field"),
             (dict(mode_volume=1e-310, omega0=1e300), "too small for a finite zero-point field"),
+            # and 2 eps0 eps_eff alone leaves the normal range: the permittivity is blamed
+            (dict(eps_eff=1e-310), "^effective permittivity 1e-310 is too small for a finite zero-point field$"),
+            (dict(eps_eff=1e-300), "^effective permittivity 1e-300 is too small for a finite zero-point field$"),
         ],
     )
     def test_validation(self, kwargs, msg):
@@ -69,6 +72,11 @@ class TestMicrowaveMode:
 
     def test_smallest_volume_with_a_finite_field_is_kept(self):
         assert np.isfinite(MicrowaveMode(1e10, 1e-310, (0, 1, 0), 5.0).field_zp)
+
+    def test_subnormal_permittivity_factor_with_a_finite_field_is_kept(self):
+        """2 eps0 eps_eff is subnormal, but times V_E it is not zero."""
+        assert 0 < 2 * CONSTANTS.eps0 * 1e-300 < np.finfo(float).tiny
+        assert np.isfinite(MicrowaveMode(1e10, 1.0, (0, 1, 0), 1e-300).field_zp)
 
     def test_default_eps_eff_is_diagonal_mean(self, substrate):
         assert default_eps_eff(substrate) == pytest.approx(
@@ -102,6 +110,8 @@ class TestInclusion:
             (dict(dimensions=(1e-6, float("inf"), 1e-6)), "positive finite"),
             (dict(center=(float("nan"), 0, 0)), "finite 3-vector"),
             (dict(center=(0, float("inf"), 0)), "finite 3-vector"),
+            (dict(dimensions=(1e-6, 1e-316, 1e-6)), "^inclusion volume underflows to 0 m\\^3$"),
+            (dict(dimensions=(1e-160, 1e-160, 1e-6)), "^inclusion volume underflows to 0 m\\^3$"),
         ],
     )
     def test_validation(self, ln, kwargs, msg):

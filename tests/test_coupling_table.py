@@ -125,7 +125,7 @@ def _lone(result, mode, inclusions, substrate, quad):
     return _same(result, refined_rate(mode, inclusions, substrate, quad))
 
 
-# 32 x 64: the fine grid spans four node chunks
+# 32 x 64: the fine grid spans two node spans
 SPANS = QuadratureSpec(32, 64)
 
 
@@ -454,7 +454,7 @@ def test_threads_do_not_change_shared_results(db, ln):
     seps = [np.array([s, 0.0, 0.0]) for s in (1e-6, 3e-6)]
     out = {}
     for threads in (1, 2):
-        quad = QuadratureSpec(32, 64, threads=threads)  # the fine grid spans 4 chunks
+        quad = QuadratureSpec(32, 64, threads=threads)  # the fine grid spans two node spans
         out[threads] = (
             sweep(mode, inc, substrate, "height", AXES["height"], quad).results,
             [r.pair for r in dual_waveguide_sweep(mode, inc, substrate, seps, -1, quad)],

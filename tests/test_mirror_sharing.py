@@ -452,7 +452,7 @@ def _per_branch_gamma(mode, src, substrate, n_theta, n_phi):
 )
 @pytest.mark.parametrize("name", ["sapphire_iso", "silicon", "sapphire@x0.3"])
 def test_gamma_branches_equals_the_per_branch_pass_bit_for_bit(db, ln, name, centres):
-    """Both grids span partial node chunks (4608 = 2048 + 2048 + 512 and 45)."""
+    """Both grids end in a partial node span (4608 = 4096 + 512 and 45)."""
     substrate = _substrate(db, name)
     mode = make_mode(substrate, f_hz=7.3e9)
     dims = [(0.5e-6, 1.0e-6, 5.0e-6), (0.3e-6, 0.7e-6, 2.0e-6), (1.1e-6, 0.2e-6, 0.9e-6)]
@@ -462,6 +462,30 @@ def test_gamma_branches_equals_the_per_branch_pass_bit_for_bit(db, ln, name, cen
     for grid in [(48, 96), (9, 5)]:
         got = radiation._gamma_branches(mode, src, tables, *grid, 1)
         assert np.array_equal(got, _per_branch_gamma(mode, src, substrate, *grid))
+
+
+@pytest.mark.parametrize(
+    "centres", ["one centred", "pair mirrored", "pair about a base centre", "three, mirror and origin"]
+)
+@pytest.mark.parametrize("name", ["sapphire_iso", "silicon", "sapphire@x0.3"])
+def test_the_span_size_changes_no_bit(db, ln, monkeypatch, name, centres):
+    """Every per-node operation is elementwise and kvec @ r rounds the same
+    in any span of two or more nodes, so 2048- and 4096-node spans give the
+    same rates.  Both grids end in a partial span of more than one node
+    under either size: 4608 = 2 x 2048 + 512 = 4096 + 512, and
+    8710 = 4 x 2048 + 518 = 2 x 4096 + 518.  The mirrored pair is an
+    antipodal pair, which takes one phase part."""
+    substrate = _substrate(db, name)
+    mode = make_mode(substrate, f_hz=7.3e9)
+    src = _sources(mode, [_inc(ln, c, s) for c, s in zip(CENTRES[centres], [1, -1, 1])])
+    assert src.part == ("sin" if centres == "pair mirrored" else None)
+    for grid in [(48, 96), (67, 130)]:
+        rates = []
+        for chunk in (2048, 4096):
+            monkeypatch.setattr(radiation, "_CHUNK", chunk)
+            assert 1 < grid[0] * grid[1] % chunk
+            rates.append(radiation._gamma_branches(mode, src, radiation._SweepTables(substrate), *grid, 1))
+        assert np.array_equal(rates[0].view(np.int64), rates[1].view(np.int64))
 
 
 def _with_references(monkeypatch):
@@ -609,13 +633,22 @@ def test_dual_waveguide_sweep_equals_the_reference_pass_bit_for_bit(db, ln, monk
         assert np.array_equal(g.single.branch_rates, w.single.branch_rates)
 
 
-@pytest.mark.parametrize("grid", [(48, 96), (9, 5), (3, 683), (5, 683), (4, 512)])
+# a grid of _CHUNK + 1 nodes, whose last span is one node, and one of _CHUNK
+ONE_PAST_A_SPAN, ONE_SPAN = (17, 241), (4, 1024)
+
+
+def test_the_span_edge_grids_follow_the_span_size():
+    assert ONE_PAST_A_SPAN[0] * ONE_PAST_A_SPAN[1] == radiation._CHUNK + 1
+    assert ONE_SPAN[0] * ONE_SPAN[1] == radiation._CHUNK
+
+
+@pytest.mark.parametrize("grid", [(48, 96), (9, 5), ONE_PAST_A_SPAN, (5, 683), ONE_SPAN])
 @pytest.mark.parametrize("signs", [(1, -1), (1, 1)])
 @pytest.mark.parametrize("name", ["sapphire_iso", "silicon", "sapphire"])
 def test_antipodal_pair_pass_equals_the_per_branch_pass_bit_for_bit(db, ln, name, signs, grid):
-    """Partial spans, a half that ends inside a span (48x96), one node past
-    a span (5x683), a grid of 2049 nodes, whose last span is one node, and
-    one of 2048, serial and on three threads.  numpy's matmul gives a
+    """Partial spans, a half that ends inside a span (48x96), a grid of one
+    partial span (5x683), a grid of 4097 nodes, whose last span is one node,
+    and one of 4096, serial and on three threads.  numpy's matmul gives a
     one-node span's x by another path, so each node's phase must come from
     kvec of its own span, as the reference computes it."""
     substrate = db[name]
@@ -629,14 +662,14 @@ def test_antipodal_pair_pass_equals_the_per_branch_pass_bit_for_bit(db, ln, name
         assert np.array_equal(radiation._gamma_branches(mode, src, tables, *grid, 3), got)
 
 
-@pytest.mark.parametrize("grid", [(48, 96), (9, 5), (3, 683), (5, 683), (4, 512)])
+@pytest.mark.parametrize("grid", [(48, 96), (9, 5), ONE_PAST_A_SPAN, (5, 683), ONE_SPAN])
 @pytest.mark.parametrize("name", ["sapphire_iso", "silicon", "sapphire"])
 def test_pair_power_equals_the_general_sum_node_by_node(db, ln, monkeypatch, name, grid):
     """The pair's one-part power in each whole node span of the engine pass
     against the complex sum of both copies, each with the phase of its own
     centre, and kvec against k0 khat of that span: a one-node rate
     difference can round away in the reduction, so the power is compared
-    node by node, the one-node last span of the 2049-node grid included."""
+    node by node, the one-node last span of the 4097-node grid included."""
     substrate = db[name]
     mode = make_mode(substrate, f_hz=7.3e9)
     khats = angular_table(substrate, *grid).khats
