@@ -5,7 +5,10 @@ microwave mode, the inclusions, and exactly one sweep axis.  Frequencies are
 given in GHz and lengths in micrometers.  The mode, the inclusions, the
 ``eo`` block and the Bragg mirror become SI at parse time; the sweep values
 stay in config units, and each runner converts them where it calls the
-library.
+library.  Each parse-time check is the library's own: parse builds the
+sweep's two end points with ``radiation.sweep_point``, as the run builds
+every point, and the mirror's layer matrices at the mode frequency with
+``mitigation._layer_matrices``, and only adds the field's name.
 Every run writes one CSV (header row plus one row per sweep point, shortest
 round-trip float formatting, deterministic bytes) and prints a short report
 with fitted slopes, regime tags and quadrature diagnostics to standard output.
@@ -18,8 +21,9 @@ underflows to zero in m^3, a cuboid whose volume does, an ``eps_eff`` or
 mode volume too small for a finite zero-point field, a Bragg center
 frequency whose quarter-wave thickness or layer phase at the mode frequency
 is not finite, or a direction whose length overflows, and unreadable or
-unwritable paths are configuration errors; a sweep value at fault is blamed
-on ``sweep.start`` or ``sweep.stop`` when it is one),
+unwritable paths are configuration errors, and so is a quadrature tolerance
+below the double epsilon; a sweep value at fault is blamed on ``sweep.start``
+or ``sweep.stop``, since a grid lies between its two ends),
 3 numeric failure (quadrature unconverged after the built-in refinement
 cap or before a refinement past the largest grid, a non-finite rate,
 brute-force total, figure of merit or Bragg transfer matrix, a Bragg
@@ -43,7 +47,9 @@ import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode, default_eps_eff
 from .materials import MaterialError, MaterialSpec, Orientation, default_materials, load_materials, unit_vector
-from .mitigation import BraggStack, _bragg_sweep, _check_pair_geometry, dual_waveguide_sweep, mitigated_rate
+from .mitigation import (
+    BraggStack, _bragg_sweep, _check_pair_geometry, _layer_matrices, dual_waveguide_sweep, mitigated_rate,
+)
 from .radiation import (
     _MAX_PHI,
     _MAX_THETA,
@@ -84,6 +90,11 @@ class ConfigError(ValueError):
 # config parsing
 
 
+def _at(path: str, key: str) -> str:
+    """The config path of ``key`` in the object at ``path``; "" is the top level."""
+    return f"{path}.{key}" if path else key
+
+
 def _object(value, path: str, allowed: set[str]) -> dict:
     """A config object with only ``allowed`` keys; missing or null reads as {}."""
     if value is None:
@@ -92,7 +103,7 @@ def _object(value, path: str, allowed: set[str]) -> dict:
         raise ConfigError(f"{path}: expected an object")
     for key in value:
         if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown field (expected one of {sorted(allowed)})")
+            raise ConfigError(f"{_at(path, key)}: unknown field (expected one of {sorted(allowed)})")
     return value
 
 
@@ -111,7 +122,7 @@ def _given(d: dict, key: str, path: str, default) -> bool:
     if key in d:
         return True
     if default is None:
-        raise ConfigError(f"{path}.{key}: required")
+        raise ConfigError(f"{_at(path, key)}: required")
     return False
 
 
@@ -121,24 +132,26 @@ def _number(d: dict, key: str, path: str, default=None, positive=False):
     try:
         v = _float(d[key])
     except TypeError:
-        raise ConfigError(f"{path}.{key}: expected a number") from None
+        raise ConfigError(f"{_at(path, key)}: expected a number") from None
     if not np.isfinite(v):
-        raise ConfigError(f"{path}.{key}: must be finite")
+        raise ConfigError(f"{_at(path, key)}: must be finite")
     if positive and not v > 0:
-        raise ConfigError(f"{path}.{key}: must be positive")
+        raise ConfigError(f"{_at(path, key)}: must be positive")
     return v
 
 
-def _integer(d: dict, key: str, path: str, default=None, minimum=None, maximum=None):
+def _integer(d: dict, key: str, path: str, default=None, minimum=None, maximum=None, choices=None):
     if not _given(d, key, path, default):
         return default
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: expected an integer")
+        raise ConfigError(f"{_at(path, key)}: expected an integer")
     if minimum is not None and v < minimum:
-        raise ConfigError(f"{path}.{key}: must be at least {minimum}")
+        raise ConfigError(f"{_at(path, key)}: must be at least {minimum}")
     if maximum is not None and v > maximum:
-        raise ConfigError(f"{path}.{key}: must be at most {maximum}")
+        raise ConfigError(f"{_at(path, key)}: must be at most {maximum}")
+    if choices is not None and v not in choices:
+        raise ConfigError(f"{_at(path, key)}: must be one of {list(choices)}")
     return v
 
 
@@ -147,19 +160,19 @@ def _vector3(d: dict, key: str, path: str, default=None, positive=False, nonzero
         return np.asarray(default, dtype=float)
     v = d[key]
     if not isinstance(v, (list, tuple)) or len(v) != 3:
-        raise ConfigError(f"{path}.{key}: expected a 3-component list")
+        raise ConfigError(f"{_at(path, key)}: expected a 3-component list")
     try:
         arr = np.array([_float(x) for x in v])
     except TypeError:
-        raise ConfigError(f"{path}.{key}: expected numeric components") from None
+        raise ConfigError(f"{_at(path, key)}: expected numeric components") from None
     if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{path}.{key}: components must be finite")
+        raise ConfigError(f"{_at(path, key)}: components must be finite")
     if positive and not np.all(arr > 0):
-        raise ConfigError(f"{path}.{key}: components must be positive")
+        raise ConfigError(f"{_at(path, key)}: components must be positive")
     if nonzero:  # a direction
         if not np.any(arr):
-            raise ConfigError(f"{path}.{key}: must be nonzero")
-        unit_vector(arr, f"{path}.{key}", ConfigError)  # a length past the float range
+            raise ConfigError(f"{_at(path, key)}: must be nonzero")
+        unit_vector(arr, _at(path, key), ConfigError)  # a length past the float range
     return arr
 
 
@@ -168,10 +181,19 @@ def _string(d: dict, key: str, path: str, default=None, choices=None):
         return default
     v = d[key]
     if not isinstance(v, str):
-        raise ConfigError(f"{path}.{key}: expected a string")
+        raise ConfigError(f"{_at(path, key)}: expected a string")
     if choices is not None and v not in choices:
-        raise ConfigError(f"{path}.{key}: unknown value '{v}' (expected one of {list(choices)})")
+        raise ConfigError(f"{_at(path, key)}: unknown value '{v}' (expected one of {list(choices)})")
     return v
+
+
+def _blame(field: str, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, a library constructor or check, with the
+    ValueError it raises for an input as a ConfigError that names ``field``."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{field}: {e}") from None
 
 
 def _material(db: dict[str, MaterialSpec], name: str, path: str) -> MaterialSpec:
@@ -268,36 +290,36 @@ def _sweep_values(sweep: dict, axis: str) -> np.ndarray:
         for key, bound in (("start", start), ("stop", stop)):
             if not bound > 0:
                 raise ConfigError(f"sweep.{key}: log grids need positive bounds")
-        values = np.geomspace(start, stop, count)
-    else:
-        values = np.linspace(start, stop, count)
+    # Ends near the float range can overflow numpy's intermediate values, and
+    # rounding can put a value of a grid whose ends are ulps apart just past
+    # one: clipping keeps every value between the ends.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (np.geomspace if grid == "log" else np.linspace)(start, stop, count)
+    values = np.clip(values, min(start, stop), max(start, stop))
     if axis == "n_periods":
         rounded = np.rint(values)
         if not np.allclose(values, rounded, rtol=0, atol=1e-9):
             raise ConfigError("sweep: n_periods grid must contain integers")
-        for where, n in _bounds_first(rounded):
+        for where, n in _ends(rounded):
             if not 0 <= n <= _MAX_COUNT:
                 raise ConfigError(f"{where}: n_periods must be between 0 and {_MAX_COUNT}")
         return rounded.astype(int)
-    for where, v in _bounds_first(values):
-        if axis in ("frequency_GHz", "height_um", "thickness_um", "separation_um") and not v > 0:
-            raise ConfigError(f"{where}: {axis} values must be positive")
-        if axis == "frequency_GHz":
-            _rad_per_s(float(v), where)
     return values
 
 
-def _bounds_first(values):
-    """Each sweep value with the config path a check of it blames: the grid's
-    end points, which are ``sweep.start`` and ``sweep.stop`` exactly, come
-    first.  Every check of a sweep value is monotone in it, so on a linear or
-    log grid it fails at a bound before it fails between them."""
-    last = len(values) - 1
-    yield "sweep.start", values[0]
-    if last:
-        yield "sweep.stop", values[last]
-    for v in values[1:last]:
-        yield "sweep", v
+def _ends(values):
+    """The grid's end points with the config fields they are.  The values
+    that pass a check of a sweep value form an interval, and every value of
+    a linear or log grid lies between its ends, so checking the ends checks
+    the grid.  A one-point grid checks its start twice."""
+    return ("sweep.start", values[0]), ("sweep.stop", values[-1])
+
+
+def _library_axis(axis: str, values):
+    """The library's name of a rate-sweep axis, and ``values`` from config units to SI."""
+    if axis == "frequency_GHz":
+        return "omega0", 2 * np.pi * values * 1e9
+    return axis.removesuffix("_um"), values * _UM
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -309,9 +331,11 @@ def load_run_config(path: str) -> RunConfig:
         raise ConfigError(f"no such config file '{path}'") from None
     except ValueError as e:  # not UTF-8, or not JSON
         raise ConfigError(f"{path}: {e}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
     raw = _object(
         raw,
-        "config",
+        "",
         {
             "scenario",
             "materials_db",
@@ -328,9 +352,9 @@ def load_run_config(path: str) -> RunConfig:
         },
     )
 
-    scenario = _string(raw, "scenario", "config", choices=_SCENARIOS)
+    scenario = _string(raw, "scenario", "", choices=_SCENARIOS)
     db = _load_db(raw)
-    substrate = _material(db, _string(raw, "substrate", "config"), "substrate")
+    substrate = _material(db, _string(raw, "substrate", ""), "substrate")
 
     mode_keys = {"frequency_GHz", "mode_volume_um3", "field_direction", "eps_eff"}
     mode_cfg = _object(raw.get("mode"), "mode", mode_keys)
@@ -359,14 +383,10 @@ def load_run_config(path: str) -> RunConfig:
         mat = _material(db, _string(inc_cfg, "material", p), f"{p}.material")
         dims = _vector3(inc_cfg, "dimensions_um", p, positive=True)
         center = _vector3(inc_cfg, "center_um", p, default=[0.0, 0.0, 0.0])
-        sign = _integer(inc_cfg, "sign", p, default=1)
-        if sign not in (1, -1):
-            raise ConfigError(f"{p}.sign: must be +1 or -1")
+        sign = _integer(inc_cfg, "sign", p, default=1, choices=(1, -1))
         ori = _orientation(inc_cfg.get("orientation"), f"{p}.orientation")
-        try:
-            inc = Inclusion(dimensions=dims * _UM, center=center * _UM, material=mat, orientation=ori, sign=sign)
-        except ValueError as e:  # the cuboid's volume overflows or underflows
-            raise ConfigError(f"{p}.dimensions_um: {e}") from None
+        # the cuboid's volume may overflow or underflow
+        inc = _blame(f"{p}.dimensions_um", Inclusion, dims * _UM, center * _UM, mat, orientation=ori, sign=sign)
         inclusions.append(inc)
 
     sweep = _object(raw.get("sweep"), "sweep", {"axis", "grid", "start", "stop", "count"})
@@ -380,19 +400,19 @@ def load_run_config(path: str) -> RunConfig:
     values = _sweep_values(sweep, axis)
 
     quad_cfg = _object(raw.get("quadrature"), "quadrature", {"n_theta", "n_phi", "tolerance", "threads"})
-    quad = QuadratureSpec(
+    quad = _blame(  # the grid and threads are bounded here: the spec checks the tolerance alone
+        "quadrature.tolerance",
+        QuadratureSpec,
         n_theta=_integer(quad_cfg, "n_theta", "quadrature", default=64, minimum=2, maximum=_MAX_THETA),
         n_phi=_integer(quad_cfg, "n_phi", "quadrature", default=128, minimum=4, maximum=_MAX_PHI),
-        tolerance=_number(quad_cfg, "tolerance", "quadrature", default=1e-3, positive=True),
+        tolerance=_number(quad_cfg, "tolerance", "quadrature", default=1e-3),
         threads=_integer(quad_cfg, "threads", "quadrature", default=1, minimum=1, maximum=_MAX_THREADS),
     )
 
     dual_cfg = _object(raw.get("dual"), "dual", {"direction", "relative_sign"})
     dual_dir = _vector3(dual_cfg, "direction", "dual", default=[1.0, 0.0, 0.0], nonzero=True)
     dual_dir = unit_vector(dual_dir, "dual.direction")
-    dual_sign = _integer(dual_cfg, "relative_sign", "dual", default=-1)
-    if dual_sign not in (1, -1):
-        raise ConfigError("dual.relative_sign: must be +1 or -1")
+    dual_sign = _integer(dual_cfg, "relative_sign", "dual", default=-1, choices=(1, -1))
 
     bragg_cfg = _object(raw.get("bragg"), "bragg", {"low", "high", "center_frequency_GHz", "normal"})
     if scenario == "bragg":
@@ -402,16 +422,10 @@ def load_run_config(path: str) -> RunConfig:
     bragg_normal = _vector3(bragg_cfg, "normal", "bragg", default=[0.0, 0.0, 1.0], nonzero=True)
     mirror = None
     if scenario == "bragg":
-        try:
-            mirror = BraggStack.quarter_wave(substrate, low, high, bragg_center * 1e9, 1, bragg_normal)
-        except ValueError as e:  # f_c in Hz, or a quarter-wave thickness v / (4 f_c), past the float range
-            raise ConfigError(f"bragg.center_frequency_GHz: {bragg_center:g} GHz: {e}") from None
-        # each layer's phase omega0 d / v = (pi / 2) f0 / f_c, as the transfer matrix takes it
-        if not all(mode.omega0 * layer.thickness / layer.speed < np.inf for layer in mirror.period):
-            raise ConfigError(
-                f"bragg.center_frequency_GHz: {bragg_center:g} GHz: a layer's phase (pi / 2) f0 / f_c "
-                f"at f0 = {f_ghz:g} GHz overflows"
-            )
+        # f_c in Hz, a quarter-wave thickness v / (4 f_c) or a layer phase may leave the float range
+        field = f"bragg.center_frequency_GHz: {bragg_center:g} GHz"
+        mirror = _blame(field, BraggStack.quarter_wave, substrate, low, high, bragg_center * 1e9, 1, bragg_normal)
+        _blame(field, _layer_matrices, mirror, mode.omega0)
 
     eo = None
     if raw.get("eo") is not None:
@@ -425,7 +439,7 @@ def load_run_config(path: str) -> RunConfig:
     elif scenario == "figure_of_merit":
         raise ConfigError("eo: required for the figure_of_merit scenario")
 
-    ori_axis = _vector3(raw, "orientation_axis", "config", default=[0.0, 0.0, 1.0], nonzero=True)
+    ori_axis = _vector3(raw, "orientation_axis", "", default=[0.0, 0.0, 1.0], nonzero=True)
 
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
@@ -442,18 +456,17 @@ def load_run_config(path: str) -> RunConfig:
     if axis in ("height_um", "thickness_um", "separation_um", "angle_deg", "n_periods"):
         if len(inclusions) != 1:
             raise ConfigError(f"inclusions: sweep axis '{axis}' needs exactly one inclusion")
-    if axis in ("height_um", "thickness_um"):
-        for where, v in _bounds_first(values):
-            try:
-                sweep_point(mode, inclusions, axis.removesuffix("_um"), float(v) * _UM)
-            except ValueError as e:  # the swept cuboid's volume overflows or underflows
-                raise ConfigError(f"{where}: {axis} = {v:g}: {e}") from None
+    if axis in _COLUMNS:  # a rate axis: build each end point as the run does
+        for where, v in _ends(values):  # omega0 or the swept cuboid's volume may leave the float range
+            _blame(f"{where}: {axis} = {v:g}", sweep_point, mode, inclusions, *_library_axis(axis, float(v)))
     if axis == "separation_um":
-        for where, v in _bounds_first(values):
-            try:
-                _check_pair_geometry(inclusions[0].dimensions, float(v) * _UM * dual_dir)
-            except ValueError as e:  # the two copies overlap: blame both fields
-                raise ConfigError(f"{where} and inclusions[0].dimensions_um: {axis} = {v:g}: {e}") from None
+        for where, v in _ends(values):
+            d = float(v) * _UM
+            if not d > 0:  # a separation that underflows to 0 m would pass as coincident copies
+                raise ConfigError(f"{where}: {axis} = {v:g} is not positive in m")
+            # the two copies may overlap: blame both fields
+            fields = f"{where} and inclusions[0].dimensions_um: {axis} = {v:g}"
+            _blame(fields, _check_pair_geometry, inclusions[0].dimensions, d * dual_dir)
 
     return RunConfig(
         scenario=scenario,
@@ -486,10 +499,7 @@ class RunTable:
 
 def _sweep(cfg: RunConfig, engine: str = "mie"):
     """The library sweep over the config's axis, with the values in SI units."""
-    if cfg.axis == "frequency_GHz":
-        axis, values = "omega0", 2 * np.pi * cfg.values * 1e9
-    else:
-        axis, values = cfg.axis.removesuffix("_um"), cfg.values * _UM
+    axis, values = _library_axis(cfg.axis, cfg.values)
     return sweep(cfg.mode, cfg.inclusions, cfg.substrate, axis, values, cfg.quad, engine)
 
 

@@ -9,7 +9,10 @@ cancels exactly (the imaginary part, for equal signs), so the engine's
 coherent-sum kernel evaluates one phase part, sin or cos, per node for the
 pair.  The second inserts a stack of alternating acoustic-impedance
 quarter-wave layers between the source and the bulk, modelled by the standard
-one-dimensional lossless transfer matrix at normal incidence.
+one-dimensional lossless transfer matrix at normal incidence.  Each layer's
+2x2 matrix at a frequency is built once, by ``_layer_matrices``, which also
+owns the check of the layer phase omega d / v: the command line calls it at
+parse time, and every transfer matrix multiplies its result.
 """
 
 from __future__ import annotations
@@ -220,35 +223,53 @@ class BraggStack:
 def transfer_matrix(stack: BraggStack, omega: float) -> np.ndarray:
     """Total 2x2 matrix taking (stress, velocity) across the stack.
 
-    Each lossless layer contributes [[cos phi, i Z sin phi],
-    [i sin phi / Z, cos phi]] with phi = omega d / v; the product is ordered
-    so the matrix maps field values on the incidence face to the exit face.
-    A product that overflows raises NumericFailure.
+    Each lossless layer contributes its ``_layer_matrices`` entry; the
+    product is ordered so the matrix maps field values on the incidence face
+    to the exit face.  A frequency that is not positive, or a layer phase
+    that overflows, raises ValueError; a product that overflows raises
+    NumericFailure.
     """
     return next(_transfer_matrices(stack, omega, [stack.n_periods]))
+
+
+def _layer_matrices(stack: BraggStack, omega: float) -> list[np.ndarray]:
+    """The 2x2 matrix [[cos phi, i Z sin phi], [i sin phi / Z, cos phi]] of
+    each layer of one period at ``omega`` (rad/s), with phi = omega d / v.
+
+    A frequency that is not positive raises ValueError, and so does a phase
+    that overflows although the thickness is finite, naming the layer.
+    """
+    if not omega > 0:
+        raise ValueError("frequency must be positive")
+    matrices = []
+    for layer in stack.period:
+        phi = omega * layer.thickness / layer.speed
+        if not phi < np.inf:
+            raise ValueError(f"layer '{layer.name}': phase omega d / v overflows at omega = {omega:g} rad/s")
+        c, s = np.cos(phi), np.sin(phi)
+        matrices.append(np.array([[c, 1j * layer.impedance * s], [1j * s / layer.impedance, c]]))
+    return matrices
 
 
 def _transfer_matrices(stack: BraggStack, omega: float, counts):
     """Yield ``transfer_matrix`` of the stack at each period count, in order.
 
-    One running product over the sorted distinct counts: the matrix at n
-    periods continues the product at the previous count with the same
-    ``L @ m`` products in the same order as a product built for n alone, so
-    each matrix is the same bit for bit, and a sweep over N counts costs
-    O(N) layer products, not O(N^2).  A product that overflows raises
-    NumericFailure when its count is reached in ``counts``.
+    The layer matrices are built once.  One running product over the
+    sorted distinct counts: the matrix at n periods continues the product at
+    the previous count with the same ``L @ m`` products in the same order as
+    a product built for n alone, so each matrix is the same bit for bit, and
+    a sweep over N counts costs O(N) layer products, not O(N^2).  The
+    ``_layer_matrices`` ValueError comes first; a product that overflows
+    raises NumericFailure when its count is reached in ``counts``.
     """
-    if not omega > 0:
-        raise ValueError("frequency must be positive")
     products = {}
     m = np.eye(2, dtype=complex)
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        layers = _layer_matrices(stack, omega)
         for n in sorted(set(counts)):
-            for layer in stack.period * (n - done):
-                phi = omega * layer.thickness / layer.speed
-                c, s = np.cos(phi), np.sin(phi)
-                m = np.array([[c, 1j * layer.impedance * s], [1j * s / layer.impedance, c]]) @ m
+            for layer in layers * (n - done):
+                m = layer @ m
             products[n], done = m, n
     for n in counts:
         if not np.all(np.isfinite(products[n])):

@@ -136,14 +136,14 @@ class QuadratureSpec:
 
     n_theta: int = 64
     n_phi: int = 128
-    tolerance: float = 1e-3  # relative node-doubling tolerance
+    tolerance: float = 1e-3  # relative node-doubling tolerance, at least the double epsilon
     threads: int = 1
 
     def __post_init__(self):
         if self.n_theta < 2 or self.n_phi < 4:
             raise ValueError("quadrature needs n_theta >= 2 and n_phi >= 4")
-        if not self.tolerance > 0:
-            raise ValueError("quadrature tolerance must be positive")
+        if not self.tolerance >= np.finfo(float).eps:  # a smaller relative change is rounding
+            raise ValueError(f"quadrature tolerance must be at least {np.finfo(float).eps:.3g}, the double epsilon")
         if self.threads < 1:
             raise ValueError("thread count must be at least 1")
 

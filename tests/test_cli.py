@@ -16,10 +16,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from phonoscat.cli import ENV_MATERIALS, load_run_config, main
+from phonoscat.cli import ENV_MATERIALS, ConfigError, _library_axis, load_run_config, main
 from phonoscat.materials import default_materials
-from phonoscat.radiation import QuadratureSpec
+from phonoscat.mitigation import _check_pair_geometry
+from phonoscat.radiation import QuadratureSpec, sweep_point
 
 from conftest import DEEP_STOPBAND_T, save_materials
 
@@ -470,7 +473,7 @@ class TestConfigErrors:
         [
             (1e300, "center frequency must be positive and finite"),
             (1e-320, "thickness must be positive and finite"),
-            (1e-310, "a layer's phase (pi / 2) f0 / f_c at f0 = 10 GHz overflows"),
+            (1e-310, "layer 'silicon': phase omega d / v overflows at omega = 6.28319e+10 rad/s"),
         ],
         ids=["Hz_overflow", "thickness_overflow", "phase_overflow"],
     )
@@ -601,9 +604,10 @@ class TestConfigErrors:
             ({"inclusion": {"orientation": {}}}, "inclusions[0].orientation: expected matrix or axis/angle_deg"),
             ({"sweep": {"grid": "log", "start": -1.0}}, "sweep.start: log grids need positive bounds"),
             ({"sweep": {"grid": "log", "start": 1.0, "stop": -1.0}}, "sweep.stop: log grids need positive bounds"),
-            ({"sweep": {"grid": "linear", "start": -1.0}}, "sweep.start: frequency_GHz values must be positive"),
-            ({"inclusion": {"sign": 0}}, "inclusions[0].sign: must be +1 or -1"),
-            ({"dual": {"relative_sign": 2}}, "dual.relative_sign: must be +1 or -1"),
+            ({"sweep": {"grid": "linear", "start": -1.0}},
+             "sweep.start: frequency_GHz = -1: mode frequency must be positive and finite"),
+            ({"inclusion": {"sign": 0}}, "inclusions[0].sign: must be one of [1, -1]"),
+            ({"dual": {"relative_sign": 2}}, "dual.relative_sign: must be one of [1, -1]"),
             ({"eo": {"g0_Hz": 2000.0, "v_ref_um3": 8000.0, "overlap": 1.5}}, "eo.overlap: must lie in [0, 1]"),
             ({"output": 5}, "output: expected a string path"),
             ({"sweep": {"axis": "height_um", "start": 0.01}, "copies": 2},
@@ -627,6 +631,47 @@ class TestConfigErrors:
         cfg["inclusions"] *= edit.get("copies", 1)
         cfg.update({key: edit[key] for key in ("dual", "eo", "output") if key in edit})
         self.check(tmp_path, capsys, cfg, f"config error: {needle}")
+
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            ({"bogus": 1}, "bogus: unknown field (expected one of "),
+            ({"scenario": "nope"}, "scenario: unknown value 'nope' (expected one of "),
+            ({"substrate": 5}, "substrate: expected a string\n"),
+        ],
+        ids=["unknown-key", "scenario", "substrate"],
+    )
+    def test_top_level_field_is_named_as_in_the_file(self, tmp_path, capsys, edit, line):
+        code, out = run_cli(tmp_path, {**base_config(), **edit})
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err.startswith(f"config error: {line}")
+
+    def test_config_that_is_not_an_object_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: expected a JSON object\n"
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-17, 1e-310])
+    def test_tolerance_a_double_cannot_resolve_exits_2_before_any_grid(
+        self, tmp_path, capsys, monkeypatch, tolerance
+    ):
+        """A relative change below the double epsilon is rounding: no grid
+        meets such a tolerance, so parse refuses it, naming the field."""
+        import phonoscat.cli as cli
+
+        monkeypatch.setattr(cli, "execute", lambda cfg: pytest.fail("a rate was computed"))
+        cfg = base_config(scenario="mie", quadrature=dict(SMALL_QUAD, tolerance=tolerance))
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            "config error: quadrature.tolerance: quadrature tolerance must be at least 2.22e-16, the double epsilon\n"
+        )
+
+    def test_tolerance_at_the_double_epsilon_loads(self, tmp_path):
+        eps = float(np.finfo(float).eps)
+        cfg = base_config(quadrature=dict(SMALL_QUAD, tolerance=eps))
+        assert load_run_config(write_config(tmp_path, cfg)).quad.tolerance == eps
 
     def test_orientation_rejects_both_forms(self, tmp_path, capsys):
         cfg = base_config()
@@ -659,7 +704,7 @@ class TestConfigErrors:
         ("scenario", "edit", "needle"),
         [
             ("figure_of_merit", lambda c: c["mode"].update(field_direction=[0, 1e300, 0]), "mode.field_direction"),
-            ("orientation", lambda c: c.update(orientation_axis=[0, 1e300, 0]), "config.orientation_axis"),
+            ("orientation", lambda c: c.update(orientation_axis=[0, 1e300, 0]), "orientation_axis"),
             ("bragg", lambda c: c["bragg"].update(normal=[0, 1e300, 0]), "bragg.normal"),
         ],
         ids=["field_direction", "orientation_axis", "bragg_normal"],
@@ -676,7 +721,7 @@ class TestConfigErrors:
         elif scenario == "orientation":
             cfg["sweep"] = {"axis": "angle_deg", "grid": "linear", "start": 0.0, "stop": 90.0, "count": 2}
         edit(cfg)
-        self.check(tmp_path, capsys, cfg, f"{needle} must be finite and nonzero in length")
+        self.check(tmp_path, capsys, cfg, f"config error: {needle} must be finite and nonzero in length")
 
     @pytest.mark.parametrize(("scenario", "axis"), [("figure_of_merit", "height_um"), ("mie", "thickness_um")])
     def test_swept_volume_past_the_float_range_names_field(self, tmp_path, capsys, monkeypatch, scenario, axis):
@@ -1117,11 +1162,14 @@ class TestRefinementPath:
         assert calls == [True] * 5
 
     @pytest.mark.parametrize(
-        "field, path",
-        [("mode", "mode.frequency_GHz"), ("stop", "sweep.stop")],
+        "field, message",
+        [
+            ("mode", "mode.frequency_GHz: 1e+300 GHz is too large for a finite angular frequency"),
+            ("stop", "sweep.stop: frequency_GHz = 1e+300: mode frequency must be positive and finite"),
+        ],
         ids=["mode", "sweep"],
     )
-    def test_overflowing_frequency_is_a_config_error(self, tmp_path, capsys, field, path):
+    def test_overflowing_frequency_is_a_config_error(self, tmp_path, capsys, field, message):
         """Finite in GHz, but omega0 overflows: one message that names the
         field, and no numpy warning."""
         cfg = base_config()
@@ -1134,7 +1182,7 @@ class TestRefinementPath:
             code, _ = run_cli(tmp_path, cfg)
         assert code == 2
         err = capsys.readouterr().err
-        assert err == f"config error: {path}: 1e+300 GHz is too large for a finite angular frequency\n"
+        assert err == f"config error: {message}\n"
         assert caught == []
 
 
@@ -1265,3 +1313,108 @@ class TestLoadRunConfig:
         cfg = load_run_config(write_config(tmp_path, base_config()))
         expect = float(np.mean(np.diag(db["sapphire_iso"].eps_r)))
         assert cfg.mode.eps_eff == pytest.approx(expect)
+
+
+# The scenario that takes each swept axis, for the end-point checks below.
+END_SCENARIO = {
+    "frequency_GHz": "mie",
+    "height_um": "mie",
+    "thickness_um": "mie",
+    "separation_um": "dual_waveguide",
+    "n_periods": "bragg",
+}
+# The largest frequency in GHz whose angular frequency 2 pi f 1e9 is finite.
+LAST_FINITE_GHZ = 2.861117485757028e298
+
+
+def sweep_config(axis, grid, start, stop, count):
+    cfg = base_config(
+        scenario=END_SCENARIO[axis], quadrature=dict(SMALL_QUAD), bragg={"low": "silicon", "high": "sapphire"}
+    )
+    cfg["sweep"] = {"axis": axis, "grid": grid, "start": start, "stop": stop, "count": count}
+    return cfg
+
+
+def ulps_from(x, k):
+    """``x`` moved by ``k`` units in the last place (up for k > 0), and no
+    further than the largest finite double."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, sys.float_info.max if k > 0 else -sys.float_info.max))
+    return x
+
+
+@st.composite
+def sweep_grids(draw):
+    """An axis, a grid kind, two ends and a count: ends anywhere in the float
+    range (subnormals, 1e308 and signs included), in a plausible range, or a
+    few ulps apart, where rounding decides which values lie between them."""
+    axis = draw(st.sampled_from(list(END_SCENARIO)))
+    grid = draw(st.sampled_from(["linear", "log"]))
+    count = draw(st.integers(1, 9))
+    if axis == "n_periods":
+        start = draw(st.integers(-2, 10_002))
+        return axis, grid, start, draw(st.one_of(st.just(start), st.integers(-2, 10_002))), count
+    ends = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(1e-3, 1e3))
+    start = draw(ends)
+    stop = draw(st.one_of(ends, st.integers(-40, 40).map(lambda k: ulps_from(start, k))))
+    return axis, grid, start, stop, count
+
+
+class TestSweepEnds:
+    """Parse checks a sweep's two end points only.  The values that pass a
+    check of a sweep value form an interval and every value of a linear or
+    log grid lies between its ends, so a grid whose ends load passes the
+    library's own check at every value."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(sweep_grids())
+    # numpy's geomspace rounds the middle value of this grid an ulp past its stop
+    @example(("frequency_GHz", "log", ulps_from(LAST_FINITE_GHZ, -1), LAST_FINITE_GHZ, 3))
+    # a separation that underflows to 0 m reads as coincident copies, which the library accepts
+    @example(("separation_um", "log", 1e-320, 1.0, 5))
+    @example(("n_periods", "linear", 10_000, 0, 3))
+    def test_a_grid_whose_ends_load_passes_every_check(self, tmp_path_factory, grid):
+        axis, kind, start, stop, count = grid
+        path = tmp_path_factory.getbasetemp() / "sweep_ends.json"
+        path.write_text(json.dumps(sweep_config(axis, kind, start, stop, count)))
+        try:
+            cfg = load_run_config(str(path))
+        except ConfigError:
+            return
+        assert len(cfg.values) == count
+        if axis == "n_periods":
+            assert all(0 <= n <= 10_000 for n in cfg.values)
+        elif axis == "separation_um":
+            for d_um in cfg.values:  # as dual_waveguide_sweep checks each separation
+                assert d_um > 0
+                _check_pair_geometry(cfg.inclusions[0].dimensions, d_um * 1e-6 * cfg.dual_direction)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                name, values = _library_axis(axis, cfg.values)  # as the run converts them
+            for v in values:  # as radiation.sweep builds each point
+                sweep_point(cfg.mode, cfg.inclusions, name, float(v))
+
+    @pytest.mark.parametrize(
+        "axis, start, stop, line",
+        [
+            ("frequency_GHz", 1.0, 1e300,
+             "sweep.stop: frequency_GHz = 1e+300: mode frequency must be positive and finite"),
+            ("height_um", -1.0, 0.01,
+             "sweep.start: height_um = -1: inclusion dimensions must be three positive finite lengths"),
+            ("thickness_um", 1e-310, 0.01, "sweep.start: thickness_um = 1e-310: inclusion volume underflows to 0 m^3"),
+            ("separation_um", 1e-320, 1.0, "sweep.start: separation_um = 9.99989e-321 is not positive in m"),
+            ("n_periods", 0, 10_002, "sweep.stop: n_periods must be between 0 and 10000"),
+        ],
+        ids=["frequency_GHz", "height_um", "thickness_um", "separation_um", "n_periods"],
+    )
+    def test_a_bad_end_is_blamed_on_its_field(self, tmp_path, capsys, monkeypatch, axis, start, stop, line):
+        import phonoscat.cli as cli
+
+        monkeypatch.setattr(cli, "execute", lambda cfg: pytest.fail("a rate was computed"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, sweep_config(axis, "linear", start, stop, 3))
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"config error: {line}\n"
+        assert caught == []

@@ -256,6 +256,26 @@ class TestTransferMatrix:
         with pytest.raises(ValueError, match="frequency"):
             transfer_matrix(quarter_wave_stack(1), 0.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            transfer_matrix,
+            bragg_transmission,
+            lambda stack, omega: list(_bragg_sweep(stack, omega, [1])),
+        ],
+        ids=["transfer_matrix", "bragg_transmission", "bragg_sweep"],
+    )
+    def test_layer_phase_that_overflows_names_the_layer(self, call):
+        """At f_c = 1e-301 Hz each quarter-wave thickness is finite, but
+        omega d / v at 10 GHz is not: a ValueError naming the first layer's
+        phase, not an overflowing product, and no numpy warning."""
+        stack = quarter_wave_stack(1, fc=1e-301)
+        assert all(layer.thickness < np.inf for layer in stack.period)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^layer 'silicon': phase omega d / v overflows at omega = "):
+                call(stack, 2 * np.pi * 10e9)
+
 
 class TestBraggTransmission:
     def test_matched_empty_stack_transmits_fully(self):

@@ -350,6 +350,12 @@ class TestQuadratureControls:
             QuadratureSpec(tolerance=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(threads=0)
+        # a relative change below the double epsilon is rounding: no grid could meet it
+        eps = np.finfo(float).eps
+        assert QuadratureSpec(tolerance=eps).tolerance == eps
+        for tolerance in (eps / 2, 1e-17, 1e-310):
+            with pytest.raises(ValueError, match="must be at least 2.22e-16, the double epsilon"):
+                QuadratureSpec(tolerance=tolerance)
 
     @pytest.mark.parametrize("cap,built", [((8, 16), [(4, 8), (8, 16), (16, 32)]), ((7, 16), [(4, 8), (8, 16)])])
     def test_no_refinement_past_the_grid_cap_is_built(self, substrate, waveguide, monkeypatch, empty_memo, cap, built):
