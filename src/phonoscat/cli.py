@@ -292,10 +292,16 @@ def _sweep_values(sweep: dict, axis: str) -> np.ndarray:
                 raise ConfigError(f"sweep.{key}: log grids need positive bounds")
     # Ends near the float range can overflow numpy's intermediate values, and
     # rounding can put a value of a grid whose ends are ulps apart just past
-    # one: clipping keeps every value between the ends.
+    # one: clipping keeps every value between the ends.  A linear grid whose
+    # span stop - start overflows (ends of opposite signs) has values that no
+    # clip makes finite.
     with np.errstate(over="ignore", invalid="ignore"):
         values = (np.geomspace if grid == "log" else np.linspace)(start, stop, count)
     values = np.clip(values, min(start, stop), max(start, stop))
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(
+            f"sweep.start and sweep.stop: the {axis} grid from {start:g} to {stop:g} spans past the float range"
+        )
     if axis == "n_periods":
         rounded = np.rint(values)
         if not np.allclose(values, rounded, rtol=0, atol=1e-9):

@@ -16,9 +16,13 @@ on the grid.  ``_TABLES`` is the one memo of such solved grids, a read-only
 oracle's under (rho, C, "oracle").  Every ``MaterialSpec`` with the same
 physics shares them, however it was loaded.  Nothing is evicted: the memo
 grows by one table per distinct key for the life of the process.  A table
-keeps the directions and velocities as (3, N) rows, the weights, and each
-tau as the C-ordered 3x3 that M = tau : S and G read (polarizations are a
-build-time intermediate): 272 bytes per node, 3.4 MB for the oracle's grid.
+keeps the velocities as (3, N) rows and each tau as the C-ordered 3x3 that
+M = tau : S and G read (polarizations are a build-time intermediate): 240
+bytes per node per substrate, about 2.8 MB on the oracle's grid.  The (3, N)
+direction rows and the weights depend on the grid alone, so each grid is
+built once (``_angular_grid``, ``radiation._oracle_grid``) and every table on
+it holds the same read-only arrays: 32 bytes per node once per grid, about
+0.4 MB for the oracle's.
 
 The engine's build fills the Christoffel matrices and the Voigt stresses
 with component-major kernels, one elementwise pass per (j, k) or (k, l) term,
@@ -30,6 +34,7 @@ container with the engine, but no stress kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -121,20 +126,30 @@ class AngularTable:
 
 def _product_grid(ct, st, w_ring, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     """Rings at polar (cos theta, sin theta) = (ct, st), each of weight
-    ``w_ring``, times n_phi uniform azimuths, as (3, N) direction rows."""
+    ``w_ring``, times n_phi uniform azimuths, as read-only (3, N) direction
+    rows and (N,) weights."""
     phi = 2 * np.pi * np.arange(n_phi) / n_phi
     kx = st[:, None] * np.cos(phi)[None, :]
     ky = st[:, None] * np.sin(phi)[None, :]
     kz = np.broadcast_to(ct[:, None], kx.shape)
     khats = np.stack([kx, ky, kz]).reshape(3, -1)
     weights = np.repeat(w_ring, n_phi) * (2 * np.pi / n_phi)
+    for arr in (khats, weights):
+        arr.setflags(write=False)
     return khats, weights
 
 
+@cache
 def _angular_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The engine's Gauss-Legendre (in cos theta) x uniform product grid."""
+    """The engine's Gauss-Legendre (in cos theta) x uniform product grid,
+    built once per (n_theta, n_phi) and shared by every substrate's table."""
     x, w = np.polynomial.legendre.leggauss(n_theta)
     return _product_grid(x, np.sqrt(1.0 - x * x), w, n_phi)
+
+
+def _spans(n: int) -> list[tuple[int, int]]:
+    """The (a, b) bounds of the _CHUNK-node spans of an n-node table build."""
+    return [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
 
 
 def _build_table(material: MaterialSpec, n_theta: int, n_phi: int) -> AngularTable:
@@ -142,8 +157,7 @@ def _build_table(material: MaterialSpec, n_theta: int, n_phi: int) -> AngularTab
     n = weights.size
     velocities = np.empty((3, n))
     stresses = np.empty((3, n, 9))  # row n of branch q: its tau, row-major
-    for a in range(0, n, _CHUNK):
-        b = min(a + _CHUNK, n)
+    for a, b in _spans(n):
         vels, pols = christoffel_many(material, khats[:, a:b].T)
         velocities[:, a:b] = vels.T
         stresses[:, a:b] = _voigt_stresses(material.stiffness_tensor, khats[:, a:b], pols)[..., _FULL]

@@ -28,9 +28,11 @@ sinc(k0 khat_z L_z / 2)``.  The costly factors are computed once for what
 they depend on, and the points of a sweep share them:
 
 - per (substrate, grid): the phase velocities and the stress pattern
-  ``tau_q = c : (khat e_q)`` as full 3x3 tensors, 272 B/node, in the substrate's
+  ``tau_q = c : (khat e_q)`` as full 3x3 tensors, 240 B/node, in the substrate's
   ``AngularTable`` (``elastodynamics.angular_table``), solved on first use
   and kept for the life of the process;
+- per grid: the directions and weights, 32 B/node, which every substrate's
+  table on that grid shares;
 - per (grid, strain): M, 24 B/node;
 - per (grid, omega0): the wave factors ``k0``, ``A`` and ``B``, 72 B/node;
 - per (grid, omega0, axis, L): one sinc column of the form factor, 24 B/node,
@@ -67,22 +69,24 @@ more nodes than the fine grid of a request at the ``_MAX_THETA`` x
 all their points at once.  The command-line scenarios go through these.
 
 ``brute_force_rate``, the independent oracle, splits its work the same way
-on its own Simpson x uniform grid: the Christoffel solve and the einsum
-stress once per (rho, C), an ``AngularTable`` in the same memo under
-(rho, C, "oracle") (about 3.4 MB per substrate, never evicted, never
-mirrored), and per call only the radial loop, which evaluates every sinc.
+on its own Simpson x uniform grid (built once, about 0.4 MB): the
+Christoffel solve and the einsum stress once per (rho, C), an
+``AngularTable`` in the same memo under (rho, C, "oracle") (about 2.8 MB per
+substrate, never evicted, never mirrored), and per call only the radial
+loop, which evaluates every sinc into buffers allocated once per call.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode, induced_strain
-from .elastodynamics import AngularTable, _memo_table, _product_grid
+from .elastodynamics import AngularTable, _memo_table, _product_grid, _spans
 from .elastodynamics import angular_table, christoffel_many, stress_pattern
 from .materials import CONSTANTS, MaterialSpec
 
@@ -111,10 +115,11 @@ _BRUTE_THETA, _BRUTE_PHI, _BRUTE_RADIAL = 129, 96, 33
 _MAX_REFINEMENTS = 2
 
 # The largest grid a caller may request.  mie_rate also reads the doubled
-# grid, so the largest request reads 2048 x 4096 nodes (2.28 GB of angular
-# table at 272 B/node), and _rates builds no refinement with more nodes: it
-# raises NumericFailure first.  A lopsided request may still refine along
-# its short axis.  Its n_theta stays at most 8192 (the request cap doubled
+# grid, so the largest request reads 2048 x 4096 nodes (2.01 GB of angular
+# table per substrate at 240 B/node, plus 0.27 GB once for the grid's
+# directions and weights at 32 B/node), and _rates builds no refinement
+# with more nodes: it raises NumericFailure first.  A lopsided request may
+# still refine along its short axis.  Its n_theta stays at most 8192 (the request cap doubled
 # by mie_rate and by _MAX_REFINEMENTS), whose Gauss-Legendre companion
 # matrix is 0.5 GB.
 _MAX_THETA, _MAX_PHI = 1024, 2048
@@ -224,17 +229,19 @@ def _sources(mode: MicrowaveMode, inclusions) -> _Sources:
     return _Sources(volume, strain, dims, center, centred=not np.any(center), part=part)
 
 
-def _sinc(x: np.ndarray) -> np.ndarray:
+def _sinc(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sin(x) / x with 1 at x = 0: ``np.sinc(x / pi)`` bit for bit.
 
     It runs np.sinc's own operations (divide by pi, multiply by pi, exact
     zeros replaced by the float epsilon, sin(y) / y) in place on one copy of
     ``x``, so it makes two float arrays where ``np.sinc(x / pi)`` makes five.
+    With ``out`` it makes none: ``x`` is scratch, overwritten in place, and
+    the result is written into ``out``.
     """
-    y = x / np.pi
+    y = x / np.pi if out is None else np.divide(x, np.pi, out=x)
     y *= np.pi
     y[y == 0] = _EPS
-    s = np.sin(y)
+    s = np.sin(y, out=out)
     s /= y
     return s
 
@@ -641,26 +648,40 @@ def rayleigh_rate(
 ORACLE_RTOL = 2e-2  # relative deviation up to which mie_rate agrees with brute_force_rate
 
 
+@cache
+def _oracle_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's 129x96 grid, Simpson over theta and uniform over phi, as
+    read-only (3, N) direction rows and (N,) weights, built once."""
+    theta = np.linspace(0.0, np.pi, _BRUTE_THETA)
+    st = np.sin(theta)
+    w_theta = _simpson_weights(_BRUTE_THETA) * (np.pi / (_BRUTE_THETA - 1))
+    return _product_grid(np.cos(theta), st, w_theta * st, _BRUTE_PHI)
+
+
 def _oracle_table(substrate: MaterialSpec) -> AngularTable:
-    """The brute-force oracle's substrate on its own 129x96 grid, Simpson over
-    theta and uniform over phi: a distinct family from the engine's
-    Gauss-Legendre rule on purpose.  It shares the ``AngularTable`` container
-    and its memo (key (rho, C, "oracle"), about 3.4 MB) with the engine, not
-    the engine's Christoffel batching or stress kernel: one whole-grid
-    ``christoffel_many`` and the einsum ``stress_pattern``, stored as it is
-    (it is symmetric bit for bit).
+    """The brute-force oracle's substrate on its own grid (``_oracle_grid``):
+    a distinct family from the engine's Gauss-Legendre rule on purpose.  It
+    shares the ``AngularTable`` container and its memo (key
+    (rho, C, "oracle"), about 2.8 MB per substrate beside the grid's 0.4 MB)
+    with the engine, and the table build's ``_spans``, not the engine's
+    stress kernel: per span, ``christoffel_many`` and the einsum
+    ``stress_pattern`` of each branch, written into the table's arrays as
+    they come (tau is symmetric bit for bit).
     """
 
     def build():
-        theta = np.linspace(0.0, np.pi, _BRUTE_THETA)
-        st = np.sin(theta)
-        w_theta = _simpson_weights(_BRUTE_THETA) * (np.pi / (_BRUTE_THETA - 1))
-        khats, weights = _product_grid(np.cos(theta), st, w_theta * st, _BRUTE_PHI)
-        # einsum on a strided (N, 3) view of the rows rounds some stresses differently
-        nodes = np.ascontiguousarray(khats.T)
-        vels, pols = christoffel_many(substrate, nodes)
-        taus = np.stack([stress_pattern(substrate.stiffness_tensor, nodes, pols[:, :, q]) for q in range(3)])
-        return AngularTable(khats, weights, vels.T.copy(), taus)
+        khats, weights = _oracle_grid()
+        n = weights.size
+        velocities = np.empty((3, n))
+        stresses = np.empty((3, n, 3, 3))
+        for a, b in _spans(n):
+            # einsum on a strided (span, 3) view of the rows rounds some stresses differently
+            nodes = np.ascontiguousarray(khats[:, a:b].T)
+            vels, pols = christoffel_many(substrate, nodes)
+            velocities[:, a:b] = vels.T
+            for q in range(3):
+                stresses[q, a:b] = stress_pattern(substrate.stiffness_tensor, nodes, pols[:, :, q])
+        return AngularTable(khats, weights, velocities, stresses)
 
     return _memo_table(substrate, ("oracle",), build)
 
@@ -682,10 +703,14 @@ def brute_force_rate(
 
     The substrate is solved once per process (``_oracle_table``), so each
     call pays only the radial loop, which reads the table's rows and each
-    branch's stresses as they are stored.  Its sources have ``part`` None,
-    so a pair takes the kernel's general sum, a cosine and a sine per copy
-    and node, not the engine's one-part rule.  A non-finite total raises
-    NumericFailure.
+    branch's stresses as they are stored.  The loop writes k, k^2, the sinc
+    argument and column, one form-factor column per distinct dimension
+    triple and the integrand's tail into (N,) buffers made once per call,
+    each product on the operands and in the order of the plain per-node
+    expression, so the rate is that expression's bit for bit.  Its sources
+    have ``part`` None, so a pair takes the kernel's general sum, a cosine
+    and a sine per copy and node, not the engine's one-part rule.  A
+    non-finite total raises NumericFailure.
     """
     incs = _as_inclusion_list(inclusions)
     omega0 = mode.omega0
@@ -699,11 +724,14 @@ def brute_force_rate(
     w_xi = _simpson_weights(_BRUTE_RADIAL) * (2 * _BRUTE_WINDOW / (_BRUTE_RADIAL - 1))
     gauss = np.exp(-0.5 * xi * xi) / (sigma * np.sqrt(2 * np.pi))
 
-    f3d = 1 / (8 * np.pi**3)
+    golden = (2 * np.pi / hbar**2) * (1 / (8 * np.pi**3))  # golden rule times f_3D
 
     total = 0.0
+    k, k_sq, arg, col, tail = (np.empty(w_ang.size) for _ in range(5))
     with np.errstate(all="ignore"):  # as in mie_rate; the gate below refuses what overflows
         src = _sources(mode, incs)._replace(part=None)
+        by_dims = {L.tobytes(): (L, np.empty(w_ang.size)) for L in src.dims}
+        ff = [by_dims[L.tobytes()][1] for L in src.dims]  # inclusions of one shape share a column
         for q in range(3):
             v = table.velocities[q]
             tau = table.stresses[q]
@@ -711,15 +739,26 @@ def brute_force_rate(
             dk = sigma / v  # measure: k^2 dk dOmega with dk = (sigma/v) dxi
             for i in range(xi.size):
                 omega = omega0 + sigma * xi[i]
-                k = omega / v
-                k_sq = k * k
+                np.divide(omega, v, out=k)
+                np.multiply(k, k, out=k_sq)
                 u0_sq = hbar / (2 * rho * omega)
                 kvec = None if src.centred else _wave_vectors(k, khats)
-                cols = [[_sinc((k * khats[a]) * (L[a] / 2.0)) for a in range(3)] for L in src.dims]
-                ff = [(x * y) * z for x, y, z in cols]
-                hg_sq = (k_sq * u0_sq) * _coherent_power(src, vm, ff, kvec)
-                f = (2 * np.pi / hbar**2) * f3d * hg_sq * gauss[i]
-                total += w_xi[i] * float(np.add.reduce(w_ang * k_sq * dk * f))
+                for L, f in by_dims.values():  # f = (sinc_x * sinc_y) * sinc_z
+                    for a in range(3):
+                        np.multiply(k, khats[a], out=arg)
+                        arg *= L[a] / 2.0
+                        _sinc(arg, out=col if a else f)
+                        if a:
+                            f *= col
+                p = _coherent_power(src, vm, ff, kvec)
+                np.multiply(k_sq, u0_sq, out=tail)
+                tail *= p  # |h g|^2
+                tail *= golden
+                tail *= gauss[i]
+                np.multiply(w_ang, k_sq, out=p)  # the kernel's array is free again
+                p *= dk
+                p *= tail
+                total += w_xi[i] * float(np.add.reduce(p))
     if not np.isfinite(total):
         raise NumericFailure(f"non-finite brute-force rate: {total}")
     return total

@@ -95,16 +95,9 @@ def form_factor(inclusion, k) -> complex:
     return inclusion.sign * phase * float(np.prod(sincs))
 
 
-def brute_force_reference(mode, inclusions, substrate) -> float:
-    """``radiation.brute_force_rate`` solved from scratch on every call: the
-    grid, the Christoffel solve and the einsum stress inside the call, and
-    each float operation in the order ``brute_force_rate`` must keep."""
-    incs = _as_inclusion_list(inclusions)
-    omega0 = mode.omega0
-    sigma = omega0 / 200.0
-    hbar = CONSTANTS.hbar
-    rho = substrate.rho
-
+def oracle_reference_grid():
+    """The brute-force oracle's grid built from scratch: (N, 3) node rows,
+    theta-major, and the (N,) solid-angle weights."""
     theta = np.linspace(0.0, np.pi, _BRUTE_THETA)
     w_theta = _simpson_weights(_BRUTE_THETA) * (np.pi / (_BRUTE_THETA - 1))
     phi = 2 * np.pi * np.arange(_BRUTE_PHI) / _BRUTE_PHI
@@ -119,6 +112,19 @@ def brute_force_reference(mode, inclusions, substrate) -> float:
         axis=-1,
     ).reshape(-1, 3)
     w_ang = (w_theta[:, None] * st[:, None] * w_phi[None, :]).reshape(-1)
+    return khats, w_ang
+
+
+def brute_force_reference(mode, inclusions, substrate) -> float:
+    """``radiation.brute_force_rate`` solved from scratch on every call: the
+    grid, the Christoffel solve and the einsum stress inside the call, and
+    each float operation in the order ``brute_force_rate`` must keep."""
+    incs = _as_inclusion_list(inclusions)
+    omega0 = mode.omega0
+    sigma = omega0 / 200.0
+    hbar = CONSTANTS.hbar
+    rho = substrate.rho
+    khats, w_ang = oracle_reference_grid()
 
     xi = np.linspace(-_BRUTE_WINDOW, _BRUTE_WINDOW, _BRUTE_RADIAL)
     w_xi = _simpson_weights(_BRUTE_RADIAL) * (2 * _BRUTE_WINDOW / (_BRUTE_RADIAL - 1))

@@ -355,6 +355,19 @@ def test_separately_loaded_databases_share_one_table(empty_memo):
     assert len(empty_memo) == 3 * len(TABLES)
 
 
+def test_tables_on_one_grid_share_its_directions_and_weights(empty_memo):
+    """The directions and weights depend on the grid alone: every
+    substrate's table on one grid holds the very same read-only arrays."""
+    db = default_materials()
+    for table_of, _ in TABLES:
+        first, second = table_of(db["sapphire"]), table_of(db["silicon"])
+        assert first is not second
+        for field in ("khats", "weights"):
+            assert getattr(first, field) is getattr(second, field)
+            assert not getattr(first, field).flags.writeable
+    assert angular_table(db["sapphire"], 8, 32).khats is not angular_table(db["sapphire"], 8, 16).khats
+
+
 def test_density_alone_separates_tables(empty_memo):
     sapphire = default_materials()["sapphire"]
     denser = dataclasses.replace(sapphire, rho=1.21 * sapphire.rho)

@@ -11,16 +11,18 @@ table beside the engine's in ``test_angular_table.py``.
 
 import dataclasses
 import json
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import phonoscat.elastodynamics as elastodynamics
 import phonoscat.radiation as radiation
-from conftest import XCUT_MATRIX, brute_force_reference, make_mode
+from conftest import XCUT_MATRIX, brute_force_reference, make_mode, oracle_reference_grid
 from phonoscat.cli import main
 from phonoscat.coupling import Inclusion
-from phonoscat.elastodynamics import _table_key, angular_table, christoffel_many, stress_pattern
+from phonoscat.elastodynamics import _CHUNK, _table_key, angular_table, christoffel_many, stress_pattern
 from phonoscat.radiation import _BRUTE_PHI, _BRUTE_THETA, brute_force_rate
 
 ORACLE_NODES = _BRUTE_THETA * _BRUTE_PHI  # 12,384
@@ -42,7 +44,12 @@ def _antiparallel_pair(ln, xcut):
     ]
 
 
-@pytest.mark.parametrize("geometry", [_cube, _offcentre_waveguide, _antiparallel_pair])
+def _unlike_pair(ln, xcut):
+    """Two inclusions of different dimensions: each has its own form-factor column."""
+    return [_offcentre_waveguide(ln, xcut), dataclasses.replace(_cube(ln, xcut), center=np.array([0.0, 0.6e-6, 0.0]))]
+
+
+@pytest.mark.parametrize("geometry", [_cube, _offcentre_waveguide, _antiparallel_pair, _unlike_pair])
 @pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
 def test_rate_is_the_per_call_sum_bit_for_bit(db, ln, xcut, empty_memo, name, geometry):
     """The first frequency solves the substrate (cold memo), the second
@@ -94,18 +101,18 @@ def test_the_kernel_gets_node_major_wave_vectors(db, ln, xcut, monkeypatch):
 
 @pytest.fixture
 def oracle_solves(monkeypatch, empty_memo):
-    """The substrate name of every Christoffel solve on the oracle's grid,
-    starting from an empty memo."""
-    names = []
+    """The number of nodes the oracle's table builds solve, summed per
+    substrate (keyed by its (rho, C)), starting from an empty memo: a table
+    is built span by span, so one whole solve of the grid is ORACLE_NODES."""
+    nodes = Counter()
     original = radiation.christoffel_many
 
     def counting(material, khats):
-        if khats.shape[0] == ORACLE_NODES:
-            names.append(material.name)
+        nodes[_table_key(material)] += khats.shape[0]
         return original(material, khats)
 
     monkeypatch.setattr(radiation, "christoffel_many", counting)
-    return names
+    return nodes
 
 
 def _oracle_config(tmp_path, name, size_um, start_ghz, count):
@@ -132,11 +139,11 @@ def test_each_substrate_is_solved_once(tmp_path, db, oracle_solves, empty_memo):
     first = _oracle_config(tmp_path, "first", 0.008, 1.0, 3)
     assert main(["run", str(first), "--out", str(tmp_path / "first.csv")]) == 0
     assert len((tmp_path / "first.csv").read_text().splitlines()) == 4
-    assert oracle_solves == ["sapphire_iso"]
+    assert oracle_solves == {_table_key(db["sapphire_iso"]): ORACLE_NODES}
     # another config on the same substrate, loaded afresh by the CLI
     second = _oracle_config(tmp_path, "second", 0.05, 2.0, 2)
     assert main(["run", str(second), "--out", str(tmp_path / "second.csv")]) == 0
-    assert oracle_solves == ["sapphire_iso"]
+    assert oracle_solves == {_table_key(db["sapphire_iso"]): ORACLE_NODES}
     assert [key for key in empty_memo if key[2:] == ("oracle",)] == [_table_key(db["sapphire_iso"], "oracle")]
 
 
@@ -146,7 +153,7 @@ def test_rotated_substrate_gets_its_own_entry(sapphire, xcut, oracle_solves, emp
     original = radiation._oracle_table(sapphire)
     assert radiation._oracle_table(sapphire) is original
     assert radiation._oracle_table(rotated) is not original
-    assert len(oracle_solves) == 2
+    assert oracle_solves == {_table_key(s): ORACLE_NODES for s in (sapphire, rotated)}
     assert set(empty_memo) == {_table_key(s, "oracle") for s in (sapphire, rotated)}
 
 
@@ -174,3 +181,62 @@ def test_six_voigt_columns_hold_the_whole_stress(db, name, empty_memo):
         tau = stress_pattern(substrate.stiffness_tensor, khats, pols[:, :, q])
         assert np.array_equal(tau, tau.transpose(0, 2, 1))
         assert np.array_equal(table.stresses[q], tau)
+
+
+@pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
+def test_spanned_build_is_the_whole_grid_solve(db, name, empty_memo, monkeypatch):
+    """The table is solved in spans of at most ``_CHUNK`` contiguous (span, 3)
+    node rows, and holds, bit for bit, what one whole-grid Christoffel solve
+    and einsum stress of a grid built from scratch give."""
+    substrate = db[name]
+    spans = []
+    original = radiation.christoffel_many
+
+    def recording(material, khats):
+        assert khats.shape[1:] == (3,) and khats.flags.c_contiguous
+        spans.append(khats.shape[0])
+        return original(material, khats)
+
+    monkeypatch.setattr(radiation, "christoffel_many", recording)
+    table = radiation._oracle_table(substrate)
+    assert len(spans) > 1 and max(spans) <= _CHUNK and sum(spans) == ORACLE_NODES
+    khats, weights = oracle_reference_grid()
+    assert np.array_equal(table.khats, khats.T) and np.array_equal(table.weights, weights)
+    vels, pols = christoffel_many(substrate, khats)
+    assert np.array_equal(table.velocities, vels.T)
+    for q in range(3):
+        assert np.array_equal(table.stresses[q], stress_pattern(substrate.stiffness_tensor, khats, pols[:, :, q]))
+
+
+MIB = 2**20
+
+
+def _traced(work):
+    """(bytes held after ``work()``, peak bytes above that) of what numpy
+    and Python allocate during it."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_allocates_at_most_2_mib_above_the_table(db, empty_memo):
+    """A table keeps 240 B/node; a whole-grid solve added a 3.7 MiB
+    transient on top.  Another substrate's table is built first, so the grid
+    they share is not counted."""
+    radiation._oracle_table(db["silicon"])
+    kept, peak = _traced(lambda: radiation._oracle_table(db["sapphire"]))
+    assert kept >= 240 * ORACLE_NODES  # the table's velocities and stresses
+    assert peak - kept <= 2 * MIB
+
+
+def test_rate_allocates_at_most_1_25_mib(db, ln, xcut, empty_memo):
+    """One rate on a built table works in bounded buffers: fresh per-node
+    temporaries on every radial node took 1.42 MiB."""
+    substrate = db["sapphire"]
+    mode, incs = make_mode(substrate, 10e9), _cube(ln, xcut)
+    radiation._oracle_table(substrate)
+    _, peak = _traced(lambda: brute_force_rate(mode, incs, substrate))
+    assert peak <= 1.25 * MIB

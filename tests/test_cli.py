@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from phonoscat.cli import ENV_MATERIALS, ConfigError, _library_axis, load_run_config, main
-from phonoscat.materials import default_materials
+from phonoscat.materials import Orientation, default_materials
 from phonoscat.mitigation import _check_pair_geometry
 from phonoscat.radiation import QuadratureSpec, sweep_point
 
@@ -1322,6 +1322,7 @@ END_SCENARIO = {
     "thickness_um": "mie",
     "separation_um": "dual_waveguide",
     "n_periods": "bragg",
+    "angle_deg": "orientation",
 }
 # The largest frequency in GHz whose angular frequency 2 pi f 1e9 is finite.
 LAST_FINITE_GHZ = 2.861117485757028e298
@@ -1373,6 +1374,8 @@ class TestSweepEnds:
     # a separation that underflows to 0 m reads as coincident copies, which the library accepts
     @example(("separation_um", "log", 1e-320, 1.0, 5))
     @example(("n_periods", "linear", 10_000, 0, 3))
+    # the span of this linear grid overflows, so its middle value is nan
+    @example(("angle_deg", "linear", -1e308, 1e308, 3))
     def test_a_grid_whose_ends_load_passes_every_check(self, tmp_path_factory, grid):
         axis, kind, start, stop, count = grid
         path = tmp_path_factory.getbasetemp() / "sweep_ends.json"
@@ -1388,6 +1391,11 @@ class TestSweepEnds:
             for d_um in cfg.values:  # as dual_waveguide_sweep checks each separation
                 assert d_um > 0
                 _check_pair_geometry(cfg.inclusions[0].dimensions, d_um * 1e-6 * cfg.dual_direction)
+        elif axis == "angle_deg":
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for angle in np.deg2rad(cfg.values):  # as the orientation scan turns the crystal
+                    Orientation.about_axis(cfg.orientation_axis, float(angle))
         else:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -1405,8 +1413,11 @@ class TestSweepEnds:
             ("thickness_um", 1e-310, 0.01, "sweep.start: thickness_um = 1e-310: inclusion volume underflows to 0 m^3"),
             ("separation_um", 1e-320, 1.0, "sweep.start: separation_um = 9.99989e-321 is not positive in m"),
             ("n_periods", 0, 10_002, "sweep.stop: n_periods must be between 0 and 10000"),
+            # a linear grid's span stop - start overflows: no one end is at fault
+            ("angle_deg", -1e308, 1e308,
+             "sweep.start and sweep.stop: the angle_deg grid from -1e+308 to 1e+308 spans past the float range"),
         ],
-        ids=["frequency_GHz", "height_um", "thickness_um", "separation_um", "n_periods"],
+        ids=["frequency_GHz", "height_um", "thickness_um", "separation_um", "n_periods", "angle_span"],
     )
     def test_a_bad_end_is_blamed_on_its_field(self, tmp_path, capsys, monkeypatch, axis, start, stop, line):
         import phonoscat.cli as cli
