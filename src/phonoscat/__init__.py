@@ -20,6 +20,7 @@ from .materials import (
     MaterialError,
     MaterialSpec,
     Orientation,
+    ParameterError,
     default_materials,
     isotropic_stiffness,
     load_materials,
@@ -75,6 +76,7 @@ __all__ = [
     "NumericFailure",
     "Orientation",
     "OrientationSweep",
+    "ParameterError",
     "QuadratureDiagnostics",
     "QuadratureSpec",
     "RadiationResult",

@@ -5,25 +5,35 @@ microwave mode, the inclusions, and exactly one sweep axis.  Frequencies are
 given in GHz and lengths in micrometers.  The mode, the inclusions, the
 ``eo`` block and the Bragg mirror become SI at parse time; the sweep values
 stay in config units, and each runner converts them where it calls the
-library.  Each parse-time check is the library's own: parse builds the
-sweep's two end points with ``radiation.sweep_point``, as the run builds
-every point, and the mirror's layer matrices at the mode frequency with
-``mitigation._layer_matrices``, and only adds the field's name.
+library.  Each value range is checked once, by the library object the value
+becomes: ``MicrowaveMode``, ``Inclusion``, ``EoModel``, ``QuadratureSpec``
+and ``BraggStack.quarter_wave`` raise a ``ParameterError`` that names the
+parameter at fault, and ``_blame`` puts the parameter's config path before
+the library's message.  Parse builds the sweep's two end points with
+``radiation.sweep_point``, as the run builds every point, and the mirror's
+layer matrices at the mode frequency with ``mitigation._layer_matrices``.
+Parse itself checks only what no library object owns: JSON types, a finite
+value for each number, the size caps, the sweep grid, the ``dual`` block
+and the scenario and axis rules.  The ``bragg`` block is read, and checked,
+by the ``bragg`` scenario alone.
 Every run writes one CSV (header row plus one row per sweep point, shortest
 round-trip float formatting, deterministic bytes) and prints a short report
 with fitted slopes, regime tags and quadrature diagnostics to standard output.
 
 Exit codes, set for every subcommand in ``main`` alone: 0 success, 2
 configuration error (the message names the offending field or path;
-non-finite numbers, finite ones that leave the float range once converted,
-such as a frequency past it in rad/s, a mode or reference mode volume that
-underflows to zero in m^3, a cuboid whose volume does, an ``eps_eff`` or
-mode volume too small for a finite zero-point field, a Bragg center
-frequency whose quarter-wave thickness or layer phase at the mode frequency
-is not finite, or a direction whose length overflows, and unreadable or
-unwritable paths are configuration errors, and so is a quadrature tolerance
-below the double epsilon; a sweep value at fault is blamed on ``sweep.start``
-or ``sweep.stop``, since a grid lies between its two ends),
+non-finite numbers, a value a library object rejects, which it checks in SI
+units, so that a finite number that leaves the float range once converted
+reads like one that is out of range (a frequency past it in rad/s, a mode
+or reference mode volume that underflows to zero in m^3, a cuboid whose
+volume does, an ``eps_eff`` or mode volume too small for a finite zero-point
+field, a Bragg center frequency whose quarter-wave thickness or layer phase
+at the mode frequency is not finite, or a direction whose length
+overflows), and unreadable or unwritable paths are configuration errors,
+and so is a quadrature tolerance below the double epsilon; a sweep value at
+fault is blamed on ``sweep.start`` or ``sweep.stop``, since a grid lies
+between its two ends, and an ``n_periods`` value that is not an integer on
+those and on ``sweep.count``),
 3 numeric failure (quadrature unconverged after the built-in refinement
 cap or before a refinement past the largest grid, a non-finite rate,
 brute-force total, figure of merit or Bragg transfer matrix, a Bragg
@@ -126,7 +136,7 @@ def _given(d: dict, key: str, path: str, default) -> bool:
     return False
 
 
-def _number(d: dict, key: str, path: str, default=None, positive=False):
+def _number(d: dict, key: str, path: str, default=None):
     if not _given(d, key, path, default):
         return default
     try:
@@ -135,8 +145,6 @@ def _number(d: dict, key: str, path: str, default=None, positive=False):
         raise ConfigError(f"{_at(path, key)}: expected a number") from None
     if not np.isfinite(v):
         raise ConfigError(f"{_at(path, key)}: must be finite")
-    if positive and not v > 0:
-        raise ConfigError(f"{_at(path, key)}: must be positive")
     return v
 
 
@@ -155,7 +163,7 @@ def _integer(d: dict, key: str, path: str, default=None, minimum=None, maximum=N
     return v
 
 
-def _vector3(d: dict, key: str, path: str, default=None, positive=False, nonzero=False) -> np.ndarray:
+def _vector3(d: dict, key: str, path: str, default=None) -> np.ndarray:
     if not _given(d, key, path, default):
         return np.asarray(default, dtype=float)
     v = d[key]
@@ -167,12 +175,6 @@ def _vector3(d: dict, key: str, path: str, default=None, positive=False, nonzero
         raise ConfigError(f"{_at(path, key)}: expected numeric components") from None
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{_at(path, key)}: components must be finite")
-    if positive and not np.all(arr > 0):
-        raise ConfigError(f"{_at(path, key)}: components must be positive")
-    if nonzero:  # a direction
-        if not np.any(arr):
-            raise ConfigError(f"{_at(path, key)}: must be nonzero")
-        unit_vector(arr, _at(path, key), ConfigError)  # a length past the float range
     return arr
 
 
@@ -187,12 +189,17 @@ def _string(d: dict, key: str, path: str, default=None, choices=None):
     return v
 
 
-def _blame(field: str, check, *args, **kwargs):
+def _blame(fields: str | dict[str, str], check, *args, **kwargs):
     """``check(*args, **kwargs)``, a library constructor or check, with the
-    ValueError it raises for an input as a ConfigError that names ``field``."""
+    ValueError it raises for an input as a ConfigError that names the field
+    at fault: ``fields`` itself, or the config path that ``fields`` maps the
+    parameter of a ParameterError to.  Any other error is raised as it is."""
     try:
         return check(*args, **kwargs)
     except ValueError as e:
+        field = fields if isinstance(fields, str) else fields.get(getattr(e, "parameter", None))
+        if field is None:
+            raise
         raise ConfigError(f"{field}: {e}") from None
 
 
@@ -263,24 +270,6 @@ def _load_db(cfg: dict) -> dict[str, MaterialSpec]:
         raise ConfigError(f"materials_db: {e}") from None
 
 
-def _rad_per_s(f: float, path: str, unit: str = "GHz") -> float:
-    """A frequency in ``unit`` (GHz or Hz) as rad/s, or a ConfigError naming
-    ``path`` when that overflows (Python floats: no numpy warning)."""
-    omega = 2 * np.pi * f * (1e9 if unit == "GHz" else 1.0)
-    if omega == np.inf:
-        raise ConfigError(f"{path}: {f:g} {unit} is too large for a finite angular frequency")
-    return omega
-
-
-def _volume_m3(v_um3: float, path: str) -> float:
-    """A volume in um^3 as m^3, or a ConfigError naming ``path`` when that
-    underflows to zero."""
-    v = v_um3 * _UM3
-    if not v > 0:
-        raise ConfigError(f"{path}: {v_um3:g} um^3 is too small for a positive volume in m^3")
-    return v
-
-
 def _sweep_values(sweep: dict, axis: str) -> np.ndarray:
     grid = _string(sweep, "grid", "sweep", default="log", choices=("log", "linear"))
     count = _integer(sweep, "count", "sweep", minimum=1, maximum=_MAX_COUNT)
@@ -304,8 +293,11 @@ def _sweep_values(sweep: dict, axis: str) -> np.ndarray:
         )
     if axis == "n_periods":
         rounded = np.rint(values)
-        if not np.allclose(values, rounded, rtol=0, atol=1e-9):
-            raise ConfigError("sweep: n_periods grid must contain integers")
+        fractional = values[~np.isclose(values, rounded, rtol=0, atol=1e-9)]
+        if fractional.size:
+            raise ConfigError(
+                f"sweep.start, sweep.stop and sweep.count: the n_periods grid holds {fractional[0]:g}, not an integer"
+            )
         for where, n in _ends(rounded):
             if not 0 <= n <= _MAX_COUNT:
                 raise ConfigError(f"{where}: n_periods must be between 0 and {_MAX_COUNT}")
@@ -364,20 +356,17 @@ def load_run_config(path: str) -> RunConfig:
 
     mode_keys = {"frequency_GHz", "mode_volume_um3", "field_direction", "eps_eff"}
     mode_cfg = _object(raw.get("mode"), "mode", mode_keys)
-    f_ghz = _number(mode_cfg, "frequency_GHz", "mode", positive=True)
-    v_e = _volume_m3(_number(mode_cfg, "mode_volume_um3", "mode", positive=True), "mode.mode_volume_um3")
-    e_dir = _vector3(mode_cfg, "field_direction", "mode", default=[0.0, 1.0, 0.0], nonzero=True)
+    f_ghz = _number(mode_cfg, "frequency_GHz", "mode")
     eps_eff = mode_cfg.get("eps_eff")
-    if eps_eff is None:
-        eps_eff = default_eps_eff(substrate)
-    else:
-        eps_eff = _number(mode_cfg, "eps_eff", "mode", positive=True)
-    omega0 = _rad_per_s(f_ghz, "mode.frequency_GHz")
-    try:
-        mode = MicrowaveMode(omega0=omega0, mode_volume=v_e, field_direction=e_dir, eps_eff=eps_eff)
-    except ValueError as e:  # 2 eps0 eps_eff V_E underflows; the message names the factor at fault
-        field = "eps_eff" if "permittivity" in str(e) else "mode_volume_um3"
-        raise ConfigError(f"mode.{field}: {e}") from None
+    mode = _blame(  # omega0 may overflow and V_E underflow in SI units, and 2 eps0 eps_eff V_E underflow
+        {"omega0": "mode.frequency_GHz", "mode_volume": "mode.mode_volume_um3",
+         "field_direction": "mode.field_direction", "eps_eff": "mode.eps_eff"},
+        MicrowaveMode,
+        omega0=2 * np.pi * f_ghz * 1e9,
+        mode_volume=_number(mode_cfg, "mode_volume_um3", "mode") * _UM3,
+        field_direction=_vector3(mode_cfg, "field_direction", "mode", default=[0.0, 1.0, 0.0]),
+        eps_eff=default_eps_eff(substrate) if eps_eff is None else _number(mode_cfg, "eps_eff", "mode"),
+    )
 
     incs_cfg = raw.get("inclusions")
     if not isinstance(incs_cfg, list) or not incs_cfg:
@@ -387,13 +376,13 @@ def load_run_config(path: str) -> RunConfig:
         p = f"inclusions[{i}]"
         inc_cfg = _object(inc_cfg, p, {"material", "dimensions_um", "center_um", "orientation", "sign"})
         mat = _material(db, _string(inc_cfg, "material", p), f"{p}.material")
-        dims = _vector3(inc_cfg, "dimensions_um", p, positive=True)
+        dims = _vector3(inc_cfg, "dimensions_um", p)
         center = _vector3(inc_cfg, "center_um", p, default=[0.0, 0.0, 0.0])
-        sign = _integer(inc_cfg, "sign", p, default=1, choices=(1, -1))
+        sign = _integer(inc_cfg, "sign", p, default=1)
         ori = _orientation(inc_cfg.get("orientation"), f"{p}.orientation")
+        fields = {"dimensions": f"{p}.dimensions_um", "center": f"{p}.center_um", "sign": f"{p}.sign"}
         # the cuboid's volume may overflow or underflow
-        inc = _blame(f"{p}.dimensions_um", Inclusion, dims * _UM, center * _UM, mat, orientation=ori, sign=sign)
-        inclusions.append(inc)
+        inclusions.append(_blame(fields, Inclusion, dims * _UM, center * _UM, mat, orientation=ori, sign=sign))
 
     sweep = _object(raw.get("sweep"), "sweep", {"axis", "grid", "start", "stop", "count"})
     axis = _string(sweep, "axis", "sweep")
@@ -406,46 +395,48 @@ def load_run_config(path: str) -> RunConfig:
     values = _sweep_values(sweep, axis)
 
     quad_cfg = _object(raw.get("quadrature"), "quadrature", {"n_theta", "n_phi", "tolerance", "threads"})
-    quad = _blame(  # the grid and threads are bounded here: the spec checks the tolerance alone
-        "quadrature.tolerance",
+    quad = _blame(  # the spec checks the lower bounds, parse the size caps
+        {key: f"quadrature.{key}" for key in ("n_theta", "n_phi", "tolerance", "threads")},
         QuadratureSpec,
-        n_theta=_integer(quad_cfg, "n_theta", "quadrature", default=64, minimum=2, maximum=_MAX_THETA),
-        n_phi=_integer(quad_cfg, "n_phi", "quadrature", default=128, minimum=4, maximum=_MAX_PHI),
+        n_theta=_integer(quad_cfg, "n_theta", "quadrature", default=64, maximum=_MAX_THETA),
+        n_phi=_integer(quad_cfg, "n_phi", "quadrature", default=128, maximum=_MAX_PHI),
         tolerance=_number(quad_cfg, "tolerance", "quadrature", default=1e-3),
-        threads=_integer(quad_cfg, "threads", "quadrature", default=1, minimum=1, maximum=_MAX_THREADS),
+        threads=_integer(quad_cfg, "threads", "quadrature", default=1, maximum=_MAX_THREADS),
     )
 
     dual_cfg = _object(raw.get("dual"), "dual", {"direction", "relative_sign"})
-    dual_dir = _vector3(dual_cfg, "direction", "dual", default=[1.0, 0.0, 0.0], nonzero=True)
-    dual_dir = unit_vector(dual_dir, "dual.direction")
+    dual_dir = _vector3(dual_cfg, "direction", "dual", default=[1.0, 0.0, 0.0])
+    dual_dir = unit_vector(dual_dir, "dual.direction", ConfigError)
     dual_sign = _integer(dual_cfg, "relative_sign", "dual", default=-1, choices=(1, -1))
 
-    bragg_cfg = _object(raw.get("bragg"), "bragg", {"low", "high", "center_frequency_GHz", "normal"})
-    if scenario == "bragg":
+    mirror, bragg_center = None, f_ghz
+    if scenario == "bragg":  # the one scenario that reads the bragg block
+        bragg_cfg = _object(raw.get("bragg"), "bragg", {"low", "high", "center_frequency_GHz", "normal"})
         low = _material(db, _string(bragg_cfg, "low", "bragg"), "bragg.low")
         high = _material(db, _string(bragg_cfg, "high", "bragg"), "bragg.high")
-    bragg_center = _number(bragg_cfg, "center_frequency_GHz", "bragg", default=f_ghz, positive=True)
-    bragg_normal = _vector3(bragg_cfg, "normal", "bragg", default=[0.0, 0.0, 1.0], nonzero=True)
-    mirror = None
-    if scenario == "bragg":
+        bragg_center = _number(bragg_cfg, "center_frequency_GHz", "bragg", default=f_ghz)
+        normal = _vector3(bragg_cfg, "normal", "bragg", default=[0.0, 0.0, 1.0])
         # f_c in Hz, a quarter-wave thickness v / (4 f_c) or a layer phase may leave the float range
         field = f"bragg.center_frequency_GHz: {bragg_center:g} GHz"
-        mirror = _blame(field, BraggStack.quarter_wave, substrate, low, high, bragg_center * 1e9, 1, bragg_normal)
+        fields = {"center_frequency": field, "normal": "bragg.normal"}
+        mirror = _blame(fields, BraggStack.quarter_wave, substrate, low, high, bragg_center * 1e9, 1, normal)
         _blame(field, _layer_matrices, mirror, mode.omega0)
 
     eo = None
     if raw.get("eo") is not None:
         eo_cfg = _object(raw["eo"], "eo", {"g0_Hz", "v_ref_um3", "overlap"})
-        overlap = _number(eo_cfg, "overlap", "eo", default=1.0)
-        if not 0.0 <= overlap <= 1.0:
-            raise ConfigError("eo.overlap: must lie in [0, 1]")
-        g0 = _rad_per_s(_number(eo_cfg, "g0_Hz", "eo", positive=True), "eo.g0_Hz", "Hz")
-        v_ref = _volume_m3(_number(eo_cfg, "v_ref_um3", "eo", positive=True), "eo.v_ref_um3")
-        eo = EoModel(g0=g0, v_ref=v_ref, overlap=overlap)
+        eo = _blame(  # 2 pi g0 may overflow and V_ref underflow in SI units
+            {"g0": "eo.g0_Hz", "v_ref": "eo.v_ref_um3", "overlap": "eo.overlap"},
+            EoModel,
+            g0=2 * np.pi * _number(eo_cfg, "g0_Hz", "eo"),
+            v_ref=_number(eo_cfg, "v_ref_um3", "eo") * _UM3,
+            overlap=_number(eo_cfg, "overlap", "eo", default=1.0),
+        )
     elif scenario == "figure_of_merit":
         raise ConfigError("eo: required for the figure_of_merit scenario")
 
-    ori_axis = _vector3(raw, "orientation_axis", "", default=[0.0, 0.0, 1.0], nonzero=True)
+    ori_axis = _vector3(raw, "orientation_axis", "", default=[0.0, 0.0, 1.0])
+    _blame("orientation_axis", Orientation.about_axis, ori_axis, 0.0)  # the axis check of every angle's rotation
 
     output = raw.get("output")
     if output is not None and not isinstance(output, str):

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .materials import (
-    CONSTANTS, MaterialSpec, Orientation, piezo_voigt_to_tensor, rotate_piezo, strain_voigt_to_tensor,
-    unit_vector,
+    CONSTANTS, MaterialSpec, Orientation, ParameterError, piezo_voigt_to_tensor, rotate_piezo,
+    strain_voigt_to_tensor, unit_vector,
 )
 
 
@@ -40,23 +40,22 @@ class MicrowaveMode:
 
     def __post_init__(self):
         if not 0 < self.omega0 < np.inf:
-            raise ValueError("mode frequency must be positive and finite")
+            raise ParameterError("omega0", "mode frequency must be positive and finite")
         if not 0 < self.mode_volume < np.inf:
-            raise ValueError("mode volume must be positive and finite")
+            raise ParameterError("mode_volume", "mode volume must be positive and finite")
         if not 0 < self.eps_eff < np.inf:
-            raise ValueError("effective permittivity must be positive and finite")
-        e = unit_vector(self.field_direction, "field direction")
+            raise ParameterError("eps_eff", "effective permittivity must be positive and finite")
+        e = unit_vector(self.field_direction, "field direction", partial(ParameterError, "field_direction"))
         e.setflags(write=False)
         object.__setattr__(self, "field_direction", e)
         denominator = 2 * CONSTANTS.eps0 * self.eps_eff * self.mode_volume  # may underflow to zero
         if not (denominator > 0 and np.isfinite(self.field_zp)):
             # blame the permittivity when its factor 2 eps0 eps_eff alone leaves the normal range
-            culprit = (
-                f"effective permittivity {self.eps_eff:.3g}"
-                if not 2 * CONSTANTS.eps0 * self.eps_eff >= np.finfo(float).tiny
-                else f"mode volume {self.mode_volume:.3g} m^3"
-            )
-            raise ValueError(f"{culprit} is too small for a finite zero-point field")
+            if not 2 * CONSTANTS.eps0 * self.eps_eff >= np.finfo(float).tiny:
+                culprit, what = "eps_eff", f"effective permittivity {self.eps_eff:.3g}"
+            else:
+                culprit, what = "mode_volume", f"mode volume {self.mode_volume:.3g} m^3"
+            raise ParameterError(culprit, f"{what} is too small for a finite zero-point field")
 
     @property
     def field_zp(self) -> float:
@@ -90,16 +89,16 @@ class Inclusion:
         L = np.asarray(self.dimensions, dtype=float)
         r0 = np.asarray(self.center, dtype=float)
         if L.shape != (3,) or not np.all((L > 0) & (L < np.inf)):
-            raise ValueError("inclusion dimensions must be three positive finite lengths")
+            raise ParameterError("dimensions", "inclusion dimensions must be three positive finite lengths")
         volume = math.prod(L.tolist())  # Python floats: no warning when it leaves the float range
         if not volume < math.inf:
-            raise ValueError("inclusion volume must be finite")
+            raise ParameterError("dimensions", "inclusion volume must be finite")
         if not volume > 0:
-            raise ValueError("inclusion volume underflows to 0 m^3")
+            raise ParameterError("dimensions", "inclusion volume underflows to 0 m^3")
         if r0.shape != (3,) or not np.all(np.isfinite(r0)):
-            raise ValueError("inclusion center must be a finite 3-vector")
+            raise ParameterError("center", "inclusion center must be a finite 3-vector")
         if self.sign not in (1, -1):
-            raise ValueError("inclusion sign must be +1 or -1")
+            raise ParameterError("sign", "inclusion sign must be +1 or -1")
         for a in (L, r0):
             a.setflags(write=False)
         object.__setattr__(self, "dimensions", L)

@@ -26,6 +26,7 @@ All quantities are SI.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
@@ -50,6 +51,19 @@ class MaterialError(ValueError):
     """Raised for invalid material data or invalid rotations."""
 
 
+class ParameterError(ValueError):
+    """An input value out of range; ``parameter`` names the argument at fault.
+
+    Raised by the constructors that take a run's values (``MicrowaveMode``,
+    ``Inclusion``, ``EoModel``, ``QuadratureSpec`` and
+    ``BraggStack.quarter_wave``), so a caller can name the input it came from.
+    """
+
+    def __init__(self, parameter: str, message: str):
+        super().__init__(message)
+        self.parameter = parameter
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Fundamental constants (CODATA).  Instances are read-only."""
@@ -61,10 +75,10 @@ class PhysicalConstants:
 CONSTANTS = PhysicalConstants()
 
 
-def unit_vector(v, what: str, error: type[ValueError] = ValueError) -> np.ndarray:
-    """``v / np.linalg.norm(v)``, or ``error`` naming ``what`` when that
-    length is zero or not finite (a component past about 1e154 overflows
-    it), with no numpy warning."""
+def unit_vector(v, what: str, error: Callable[[str], ValueError] = ValueError) -> np.ndarray:
+    """``v / np.linalg.norm(v)``, or ``error(message)`` naming ``what`` when
+    that length is zero or not finite (a component past about 1e154
+    overflows it), with no numpy warning."""
     v = np.asarray(v, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.linalg.norm(v)

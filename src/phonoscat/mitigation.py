@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode
 from .elastodynamics import christoffel_many
-from .materials import MaterialSpec, unit_vector
+from .materials import MaterialSpec, ParameterError, unit_vector
 from .radiation import NumericFailure, QuadratureSpec, RadiationResult, _rates, _require_nonzero
 
 # How far R + T may miss 1 before bragg_transmission calls a mirror not lossless.
@@ -193,23 +194,24 @@ class BraggStack:
         Layer speeds are the longitudinal phase velocities along ``normal``
         (branch 3 of the acoustic spectrum) and each thickness is v / (4 f_c),
         a quarter wavelength at the center frequency ``center_frequency`` (Hz).
-        The incidence and exit media are both the substrate.
+        The incidence and exit media are both the substrate.  A center
+        frequency that is not positive and finite, or so small that a
+        thickness overflows, raises ParameterError naming ``center_frequency``,
+        and a zero normal, or one whose length overflows, names ``normal``.
         """
         if not 0 < center_frequency < np.inf:
-            raise ValueError("center frequency must be positive and finite")
-        khat = unit_vector(normal, "stack normal")
+            raise ParameterError("center_frequency", "center frequency must be positive and finite")
+        khat = unit_vector(normal, "stack normal", partial(ParameterError, "normal"))
 
         def longitudinal_speed(mat: MaterialSpec) -> float:
             return float(christoffel_many(mat, khat[None, :])[0][0, 2])
 
         def layer(mat: MaterialSpec) -> BraggLayer:
             v = longitudinal_speed(mat)
-            return BraggLayer(
-                name=mat.name,
-                impedance=mat.rho * v,
-                speed=v,
-                thickness=v / (4 * center_frequency),
-            )
+            thickness = v / (4 * center_frequency)
+            if not thickness < np.inf:
+                raise ParameterError("center_frequency", f"layer '{mat.name}': thickness v / (4 f_c) overflows")
+            return BraggLayer(name=mat.name, impedance=mat.rho * v, speed=v, thickness=thickness)
 
         z_sub = substrate.rho * longitudinal_speed(substrate)
         return BraggStack(

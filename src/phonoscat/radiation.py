@@ -88,7 +88,7 @@ import numpy as np
 from .coupling import Inclusion, MicrowaveMode, induced_strain
 from .elastodynamics import AngularTable, _memo_table, _product_grid, _spans
 from .elastodynamics import angular_table, christoffel_many, stress_pattern
-from .materials import CONSTANTS, MaterialSpec
+from .materials import CONSTANTS, MaterialSpec, ParameterError
 
 # Regime boundary: Rayleigh when max_i |k| L_i stays below this.
 THETA_REGIME = 0.2
@@ -145,12 +145,15 @@ class QuadratureSpec:
     threads: int = 1
 
     def __post_init__(self):
-        if self.n_theta < 2 or self.n_phi < 4:
-            raise ValueError("quadrature needs n_theta >= 2 and n_phi >= 4")
-        if not self.tolerance >= np.finfo(float).eps:  # a smaller relative change is rounding
-            raise ValueError(f"quadrature tolerance must be at least {np.finfo(float).eps:.3g}, the double epsilon")
+        if self.n_theta < 2:
+            raise ParameterError("n_theta", "quadrature needs n_theta >= 2")
+        if self.n_phi < 4:
+            raise ParameterError("n_phi", "quadrature needs n_phi >= 4")
+        eps = np.finfo(float).eps
+        if not self.tolerance >= eps:  # a smaller relative change is rounding
+            raise ParameterError("tolerance", f"quadrature tolerance must be at least {eps:.3g}, the double epsilon")
         if self.threads < 1:
-            raise ValueError("thread count must be at least 1")
+            raise ParameterError("threads", "thread count must be at least 1")
 
 
 @dataclass(frozen=True)

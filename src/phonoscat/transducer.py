@@ -17,7 +17,7 @@ import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode, _alignment, _stress_norms
 from .elastodynamics import angular_table
-from .materials import MaterialSpec, Orientation, piezo_voigt_to_tensor, unit_vector
+from .materials import MaterialSpec, Orientation, ParameterError, piezo_voigt_to_tensor, unit_vector
 from .radiation import NumericFailure, QuadratureSpec, RadiationResult, SweepResult, _rates
 
 
@@ -36,11 +36,11 @@ class EoModel:
 
     def __post_init__(self):
         if not 0 < self.g0 < np.inf:
-            raise ValueError("reference coupling g0 must be positive and finite")
+            raise ParameterError("g0", "reference coupling g0 must be positive and finite")
         if not 0 < self.v_ref < np.inf:
-            raise ValueError("reference mode volume must be positive and finite")
+            raise ParameterError("v_ref", "reference mode volume must be positive and finite")
         if not 0.0 <= self.overlap <= 1.0:
-            raise ValueError("overlap fraction must lie in [0, 1]")
+            raise ParameterError("overlap", "overlap fraction must lie in [0, 1]")
 
     def g_mo(self, mode_volume: float) -> float:
         """Microwave-optical coupling (rad/s) at the given mode volume, or

@@ -306,7 +306,8 @@ class TestConfigErrors:
     def test_negative_dimension_names_field(self, tmp_path, capsys):
         cfg = base_config()
         cfg["inclusions"][0]["dimensions_um"] = [0.01, -0.01, 0.01]
-        self.check(tmp_path, capsys, cfg, "inclusions[0].dimensions_um: components must be positive")
+        needle = "inclusions[0].dimensions_um: inclusion dimensions must be three positive finite lengths"
+        self.check(tmp_path, capsys, cfg, needle)
 
     def test_nan_field_direction_names_field(self, tmp_path, capsys):
         cfg = base_config(scenario="mie", quadrature=dict(SMALL_QUAD))
@@ -385,9 +386,10 @@ class TestConfigErrors:
             bragg={"low": "silicon", "high": "sapphire"},
         )
         # 9000.05 is within numpy's default rtol of 9000, so the check needs rtol=0
-        for start, stop, count in ((0, 5, 3), (9000.05, 9000.05, 1)):
+        for start, stop, count, value in ((0, 5, 3, "2.5"), (9000.05, 9000.05, 1, "9000.05"), (-1, 2, 3, "0.5")):
             cfg["sweep"] = {"axis": "n_periods", "grid": "linear", "start": start, "stop": stop, "count": count}
-            self.check(tmp_path, capsys, cfg, "sweep: n_periods grid must contain integers")
+            line = f"sweep.start, sweep.stop and sweep.count: the n_periods grid holds {value}, not an integer\n"
+            self.check(tmp_path, capsys, cfg, f"config error: {line}")
 
     def test_overlapping_dual_separation(self, tmp_path, capsys, monkeypatch):
         """Checked at parse, like a swept height: one line naming the field
@@ -408,8 +410,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("g0_Hz", 1e308, "eo.g0_Hz: 1e+308 Hz is too large for a finite angular frequency"),
-            ("v_ref_um3", 1e-310, "eo.v_ref_um3: 1e-310 um^3 is too small for a positive volume in m^3"),
+            ("g0_Hz", 1e308, "eo.g0_Hz: reference coupling g0 must be positive and finite"),
+            ("v_ref_um3", 1e-310, "eo.v_ref_um3: reference mode volume must be positive and finite"),
         ],
         ids=["g0_Hz", "v_ref_um3"],
     )
@@ -432,8 +434,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "scenario, section, key, message",
         [
-            ("mie", "mode", "mode_volume_um3",
-             "mode.mode_volume_um3: 1e-310 um^3 is too small for a positive volume in m^3"),
+            ("mie", "mode", "mode_volume_um3", "mode.mode_volume_um3: mode volume must be positive and finite"),
             ("mie", "mode", "eps_eff",
              "mode.eps_eff: effective permittivity 1e-310 is too small for a finite zero-point field"),
             ("mie", "inclusion", 1, "inclusions[0].dimensions_um: inclusion volume underflows to 0 m^3"),
@@ -472,7 +473,7 @@ class TestConfigErrors:
         "center, cause",
         [
             (1e300, "center frequency must be positive and finite"),
-            (1e-320, "thickness must be positive and finite"),
+            (1e-320, "layer 'silicon': thickness v / (4 f_c) overflows"),
             (1e-310, "layer 'silicon': phase omega d / v overflows at omega = 6.28319e+10 rad/s"),
         ],
         ids=["Hz_overflow", "thickness_overflow", "phase_overflow"],
@@ -592,23 +593,29 @@ class TestConfigErrors:
             pytest.fail("a rate was computed for a section of the wrong type")
 
         monkeypatch.setattr(cli, "execute", never)
-        self.check(tmp_path, capsys, base_config(**{section: value}), f"config error: {section}: expected an object")
+        cfg = base_config(**{section: value})
+        if section == "bragg":  # the one scenario that reads the section
+            cfg["scenario"] = "bragg"
+            cfg["sweep"] = {"axis": "n_periods", "grid": "linear", "start": 0, "stop": 2, "count": 3}
+        self.check(tmp_path, capsys, cfg, f"config error: {section}: expected an object")
 
     @pytest.mark.parametrize(
         ("edit", "needle"),
         [
             ({"mode": {"frequency_GHz": "10"}}, "mode.frequency_GHz: expected a number"),
-            ({"mode": {"mode_volume_um3": 0}}, "mode.mode_volume_um3: must be positive"),
-            ({"quadrature": {"n_theta": 1}}, "quadrature.n_theta: must be at least 2"),
-            ({"mode": {"field_direction": [0, 0, 0]}}, "mode.field_direction: must be nonzero"),
+            ({"mode": {"mode_volume_um3": 0}}, "mode.mode_volume_um3: mode volume must be positive and finite"),
+            ({"quadrature": {"n_theta": 1}}, "quadrature.n_theta: quadrature needs n_theta >= 2"),
+            ({"mode": {"field_direction": [0, 0, 0]}},
+             "mode.field_direction: field direction must be finite and nonzero in length"),
             ({"inclusion": {"orientation": {}}}, "inclusions[0].orientation: expected matrix or axis/angle_deg"),
             ({"sweep": {"grid": "log", "start": -1.0}}, "sweep.start: log grids need positive bounds"),
             ({"sweep": {"grid": "log", "start": 1.0, "stop": -1.0}}, "sweep.stop: log grids need positive bounds"),
             ({"sweep": {"grid": "linear", "start": -1.0}},
              "sweep.start: frequency_GHz = -1: mode frequency must be positive and finite"),
-            ({"inclusion": {"sign": 0}}, "inclusions[0].sign: must be one of [1, -1]"),
+            ({"inclusion": {"sign": 0}}, "inclusions[0].sign: inclusion sign must be +1 or -1"),
             ({"dual": {"relative_sign": 2}}, "dual.relative_sign: must be one of [1, -1]"),
-            ({"eo": {"g0_Hz": 2000.0, "v_ref_um3": 8000.0, "overlap": 1.5}}, "eo.overlap: must lie in [0, 1]"),
+            ({"eo": {"g0_Hz": 2000.0, "v_ref_um3": 8000.0, "overlap": 1.5}},
+             "eo.overlap: overlap fraction must lie in [0, 1]"),
             ({"output": 5}, "output: expected a string path"),
             ({"sweep": {"axis": "height_um", "start": 0.01}, "copies": 2},
              "inclusions: sweep axis 'height_um' needs exactly one inclusion"),
@@ -703,9 +710,10 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         ("scenario", "edit", "needle"),
         [
-            ("figure_of_merit", lambda c: c["mode"].update(field_direction=[0, 1e300, 0]), "mode.field_direction"),
-            ("orientation", lambda c: c.update(orientation_axis=[0, 1e300, 0]), "orientation_axis"),
-            ("bragg", lambda c: c["bragg"].update(normal=[0, 1e300, 0]), "bragg.normal"),
+            ("figure_of_merit", lambda c: c["mode"].update(field_direction=[0, 1e300, 0]),
+             "mode.field_direction: field direction"),
+            ("orientation", lambda c: c.update(orientation_axis=[0, 1e300, 0]), "orientation_axis: rotation axis"),
+            ("bragg", lambda c: c["bragg"].update(normal=[0, 1e300, 0]), "bragg.normal: stack normal"),
         ],
         ids=["field_direction", "orientation_axis", "bragg_normal"],
     )
@@ -1164,7 +1172,7 @@ class TestRefinementPath:
     @pytest.mark.parametrize(
         "field, message",
         [
-            ("mode", "mode.frequency_GHz: 1e+300 GHz is too large for a finite angular frequency"),
+            ("mode", "mode.frequency_GHz: mode frequency must be positive and finite"),
             ("stop", "sweep.stop: frequency_GHz = 1e+300: mode frequency must be positive and finite"),
         ],
         ids=["mode", "sweep"],
@@ -1308,6 +1316,10 @@ class TestLoadRunConfig:
         assert cfg.quad == load_run_config(write_config(tmp_path, base_config())).quad
         assert cfg.dual_relative_sign == -1
         assert cfg.eo is None
+
+    def test_bragg_block_is_read_by_the_bragg_scenario_alone(self, tmp_path):
+        bragg = {"low": "nope", "center_frequency_GHz": -1.0, "normal": [0, 0, 0], "bogus": 1}
+        assert load_run_config(write_config(tmp_path, base_config(bragg=bragg))).mirror is None
 
     def test_eps_eff_defaults_to_substrate_average(self, tmp_path, db):
         cfg = load_run_config(write_config(tmp_path, base_config()))

@@ -12,9 +12,9 @@ every size bound, a field removed, a sweep axis that belongs to another
 scenario, or the name of a stock material that is not piezoelectric
 (``sapphire``), whose inclusion radiates exactly nothing.  Grids stay at
 8x16 nodes or fewer and sweeps at three points or fewer, so every example
-runs in a fraction of a second.  Two sweeps of their own set each number
-of each valid config, one at a time, to 1e300 and to 1e-310, and check that
-a configuration error names that number's field.  Each materials
+runs in a fraction of a second.  Four sweeps of their own set each number
+of each valid config, one at a time, to 1e300, 1e-310, 0 and -1, and check
+that a configuration error names that number's field.  Each materials
 example is random bytes, a truncated copy of the bundled database, or a copy
 with one or two of its fields mutated the same way.
 """
@@ -26,6 +26,7 @@ import re
 import warnings
 from importlib import resources
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -195,7 +196,16 @@ def _names(err, field):
     return re.search(rf"(?<![\w.\]]){re.escape(field)}(?![\w.\[])", err) is not None
 
 
-def _every_number_at(value, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "value",
+    [
+        1e300,  # finite, but past the float range once squared or converted to SI
+        1e-310,  # subnormal: zero once multiplied by a unit factor such as 1e-18 um^3 in m^3
+        0,
+        -1,
+    ],
+)
+def test_every_number_at(value, tmp_path, capsys):
     """Set each number of each base config, one at a time, to ``value``.
     Every run ends with 0, 2 or 3, prints no numpy warning, and writes no
     nan and no inf outside the documented columns; an exit-2 run prints one
@@ -220,17 +230,6 @@ def _every_number_at(value, tmp_path, capsys):
             assert _inf_cells(out) == [], where
             runs += 1
     assert runs == 217
-
-
-def test_every_number_at_1e300(tmp_path, capsys):
-    """Finite, but past the float range once squared or converted to SI."""
-    _every_number_at(1e300, tmp_path, capsys)
-
-
-def test_every_number_at_1e_310(tmp_path, capsys):
-    """Subnormal: zero once multiplied by a unit factor such as 1e-18 um^3
-    in m^3, or by another small number, as in 2 eps0 eps_eff V."""
-    _every_number_at(1e-310, tmp_path, capsys)
 
 
 MATERIALS = (resources.files("phonoscat") / "data" / "materials.json").read_bytes()

@@ -18,7 +18,7 @@ from phonoscat.coupling import (
     geometry_factor,
     induced_strain,
 )
-from phonoscat.materials import CONSTANTS, default_materials
+from phonoscat.materials import CONSTANTS, ParameterError, default_materials
 from phonoscat.radiation import _coherent_power, _sinc, _sources
 
 from conftest import XCUT_MATRIX, form_factor, make_mode
@@ -44,31 +44,35 @@ class TestMicrowaveMode:
         assert np.allclose(m.field_direction, [0, 0.6, 0.8], atol=1e-15)
 
     @pytest.mark.parametrize(
-        "kwargs,msg",
+        "kwargs,msg,parameter",
         [
-            (dict(omega0=0.0), "frequency"),
-            (dict(mode_volume=-1e-15), "volume"),
-            (dict(eps_eff=0.0), "permittivity"),
-            (dict(field_direction=(0, 0, 0)), "direction"),
-            (dict(field_direction=(0, float("nan"), 0)), "direction must be finite"),
-            (dict(omega0=float("nan")), "frequency"),
-            (dict(omega0=float("inf")), "frequency"),
-            (dict(mode_volume=float("inf")), "volume"),
-            (dict(eps_eff=float("inf")), "permittivity"),
+            (dict(omega0=0.0), "frequency", "omega0"),
+            (dict(mode_volume=-1e-15), "volume", "mode_volume"),
+            (dict(eps_eff=0.0), "permittivity", "eps_eff"),
+            (dict(field_direction=(0, 0, 0)), "direction", "field_direction"),
+            (dict(field_direction=(0, float("nan"), 0)), "direction must be finite", "field_direction"),
+            (dict(omega0=float("nan")), "frequency", "omega0"),
+            (dict(omega0=float("inf")), "frequency", "omega0"),
+            (dict(mode_volume=float("inf")), "volume", "mode_volume"),
+            (dict(eps_eff=float("inf")), "permittivity", "eps_eff"),
             # 2 eps0 eps_eff V_E underflows to zero, or hbar omega0 over it overflows
-            (dict(mode_volume=1e-318), "^mode volume 1e-318 m\\^3 is too small for a finite zero-point field$"),
-            (dict(mode_volume=5e-324), "too small for a finite zero-point field"),
-            (dict(mode_volume=1e-310, omega0=1e300), "too small for a finite zero-point field"),
+            (dict(mode_volume=1e-318), "^mode volume 1e-318 m\\^3 is too small for a finite zero-point field$",
+             "mode_volume"),
+            (dict(mode_volume=5e-324), "too small for a finite zero-point field", "mode_volume"),
+            (dict(mode_volume=1e-310, omega0=1e300), "too small for a finite zero-point field", "mode_volume"),
             # and 2 eps0 eps_eff alone leaves the normal range: the permittivity is blamed
-            (dict(eps_eff=1e-310), "^effective permittivity 1e-310 is too small for a finite zero-point field$"),
-            (dict(eps_eff=1e-300), "^effective permittivity 1e-300 is too small for a finite zero-point field$"),
+            (dict(eps_eff=1e-310), "^effective permittivity 1e-310 is too small for a finite zero-point field$",
+             "eps_eff"),
+            (dict(eps_eff=1e-300), "^effective permittivity 1e-300 is too small for a finite zero-point field$",
+             "eps_eff"),
         ],
     )
-    def test_validation(self, kwargs, msg):
+    def test_validation(self, kwargs, msg, parameter):
         base = dict(omega0=1e10, mode_volume=1e-15, field_direction=(0, 1, 0), eps_eff=5.0)
         base.update(kwargs)
-        with pytest.raises(ValueError, match=msg):
+        with pytest.raises(ParameterError, match=msg) as e:
             MicrowaveMode(**base)
+        assert e.value.parameter == parameter
 
     def test_smallest_volume_with_a_finite_field_is_kept(self):
         assert np.isfinite(MicrowaveMode(1e10, 1e-310, (0, 1, 0), 5.0).field_zp)
@@ -100,25 +104,26 @@ class TestInclusion:
         assert np.array_equal(inc.d_lab, ln.d)
 
     @pytest.mark.parametrize(
-        "kwargs,msg",
+        "kwargs,msg,parameter",
         [
-            (dict(dimensions=(1e-6, 0.0, 1e-6)), "positive"),
-            (dict(dimensions=(1e-6, -1e-6, 1e-6)), "positive"),
-            (dict(center=(0, 0)), "3-vector"),
-            (dict(sign=2), "sign"),
-            (dict(dimensions=(1e-6, float("nan"), 1e-6)), "positive finite"),
-            (dict(dimensions=(1e-6, float("inf"), 1e-6)), "positive finite"),
-            (dict(center=(float("nan"), 0, 0)), "finite 3-vector"),
-            (dict(center=(0, float("inf"), 0)), "finite 3-vector"),
-            (dict(dimensions=(1e-6, 1e-316, 1e-6)), "^inclusion volume underflows to 0 m\\^3$"),
-            (dict(dimensions=(1e-160, 1e-160, 1e-6)), "^inclusion volume underflows to 0 m\\^3$"),
+            (dict(dimensions=(1e-6, 0.0, 1e-6)), "positive", "dimensions"),
+            (dict(dimensions=(1e-6, -1e-6, 1e-6)), "positive", "dimensions"),
+            (dict(center=(0, 0)), "3-vector", "center"),
+            (dict(sign=2), "sign", "sign"),
+            (dict(dimensions=(1e-6, float("nan"), 1e-6)), "positive finite", "dimensions"),
+            (dict(dimensions=(1e-6, float("inf"), 1e-6)), "positive finite", "dimensions"),
+            (dict(center=(float("nan"), 0, 0)), "finite 3-vector", "center"),
+            (dict(center=(0, float("inf"), 0)), "finite 3-vector", "center"),
+            (dict(dimensions=(1e-6, 1e-316, 1e-6)), "^inclusion volume underflows to 0 m\\^3$", "dimensions"),
+            (dict(dimensions=(1e-160, 1e-160, 1e-6)), "^inclusion volume underflows to 0 m\\^3$", "dimensions"),
         ],
     )
-    def test_validation(self, ln, kwargs, msg):
+    def test_validation(self, ln, kwargs, msg, parameter):
         base = dict(dimensions=(1e-6,) * 3, center=(0.0, 0.0, 0.0), material=ln)
         base.update(kwargs)
-        with pytest.raises(ValueError, match=msg):
+        with pytest.raises(ParameterError, match=msg) as e:
             Inclusion(**base)
+        assert e.value.parameter == parameter
 
 
 class TestInducedStrain:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from phonoscat.coupling import Inclusion
 from phonoscat.elastodynamics import christoffel_many
-from phonoscat.materials import default_materials
+from phonoscat.materials import ParameterError, default_materials
 from phonoscat.mitigation import (
     BraggLayer,
     BraggStack,
@@ -222,8 +222,9 @@ class TestBraggStack:
             assert y.speed == pytest.approx(x.speed, rel=1e-14)
 
     def test_zero_direction_rejected(self, ln, silicon):
-        with pytest.raises(ValueError, match="nonzero"):
+        with pytest.raises(ParameterError, match="^stack normal must be finite and nonzero in length$") as e:
             BraggStack.quarter_wave(ln, silicon, ln, 11e9, 1, normal=(0, 0, 0))
+        assert e.value.parameter == "normal"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -237,8 +238,16 @@ class TestBraggStack:
             BraggStack(("not a layer",), 1, 1e7, 1e7)
         with pytest.raises(ValueError, match="impedance"):
             BraggStack((), 1, 0.0, 1e7)
-        with pytest.raises(ValueError, match="center frequency"):
-            quarter_wave_stack(1, fc=0.0)
+        # quarter_wave: a center frequency that is not positive and finite, or
+        # whose quarter-wave thickness v / (4 f_c) overflows
+        for fc, msg in [
+            (0.0, "^center frequency must be positive and finite$"),
+            (np.inf, "^center frequency must be positive and finite$"),
+            (1e-320, "^layer 'silicon': thickness v / \\(4 f_c\\) overflows$"),
+        ]:
+            with pytest.raises(ParameterError, match=msg) as e:
+                quarter_wave_stack(1, fc=fc)
+            assert e.value.parameter == "center_frequency"
 
 
 class TestTransferMatrix:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from phonoscat.coupling import Inclusion
 from phonoscat.elastodynamics import angular_table
-from phonoscat.materials import Orientation, default_materials
+from phonoscat.materials import Orientation, ParameterError, default_materials
 from phonoscat.radiation import (
     NumericFailure,
     QuadratureDiagnostics,
@@ -344,18 +344,22 @@ class TestQuadratureControls:
         assert fine.diagnostics.converged
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(n_theta=1)
-        with pytest.raises(ValueError):
-            QuadratureSpec(tolerance=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(threads=0)
-        # a relative change below the double epsilon is rounding: no grid could meet it
         eps = np.finfo(float).eps
+        # a relative change below the double epsilon is rounding: no grid could meet it
+        floor = "^quadrature tolerance must be at least 2.22e-16, the double epsilon$"
+        for kwargs, msg, parameter in [
+            (dict(n_theta=1), "^quadrature needs n_theta >= 2$", "n_theta"),
+            (dict(n_phi=3), "^quadrature needs n_phi >= 4$", "n_phi"),
+            (dict(tolerance=0.0), floor, "tolerance"),
+            (dict(tolerance=eps / 2), floor, "tolerance"),
+            (dict(tolerance=1e-17), floor, "tolerance"),
+            (dict(tolerance=1e-310), floor, "tolerance"),
+            (dict(threads=0), "^thread count must be at least 1$", "threads"),
+        ]:
+            with pytest.raises(ParameterError, match=msg) as e:
+                QuadratureSpec(**kwargs)
+            assert e.value.parameter == parameter
         assert QuadratureSpec(tolerance=eps).tolerance == eps
-        for tolerance in (eps / 2, 1e-17, 1e-310):
-            with pytest.raises(ValueError, match="must be at least 2.22e-16, the double epsilon"):
-                QuadratureSpec(tolerance=tolerance)
 
     @pytest.mark.parametrize("cap,built", [((8, 16), [(4, 8), (8, 16), (16, 32)]), ((7, 16), [(4, 8), (8, 16)])])
     def test_no_refinement_past_the_grid_cap_is_built(self, substrate, waveguide, monkeypatch, empty_memo, cap, built):

@@ -178,3 +178,25 @@ sys.exit(tool.main(sys.argv[1:]))
     ]
     assert sorted((ROOT / "perfbench" / "reference").iterdir()) == references
     assert all(path.read_bytes() == data for path, data in before.items())
+
+
+def test_code_lines_counts_code_outside_comments_and_docstrings():
+    """``scripts/code_lines.py`` counts a line that holds code, a string that
+    is not a docstring among them, and skips blank, comment and docstring lines."""
+    count = runpy.run_path(str(ROOT / "scripts" / "code_lines.py"))["count"]
+    source = '''"""Module
+docstring."""
+
+# a comment
+X = 1  # code with a comment
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """One line."""
+        return """not a
+docstring"""
+'''
+    assert count(source) == (5, 14)

@@ -8,7 +8,7 @@ import pytest
 import phonoscat.transducer as transducer
 from phonoscat.coupling import Inclusion, geometry_factor
 from phonoscat.elastodynamics import angular_table, christoffel_many, stress_pattern
-from phonoscat.materials import Orientation, piezo_voigt_to_tensor
+from phonoscat.materials import Orientation, ParameterError, piezo_voigt_to_tensor
 from phonoscat.radiation import QuadratureSpec, mie_rate, rayleigh_rate, refined_rate
 from phonoscat.transducer import (
     EoModel,
@@ -59,22 +59,23 @@ class TestEoModel:
         assert b.g_mo(8e-15) == pytest.approx(a.g_mo(8e-15) / 4, rel=1e-14)
 
     @pytest.mark.parametrize(
-        "kwargs,msg",
+        "kwargs,msg,parameter",
         [
-            (dict(g0=0.0), "g0"),
-            (dict(v_ref=-1e-15), "reference mode volume"),
-            (dict(overlap=1.5), "overlap"),
-            (dict(overlap=-0.1), "overlap"),
-            (dict(g0=np.inf), "g0 must be positive and finite"),
-            (dict(g0=np.nan), "g0 must be positive and finite"),
-            (dict(v_ref=np.inf), "reference mode volume must be positive and finite"),
+            (dict(g0=0.0), "g0", "g0"),
+            (dict(v_ref=-1e-15), "reference mode volume", "v_ref"),
+            (dict(overlap=1.5), "overlap", "overlap"),
+            (dict(overlap=-0.1), "overlap", "overlap"),
+            (dict(g0=np.inf), "g0 must be positive and finite", "g0"),
+            (dict(g0=np.nan), "g0 must be positive and finite", "g0"),
+            (dict(v_ref=np.inf), "reference mode volume must be positive and finite", "v_ref"),
         ],
     )
-    def test_validation(self, kwargs, msg):
+    def test_validation(self, kwargs, msg, parameter):
         base = dict(g0=1e4, v_ref=8e-15, overlap=1.0)
         base.update(kwargs)
-        with pytest.raises(ValueError, match=msg):
+        with pytest.raises(ParameterError, match=msg) as e:
             EoModel(**base)
+        assert e.value.parameter == parameter
 
     def test_nonpositive_mode_volume_rejected(self):
         with pytest.raises(ValueError, match="mode volume"):
