@@ -13,9 +13,12 @@ the library's message.  Parse builds the sweep's two end points with
 ``radiation.sweep_point``, as the run builds every point, and the mirror's
 layer matrices at the mode frequency with ``mitigation._layer_matrices``.
 Parse itself checks only what no library object owns: JSON types, a finite
-value for each number, the size caps, the sweep grid, the ``dual`` block
-and the scenario and axis rules.  The ``bragg`` block is read, and checked,
-by the ``bragg`` scenario alone.
+value for each number, the size caps, the sweep grid, the ``dual`` sign
+and the scenario and axis rules.  Each scenario-owned block is read, and
+checked, by its one scenario alone: ``dual`` by ``dual_waveguide``,
+``bragg`` by ``bragg``, ``eo`` by ``figure_of_merit`` and
+``orientation_axis`` by ``orientation``; the other scenarios neither read
+nor check it.
 Every run writes one CSV (header row plus one row per sweep point, shortest
 round-trip float formatting, deterministic bytes) and prints a short report
 with fitted slopes, regime tags and quadrature diagnostics to standard output.
@@ -213,22 +216,20 @@ def _orientation(d: dict | None, path: str) -> Orientation:
     if d is None:
         return Orientation.identity()
     d = _object(d, path, {"matrix", "axis", "angle_deg"})
-    try:
-        if "matrix" in d:
-            if "axis" in d or "angle_deg" in d:
-                raise ConfigError(f"{path}: give either matrix or axis/angle_deg, not both")
-            try:
-                m = np.array([[_float(x) for x in row] for row in d["matrix"]])
-            except (TypeError, ValueError):  # not numbers, or rows of unequal length
-                m = None
-            if m is None or m.shape != (3, 3):
-                raise ConfigError(f"{path}.matrix: expected a 3x3 matrix")
-            return Orientation(m)
+    if "matrix" in d:
         if "axis" in d or "angle_deg" in d:
-            axis = _vector3(d, "axis", path)
-            return Orientation.about_axis(axis, np.deg2rad(_number(d, "angle_deg", path)))
-    except MaterialError as e:  # a matrix that is not a rotation, or an axis whose length overflows
-        raise ConfigError(f"{path}.{'matrix' if 'matrix' in d else 'axis'}: {e}") from None
+            raise ConfigError(f"{path}: give either matrix or axis/angle_deg, not both")
+        try:
+            m = np.array([[_float(x) for x in row] for row in d["matrix"]])
+        except (TypeError, ValueError):  # not numbers, or rows of unequal length
+            m = None
+        if m is None or m.shape != (3, 3):
+            raise ConfigError(f"{path}.matrix: expected a 3x3 matrix")
+        return _blame(f"{path}.matrix", Orientation, m)  # a matrix that is not a rotation
+    if "axis" in d or "angle_deg" in d:
+        axis = _vector3(d, "axis", path)
+        # an axis whose length overflows
+        return _blame(f"{path}.axis", Orientation.about_axis, axis, np.deg2rad(_number(d, "angle_deg", path)))
     raise ConfigError(f"{path}: expected matrix or axis/angle_deg")
 
 
@@ -246,12 +247,13 @@ class RunConfig:
     values: np.ndarray  # in the axis' config units (GHz, um, degrees, count)
     quad: QuadratureSpec
     output: str
-    dual_direction: np.ndarray
-    dual_relative_sign: int
-    mirror: BraggStack | None  # the one-period quarter-wave stack of the bragg scenario
-    bragg_center_ghz: float
-    eo: EoModel | None
-    orientation_axis: np.ndarray
+    # the blocks of one scenario each, set by that scenario alone
+    dual_direction: np.ndarray | None = None  # unit vector
+    dual_relative_sign: int | None = None
+    mirror: BraggStack | None = None  # the one-period quarter-wave stack
+    bragg_center_ghz: float | None = None
+    eo: EoModel | None = None
+    orientation_axis: np.ndarray | None = None
 
 
 def _load_db(cfg: dict) -> dict[str, MaterialSpec]:
@@ -404,83 +406,69 @@ def load_run_config(path: str) -> RunConfig:
         threads=_integer(quad_cfg, "threads", "quadrature", default=1, maximum=_MAX_THREADS),
     )
 
-    dual_cfg = _object(raw.get("dual"), "dual", {"direction", "relative_sign"})
-    dual_dir = _vector3(dual_cfg, "direction", "dual", default=[1.0, 0.0, 0.0])
-    dual_dir = unit_vector(dual_dir, "dual.direction", ConfigError)
-    dual_sign = _integer(dual_cfg, "relative_sign", "dual", default=-1, choices=(1, -1))
-
-    mirror, bragg_center = None, f_ghz
-    if scenario == "bragg":  # the one scenario that reads the bragg block
-        bragg_cfg = _object(raw.get("bragg"), "bragg", {"low", "high", "center_frequency_GHz", "normal"})
-        low = _material(db, _string(bragg_cfg, "low", "bragg"), "bragg.low")
-        high = _material(db, _string(bragg_cfg, "high", "bragg"), "bragg.high")
-        bragg_center = _number(bragg_cfg, "center_frequency_GHz", "bragg", default=f_ghz)
-        normal = _vector3(bragg_cfg, "normal", "bragg", default=[0.0, 0.0, 1.0])
-        # f_c in Hz, a quarter-wave thickness v / (4 f_c) or a layer phase may leave the float range
-        field = f"bragg.center_frequency_GHz: {bragg_center:g} GHz"
-        fields = {"center_frequency": field, "normal": "bragg.normal"}
-        mirror = _blame(fields, BraggStack.quarter_wave, substrate, low, high, bragg_center * 1e9, 1, normal)
-        _blame(field, _layer_matrices, mirror, mode.omega0)
-
-    eo = None
-    if raw.get("eo") is not None:
-        eo_cfg = _object(raw["eo"], "eo", {"g0_Hz", "v_ref_um3", "overlap"})
-        eo = _blame(  # 2 pi g0 may overflow and V_ref underflow in SI units
-            {"g0": "eo.g0_Hz", "v_ref": "eo.v_ref_um3", "overlap": "eo.overlap"},
-            EoModel,
-            g0=2 * np.pi * _number(eo_cfg, "g0_Hz", "eo"),
-            v_ref=_number(eo_cfg, "v_ref_um3", "eo") * _UM3,
-            overlap=_number(eo_cfg, "overlap", "eo", default=1.0),
-        )
-    elif scenario == "figure_of_merit":
-        raise ConfigError("eo: required for the figure_of_merit scenario")
-
-    ori_axis = _vector3(raw, "orientation_axis", "", default=[0.0, 0.0, 1.0])
-    _blame("orientation_axis", Orientation.about_axis, ori_axis, 0.0)  # the axis check of every angle's rotation
-
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("output: expected a string path")
 
-    if scenario == "rayleigh":
-        if not substrate.isotropic:
-            raise ConfigError(
-                "substrate: the rayleigh scenario needs an isotropic substrate; "
-                "use scenario 'mie' for anisotropic media"
-            )
-        if len(inclusions) != 1:
-            raise ConfigError("inclusions: the rayleigh scenario needs exactly one inclusion")
-    if axis in ("height_um", "thickness_um", "separation_um", "angle_deg", "n_periods"):
-        if len(inclusions) != 1:
-            raise ConfigError(f"inclusions: sweep axis '{axis}' needs exactly one inclusion")
+    if scenario == "rayleigh" and not substrate.isotropic:
+        raise ConfigError(
+            "substrate: the rayleigh scenario needs an isotropic substrate; "
+            "use scenario 'mie' for anisotropic media"
+        )
+    # rayleigh's closed form, and every sweep axis but frequency_GHz, take one inclusion
+    if len(inclusions) != 1 and (scenario == "rayleigh" or axis != "frequency_GHz"):
+        raise ConfigError(
+            "inclusions: the rayleigh scenario needs exactly one inclusion" if scenario == "rayleigh"
+            else f"inclusions: sweep axis '{axis}' needs exactly one inclusion"
+        )
     if axis in _COLUMNS:  # a rate axis: build each end point as the run does
         for where, v in _ends(values):  # omega0 or the swept cuboid's volume may leave the float range
             _blame(f"{where}: {axis} = {v:g}", sweep_point, mode, inclusions, *_library_axis(axis, float(v)))
-    if axis == "separation_um":
+
+    cfg = RunConfig(
+        scenario, substrate, mode, inclusions, axis, values, quad,
+        f"phonoscat_{scenario}.csv" if output is None else output,
+    )
+    # each scenario-owned block is read, and checked, by its scenario alone
+    if scenario == "dual_waveguide":
+        dual_cfg = _object(raw.get("dual"), "dual", {"direction", "relative_sign"})
+        direction = _vector3(dual_cfg, "direction", "dual", default=[1.0, 0.0, 0.0])
+        cfg.dual_direction = _blame("dual.direction", unit_vector, direction, "separation direction")
+        cfg.dual_relative_sign = _integer(dual_cfg, "relative_sign", "dual", default=-1, choices=(1, -1))
         for where, v in _ends(values):
             d = float(v) * _UM
             if not d > 0:  # a separation that underflows to 0 m would pass as coincident copies
                 raise ConfigError(f"{where}: {axis} = {v:g} is not positive in m")
             # the two copies may overlap: blame both fields
             fields = f"{where} and inclusions[0].dimensions_um: {axis} = {v:g}"
-            _blame(fields, _check_pair_geometry, inclusions[0].dimensions, d * dual_dir)
-
-    return RunConfig(
-        scenario=scenario,
-        substrate=substrate,
-        mode=mode,
-        inclusions=inclusions,
-        axis=axis,
-        values=values,
-        quad=quad,
-        output=f"phonoscat_{scenario}.csv" if output is None else output,
-        dual_direction=dual_dir,
-        dual_relative_sign=dual_sign,
-        mirror=mirror,
-        bragg_center_ghz=bragg_center,
-        eo=eo,
-        orientation_axis=ori_axis,
-    )
+            _blame(fields, _check_pair_geometry, inclusions[0].dimensions, d * cfg.dual_direction)
+    elif scenario == "bragg":
+        bragg_cfg = _object(raw.get("bragg"), "bragg", {"low", "high", "center_frequency_GHz", "normal"})
+        low = _material(db, _string(bragg_cfg, "low", "bragg"), "bragg.low")
+        high = _material(db, _string(bragg_cfg, "high", "bragg"), "bragg.high")
+        cfg.bragg_center_ghz = _number(bragg_cfg, "center_frequency_GHz", "bragg", default=f_ghz)
+        normal = _vector3(bragg_cfg, "normal", "bragg", default=[0.0, 0.0, 1.0])
+        # f_c in Hz, a quarter-wave thickness v / (4 f_c) or a layer phase may leave the float range
+        field = f"bragg.center_frequency_GHz: {cfg.bragg_center_ghz:g} GHz"
+        cfg.mirror = _blame(
+            {"center_frequency": field, "normal": "bragg.normal"},
+            BraggStack.quarter_wave, substrate, low, high, cfg.bragg_center_ghz * 1e9, 1, normal,
+        )
+        _blame(field, _layer_matrices, cfg.mirror, mode.omega0)
+    elif scenario == "figure_of_merit":
+        eo_cfg = _object(raw.get("eo"), "eo", {"g0_Hz", "v_ref_um3", "overlap"})
+        cfg.eo = _blame(  # 2 pi g0 may overflow and V_ref underflow in SI units
+            {"g0": "eo.g0_Hz", "v_ref": "eo.v_ref_um3", "overlap": "eo.overlap"},
+            EoModel,
+            g0=2 * np.pi * _number(eo_cfg, "g0_Hz", "eo"),
+            v_ref=_number(eo_cfg, "v_ref_um3", "eo") * _UM3,
+            overlap=_number(eo_cfg, "overlap", "eo", default=1.0),
+        )
+    elif scenario == "orientation":
+        cfg.orientation_axis = _vector3(raw, "orientation_axis", "", default=[0.0, 0.0, 1.0])
+        # the axis check of every angle's rotation
+        _blame("orientation_axis", Orientation.about_axis, cfg.orientation_axis, 0.0)
+    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,13 @@ class MaterialSpec:
             _validate_spd(eps, "relative permittivity")
         except MaterialError as exc:
             raise MaterialError(f"material '{self.name}': {exc}") from None
+        # rho times a Christoffel entry, sum_jk c_ijkl n_j n_k for a unit n, and
+        # each of its partial sums are at most 3 max|c_ijkl| <= 3 |c|, the root
+        # sum of squares of the tensor entries, which no rotation changes
+        scale = float(np.abs(C).max())
+        bound = 3 * scale * float(np.linalg.norm(stiffness_voigt_to_tensor(C) / scale))
+        if not bound / min(float(self.rho), 1.0) < np.inf:
+            raise MaterialError(f"material '{self.name}': stiffness over density overflows the Christoffel matrix")
         if not self.piezoelectric and np.any(d != 0):
             raise MaterialError(
                 f"material '{self.name}': nonzero piezo matrix requires the piezoelectric flag"

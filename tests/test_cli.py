@@ -49,6 +49,36 @@ def base_config(**overrides):
     return cfg
 
 
+# A small sweep of each scenario, and the one scenario that reads each
+# scenario-owned block.
+SCENARIO_SWEEPS = {
+    "rayleigh": {"axis": "frequency_GHz", "grid": "log", "start": 1.0, "stop": 10.0, "count": 2},
+    "mie": {"axis": "frequency_GHz", "grid": "log", "start": 1.0, "stop": 10.0, "count": 2},
+    "dual_waveguide": {"axis": "separation_um", "grid": "linear", "start": 0.02, "stop": 0.04, "count": 2},
+    "bragg": {"axis": "n_periods", "grid": "linear", "start": 0, "stop": 2, "count": 3},
+    "figure_of_merit": {"axis": "height_um", "grid": "linear", "start": 0.01, "stop": 0.02, "count": 2},
+    "orientation": {"axis": "angle_deg", "grid": "linear", "start": 0.0, "stop": 90.0, "count": 2},
+    "oracle_check": {"axis": "frequency_GHz", "grid": "log", "start": 1.0, "count": 1},
+}
+BLOCK_SCENARIO = {"dual": "dual_waveguide", "bragg": "bragg", "eo": "figure_of_merit", "orientation_axis": "orientation"}
+
+
+def scenario_config(scenario, **overrides):
+    """A valid small config of ``scenario`` that holds every scenario-owned
+    block, each one valid."""
+    cfg = base_config(
+        scenario=scenario,
+        sweep=dict(SCENARIO_SWEEPS[scenario]),
+        quadrature=dict(SMALL_QUAD),
+        dual={"direction": [1, 0, 0], "relative_sign": -1},
+        bragg={"low": "silicon", "high": "sapphire"},
+        eo={"g0_Hz": 2000.0, "v_ref_um3": 8000.0},
+        orientation_axis=[0, 0, 1],
+    )
+    cfg.update(overrides)
+    return cfg
+
+
 def write_config(tmp_path, cfg):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
@@ -378,7 +408,8 @@ class TestConfigErrors:
         cfg["sweep"]["axis"] = "height_um"
         cfg["sweep"]["start"] = cfg["sweep"]["stop"] = 0.5
         cfg["sweep"]["count"] = 1
-        self.check(tmp_path, capsys, cfg, "eo: required")
+        assert "eo" not in cfg  # a missing block reads as {}
+        self.check(tmp_path, capsys, cfg, "config error: eo.g0_Hz: required\n")
 
     def test_fractional_n_periods_grid(self, tmp_path, capsys):
         cfg = base_config(
@@ -593,10 +624,8 @@ class TestConfigErrors:
             pytest.fail("a rate was computed for a section of the wrong type")
 
         monkeypatch.setattr(cli, "execute", never)
-        cfg = base_config(**{section: value})
-        if section == "bragg":  # the one scenario that reads the section
-            cfg["scenario"] = "bragg"
-            cfg["sweep"] = {"axis": "n_periods", "grid": "linear", "start": 0, "stop": 2, "count": 3}
+        # the one scenario that reads the section
+        cfg = scenario_config(BLOCK_SCENARIO.get(section, "rayleigh"), **{section: value})
         self.check(tmp_path, capsys, cfg, f"config error: {section}: expected an object")
 
     @pytest.mark.parametrize(
@@ -631,7 +660,9 @@ class TestConfigErrors:
             pytest.fail("a rate was computed for an invalid config")
 
         monkeypatch.setattr(cli, "execute", never)
-        cfg = base_config(scenario="mie", quadrature=dict(SMALL_QUAD))
+        # a scenario-owned block is read by its one scenario
+        scenario = next((BLOCK_SCENARIO[key] for key in edit if key in BLOCK_SCENARIO), "mie")
+        cfg = base_config(scenario=scenario, sweep=dict(SCENARIO_SWEEPS[scenario]), quadrature=dict(SMALL_QUAD))
         for section in ("mode", "sweep", "quadrature"):
             cfg[section].update(edit.get(section, {}))
         cfg["inclusions"][0].update(edit.get("inclusion", {}))
@@ -1247,13 +1278,44 @@ class TestMaterialsEnvAndValidate:
         assert "ok: 4 material(s) validated" in out
         assert "lithium_niobate" in out
 
-    def test_validate_bad_record(self, tmp_path, capsys):
-        bad = [{"name": "x", "rho": -5.0, "C": [0.0] * 36, "d": [0.0] * 18, "eps_r": [0.0] * 9}]
-        db_path = tmp_path / "bad.json"
-        db_path.write_text(json.dumps(bad))
-        code = main(["materials", "validate", str(db_path)])
+    @staticmethod
+    def _db_with(tmp_path, record):
+        """The stock database plus ``record``."""
+        db_path = tmp_path / "db.json"
+        save_materials(default_materials(), db_path)
+        db_path.write_text(json.dumps(json.loads(db_path.read_text()) + [record]))
+        return db_path
+
+    # silicon's stiffness at a density of 1e-300, whose Christoffel entries overflow
+    LIGHT_SILICON = {
+        "name": "weird", "rho": 1e-300, "C": default_materials()["silicon"].C.ravel().tolist(),
+        "d": [0.0] * 18, "eps_r": np.eye(3).ravel().tolist(),
+    }
+
+    @pytest.mark.parametrize(
+        ("record", "line"),
+        [
+            ({"name": "x", "rho": -5.0, "C": [0.0] * 36, "d": [0.0] * 18, "eps_r": [0.0] * 9},
+             "material 'x': density must be positive"),
+            (LIGHT_SILICON, "material 'weird': stiffness over density overflows the Christoffel matrix"),
+        ],
+        ids=["negative-density", "christoffel-overflow"],
+    )
+    def test_validate_bad_record(self, tmp_path, capsys, record, line):
+        code = main(["materials", "validate", str(self._db_with(tmp_path, record))])
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {line}\n"
+
+    def test_density_too_small_for_the_christoffel_matrix_is_blamed_on_the_database(self, tmp_path, capsys):
+        """Refused as the database loads: no numpy warning, and no blame on
+        the field that uses the material."""
+        cfg = scenario_config("bragg", materials_db=str(self._db_with(tmp_path, self.LIGHT_SILICON)))
+        cfg["bragg"]["low"] = "weird"
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            "config error: materials_db: material 'weird': stiffness over density overflows the Christoffel matrix\n"
+        )
 
     def test_validate_missing_file(self, tmp_path, capsys):
         code = main(["materials", "validate", str(tmp_path / "ghost.json")])
@@ -1312,14 +1374,56 @@ class TestLoadRunConfig:
         assert np.allclose(R @ [1, 0, 0], [0, 1, 0], atol=1e-12)
 
     def test_null_section_reads_as_its_defaults(self, tmp_path):
-        cfg = load_run_config(write_config(tmp_path, base_config(quadrature=None, dual=None, bragg=None, eo=None)))
+        nulls = dict(quadrature=None, dual=None, bragg=None, eo=None, orientation_axis=None)
+        cfg = load_run_config(write_config(tmp_path, scenario_config("dual_waveguide", **nulls)))
         assert cfg.quad == load_run_config(write_config(tmp_path, base_config())).quad
         assert cfg.dual_relative_sign == -1
+        assert cfg.dual_direction.tolist() == [1.0, 0.0, 0.0]
         assert cfg.eo is None
 
-    def test_bragg_block_is_read_by_the_bragg_scenario_alone(self, tmp_path):
-        bragg = {"low": "nope", "center_frequency_GHz": -1.0, "normal": [0, 0, 0], "bogus": 1}
-        assert load_run_config(write_config(tmp_path, base_config(bragg=bragg))).mirror is None
+    @pytest.mark.parametrize(
+        ("block", "value", "line"),
+        [
+            ("dual", {"bogus": 1}, "dual.bogus: unknown field (expected one of ['direction', 'relative_sign'])"),
+            ("dual", {"direction": [0, 0, 0]}, "dual.direction: separation direction must be finite and nonzero in length"),
+            ("dual", {"relative_sign": 2}, "dual.relative_sign: must be one of [1, -1]"),
+            ("dual", {"direction": "x"}, "dual.direction: expected a 3-component list"),
+            ("bragg", {"low": "silicon", "high": "sapphire", "bogus": 1},
+             "bragg.bogus: unknown field (expected one of ['center_frequency_GHz', 'high', 'low', 'normal'])"),
+            ("bragg", {"low": "silicon", "high": "sapphire", "normal": [0, 0, 0]},
+             "bragg.normal: stack normal must be finite and nonzero in length"),
+            ("bragg", {"low": "silicon", "high": "sapphire", "center_frequency_GHz": -1.0},
+             "bragg.center_frequency_GHz: -1 GHz: center frequency must be positive and finite"),
+            ("bragg", {"low": 5, "high": "sapphire"}, "bragg.low: expected a string"),
+            ("eo", {"g0_Hz": 2000.0, "v_ref_um3": 8000.0, "bogus": 1},
+             "eo.bogus: unknown field (expected one of ['g0_Hz', 'overlap', 'v_ref_um3'])"),
+            ("eo", {"g0_Hz": 2000.0, "v_ref_um3": 8000.0, "overlap": 2}, "eo.overlap: overlap fraction must lie in [0, 1]"),
+            ("eo", {"g0_Hz": "2000", "v_ref_um3": 8000.0}, "eo.g0_Hz: expected a number"),
+            ("eo", [], "eo: expected an object"),
+            ("orientation_axis", [0, 0, 0], "orientation_axis: rotation axis must be finite and nonzero in length"),
+            ("orientation_axis", "z", "orientation_axis: expected a 3-component list"),
+        ],
+        ids=["dual-key", "dual-zero", "dual-range", "dual-type", "bragg-key", "bragg-zero", "bragg-range",
+             "bragg-type", "eo-key", "eo-range", "eo-type", "eo-object", "axis-zero", "axis-type"],
+    )
+    def test_each_block_is_read_by_its_scenario_alone(self, tmp_path, capsys, monkeypatch, block, value, line):
+        """Every other scenario loads a config whose block is invalid and
+        leaves the block's fields unset; the one scenario that reads the
+        block exits 2 before any rate, naming the field."""
+        import phonoscat.cli as cli
+
+        monkeypatch.setattr(cli, "execute", lambda cfg: pytest.fail("a rate was computed for an invalid block"))
+        fields = {"dual": ("dual_direction", "dual_relative_sign"), "bragg": ("mirror", "bragg_center_ghz"),
+                  "eo": ("eo",), "orientation_axis": ("orientation_axis",)}[block]
+        for scenario in SCENARIO_SWEEPS:
+            cfg = scenario_config(scenario, **{block: value})
+            if scenario == BLOCK_SCENARIO[block]:
+                code, out = run_cli(tmp_path, cfg)
+                assert code == 2 and not out.exists()
+                assert capsys.readouterr().err == f"config error: {line}\n"
+            else:
+                loaded = load_run_config(write_config(tmp_path, cfg))
+                assert [getattr(loaded, name) for name in fields] == [None] * len(fields), scenario
 
     def test_eps_eff_defaults_to_substrate_average(self, tmp_path, db):
         cfg = load_run_config(write_config(tmp_path, base_config()))

@@ -366,6 +366,23 @@ class TestMaterialSpec:
         with pytest.raises(MaterialError, match="density"):
             self._spec(rho=-1.0)
 
+    def test_rejects_stiffness_over_density_that_overflows_the_christoffel_matrix(self):
+        """The bound 3 |c| / rho, with |c| the rotation-invariant root sum of
+        squares of the tensor entries, holds in every frame: just inside it, a
+        rotated crystal solves without a warning; just past it, the record is
+        refused, naming the material."""
+        from phonoscat.elastodynamics import christoffel_many
+
+        C = DB["silicon"].C
+        edge = 3 * np.linalg.norm(DB["silicon"].stiffness_tensor) / np.finfo(float).max
+        spec = self._spec(C=C, rho=edge * (1 + 1e-12)).rotated(Orientation.about_axis([1, 2, 3], 0.7))
+        khats = np.random.default_rng(5).normal(size=(64, 3))
+        velocities, _ = christoffel_many(spec, khats / np.linalg.norm(khats, axis=1, keepdims=True))
+        assert np.all(np.isfinite(velocities))
+        for rho, stiffness in ((edge * (1 - 1e-12), C), (1e-300, C), (3000.0, isotropic_stiffness(1e307, 1e307))):
+            with pytest.raises(MaterialError, match="^material 'test': stiffness over density overflows"):
+                self._spec(C=stiffness, rho=rho)
+
     def test_isotropic_flag_is_checked(self, tmp_path):
         """A database record's optional ``isotropic`` flag is checked against C."""
         rec = {
