@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Record what the CLI gives for every stored benchmark variant.
+"""Record what the CLI gives for every stored benchmark variant and probe.
 
 Each variant stored in ``perfbench/reference/*.json`` is run through
 ``phonoscat.cli.main(["run", CONFIG, "--out", CSV])`` in this one process, by
@@ -26,8 +26,14 @@ any; OUT is then optional:
 
     PYTHONPATH=src python scripts/variant_outputs.py --check-references
 
-``--only`` runs the slots named ``workload/slot`` alone, and compares and
-checks only their variants.
+Every run also records each committed probe config in ``scripts/probes/``
+as ``probe/<name>``, after its file name.  The probes reach paths that no
+stored variant does: off-axis phases, ``lithium_niobate`` as the substrate,
+and refinement reruns.  They have no stored reference, so
+``--check-references`` does not judge them; ``--compare`` does.
+
+``--only`` runs the slots named ``workload/slot`` and the probes named
+``probe/<name>`` alone, and compares and checks only their variants.
 """
 
 import argparse
@@ -43,27 +49,43 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import harness  # noqa: E402
 import workloads  # noqa: E402
 
+PROBE_DIR = Path(__file__).resolve().parent / "probes"
+
+
+def _chosen(name: str, only) -> bool:
+    """Whether ``only`` (None: everything) holds the slot of the variant
+    ``workload/slot/index`` or the name of the probe ``probe/<name>``."""
+    return only is None or (name if name.startswith("probe/") else name.rsplit("/", 1)[0]) in only
+
 
 def stored_variants(only=None):
     """(name, variant) of each stored variant, in file order."""
     for path in sorted(workloads.REFERENCE_DIR.glob("*.json")):
         pool = json.loads(path.read_text(encoding="utf-8"))
         for slot in pool["slots"]:
-            if only is not None and f"{pool['workload']}/{slot['name']}" not in only:
-                continue
             for index, variant in enumerate(slot["variants"]):
-                yield f"{pool['workload']}/{slot['name']}/{index}", variant
+                name = f"{pool['workload']}/{slot['name']}/{index}"
+                if _chosen(name, only):
+                    yield name, variant
+
+
+def probe_configs(only=None):
+    """(name, config bytes) of each committed probe, in file order."""
+    for path in sorted(PROBE_DIR.glob("*.json")):
+        if _chosen(f"probe/{path.stem}", only):
+            yield f"probe/{path.stem}", path.read_bytes()
 
 
 def variant_outputs(only=None) -> dict[str, list]:
-    """The [exit code, report, csv] of each stored variant, by name; csv is
-    None when the run wrote none."""
+    """The [exit code, report, csv] of each stored variant and probe, by
+    name; csv is None when the run wrote none."""
     outputs = {}
+    configs = [(name, workloads.config_bytes(variant["config"])) for name, variant in stored_variants(only)]
     os.environ.pop("PHONOSCAT_MATERIALS", None)  # the bundled database, as the references used
     with tempfile.TemporaryDirectory() as tmp:
         config, csv = Path(tmp) / "config.json", Path(tmp) / "out.csv"
-        for name, variant in stored_variants(only):
-            config.write_bytes(workloads.config_bytes(variant["config"]))
+        for name, data in configs + list(probe_configs(only)):
+            config.write_bytes(data)
             csv.unlink(missing_ok=True)
             code, report = harness.run_config(cli, config, csv)
             text = csv.read_text(encoding="utf-8") if csv.exists() else None
@@ -103,7 +125,9 @@ def differences(old: dict[str, list], new: dict[str, list]) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", nargs="?", help="JSON file to write (optional with --check-references)")
-    parser.add_argument("--only", nargs="+", metavar="WORKLOAD/SLOT", help="run only these slots")
+    parser.add_argument(
+        "--only", nargs="+", metavar="WORKLOAD/SLOT", help="run only these slots and probe/<name> probes"
+    )
     parser.add_argument("--compare", metavar="OLD.json", help="name every variant that differs from OLD.json")
     parser.add_argument(
         "--check-references", action="store_true",
@@ -114,15 +138,15 @@ def main(argv=None) -> int:
         parser.error("OUT is required unless --check-references is given")
     only = set(args.only) if args.only else None
     old = json.loads(Path(args.compare).read_text(encoding="utf-8")) if args.compare else None
-    if old is not None and only is not None:
-        old = {name: value for name, value in old.items() if name.rsplit("/", 1)[0] in only}
+    if old is not None:
+        old = {name: value for name, value in old.items() if _chosen(name, only)}
     outputs = variant_outputs(only)
     if not outputs:
-        parser.error(f"no stored variant matches {args.only}")
+        parser.error(f"no stored variant or probe matches {args.only}")
     if args.out is not None:
         Path(args.out).write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         failed = sum(code != 0 for code, _, _ in outputs.values())
-        print(f"{len(outputs)} variants written to {args.out}, {failed} with a non-zero exit")
+        print(f"{len(outputs)} variants and probes written to {args.out}, {failed} with a non-zero exit")
     lines = []
     if old is not None:
         diffs = differences(old, outputs)
@@ -131,7 +155,8 @@ def main(argv=None) -> int:
         lines += diffs
     if args.check_references:
         misses = reference_failures(outputs, only)
-        print("\n".join(misses + [f"{len(misses)} of {len(outputs)} variants miss their stored reference"]))
+        judged = sum(not name.startswith("probe/") for name in outputs)
+        print("\n".join(misses + [f"{len(misses)} of {judged} variants miss their stored reference"]))
         lines += misses
     return 1 if lines else 0
 

@@ -88,11 +88,10 @@ _UM3 = 1e-18
 # CSV column header of each rate-sweep axis
 _COLUMNS = {"frequency_GHz": "f_GHz", "height_um": "h_um", "thickness_um": "t_um"}
 
-# Size bounds: a sweep and a Bragg stack must fit in memory, and a quadrature
-# pool may not start an OS thread per node span.  The quadrature grid caps
-# belong to radiation, which also bounds the grids its refinements build.
+# Size bound: a sweep and a Bragg stack must fit in memory.  The quadrature
+# grid caps belong to radiation, which also bounds the grids its refinements
+# build.
 _MAX_COUNT = 10_000
-_MAX_THREADS = 64
 
 
 class ConfigError(ValueError):
@@ -396,14 +395,13 @@ def load_run_config(path: str) -> RunConfig:
         )
     values = _sweep_values(sweep, axis)
 
-    quad_cfg = _object(raw.get("quadrature"), "quadrature", {"n_theta", "n_phi", "tolerance", "threads"})
+    quad_cfg = _object(raw.get("quadrature"), "quadrature", {"n_theta", "n_phi", "tolerance"})
     quad = _blame(  # the spec checks the lower bounds, parse the size caps
-        {key: f"quadrature.{key}" for key in ("n_theta", "n_phi", "tolerance", "threads")},
+        {key: f"quadrature.{key}" for key in ("n_theta", "n_phi", "tolerance")},
         QuadratureSpec,
         n_theta=_integer(quad_cfg, "n_theta", "quadrature", default=64, maximum=_MAX_THETA),
         n_phi=_integer(quad_cfg, "n_phi", "quadrature", default=128, maximum=_MAX_PHI),
         tolerance=_number(quad_cfg, "tolerance", "quadrature", default=1e-3),
-        threads=_integer(quad_cfg, "threads", "quadrature", default=1, maximum=_MAX_THREADS),
     )
 
     output = raw.get("output")

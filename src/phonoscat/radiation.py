@@ -52,11 +52,10 @@ off-centre inclusion.  An antipodal pair (the two copies of a
 ``dual_waveguide`` pair about the origin) costs one sine (opposite signs) or
 one cosine (equal signs) per node.  One grid's pass,
 ``_gamma_branches``, evaluates all three branches together on fixed-size
-node spans (optionally across a thread pool) and reduces them by numpy's
-deterministic pairwise summation in fixed node order, so serial and
-threaded runs agree bitwise.  Every factor is computed in the float order of
-a point that computes it alone, so a sweep point equals its lone
-``refined_rate`` bit for bit.
+node spans and reduces them by numpy's pairwise summation in fixed node
+order.  Every factor is computed in the float order of a point that
+computes it alone, so a sweep point equals its lone ``refined_rate`` bit
+for bit.
 
 ``mie_rate`` is the raw primitive and only flags an unconverged estimate.
 ``_rates`` is the one evaluator: it owns the sweep tables, doubles the node
@@ -93,9 +92,9 @@ from .materials import CONSTANTS, MaterialSpec, ParameterError
 # Regime boundary: Rayleigh when max_i |k| L_i stays below this.
 THETA_REGIME = 0.2
 
-# Node-span size of a grid pass, fixed so threading cannot change per-node
-# arithmetic.  Every per-node operation is elementwise, and kvec @ r rounds
-# the same in any span of two or more nodes, so the size sets speed alone.
+# Node-span size of a grid pass.  Every per-node operation is elementwise,
+# and kvec @ r rounds the same in any span of two or more nodes, so the size
+# sets speed and the temporaries' memory, not the values.
 # Measured with perfbench (probe-scaled wall_s, 2 vCPUs): 4096 halves the
 # per-span Python work of 2048, 7.7% off sweep_hot and 2.5% off orientation;
 # 8192 was 17% slower than 4096 on orientation and 3% on sweep_hot, with
@@ -142,7 +141,11 @@ class QuadratureSpec:
     n_theta: int = 64
     n_phi: int = 128
     tolerance: float = 1e-3  # relative node-doubling tolerance, at least the double epsilon
-    threads: int = 1
+    # Not a field: every grid pass is serial.  This constant exists only for
+    # the benchmark's single-thread pin (perfbench/test_perfbench.py reads
+    # cfg.quad.threads); the benchmark change that drops the pin (ROADMAP
+    # item 2) deletes both.
+    threads = 1
 
     def __post_init__(self):
         if self.n_theta < 2:
@@ -152,8 +155,6 @@ class QuadratureSpec:
         eps = np.finfo(float).eps
         if not self.tolerance >= eps:  # a smaller relative change is rounding
             raise ParameterError("tolerance", f"quadrature tolerance must be at least {eps:.3g}, the double epsilon")
-        if self.threads < 1:
-            raise ParameterError("threads", "thread count must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -316,29 +317,6 @@ def _coherent_power(src: _Sources, vm: list[np.ndarray], ff: list[np.ndarray], k
     return re
 
 
-def _each_span(n: int, threads: int, work) -> None:
-    """Call ``work(a, b)`` on the fixed node spans of an n-node grid.
-
-    Spans are _CHUNK nodes long whatever the thread count, so a node's
-    arithmetic does not depend on how the spans are scheduled.  The finest
-    grid, 2048 x 4096, has 2048 spans; a 64 x 128 grid has two.
-    """
-    spans = [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
-    if threads > 1 and len(spans) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # imported only when a pool runs
-        state = np.geterr()  # a pool thread does not inherit the caller's np.errstate
-
-        def task(span):
-            with np.errstate(**state):
-                work(*span)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(task, spans))
-    else:
-        for a, b in spans:
-            work(a, b)
-
-
 class _Wave(NamedTuple):
     """The factors of the integrand that depend on the grid and omega0 alone,
     each a C-contiguous, read-only (3, N) array, one row per branch."""
@@ -459,7 +437,6 @@ def _gamma_branches(
     tables: _SweepTables,
     n_theta: int,
     n_phi: int,
-    threads: int,
 ) -> np.ndarray:
     """Golden-rule rate of each branch on one n_theta x n_phi grid, shape (3,).
 
@@ -475,7 +452,7 @@ def _gamma_branches(
     values = np.empty((3, n))
     terms = 1 if src.part else src.volume.size  # the kernel reads a pair's first term alone
 
-    def work(a, b):
+    def work(a, b):  # a function, so one span's temporaries are freed before the next span's are made
         vm = [vol * mj[:, a:b] for vol, mj in zip(src.volume[:terms], m)]
         ff = []
         for x, y, z in cols[:terms]:
@@ -487,8 +464,8 @@ def _gamma_branches(
         p *= wave.B[:, a:b]
         np.multiply(wave.A[:, a:b], p, out=values[:, a:b])
 
-    _each_span(n, threads, work)
-    # fixed-order pairwise reduction: deterministic for any thread count
+    for a in range(0, n, _CHUNK):
+        work(a, min(a + _CHUNK, n))
     return np.array([np.add.reduce(grid.weights * values[q]) for q in range(3)])
 
 
@@ -546,8 +523,8 @@ def mie_rate(
         tables = _SweepTables(substrate)
     with np.errstate(all="ignore"):  # RadiationResult refuses overflow; "all" skips numpy's status checks
         src = _sources(mode, incs)
-        coarse = _gamma_branches(mode, src, tables, quad.n_theta, quad.n_phi, quad.threads)
-        fine = _gamma_branches(mode, src, tables, 2 * quad.n_theta, 2 * quad.n_phi, quad.threads)
+        coarse = _gamma_branches(mode, src, tables, quad.n_theta, quad.n_phi)
+        fine = _gamma_branches(mode, src, tables, 2 * quad.n_theta, 2 * quad.n_phi)
         total = float(np.sum(fine))
         rel = abs(total - float(np.sum(coarse))) / total if total > 0 else 0.0
     diag = QuadratureDiagnostics(

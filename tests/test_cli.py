@@ -192,17 +192,6 @@ class TestRunMie:
         _, out2 = run_cli(tmp_path, cfg)
         assert out2.read_bytes() == data1
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        cfg = self._cfg()
-        cfg["inclusions"][0]["dimensions_um"] = [0.5, 1.0, 5.0]
-        cfg["sweep"] = {"axis": "frequency_GHz", "grid": "log", "start": 5.0, "stop": 10.0, "count": 2}
-        _, out1 = run_cli(tmp_path, cfg)
-        serial = out1.read_bytes()
-        cfg["quadrature"]["threads"] = 4
-        code = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "t.csv")])
-        assert code == 0
-        assert (tmp_path / "t.csv").read_bytes() == serial
-
     def test_anisotropic_substrate_allowed(self, tmp_path):
         cfg = self._cfg(substrate="sapphire")
         cfg["sweep"]["count"] = 2
@@ -557,32 +546,20 @@ class TestConfigErrors:
                 main(["run", write_config(tmp_path, base_config())] + flag)
             assert exit_info.value.code == 2
 
-    @pytest.mark.parametrize(
-        ("via", "value", "needle"),
-        [
-            ("n_periods", 4e18, "sweep.start: n_periods must be between 0 and 10000"),
-            ("n_periods", 10_001, "sweep.start: n_periods must be between 0 and 10000"),
-            ("threads", 65, "quadrature.threads: must be at most 64"),
-            ("threads", 4 * 10**18, "quadrature.threads: must be at most 64"),
-        ],
-    )
-    def test_size_beyond_its_maximum_computes_nothing(self, tmp_path, capsys, monkeypatch, via, value, needle):
+    @pytest.mark.parametrize("value", [4e18, 10_001])
+    def test_size_beyond_its_maximum_computes_nothing(self, tmp_path, capsys, monkeypatch, value):
         import phonoscat.cli as cli
 
         def never(cfg):
             pytest.fail("a rate was computed before the size bound was checked")
 
         monkeypatch.setattr(cli, "execute", never)
-        cfg = base_config(scenario="mie", quadrature=dict(SMALL_QUAD))
-        if via == "n_periods":
-            cfg = base_config(scenario="bragg", bragg={"low": "silicon", "high": "sapphire"})
-            cfg["sweep"] = {"axis": "n_periods", "grid": "linear", "start": value, "stop": value, "count": 1}
-        else:
-            cfg["quadrature"]["threads"] = value
+        cfg = base_config(scenario="bragg", bragg={"low": "silicon", "high": "sapphire"})
+        cfg["sweep"] = {"axis": "n_periods", "grid": "linear", "start": value, "stop": value, "count": 1}
         code, _ = run_cli(tmp_path, cfg)
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"config error: {needle}")
+        assert err.startswith("config error: sweep.start: n_periods must be between 0 and 10000")
 
     @pytest.mark.parametrize(
         ("where", "value", "needle"),
@@ -634,6 +611,8 @@ class TestConfigErrors:
             ({"mode": {"frequency_GHz": "10"}}, "mode.frequency_GHz: expected a number"),
             ({"mode": {"mode_volume_um3": 0}}, "mode.mode_volume_um3: mode volume must be positive and finite"),
             ({"quadrature": {"n_theta": 1}}, "quadrature.n_theta: quadrature needs n_theta >= 2"),
+            ({"quadrature": {"threads": 1}},
+             "quadrature.threads: unknown field (expected one of ['n_phi', 'n_theta', 'tolerance'])\n"),
             ({"mode": {"field_direction": [0, 0, 0]}},
              "mode.field_direction: field direction must be finite and nonzero in length"),
             ({"inclusion": {"orientation": {}}}, "inclusions[0].orientation: expected matrix or axis/angle_deg"),
@@ -649,7 +628,7 @@ class TestConfigErrors:
             ({"sweep": {"axis": "height_um", "start": 0.01}, "copies": 2},
              "inclusions: sweep axis 'height_um' needs exactly one inclusion"),
         ],
-        ids=["number-type", "number-positive", "integer-minimum", "vector-nonzero", "orientation-empty",
+        ids=["number-type", "number-positive", "integer-minimum", "no-threads", "vector-nonzero", "orientation-empty",
              "log-bounds", "log-stop-bound", "axis-positive", "inclusion-sign", "dual-sign", "eo-overlap",
              "output-type", "axis-one-inclusion"],
     )
@@ -1019,21 +998,21 @@ class TestNumericFailure:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "signs, pair, grid, threads, rates",
+        "signs, pair, grid, rates",
         [
-            ((1, -1), True, (8, 16), 1, "[inf inf inf]"),
-            ((1, 1), True, (8, 16), 1, "[inf inf inf]"),
-            ((1, -1), False, (8, 16), 1, "[nan nan nan]"),
-            ((1, -1), True, (32, 64), 2, "[inf inf inf]"),
+            ((1, -1), True, (8, 16), "[inf inf inf]"),
+            ((1, 1), True, (8, 16), "[inf inf inf]"),
+            ((1, -1), False, (8, 16), "[nan nan nan]"),
+            ((1, -1), True, (32, 64), "[inf inf inf]"),
         ],
-        ids=["pair-opposite", "pair-equal", "general", "pair-threads"],
+        ids=["pair-opposite", "pair-equal", "general", "pair-two-spans"],
     )
-    def test_overflowing_pair_exits_3_with_one_line(self, tmp_path, capsys, signs, pair, grid, threads, rates):
+    def test_overflowing_pair_exits_3_with_one_line(self, tmp_path, capsys, signs, pair, grid, rates):
         """Two 1e66 um cuboids at +-3e66 um with V_E = 1e-282 um^3: V M
         overflows.  An antipodal pair's one part gives inf, a copy of
-        other dimensions takes the general sum and gives nan, and a pool
-        thread runs under the pass's error state: one message, no numpy
-        warning, nothing written."""
+        other dimensions takes the general sum and gives nan, on a fine
+        grid of one node span or of two: one message, no numpy warning,
+        nothing written."""
         cube = {"material": "lithium_niobate", "dimensions_um": [1e66] * 3, "orientation": XCUT}
         other = dict(cube, dimensions_um=[1e66] * 3 if pair else [1e66, 1e66, 0.5e66])
         cfg = base_config(
@@ -1042,7 +1021,7 @@ class TestNumericFailure:
                 dict(cube, center_um=[3e66, 0, 0], sign=signs[0]),
                 dict(other, center_um=[-3e66, 0, 0], sign=signs[1]),
             ],
-            quadrature={"n_theta": grid[0], "n_phi": grid[1], "threads": threads},
+            quadrature={"n_theta": grid[0], "n_phi": grid[1]},
         )
         cfg["mode"]["mode_volume_um3"] = 1e-282
         cfg["sweep"] = {"axis": "frequency_GHz", "grid": "log", "start": 10.0, "stop": 10.0, "count": 1}
@@ -1324,8 +1303,8 @@ class TestMaterialsEnvAndValidate:
 
 def test_importing_the_cli_loads_only_what_a_run_uses():
     """A fresh ``phonoscat run`` pays for no thread pool, logging or selftest
-    import: the pool is imported when a threaded pass starts, the checks
-    when ``selftest`` runs."""
+    import: a run starts no pool, and the checks are imported when
+    ``selftest`` runs."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (

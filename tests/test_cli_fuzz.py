@@ -49,7 +49,7 @@ def _config(scenario, axis, start, stop, count, **extra):
         "mode": {"frequency_GHz": 10.0, "mode_volume_um3": 8000.0, "field_direction": [0, 1, 0], "eps_eff": 10.0},
         "inclusions": [copy.deepcopy(CUBE)],
         "sweep": {"axis": axis, "grid": "linear", "start": start, "stop": stop, "count": count},
-        "quadrature": dict(QUAD, tolerance=1e-3, threads=1),
+        "quadrature": dict(QUAD, tolerance=1e-3),
     }
     cfg.update(extra)
     return cfg
@@ -229,7 +229,7 @@ def test_every_number_at(value, tmp_path, capsys):
             assert _nan_cells(out) == [], where
             assert _inf_cells(out) == [], where
             runs += 1
-    assert runs == 217
+    assert runs == 210
 
 
 MATERIALS = (resources.files("phonoscat") / "data" / "materials.json").read_bytes()

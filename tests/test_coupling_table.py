@@ -19,7 +19,6 @@ mie_rate and an orientation scan read sweep tables too, one per call.
 
 import dataclasses
 import gc
-import json
 import types
 
 import numpy as np
@@ -27,7 +26,6 @@ import pytest
 
 import phonoscat.elastodynamics as elastodynamics
 import phonoscat.radiation as radiation
-from phonoscat.cli import main
 from phonoscat.coupling import Inclusion
 from phonoscat.elastodynamics import AngularTable, _table_key, angular_table
 from phonoscat.materials import Orientation
@@ -445,49 +443,6 @@ def test_orientation_scan_makes_one_coupling_table(db, ln, monkeypatch):
     scan = sweep_orientation(make_mode(substrate), _bar(ln), substrate, angles, quad=LOOSE)
     assert all(r.diagnostics.refinements == 0 for r in scan.results)
     assert len(made) == 1  # one for the whole scan, not one per angle
-
-
-def test_threads_do_not_change_shared_results(db, ln):
-    substrate = db["sapphire"]
-    mode = make_mode(substrate)
-    inc = _waveguide(ln)
-    seps = [np.array([s, 0.0, 0.0]) for s in (1e-6, 3e-6)]
-    out = {}
-    for threads in (1, 2):
-        quad = QuadratureSpec(32, 64, threads=threads)  # the fine grid spans two node spans
-        out[threads] = (
-            sweep(mode, inc, substrate, "height", AXES["height"], quad).results,
-            [r.pair for r in dual_waveguide_sweep(mode, inc, substrate, seps, -1, quad)],
-        )
-    for serial, threaded in zip(out[1], out[2]):
-        assert all(_same(a, b) for a, b in zip(serial, threaded))
-
-
-@pytest.mark.parametrize("scenario,axis", [("mie", "height_um"), ("dual_waveguide", "separation_um")])
-def test_threads_do_not_change_csv_bytes(tmp_path, scenario, axis):
-    cfg = {
-        "scenario": scenario,
-        "substrate": "sapphire",
-        "mode": {"frequency_GHz": 10.0, "mode_volume_um3": 8000.0, "field_direction": [0, 1, 0]},
-        "inclusions": [
-            {
-                "material": "lithium_niobate",
-                "dimensions_um": [0.5, 1.0, 5.0],
-                "orientation": {"matrix": XCUT_MATRIX.tolist()},
-            }
-        ],
-        "sweep": {"axis": axis, "grid": "linear", "start": 1.0, "stop": 2.0, "count": 3},
-        "quadrature": {"n_theta": 32, "n_phi": 64},
-    }
-    data = []
-    for threads in (1, 2):
-        cfg["quadrature"]["threads"] = threads
-        path = tmp_path / f"t{threads}.json"
-        path.write_text(json.dumps(cfg))
-        out = tmp_path / f"t{threads}.csv"
-        assert main(["run", str(path), "--out", str(out)]) == 0
-        data.append(out.read_bytes())
-    assert data[0] == data[1]
 
 
 def test_table_is_dropped_with_the_sweep(db, ln, empty_memo):

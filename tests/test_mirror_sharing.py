@@ -460,7 +460,7 @@ def test_gamma_branches_equals_the_per_branch_pass_bit_for_bit(db, ln, name, cen
     src = _sources(mode, incs)
     tables = radiation._SweepTables(substrate)
     for grid in [(48, 96), (9, 5)]:
-        got = radiation._gamma_branches(mode, src, tables, *grid, 1)
+        got = radiation._gamma_branches(mode, src, tables, *grid)
         assert np.array_equal(got, _per_branch_gamma(mode, src, substrate, *grid))
 
 
@@ -484,7 +484,7 @@ def test_the_span_size_changes_no_bit(db, ln, monkeypatch, name, centres):
         for chunk in (2048, 4096):
             monkeypatch.setattr(radiation, "_CHUNK", chunk)
             assert 1 < grid[0] * grid[1] % chunk
-            rates.append(radiation._gamma_branches(mode, src, radiation._SweepTables(substrate), *grid, 1))
+            rates.append(radiation._gamma_branches(mode, src, radiation._SweepTables(substrate), *grid))
         assert np.array_equal(rates[0].view(np.int64), rates[1].view(np.int64))
 
 
@@ -610,7 +610,7 @@ def test_an_off_origin_or_zero_separation_pair_keeps_its_path(db, ln, monkeypatc
     assert got.pair.diagnostics == want.pair.diagnostics
 
 
-def _reference_pass(mode, src, tables, n_theta, n_phi, threads):
+def _reference_pass(mode, src, tables, n_theta, n_phi):
     return _per_branch_gamma(mode, src, tables.substrate, n_theta, n_phi)
 
 
@@ -648,7 +648,7 @@ def test_the_span_edge_grids_follow_the_span_size():
 def test_antipodal_pair_pass_equals_the_per_branch_pass_bit_for_bit(db, ln, name, signs, grid):
     """Partial spans, a half that ends inside a span (48x96), a grid of one
     partial span (5x683), a grid of 4097 nodes, whose last span is one node,
-    and one of 4096, serial and on three threads.  numpy's matmul gives a
+    and one of 4096.  numpy's matmul gives a
     one-node span's x by another path, so each node's phase must come from
     kvec of its own span, as the reference computes it."""
     substrate = db[name]
@@ -657,9 +657,8 @@ def test_antipodal_pair_pass_equals_the_per_branch_pass_bit_for_bit(db, ln, name
         src = _sources(mode, _twin_pair(ln, np.array(dims), signs, center))
         assert src.part == ("sin" if signs[0] != signs[1] else "cos")
         tables = radiation._SweepTables(substrate)
-        got = radiation._gamma_branches(mode, src, tables, *grid, 1)
+        got = radiation._gamma_branches(mode, src, tables, *grid)
         assert np.array_equal(got, _per_branch_gamma(mode, src, substrate, *grid))
-        assert np.array_equal(radiation._gamma_branches(mode, src, tables, *grid, 3), got)
 
 
 @pytest.mark.parametrize("grid", [(48, 96), (9, 5), ONE_PAST_A_SPAN, (5, 683), ONE_SPAN])
@@ -695,7 +694,7 @@ def test_pair_power_equals_the_general_sum_node_by_node(db, ln, monkeypatch, nam
             src = _sources(mode, _twin_pair(ln, SMALL, signs, center))
             assert src.part == part
             seen.clear()
-            radiation._gamma_branches(mode, src, radiation._SweepTables(substrate), *grid, 1)
+            radiation._gamma_branches(mode, src, radiation._SweepTables(substrate), *grid)
             assert seen == [b - a for a, b in spans]
 
 

@@ -151,13 +151,6 @@ class TestEngineCrossChecks:
 
 
 class TestDeterminism:
-    def test_threaded_result_is_bitwise_equal(self, substrate, waveguide):
-        mode = make_mode(substrate)
-        serial = mie_rate(mode, waveguide, substrate, QuadratureSpec(32, 64, threads=1))
-        threaded = mie_rate(mode, waveguide, substrate, QuadratureSpec(32, 64, threads=4))
-        assert serial.total_rate == threaded.total_rate
-        assert np.array_equal(serial.branch_rates, threaded.branch_rates)
-
     def test_degenerate_basis_choice_cancels(self, substrate, waveguide, remix_tables):
         """Isotropic shear branches are degenerate everywhere; remixing the
         eigenbasis must leave the summed rate unchanged."""
@@ -354,12 +347,18 @@ class TestQuadratureControls:
             (dict(tolerance=eps / 2), floor, "tolerance"),
             (dict(tolerance=1e-17), floor, "tolerance"),
             (dict(tolerance=1e-310), floor, "tolerance"),
-            (dict(threads=0), "^thread count must be at least 1$", "threads"),
         ]:
             with pytest.raises(ParameterError, match=msg) as e:
                 QuadratureSpec(**kwargs)
             assert e.value.parameter == parameter
         assert QuadratureSpec(tolerance=eps).tolerance == eps
+
+    def test_thread_count_is_not_a_field(self):
+        """Every grid pass is serial; ``threads`` is a class constant, not a field."""
+        with pytest.raises(TypeError):
+            QuadratureSpec(32, 64, threads=2)
+        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["n_theta", "n_phi", "tolerance"]
+        assert QuadratureSpec(32, 64).threads == 1
 
     @pytest.mark.parametrize("cap,built", [((8, 16), [(4, 8), (8, 16), (16, 32)]), ((7, 16), [(4, 8), (8, 16)])])
     def test_no_refinement_past_the_grid_cap_is_built(self, substrate, waveguide, monkeypatch, empty_memo, cap, built):

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 import phonoscat
-from phonoscat.cli import _SCENARIOS, build_parser
+from phonoscat.cli import _SCENARIOS, build_parser, load_run_config
 from phonoscat.materials import _RECORD_KEYS
 from phonoscat.selftest import run_all
 
@@ -178,6 +178,32 @@ sys.exit(tool.main(sys.argv[1:]))
     ]
     assert sorted((ROOT / "perfbench" / "reference").iterdir()) == references
     assert all(path.read_bytes() == data for path, data in before.items())
+
+
+def test_variant_outputs_records_a_probe_that_check_references_does_not_judge(tmp_path):
+    """A config in ``scripts/probes/`` is recorded as ``probe/<name>`` beside
+    the stored variants.  It has no stored reference, so
+    ``--check-references`` judges the variants alone."""
+    out = tmp_path / "outputs.json"
+    script = [sys.executable, str(ROOT / "scripts" / "variant_outputs.py"), str(out), "--check-references"]
+    only = ["--only", "mixed_cold/mie_iso_pair", "probe/bragg_silicon"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([*script, *only], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0
+    assert run.stdout.splitlines()[-1] == "0 of 16 variants miss their stored reference"
+    got = json.loads(out.read_text(encoding="utf-8"))
+    assert set(got) == {"probe/bragg_silicon"} | {f"mixed_cold/mie_iso_pair/{i}" for i in range(16)}
+    code, report, csv = got["probe/bragg_silicon"]
+    assert code == 0 and csv.startswith("n_periods,")
+    assert report.endswith("csv: <tmp>/out.csv (3 rows)\n")
+
+
+def test_every_probe_config_loads():
+    """A probe that exits 2 would compare equal on any two trees and cover nothing."""
+    probes = sorted((ROOT / "scripts" / "probes").glob("*.json"))
+    assert probes
+    for path in probes:
+        load_run_config(str(path))
 
 
 def test_code_lines_counts_code_outside_comments_and_docstrings():
