@@ -98,11 +98,22 @@ def _waveguide(ln, center=(0.0, 0.0, 0.0), sign=1):
     )
 
 
+# Two source placements: the first on the origin and the second off it in
+# the z = 0 plane, or both off every axis, so that one source alone has a
+# phase too and each phase takes all three components of k.
+CENTRES = {
+    "in-plane": [(0.0, 0.0, 0.0), (0.4e-6, 0.3e-6, 0.0)],
+    "oblique": [(0.3e-6, 0.2e-6, 0.1e-6), (-0.1e-6, 0.4e-6, -0.2e-6)],
+}
+
+
+@pytest.mark.parametrize("centres", list(CENTRES))
 @pytest.mark.parametrize("n_incs", [1, 2])
 @pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
-def test_mie_rate_is_bitwise_equal_to_per_chunk_solve(db, ln, name, n_incs):
+def test_mie_rate_is_bitwise_equal_to_per_chunk_solve(db, ln, name, n_incs, centres):
     substrate = db[name]
-    incs = [_waveguide(ln), _waveguide(ln, center=(0.4e-6, 0.3e-6, 0.0), sign=-1)][:n_incs]
+    first, second = CENTRES[centres]
+    incs = [_waveguide(ln, center=first), _waveguide(ln, center=second, sign=-1)][:n_incs]
     mode = make_mode(substrate, f_hz=9e9)
     # 2560 and 10240 nodes: two and five solve spans, one and three evaluation spans
     quad = QuadratureSpec(32, 80)

@@ -546,20 +546,35 @@ class TestConfigErrors:
                 main(["run", write_config(tmp_path, base_config())] + flag)
             assert exit_info.value.code == 2
 
-    @pytest.mark.parametrize("value", [4e18, 10_001])
-    def test_size_beyond_its_maximum_computes_nothing(self, tmp_path, capsys, monkeypatch, value):
+    @pytest.mark.parametrize(
+        ("via", "value", "needle"),
+        [
+            ("n_periods", 4e18, "sweep.start: n_periods must be between 0 and 10000"),
+            ("n_periods", 10_001, "sweep.start: n_periods must be between 0 and 10000"),
+            ("n_theta", 1025, "quadrature.n_theta: must be at most 1024"),
+            ("n_phi", 4 * 10**18, "quadrature.n_phi: must be at most 2048"),
+            ("count", 10_001, "sweep.count: must be at most 10000"),
+        ],
+    )
+    def test_size_beyond_its_maximum_computes_nothing(self, tmp_path, capsys, monkeypatch, via, value, needle):
         import phonoscat.cli as cli
 
         def never(cfg):
             pytest.fail("a rate was computed before the size bound was checked")
 
         monkeypatch.setattr(cli, "execute", never)
-        cfg = base_config(scenario="bragg", bragg={"low": "silicon", "high": "sapphire"})
-        cfg["sweep"] = {"axis": "n_periods", "grid": "linear", "start": value, "stop": value, "count": 1}
+        cfg = base_config(scenario="mie", quadrature=dict(SMALL_QUAD))
+        if via == "n_periods":
+            cfg = base_config(scenario="bragg", bragg={"low": "silicon", "high": "sapphire"})
+            cfg["sweep"] = {"axis": "n_periods", "grid": "linear", "start": value, "stop": value, "count": 1}
+        elif via == "count":
+            cfg["sweep"]["count"] = value
+        else:
+            cfg["quadrature"][via] = value
         code, _ = run_cli(tmp_path, cfg)
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("config error: sweep.start: n_periods must be between 0 and 10000")
+        assert err.startswith(f"config error: {needle}")
 
     @pytest.mark.parametrize(
         ("where", "value", "needle"),

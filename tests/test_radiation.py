@@ -7,7 +7,9 @@ overlapping domains.
 """
 
 import dataclasses
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -151,6 +153,26 @@ class TestEngineCrossChecks:
 
 
 class TestDeterminism:
+    def test_callers_own_threads_get_the_serial_result(self, substrate, waveguide, empty_memo):
+        """Two caller threads that start on an empty table memo at once each
+        get the rates of a serial call, bit for bit."""
+        mode = make_mode(substrate)
+        quad = QuadratureSpec(32, 64)  # the fine grid spans two node spans
+        barrier = threading.Barrier(2, timeout=30)
+
+        def call(_):
+            barrier.wait()
+            return mie_rate(mode, waveguide, substrate, quad)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(call, range(2), timeout=120))
+        empty_memo.clear()
+        serial = mie_rate(mode, waveguide, substrate, quad)
+        for got in threaded:
+            assert got.total_rate == serial.total_rate
+            assert np.array_equal(got.branch_rates.view(np.int64), serial.branch_rates.view(np.int64))
+            assert got.diagnostics == serial.diagnostics
+
     def test_degenerate_basis_choice_cancels(self, substrate, waveguide, remix_tables):
         """Isotropic shear branches are degenerate everywhere; remixing the
         eigenbasis must leave the summed rate unchanged."""
