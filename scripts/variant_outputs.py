@@ -28,8 +28,8 @@ any; OUT is then optional:
 
 Every run also records each committed probe config in ``scripts/probes/``
 as ``probe/<name>``, after its file name.  The probes reach paths that no
-stored variant does: off-axis phases, ``lithium_niobate`` as the substrate,
-and refinement reruns.  They have no stored reference, so
+stored variant does: off-axis phases in the engine and in the brute-force
+oracle, ``lithium_niobate`` as the substrate, and refinement reruns.  They have no stored reference, so
 ``--check-references`` does not judge them; ``--compare`` does.
 
 ``--only`` runs the slots named ``workload/slot`` and the probes named

@@ -10,15 +10,17 @@ branch 3 is the (quasi-)longitudinal one.  Dispersion is linear,
 The quadrature engine needs the Christoffel solution at every node of an
 angular grid, and the stress pattern ``tau_q(n) = c : (khat_n e_qn)`` of each
 branch there; both depend only on the substrate's density and stiffness and
-on the grid.  ``_TABLES`` is the one memo of such solved grids, a read-only
-``AngularTable`` each: ``angular_table`` keeps the engine's under
-(rho, C, n_theta, n_phi), and ``radiation._oracle_table`` the brute-force
-oracle's under (rho, C, "oracle").  Every ``MaterialSpec`` with the same
-physics shares them, however it was loaded.  Nothing is evicted: the memo
-grows by one table per distinct key for the life of the process.  A table
-keeps the velocities as (3, N) rows and each tau as the C-ordered 3x3 that
-M = tau : S and G read (polarizations are a build-time intermediate): 240
-bytes per node per substrate, about 2.8 MB on the oracle's grid.  The (3, N)
+on the grid.  ``_TABLES`` is the one memo of such solved grids, each a
+read-only record: ``angular_table`` keeps the engine's ``AngularTable``
+under (rho, C, n_theta, n_phi), and ``radiation._oracle_table`` the
+brute-force oracle's own ``_OracleTable`` under (rho, C, "oracle").  Every
+``MaterialSpec`` with the same physics shares them, however it was loaded.
+Nothing is evicted: the memo grows by one table per distinct key for the
+life of the process.  An ``AngularTable`` keeps the velocities as (3, N)
+rows and each tau as the C-ordered 3x3 that M = tau : S and G read
+(polarizations are a build-time intermediate): 240 bytes per node per
+substrate.  The oracle's table keeps tau's six Voigt components instead,
+168 bytes per node (about 2.1 MB), plus its z classes.  The (3, N)
 direction rows and the weights depend on the grid alone, so each grid is
 built once (``_angular_grid``, ``radiation._oracle_grid``) and every table on
 it holds the same read-only arrays: 32 bytes per node once per grid, about
@@ -27,8 +29,8 @@ it holds the same read-only arrays: 32 bytes per node once per grid, about
 The engine's build fills the Christoffel matrices and the Voigt stresses
 with component-major kernels, one elementwise pass per (j, k) or (k, l) term,
 that repeat einsum's float operations in einsum's order.  ``stress_pattern``,
-the einsum form, is the oracle's stress: the oracle shares the table
-container with the engine, but no stress kernel.
+the einsum form, is the oracle's stress: the oracle shares the memo and the
+build's spans with the engine, but no stress kernel.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ class AngularTable:
     made read-only on construction.  ``mirrored``: ring n_theta-1-i has the
     velocities, khat_x and khat_y of ring i and the negated khat_z, bit for
     bit, as an engine build (symmetric ``leggauss`` nodes) finds on
-    ``sapphire_iso`` and ``silicon``, also turned about z; never the oracle's.
+    ``sapphire_iso`` and ``silicon``, also turned about z.
     """
 
     khats: np.ndarray  # (3, N) C-contiguous, row a the a-component of the unit directions
@@ -166,8 +168,9 @@ def _build_table(material: MaterialSpec, n_theta: int, n_phi: int) -> AngularTab
     return AngularTable(khats, weights, velocities, stresses.reshape(3, n, 3, 3), mirrored)
 
 
-# The one memo of solved grids (see the module docstring); no eviction.
-_TABLES: dict[tuple, AngularTable] = {}
+# The one memo of solved grids (see the module docstring); no eviction.  It
+# holds AngularTables and, under (rho, C, "oracle"), radiation's _OracleTables.
+_TABLES: dict[tuple, object] = {}
 
 
 def _table_key(material: MaterialSpec, *grid) -> tuple:
@@ -176,7 +179,7 @@ def _table_key(material: MaterialSpec, *grid) -> tuple:
     return (material.rho, material.C.tobytes(), *grid)
 
 
-def _memo_table(material: MaterialSpec, grid: tuple, build) -> AngularTable:
+def _memo_table(material: MaterialSpec, grid: tuple, build):
     """The memo's one lookup: the table of ``material`` on ``grid``, from
     ``build()`` on first use."""
     key = _table_key(material, *grid)

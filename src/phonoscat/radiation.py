@@ -69,10 +69,13 @@ all their points at once.  The command-line scenarios go through these.
 
 ``brute_force_rate``, the independent oracle, splits its work the same way
 on its own Simpson x uniform grid (built once, about 0.4 MB): the
-Christoffel solve and the einsum stress once per (rho, C), an
-``AngularTable`` in the same memo under (rho, C, "oracle") (about 2.8 MB per
-substrate, never evicted, never mirrored), and per call only the radial
-loop, which evaluates every sinc into buffers allocated once per call.
+Christoffel solve and the einsum stress once per (rho, C), kept in the same
+memo under (rho, C, "oracle") as the oracle's own ``_OracleTable``: the
+velocities, the six Voigt columns of each tau and the z classes, the nodes
+of equal (v, |khat_z|) bits (about 2.1 MB per substrate plus a 0.3 MB
+index, never evicted).  Per call only the radial loop runs: every sinc
+goes into buffers allocated once per call, the x and y sincs per node and
+the z sinc once per class, gathered to the nodes.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coupling import Inclusion, MicrowaveMode, induced_strain
-from .elastodynamics import AngularTable, _memo_table, _product_grid, _spans
+from .elastodynamics import _FULL, _VOIGT_I, _VOIGT_J, AngularTable, _memo_table, _product_grid, _spans
 from .elastodynamics import angular_table, christoffel_many, stress_pattern
 from .materials import CONSTANTS, MaterialSpec, ParameterError
 
@@ -250,9 +253,11 @@ def _sinc(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return s
 
 
-def _wave_vectors(k: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """k khat from (3, n) direction rows, C-contiguous: ``kvec @ r`` rounds differently on a strided view."""
-    kvec = np.empty((*k.shape, 3))
+def _wave_vectors(k: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """k khat from (3, n) direction rows, C-contiguous: ``kvec @ r`` rounds
+    differently on a strided view.  ``out``, a C-contiguous array of shape
+    ``(*k.shape, 3)``, is filled and returned in place of a new array."""
+    kvec = np.empty((*k.shape, 3)) if out is None else out
     for c in range(3):
         np.multiply(k, rows[c], out=kvec[..., c])
     return kvec
@@ -269,9 +274,10 @@ def _coherent_power(src: _Sources, vm: list[np.ndarray], ff: list[np.ndarray], k
     the float additions happen in a fixed order.  When ``src.centred`` the
     phase is exactly 1, so the sum is accumulated as one real array and
     ``kvec`` is not read (it may be None).  Otherwise the caller builds
-    ``kvec`` and keeps it alive across calls: on the oracle's 12k-node grid,
-    freeing it here as well made the allocator return and re-fault the heap
-    on every call (+30% oracle time).  The result is an array of the
+    ``kvec`` and keeps it alive across calls (the oracle refills one array
+    per rate): on the oracle's 12k-node grid, freeing it here as well made
+    the allocator return and re-fault the heap on every call (+30% oracle
+    time).  The result is an array of the
     kernel's own: it never writes into ``vm`` or ``ff``, which the oracle
     reuses across its radial nodes.
 
@@ -638,32 +644,106 @@ def _oracle_grid() -> tuple[np.ndarray, np.ndarray]:
     return _product_grid(np.cos(theta), st, w_theta * st, _BRUTE_PHI)
 
 
-def _oracle_table(substrate: MaterialSpec) -> AngularTable:
+@cache
+def _oracle_rings() -> tuple[np.ndarray, int]:
+    """The |khat_z| class of each node of the oracle's grid, a read-only (N,)
+    intp row, and the number of classes.  All nodes of a ring share khat_z,
+    and only some mirror rings share |khat_z| bit for bit (linspace's theta
+    is not symmetric about pi / 2 to the last bit), so the classes are found
+    once per grid, on the 129 ring values."""
+    khats, _ = _oracle_grid()
+    _, ring = np.unique(np.abs(khats[2, ::_BRUTE_PHI]), return_inverse=True)
+    node_ring = np.repeat(ring, _BRUTE_PHI)
+    node_ring.setflags(write=False)
+    return node_ring, int(ring.max()) + 1
+
+
+class _ZClasses(NamedTuple):
+    """The nodes of one branch of the oracle's table, classed by their
+    (v, |khat_z|) bits: the z sinc ``sinc((omega / v) khat_z L_z / 2)`` is
+    the same at every node of a class, since ``_sinc`` is even bit for bit."""
+
+    nodes: np.ndarray  # (m,) one node of each class
+    index: np.ndarray  # (N,) intp, the class of each node, in 0..m-1
+
+
+def _z_classes(v: np.ndarray, ring: np.ndarray, n_rings: int) -> _ZClasses:
+    """The classes of one branch's (N,) velocities ``v`` and |khat_z| classes
+    ``ring``, from one quicksort of one integer key: the bits of v (v > 0,
+    so they order as v does) above the ring.  A branch whose bits span too
+    wide a range to share an int64 with the ring uses v's rank instead."""
+    bits = v.view(np.int64) - v.view(np.int64).min()
+    if bits.max() >= np.iinfo(np.int64).max // n_rings:
+        bits = np.unique(v, return_inverse=True)[1]
+    key = bits * n_rings + ring
+    order = np.argsort(key)
+    ordered = key[order]
+    first = np.empty(key.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    index = np.empty(key.size, dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return _ZClasses(order[first], index)
+
+
+@dataclass(frozen=True)
+class _OracleTable:
+    """The brute-force oracle's substrate on its grid: 168 bytes per node
+    (2.1 MB) and the z classes' index, 24 bytes per node (0.3 MB).  All
+    arrays are made read-only on construction."""
+
+    khats: np.ndarray  # (3, N) the grid's direction rows (``_oracle_grid``), shared by every substrate
+    weights: np.ndarray  # (N,) solid-angle weights, shared likewise
+    velocities: np.ndarray  # (3, N) C-contiguous, row q the phase velocity of branch q, ascending
+    voigt: np.ndarray  # (3, N, 6) C-contiguous, [q, n] the Voigt components of branch q's tau at node n
+    z_classes: tuple  # a _ZClasses per branch
+
+    def __post_init__(self):
+        for arr in (self.khats, self.weights, self.velocities, self.voigt, *(arr for z in self.z_classes for arr in z)):
+            arr.setflags(write=False)
+
+
+def _oracle_table(substrate: MaterialSpec) -> _OracleTable:
     """The brute-force oracle's substrate on its own grid (``_oracle_grid``):
     a distinct family from the engine's Gauss-Legendre rule on purpose.  It
-    shares the ``AngularTable`` container and its memo (key
-    (rho, C, "oracle"), about 2.8 MB per substrate beside the grid's 0.4 MB)
-    with the engine, and the table build's ``_spans``, not the engine's
-    stress kernel: per span, ``christoffel_many`` and the einsum
-    ``stress_pattern`` of each branch, written into the table's arrays as
-    they come (tau is symmetric bit for bit).
+    is kept in the engine's memo under the key (rho, C, "oracle"), and built
+    with the engine's ``_spans``, not its stress kernel: per span,
+    ``christoffel_many`` and the einsum ``stress_pattern`` of each branch,
+    whose six Voigt components hold all of it (tau is symmetric bit for
+    bit).  Then the z classes of each branch (``_z_classes``).
     """
 
     def build():
         khats, weights = _oracle_grid()
         n = weights.size
         velocities = np.empty((3, n))
-        stresses = np.empty((3, n, 3, 3))
+        voigt = np.empty((3, n, 6))
         for a, b in _spans(n):
             # einsum on a strided (span, 3) view of the rows rounds some stresses differently
             nodes = np.ascontiguousarray(khats[:, a:b].T)
             vels, pols = christoffel_many(substrate, nodes)
             velocities[:, a:b] = vels.T
             for q in range(3):
-                stresses[q, a:b] = stress_pattern(substrate.stiffness_tensor, nodes, pols[:, :, q])
-        return AngularTable(khats, weights, velocities, stresses)
+                tau = stress_pattern(substrate.stiffness_tensor, nodes, pols[:, :, q])
+                voigt[q, a:b] = tau[:, _VOIGT_I, _VOIGT_J]
+        ring, n_rings = _oracle_rings()
+        return _OracleTable(khats, weights, velocities, voigt, tuple(_z_classes(v, ring, n_rings) for v in velocities))
 
     return _memo_table(substrate, ("oracle",), build)
+
+
+def _oracle_couplings(voigt: np.ndarray, src: _Sources, vm: list[np.ndarray]) -> None:
+    """Write s_j V_j M_j of each source j into ``vm[j]`` at every node of one
+    branch, from its (N, 6) Voigt columns: each span's are expanded to the
+    C-ordered 3x3 tau for one ``einsum("nij,ij->n")`` per source, so no
+    whole-grid tau is made."""
+    spans = _spans(voigt.shape[0])
+    rows = np.empty((spans[0][1], 9))  # the expanded tau of one span, row-major
+    for a, b in spans:
+        # mode="clip" writes straight into rows; "raise" would buffer a copy
+        tau = np.take(voigt[a:b], _FULL, axis=1, out=rows[: b - a], mode="clip").reshape(b - a, 3, 3)
+        for out, vol, s in zip(vm, src.volume, src.strain):
+            np.multiply(vol, np.einsum("nij,ij->n", tau, s), out=out[a:b])
 
 
 def brute_force_rate(
@@ -682,15 +762,19 @@ def brute_force_rate(
     V_T is 1 (it cancels), and every caller shares the fixed ``_BRUTE_*`` grid.
 
     The substrate is solved once per process (``_oracle_table``), so each
-    call pays only the radial loop, which reads the table's rows and each
-    branch's stresses as they are stored.  The loop writes k, k^2, the sinc
-    argument and column, one form-factor column per distinct dimension
-    triple and the integrand's tail into (N,) buffers made once per call,
-    each product on the operands and in the order of the plain per-node
-    expression, so the rate is that expression's bit for bit.  Its sources
-    have ``part`` None, so a pair takes the kernel's general sum, a cosine
-    and a sine per copy and node, not the engine's one-part rule.  A
-    non-finite total raises NumericFailure.
+    call pays only the radial loop and one M = tau : S per branch and
+    source, from the Voigt columns expanded span by span
+    (``_oracle_couplings``).  The loop writes k, k^2, the sinc argument and
+    column, one form-factor column per distinct dimension triple, the
+    integrand's tail and, for an off-centre source, the (N, 3) wave vectors
+    into buffers made once per call.  The z sinc is evaluated at one node of
+    each z class and gathered with ``np.take``: the class count is 4-5% of
+    the nodes on ``sapphire_iso``, 29-34% on ``silicon`` and 38-47% on
+    ``sapphire``.  Each product is on the operands and in the order of the
+    plain per-node expression, so the rate is that expression's bit for bit.
+    Its sources have ``part`` None, so a pair takes the kernel's general
+    sum, a cosine and a sine per copy and node, not the engine's one-part
+    rule.  A non-finite total raises NumericFailure.
     """
     incs = _as_inclusion_list(inclusions)
     omega0 = mode.omega0
@@ -707,38 +791,47 @@ def brute_force_rate(
     golden = (2 * np.pi / hbar**2) * (1 / (8 * np.pi**3))  # golden rule times f_3D
 
     total = 0.0
-    k, k_sq, arg, col, tail = (np.empty(w_ang.size) for _ in range(5))
+    n = w_ang.size
+    k, k_sq, arg, col, tail = (np.empty(n) for _ in range(5))
+    z_col = np.empty(max(z.nodes.size for z in table.z_classes))
     with np.errstate(all="ignore"):  # as in mie_rate; the gate below refuses what overflows
         src = _sources(mode, incs)._replace(part=None)
-        by_dims = {L.tobytes(): (L, np.empty(w_ang.size)) for L in src.dims}
+        kvec = None if src.centred else np.empty((n, 3))
+        vm = [np.empty(n) for _ in src.volume]
+        by_dims = {L.tobytes(): (L, np.empty(n)) for L in src.dims}
         ff = [by_dims[L.tobytes()][1] for L in src.dims]  # inclusions of one shape share a column
         for q in range(3):
             v = table.velocities[q]
-            tau = table.stresses[q]
-            vm = [vol * np.einsum("nij,ij->n", tau, s) for vol, s in zip(src.volume, src.strain)]
+            nodes, index = table.z_classes[q]
+            v_z, khat_z = v[nodes], khats[2][nodes]
             dk = sigma / v  # measure: k^2 dk dOmega with dk = (sigma/v) dxi
+            _oracle_couplings(table.voigt[q], src, vm)
             for i in range(xi.size):
                 omega = omega0 + sigma * xi[i]
                 np.divide(omega, v, out=k)
                 np.multiply(k, k, out=k_sq)
                 u0_sq = hbar / (2 * rho * omega)
-                kvec = None if src.centred else _wave_vectors(k, khats)
+                if kvec is not None:
+                    _wave_vectors(k, khats, out=kvec)
                 for L, f in by_dims.values():  # f = (sinc_x * sinc_y) * sinc_z
-                    for a in range(3):
+                    for a, out in ((0, f), (1, col)):
                         np.multiply(k, khats[a], out=arg)
                         arg *= L[a] / 2.0
-                        _sinc(arg, out=col if a else f)
-                        if a:
-                            f *= col
-                p = _coherent_power(src, vm, ff, kvec)
+                        _sinc(arg, out=out)
+                    f *= col
+                    kz = np.divide(omega, v_z, out=arg[: nodes.size])  # k khat_z L_z / 2 of each z class
+                    kz *= khat_z
+                    kz *= L[2] / 2.0
+                    np.take(_sinc(kz, out=z_col[: nodes.size]), index, out=col, mode="clip")  # clip: unbuffered
+                    f *= col
                 np.multiply(k_sq, u0_sq, out=tail)
-                tail *= p  # |h g|^2
+                tail *= _coherent_power(src, vm, ff, kvec)  # |h g|^2
                 tail *= golden
                 tail *= gauss[i]
-                np.multiply(w_ang, k_sq, out=p)  # the kernel's array is free again
-                p *= dk
-                p *= tail
-                total += w_xi[i] * float(np.add.reduce(p))
+                np.multiply(w_ang, k_sq, out=arg)
+                arg *= dk
+                arg *= tail
+                total += w_xi[i] * float(np.add.reduce(arg))
     if not np.isfinite(total):
         raise NumericFailure(f"non-finite brute-force rate: {total}")
     return total

@@ -115,6 +115,11 @@ def oracle_reference_grid():
     return khats, w_ang
 
 
+def expand_voigt(voigt):
+    """(..., 6) Voigt rows as the C-contiguous (..., 3, 3) symmetric tensors they hold."""
+    return np.take(voigt, _FULL, axis=-1).reshape(*voigt.shape[:-1], 3, 3)
+
+
 def brute_force_reference(mode, inclusions, substrate) -> float:
     """``radiation.brute_force_rate`` solved from scratch on every call: the
     grid, the Christoffel solve and the einsum stress inside the call, and

@@ -6,8 +6,8 @@ each (rho, C, n_theta, n_phi) and memoized under exactly that key.  These
 tests pin down that the table changes no bit of any rate, that each grid is
 solved exactly once, also across runs and database loads, and that the memo
 cannot leak between materials of different physics.  The brute-force
-oracle's table, under (rho, C, "oracle") in the same memo, is held to the
-same memo guarantees.
+oracle's own table, under (rho, C, "oracle") in the same memo, is held to
+the same memo guarantees.
 """
 
 import dataclasses
@@ -24,7 +24,6 @@ import phonoscat.radiation as radiation
 from phonoscat.cli import main
 from phonoscat.coupling import Inclusion, geometry_factor, induced_strain
 from phonoscat.elastodynamics import (
-    _FULL,
     AngularTable,
     _table_key,
     _voigt_stresses,
@@ -36,7 +35,7 @@ from phonoscat.materials import CONSTANTS, Orientation, default_materials
 from phonoscat.radiation import NumericFailure, QuadratureSpec, mie_rate, refined_rate
 from phonoscat.transducer import emission_weighted_overlap
 
-from conftest import XCUT_MATRIX, make_mode
+from conftest import XCUT_MATRIX, expand_voigt, make_mode
 
 # ---------------------------------------------------------------------------
 # Reference: the quadrature engine as written before the table existed.  It
@@ -172,9 +171,9 @@ def test_table_matches_a_direct_solve_bitwise(sapphire):
 def test_directions_and_velocities_are_branch_major_rows(db, name):
     """khats and velocities are read-only, C-contiguous (3, N) rows on the
     engine's and the oracle's tables, so every reader takes a row as it is
-    stored.  The oracle's stresses are ``stress_pattern`` of a contiguous
-    (N, 3) copy of the directions, bit for bit: einsum on the strided view
-    of the rows may round differently."""
+    stored.  The oracle's Voigt columns expand to ``stress_pattern`` of a
+    contiguous (N, 3) copy of the directions, bit for bit: einsum on the
+    strided view of the rows may round differently."""
     substrate = db[name]
     engine, oracle = angular_table(substrate, 9, 16), radiation._oracle_table(substrate)
     for table in (engine, oracle):
@@ -185,12 +184,14 @@ def test_directions_and_velocities_are_branch_major_rows(db, name):
     vels, pols = christoffel_many(substrate, nodes)
     assert np.array_equal(oracle.velocities, vels.T)
     for q in range(3):
-        assert np.array_equal(oracle.stresses[q], stress_pattern(substrate.stiffness_tensor, nodes, pols[:, :, q]))
+        tau = stress_pattern(substrate.stiffness_tensor, nodes, pols[:, :, q])
+        assert np.array_equal(expand_voigt(oracle.voigt[q]), tau)
 
 
 def test_table_arrays_are_read_only(substrate):
-    for table in (angular_table(substrate, 8, 16), radiation._oracle_table(substrate)):
-        for field in ("khats", "weights", "velocities", "stresses"):
+    tables = [(angular_table(substrate, 8, 16), "stresses"), (radiation._oracle_table(substrate), "voigt")]
+    for table, stress_field in tables:
+        for field in ("khats", "weights", "velocities", stress_field):
             arr = getattr(table, field)
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -217,11 +218,6 @@ def _voigt_table(substrate, n_theta, n_phi):
     return voigt
 
 
-def _expand(voigt_rows):
-    """(n, 6) Voigt rows as the (n, 3, 3) C-contiguous tau a read expanded them to."""
-    return np.take(voigt_rows, _FULL, axis=1).reshape(-1, 3, 3)
-
-
 def _turned(ln, turns):
     """The x-cut waveguide spun by each (axis, angle) of ``turns``."""
     xcut = Orientation(XCUT_MATRIX)
@@ -238,7 +234,7 @@ def test_stored_tau_is_the_expanded_voigt_kernel_and_symmetric(db, name):
     assert np.array_equal(table.stresses, table.stresses.transpose(0, 1, 3, 2))
     voigt = _voigt_table(substrate, 48, 96)
     for q in range(3):
-        assert np.array_equal(table.stresses[q], _expand(voigt[q]))
+        assert np.array_equal(table.stresses[q], expand_voigt(voigt[q]))
 
 
 @pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
@@ -255,7 +251,7 @@ def test_contract_is_the_per_span_voigt_expansion_bit_for_bit(db, ln, name):
         for a in range(0, n, _REF_CHUNK):  # the last span is partial
             b = min(a + _REF_CHUNK, n)
             for q in range(3):
-                want[q, a:b] = np.einsum("nij,ij->n", _expand(voigt[q, a:b]), s)
+                want[q, a:b] = np.einsum("nij,ij->n", expand_voigt(voigt[q, a:b]), s)
         assert np.array_equal(m, want)
 
 
@@ -274,7 +270,7 @@ def test_overlap_is_the_stacked_voigt_expansion_bit_for_bit(db, ln, name):
     substrate = db[name]
     mode = make_mode(substrate)
     grid = angular_table(substrate, 16, 32)
-    taus = np.stack([_expand(v) for v in _voigt_table(substrate, 16, 32)])
+    taus = np.stack([expand_voigt(v) for v in _voigt_table(substrate, 16, 32)])
     w = grid.weights / grid.velocities**5
     # the last turn is one where an F-ordered stack moves G by an ulp
     for inc in _turned(ln, [((0, 0, 1), 0.0), ((1, 2, 3), 0.7), ((-2, 1, 0.5), 2.3)]):

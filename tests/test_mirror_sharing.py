@@ -31,7 +31,7 @@ from phonoscat.materials import Orientation
 from phonoscat.mitigation import dual_waveguide_sweep
 from phonoscat.radiation import QuadratureSpec, _coherent_power, _sinc, _sinc_columns, _sources, brute_force_rate, sweep
 
-from conftest import XCUT_MATRIX, brute_force_reference, make_mode
+from conftest import XCUT_MATRIX, brute_force_reference, expand_voigt, make_mode
 
 # ---------------------------------------------------------------------------
 # References: the full-grid sinc columns, one branch at a time; the coherent
@@ -152,7 +152,15 @@ def test_other_substrates_are_not_mirrored(db, empty_memo, name, grid):
 
 @pytest.mark.parametrize("name", ["sapphire_iso", "silicon", "sapphire"])
 def test_the_oracle_table_is_not_mirrored(db, empty_memo, name):
-    assert radiation._oracle_table(db[name]).mirrored is False
+    """The oracle's Simpson grid fails the engine's mirror test: linspace's
+    theta is not symmetric about pi / 2 to the last bit.  So its table keeps
+    no ``mirrored`` flag; its z classes find what symmetry there is."""
+    table = radiation._oracle_table(db[name])
+    assert not hasattr(table, "mirrored")
+    grid = (radiation._BRUTE_THETA, radiation._BRUTE_PHI)
+    rings, k = table.velocities.reshape(3, *grid), table.khats.reshape(3, *grid)
+    assert not np.array_equal(rings, rings[:, ::-1])
+    assert not np.array_equal(k[2], -k[2, ::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +737,7 @@ def test_an_infinite_pair_term_fails_the_finite_result_gates(db, ln, signs):
     mode = make_mode(substrate, mode_volume=1e-300)
     strain = _sources(mode, _twin_pair(ln)).strain[0]
     table = radiation._oracle_table(substrate)
-    m_max = max(np.max(np.abs(np.einsum("nij,ij->n", table.stresses[q], strain))) for q in range(3))
+    m_max = max(np.max(np.abs(np.einsum("nij,ij->n", expand_voigt(table.voigt[q]), strain))) for q in range(3))
     side = (1.05 * (np.finfo(float).max / m_max)) ** (1 / 3)
     incs = _twin_pair(ln, np.full(3, side), signs, center=(3 * side, 0.0, 0.0))
     assert _sources(mode, incs).part is not None
