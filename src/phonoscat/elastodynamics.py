@@ -20,11 +20,13 @@ life of the process.  An ``AngularTable`` keeps the velocities as (3, N)
 rows and each tau as the C-ordered 3x3 that M = tau : S and G read
 (polarizations are a build-time intermediate): 240 bytes per node per
 substrate.  The oracle's table keeps tau's six Voigt components instead,
-168 bytes per node (about 2.1 MB), plus its z classes.  The (3, N)
-direction rows and the weights depend on the grid alone, so each grid is
-built once (``_angular_grid``, ``radiation._oracle_grid``) and every table on
-it holds the same read-only arrays: 32 bytes per node once per grid, about
-0.4 MB for the oracle's.
+168 bytes per node (about 2.1 MB), plus the z classes of each branch: the
+distinct (v, |khat_z|) pairs, 16 bytes each, and the class of each node.
+The (3, N) direction rows and the weights depend on the grid alone, so each
+grid is built once (``_angular_grid``, ``radiation._oracle_grid``) as
+read-only arrays, 32 bytes per node once per grid, about 0.4 MB for the
+oracle's: every engine table on a grid holds its arrays, and the oracle
+reads its grid from ``radiation._oracle_grid``.
 
 The engine's build fills the Christoffel matrices and the Voigt stresses
 with component-major kernels, one elementwise pass per (j, k) or (k, l) term,

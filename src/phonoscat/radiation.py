@@ -71,11 +71,13 @@ all their points at once.  The command-line scenarios go through these.
 on its own Simpson x uniform grid (built once, about 0.4 MB): the
 Christoffel solve and the einsum stress once per (rho, C), kept in the same
 memo under (rho, C, "oracle") as the oracle's own ``_OracleTable``: the
-velocities, the six Voigt columns of each tau and the z classes, the nodes
-of equal (v, |khat_z|) bits (about 2.1 MB per substrate plus a 0.3 MB
+velocities, the six Voigt columns of each tau and the z classes, each
+branch's distinct (v, |khat_z|) pairs and the class of each node, found by
+one ``np.unique`` per branch (about 2.1 MB per substrate plus a 0.3 MB
 index, never evicted).  Per call only the radial loop runs: every sinc
 goes into buffers allocated once per call, the x and y sincs per node and
-the z sinc once per class, gathered to the nodes.
+the z sinc once per class, at the class's own v and |khat_z|, gathered to
+the nodes.
 """
 
 from __future__ import annotations
@@ -236,16 +238,16 @@ def _sources(mode: MicrowaveMode, inclusions) -> _Sources:
     return _Sources(volume, strain, dims, center, centred=not np.any(center), part=part)
 
 
-def _sinc(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sin(x) / x with 1 at x = 0: ``np.sinc(x / pi)`` bit for bit.
+def _sinc(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sin(x) / x with 1 at x = 0 into ``out``: ``np.sinc(x / pi)`` bit for bit.
 
     It runs np.sinc's own operations (divide by pi, multiply by pi, exact
-    zeros replaced by the float epsilon, sin(y) / y) in place on one copy of
-    ``x``, so it makes two float arrays where ``np.sinc(x / pi)`` makes five.
-    With ``out`` it makes none: ``x`` is scratch, overwritten in place, and
-    the result is written into ``out``.
+    zeros replaced by the float epsilon, sin(y) / y) in place, so it makes
+    no float array where ``np.sinc(x / pi)`` makes five: ``x`` is scratch,
+    overwritten in place, and the result is written into ``out`` and
+    returned.
     """
-    y = x / np.pi if out is None else np.divide(x, np.pi, out=x)
+    y = np.divide(x, np.pi, out=x)
     y *= np.pi
     y[y == 0] = _EPS
     s = np.sin(y, out=out)
@@ -358,7 +360,7 @@ def _sinc_columns(table: AngularTable, n_theta: int, n_phi: int, k0: np.ndarray,
     cols = []
     for axis, length in axis_lengths:
         col = np.empty((3, table.weights.size))
-        col[:, :head] = _sinc(k0[:, :head] * table.khats[axis, :head] * (length / 2.0))
+        _sinc(k0[:, :head] * table.khats[axis, :head] * (length / 2.0), out=col[:, :head])
         rings = col.reshape(3, n_theta, n_phi)
         rings[:, h:] = rings[:, : n_theta - h][:, ::-1]
         col.setflags(write=False)
@@ -644,62 +646,38 @@ def _oracle_grid() -> tuple[np.ndarray, np.ndarray]:
     return _product_grid(np.cos(theta), st, w_theta * st, _BRUTE_PHI)
 
 
-@cache
-def _oracle_rings() -> tuple[np.ndarray, int]:
-    """The |khat_z| class of each node of the oracle's grid, a read-only (N,)
-    intp row, and the number of classes.  All nodes of a ring share khat_z,
-    and only some mirror rings share |khat_z| bit for bit (linspace's theta
-    is not symmetric about pi / 2 to the last bit), so the classes are found
-    once per grid, on the 129 ring values."""
-    khats, _ = _oracle_grid()
-    _, ring = np.unique(np.abs(khats[2, ::_BRUTE_PHI]), return_inverse=True)
-    node_ring = np.repeat(ring, _BRUTE_PHI)
-    node_ring.setflags(write=False)
-    return node_ring, int(ring.max()) + 1
-
-
 class _ZClasses(NamedTuple):
-    """The nodes of one branch of the oracle's table, classed by their
+    """One branch's nodes of the oracle's grid, classed by their
     (v, |khat_z|) bits: the z sinc ``sinc((omega / v) khat_z L_z / 2)`` is
     the same at every node of a class, since ``_sinc`` is even bit for bit."""
 
-    nodes: np.ndarray  # (m,) one node of each class
+    v: np.ndarray  # (m,) the velocity of each class, ascending
+    khat_z: np.ndarray  # (m,) its |khat_z|, ascending within one velocity
     index: np.ndarray  # (N,) intp, the class of each node, in 0..m-1
 
 
-def _z_classes(v: np.ndarray, ring: np.ndarray, n_rings: int) -> _ZClasses:
-    """The classes of one branch's (N,) velocities ``v`` and |khat_z| classes
-    ``ring``, from one quicksort of one integer key: the bits of v (v > 0,
-    so they order as v does) above the ring.  A branch whose bits span too
-    wide a range to share an int64 with the ring uses v's rank instead."""
-    bits = v.view(np.int64) - v.view(np.int64).min()
-    if bits.max() >= np.iinfo(np.int64).max // n_rings:
-        bits = np.unique(v, return_inverse=True)[1]
-    key = bits * n_rings + ring
-    order = np.argsort(key)
-    ordered = key[order]
-    first = np.empty(key.size, dtype=bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    index = np.empty(key.size, dtype=np.intp)
-    index[order] = np.cumsum(first) - 1
-    return _ZClasses(order[first], index)
+def _z_classes(v: np.ndarray, khat_z: np.ndarray) -> _ZClasses:
+    """The classes of one branch's (N,) velocities ``v`` at nodes of z
+    components ``khat_z``: the distinct values of v + i |khat_z|, whose
+    real and imaginary parts are v and |khat_z| exactly."""
+    values, index = np.unique(v + 1j * np.abs(khat_z), return_inverse=True)
+    # contiguous copies: the radial loop reads a strided view slower
+    return _ZClasses(values.real.copy(), values.imag.copy(), index)
 
 
 @dataclass(frozen=True)
 class _OracleTable:
-    """The brute-force oracle's substrate on its grid: 168 bytes per node
-    (2.1 MB) and the z classes' index, 24 bytes per node (0.3 MB).  All
-    arrays are made read-only on construction."""
+    """The brute-force oracle's substrate on its grid (``_oracle_grid``):
+    168 bytes per node (2.1 MB) and the z classes, 16 bytes per class and
+    the class of each node, 24 bytes per node (0.3 MB).  All arrays are
+    made read-only on construction."""
 
-    khats: np.ndarray  # (3, N) the grid's direction rows (``_oracle_grid``), shared by every substrate
-    weights: np.ndarray  # (N,) solid-angle weights, shared likewise
     velocities: np.ndarray  # (3, N) C-contiguous, row q the phase velocity of branch q, ascending
     voigt: np.ndarray  # (3, N, 6) C-contiguous, [q, n] the Voigt components of branch q's tau at node n
     z_classes: tuple  # a _ZClasses per branch
 
     def __post_init__(self):
-        for arr in (self.khats, self.weights, self.velocities, self.voigt, *(arr for z in self.z_classes for arr in z)):
+        for arr in (self.velocities, self.voigt, *(arr for z in self.z_classes for arr in z)):
             arr.setflags(write=False)
 
 
@@ -710,7 +688,8 @@ def _oracle_table(substrate: MaterialSpec) -> _OracleTable:
     with the engine's ``_spans``, not its stress kernel: per span,
     ``christoffel_many`` and the einsum ``stress_pattern`` of each branch,
     whose six Voigt components hold all of it (tau is symmetric bit for
-    bit).  Then the z classes of each branch (``_z_classes``).
+    bit).  Then the z classes of each branch, one ``np.unique`` each
+    (``_z_classes``).
     """
 
     def build():
@@ -726,8 +705,7 @@ def _oracle_table(substrate: MaterialSpec) -> _OracleTable:
             for q in range(3):
                 tau = stress_pattern(substrate.stiffness_tensor, nodes, pols[:, :, q])
                 voigt[q, a:b] = tau[:, _VOIGT_I, _VOIGT_J]
-        ring, n_rings = _oracle_rings()
-        return _OracleTable(khats, weights, velocities, voigt, tuple(_z_classes(v, ring, n_rings) for v in velocities))
+        return _OracleTable(velocities, voigt, tuple(_z_classes(v, khats[2]) for v in velocities))
 
     return _memo_table(substrate, ("oracle",), build)
 
@@ -767,11 +745,13 @@ def brute_force_rate(
     (``_oracle_couplings``).  The loop writes k, k^2, the sinc argument and
     column, one form-factor column per distinct dimension triple, the
     integrand's tail and, for an off-centre source, the (N, 3) wave vectors
-    into buffers made once per call.  The z sinc is evaluated at one node of
-    each z class and gathered with ``np.take``: the class count is 4-5% of
-    the nodes on ``sapphire_iso``, 29-34% on ``silicon`` and 38-47% on
-    ``sapphire``.  Each product is on the operands and in the order of the
-    plain per-node expression, so the rate is that expression's bit for bit.
+    into buffers made once per call.  The z sinc is evaluated once per z
+    class, at the class's v and |khat_z|, and gathered with ``np.take``: the
+    class count is 4-5% of the nodes on ``sapphire_iso``, 29-34% on
+    ``silicon``, 38-47% on ``sapphire`` and 43-52% on ``lithium_niobate``.
+    Each product is on the operands and in the order of the plain per-node
+    expression (the z argument up to its sign, and ``_sinc`` is even bit for
+    bit), so the rate is that expression's bit for bit.
     Its sources have ``part`` None, so a pair takes the kernel's general
     sum, a cosine and a sine per copy and node, not the engine's one-part
     rule.  A non-finite total raises NumericFailure.
@@ -782,7 +762,7 @@ def brute_force_rate(
     hbar = CONSTANTS.hbar
     rho = substrate.rho
     table = _oracle_table(substrate)
-    khats, w_ang = table.khats, table.weights
+    khats, w_ang = _oracle_grid()
 
     xi = np.linspace(-_BRUTE_WINDOW, _BRUTE_WINDOW, _BRUTE_RADIAL)
     w_xi = _simpson_weights(_BRUTE_RADIAL) * (2 * _BRUTE_WINDOW / (_BRUTE_RADIAL - 1))
@@ -793,7 +773,7 @@ def brute_force_rate(
     total = 0.0
     n = w_ang.size
     k, k_sq, arg, col, tail = (np.empty(n) for _ in range(5))
-    z_col = np.empty(max(z.nodes.size for z in table.z_classes))
+    z_col = np.empty(max(z.v.size for z in table.z_classes))
     with np.errstate(all="ignore"):  # as in mie_rate; the gate below refuses what overflows
         src = _sources(mode, incs)._replace(part=None)
         kvec = None if src.centred else np.empty((n, 3))
@@ -802,8 +782,7 @@ def brute_force_rate(
         ff = [by_dims[L.tobytes()][1] for L in src.dims]  # inclusions of one shape share a column
         for q in range(3):
             v = table.velocities[q]
-            nodes, index = table.z_classes[q]
-            v_z, khat_z = v[nodes], khats[2][nodes]
+            v_z, khat_z, index = table.z_classes[q]
             dk = sigma / v  # measure: k^2 dk dOmega with dk = (sigma/v) dxi
             _oracle_couplings(table.voigt[q], src, vm)
             for i in range(xi.size):
@@ -819,10 +798,10 @@ def brute_force_rate(
                         arg *= L[a] / 2.0
                         _sinc(arg, out=out)
                     f *= col
-                    kz = np.divide(omega, v_z, out=arg[: nodes.size])  # k khat_z L_z / 2 of each z class
+                    kz = np.divide(omega, v_z, out=arg[: v_z.size])  # k |khat_z| L_z / 2 of each z class
                     kz *= khat_z
                     kz *= L[2] / 2.0
-                    np.take(_sinc(kz, out=z_col[: nodes.size]), index, out=col, mode="clip")  # clip: unbuffered
+                    np.take(_sinc(kz, out=z_col[: v_z.size]), index, out=col, mode="clip")  # clip: unbuffered
                     f *= col
                 np.multiply(k_sq, u0_sq, out=tail)
                 tail *= _coherent_power(src, vm, ff, kvec)  # |h g|^2

@@ -22,7 +22,6 @@ from phonoscat.radiation import (
     _as_inclusion_list,
     _coherent_power,
     _simpson_weights,
-    _sinc,
     _sources,
 )
 
@@ -150,7 +149,7 @@ def brute_force_reference(mode, inclusions, substrate) -> float:
             k = omega / v
             u0_sq = hbar / (2 * rho * omega)
             kvec = k[:, None] * khats
-            cols = [[_sinc(kvec[:, a] * (L[a] / 2.0)) for a in range(3)] for L in src.dims]
+            cols = [[np.sinc(kvec[:, a] * (L[a] / 2.0) / np.pi) for a in range(3)] for L in src.dims]
             ff = [(x * y) * z for x, y, z in cols]
             hg_sq = (k * k * u0_sq) * _coherent_power(src, vm, ff, kvec)
             f = (2 * np.pi / hbar**2) * f3d * hg_sq * gauss[i]

@@ -169,18 +169,19 @@ def test_table_matches_a_direct_solve_bitwise(sapphire):
 
 @pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
 def test_directions_and_velocities_are_branch_major_rows(db, name):
-    """khats and velocities are read-only, C-contiguous (3, N) rows on the
-    engine's and the oracle's tables, so every reader takes a row as it is
-    stored.  The oracle's Voigt columns expand to ``stress_pattern`` of a
-    contiguous (N, 3) copy of the directions, bit for bit: einsum on the
-    strided view of the rows may round differently."""
+    """khats and velocities are read-only, C-contiguous (3, N) rows of the
+    engine's table and of the oracle's grid and table, so every reader takes
+    a row as it is stored.  The oracle's Voigt columns expand to
+    ``stress_pattern`` of a contiguous (N, 3) copy of the directions, bit for
+    bit: einsum on the strided view of the rows may round differently."""
     substrate = db[name]
     engine, oracle = angular_table(substrate, 9, 16), radiation._oracle_table(substrate)
-    for table in (engine, oracle):
-        n = table.weights.size
-        for rows in (table.khats, table.velocities):
-            assert rows.shape == (3, n) and rows.flags.c_contiguous and not rows.flags.writeable
-    nodes = np.ascontiguousarray(oracle.khats.T)
+    oracle_khats, oracle_weights = radiation._oracle_grid()
+    grids = [(engine.khats, engine.weights, engine.velocities), (oracle_khats, oracle_weights, oracle.velocities)]
+    for khats, weights, velocities in grids:
+        for rows in (khats, velocities):
+            assert rows.shape == (3, weights.size) and rows.flags.c_contiguous and not rows.flags.writeable
+    nodes = np.ascontiguousarray(oracle_khats.T)
     vels, pols = christoffel_many(substrate, nodes)
     assert np.array_equal(oracle.velocities, vels.T)
     for q in range(3):
@@ -189,9 +190,12 @@ def test_directions_and_velocities_are_branch_major_rows(db, name):
 
 
 def test_table_arrays_are_read_only(substrate):
-    tables = [(angular_table(substrate, 8, 16), "stresses"), (radiation._oracle_table(substrate), "voigt")]
-    for table, stress_field in tables:
-        for field in ("khats", "weights", "velocities", stress_field):
+    tables = [
+        (angular_table(substrate, 8, 16), ("khats", "weights", "velocities", "stresses")),
+        (radiation._oracle_table(substrate), ("velocities", "voigt")),
+    ]
+    for table, fields in tables:
+        for field in fields:
             arr = getattr(table, field)
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -311,13 +315,17 @@ def test_threads_racing_on_a_first_use_share_one_table(empty_memo):
 
 
 # The engine's table on one grid and the brute-force oracle's table, each
-# with the grid part of its memo key: the memo keeps both alike.
-TABLES = [(lambda material: angular_table(material, 8, 16), (8, 16)), (radiation._oracle_table, ("oracle",))]
+# with the grid part of its memo key and the directions and weights a table
+# is read on: the memo keeps both alike.
+TABLES = [
+    (lambda material: angular_table(material, 8, 16), (8, 16), lambda table: (table.khats, table.weights)),
+    (radiation._oracle_table, ("oracle",), lambda table: radiation._oracle_grid()),
+]
 
 
 def test_rotated_copy_never_sees_the_original_table(empty_memo):
     original = default_materials()["sapphire"]
-    for table_of, grid in TABLES:
+    for table_of, grid, grid_of in TABLES:
         t0 = table_of(original)
         for axis, angle in (([1.0, 1.0, 0.0], 0.7), ([0.0, 0.0, 1.0], 0.3)):
             rotated = original.rotated(Orientation.about_axis(axis, angle))
@@ -325,7 +333,7 @@ def test_rotated_copy_never_sees_the_original_table(empty_memo):
             assert t1 is not t0
             assert table_of(rotated) is t1
             assert empty_memo[_table_key(rotated, *grid)] is t1
-            assert np.array_equal(t1.velocities, christoffel_many(rotated, t1.khats.T)[0].T)
+            assert np.array_equal(t1.velocities, christoffel_many(rotated, grid_of(t1)[0].T)[0].T)
             assert np.max(np.abs(t1.velocities - t0.velocities)) > 1.0  # anisotropic: really rotated
         assert empty_memo[_table_key(original, *grid)] is t0
     assert len(empty_memo) == 3 * len(TABLES)
@@ -352,7 +360,7 @@ def test_separately_loaded_databases_share_one_table(empty_memo):
     sapphire = first["sapphire"]
     # a new name, or a rotation that maps C onto itself bit for bit, is the same physics
     same = [dataclasses.replace(sapphire, name="renamed"), sapphire.rotated(Orientation.identity())]
-    for table_of, _ in TABLES:
+    for table_of, *_ in TABLES:
         for name in ("sapphire", "silicon", "sapphire_iso"):
             assert first[name] is not second[name]
             assert table_of(first[name]) is table_of(second[name])
@@ -363,26 +371,27 @@ def test_separately_loaded_databases_share_one_table(empty_memo):
 
 def test_tables_on_one_grid_share_its_directions_and_weights(empty_memo):
     """The directions and weights depend on the grid alone: every
-    substrate's table on one grid holds the very same read-only arrays."""
+    substrate's table on one grid is read on the very same read-only
+    arrays, which the engine's table holds and the oracle's reads from its
+    grid."""
     db = default_materials()
-    for table_of, _ in TABLES:
+    for table_of, _, grid_of in TABLES:
         first, second = table_of(db["sapphire"]), table_of(db["silicon"])
         assert first is not second
-        for field in ("khats", "weights"):
-            assert getattr(first, field) is getattr(second, field)
-            assert not getattr(first, field).flags.writeable
+        for a, b in zip(grid_of(first), grid_of(second)):
+            assert a is b and not a.flags.writeable
     assert angular_table(db["sapphire"], 8, 32).khats is not angular_table(db["sapphire"], 8, 16).khats
 
 
 def test_density_alone_separates_tables(empty_memo):
     sapphire = default_materials()["sapphire"]
     denser = dataclasses.replace(sapphire, rho=1.21 * sapphire.rho)
-    for table_of, grid in TABLES:
+    for table_of, grid, _ in TABLES:
         t0, t1 = table_of(sapphire), table_of(denser)
         assert t1 is not t0
         assert empty_memo[_table_key(sapphire, *grid)] is t0 and empty_memo[_table_key(denser, *grid)] is t1
         np.testing.assert_allclose(t1.velocities, t0.velocities / 1.1, rtol=1e-14)
-    assert set(empty_memo) == {_table_key(m, *grid) for m in (sapphire, denser) for _, grid in TABLES}
+    assert set(empty_memo) == {_table_key(m, *grid) for m in (sapphire, denser) for _, grid, _ in TABLES}
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from conftest import XCUT_MATRIX, brute_force_reference, expand_voigt, make_mode
 from phonoscat.cli import main
 from phonoscat.coupling import Inclusion
 from phonoscat.elastodynamics import _CHUNK, _table_key, angular_table, christoffel_many, stress_pattern
-from phonoscat.radiation import _BRUTE_PHI, _BRUTE_RADIAL, _BRUTE_THETA, _sinc, _z_classes, brute_force_rate
+from phonoscat.radiation import _BRUTE_PHI, _BRUTE_RADIAL, _BRUTE_THETA, _oracle_grid, _z_classes, brute_force_rate
 
 ORACLE_NODES = _BRUTE_THETA * _BRUTE_PHI  # 12,384
 
@@ -182,7 +182,7 @@ def test_six_voigt_columns_hold_the_whole_stress(db, name, empty_memo):
     table = radiation._oracle_table(substrate)
     assert table.voigt.shape == (3, ORACLE_NODES, 6)
     assert table.voigt.flags.c_contiguous
-    khats = np.ascontiguousarray(table.khats.T)  # (N, 3) node rows, as the oracle's build passes them
+    khats = np.ascontiguousarray(_oracle_grid()[0].T)  # (N, 3) node rows, as the oracle's build passes them
     _, pols = christoffel_many(substrate, khats)
     for q in range(3):
         tau = stress_pattern(substrate.stiffness_tensor, khats, pols[:, :, q])
@@ -208,7 +208,8 @@ def test_spanned_build_is_the_whole_grid_solve(db, name, empty_memo, monkeypatch
     table = radiation._oracle_table(substrate)
     assert len(spans) > 1 and max(spans) <= _CHUNK and sum(spans) == ORACLE_NODES
     khats, weights = oracle_reference_grid()
-    assert np.array_equal(table.khats, khats.T) and np.array_equal(table.weights, weights)
+    grid_khats, grid_weights = _oracle_grid()
+    assert np.array_equal(grid_khats, khats.T) and np.array_equal(grid_weights, weights)
     vels, pols = christoffel_many(substrate, khats)
     assert np.array_equal(table.velocities, vels.T)
     for q in range(3):
@@ -231,15 +232,16 @@ def _traced(work):
 
 
 def test_build_allocates_at_most_2_mib_above_the_table(db, empty_memo):
-    """A table keeps 192 B/node and its z classes' one node per class: the
-    velocities (24 B), the six Voigt columns (144 B) and the class of each
-    node (24 B), where the 3x3 stresses kept 240 B/node.  A whole-grid solve
-    added a 3.7 MiB transient on top.  Another substrate's table is built
-    first, so the grid they share is not counted."""
+    """A table keeps 192 B/node and 16 B per z class: the velocities (24 B),
+    the six Voigt columns (144 B) and the class of each node (24 B), and the
+    v and |khat_z| of each class, where the 3x3 stresses kept 240 B/node.
+    A whole-grid solve added a 3.7 MiB transient on top.  Another
+    substrate's table is built first, so the grid they share is not
+    counted."""
     radiation._oracle_table(db["silicon"])
     kept, peak = _traced(lambda: radiation._oracle_table(db["sapphire"]))
-    classes = sum(z.nodes.size for z in radiation._oracle_table(db["sapphire"]).z_classes)
-    assert 192 * ORACLE_NODES + 8 * classes <= kept < 240 * ORACLE_NODES
+    classes = sum(z.v.size for z in radiation._oracle_table(db["sapphire"]).z_classes)
+    assert 192 * ORACLE_NODES + 16 * classes <= kept < 240 * ORACLE_NODES
     assert peak - kept <= 2 * MIB
 
 
@@ -265,47 +267,46 @@ def test_offcentre_rate_allocates_at_most_1_75_mib(db, ln, xcut, empty_memo):
     assert _rate_peak(db, _offcentre_waveguide(ln, xcut)) <= 1.75 * MIB
 
 
-@pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
+@pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon", "lithium_niobate"])
 def test_z_column_is_the_per_node_sinc_bit_for_bit(db, name, empty_memo):
-    """The z sinc of each class, taken at its one node and gathered to every
-    node, is the per-node ``_sinc((omega / v) khat_z L_z / 2)`` of each
+    """The z sinc of each class, taken at its v and |khat_z| and gathered to
+    every node, is the per-node ``sinc((omega / v) khat_z L_z / 2)`` of each
     branch, bit for bit: the nodes of a class share v and |khat_z|, and
     ``_sinc`` is even.  The (omega, L_z) span arguments from 1e-4 to 4e3."""
     table = radiation._oracle_table(db[name])
-    khat_z = table.khats[2]
-    for q, (nodes, index) in enumerate(table.z_classes):
+    khat_z = _oracle_grid()[0][2]
+    for q, z in enumerate(table.z_classes):
         v = table.velocities[q]
         for omega in (2 * np.pi * 1e9, 2 * np.pi * 10e9 * (1 + 1 / 200), 2 * np.pi * 37.3e9):
             for length in (10e-9, 1e-6, 5e-6, 20e-6):
-                want = _sinc(omega / v * khat_z * (length / 2.0))
-                classes = _sinc(omega / v[nodes] * khat_z[nodes] * (length / 2.0))
-                assert np.array_equal(np.take(classes, index), want)
+                want = np.sinc(omega / v * khat_z * (length / 2.0) / np.pi)
+                arg = omega / z.v * z.khat_z * (length / 2.0)
+                classes = radiation._sinc(arg, np.empty_like(arg))
+                assert np.array_equal(np.take(classes, z.index), want)
 
 
-@pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
+@pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon", "lithium_niobate"])
 def test_a_class_is_one_distinct_pair_of_velocity_and_khat_z_bits(db, name, empty_memo):
     table = radiation._oracle_table(db[name])
-    pairs = np.stack([np.zeros(ORACLE_NODES), np.abs(table.khats[2])], axis=1)
-    for q, (nodes, index) in enumerate(table.z_classes):
+    pairs = np.stack([np.zeros(ORACLE_NODES), np.abs(_oracle_grid()[0][2])], axis=1)
+    for q, z in enumerate(table.z_classes):
         pairs[:, 0] = table.velocities[q]
         distinct, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        assert nodes.size == len(distinct) and index.dtype == np.intp
-        assert np.array_equal(pairs[nodes][index], pairs)  # every node has its class's pair
+        assert z.v.size == len(distinct) and z.index.dtype == np.intp
+        assert np.array_equal(np.stack([z.v, z.khat_z], axis=1)[z.index], pairs)  # every node has its class's pair
         # classes and distinct pairs map one to one
-        assert np.array_equal(np.unique(np.stack([index, inverse.ravel()]), axis=1)[0], np.arange(nodes.size))
+        assert np.array_equal(np.unique(np.stack([z.index, inverse.ravel()]), axis=1)[0], np.arange(z.v.size))
 
 
-def test_velocity_bits_too_wide_for_one_key_are_ranked_first():
-    """Velocities whose bits span more than an int64 leaves beside the ring
-    class are ranked before the key is made, with the same classes."""
+def test_velocities_from_1e_300_to_1e300_keep_their_classes():
+    """Velocities 600 decades apart, at khat_z of either sign, make the same
+    classes as any others: one per distinct (v, |khat_z|) pair."""
     v = np.array([1e-300, 1e300, 1e-300, 3.0, 1e300, 3.0, 3.0])
-    ring = np.array([0, 0, 0, 1, 1, 1, 0])
-    bits = v.view(np.int64)
-    assert bits.max() - bits.min() >= np.iinfo(np.int64).max // 2
-    nodes, index = _z_classes(v, ring, 2)
-    assert nodes.size == 5
-    assert np.array_equal(v[nodes][index], v) and np.array_equal(ring[nodes][index], ring)
-    assert len({(v[n], ring[n]) for n in nodes}) == 5
+    khat_z = np.array([0.0, 0.0, -0.0, 1.0, -1.0, -1.0, 0.0])
+    z = _z_classes(v, khat_z)
+    assert z.v.size == 5
+    assert np.array_equal(z.v[z.index], v) and np.array_equal(z.khat_z[z.index], np.abs(khat_z))
+    assert len(set(zip(z.v, z.khat_z))) == 5
 
 
 @pytest.mark.parametrize("name", ["sapphire_iso", "sapphire", "silicon"])
@@ -316,13 +317,13 @@ def test_z_sinc_runs_on_the_classes_alone(db, ln, xcut, empty_memo, monkeypatch,
     table = radiation._oracle_table(substrate)
     sizes, sinc = [], radiation._sinc
 
-    def counting(x, out=None):
+    def counting(x, out):
         sizes.append(x.size)
         return sinc(x, out=out)
 
     monkeypatch.setattr(radiation, "_sinc", counting)
     brute_force_rate(make_mode(substrate, 10e9), _offcentre_waveguide(ln, xcut), substrate)
-    classes = [z.nodes.size for z in table.z_classes]
+    classes = [z.v.size for z in table.z_classes]
     assert sizes == [n for m in classes for n in [ORACLE_NODES, ORACLE_NODES, m] * _BRUTE_RADIAL]
     if name == "sapphire_iso":
         assert max(classes) <= 0.06 * ORACLE_NODES

@@ -19,7 +19,7 @@ from phonoscat.coupling import (
     induced_strain,
 )
 from phonoscat.materials import CONSTANTS, ParameterError, default_materials
-from phonoscat.radiation import _coherent_power, _sinc, _sources
+from phonoscat.radiation import _coherent_power, _sources
 
 from conftest import XCUT_MATRIX, form_factor, make_mode
 
@@ -162,7 +162,7 @@ class TestFormFactor:
         )
 
     def test_is_the_reference_of_the_coherent_sum_kernel(self, ln, substrate):
-        """With unit couplings and the sinc columns of ``_sinc`` the production
+        """With unit couplings and the sinc columns of ``np.sinc`` the production
         kernel is |sum_j V_j form_factor_j(k)|^2."""
         incs = [
             self._inc(ln),
@@ -182,7 +182,7 @@ class TestFormFactor:
         kvecs[0] = 0.0
         src = _sources(make_mode(substrate), incs)
         vm = [vol * np.ones(len(kvecs)) for vol in src.volume]  # signed V, as the engine's V M
-        cols = [[_sinc(kvecs[:, a] * (inc.dimensions[a] / 2.0)) for a in range(3)] for inc in incs]
+        cols = [[np.sinc(kvecs[:, a] * (inc.dimensions[a] / 2.0) / np.pi) for a in range(3)] for inc in incs]
         got = _coherent_power(src, vm, [(x * y) * z for x, y, z in cols], kvecs)
         want = [abs(sum(inc.volume * form_factor(inc, k) for inc in incs)) ** 2 for k in kvecs]
         assert np.allclose(got, want, rtol=1e-13, atol=0)
