@@ -55,6 +55,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -774,15 +775,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built once per process on first use: parse_args keeps no state in it
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
     """Run one subcommand; every error it raises becomes an exit code here.
+
+    What depends on constants alone is built once per process, on the first
+    run that needs it: the argument parser, and the bundled materials
+    database (``default_materials``).  What a run names is read on every
+    run: its config, and a database named by ``materials_db`` or
+    ``PHONOSCAT_MATERIALS``, so an edit to either file shows on the next run
+    in the same process.
 
     A ValueError (a ConfigError, or a library check of an input value) or
     an OSError (a path that cannot be read or written, or a closed standard
     output) exits 2; a NumericFailure (a non-finite rate among them) or a
     MemoryError exits 3.  No np.errstate wraps the run.
     """
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as e:

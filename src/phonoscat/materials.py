@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -369,7 +369,18 @@ def load_materials(path) -> dict[str, MaterialSpec]:
     return db
 
 
-def default_materials() -> dict[str, MaterialSpec]:
-    """The database shipped with the package."""
+@cache
+def _bundled_materials() -> dict[str, MaterialSpec]:
+    """The package's own ``data/materials.json``, read and validated once per
+    process, on first use; never handed out, so no caller can change it."""
     with resources.as_file(resources.files("phonoscat") / "data" / "materials.json") as p:
         return load_materials(p)
+
+
+def default_materials() -> dict[str, MaterialSpec]:
+    """The database shipped with the package: a new dict on every call, of
+    the ``MaterialSpec`` records that one load per process made.  A record is
+    immutable, so the calls share them; popping or adding a key changes only
+    the caller's dict.  A database named by path is read anew by each
+    ``load_materials`` call."""
+    return dict(_bundled_materials())

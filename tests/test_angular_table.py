@@ -15,6 +15,7 @@ import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from phonoscat.elastodynamics import (
     christoffel_many,
     stress_pattern,
 )
-from phonoscat.materials import CONSTANTS, Orientation, default_materials
+from phonoscat.materials import CONSTANTS, Orientation, default_materials, load_materials
 from phonoscat.radiation import NumericFailure, QuadratureSpec, mie_rate, refined_rate
 from phonoscat.transducer import emission_weighted_overlap
 
@@ -356,7 +357,9 @@ def test_memo_grows_by_distinct_physics_not_by_copies(empty_memo):
 
 
 def test_separately_loaded_databases_share_one_table(empty_memo):
-    first, second = default_materials(), default_materials()
+    # two loads of the bundled file: default_materials() would hand out one load's records twice
+    with resources.as_file(resources.files("phonoscat") / "data" / "materials.json") as path:
+        first, second = load_materials(path), load_materials(path)
     sapphire = first["sapphire"]
     # a new name, or a rotation that maps C onto itself bit for bit, is the same physics
     same = [dataclasses.replace(sapphire, name="renamed"), sapphire.rotated(Orientation.identity())]

@@ -1,8 +1,8 @@
 """End-to-end command-line behavior: configs, CSV output and exit codes.
 
 Everything runs in-process through main(argv), so exit codes and stderr
-messages are asserted directly; only the import check starts a fresh
-interpreter.
+messages are asserted directly; only the import checks, and the check that
+runs in one process match fresh ones, start a fresh interpreter.
 """
 
 import csv
@@ -1315,19 +1315,114 @@ class TestMaterialsEnvAndValidate:
         code = main(["materials", "validate", str(tmp_path / "ghost.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("named_by", ["materials_db", ENV_MATERIALS])
+    def test_a_named_database_is_read_again_on_every_run(self, tmp_path, monkeypatch, capsys, named_by):
+        """Only the bundled database is loaded once per process: a database
+        named by path that turns invalid fails the next run in the process."""
+        db_path = tmp_path / "db.json"
+        save_materials(default_materials(), db_path)
+        monkeypatch.delenv(ENV_MATERIALS, raising=False)
+        if named_by == ENV_MATERIALS:
+            monkeypatch.setenv(ENV_MATERIALS, str(db_path))
+            cfg = base_config()
+        else:
+            cfg = base_config(materials_db=str(db_path))
+        assert run_cli(tmp_path, cfg)[0] == 0
+        capsys.readouterr()
+        records = json.loads(db_path.read_text())
+        records[0]["rho"] = -5.0
+        db_path.write_text(json.dumps(records))
+        assert run_cli(tmp_path, cfg)[0] == 2
+        assert capsys.readouterr().err == (
+            f"config error: materials_db: material '{records[0]['name']}': density must be positive\n"
+        )
+
+
+def _fresh_env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
 
 def test_importing_the_cli_loads_only_what_a_run_uses():
     """A fresh ``phonoscat run`` pays for no thread pool, logging or selftest
     import: a run starts no pool, and the checks are imported when
     ``selftest`` runs."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys, phonoscat.cli; "
         "print(sorted(m for m in ('concurrent.futures', 'logging', 'phonoscat.selftest') if m in sys.modules))"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_the_parser_and_the_bundled_database_are_built_on_first_use_once():
+    """Importing the CLI builds neither; the first use builds each once, and
+    later runs in the process reuse them."""
+    code = """
+import argparse
+import phonoscat.cli as cli, phonoscat.materials as materials
+from importlib import resources
+built, loads = [], []
+init, load = argparse.ArgumentParser.__init__, materials.load_materials
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+materials.load_materials = lambda path: loads.append(1) or load(path)
+print(len(built), len(loads))
+with resources.as_file(resources.files("phonoscat") / "data" / "materials.json") as path:
+    for _ in range(2):
+        cli.main(["materials", "validate", str(path)])
+        materials.default_materials()
+        print(len(built), len(loads))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), capture_output=True, text=True, check=True)
+    counts = [line.split() for line in out.stdout.splitlines() if not line.startswith(("  ", "ok:"))]
+    assert counts[0] == ["0", "0"]
+    assert counts[1] == counts[2]
+    assert counts[1][1] == "1" and int(counts[1][0]) > 0
+
+
+def test_runs_in_one_process_share_no_parser_state(tmp_path, capsys, monkeypatch):
+    """Each of a sequence of main() calls in one process exits, prints and
+    writes as a fresh ``python -m phonoscat.cli`` with the same argv does: an
+    earlier ``--out`` does not stick to a later run, nor a usage error to
+    the runs after it."""
+    monkeypatch.setenv("COLUMNS", "80")  # the usage message wraps at the terminal width
+    monkeypatch.delenv(ENV_MATERIALS, raising=False)
+    a = write_config(tmp_path, base_config())
+    b_out = tmp_path / "b.csv"
+    b = str(tmp_path / "b.json")
+    Path(b).write_text(json.dumps(scenario_config("mie", output=str(b_out))))
+    a_out = tmp_path / "a.csv"
+    bundled = Path(__file__).resolve().parent.parent / "src" / "phonoscat" / "data" / "materials.json"
+    calls = [
+        (["run", a, "--out", str(a_out)], a_out),
+        (["run", b], b_out),
+        (["materials", "validate", str(bundled)], None),
+        (["run"], None),
+        (["run", a, "--out", str(a_out)], a_out),
+    ]
+
+    def take(csv_path):
+        if csv_path is None or not csv_path.exists():
+            return None
+        data = csv_path.read_bytes()
+        csv_path.unlink()
+        return data
+
+    in_process = []
+    for argv, csv_path in calls:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err, take(csv_path)))
+    env = {**_fresh_env(), "COLUMNS": "80"}
+    for (argv, csv_path), got in zip(calls, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "phonoscat.cli", *argv], cwd=tmp_path, env=env,
+                               capture_output=True, text=True)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr, take(csv_path)), argv
+    assert [got[0] for got in in_process] == [0, 0, 0, 2, 0]
+    assert [got[3] is not None for got in in_process] == [True, True, False, False, True]
 
 
 class TestSelftestCommand:

@@ -448,6 +448,14 @@ class TestDatabase:
         assert np.sqrt(mu / m.rho) == pytest.approx(6392, rel=1e-3)
         assert np.sqrt((lam + 2 * mu) / m.rho) == pytest.approx(10794, rel=1e-3)
 
+    def test_each_call_returns_a_new_dict_of_the_same_records(self):
+        first, second = default_materials(), default_materials()
+        assert first is not second
+        assert all(first[name] is second[name] for name in second)
+        first.pop("silicon")
+        second["extra"] = LN
+        assert set(default_materials()) == {"lithium_niobate", "sapphire", "sapphire_iso", "silicon"}
+
     def test_save_load_round_trip(self, tmp_path):
         path = tmp_path / "db.json"
         save_materials(DB, path)
